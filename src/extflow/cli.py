@@ -217,6 +217,12 @@ def _validate(cfg: RunConfig):
             raise IncompatibleModelGroup(
                 f"model {cfg.model!r} is not invariant under {group!r}")
         cfg.group = group
+    if cfg.command == "shoot":
+        if not 1 <= cfg.count <= 4:
+            raise ParseError(f"shoot: count must be between 1 and 4, got {cfg.count}")
+        if not cfg.gamma < -0.25:
+            raise ParseError(
+                f"shoot: gamma must be below -1/4 (oscillatory boundary), got {cfg.gamma}")
     if cfg.length <= 0:
         raise ParseError("l must be positive")
     if cfg.tol is not None and cfg.tol <= 0:

@@ -278,8 +278,8 @@ class InverseSquareModel:
         gamma = self.gamma
         k = cmath.exp(-1j * math.pi / 4)
 
-        def rhs(x, y):
-            return np.array([y[1], (gamma / (x * x) - 1j) * y[0]])
+        def q(x):
+            return gamma / (x * x) - 1j
 
         # two-term decaying data e^{-kx}(1 + gamma/(2kx)), rescaled by the
         # positive real e^{Re(k) X} so the state starts at O(1)
@@ -288,7 +288,7 @@ class InverseSquareModel:
         scale0 = cmath.exp(-k * x0 + k.real * x0)
         f0 = (1 + corr / x0) * scale0
         df0 = (-k - k * corr / x0 - corr / (x0 * x0)) * scale0
-        sol = ode_solve(rhs, x0, [f0, df0], self.X_MIN, tol=1e-11, max_step=0.05)
+        sol = ode_solve(q, x0, (f0, df0), self.X_MIN, tol=1e-11, max_step=0.05)
         # positive-real gauge: unit magnitude at x = 1
         anchor = abs(sol(np.array([1.0]))[0, 0])
         self._solution = sol

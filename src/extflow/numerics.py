@@ -1,14 +1,15 @@
 """Self-contained numerical kernels.
 
 Adaptive Gauss-Kronrod quadrature (finite and semi-infinite, complex
-integrands), an embedded Runge-Kutta 5(4) initial-value solver with dense
-output, a scaling-and-squaring matrix exponential, largest-singular-value
-estimation by power iteration, a partial-pivoting linear solve, and a
-bracketed root finder.
+integrands), a Dormand-Prince 5(4) solver with dense output for the linear
+equation u'' = q(x) u, a scaling-and-squaring matrix exponential,
+largest-singular-value estimation by power iteration, a partial-pivoting
+linear solve, and an Illinois bracketed root finder.
 
 Matrices and vectors are plain numpy arrays (dense, complex). Integrands
-and vector fields are called with numpy arrays / complex state vectors and
-must be re-entrant; everything here is pure, so concurrent use is safe.
+are called with numpy arrays of nodes; ODE coefficients q(x) and root-finder
+functions with Python floats. All of them must be re-entrant; everything
+here is pure, so concurrent use is safe.
 """
 
 from __future__ import annotations
@@ -148,22 +149,6 @@ def quad_semiinf(f, tol: float = 1e-10, decay_hint: float = 1.0,
 # initial value solver: Dormand-Prince 5(4) with cubic Hermite dense output
 # ---------------------------------------------------------------------------
 
-_DP_C = np.array([0.0, 1 / 5, 3 / 10, 4 / 5, 8 / 9, 1.0, 1.0])
-_DP_A = [
-    np.array([]),
-    np.array([1 / 5]),
-    np.array([3 / 40, 9 / 40]),
-    np.array([44 / 45, -56 / 15, 32 / 9]),
-    np.array([19372 / 6561, -25360 / 2187, 64448 / 6561, -212 / 729]),
-    np.array([9017 / 3168, -355 / 33, 46732 / 5247, 49 / 176, -5103 / 18656]),
-    np.array([35 / 384, 0.0, 500 / 1113, 125 / 192, -2187 / 6784, 11 / 84]),
-]
-_DP_B5 = np.array([35 / 384, 0.0, 500 / 1113, 125 / 192, -2187 / 6784, 11 / 84, 0.0])
-_DP_ERR = np.array([
-    71 / 57600, 0.0, -71 / 16695, 71 / 1920, -17253 / 339200, 22 / 525, -1 / 40,
-])
-
-
 class OdeSolution:
     """Accepted solver nodes plus cubic Hermite interpolation between them.
 
@@ -203,56 +188,88 @@ class OdeSolution:
         return out[0] if np.isscalar(x) or np.asarray(x).ndim == 0 else out
 
 
-def ode_solve(rhs, x0: float, y0, x1: float, tol: float = 1e-9,
+def ode_solve(q, x0: float, y0, x1: float, tol: float = 1e-9,
               max_step: float | None = None, max_steps: int = 10**6) -> OdeSolution:
-    """Dormand-Prince 5(4) with adaptive steps; integrates x0 -> x1 (either order).
+    """Integrate u'' = q(x) u from x0 to x1 (either order) by Dormand-Prince
+    5(4) with adaptive steps (Hairer, Norsett and Wanner, Solving ODEs I,
+    II.5).
 
-    ``rhs(x, y)`` takes a complex state vector and returns its derivative.
-    Per-step error is controlled against tol*(1+|y|). ``max_step`` bounds the
-    step size, which also bounds the dense-output interpolation error.
+    ``q(x)`` returns the scalar coefficient and ``y0`` is the pair (u, u').
+    The state is two Python scalars: real when ``q`` and ``y0`` are real,
+    complex otherwise. The per-step error is controlled componentwise
+    against tol*(1+max(|y|,|y_new|)). ``max_step`` bounds the step size,
+    which also bounds the dense-output interpolation error. Returns the
+    accepted nodes as an OdeSolution; raises StepUnderflow when the step
+    collapses or ``max_steps`` attempts do not reach x1.
     """
-    y = np.atleast_1d(np.asarray(y0, dtype=complex))
+    u, v = y0
+    cast = complex if np.iscomplexobj(q(x0) * u * v) else float
+    u, v, x = cast(u), cast(v), float(x0)
+    w = q(x) * u
     if x1 == x0:
-        f0 = np.asarray(rhs(x0, y), dtype=complex)
-        return OdeSolution(np.array([x0]), y[None, :], f0[None, :], forward=True)
+        return OdeSolution([x], [(u, v)], [(v, w)], forward=True)
     direction = 1.0 if x1 > x0 else -1.0
     span = abs(x1 - x0)
     h = direction * min(span / 10.0, max_step if max_step else span / 10.0)
-    x = x0
-    f = np.asarray(rhs(x, y), dtype=complex)
-    xs, ys, fs = [x], [y.copy()], [f.copy()]
-    k = np.empty((7, y.size), dtype=complex)
+    tiny = 16 * np.finfo(float).eps
+    xs, us, vs, ws = [x], [u], [v], [w]
     steps = 0
     while (x1 - x) * direction > 0:
         if steps > max_steps:
             raise StepUnderflow(f"ode_solve: step budget exhausted at x={x}")
-        if abs(h) < 16 * np.finfo(float).eps * max(1.0, abs(x)):
+        if abs(h) < tiny * max(1.0, abs(x)):
             raise StepUnderflow(f"ode_solve: step underflow at x={x}")
         if (x + h - x1) * direction > 0:
             h = x1 - x
-        k[0] = f
-        for i in range(1, 7):
-            yi = y + h * (_DP_A[i][None, :] @ k[:i])[0]
-            k[i] = rhs(x + _DP_C[i] * h, yi)
-        ynew = y + h * (_DP_B5 @ k)
-        err_vec = h * (_DP_ERR @ k)
-        sc = tol * (1.0 + np.maximum(np.abs(y), np.abs(ynew)))
-        err = float(np.max(np.abs(err_vec) / sc))
+        # stage i has state (u_i, v_i) and derivative (v_i, w_i = q u_i);
+        # stage 1 is the previous step's last stage (FSAL)
+        u2 = u + h * (1 / 5 * v)
+        v2 = v + h * (1 / 5 * w)
+        w2 = q(x + 1 / 5 * h) * u2
+        u3 = u + h * (3 / 40 * v + 9 / 40 * v2)
+        v3 = v + h * (3 / 40 * w + 9 / 40 * w2)
+        w3 = q(x + 3 / 10 * h) * u3
+        u4 = u + h * (44 / 45 * v - 56 / 15 * v2 + 32 / 9 * v3)
+        v4 = v + h * (44 / 45 * w - 56 / 15 * w2 + 32 / 9 * w3)
+        w4 = q(x + 4 / 5 * h) * u4
+        u5 = u + h * (19372 / 6561 * v - 25360 / 2187 * v2 + 64448 / 6561 * v3
+                      - 212 / 729 * v4)
+        v5 = v + h * (19372 / 6561 * w - 25360 / 2187 * w2 + 64448 / 6561 * w3
+                      - 212 / 729 * w4)
+        w5 = q(x + 8 / 9 * h) * u5
+        u6 = u + h * (9017 / 3168 * v - 355 / 33 * v2 + 46732 / 5247 * v3
+                      + 49 / 176 * v4 - 5103 / 18656 * v5)
+        v6 = v + h * (9017 / 3168 * w - 355 / 33 * w2 + 46732 / 5247 * w3
+                      + 49 / 176 * w4 - 5103 / 18656 * w5)
+        q_end = q(x + h)
+        w6 = q_end * u6
+        u_new = u + h * (35 / 384 * v + 500 / 1113 * v3 + 125 / 192 * v4
+                         - 2187 / 6784 * v5 + 11 / 84 * v6)
+        v_new = v + h * (35 / 384 * w + 500 / 1113 * w3 + 125 / 192 * w4
+                         - 2187 / 6784 * w5 + 11 / 84 * w6)
+        w_new = q_end * u_new
+        err_u = h * (71 / 57600 * v - 71 / 16695 * v3 + 71 / 1920 * v4
+                     - 17253 / 339200 * v5 + 22 / 525 * v6 - 1 / 40 * v_new)
+        err_v = h * (71 / 57600 * w - 71 / 16695 * w3 + 71 / 1920 * w4
+                     - 17253 / 339200 * w5 + 22 / 525 * w6 - 1 / 40 * w_new)
+        err = max(abs(err_u) / (tol * (1.0 + max(abs(u), abs(u_new)))),
+                  abs(err_v) / (tol * (1.0 + max(abs(v), abs(v_new)))))
         steps += 1
         if err <= 1.0:
             x = x + h
-            y = ynew
-            f = k[6] if _DP_C[6] == 1.0 else np.asarray(rhs(x, y), dtype=complex)
+            u, v, w = u_new, v_new, w_new
             xs.append(x)
-            ys.append(y.copy())
-            fs.append(f.copy())
+            us.append(u)
+            vs.append(v)
+            ws.append(w)
             factor = 5.0 if err == 0.0 else min(5.0, 0.9 * err ** -0.2)
         else:
             factor = max(0.2, 0.9 * err ** -0.2)
         h *= factor
         if max_step is not None and abs(h) > max_step:
             h = direction * max_step
-    return OdeSolution(np.array(xs), np.array(ys), np.array(fs), forward=direction > 0)
+    return OdeSolution(xs, list(zip(us, vs)), list(zip(vs, ws)),
+                       forward=direction > 0)
 
 
 # ---------------------------------------------------------------------------
@@ -380,8 +397,14 @@ def solve_linear(matrix: np.ndarray, rhs: np.ndarray) -> np.ndarray:
 # ---------------------------------------------------------------------------
 
 def find_root(f, lo: float, hi: float, tol: float = 1e-12, max_iter: int = 200) -> float:
-    """Secant/bisection hybrid on a sign-changing bracket; returns the root
-    once the bracket width drops below ``tol``."""
+    """Illinois false position (Dowell and Jarratt, BIT 11 (1971) 168) on a
+    sign-changing bracket; returns the bracket's midpoint once it is at most
+    ``tol`` wide.
+
+    When the same end of the bracket is kept twice in a row, its function
+    value is halved, so both ends close in on the root. Raises NoSignChange
+    when f(lo) and f(hi) have equal sign.
+    """
     if not lo < hi:
         raise ValueError("need lo < hi")
     fa = f(lo)
@@ -393,21 +416,24 @@ def find_root(f, lo: float, hi: float, tol: float = 1e-12, max_iter: int = 200) 
     if (fa > 0) == (fb > 0):
         raise NoSignChange(f"f({lo})={fa:.3e} and f({hi})={fb:.3e} have equal sign")
     a, b = lo, hi
+    kept = 0  # +1 after b was kept, -1 after a was kept
     for _ in range(max_iter):
         if b - a <= tol:
-            return 0.5 * (a + b)
-        mid = 0.5 * (a + b)
-        x = mid
-        if fb != fa:
-            secant = b - fb * (b - a) / (fb - fa)
-            # accept the secant point only when safely interior
-            if a + 0.01 * (b - a) < secant < b - 0.01 * (b - a):
-                x = secant
+            break
+        x = b - fb * (b - a) / (fb - fa)
+        if not a < x < b:
+            x = 0.5 * (a + b)
         fx = f(x)
         if fx == 0.0:
             return x
         if (fx > 0) == (fa > 0):
             a, fa = x, fx
+            if kept == 1:
+                fb *= 0.5
+            kept = 1
         else:
             b, fb = x, fx
+            if kept == -1:
+                fa *= 0.5
+            kept = -1
     return 0.5 * (a + b)

@@ -137,18 +137,16 @@ def _mismatch(gamma: float, nu: float, theta: float, lam: float) -> float:
     # start where the boundary form is accurate: |lam| x^2 = 1e-4
     x_a = min(1e-3, 1e-2 / k)
 
-    def rhs(x, y):
-        return np.array([y[1], (gamma / (x * x) - lam) * y[0]])
+    def q(x):
+        return gamma / (x * x) - lam
 
     u0, du0 = _outward_data(gamma, nu, theta, lam, x_a)
-    out = ode_solve(rhs, x_a, [u0, du0], x_mid, tol=1e-9)
+    uo, duo = ode_solve(q, x_a, (u0, du0), x_mid, tol=1e-9).y_end
     x_in = 40.0 / k
     corr = gamma / (2 * k)
     f0 = 1 + corr / x_in
     df0 = -k - k * corr / x_in - corr / (x_in * x_in)
-    inn = ode_solve(rhs, x_in, [f0, df0], x_mid, tol=1e-9)
-    uo, duo = out.y_end[0].real, out.y_end[1].real
-    vi, dvi = inn.y_end[0].real, inn.y_end[1].real
+    vi, dvi = ode_solve(q, x_in, (f0, df0), x_mid, tol=1e-9).y_end
     wron = uo * dvi - duo * vi
     scale = ((abs(uo) + x_mid * abs(duo)) * (abs(vi) + x_mid * abs(dvi))) / x_mid
     return wron / max(scale, 1e-300)

@@ -190,10 +190,23 @@ class TestExitCodes:
         assert cli.main(["fixed-points"]) == 2
 
     def test_numerical_error_is_3(self, tmp_path):
-        # shooting in the semibounded range is ill-posed
-        code = cli.main(["shoot", "--gamma", "0.0", "--count", "2",
+        # nu = 0.1: one ladder step spans e^{20 pi}, beyond the dynamic range
+        code = cli.main(["shoot", "--gamma", "-0.26", "--count", "2",
                          "--out", str(tmp_path / "x.json")])
         assert code == 3
+
+    @pytest.mark.parametrize("flags", [
+        ["--gamma", "-25", "--count", "9"],
+        ["--gamma", "-25", "--count", "0"],
+        ["--gamma", "0.3", "--count", "2"],
+        ["--gamma", "-0.25", "--count", "2"],
+    ], ids=["count-9", "count-0", "gamma-0.3", "gamma-critical"])
+    def test_shoot_domain_is_configuration_error(self, flags, tmp_path, capsys):
+        code = cli.main(["shoot", *flags, "--out", str(tmp_path / "x.json")])
+        err = capsys.readouterr().err
+        assert code == 2
+        assert err.startswith("configuration error: shoot:")
+        assert err.count("\n") == 1 and "Traceback" not in err
 
     def test_unknown_command_is_2(self):
         assert cli.main(["frobnicate"]) == 2

@@ -123,6 +123,23 @@ class TestShooting:
         assert rep.generator == pytest.approx(math.exp(2 * math.pi / math.sqrt(0.75)),
                                               rel=1e-12)
 
+    @pytest.mark.parametrize("gamma, theta, count", [(-25.0, 0.7, 4), (-1.0, 0.3, 2)])
+    def test_matches_closed_form_ladder(self, gamma, theta, count):
+        # lambda_n = -4 exp(2 (theta + arg Gamma(1 + i nu) + n pi) / nu), from the
+        # small-x expansion of sqrt(x) K_{i nu}(k x) (DLMF 10.45)
+        mpmath = pytest.importorskip("mpmath")
+        nu = math.sqrt(-gamma - 0.25)
+        offset = theta + float(mpmath.arg(mpmath.gamma(1 + 1j * nu)))
+        eig = spectra.shoot_negative_eigenvalues(gamma, theta, count)
+        assert len(eig) == count
+        rungs = []
+        for lam in eig.values:
+            n = round((0.5 * nu * math.log(-lam.real / 4) - offset) / math.pi)
+            rungs.append(n)
+            expect = -4 * math.exp(2 * (offset + n * math.pi) / nu)
+            assert lam.real == pytest.approx(expect, rel=1e-8)
+        assert rungs == list(range(rungs[0], rungs[0] - count, -1))
+
     def test_requires_oscillatory_coupling(self):
         with pytest.raises(IllPosed):
             spectra.shoot_negative_eigenvalues(0.0, 0.0, 2)
@@ -177,6 +194,17 @@ class TestFriedrichsKreinParams:
 
 
 class TestScalingCovariance:
+    @pytest.mark.parametrize("theta", [0.1, 0.7, 2.0])
+    def test_mismatch_under_dilation(self, theta):
+        # x -> k x maps the problem at lambda = -k^2 to lambda = -1 with the
+        # boundary phase shifted by -nu log k
+        gamma = -2.0
+        nu = math.sqrt(-gamma - 0.25)
+        for k in (0.3, 0.7, 2.0, 5.0):
+            lhs = spectra._mismatch(gamma, nu, theta, -k * k)
+            rhs = spectra._mismatch(gamma, nu, theta - nu * math.log(k), -1.0)
+            assert abs(lhs - rhs) < 1e-8
+
     def test_ladder_invariant_under_generator_step(self, ladder25):
         step = math.exp(2 * math.pi / NU25)
         values = sorted(v.real for v in ladder25.values)
