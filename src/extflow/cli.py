@@ -3,7 +3,7 @@ JSON/CSV report emission.
 
 Commands: flow-orbit, fixed-points, invariance, period, spectrum, shoot,
 fk-params, weyl, generator-check, refine, certify-nonequivalence, all.
-Configuration comes from flags, optionally seeded from a flat key=value
+Configuration comes from flags, optionally read from a flat key=value
 file (# comments); flags override the file. Reports are byte-stable for a
 fixed configuration: numbers are printed with 17 significant digits and
 wall-clock timings go to stderr, never into the payload.
@@ -54,7 +54,6 @@ class RunConfig:
     jobs: int = 1
     out: str | None = None
     fmt: str = "json"
-    seed: int = 0
     theta: float | None = None
     rho: complex | None = None
     window: tuple = (-20.0, 20.0)
@@ -76,7 +75,6 @@ class RunConfig:
             "tol": self.tol,
             "jobs": self.jobs,
             "format": self.fmt,
-            "seed": self.seed,
             "theta": self.theta,
             "rho": self.rho,
             "window": list(self.window),
@@ -146,7 +144,7 @@ def read_config_file(path: str) -> dict:
 _FILE_KEYS = {
     "model": str, "l": float, "gamma": float, "group": str,
     "t": _parse_float_list, "n": _parse_int_list, "tol": float, "jobs": int,
-    "out": str, "format": str, "seed": int, "theta": float,
+    "out": str, "format": str, "theta": float,
     "rho": _parse_complex, "window": _parse_float_list, "count": int,
     "on_grid": lambda s: s.lower() in ("1", "true", "yes", "on"),
     "l2": float, "v0": _parse_complex, "t_max": float,
@@ -186,7 +184,6 @@ def load_config(args: argparse.Namespace) -> RunConfig:
         jobs=pick(args.jobs, "jobs", 1),
         out=pick(args.out, "out", None),
         fmt=pick(args.format, "format", "json"),
-        seed=pick(args.seed, "seed", 0),
         theta=pick(args.theta, "theta", None),
         rho=pick(args.rho, "rho", None),
         window=tuple(pick(args.window, "window", [-20.0, 20.0])),
@@ -202,6 +199,7 @@ def load_config(args: argparse.Namespace) -> RunConfig:
 
 _NEEDS_MODEL = {"flow-orbit", "fixed-points", "invariance", "period",
                 "generator-check"}
+_GRID_COMMANDS = {"weyl", "refine", "certify-nonequivalence"}
 
 
 def _validate(cfg: RunConfig):
@@ -223,6 +221,10 @@ def _validate(cfg: RunConfig):
         if not cfg.gamma < -0.25:
             raise ParseError(
                 f"shoot: gamma must be below -1/4 (oscillatory boundary), got {cfg.gamma}")
+    if cfg.command in _GRID_COMMANDS and min(cfg.n_values, default=0) < 8:
+        raise ParseError(f"{cfg.command}: every grid size n must be at least 8")
+    if cfg.command == "refine" and len(set(cfg.n_values)) < 3:
+        raise ParseError("refine: need at least three distinct grid sizes in 'n'")
     if cfg.length <= 0:
         raise ParseError("l must be positive")
     if cfg.tol is not None and cfg.tol <= 0:
@@ -390,24 +392,14 @@ def _cmd_fk_params(cfg):
     return results, checks
 
 
-def _weyl_cell(length, n, t, on_grid):
-    gen, pos = weylcheck.build_interval_grid(length, n)
-    s = (n // 3 + (0.0 if on_grid else 0.5)) * gen.h
-    v = weylcheck.semigroup(gen, s)
-    u = weylcheck.unitary_group(pos, t)
-    res = weylcheck.weyl_residual(u, v, t, s, Translation(1.0))
-    return {"n": n, "h": gen.h, "t": t, "s": s,
-            "variant": "on-grid" if on_grid else "off-grid", "residual": res}
-
-
 def _cmd_weyl(cfg):
     cells = [(cfg.length, n, t, cfg.on_grid)
              for n in sorted(cfg.n_values) for t in cfg.t_values]
     if cfg.jobs > 1:
         with ThreadPoolExecutor(max_workers=cfg.jobs) as pool:
-            rows = list(pool.map(lambda c: _weyl_cell(*c), cells))
+            rows = list(pool.map(lambda c: weylcheck.residual_row(*c), cells))
     else:
-        rows = [_weyl_cell(*c) for c in cells]
+        rows = [weylcheck.residual_row(*c) for c in cells]
     rows.sort(key=lambda r: (r["n"], r["t"]))
     worst = max((r["residual"] for r in rows), default=0.0)
     checks = {}
@@ -443,8 +435,6 @@ def _cmd_generator_check(cfg):
 
 
 def _cmd_refine(cfg):
-    if len(cfg.n_values) < 3:
-        raise ParseError("refine: need at least three grid sizes in 'n'")
     res = weylcheck.refinement_study(cfg.length, cfg.n_values, cfg.t_values,
                                      on_grid=cfg.on_grid)
     variant, order = next(iter(res.orders.items()))
@@ -600,7 +590,6 @@ def build_parser() -> argparse.ArgumentParser:
     parser.add_argument("--jobs", type=int)
     parser.add_argument("--out", help="output path (default stdout)")
     parser.add_argument("--format", choices=["json", "csv"])
-    parser.add_argument("--seed", type=int)
     parser.add_argument("--theta", type=float, help="boundary phase angle")
     parser.add_argument("--rho", type=_parse_complex,
                         help="interval boundary multiplier, e.g. 0.36 or 0.3+0.1j")

@@ -14,14 +14,6 @@ class StepUnderflow(ExtflowError):
     """ODE step size collapsed below machine resolution."""
 
 
-class Overflow(ExtflowError):
-    """Matrix exponential argument exceeds the squaring budget."""
-
-
-class SingularMatrix(ExtflowError):
-    """Linear solve hit a pivot below the singularity tolerance."""
-
-
 class NoSignChange(ExtflowError):
     """Root bracket endpoints do not straddle a sign change."""
 
@@ -72,11 +64,6 @@ class DynamicRangeExceeded(ExtflowError):
 
 class InsufficientData(ExtflowError):
     """Not enough eigenvalues to estimate a progression ratio."""
-
-
-# weylcheck
-class NotDissipative(ExtflowError):
-    """Grid generator fails the dissipativity check."""
 
 
 # cli

@@ -37,7 +37,6 @@ from .errors import (
     UnsupportedIndices,
 )
 from .mobius import IDENTITY_MAP, LinearFractionalMap, MapClass, classify
-from .numerics import solve_linear
 
 SELF_ADJOINT = "self-adjoint"
 DISSIPATIVE = "dissipative-nonselfadjoint"
@@ -90,17 +89,6 @@ def gamma_apply(model, g: AffineMap, v: complex) -> complex:
             raise UnsupportedIndices("indices (0, 1): only the zero parameter exists")
         return v
     return mobius.apply(fm.mobius, v)
-
-
-def gamma_apply_matrix(co, ov, contraction: np.ndarray) -> np.ndarray:
-    """Matrix-parameter path of the same flow formula; ``ov`` holds blocks
-    as square matrices and ``contraction`` is a matrix of matching shape."""
-    v = np.asarray(contraction, dtype=complex)
-    num = co.gamma_c * np.asarray(ov.cmp, dtype=complex) - co.delta * (
-        np.asarray(ov.cmm, dtype=complex) @ v)
-    den = co.alpha * np.asarray(ov.cpp, dtype=complex) - co.beta * (
-        np.asarray(ov.cpm, dtype=complex) @ v)
-    return solve_linear(den.T, num.T).T
 
 
 def _sample_parameters(count: int) -> list[complex]:

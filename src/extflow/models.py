@@ -33,7 +33,7 @@ import numpy as np
 
 from .affine import AffineMap, Scaling, Translation
 from .errors import IllPosed, InvalidBoundary, OutsideGroup, UnsupportedIndices
-from .numerics import ode_solve, quad_finite
+from .numerics import hermite, ode_solve, quad_finite
 
 
 @dataclass(frozen=True)
@@ -68,6 +68,20 @@ def _int_exp(c: complex, length: float) -> complex:
             k += 1
         return total
     return (cmath.exp(z) - 1.0) / c
+
+
+def right_shift(s: float, f):
+    """Right shift with zero fill, f -> f(x - s) for x > s and 0 below: the
+    contraction semigroup of i d/dx with f(0) = 0 on the interval and the
+    half-line alike."""
+    if s < 0:
+        raise ValueError("semigroup parameter must be nonnegative")
+
+    def shifted(x):
+        x = np.asarray(x, dtype=float)
+        return np.where(x > s, f(np.maximum(x - s, 0.0)), 0.0)
+
+    return shifted
 
 
 # ---------------------------------------------------------------------------
@@ -139,17 +153,7 @@ class IntervalModel:
 
         return transform
 
-    def semigroup_action(self, s: float, f):
-        """Right shift with zero fill: the contraction semigroup of the
-        extension with f(0) = 0."""
-        if s < 0:
-            raise ValueError("semigroup parameter must be nonnegative")
-
-        def shifted(x):
-            x = np.asarray(x, dtype=float)
-            return np.where(x > s, f(np.maximum(x - s, 0.0)), 0.0)
-
-        return shifted
+    semigroup_action = staticmethod(right_shift)
 
 
 # ---------------------------------------------------------------------------
@@ -225,8 +229,8 @@ class InverseSquareModel:
     gamma < 3/4, invariant under scalings about the origin.
 
     Deficiency data is materialized by backward integration from x = 40
-    with two-term decaying asymptotic data, tabulated on a log-spaced grid,
-    and matched to a two-term Frobenius pair at x = 1e-3; inner products
+    with decaying asymptotic data summed to rounding level, tabulated on a
+    log-spaced grid, and matched to a two-term Frobenius pair at x = 1e-3; inner products
     combine a closed-form piece below the matching point with adaptive
     quadrature in the log variable above it.
     """
@@ -281,13 +285,25 @@ class InverseSquareModel:
         def q(x):
             return gamma / (x * x) - 1j
 
-        # two-term decaying data e^{-kx}(1 + gamma/(2kx)), rescaled by the
+        # decaying data e^{-kx} S(x), S = sum_m a_m (kx)^{-m}, the large-
+        # argument series of sqrt(x) K_mu(kx) (DLMF 10.40.2) with
+        # 4 mu^2 = 4 gamma + 1, summed to rounding level and rescaled by the
         # positive real e^{Re(k) X} so the state starts at O(1)
         x0 = self.X_MAX
-        corr = gamma / (2 * k)
+        z = k * x0
+        series, slope = 1.0 + 0j, 0j    # S and x S'
+        term, m = 1.0 + 0j, 0
+        while abs(term) > 1e-17 * abs(series):
+            m += 1
+            nxt = term * (4 * gamma + 1 - (2 * m - 1) ** 2) / (8 * m * z)
+            if abs(nxt) >= abs(term):
+                break    # the series is asymptotic: stop at its smallest term
+            term = nxt
+            series += term
+            slope -= m * term
         scale0 = cmath.exp(-k * x0 + k.real * x0)
-        f0 = (1 + corr / x0) * scale0
-        df0 = (-k - k * corr / x0 - corr / (x0 * x0)) * scale0
+        f0 = series * scale0
+        df0 = (-k * series + slope / x0) * scale0
         sol = ode_solve(q, x0, (f0, df0), self.X_MIN, tol=1e-11, max_step=0.05)
         # positive-real gauge: unit magnitude at x = 1
         anchor = abs(sol(np.array([1.0]))[0, 0])
@@ -375,12 +391,8 @@ class InverseSquareModel:
         x1 = self._x_nodes[idx + 1]
         h = x1 - x0
         s = np.clip((x - x0) / h, 0.0, 1.0)
-        h00 = (1 + 2 * s) * (1 - s) ** 2
-        h10 = s * (1 - s) ** 2
-        h01 = s * s * (3 - 2 * s)
-        h11 = s * s * (s - 1)
-        return (h00 * self._f_nodes[idx] + h * h10 * self._fp_nodes[idx]
-                + h01 * self._f_nodes[idx + 1] + h * h11 * self._fp_nodes[idx + 1])
+        return hermite(s, h, self._f_nodes[idx], self._fp_nodes[idx],
+                       self._f_nodes[idx + 1], self._fp_nodes[idx + 1])
 
     # inner products ----------------------------------------------------------
     def _pair_integral(self, sigma: float, conj_second: bool,
@@ -559,16 +571,7 @@ class HalflineModel:
             return transform
         raise OutsideGroup(f"unknown representation kind {kind!r}")
 
-    def semigroup_action(self, s: float, f):
-        """Right shift with zero fill (the unilateral shift semigroup)."""
-        if s < 0:
-            raise ValueError("semigroup parameter must be nonnegative")
-
-        def shifted(x):
-            x = np.asarray(x, dtype=float)
-            return np.where(x > s, f(np.maximum(x - s, 0.0)), 0.0)
-
-        return shifted
+    semigroup_action = staticmethod(right_shift)
 
 
 # ---------------------------------------------------------------------------

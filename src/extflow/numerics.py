@@ -1,15 +1,15 @@
 """Self-contained numerical kernels.
 
-Adaptive Gauss-Kronrod quadrature (finite and semi-infinite, complex
-integrands), a Dormand-Prince 5(4) solver with dense output for the linear
-equation u'' = q(x) u, a scaling-and-squaring matrix exponential,
-largest-singular-value estimation by power iteration, a partial-pivoting
-linear solve, and an Illinois bracketed root finder.
+Adaptive Gauss-Kronrod quadrature over a finite interval (complex
+integrands), a Dormand-Prince 5(4) solver for the linear equation
+u'' = q(x) u, the cubic Hermite interpolant that serves as its dense output
+and as the inverse-square model's table lookup, and an Illinois bracketed
+root finder. The grid operators of the Weyl checks need no dense kernel:
+they are diagonals times shifts, see ``weylcheck``.
 
-Matrices and vectors are plain numpy arrays (dense, complex). Integrands
-are called with numpy arrays of nodes; ODE coefficients q(x) and root-finder
-functions with Python floats. All of them must be re-entrant; everything
-here is pure, so concurrent use is safe.
+Integrands are called with numpy arrays of nodes; ODE coefficients q(x) and
+root-finder functions with Python floats. All of them must be re-entrant;
+everything here is pure, so concurrent use is safe.
 """
 
 from __future__ import annotations
@@ -20,13 +20,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import (
-    NoConvergence,
-    NoSignChange,
-    Overflow,
-    SingularMatrix,
-    StepUnderflow,
-)
+from .errors import NoConvergence, NoSignChange, StepUnderflow
 
 # ---------------------------------------------------------------------------
 # quadrature
@@ -130,24 +124,19 @@ def quad_finite(f, a: float, b: float, tol: float = 1e-10, max_panels: int = 10*
     return QuadratureResult(value, total_err, 15 * count)
 
 
-def quad_semiinf(f, tol: float = 1e-10, decay_hint: float = 1.0,
-                 max_panels: int = 10**4) -> QuadratureResult:
-    """Integrate ``f`` over [0, inf) assuming decay at least exp(-decay_hint*x).
-
-    Truncates at X = 50/decay_hint; the truncation tail estimate
-    |f(X)|/decay_hint is folded into the error.
-    """
-    if decay_hint <= 0:
-        raise ValueError("decay_hint must be positive")
-    cutoff = 50.0 / decay_hint
-    res = quad_finite(f, 0.0, cutoff, tol, max_panels)
-    tail = abs(complex(np.asarray(f(np.array([cutoff])), dtype=complex)[0])) / decay_hint
-    return QuadratureResult(res.value, res.error_estimate + tail, res.evaluations + 1)
-
-
 # ---------------------------------------------------------------------------
 # initial value solver: Dormand-Prince 5(4) with cubic Hermite dense output
 # ---------------------------------------------------------------------------
+
+def hermite(s, h, y0, f0, y1, f1):
+    """Cubic Hermite interpolant at relative position s in [0, 1] of a panel
+    of width h, from the end values y0, y1 and the end slopes f0, f1."""
+    h00 = (1 + 2 * s) * (1 - s) ** 2
+    h10 = s * (1 - s) ** 2
+    h01 = s * s * (3 - 2 * s)
+    h11 = s * s * (s - 1)
+    return h00 * y0 + h * h10 * f0 + h01 * y1 + h * h11 * f1
+
 
 class OdeSolution:
     """Accepted solver nodes plus cubic Hermite interpolation between them.
@@ -175,16 +164,8 @@ class OdeSolution:
         x1 = self.xs[idx + 1]
         h = x1 - x0
         s = (xq - x0) / h
-        h00 = (1 + 2 * s) * (1 - s) ** 2
-        h10 = s * (1 - s) ** 2
-        h01 = s * s * (3 - 2 * s)
-        h11 = s * s * (s - 1)
-        out = (
-            h00[:, None] * self.ys[idx]
-            + (h * h10)[:, None] * self.fs[idx]
-            + h01[:, None] * self.ys[idx + 1]
-            + (h * h11)[:, None] * self.fs[idx + 1]
-        )
+        out = hermite(s[:, None], h[:, None], self.ys[idx], self.fs[idx],
+                      self.ys[idx + 1], self.fs[idx + 1])
         return out[0] if np.isscalar(x) or np.asarray(x).ndim == 0 else out
 
 
@@ -270,126 +251,6 @@ def ode_solve(q, x0: float, y0, x1: float, tol: float = 1e-9,
             h = direction * max_step
     return OdeSolution(xs, list(zip(us, vs)), list(zip(vs, ws)),
                        forward=direction > 0)
-
-
-# ---------------------------------------------------------------------------
-# dense matrix exponential: degree-13 diagonal Pade with scaling and squaring
-# ---------------------------------------------------------------------------
-
-_PADE13 = np.array([
-    64764752532480000, 32382376266240000, 7771770303897600, 1187353796428800,
-    129060195264000, 10559470521600, 670442572800, 33522128640, 1323241920,
-    40840800, 960960, 16380, 182, 1,
-], dtype=float)
-_THETA13 = 5.371920351148152
-
-
-def mat_exp(matrix: np.ndarray, scale: complex = 1.0) -> np.ndarray:
-    """exp(scale*matrix) for a square dense matrix, backward-stable for
-    moderate norms; raises Overflow past the squaring budget."""
-    a = np.asarray(matrix, dtype=complex) * scale
-    n = a.shape[0]
-    if a.shape != (n, n):
-        raise ValueError("mat_exp needs a square matrix")
-    if not np.all(np.isfinite(a)):
-        raise ValueError("mat_exp: non-finite entries")
-    norm1 = float(np.max(np.sum(np.abs(a), axis=0))) if n else 0.0
-    squarings = 0
-    if norm1 > _THETA13:
-        squarings = int(math.ceil(math.log2(norm1 / _THETA13)))
-        if squarings > 60:
-            raise Overflow(f"mat_exp: norm {norm1:.3e} beyond squaring budget")
-        a = a / (2.0 ** squarings)
-    ident = np.eye(n, dtype=complex)
-    a2 = a @ a
-    a4 = a2 @ a2
-    a6 = a2 @ a4
-    b = _PADE13
-    u = a @ (a6 @ (b[13] * a6 + b[11] * a4 + b[9] * a2)
-             + b[7] * a6 + b[5] * a4 + b[3] * a2 + b[1] * ident)
-    v = (a6 @ (b[12] * a6 + b[10] * a4 + b[8] * a2)
-         + b[6] * a6 + b[4] * a4 + b[2] * a2 + b[0] * ident)
-    out = solve_linear(v - u, u + v)
-    for _ in range(squarings):
-        out = out @ out
-    return out
-
-
-# ---------------------------------------------------------------------------
-# operator norm (largest singular value) by power iteration
-# ---------------------------------------------------------------------------
-
-def operator_norm(matrix: np.ndarray, tol: float = 1e-10, max_iter: int = 1000,
-                  seed: int = 0) -> float:
-    """Largest singular value via power iteration on M*M (matvec form only).
-
-    Deterministic for a fixed seed; restarts from a fresh random vector on
-    stagnation and returns the best estimate found.
-    """
-    m = np.asarray(matrix, dtype=complex)
-    if m.size == 0:
-        return 0.0
-    rng = np.random.default_rng(seed)
-    best = 0.0
-    per_attempt = max(50, max_iter // 4)
-    for _ in range(4):  # initial run plus up to three random restarts
-        v = rng.standard_normal(m.shape[1]) + 1j * rng.standard_normal(m.shape[1])
-        nv = float(np.linalg.norm(v))
-        if nv == 0.0:
-            continue
-        v /= nv
-        sigma = 0.0
-        sigma_prev = -1.0
-        for _ in range(per_attempt):
-            w = m @ v
-            sigma = float(np.linalg.norm(w))
-            if sigma == 0.0:
-                return best
-            u = m.conj().T @ w
-            nu_ = float(np.linalg.norm(u))
-            if nu_ == 0.0:
-                return max(best, sigma)
-            v = u / nu_
-            if abs(sigma - sigma_prev) <= tol * max(sigma, 1e-300):
-                return max(best, sigma)
-            sigma_prev = sigma
-        best = max(best, sigma)  # stagnated: keep the estimate, restart
-    return best
-
-
-# ---------------------------------------------------------------------------
-# linear solve: partial-pivoting elimination
-# ---------------------------------------------------------------------------
-
-def solve_linear(matrix: np.ndarray, rhs: np.ndarray) -> np.ndarray:
-    """Solve A x = b (vector or matrix rhs) by LU with partial pivoting.
-
-    Raises SingularMatrix when a pivot falls below 1e-13 * max|A|.
-    """
-    a = np.array(matrix, dtype=complex)
-    n = a.shape[0]
-    if a.shape != (n, n):
-        raise ValueError("solve_linear needs a square matrix")
-    b = np.array(rhs, dtype=complex)
-    vector_rhs = b.ndim == 1
-    if vector_rhs:
-        b = b[:, None]
-    scale = float(np.max(np.abs(a))) if n else 0.0
-    pivot_tol = 1e-13 * max(scale, 1e-300)
-    for col in range(n):
-        p = col + int(np.argmax(np.abs(a[col:, col])))
-        if abs(a[p, col]) <= pivot_tol:
-            raise SingularMatrix(f"pivot {abs(a[p, col]):.3e} at column {col}")
-        if p != col:
-            a[[col, p]] = a[[p, col]]
-            b[[col, p]] = b[[p, col]]
-        factors = a[col + 1:, col] / a[col, col]
-        a[col + 1:, col + 1:] -= np.outer(factors, a[col, col + 1:])
-        b[col + 1:] -= np.outer(factors, b[col])
-    x = np.zeros_like(b)
-    for row in range(n - 1, -1, -1):
-        x[row] = (b[row] - a[row, row + 1:] @ x[row + 1:]) / a[row, row]
-    return x[:, 0] if vector_rhs else x
 
 
 # ---------------------------------------------------------------------------

@@ -1,0 +1,43 @@
+"""The benchmark's tracer wraps extflow functions by name and reads the
+shapes of their results; these tests fail when a rename or a changed
+result type would break a traced benchmark run."""
+
+from pathlib import Path
+
+import pytest
+
+from extflow import cli
+
+EXTBENCH = Path(__file__).resolve().parents[1] / "extbench"
+
+
+@pytest.fixture
+def tracer(monkeypatch):
+    monkeypatch.syspath_prepend(str(EXTBENCH))
+    import tracing
+    tr = tracing.Tracer()
+    tr.install()
+    try:
+        yield tr
+    finally:
+        tr.uninstall()
+
+
+def test_install_wraps_and_uninstall_restores(tracer):
+    wrapped = list(tracer._undo)
+    assert wrapped
+    assert all(owner.__dict__[attr] is not original for owner, attr, original in wrapped)
+    tracer.uninstall()
+    assert all(owner.__dict__[attr] is original for owner, attr, original in wrapped)
+
+
+def test_traced_grid_commands_run(tracer, tmp_path):
+    # the tracer's after-hooks read .shape from the grid, the operators and
+    # the residual's first argument
+    for argv in (["weyl", "--n", "64,128", "--t", "0.7", "--jobs", "1"],
+                 ["refine", "--n", "64,128,256", "--t", "1.0"],
+                 ["certify-nonequivalence", "--l2", "2", "--n", "64"]):
+        assert cli.main([*argv, "--out", str(tmp_path / "out.json")]) == 0
+    assert {"weylcheck.grid", "weylcheck.semigroup", "weylcheck.unitary",
+            "weylcheck.residual", "weylcheck.nilpotency",
+            "cli.emit"} <= set(tracer.names)

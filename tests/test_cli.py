@@ -210,3 +210,26 @@ class TestExitCodes:
 
     def test_unknown_command_is_2(self):
         assert cli.main(["frobnicate"]) == 2
+
+    @pytest.mark.parametrize("argv", [
+        ["weyl", "--n", "4"],
+        ["weyl", "--n", "256,7"],
+        ["refine", "--n", "4,64,128"],
+        ["certify-nonequivalence", "--l2", "2", "--n", "4"],
+        ["refine", "--n", "64,64,64"],
+        ["refine", "--n", "64,128,64"],
+    ], ids=["weyl-4", "weyl-7", "refine-4", "certify-4", "refine-one-size",
+            "refine-two-sizes"])
+    def test_grid_sizes_are_configuration_errors(self, argv, tmp_path, capsys):
+        code = cli.main([*argv, "--out", str(tmp_path / "x.json")])
+        err = capsys.readouterr().err
+        assert code == 2
+        assert err.startswith(f"configuration error: {argv[0]}:")
+        assert err.count("\n") == 1 and "Traceback" not in err
+        assert not (tmp_path / "x.json").exists()
+
+    def test_seed_is_not_an_option(self, tmp_path):
+        assert cli.main(["weyl", "--seed", "3"]) == 2
+        path = tmp_path / "run.cfg"
+        path.write_text("seed = 3\n")
+        assert cli.main(["weyl", "--config", str(path)]) == 2

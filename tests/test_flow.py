@@ -12,7 +12,6 @@ from extflow.affine import (
     Scaling,
     Translation,
     compose,
-    flow_coefficients,
     subgroup_eval,
 )
 from extflow.errors import NumericalInconsistency, UnsupportedIndices
@@ -23,14 +22,12 @@ from extflow.flow import (
     check_group_law,
     fixed_points_flow,
     gamma_apply,
-    gamma_apply_matrix,
     gamma_map,
     invariant_extensions,
     period_detect,
     verify_semibounded_fixed,
 )
 from extflow.mobius import IDENTITY_MAP, MapTag, classify
-from extflow.models import OverlapData
 
 SCALING = Scaling(math.e, 0.0)
 
@@ -222,38 +219,6 @@ class TestSemiboundedFixedPoints:
         assert rep.residual_krein < 1e-6
         if gamma == -0.25:
             assert rep.v_friedrichs == rep.v_krein
-
-
-class TestMatrixPath:
-    def test_identity_element_any_blocks(self):
-        rng = np.random.default_rng(10)
-        co = flow_coefficients(IDENTITY)
-        for _ in range(20):
-            blocks = OverlapData(*(np.eye(2) * 1.0,) * 4)
-            r = rng.standard_normal((2, 2)) + 1j * rng.standard_normal((2, 2))
-            v = 0.4 * r / max(1.0, np.linalg.norm(r, 2))
-            out = gamma_apply_matrix(co, blocks, v)
-            assert np.max(np.abs(out - v)) < 1e-12
-
-    def test_scalar_agreement(self, interval):
-        g = AffineMap(1.0, 0.9)
-        co = flow_coefficients(g)
-        ov = interval.overlap_matrix(g)
-        blocks = OverlapData(np.array([[ov.cpp]]), np.array([[ov.cpm]]),
-                             np.array([[ov.cmp]]), np.array([[ov.cmm]]))
-        for v in (0.3 + 0.1j, -0.8j, 0.99):
-            out = gamma_apply_matrix(co, blocks, np.array([[v]]))
-            assert out[0, 0] == pytest.approx(gamma_apply(interval, g, v), abs=1e-12)
-
-    def test_diagonal_embedding_fixed_point(self, interval):
-        g = AffineMap(1.0, 1.0)
-        co = flow_coefficients(g)
-        ov = interval.overlap_matrix(g)
-        eye = np.eye(3)
-        blocks = OverlapData(ov.cpp * eye, ov.cpm * eye, ov.cmp * eye, ov.cmm * eye)
-        vstar = math.exp(-1.0) * eye
-        out = gamma_apply_matrix(co, blocks, vstar)
-        assert np.max(np.abs(out - vstar)) < 1e-9
 
 
 def random_disk_automorphism(rng):

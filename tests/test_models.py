@@ -7,7 +7,7 @@ import pytest
 from extflow import models
 from extflow.affine import IDENTITY, AffineMap, Scaling, Translation, subgroup_eval
 from extflow.errors import IllPosed, InvalidBoundary, OutsideGroup, UnsupportedIndices
-from extflow.numerics import quad_finite, quad_semiinf
+from extflow.numerics import quad_finite
 
 
 @pytest.fixture(scope="module")
@@ -114,17 +114,16 @@ class TestInverseSquareModel:
         with pytest.raises(IllPosed):
             models.InverseSquareModel(0.8)
 
-    def test_unnormalized_norm_oracle(self):
-        # |e^{-e^{-i pi/4} x}|^2 = e^{-sqrt(2) x}; quad oracle 1/sqrt(2)
-        oracle = quad_semiinf(lambda x: np.exp(-math.sqrt(2) * x), 1e-12,
-                              decay_hint=math.sqrt(2)).value
-        assert oracle.real == pytest.approx(1 / math.sqrt(2), abs=1e-11)
+    def test_unnormalized_norm_oracle(self, invsq0):
+        # at gamma = 0 the gauge-fixed representative is e^{-kx} e^{Re k},
+        # k = e^{-i pi/4}, so its squared norm is e^{sqrt 2} / sqrt 2
+        oracle = math.exp(math.sqrt(2)) / math.sqrt(2)
+        assert invsq0._norm_sq == pytest.approx(oracle, rel=1e-8)
 
-    def test_cross_overlap_oracle(self):
-        # <phi+, phi-> for the raw representatives: e^{i pi/4}/2
-        k = 2 * np.exp(-1j * math.pi / 4)
-        oracle = quad_semiinf(lambda x: np.exp(-k * x), 1e-12, decay_hint=1.4).value
-        assert abs(oracle - np.exp(1j * math.pi / 4) / 2) < 1e-11
+    def test_cross_overlap_oracle(self, invsq0):
+        # <phi+, phi-> = int e^{-2kx} / ||e^{-kx}||^2 = e^{i pi/4} / sqrt 2
+        expect = np.exp(1j * math.pi / 4) / math.sqrt(2)
+        assert abs(invsq0.overlap_matrix(IDENTITY).cmp - expect) < 1e-8
 
     def test_normalized_deficiency_matches_closed_form(self, invsq0):
         xs = np.geomspace(0.5, 20.0, 200)
@@ -227,8 +226,7 @@ class TestHalflineModel:
         assert m.deficiency_dims == (0, 1)
 
     def test_minus_norm(self):
-        oracle = quad_semiinf(lambda x: np.exp(-2 * x), 1e-12, decay_hint=2.0).value
-        assert oracle.real == pytest.approx(0.5, abs=1e-11)
+        # ||e^{-x}||^2 = 1/2 on the half-line
         m = models.halfline_derivative()
         assert m.norm_minus**2 == pytest.approx(0.5, rel=1e-14)
 

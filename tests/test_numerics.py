@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from extflow import numerics
-from extflow.errors import NoSignChange, Overflow, SingularMatrix
+from extflow.errors import NoSignChange
 
 
 class TestQuadFinite:
@@ -39,24 +39,6 @@ class TestQuadFinite:
                 lambda x: np.abs(x - 1 / math.pi) ** -0.9, 0.0, 1.0, 1e-13,
                 max_panels=12,
             )
-
-
-class TestQuadSemiInf:
-    def test_real_decay(self):
-        res = numerics.quad_semiinf(lambda x: np.exp(-math.sqrt(2) * x), 1e-12,
-                                    decay_hint=math.sqrt(2))
-        assert res.value == pytest.approx(1 / math.sqrt(2), abs=1e-11)
-
-    def test_complex_rate(self):
-        # antiderivative oracle: 1/(2 e^{-i pi/4}) = e^{i pi/4}/2
-        k = 2 * np.exp(-1j * math.pi / 4)
-        res = numerics.quad_semiinf(lambda x: np.exp(-k * x), 1e-12, decay_hint=1.4)
-        expect = np.exp(1j * math.pi / 4) / 2
-        assert abs(res.value - expect) < 1e-11
-
-    def test_moment(self):
-        res = numerics.quad_semiinf(lambda x: x * np.exp(-x), 1e-12, decay_hint=0.9)
-        assert res.value == pytest.approx(1.0, abs=1e-11)
 
 
 class TestOdeSolve:
@@ -120,86 +102,6 @@ class TestOdeSolve:
         with pytest.raises(StepUnderflow):
             numerics.ode_solve(lambda x: 1 / x**4, 1.0, (1.0, 0.0), 0.0, tol=1e-10,
                                max_steps=2000)
-
-
-class TestMatExp:
-    def test_nilpotent(self):
-        m = np.array([[0.0, 1.0], [0.0, 0.0]])
-        out = numerics.mat_exp(m, scale=3.7)
-        assert np.allclose(out, [[1.0, 3.7], [0.0, 1.0]], atol=1e-14)
-
-    def test_diagonal_phases(self):
-        d = np.array([0.3, -1.2, 2.5])
-        out = numerics.mat_exp(np.diag(d), scale=1j * 0.8)
-        assert np.allclose(np.diag(out), np.exp(1j * 0.8 * d), atol=1e-13)
-
-    def test_against_eigendecomposition(self):
-        # independent oracle: V diag(e^lambda) V^-1 from numpy's eigensolver
-        rng = np.random.default_rng(3)
-        m = rng.standard_normal((8, 8)) + 1j * rng.standard_normal((8, 8))
-        lam, vecs = np.linalg.eig(m)
-        expect = vecs @ np.diag(np.exp(lam)) @ np.linalg.inv(vecs)
-        assert np.max(np.abs(numerics.mat_exp(m) - expect)) < 1e-8
-
-    def test_group_law(self):
-        rng = np.random.default_rng(11)
-        for _ in range(5):
-            m = rng.standard_normal((6, 6)) + 1j * rng.standard_normal((6, 6))
-            m *= 5.0 / numerics.operator_norm(m)
-            s, t = rng.uniform(-1, 1, size=2)
-            lhs = numerics.mat_exp(m, s) @ numerics.mat_exp(m, t)
-            rhs = numerics.mat_exp(m, s + t)
-            assert np.max(np.abs(lhs - rhs)) < 1e-9
-
-    def test_overflow_budget(self):
-        with pytest.raises(Overflow):
-            numerics.mat_exp(np.eye(2) * 1e22)
-
-
-class TestOperatorNorm:
-    def test_diagonal(self):
-        assert numerics.operator_norm(np.diag([3.0, 1.0, -2.0])) == pytest.approx(3.0, abs=1e-9)
-
-    def test_unitary(self):
-        rng = np.random.default_rng(5)
-        a = rng.standard_normal((6, 6)) + 1j * rng.standard_normal((6, 6))
-        q, _ = np.linalg.qr(a)
-        assert numerics.operator_norm(q) == pytest.approx(1.0, abs=1e-8)
-
-    def test_shift_like(self):
-        assert numerics.operator_norm(np.array([[0.0, 2.0], [0.0, 0.0]])) == pytest.approx(2.0, abs=1e-10)
-
-    def test_unitary_invariance(self):
-        rng = np.random.default_rng(9)
-        m = rng.standard_normal((7, 7)) + 1j * rng.standard_normal((7, 7))
-        q, _ = np.linalg.qr(rng.standard_normal((7, 7)) + 1j * rng.standard_normal((7, 7)))
-        assert numerics.operator_norm(q @ m) == pytest.approx(
-            numerics.operator_norm(m), abs=1e-8)
-
-    def test_zero(self):
-        assert numerics.operator_norm(np.zeros((3, 3))) == 0.0
-
-
-class TestSolveLinear:
-    def test_identity(self):
-        b = np.array([1.0, 2.0, 3.0], dtype=complex)
-        assert np.allclose(numerics.solve_linear(np.eye(3), b), b)
-
-    def test_scalar_imaginary(self):
-        x = numerics.solve_linear(np.array([[2j]]), np.array([1.0]))
-        assert x[0] == pytest.approx(-0.5j, abs=1e-15)
-
-    def test_residual_random(self):
-        rng = np.random.default_rng(2)
-        a = rng.standard_normal((6, 6)) + 1j * rng.standard_normal((6, 6)) + 4 * np.eye(6)
-        b = rng.standard_normal(6) + 1j * rng.standard_normal(6)
-        x = numerics.solve_linear(a, b)
-        norm_a = numerics.operator_norm(a)
-        assert np.linalg.norm(a @ x - b) <= 1e-10 * norm_a * np.linalg.norm(x)
-
-    def test_singular(self):
-        with pytest.raises(SingularMatrix):
-            numerics.solve_linear(np.array([[1.0, 1.0], [1.0, 1.0]]), np.array([1.0, 2.0]))
 
 
 def _assert_root(f, lo, hi, root, tol=1e-12):

@@ -1,3 +1,4 @@
+import cmath
 import math
 
 import numpy as np
@@ -191,6 +192,15 @@ class TestFriedrichsKreinParams:
     def test_range_check(self):
         with pytest.raises(IllPosed):
             spectra.friedrichs_krein_params(-1.0)
+
+    @pytest.mark.parametrize("gamma", [0.2, -0.25, 0.5, 0.7, -0.2])
+    def test_closed_form(self, gamma):
+        # small-x branches of K_mu (DLMF 10.27.4) in the gauge of the
+        # decaying solution: v_F = e^{i pi (mu - 1/2)/2}, v_K = e^{-i pi (mu + 1/2)/2}
+        mu = math.sqrt(gamma + 0.25)
+        fk = spectra.friedrichs_krein_params(gamma)
+        assert abs(fk.v_friedrichs - cmath.exp(1j * math.pi * (mu - 0.5) / 2)) < 1e-7
+        assert abs(fk.v_krein - cmath.exp(-1j * math.pi * (mu + 0.5) / 2)) < 1e-7
 
 
 class TestScalingCovariance:

@@ -4,8 +4,43 @@ import numpy as np
 import pytest
 
 from extflow import models, weylcheck
-from extflow.affine import Scaling, Translation
-from extflow.numerics import operator_norm
+from extflow.weylcheck import GridOperator
+
+# Dense oracle: the grid operators as n x n matrices, built here from their
+# definitions (U_t = diag(e^{i x_j t}) on x_j = j h, V_s the k-fold
+# down-shift, the upwind generator (i/h)(I - S)) and measured with numpy's
+# SVD-based 2-norm. Kept to n <= 256.
+
+
+def dense_unitary(length, n, t):
+    x = np.arange(1, n + 1) * (length / n)
+    return np.diag(np.exp(1j * x * t))
+
+
+def dense_shift(n, k):
+    return np.eye(n, k=-k, dtype=complex)   # the zero matrix once k >= n
+
+
+def dense_generator(length, n):
+    h = length / n
+    return (1j / h) * (np.eye(n) - np.eye(n, k=-1))
+
+
+def to_dense(op):
+    n = op.shape[0]
+    return np.diag(op.diag) @ np.eye(n, k=-op.shift)
+
+
+def dense_residual(length, n, t, s):
+    u = dense_unitary(length, n, t)
+    v = dense_shift(n, round(s / (length / n)))
+    return np.linalg.norm(u @ v - np.exp(1j * s * t) * (v @ u), 2)
+
+
+def random_operator(rng, n, k):
+    d = rng.standard_normal(n) + 1j * rng.standard_normal(n)
+    d[:k] = 0.0
+    return GridOperator(d, k)
 
 
 @pytest.fixture(scope="module")
@@ -16,104 +51,162 @@ def grid256():
 class TestGridOperators:
     def test_position_diagonal(self):
         # nodes at j*h; with h = 0.25 the leading entries are 0.25 .. 1.0
-        _, pos = weylcheck.build_interval_grid(2.0, 8)
-        assert np.allclose(np.diag(pos.matrix)[:4], [0.25, 0.5, 0.75, 1.0])
+        grid = weylcheck.build_interval_grid(2.0, 8)
+        assert np.allclose(grid.nodes[:4], [0.25, 0.5, 0.75, 1.0])
+        assert grid.shape == (8, 8)
 
     def test_shift_nilpotency(self, grid256):
-        gen, _ = grid256
-        shift = np.eye(gen.n, k=-1)
-        assert np.abs(np.linalg.matrix_power(shift, gen.n)).max() == 0.0
+        n = grid256.n
+        assert np.abs(np.linalg.matrix_power(dense_shift(n, 1), n)).max() == 0.0
+        assert weylcheck.nilpotency_index(grid256) == n * grid256.h
+        for s in (n * grid256.h, 1.7):
+            v = weylcheck.semigroup(grid256, s)
+            assert weylcheck.operator_norm(v) == 0.0
+            assert np.abs(to_dense(v)).max() == 0.0
 
     def test_generator_dissipative(self, grid256):
-        gen, _ = grid256
+        gen = dense_generator(1.0, grid256.n)
         rng = np.random.default_rng(0)
         for _ in range(100):
-            f = rng.standard_normal(gen.n) + 1j * rng.standard_normal(gen.n)
-            assert np.vdot(f, gen.matrix @ f).imag >= -1e-12 * np.vdot(f, f).real
+            f = rng.standard_normal(grid256.n) + 1j * rng.standard_normal(grid256.n)
+            assert np.vdot(f, gen @ f).imag >= -1e-12 * np.vdot(f, f).real
+        # one grid step of the semigroup is I + i h A for the upwind A
+        step = to_dense(weylcheck.semigroup(grid256, grid256.h))
+        assert np.abs(step - (np.eye(grid256.n) + 1j * grid256.h * gen)).max() < 1e-12
 
     def test_minimum_size(self):
         with pytest.raises(ValueError):
             weylcheck.build_interval_grid(1.0, 4)
 
+    def test_products_match_dense(self):
+        rng = np.random.default_rng(4)
+        for k1, k2 in ((0, 0), (0, 5), (3, 0), (7, 9), (20, 30), (40, 1)):
+            a = random_operator(rng, 48, k1)
+            b = random_operator(rng, 48, k2)
+            assert np.abs(to_dense(a @ b) - to_dense(a) @ to_dense(b)).max() < 1e-12
+            c = random_operator(rng, 48, k1)
+            diff = to_dense(a - (0.3 - 0.7j) * c)
+            assert np.abs(diff - (to_dense(a) - (0.3 - 0.7j) * to_dense(c))).max() < 1e-12
+
+    def test_different_shifts_do_not_subtract(self):
+        rng = np.random.default_rng(5)
+        with pytest.raises(ValueError):
+            random_operator(rng, 16, 2) - random_operator(rng, 16, 3)
+
+    @pytest.mark.parametrize("n, k", [(16, 0), (16, 5), (64, 63), (64, 64), (200, 17)])
+    def test_norm_matches_dense(self, n, k):
+        op = random_operator(np.random.default_rng(n + k), n, k)
+        expect = np.linalg.norm(to_dense(op), 2)
+        assert weylcheck.operator_norm(op) == pytest.approx(expect, rel=1e-12, abs=0.0)
+
 
 class TestUnitaryGroup:
     def test_t_zero_identity(self, grid256):
-        _, pos = grid256
-        assert np.allclose(weylcheck.unitary_group(pos, 0.0), np.eye(pos.n))
+        assert np.allclose(to_dense(weylcheck.unitary_group(grid256, 0.0)),
+                           np.eye(grid256.n))
 
     def test_unimodular_entries(self, grid256):
-        _, pos = grid256
-        u = weylcheck.unitary_group(pos, 2.3)
-        assert np.allclose(np.abs(np.diag(u)), 1.0, atol=1e-12)
+        u = weylcheck.unitary_group(grid256, 2.3)
+        assert u.shift == 0
+        assert np.allclose(np.abs(u.diag), 1.0, atol=1e-12)
 
     def test_group_law(self, grid256):
-        _, pos = grid256
-        u1 = weylcheck.unitary_group(pos, 0.8)
-        u2 = weylcheck.unitary_group(pos, 1.9)
-        u12 = weylcheck.unitary_group(pos, 2.7)
-        assert np.abs(u1 @ u2 - u12).max() < 1e-12
+        u1 = weylcheck.unitary_group(grid256, 0.8)
+        u2 = weylcheck.unitary_group(grid256, 1.9)
+        u12 = weylcheck.unitary_group(grid256, 2.7)
+        assert np.abs((u1 @ u2).diag - u12.diag).max() < 1e-12
+        assert np.abs(to_dense(u1) @ to_dense(u2) - to_dense(u12)).max() < 1e-12
 
     def test_preserves_norms(self, grid256):
-        _, pos = grid256
-        u = weylcheck.unitary_group(pos, 1.1)
+        u = to_dense(weylcheck.unitary_group(grid256, 1.1))
         rng = np.random.default_rng(1)
-        f = rng.standard_normal(pos.n) + 1j * rng.standard_normal(pos.n)
+        f = rng.standard_normal(grid256.n) + 1j * rng.standard_normal(grid256.n)
         assert np.linalg.norm(u @ f) == pytest.approx(np.linalg.norm(f), rel=1e-12)
+
+    def test_matches_dense(self, grid256):
+        for t in (-3.1, 0.4, 7.5):
+            u = weylcheck.unitary_group(grid256, t)
+            assert np.abs(to_dense(u) - dense_unitary(1.0, grid256.n, t)).max() == 0.0
 
 
 class TestSemigroup:
     def test_s_zero_identity(self, grid256):
-        gen, _ = grid256
-        assert np.allclose(weylcheck.semigroup(gen, 0.0), np.eye(gen.n))
+        assert np.allclose(to_dense(weylcheck.semigroup(grid256, 0.0)), np.eye(grid256.n))
 
     def test_zero_at_interval_length(self, grid256):
-        gen, _ = grid256
-        assert np.abs(weylcheck.semigroup(gen, 1.0)).max() <= 1e-9
+        assert np.abs(to_dense(weylcheck.semigroup(grid256, 1.0))).max() <= 1e-9
 
     def test_semigroup_law_on_grid(self, grid256):
-        gen, _ = grid256
-        s1, s2 = 17 * gen.h, 40 * gen.h
-        v1 = weylcheck.semigroup(gen, s1)
-        v2 = weylcheck.semigroup(gen, s2)
-        v12 = weylcheck.semigroup(gen, s1 + s2)
-        assert np.abs(v1 @ v2 - v12).max() < 1e-8
+        h = grid256.h
+        v1 = weylcheck.semigroup(grid256, 17 * h)
+        v2 = weylcheck.semigroup(grid256, 40 * h)
+        v12 = weylcheck.semigroup(grid256, 57 * h)
+        assert np.abs(to_dense(v1 @ v2) - to_dense(v12)).max() < 1e-8
+        assert np.abs(to_dense(v1) @ to_dense(v2) - to_dense(v12)).max() < 1e-8
 
     def test_contraction(self, grid256):
-        gen, _ = grid256
         for s in (0.0, 0.17, 0.5, 0.93, 1.2):
-            assert operator_norm(weylcheck.semigroup(gen, s)) <= 1.0 + 1e-9
+            v = weylcheck.semigroup(grid256, s)
+            assert weylcheck.operator_norm(v) <= 1.0 + 1e-9
+            assert np.linalg.norm(to_dense(v), 2) <= 1.0 + 1e-9
 
     def test_norm_nonincreasing(self, grid256):
-        gen, _ = grid256
-        norms = [operator_norm(weylcheck.semigroup(gen, s))
+        norms = [np.linalg.norm(to_dense(weylcheck.semigroup(grid256, s)), 2)
                  for s in np.linspace(0, 1.2, 13)]
         assert all(a >= b - 1e-12 for a, b in zip(norms, norms[1:]))
+
+    @pytest.mark.parametrize("s", [0.0, 0.1, 17 / 256, 17.5 / 256, 0.5, 255 / 256, 1.0, 3.0])
+    def test_matches_dense_shift(self, grid256, s):
+        v = weylcheck.semigroup(grid256, s)
+        expect = dense_shift(grid256.n, round(s * grid256.n))
+        assert np.abs(to_dense(v) - expect).max() == 0.0
+
+    def test_negative_time(self, grid256):
+        with pytest.raises(ValueError):
+            weylcheck.semigroup(grid256, -0.1)
 
 
 class TestWeylResidual:
     def test_on_grid_exact(self, grid256):
-        gen, pos = grid256
         rng = np.random.default_rng(2)
-        s = 100 * gen.h
-        v = weylcheck.semigroup(gen, s)
+        s = 100 * grid256.h
+        v = weylcheck.semigroup(grid256, s)
         for t in rng.uniform(-10, 10, 50):
-            u = weylcheck.unitary_group(pos, t)
-            assert weylcheck.weyl_residual(u, v, t, s, Translation(1.0)) <= 1e-12
+            u = weylcheck.unitary_group(grid256, t)
+            assert weylcheck.weyl_residual(u, v, t, s) <= 1e-12
 
     def test_degenerate_parameters(self, grid256):
-        gen, pos = grid256
-        s = 64 * gen.h
-        v = weylcheck.semigroup(gen, s)
-        u0 = weylcheck.unitary_group(pos, 0.0)
-        assert weylcheck.weyl_residual(u0, v, 0.0, s, Translation(1.0)) <= 1e-12
-        u = weylcheck.unitary_group(pos, 1.7)
-        v0 = weylcheck.semigroup(gen, 0.0)
-        assert weylcheck.weyl_residual(u, v0, 1.7, 0.0, Translation(1.0)) <= 1e-12
+        s = 64 * grid256.h
+        v = weylcheck.semigroup(grid256, s)
+        u0 = weylcheck.unitary_group(grid256, 0.0)
+        assert weylcheck.weyl_residual(u0, v, 0.0, s) <= 1e-12
+        u = weylcheck.unitary_group(grid256, 1.7)
+        v0 = weylcheck.semigroup(grid256, 0.0)
+        assert weylcheck.weyl_residual(u, v0, 1.7, 0.0) <= 1e-12
+
+    @pytest.mark.parametrize("n", [16, 100, 256])
+    @pytest.mark.parametrize("offset", [0.0, 0.5, 0.3])
+    def test_matches_dense_norm(self, n, offset):
+        # on the grid (offset 0) and off it; the dense 2-norm by SVD
+        length = 1.3
+        grid = weylcheck.build_interval_grid(length, n)
+        for k in (0, 1, n // 3, n - 1):
+            s = (k + offset) * grid.h
+            for t in (-4.2, 0.9, 2.5):
+                u = weylcheck.unitary_group(grid, t)
+                got = weylcheck.weyl_residual(u, weylcheck.semigroup(grid, s), t, s)
+                assert got == pytest.approx(dense_residual(length, n, t, s),
+                                            rel=1e-12, abs=0.0)
 
     def test_off_grid_first_order(self):
         res = weylcheck.refinement_study(1.0, [128, 256, 512, 1024], [1.0, 2.5],
                                          on_grid=False)
         assert res.orders["off-grid"] >= 0.9
+
+    def test_off_grid_order_over_four_decades(self):
+        res = weylcheck.refinement_study(1.0, [10**2, 10**3, 10**4, 10**5, 10**6],
+                                         [1.0, 2.5], on_grid=False)
+        assert 0.99 <= res.orders["off-grid"] <= 1.01
 
     def test_on_grid_reported_exact(self):
         res = weylcheck.refinement_study(1.0, [128, 256, 512], [1.0, 2.5],
@@ -121,26 +214,19 @@ class TestWeylResidual:
         assert res.orders["on-grid"] == "exact"
         assert all(r["residual"] <= 1e-12 for r in res.table.rows)
 
+    def test_refinement_needs_three_distinct_sizes(self):
+        with pytest.raises(ValueError):
+            weylcheck.refinement_study(1.0, [64, 64, 128], [1.0], on_grid=False)
+
     def test_residual_independent_of_t_on_grid(self, grid256):
-        gen, pos = grid256
         rng = np.random.default_rng(3)
-        s = 50 * gen.h
-        v = weylcheck.semigroup(gen, s)
+        s = 50 * grid256.h
+        v = weylcheck.semigroup(grid256, s)
         residuals = [
-            weylcheck.weyl_residual(weylcheck.unitary_group(pos, t), v, t, s,
-                                    Translation(1.0))
+            weylcheck.weyl_residual(weylcheck.unitary_group(grid256, t), v, t, s)
             for t in rng.uniform(-20, 20, 50)
         ]
         assert max(residuals) <= 1e-12
-
-    def test_best_fit_phase_matches_prediction(self, grid256):
-        gen, pos = grid256
-        s = 75 * gen.h
-        t = 2.9
-        u = weylcheck.unitary_group(pos, t)
-        v = weylcheck.semigroup(gen, s)
-        fitted = weylcheck.best_fit_phase(u, v, v)
-        assert abs(fitted - np.exp(1j * s * t)) < 1e-6
 
     def test_table_serialization(self, tmp_path):
         res = weylcheck.refinement_study(1.0, [128, 256, 512], [1.0], on_grid=True)
