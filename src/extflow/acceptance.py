@@ -48,7 +48,7 @@ class CriterionResult:
 
 
 def _finish(name, budget, start, checks, details, notes=None):
-    runtime = time.time() - start
+    runtime = time.perf_counter() - start
     passed = all(checks.values()) and runtime <= budget
     details = dict(details)
     details["checks"] = checks
@@ -56,7 +56,7 @@ def _finish(name, budget, start, checks, details, notes=None):
 
 
 def criterion_1_identity_and_group_law() -> CriterionResult:
-    start = time.time()
+    start = time.perf_counter()
     checks, details = {}, {}
     interval = models.interval_derivative(1.0)
     invsq = models.inverse_square(0.0)
@@ -85,7 +85,7 @@ def criterion_1_identity_and_group_law() -> CriterionResult:
 
 
 def criterion_2_interval_invariant_extension() -> CriterionResult:
-    start = time.time()
+    start = time.perf_counter()
     checks, details = {}, {}
     for length in (0.5, 1.0, 2.0):
         model = models.interval_derivative(length)
@@ -102,7 +102,7 @@ def criterion_2_interval_invariant_extension() -> CriterionResult:
 
 
 def criterion_3_cyclic_period() -> CriterionResult:
-    start = time.time()
+    start = time.perf_counter()
     checks, details = {}, {}
     rng = np.random.default_rng(103)
     for length in (0.5, 1.0, 2.0):
@@ -126,7 +126,7 @@ def criterion_3_cyclic_period() -> CriterionResult:
 
 
 def criterion_4_interval_spectra() -> CriterionResult:
-    start = time.time()
+    start = time.perf_counter()
     checks, details = {}, {}
     for length in (0.5, 1.0, 2.0):
         eig = spectra.interval_sa_spectrum(length, 0.7, (-40.0, 40.0))
@@ -146,7 +146,7 @@ def criterion_4_interval_spectra() -> CriterionResult:
 
 
 def criterion_5_weyl_grid() -> CriterionResult:
-    start = time.time()
+    start = time.perf_counter()
     checks, details = {}, {}
     rng = np.random.default_rng(105)
     worst_on = 0.0
@@ -177,7 +177,7 @@ def criterion_5_weyl_grid() -> CriterionResult:
 
 
 def criterion_6_friedrichs_krein_fixed_points() -> CriterionResult:
-    start = time.time()
+    start = time.perf_counter()
     checks, details = {}, {}
     for gamma in (0.0, 0.5):
         model = models.inverse_square(gamma)
@@ -207,7 +207,7 @@ def criterion_6_friedrichs_krein_fixed_points() -> CriterionResult:
 
 
 def criterion_7_fall_to_center() -> CriterionResult:
-    start = time.time()
+    start = time.perf_counter()
     checks, details, notes = {}, {}, []
     nu = math.sqrt(24.75)
     step = math.exp(2 * math.pi / nu)
@@ -240,7 +240,7 @@ def criterion_7_fall_to_center() -> CriterionResult:
 
 
 def criterion_8_generator_invariance() -> CriterionResult:
-    start = time.time()
+    start = time.perf_counter()
     checks, details = {}, {}
     interval = models.interval_derivative(1.0)
     for t in (0.4, 1.2):
@@ -273,7 +273,7 @@ def criterion_8_generator_invariance() -> CriterionResult:
 
 
 def criterion_9_property_suites() -> CriterionResult:
-    start = time.time()
+    start = time.perf_counter()
     checks, details = {}, {}
     rng = np.random.default_rng(109)
     interval = models.interval_derivative(1.0)
@@ -376,13 +376,13 @@ ALL_CRITERIA = (
 def run_all(echo=print) -> list[CriterionResult]:
     """Run every criterion, echoing one pass/fail line each."""
     results = []
-    total = time.time()
+    total = time.perf_counter()
     for criterion in ALL_CRITERIA:
         result = criterion()
         results.append(result)
         if echo:
             echo(result.line())
     if echo:
-        echo(f"total runtime {time.time() - total:.1f}s "
+        echo(f"total runtime {time.perf_counter() - total:.1f}s "
              f"({sum(1 for r in results if r.passed)}/{len(results)} passed)")
     return results

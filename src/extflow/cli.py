@@ -23,7 +23,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from . import acceptance, flow, models, spectra, weylcheck
+from . import acceptance, flow, mobius, models, spectra, weylcheck
 from .affine import Scaling, Translation, subgroup_eval
 from .errors import ExtflowError, IncompatibleModelGroup, ParseError
 from .flow import Verdict
@@ -225,8 +225,13 @@ def _validate(cfg: RunConfig):
         raise ParseError(f"{cfg.command}: every grid size n must be at least 8")
     if cfg.command == "refine" and len(set(cfg.n_values)) < 3:
         raise ParseError("refine: need at least three distinct grid sizes in 'n'")
-    if cfg.length <= 0:
-        raise ParseError("l must be positive")
+    if cfg.command == "period" and cfg.model == "halfline":
+        raise ParseError("period: the halfline flow is trivial and has no period")
+    if cfg.command == "flow-orbit" and abs(cfg.v0) > 1.0:
+        raise ParseError(f"flow-orbit: |v0| must be at most 1, got {cfg.v0}")
+    for key, length in (("l", cfg.length), ("l2", cfg.length2)):
+        if length is not None and not 1e-3 <= length <= 300.0:
+            raise ParseError(f"{key} must lie in [1e-3, 300], got {length}")
     if cfg.tol is not None and cfg.tol <= 0:
         raise ParseError("tol must be positive")
     if len(cfg.window) != 2 or not cfg.window[0] < cfg.window[1]:
@@ -286,21 +291,15 @@ def _cmd_fixed_points(cfg):
     rows = []
     worst = 0.0
     for t in cfg.t_values:
-        g = subgroup_eval(group, t)
-        fps = flow.fixed_points_flow(model, g, sa_tol=sa_tol)
+        fm = flow.gamma_map(model, subgroup_eval(group, t))
+        fps = flow.fixed_points_flow(fm, sa_tol=sa_tol)
         if fps is flow.ALL_POINTS:
-            rows.append({"t": t, "kind": "all-points", "re": None, "im": None,
-                         "residual": 0.0})
-            continue
+            fps = [(None, "all-points")]
         for v, kind in fps:
-            if v is None:
-                rows.append({"t": t, "kind": kind, "re": None, "im": None,
-                             "residual": 0.0})
-                continue
-            res = abs(flow.gamma_apply(model, g, v) - v)
+            res = 0.0 if v is None else abs(mobius.apply(fm.mobius, v) - v)
             worst = max(worst, res)
-            rows.append({"t": t, "kind": kind, "re": v.real, "im": v.imag,
-                         "residual": res})
+            rows.append({"t": t, "kind": kind, "re": None if v is None else v.real,
+                         "im": None if v is None else v.imag, "residual": res})
     return ({"rows": rows, "worst_residual": worst},
             {f"fixed-point residual <= {tol:g}": worst <= tol})
 
@@ -311,9 +310,10 @@ def _cmd_invariance(cfg):
     kwargs = {}
     if cfg.model == "inverse-square":
         kwargs = {"fp_tol": 1e-6, "sa_tol": 1e-6, "eps_class": 1e-6}
-    if cfg.t_max is not None:
-        kwargs["period_t_max"] = cfg.t_max
     rep = flow.invariant_extensions(model, group, **kwargs)
+    period = None
+    if cfg.t_max is not None:
+        period = flow.period_detect(model, group, t_max=cfg.t_max, tol=1e-7)
     results = {
         "verdict": rep.group_verdict.value,
         "fixed_points": [
@@ -323,7 +323,7 @@ def _cmd_invariance(cfg):
         ],
         "flow_class": {f"{t:g}": cls.tag.value
                        for t, cls in sorted(rep.flow_class.items())},
-        "cyclic_period": rep.cyclic_period,
+        "cyclic_period": period,
         "notes": rep.notes,
     }
     return results, {"verdict determined": rep.group_verdict is not Verdict.NONE_FOUND}
@@ -333,12 +333,10 @@ def _cmd_period(cfg):
     model = _build_model(cfg)
     group = _subgroup(cfg)
     tol = cfg.tol or (1e-5 if cfg.model == "inverse-square" else 1e-8)
-    if cfg.t_max is not None:
-        t_max = cfg.t_max
-    elif cfg.model == "interval":
-        t_max = 1.4 * 2 * math.pi / cfg.length
-    else:
-        t_max = 8.0
+    t_max = cfg.t_max
+    if t_max is None:
+        t_max = (1.4 * 2 * math.pi / cfg.length if cfg.model == "interval"
+                 else model.T_RANGE)
     period = flow.period_detect(model, group, t_max=t_max, tol=tol)
     results = {"period": period, "t_max": t_max, "tol": tol}
     return results, {"period found": period is not None}
@@ -599,7 +597,7 @@ def build_parser() -> argparse.ArgumentParser:
     parser.add_argument("--l2", type=float, help="second interval length")
     parser.add_argument("--v0", type=_parse_complex, help="orbit start parameter")
     parser.add_argument("--t-max", type=float, dest="t_max",
-                        help="period scan upper bound")
+                        help="period search bound")
     return parser
 
 
@@ -609,7 +607,7 @@ def main(argv=None) -> int:
         args = parser.parse_args(argv)
     except SystemExit as exc:
         return 2 if exc.code not in (0, None) else 0
-    start = time.time()
+    start = time.perf_counter()
     try:
         cfg = load_config(args)
     except ParseError as exc:
@@ -626,7 +624,7 @@ def main(argv=None) -> int:
               file=sys.stderr)
         return 3
     print(f"{cfg.command}: {'pass' if report.passed else 'FAIL'} "
-          f"({time.time() - start:.2f}s)", file=sys.stderr)
+          f"({time.perf_counter() - start:.2f}s)", file=sys.stderr)
     return 0 if report.passed else 1
 
 

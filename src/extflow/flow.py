@@ -1,7 +1,7 @@
-"""The extension flow on the parameter ball of a model: evaluation from
+"""The extension flow on the parameter ball of a model: flow elements from
 overlap blocks, group-law validation, fixed points with their extension
-kind, invariance classification across a one-parameter subgroup, and
-cyclic-period detection.
+kind, and the flow's generator, from which invariance and the cyclic
+period are read.
 
 In the scalar gauge the flow element for an affine g acts on the parameter
 v as the linear-fractional map
@@ -9,14 +9,15 @@ v as the linear-fractional map
     v -> (gamma_c*cmp - delta*cmm*v) / (alpha*cpp - beta*cpm*v),
 
 with the Cayley coefficients of ``affine.flow_coefficients`` and the
-overlap blocks of the model. The overall sign is fixed by the requirement
-that the identity element act as the identity map (alpha = 2i, delta = -2i,
-beta = gamma_c = 0 makes the map v -> v); the group law and the identity
-law are enforced as tests.
+overlap blocks of the model; the identity element acts as v -> v. Along a
+one-parameter subgroup the elements form a one-parameter group exp(tX), so
+the sign of det X gives the class, X fixes the invariant extensions for
+every t at once, and an elliptic X has the period pi/sqrt(det X).
 """
 
 from __future__ import annotations
 
+import cmath
 import math
 from dataclasses import dataclass, field
 from enum import Enum
@@ -36,7 +37,7 @@ from .errors import (
     NumericalInconsistency,
     UnsupportedIndices,
 )
-from .mobius import IDENTITY_MAP, LinearFractionalMap, MapClass, classify
+from .mobius import IDENTITY_MAP, LinearFractionalMap, classify
 
 SELF_ADJOINT = "self-adjoint"
 DISSIPATIVE = "dissipative-nonselfadjoint"
@@ -116,13 +117,12 @@ def check_group_law(model, f: AffineMap, g: AffineMap, samples: int = 25) -> flo
     return worst
 
 
-def fixed_points_flow(model, g: AffineMap, sa_tol: float = 1e-9):
-    """In-ball fixed points of the flow element for g, each tagged
+def fixed_points_flow(fm: FlowMap, sa_tol: float = 1e-9):
+    """In-ball fixed points of the flow element fm, each tagged
     self-adjoint (unit modulus within sa_tol) or dissipative; ALL_POINTS
     when the element acts as the identity. ``sa_tol`` doubles as the
     relative discriminant threshold for reporting a double fixed point,
     matching the accuracy of the overlap data."""
-    fm = gamma_map(model, g)
     if fm.trivial:
         return [(None, DISSIPATIVE)]
     fps = mobius.fixed_points(fm.mobius, parabolic_tol=max(sa_tol, 1e-12))
@@ -137,6 +137,60 @@ def fixed_points_flow(model, g: AffineMap, sa_tol: float = 1e-9):
     return out
 
 
+@dataclass(frozen=True)
+class FlowGenerator:
+    """X = log(flow element at t)/t = [[a, b], [c, -a]], its det X from the
+    logarithm's angle (better conditioned than -(a^2 + bc)), and the element."""
+
+    a: complex
+    b: complex
+    c: complex
+    det: float
+    element: FlowMap
+
+    def exp(self, t: float) -> LinearFractionalMap:
+        """exp(tX) = cos(tw) + sin(tw)/w X with w^2 = det X."""
+        w = cmath.sqrt(self.det)
+        s = cmath.sin(t * w) / w if w else t
+        cos = cmath.cos(t * w)
+        return mobius.from_coefficients(cos + s * self.a, s * self.b,
+                                        s * self.c, cos - s * self.a)
+
+
+def _logarithm(model, group: Subgroup, t: float, angle: float) -> FlowGenerator:
+    """X from the element M at t: +-M = cos(w) + sin(w)/w tX, where of the
+    angles w = +-acos(tr(M)/2) mod pi the one nearest ``angle`` is taken."""
+    fm = gamma_map(model, subgroup_eval(group, t))
+    m = fm.mobius
+    w0 = cmath.acos((m.a + m.d) / 2)
+    k, w = min(((k, sign * w0 + k * math.pi) for sign in (1, -1)
+                for k in [round((angle - sign * w0.real) / math.pi)]),
+               key=lambda kw: abs(kw[1] - angle))
+    f = (-1) ** k * (w / cmath.sin(w) if w else 1.0) / t
+    return FlowGenerator(f * (m.a - m.d) / 2, f * m.b, f * m.c,
+                         ((w / t) ** 2).real, fm)
+
+
+def generator(model, group: Subgroup) -> FlowGenerator:
+    """The generator X of the flow t -> exp(tX) along the subgroup; X = 0
+    for the trivial flow of indices (0, 1). A coarse X from t = 1e-3 fixes
+    the logarithm's branch at the angle 0.45 pi, away from trace +-2. Up to
+    32 more periods, within the model's T_RANGE, divide the angle error that
+    remains: 1e-11 rad at any t for the interval model at l = 1e-3, whose
+    fixed point lies 1e-3 from the circle."""
+    gen = _logarithm(model, group, 1e-3, 0.0)
+    rate = abs(cmath.sqrt(gen.det))
+    if rate == 0.0:
+        return gen
+    t = min(model.T_RANGE, 0.45 * math.pi / rate)
+    gen = _logarithm(model, group, t, rate * t)
+    periods = min(32.45, model.T_RANGE * math.sqrt(max(gen.det, 0.0)) / math.pi)
+    if periods < 1.45:
+        return gen
+    w = (math.floor(periods - 0.45) + 0.45) * math.pi
+    return _logarithm(model, group, w / math.sqrt(gen.det), w)
+
+
 class Verdict(Enum):
     ALL_EXTENSIONS_INVARIANT = "AllExtensionsInvariant"
     TWO_SELF_ADJOINT = "TwoSelfAdjoint"
@@ -146,10 +200,9 @@ class Verdict(Enum):
 
 @dataclass
 class InvarianceReport:
-    fixed_points: list          # (parameter | None, kind) common to all samples
+    fixed_points: list          # (parameter | None, kind) fixed by the subgroup
     flow_class: dict            # t -> MapClass
     group_verdict: Verdict
-    cyclic_period: float | None = None
     notes: list = field(default_factory=list)
 
 
@@ -158,12 +211,11 @@ def invariant_extensions(model, group: Subgroup,
                          fp_tol: float = 1e-7,
                          sa_tol: float = 1e-9,
                          eps_class: float = 1e-9,
-                         id_tol: float = 1e-8,
-                         period_t_max: float | None = None) -> InvarianceReport:
-    """Intersect the fixed-point sets of the flow over sampled subgroup
-    elements and classify the invariant extensions. When ``period_t_max``
-    is given, a cyclic-period scan up to that bound fills the report's
-    ``cyclic_period`` field."""
+                         id_tol: float = 1e-8) -> InvarianceReport:
+    """The invariant extensions of a one-parameter subgroup: the fixed points
+    of its first sampled element that is not the identity (else of the
+    generator's element), which the generator's element must fix within
+    fp_tol, and the class of exp(tX) at each sample."""
     if model.deficiency_dims == (0, 1):
         return InvarianceReport(
             fixed_points=[(None, DISSIPATIVE)],
@@ -172,98 +224,55 @@ def invariant_extensions(model, group: Subgroup,
             notes=["indices (0, 1): the operator itself is the unique "
                    "invariant maximal dissipative extension"],
         )
-    maps = {t: gamma_map(model, subgroup_eval(group, t)) for t in t_samples}
-    classes = {t: classify(fm.mobius, eps_class) for t, fm in maps.items()}
-    nontrivial = {t: fm for t, fm in maps.items()
-                  if fm.distance_to_identity() > id_tol}
-    if not nontrivial:
+    gen = generator(model, group)
+    classes = {t: classify(gen.exp(t), eps_class) for t in t_samples}
+    elements = (gamma_map(model, subgroup_eval(group, t)) for t in t_samples)
+    fm = next((fm for fm in elements if fm.distance_to_identity() > id_tol),
+              gen.element)
+    if fm.distance_to_identity() <= id_tol:
         return InvarianceReport(
             fixed_points=[],
             flow_class=classes,
             group_verdict=Verdict.ALL_EXTENSIONS_INVARIANT,
-            notes=["every sampled element acts as the identity"],
+            notes=["the flow acts as the identity"],
         )
-    per_sample = {}
-    for t, fm in nontrivial.items():
-        fps = fixed_points_flow(model, fm.g, sa_tol=sa_tol)
-        per_sample[t] = [z for z, _ in fps]
-    t0 = next(iter(per_sample))
-    common = []
-    for z in per_sample[t0]:
-        if all(any(abs(z - w) <= fp_tol for w in per_sample[t])
-               for t in per_sample):
-            common.append(z)
-    if not common:
-        raise NumericalInconsistency(
-            f"fixed-point sets share no common point within {fp_tol}: "
-            f"{per_sample}")
-    tagged = []
-    for z in common:
-        kind = SELF_ADJOINT if abs(abs(z) - 1.0) <= sa_tol else DISSIPATIVE
-        tagged.append((z, kind))
+    tagged = fixed_points_flow(fm, sa_tol=sa_tol)
+    moved = max((abs(mobius.apply(gen.element.mobius, z) - z) for z, _ in tagged),
+                default=math.inf)
     interior = [z for z, kind in tagged if kind == DISSIPATIVE]
-    boundary = [z for z, kind in tagged if kind == SELF_ADJOINT]
-    notes = []
-    if interior and boundary:
+    if moved > fp_tol or (interior and len(tagged) > 1):
         raise NumericalInconsistency(
-            "both interior and boundary common fixed points found for a "
-            "non-identity flow")
-    if interior:
-        if len(interior) > 1:
-            raise NumericalInconsistency(
-                f"multiple interior fixed points {interior}")
-        verdict = Verdict.UNIQUE_DISSIPATIVE
-    elif boundary:
-        verdict = Verdict.TWO_SELF_ADJOINT
-        if len(boundary) == 1:
-            notes.append("single boundary fixed point: the two extremal "
-                         "self-adjoint invariant extensions coincide")
-    else:
-        verdict = Verdict.NONE_FOUND
-    cyclic_period = None
-    if period_t_max is not None:
-        cyclic_period = period_detect(model, group, t_max=period_t_max,
-                                      tol=max(10 * id_tol, 1e-8))
+            f"fixed points {tagged} at {fm.g}, moved by {moved:.3e} at "
+            f"{gen.element.g} (fp_tol {fp_tol}), or an interior point with others")
+    notes = []
+    if len(tagged) == 1 and not interior:
+        notes.append("single boundary fixed point: the two extremal "
+                     "self-adjoint invariant extensions coincide")
     return InvarianceReport(
         fixed_points=tagged,
         flow_class=classes,
-        group_verdict=verdict,
-        cyclic_period=cyclic_period,
+        group_verdict=(Verdict.UNIQUE_DISSIPATIVE if interior
+                       else Verdict.TWO_SELF_ADJOINT),
         notes=notes,
     )
 
 
-def period_detect(model, group: Subgroup, t_max: float, tol: float = 1e-8,
-                  grid: int = 2048) -> float | None:
-    """Smallest T in (0, t_max] whose flow element is the identity within
-    tol (projective coefficient distance): coarse scan plus ternary
-    refinement of scan minima. None when no period is found."""
-
-    def dist(t: float) -> float:
-        return gamma_map(model, subgroup_eval(group, t)).distance_to_identity()
-
-    ts = np.linspace(t_max / grid, t_max, grid)
-    ds = np.array([dist(t) for t in ts])
-    candidates = [i for i in range(1, grid - 1)
-                  if ds[i] <= ds[i - 1] and ds[i] <= ds[i + 1]]
-    if ds[-1] <= ds[-2]:
-        candidates.append(grid - 1)
-    for i in candidates:
-        lo = ts[i - 1] if i >= 1 else ts[0]
-        hi = ts[i + 1] if i + 1 < grid else t_max
-        for _ in range(120):
-            m1 = lo + (hi - lo) / 3
-            m2 = hi - (hi - lo) / 3
-            if dist(m1) <= dist(m2):
-                hi = m2
-            else:
-                lo = m1
-            if hi - lo < 1e-12 * max(1.0, t_max):
-                break
-        t_star = 0.5 * (lo + hi)
-        if dist(t_star) <= tol:
-            return t_star
-    return None
+def period_detect(model, group: Subgroup, t_max: float,
+                  tol: float = 1e-8) -> float | None:
+    """Smallest T in (0, t_max] whose flow element is the identity: pi/sqrt(det X)
+    for an elliptic generator X, None for any other class or a longer period.
+    Raises NumericalInconsistency when the element at T is farther than tol
+    from the identity (projective coefficient distance)."""
+    det = generator(model, group).det
+    period = math.pi / math.sqrt(det) if det > 0 else math.inf
+    if period > t_max:
+        return None
+    dist = gamma_map(model, subgroup_eval(group, period)).distance_to_identity()
+    if dist > tol:
+        raise NumericalInconsistency(
+            f"the flow element at the predicted period {period} is {dist:.3e} "
+            f"from the identity, beyond {tol}")
+    return period
 
 
 @dataclass
@@ -274,17 +283,14 @@ class SemiboundedFixedReport:
     residual_krein: float
 
 
-def verify_semibounded_fixed(model, t_samples=(0.5, 1.0, 2.0)) -> SemiboundedFixedReport:
-    """Check that the extremal nonnegative extensions' parameters are fixed
-    points of the flow, for a semibounded inverse-square model."""
+def verify_semibounded_fixed(model) -> SemiboundedFixedReport:
+    """For a semibounded inverse-square model: the generator's field
+    |X(v)| = |b + 2av - cv^2|, which vanishes where the whole flow fixes v,
+    at the extremal nonnegative extensions' parameters."""
+    gen = generator(model, model.group)
     v_f = model.vn_from_boundary("friedrichs")
     v_k = model.vn_from_boundary("krein")
-    res_f = res_k = 0.0
-    for t in t_samples:
-        g = subgroup_eval(model.group, t)
-        fm = gamma_map(model, g)
-        res_f = max(res_f, abs(mobius.apply(fm.mobius, v_f) - v_f))
-        res_k = max(res_k, abs(mobius.apply(fm.mobius, v_k) - v_k))
+    res_f, res_k = (abs(gen.b + 2 * gen.a * v - gen.c * v * v) for v in (v_f, v_k))
     return SemiboundedFixedReport(v_f, v_k, res_f, res_k)
 
 

@@ -96,6 +96,7 @@ class IntervalModel:
     deficiency_dims = (1, 1)
     generator_kind = "first-order"
     representation_kinds = ("translation",)
+    T_RANGE = math.inf
 
     def __init__(self, length: float):
         if not length > 0:

@@ -3,7 +3,7 @@ import math
 
 import pytest
 
-from extflow import cli
+from extflow import cli, flow
 
 
 def run_cli(tmp_path, *argv, name="out.json"):
@@ -82,6 +82,25 @@ class TestCommands:
         rows = payload["results"]["rows"]
         assert len(rows) == 3
         assert all(r["modulus"] <= 1 + 1e-10 for r in rows)
+
+    def test_period_inverse_square_default_bound(self, tmp_path):
+        code, text = run_cli(tmp_path, "period", "--model", "inverse-square",
+                             "--gamma", "-25")
+        assert code == 0
+        results = json.loads(text)["results"]
+        assert results["t_max"] == 6.0
+        assert results["period"] == pytest.approx(
+            2 * math.pi / math.sqrt(24.75), abs=1e-6)
+
+    def test_fixed_points_evaluates_each_element_once(self, tmp_path, monkeypatch):
+        calls = []
+        gamma_map = flow.gamma_map
+        monkeypatch.setattr(flow, "gamma_map",
+                            lambda *args: calls.append(args) or gamma_map(*args))
+        code, _ = run_cli(tmp_path, "fixed-points", "--model", "inverse-square",
+                          "--t", "0.3,1,2.5")
+        assert code == 0
+        assert len(calls) == 3
 
     def test_invariance_with_period(self, tmp_path):
         code, text = run_cli(tmp_path, "invariance", "--model", "interval",
@@ -225,6 +244,21 @@ class TestExitCodes:
         err = capsys.readouterr().err
         assert code == 2
         assert err.startswith(f"configuration error: {argv[0]}:")
+        assert err.count("\n") == 1 and "Traceback" not in err
+        assert not (tmp_path / "x.json").exists()
+
+    @pytest.mark.parametrize("argv", [
+        ["period", "--model", "halfline"],
+        ["period", "--model", "interval", "--l", "400"],
+        ["period", "--model", "interval", "--l", "1e-9"],
+        ["certify-nonequivalence", "--l2", "400"],
+        ["flow-orbit", "--model", "interval", "--v0", "2"],
+    ], ids=["halfline-period", "l-400", "l-1e-9", "l2-400", "v0-2"])
+    def test_input_domain_is_configuration_error(self, argv, tmp_path, capsys):
+        code = cli.main([*argv, "--out", str(tmp_path / "x.json")])
+        err = capsys.readouterr().err
+        assert code == 2
+        assert err.startswith("configuration error: ")
         assert err.count("\n") == 1 and "Traceback" not in err
         assert not (tmp_path / "x.json").exists()
 

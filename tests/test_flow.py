@@ -23,6 +23,7 @@ from extflow.flow import (
     fixed_points_flow,
     gamma_apply,
     gamma_map,
+    generator,
     invariant_extensions,
     period_detect,
     verify_semibounded_fixed,
@@ -123,7 +124,8 @@ class TestInverseSquareFlow:
             assert check_group_law(invsq0, f, g) < 1e-6
 
     def test_fixed_points_are_friedrichs_and_krein(self, invsq0):
-        fps = fixed_points_flow(invsq0, subgroup_eval(SCALING, 1.0), sa_tol=1e-6)
+        fps = fixed_points_flow(gamma_map(invsq0, subgroup_eval(SCALING, 1.0)),
+                                sa_tol=1e-6)
         vals = sorted((z for z, kind in fps), key=lambda z: z.real)
         assert len(vals) == 2
         assert vals[0] == pytest.approx(-1j, abs=1e-8)
@@ -175,10 +177,80 @@ class TestInvariantExtensions:
         assert kind == DISSIPATIVE
         assert abs(v) < 0.999
 
+    @pytest.mark.parametrize("model, kwargs", [
+        (models.interval_derivative(0.5), {}),
+        (models.interval_derivative(1.0), {}),
+        (models.interval_derivative(2.0), {}),
+        (models.inverse_square(0.0), {"fp_tol": 1e-6, "sa_tol": 1e-6, "eps_class": 1e-6}),
+        (models.inverse_square(-1.0), {"fp_tol": 1e-6, "sa_tol": 1e-6, "eps_class": 1e-6}),
+    ], ids=["l=0.5", "l=1", "l=2", "gamma=0", "gamma=-1"])
+    def test_intersection_oracle_agrees(self, model, kwargs):
+        group = model.group
+        rep = invariant_extensions(model, group, **kwargs)
+        points, classes = intersect_fixed_points(model, group, **kwargs)
+        assert rep.fixed_points == points
+        assert {t: c.tag for t, c in rep.flow_class.items()} == classes
+
+    def test_samples_at_periods_keep_the_verdict(self):
+        # l = 20 pi: every sampled t is a multiple of the period 0.1
+        length = 20 * math.pi
+        rep = invariant_extensions(models.interval_derivative(length), Translation(1.0))
+        assert rep.group_verdict is Verdict.UNIQUE_DISSIPATIVE
+        (v, kind), = rep.fixed_points
+        assert kind == DISSIPATIVE
+        assert v == pytest.approx(math.exp(-length), abs=1e-8)
+
     def test_halfline_returns_the_operator_itself(self, halfline):
         rep = invariant_extensions(halfline, Translation(1.0))
         assert rep.group_verdict is Verdict.UNIQUE_DISSIPATIVE
         assert rep.fixed_points == [(None, DISSIPATIVE)]
+
+
+def scan_period(model, group, t_max, tol=1e-8, grid=2048):
+    """Reference period search: the smallest scan minimum of the distance to
+    the identity over `grid` elements in (0, t_max], refined by ternary
+    search, that lies within tol of the identity."""
+
+    def dist(t):
+        return gamma_map(model, subgroup_eval(group, t)).distance_to_identity()
+
+    ts = np.linspace(t_max / grid, t_max, grid)
+    ds = np.array([dist(t) for t in ts])
+    candidates = [i for i in range(1, grid - 1)
+                  if ds[i] <= ds[i - 1] and ds[i] <= ds[i + 1]]
+    if ds[-1] <= ds[-2]:
+        candidates.append(grid - 1)
+    for i in candidates:
+        lo = ts[i - 1]
+        hi = ts[i + 1] if i + 1 < grid else t_max
+        for _ in range(120):
+            m1 = lo + (hi - lo) / 3
+            m2 = hi - (hi - lo) / 3
+            if dist(m1) <= dist(m2):
+                hi = m2
+            else:
+                lo = m1
+            if hi - lo < 1e-12 * max(1.0, t_max):
+                break
+        t_star = 0.5 * (lo + hi)
+        if dist(t_star) <= tol:
+            return t_star
+    return None
+
+
+def intersect_fixed_points(model, group, t_samples=(0.3, 0.7, 1.3, 2.9),
+                           fp_tol=1e-7, sa_tol=1e-9, eps_class=1e-9, id_tol=1e-8):
+    """Reference invariant extensions: the fixed points common to every
+    sampled element that is not the identity, and each sample's class."""
+    maps = {t: gamma_map(model, subgroup_eval(group, t)) for t in t_samples}
+    classes = {t: classify(fm.mobius, eps_class).tag for t, fm in maps.items()}
+    per_sample = [[z for z, _ in fixed_points_flow(fm, sa_tol=sa_tol)]
+                  for fm in maps.values() if fm.distance_to_identity() > id_tol]
+    common = [z for z in per_sample[0]
+              if all(any(abs(z - w) <= fp_tol for w in points)
+                     for points in per_sample)]
+    return ([(z, SELF_ADJOINT if abs(abs(z) - 1.0) <= sa_tol else DISSIPATIVE)
+             for z in common], classes)
 
 
 class TestPeriodDetect:
@@ -206,8 +278,85 @@ class TestPeriodDetect:
         # boundary-condition phase angle is pi-periodic, giving 2 pi / nu
         m = models.inverse_square(-25.0)
         nu = math.sqrt(24.75)
-        period = period_detect(m, SCALING, t_max=1.6, tol=1e-5, grid=600)
+        period = period_detect(m, SCALING, t_max=1.6, tol=1e-5)
         assert period == pytest.approx(2 * math.pi / nu, abs=1e-5)
+
+    @pytest.mark.parametrize("length", [1e-3, 1e-2, 0.5, 1.0, 2.0, 40.0, 300.0])
+    def test_interval_period_is_two_pi_over_l(self, length):
+        # confirmed within the CLI's default tol; 3e-13 relative measured at l = 1e-3
+        expect = 2 * math.pi / length
+        m = models.interval_derivative(length)
+        period = period_detect(m, Translation(1.0), t_max=1.4 * expect, tol=1e-8)
+        assert period == pytest.approx(expect, rel=1e-11)
+
+    @pytest.mark.parametrize("gamma", [-2.0, -25.0])
+    def test_inverse_square_period_is_two_pi_over_nu(self, gamma):
+        expect = 2 * math.pi / math.sqrt(-gamma - 0.25)
+        m = models.inverse_square(gamma)
+        period = period_detect(m, SCALING, t_max=m.T_RANGE, tol=1e-5)
+        assert period == pytest.approx(expect, abs=1e-8)
+
+    def test_period_beyond_t_max_is_none(self):
+        # nu = sqrt(0.05): the period 28.1 lies beyond the model's range
+        m = models.inverse_square(-0.3)
+        assert period_detect(m, SCALING, t_max=m.T_RANGE, tol=1e-5) is None
+
+    @pytest.mark.parametrize("model, group", [
+        (models.interval_derivative(1e-3), Translation(1.0)),
+        (models.interval_derivative(1.0), Translation(1.0)),
+        (models.inverse_square(-25.0), SCALING),
+    ], ids=["l=1e-3", "l=1", "gamma=-25"])
+    def test_at_most_four_flow_elements(self, model, group, monkeypatch):
+        calls = []
+        original = flow.gamma_map
+        monkeypatch.setattr(flow, "gamma_map",
+                            lambda *args: calls.append(args) or original(*args))
+        assert period_detect(model, group, t_max=1e4, tol=1e-5) is not None
+        assert len(calls) <= 4
+
+    @pytest.mark.parametrize("length", [0.5, 1.0, 2.0])
+    def test_scan_oracle_agrees_interval(self, length):
+        m = models.interval_derivative(length)
+        t_max = 1.4 * 2 * math.pi / length
+        assert period_detect(m, Translation(1.0), t_max, 1e-8) == pytest.approx(
+            scan_period(m, Translation(1.0), t_max, 1e-8), abs=1e-6)
+
+    @pytest.mark.parametrize("gamma", [0.0, -1.0])
+    def test_scan_oracle_agrees_inverse_square(self, gamma):
+        # no period: hyperbolic at 0, and 2 pi/nu = 7.3 beyond the range at -1
+        m = models.inverse_square(gamma)
+        assert period_detect(m, SCALING, m.T_RANGE, 1e-5) is None
+        assert scan_period(m, SCALING, m.T_RANGE, 1e-5, grid=16) is None
+
+
+class TestGenerator:
+    @pytest.mark.parametrize("length", [0.5, 1.0, 2.0, 40.0])
+    def test_interval_det_is_quarter_l_squared(self, length):
+        gen = generator(models.interval_derivative(length), Translation(1.0))
+        assert gen.det == pytest.approx(length**2 / 4, abs=1e-8)
+
+    @pytest.mark.parametrize("gamma", [-25.0, -2.0, -0.3, -0.25, 0.0, 0.5])
+    def test_inverse_square_det(self, gamma):
+        # det X = nu^2/4 below -1/4 and -mu^2/4 above; measured errors <= 3.3e-10
+        gen = generator(models.inverse_square(gamma), SCALING)
+        assert gen.det == pytest.approx(-(gamma + 0.25) / 4, abs=1e-8)
+
+    @pytest.mark.parametrize("model, group, tol", [
+        (models.interval_derivative(1.0), Translation(1.0), 1e-10),
+        (models.interval_derivative(40.0), Translation(1.0), 1e-10),
+        (models.inverse_square(0.0), SCALING, 1e-6),
+        (models.inverse_square(-2.0), SCALING, 1e-6),
+    ], ids=["l=1", "l=40", "gamma=0", "gamma=-2"])
+    def test_exponential_reproduces_flow_elements(self, model, group, tol):
+        gen = generator(model, group)
+        for t in (0.3, 1.1, -2.4, 5.9):
+            fm = gamma_map(model, subgroup_eval(group, t))
+            assert mobius.projective_distance(gen.exp(t), fm.mobius) <= tol
+
+    def test_trivial_flow_has_zero_generator(self, halfline):
+        gen = generator(halfline, Translation(1.0))
+        assert (gen.a, gen.b, gen.c, gen.det) == (0, 0, 0, 0)
+        assert period_detect(halfline, Translation(1.0), t_max=10.0) is None
 
 
 class TestSemiboundedFixedPoints:
