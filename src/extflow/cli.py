@@ -215,6 +215,8 @@ def _validate(cfg: RunConfig):
             raise IncompatibleModelGroup(
                 f"model {cfg.model!r} is not invariant under {group!r}")
         cfg.group = group
+        if cfg.model == "inverse-square" and not cfg.gamma < 0.75:
+            raise ParseError(f"gamma must be below 3/4 (indices (1, 1)), got {cfg.gamma}")
     if cfg.command == "shoot":
         if not 1 <= cfg.count <= 4:
             raise ParseError(f"shoot: count must be between 1 and 4, got {cfg.count}")
@@ -229,6 +231,12 @@ def _validate(cfg: RunConfig):
         raise ParseError("period: the halfline flow is trivial and has no period")
     if cfg.command == "flow-orbit" and abs(cfg.v0) > 1.0:
         raise ParseError(f"flow-orbit: |v0| must be at most 1, got {cfg.v0}")
+    if cfg.command == "flow-orbit" and cfg.model == "halfline" and cfg.v0 != 0:
+        raise ParseError(f"flow-orbit: the halfline parameter set is {{0}}, got v0 = {cfg.v0}")
+    if cfg.command == "fk-params" and not -0.25 <= cfg.gamma < 0.75:
+        raise ParseError(f"fk-params: gamma must lie in [-1/4, 3/4), got {cfg.gamma}")
+    if cfg.command == "spectrum" and cfg.rho is not None and abs(cfg.rho) >= 1.0:
+        raise ParseError(f"spectrum: |rho| must be below 1, got {cfg.rho}")
     for key, length in (("l", cfg.length), ("l2", cfg.length2)):
         if length is not None and not 1e-3 <= length <= 300.0:
             raise ParseError(f"{key} must lie in [1e-3, 300], got {length}")
@@ -304,6 +312,13 @@ def _cmd_fixed_points(cfg):
             {f"fixed-point residual <= {tol:g}": worst <= tol})
 
 
+_VERDICT_CLASSES = {
+    Verdict.UNIQUE_DISSIPATIVE: {mobius.MapTag.ELLIPTIC},
+    Verdict.TWO_SELF_ADJOINT: {mobius.MapTag.HYPERBOLIC, mobius.MapTag.PARABOLIC},
+    Verdict.ALL_EXTENSIONS_INVARIANT: set(),
+}
+
+
 def _cmd_invariance(cfg):
     model = _build_model(cfg)
     group = _subgroup(cfg)
@@ -326,7 +341,12 @@ def _cmd_invariance(cfg):
         "cyclic_period": period,
         "notes": rep.notes,
     }
-    return results, {"verdict determined": rep.group_verdict is not Verdict.NONE_FOUND}
+    # the paper's alternative: a unique dissipative invariant extension for an
+    # elliptic flow, two self-adjoint ones for a hyperbolic or parabolic flow
+    allowed = _VERDICT_CLASSES[rep.group_verdict]
+    agrees = all(cls.tag in allowed for cls in rep.flow_class.values()
+                 if cls.tag is not mobius.MapTag.IDENTITY)
+    return results, {"verdict matches the flow class": agrees}
 
 
 def _cmd_period(cfg):

@@ -195,7 +195,6 @@ class Verdict(Enum):
     ALL_EXTENSIONS_INVARIANT = "AllExtensionsInvariant"
     TWO_SELF_ADJOINT = "TwoSelfAdjoint"
     UNIQUE_DISSIPATIVE = "UniqueDissipative"
-    NONE_FOUND = "NoneFound"
 
 
 @dataclass

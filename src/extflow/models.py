@@ -8,9 +8,10 @@ value depends on them:
 
 * interval model on (0, l): deficiency representatives e^x and e^{-x},
   normalized by positive reals; boundary conditions written f(0) = rho*f(l).
-* inverse-square model on (0, inf): the plus representative is the solution
-  asymptotic to exp(-exp(-i*pi/4)*x) at infinity, rescaled by positive
-  reals; the minus representative is its complex conjugate, exactly.
+* inverse-square model on (0, inf): the plus representative is
+  sqrt(k) sqrt(x) K_mu(kx) with k = exp(-i*pi/4), up to positive reals, the
+  solution asymptotic to exp(-k*x) at infinity; the minus representative is
+  its complex conjugate, exactly. Its data are Bessel-K closed forms.
 * half-line model: representative e^{-x}; indices (0, 1).
 
 The scaling-model unitary for the affine element g(x) = a*x is
@@ -33,7 +34,8 @@ import numpy as np
 
 from .affine import AffineMap, Scaling, Translation
 from .errors import IllPosed, InvalidBoundary, OutsideGroup, UnsupportedIndices
-from .numerics import hermite, ode_solve, quad_finite
+# unused here; extbench/tracing.py wraps models.ode_solve and models.quad_finite by name
+from .numerics import ode_solve, quad_finite  # noqa: F401
 
 
 @dataclass(frozen=True)
@@ -102,8 +104,8 @@ class IntervalModel:
         if not length > 0:
             raise ValueError("interval length must be positive")
         self.length = float(length)
-        self.norm_plus = math.sqrt((math.exp(2 * self.length) - 1) / 2)
-        self.norm_minus = math.sqrt((1 - math.exp(-2 * self.length)) / 2)
+        self.norm_plus = math.sqrt(math.expm1(2 * self.length) / 2)
+        self.norm_minus = math.sqrt(-math.expm1(-2 * self.length) / 2)
         self.group = Translation(1.0)
         self.description = f"i d/dx on (0, {self.length}) with Dirichlet ends"
 
@@ -161,79 +163,45 @@ class IntervalModel:
 # inverse-square model: -d^2/dx^2 + gamma/x^2 on (0, inf)
 # ---------------------------------------------------------------------------
 
-_DEGENERATE_MU2 = 1e-10   # |gamma + 1/4| below this uses the log-pair basis
+_DEGENERATE_MU2 = 1e-10   # |gamma + 1/4| below this uses the log pair (mu = 0)
+_EULER_GAMMA = 0.57721566490153286
+# B_2j / (2j (2j - 1)), j = 1..8: the Stirling series of log Gamma (DLMF 5.11.1)
+_STIRLING = (1 / 12, -1 / 360, 1 / 1260, -1 / 1680, 1 / 1188, -691 / 360360,
+             1 / 156, -3617 / 122400)
 
 
-class _PowerForm:
-    """Sum of c * x^s * log(x)^m terms; the near-zero representation of a
-    deficiency solution, closed under scaling, conjugation, and products."""
+def log_gamma(z: complex) -> complex:
+    """log Gamma(z) off the poles, on the branch of mpmath.loggamma for real
+    z and z off the real axis: recur upward until Re z >= 8, then sum the
+    Stirling series to rounding level."""
+    z, shift = complex(z), 0j
+    while z.real < 8:
+        shift += cmath.log(z)
+        z += 1
+    inv2, series = 1 / (z * z), 0j
+    for c in reversed(_STIRLING):
+        series = series * inv2 + c
+    return ((z - 0.5) * cmath.log(z) - z + 0.5 * math.log(2 * math.pi)
+            + series / z - shift)
 
-    def __init__(self, terms):
-        self.terms = [(complex(c), complex(s), int(m)) for c, s, m in terms]
 
-    def scaled_argument(self, sigma: float) -> "_PowerForm":
-        """Terms of x -> f(sigma*x)."""
-        ls = math.log(sigma)
-        out = []
-        for c, s, m in self.terms:
-            base = c * cmath.exp(s * ls)
-            if m == 0:
-                out.append((base, s, 0))
-            else:  # log(sigma*x)^1 = log x + log sigma
-                out.append((base, s, 1))
-                out.append((base * ls, s, 0))
-        return _PowerForm(out)
-
-    def conjugate(self) -> "_PowerForm":
-        return _PowerForm([(c.conjugate(), s.conjugate(), m) for c, s, m in self.terms])
-
-    def eval(self, x):
-        x = np.asarray(x, dtype=float)
-        lx = np.log(x)
-        out = np.zeros(x.shape, dtype=complex)
-        for c, s, m in self.terms:
-            out += c * np.exp(s * lx) * (lx**m if m else 1.0)
-        return out
-
-    def eval_deriv(self, x):
-        x = np.asarray(x, dtype=float)
-        lx = np.log(x)
-        out = np.zeros(x.shape, dtype=complex)
-        for c, s, m in self.terms:
-            out += c * np.exp((s - 1) * lx) * (s * (lx**m if m else 1.0)
-                                               + (m * lx ** (m - 1) if m else 0.0))
-        return out
-
-    def product_integral(self, other: "_PowerForm", upper: float) -> complex:
-        """Integral over (0, upper] of self*other (no conjugation here)."""
-        lu = math.log(upper)
-        total = 0.0 + 0.0j
-        for c1, s1, m1 in self.terms:
-            for c2, s2, m2 in other.terms:
-                p = s1 + s2 + 1
-                m = m1 + m2
-                xp = cmath.exp(p * lu)   # upper^p
-                if m == 0:
-                    val = xp / p
-                elif m == 1:
-                    val = xp * (lu / p - 1 / p**2)
-                elif m == 2:
-                    val = xp * (lu * lu / p - 2 * lu / p**2 + 2 / p**3)
-                else:
-                    raise ValueError("log power beyond quadratic not supported")
-                total += c1 * c2 * val
-        return total
+def _expm1(z: complex) -> complex:
+    """e^z - 1 without cancellation near z = 0 (cmath has no expm1)."""
+    x, y = z.real, z.imag
+    return complex(math.expm1(x) * math.cos(y) - 2 * math.sin(y / 2) ** 2,
+                   math.exp(x) * math.sin(y))
 
 
 class InverseSquareModel:
     """Second-order model with potential gamma/x^2, indices (1, 1) for
     gamma < 3/4, invariant under scalings about the origin.
 
-    Deficiency data is materialized by backward integration from x = 40
-    with decaying asymptotic data summed to rounding level, tabulated on a
-    log-spaced grid, and matched to a two-term Frobenius pair at x = 1e-3; inner products
-    combine a closed-form piece below the matching point with adaptive
-    quadrature in the log variable above it.
+    Every datum is a Bessel-K closed form. In the model's gauge the plus
+    representative is sqrt(k) sqrt(x) K_mu(kx) with k = e^{-i pi/4} and
+    mu = sqrt(gamma + 1/4) (imaginary below -1/4). The overlap blocks come
+    from int_0^inf x K_mu(ax) K_mu(bx) dx (Gradshteyn-Ryzhik 6.521.3) and
+    the small-x branch coefficients from the Gamma-function expansion of
+    K_mu (DLMF 10.27.4, 10.25.2; the log pair of DLMF 10.31.2 at mu = 0).
     """
 
     name = "inverse-square"
@@ -241,17 +209,7 @@ class InverseSquareModel:
     generator_kind = "schrodinger"
     representation_kinds = ("scaling",)
 
-    X_MAX = 40.0
-    X_MIN = 1e-6
-    X_ASYM = 1e-3
-    N_TABLE = 4000
     T_RANGE = 6.0
-    QUAD_TOL = 1e-9
-    # the branch pair is matched at X_FIT with an N_SERIES-term series: at a
-    # small matching point the dominant branch exceeds the subdominant one
-    # by x^{-2 mu} and swamps its coefficient
-    X_FIT = 0.5
-    N_SERIES = 14
 
     def __init__(self, gamma: float):
         if gamma >= 0.75:
@@ -262,184 +220,58 @@ class InverseSquareModel:
         self.description = f"-d^2/dx^2 + {self.gamma}/x^2 on (0, inf)"
         mu2 = self.gamma + 0.25
         self.mu2 = mu2
-        if abs(mu2) <= _DEGENERATE_MU2:
-            self.log_case = True
-            self.exponents = (0.5 + 0j, 0.5 + 0j)
-        elif mu2 > 0:
-            self.log_case = False
-            mu = math.sqrt(mu2)
-            self.exponents = (0.5 + mu + 0j, 0.5 - mu + 0j)
-        else:
-            self.log_case = False
-            nu = math.sqrt(-mu2)
-            self.exponents = (0.5 + 1j * nu, 0.5 - 1j * nu)
-        self._build_table()
-        self._fit_near_zero()
-        self._norm_sq = self._pair_integral(1.0, conj_second=True).real
-        self._norm = math.sqrt(self._norm_sq)
-
-    # construction ----------------------------------------------------------
-    def _build_table(self):
-        gamma = self.gamma
-        k = cmath.exp(-1j * math.pi / 4)
-
-        def q(x):
-            return gamma / (x * x) - 1j
-
-        # decaying data e^{-kx} S(x), S = sum_m a_m (kx)^{-m}, the large-
-        # argument series of sqrt(x) K_mu(kx) (DLMF 10.40.2) with
-        # 4 mu^2 = 4 gamma + 1, summed to rounding level and rescaled by the
-        # positive real e^{Re(k) X} so the state starts at O(1)
-        x0 = self.X_MAX
-        z = k * x0
-        series, slope = 1.0 + 0j, 0j    # S and x S'
-        term, m = 1.0 + 0j, 0
-        while abs(term) > 1e-17 * abs(series):
-            m += 1
-            nxt = term * (4 * gamma + 1 - (2 * m - 1) ** 2) / (8 * m * z)
-            if abs(nxt) >= abs(term):
-                break    # the series is asymptotic: stop at its smallest term
-            term = nxt
-            series += term
-            slope -= m * term
-        scale0 = cmath.exp(-k * x0 + k.real * x0)
-        f0 = series * scale0
-        df0 = (-k * series + slope / x0) * scale0
-        sol = ode_solve(q, x0, (f0, df0), self.X_MIN, tol=1e-11, max_step=0.05)
-        # positive-real gauge: unit magnitude at x = 1
-        anchor = abs(sol(np.array([1.0]))[0, 0])
-        self._solution = sol
-        self._gauge = 1.0 / anchor
-        nodes = np.geomspace(self.X_MIN, self.X_MAX, self.N_TABLE)
-        states = sol(nodes) * self._gauge
-        self._x_nodes = nodes
-        self._f_nodes = states[:, 0].copy()
-        self._fp_nodes = states[:, 1].copy()
-        self._log_x0 = math.log(self.X_MIN)
-        self._dlog = math.log(self.X_MAX / self.X_MIN) / (self.N_TABLE - 1)
-
-    def _frobenius_basis(self, n_terms: int = 2):
-        """Small-x basis pair for the +i deficiency equation, as power
-        forms with ``n_terms`` series terms per branch.
-
-        The recursion a_k = -z a_{k-1} / (2k (2s + 2k - 1)) never resonates
-        for gamma < 3/4 away from the coincident-exponent point, which is
-        handled by the log pair sqrt(x), sqrt(x) log x.
-        """
-        z = 1j
+        self.log_case = abs(mu2) <= _DEGENERATE_MU2
+        root_k = cmath.exp(-0.125j * math.pi)
+        log_half_k = complex(-math.log(2.0), -0.25 * math.pi)
         if self.log_case:
-            s = 0.5
-            a = [1.0 + 0j]
-            for k in range(1, n_terms):
-                a.append(-z * a[k - 1] / (4 * k * k))
-            b = [0j]
-            for k in range(1, n_terms):
-                b.append((-4 * k * a[k] - z * b[k - 1]) / (4 * k * k))
-            u1 = _PowerForm([(a[k], s + 2 * k, 0) for k in range(n_terms)])
-            u2_terms = [(a[k], s + 2 * k, 1) for k in range(n_terms)]
-            u2_terms += [(b[k], s + 2 * k, 0) for k in range(1, n_terms)]
-            return u1, _PowerForm(u2_terms)
+            mu = 0j
+            # sqrt(x) K_0(kx) ~ -(log(k/2) + gamma_E) sqrt(x) - sqrt(x) log x
+            self._half_limit = 0.5
+            self.branch_coeffs = (-root_k * (log_half_k + _EULER_GAMMA), -root_k)
+        else:
+            mu = math.sqrt(mu2) if mu2 > 0 else 1j * math.sqrt(-mu2)
+            self._pi_over_sin = math.pi / cmath.sin(math.pi * mu)
+            self._half_limit = 0.5 * mu * self._pi_over_sin
+            # coefficients of x^{1/2 + mu} and x^{1/2 - mu} in sqrt(kx) K_mu(kx)
+            self.branch_coeffs = (
+                0.5 * root_k * cmath.exp(log_gamma(-mu) + mu * log_half_k),
+                0.5 * root_k * cmath.exp(log_gamma(mu) - mu * log_half_k))
+        self.mu = mu
+        # ||sqrt(x) K_mu(kx)||^2 = I(k, conj k)
+        self._norm_sq = (math.pi / (4 * cmath.cos(0.5 * math.pi * mu))).real
 
-        def branch(s):
-            coeffs = [1.0 + 0j]
-            for k in range(1, n_terms):
-                coeffs.append(-z * coeffs[k - 1] / (2 * k * (2 * s + 2 * k - 1)))
-            return _PowerForm([(coeffs[k], s + 2 * k, 0) for k in range(n_terms)])
+    def _integral(self, log_ratio: complex, b2: complex) -> complex:
+        """I(a, b) = int_0^inf x K_mu(ax) K_mu(bx) dx
+        = pi (ab)^{-mu} (a^{2 mu} - b^{2 mu}) / (2 sin(mu pi) (a^2 - b^2)),
+        written with L = log(a/b) as pi sinh(mu L) / (sin(mu pi) b^2 expm1(2L)),
+        which stays finite at L = 0 and at mu = 0, where pi sinh(mu L) /
+        sin(mu pi) becomes L. ``b2`` is b^2."""
+        if log_ratio == 0:
+            return self._half_limit / b2
+        if self.log_case:
+            num = log_ratio
+        else:
+            num = cmath.sinh(self.mu * log_ratio) * self._pi_over_sin
+        return num / (b2 * _expm1(2 * log_ratio))
 
-        s1, s2 = self.exponents
-        return branch(s1), branch(s2)
-
-    def _fit_near_zero(self):
-        u1, u2 = self._frobenius_basis(self.N_SERIES)
-        xm = np.array([self.X_FIT])
-        state = self._solution(xm) * self._gauge
-        f, df = complex(state[0, 0]), complex(state[0, 1])
-        a11 = complex(u1.eval(xm)[0])
-        a12 = complex(u2.eval(xm)[0])
-        a21 = complex(u1.eval_deriv(xm)[0])
-        a22 = complex(u2.eval_deriv(xm)[0])
-        det = a11 * a22 - a12 * a21
-        c1 = (f * a22 - a12 * df) / det
-        c2 = (a11 * df - f * a21) / det
-        self.branch_coeffs = (c1, c2)
-        short1, short2 = self._frobenius_basis(2)
-        terms = [(c1 * c, s, m) for c, s, m in short1.terms]
-        terms += [(c2 * c, s, m) for c, s, m in short2.terms]
-        self._phi_form = _PowerForm(terms)
-
-    # evaluation -------------------------------------------------------------
-    def deficiency_value(self, sign: int, x):
-        """Normalized deficiency values: sign +1 for phi_hat_plus, -1 for
-        its conjugate."""
-        vals = self._eval_plus(np.asarray(x, dtype=float)) / self._norm
-        return vals if sign > 0 else np.conj(vals)
-
-    def _eval_plus(self, x):
-        x = np.asarray(x, dtype=float)
-        out = np.zeros(x.shape, dtype=complex)
-        small = x < self.X_ASYM
-        table = (~small) & (x <= self.X_MAX)
-        if small.any():
-            out[small] = self._phi_form.eval(x[small])
-        if table.any():
-            out[table] = self._table_eval(x[table])
-        return out    # values beyond X_MAX are negligible and treated as 0
-
-    def _table_eval(self, x):
-        pos = (np.log(x) - self._log_x0) / self._dlog
-        idx = np.clip(pos.astype(int), 0, self.N_TABLE - 2)
-        x0 = self._x_nodes[idx]
-        x1 = self._x_nodes[idx + 1]
-        h = x1 - x0
-        s = np.clip((x - x0) / h, 0.0, 1.0)
-        return hermite(s, h, self._f_nodes[idx], self._fp_nodes[idx],
-                       self._f_nodes[idx + 1], self._fp_nodes[idx + 1])
-
-    # inner products ----------------------------------------------------------
-    def _pair_integral(self, sigma: float, conj_second: bool,
-                       conj_first: bool = False) -> complex:
-        """Integral over (0, inf) of phi(sigma x) * phi(x), with either
-        factor optionally conjugated."""
-        x_cut = self.X_ASYM * min(1.0, 1.0 / sigma)
-        x_up = self.X_MAX * min(1.0, 1.0 / sigma)
-        first = self._phi_form.scaled_argument(sigma)
-        second = self._phi_form
-        if conj_first:
-            first = first.conjugate()
-        if conj_second:
-            second = second.conjugate()
-        head = first.product_integral(second, x_cut)
-
-        def integrand(u):
-            x = np.exp(u)
-            f1 = self._eval_plus(sigma * x)
-            f2 = self._eval_plus(x)
-            if conj_first:
-                f1 = np.conj(f1)
-            if conj_second:
-                f2 = np.conj(f2)
-            return f1 * f2 * x
-
-        body = quad_finite(integrand, math.log(x_cut), math.log(x_up),
-                           tol=self.QUAD_TOL, max_panels=4000)
-        return head + body.value
-
-    def _scaling_sigma(self, g: AffineMap) -> float:
+    def _log_sigma(self, g: AffineMap) -> float:
         if abs(g.b) > 1e-12 * max(1.0, abs(g.a)):
             raise OutsideGroup(
                 "inverse-square model is invariant under scalings about 0 only")
         t = math.log(g.a)
         if abs(t) > self.T_RANGE + 1e-12:
             raise OutsideGroup(
-                f"group parameter |t| = {abs(t):.3f} beyond supported range "
-                f"{self.T_RANGE} (transported arguments leave the table)")
-        return g.a ** -0.5
+                f"group parameter |t| = {abs(t):.3f} beyond the supported range "
+                f"{self.T_RANGE} of scaling parameters")
+        return -0.5 * t
 
     def overlap_matrix(self, g: AffineMap) -> OverlapData:
-        sigma = self._scaling_sigma(g)
-        root = math.sqrt(sigma)
-        same = root * self._pair_integral(sigma, conj_second=True) / self._norm_sq
-        cross = root * self._pair_integral(sigma, conj_second=False) / self._norm_sq
+        """With a = k sigma, sigma = a_g^{-1/2}: cpp = sigma I(a, conj k) and
+        cmp = sigma k I(a, k), over the squared norm."""
+        log_sigma = self._log_sigma(g)
+        scale = g.a ** -0.5 / self._norm_sq
+        same = scale * self._integral(complex(log_sigma, -0.5 * math.pi), 1j)
+        cross = scale * cmath.exp(-0.25j * math.pi) * self._integral(log_sigma, -1j)
         return OverlapData(cpp=same, cpm=cross.conjugate(),
                            cmp=cross, cmm=same.conjugate())
 

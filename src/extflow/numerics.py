@@ -2,10 +2,11 @@
 
 Adaptive Gauss-Kronrod quadrature over a finite interval (complex
 integrands), a Dormand-Prince 5(4) solver for the linear equation
-u'' = q(x) u, the cubic Hermite interpolant that serves as its dense output
-and as the inverse-square model's table lookup, and an Illinois bracketed
-root finder. The grid operators of the Weyl checks need no dense kernel:
-they are diagonals times shifts, see ``weylcheck``.
+u'' = q(x) u and an Illinois bracketed root finder. Shooting is the only
+caller of the solver and the root finder. The quadrature has no caller in
+the program; tests use it as an oracle. The inverse-square model is in
+closed form, and the grid operators of the Weyl checks are diagonals times
+shifts (see ``weylcheck``), so neither needs a kernel here.
 
 Integrands are called with numpy arrays of nodes; ODE coefficients q(x) and
 root-finder functions with Python floats. All of them must be re-entrant;
@@ -15,7 +16,6 @@ everything here is pure, so concurrent use is safe.
 from __future__ import annotations
 
 import heapq
-import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -125,52 +125,27 @@ def quad_finite(f, a: float, b: float, tol: float = 1e-10, max_panels: int = 10*
 
 
 # ---------------------------------------------------------------------------
-# initial value solver: Dormand-Prince 5(4) with cubic Hermite dense output
+# initial value solver: Dormand-Prince 5(4)
 # ---------------------------------------------------------------------------
 
-def hermite(s, h, y0, f0, y1, f1):
-    """Cubic Hermite interpolant at relative position s in [0, 1] of a panel
-    of width h, from the end values y0, y1 and the end slopes f0, f1."""
-    h00 = (1 + 2 * s) * (1 - s) ** 2
-    h10 = s * (1 - s) ** 2
-    h01 = s * s * (3 - 2 * s)
-    h11 = s * s * (s - 1)
-    return h00 * y0 + h * h10 * f0 + h01 * y1 + h * h11 * f1
-
-
 class OdeSolution:
-    """Accepted solver nodes plus cubic Hermite interpolation between them.
+    """Accepted solver nodes and states, stored in ascending x; ``y_end`` is
+    the state at the endpoint the integration was driven to (the smallest x
+    for backward runs)."""
 
-    Nodes are stored in ascending x; ``y_end`` is the state at the endpoint
-    the integration was driven to (the smallest x for backward runs).
-    """
-
-    def __init__(self, xs, ys, fs, forward: bool = True):
+    def __init__(self, xs, ys, forward: bool = True):
         order = np.argsort(xs)
         self.xs = np.asarray(xs)[order]
         self.ys = np.asarray(ys)[order]
-        self.fs = np.asarray(fs)[order]
         self.forward = forward
 
     @property
     def y_end(self):
         return self.ys[-1] if self.forward else self.ys[0]
 
-    def __call__(self, x):
-        """Evaluate the interpolant; scalar or array ``x`` inside the span."""
-        xq = np.atleast_1d(np.asarray(x, dtype=float))
-        idx = np.clip(np.searchsorted(self.xs, xq) - 1, 0, len(self.xs) - 2)
-        x0 = self.xs[idx]
-        x1 = self.xs[idx + 1]
-        h = x1 - x0
-        s = (xq - x0) / h
-        out = hermite(s[:, None], h[:, None], self.ys[idx], self.fs[idx],
-                      self.ys[idx + 1], self.fs[idx + 1])
-        return out[0] if np.isscalar(x) or np.asarray(x).ndim == 0 else out
-
 
 def ode_solve(q, x0: float, y0, x1: float, tol: float = 1e-9,
-              max_step: float | None = None, max_steps: int = 10**6) -> OdeSolution:
+              max_steps: int = 10**6) -> OdeSolution:
     """Integrate u'' = q(x) u from x0 to x1 (either order) by Dormand-Prince
     5(4) with adaptive steps (Hairer, Norsett and Wanner, Solving ODEs I,
     II.5).
@@ -178,22 +153,20 @@ def ode_solve(q, x0: float, y0, x1: float, tol: float = 1e-9,
     ``q(x)`` returns the scalar coefficient and ``y0`` is the pair (u, u').
     The state is two Python scalars: real when ``q`` and ``y0`` are real,
     complex otherwise. The per-step error is controlled componentwise
-    against tol*(1+max(|y|,|y_new|)). ``max_step`` bounds the step size,
-    which also bounds the dense-output interpolation error. Returns the
-    accepted nodes as an OdeSolution; raises StepUnderflow when the step
-    collapses or ``max_steps`` attempts do not reach x1.
+    against tol*(1+max(|y|,|y_new|)). Returns the accepted nodes as an
+    OdeSolution; raises StepUnderflow when the step collapses or
+    ``max_steps`` attempts do not reach x1.
     """
     u, v = y0
     cast = complex if np.iscomplexobj(q(x0) * u * v) else float
     u, v, x = cast(u), cast(v), float(x0)
     w = q(x) * u
     if x1 == x0:
-        return OdeSolution([x], [(u, v)], [(v, w)], forward=True)
+        return OdeSolution([x], [(u, v)], forward=True)
     direction = 1.0 if x1 > x0 else -1.0
-    span = abs(x1 - x0)
-    h = direction * min(span / 10.0, max_step if max_step else span / 10.0)
+    h = (x1 - x0) / 10.0
     tiny = 16 * np.finfo(float).eps
-    xs, us, vs, ws = [x], [u], [v], [w]
+    xs, us, vs = [x], [u], [v]
     steps = 0
     while (x1 - x) * direction > 0:
         if steps > max_steps:
@@ -242,15 +215,11 @@ def ode_solve(q, x0: float, y0, x1: float, tol: float = 1e-9,
             xs.append(x)
             us.append(u)
             vs.append(v)
-            ws.append(w)
             factor = 5.0 if err == 0.0 else min(5.0, 0.9 * err ** -0.2)
         else:
             factor = max(0.2, 0.9 * err ** -0.2)
         h *= factor
-        if max_step is not None and abs(h) > max_step:
-            h = direction * max_step
-    return OdeSolution(xs, list(zip(us, vs)), list(zip(vs, ws)),
-                       forward=direction > 0)
+    return OdeSolution(xs, list(zip(us, vs)), forward=direction > 0)
 
 
 # ---------------------------------------------------------------------------

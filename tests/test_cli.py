@@ -3,7 +3,7 @@ import math
 
 import pytest
 
-from extflow import cli, flow
+from extflow import cli, flow, mobius
 
 
 def run_cli(tmp_path, *argv, name="out.json"):
@@ -90,7 +90,7 @@ class TestCommands:
         results = json.loads(text)["results"]
         assert results["t_max"] == 6.0
         assert results["period"] == pytest.approx(
-            2 * math.pi / math.sqrt(24.75), abs=1e-6)
+            2 * math.pi / math.sqrt(24.75), abs=3e-15)
 
     def test_fixed_points_evaluates_each_element_once(self, tmp_path, monkeypatch):
         calls = []
@@ -130,8 +130,8 @@ class TestCommands:
         code, text = run_cli(tmp_path, "fk-params", "--gamma", "0")
         assert code == 0
         payload = json.loads(text)
-        assert payload["results"]["v_friedrichs"]["re"] == pytest.approx(1.0, abs=1e-7)
-        assert payload["results"]["v_krein"]["im"] == pytest.approx(-1.0, abs=1e-7)
+        assert payload["results"]["v_friedrichs"]["re"] == pytest.approx(1.0, abs=3e-15)
+        assert payload["results"]["v_krein"]["im"] == pytest.approx(-1.0, abs=3e-15)
 
     def test_invariance_interval(self, tmp_path):
         code, text = run_cli(tmp_path, "invariance", "--model", "interval",
@@ -253,7 +253,13 @@ class TestExitCodes:
         ["period", "--model", "interval", "--l", "1e-9"],
         ["certify-nonequivalence", "--l2", "400"],
         ["flow-orbit", "--model", "interval", "--v0", "2"],
-    ], ids=["halfline-period", "l-400", "l-1e-9", "l2-400", "v0-2"])
+        ["flow-orbit", "--model", "halfline", "--v0", "0.3"],
+        ["fk-params", "--gamma", "0.8"],
+        ["fk-params", "--gamma", "-0.3"],
+        ["spectrum", "--rho", "2"],
+        ["fixed-points", "--model", "inverse-square", "--gamma", "0.8"],
+    ], ids=["halfline-period", "l-400", "l-1e-9", "l2-400", "v0-2", "halfline-v0",
+            "fk-gamma-0.8", "fk-gamma-below-critical", "rho-2", "invsq-gamma-0.8"])
     def test_input_domain_is_configuration_error(self, argv, tmp_path, capsys):
         code = cli.main([*argv, "--out", str(tmp_path / "x.json")])
         err = capsys.readouterr().err
@@ -261,6 +267,26 @@ class TestExitCodes:
         assert err.startswith("configuration error: ")
         assert err.count("\n") == 1 and "Traceback" not in err
         assert not (tmp_path / "x.json").exists()
+
+    def test_halfline_orbit_of_zero_runs(self, tmp_path):
+        code, text = run_cli(tmp_path, "flow-orbit", "--model", "halfline",
+                             "--v0", "0", "--t", "0.5")
+        assert code == 0
+        assert json.loads(text)["results"]["worst_modulus"] == 0.0
+
+    def test_invariance_verdict_must_match_the_flow_class(self, tmp_path, monkeypatch):
+        # the interval flow is elliptic with a unique dissipative invariant
+        # extension; a hyperbolic class beside that verdict fails the run
+        code, text = run_cli(tmp_path, "invariance", "--model", "interval", "--l", "1")
+        assert code == 0
+        assert json.loads(text)["checks"] == {"verdict matches the flow class": True}
+        monkeypatch.setattr(flow, "classify", lambda m, eps: mobius.MapClass(
+            mobius.MapTag.HYPERBOLIC, []))
+        code, text = run_cli(tmp_path, "invariance", "--model", "interval", "--l", "1")
+        assert code == 1
+        payload = json.loads(text)
+        assert payload["results"]["verdict"] == "UniqueDissipative"
+        assert payload["checks"] == {"verdict matches the flow class": False}
 
     def test_seed_is_not_an_option(self, tmp_path):
         assert cli.main(["weyl", "--seed", "3"]) == 2

@@ -121,15 +121,15 @@ class TestInverseSquareFlow:
             t1, t2 = rng.uniform(-2.5, 2.5, 2)
             f = subgroup_eval(SCALING, t1)
             g = subgroup_eval(SCALING, t2)
-            assert check_group_law(invsq0, f, g) < 1e-6
+            assert check_group_law(invsq0, f, g) < 2e-14   # measured 1.2e-15
 
     def test_fixed_points_are_friedrichs_and_krein(self, invsq0):
         fps = fixed_points_flow(gamma_map(invsq0, subgroup_eval(SCALING, 1.0)),
                                 sa_tol=1e-6)
         vals = sorted((z for z, kind in fps), key=lambda z: z.real)
         assert len(vals) == 2
-        assert vals[0] == pytest.approx(-1j, abs=1e-8)
-        assert vals[1] == pytest.approx(1.0, abs=1e-8)
+        assert vals[0] == pytest.approx(-1j, abs=5e-15)
+        assert vals[1] == pytest.approx(1.0, abs=5e-15)
         assert all(kind == SELF_ADJOINT for _, kind in fps)
 
     def test_parabolic_at_critical_coupling(self):
@@ -138,7 +138,7 @@ class TestInverseSquareFlow:
         cls = classify(fm.mobius, eps_class=1e-6)
         assert cls.tag is MapTag.PARABOLIC
         assert len(cls.fixed_points) == 1
-        assert abs(abs(cls.fixed_points[0]) - 1.0) < 1e-6
+        assert abs(abs(cls.fixed_points[0]) - 1.0) < 1e-15
 
     def test_contraction_preservation(self, invsq0):
         rng = np.random.default_rng(8)
@@ -146,7 +146,7 @@ class TestInverseSquareFlow:
             t = rng.uniform(-5, 5)
             v = rng.uniform(0, 1.0) * cmath.exp(1j * rng.uniform(0, 2 * math.pi))
             out = gamma_apply(invsq0, subgroup_eval(SCALING, t), v)
-            assert abs(out) <= 1.0 + 1e-8
+            assert abs(out) <= 1.0 + 1e-15
 
 
 class TestInvariantExtensions:
@@ -165,8 +165,8 @@ class TestInvariantExtensions:
                                    eps_class=1e-6)
         assert rep.group_verdict is Verdict.TWO_SELF_ADJOINT
         vals = sorted((z for z, _ in rep.fixed_points), key=lambda z: z.real)
-        assert vals[0] == pytest.approx(-1j, abs=1e-6)
-        assert vals[1] == pytest.approx(1.0, abs=1e-6)
+        assert vals[0] == pytest.approx(-1j, abs=2e-14)
+        assert vals[1] == pytest.approx(1.0, abs=2e-14)
 
     def test_inverse_square_unique_dissipative_below_critical(self):
         m = models.inverse_square(-1.0)
@@ -279,7 +279,7 @@ class TestPeriodDetect:
         m = models.inverse_square(-25.0)
         nu = math.sqrt(24.75)
         period = period_detect(m, SCALING, t_max=1.6, tol=1e-5)
-        assert period == pytest.approx(2 * math.pi / nu, abs=1e-5)
+        assert period == pytest.approx(2 * math.pi / nu, abs=3e-15)
 
     @pytest.mark.parametrize("length", [1e-3, 1e-2, 0.5, 1.0, 2.0, 40.0, 300.0])
     def test_interval_period_is_two_pi_over_l(self, length):
@@ -294,7 +294,7 @@ class TestPeriodDetect:
         expect = 2 * math.pi / math.sqrt(-gamma - 0.25)
         m = models.inverse_square(gamma)
         period = period_detect(m, SCALING, t_max=m.T_RANGE, tol=1e-5)
-        assert period == pytest.approx(expect, abs=1e-8)
+        assert period == pytest.approx(expect, abs=1e-14)
 
     def test_period_beyond_t_max_is_none(self):
         # nu = sqrt(0.05): the period 28.1 lies beyond the model's range
@@ -337,15 +337,15 @@ class TestGenerator:
 
     @pytest.mark.parametrize("gamma", [-25.0, -2.0, -0.3, -0.25, 0.0, 0.5])
     def test_inverse_square_det(self, gamma):
-        # det X = nu^2/4 below -1/4 and -mu^2/4 above; measured errors <= 3.3e-10
+        # det X = nu^2/4 below -1/4 and -mu^2/4 above; measured errors <= 3.1e-16
         gen = generator(models.inverse_square(gamma), SCALING)
-        assert gen.det == pytest.approx(-(gamma + 0.25) / 4, abs=1e-8)
+        assert gen.det == pytest.approx(-(gamma + 0.25) / 4, abs=4e-15)
 
     @pytest.mark.parametrize("model, group, tol", [
         (models.interval_derivative(1.0), Translation(1.0), 1e-10),
         (models.interval_derivative(40.0), Translation(1.0), 1e-10),
-        (models.inverse_square(0.0), SCALING, 1e-6),
-        (models.inverse_square(-2.0), SCALING, 1e-6),
+        (models.inverse_square(0.0), SCALING, 2e-13),
+        (models.inverse_square(-2.0), SCALING, 3e-15),
     ], ids=["l=1", "l=40", "gamma=0", "gamma=-2"])
     def test_exponential_reproduces_flow_elements(self, model, group, tol):
         gen = generator(model, group)
@@ -364,8 +364,8 @@ class TestSemiboundedFixedPoints:
     def test_extremal_extensions_are_fixed(self, gamma):
         m = models.inverse_square(gamma)
         rep = verify_semibounded_fixed(m)
-        assert rep.residual_friedrichs < 1e-6
-        assert rep.residual_krein < 1e-6
+        assert rep.residual_friedrichs < 1e-12   # measured <= 9.9e-14
+        assert rep.residual_krein < 1e-12
         if gamma == -0.25:
             assert rep.v_friedrichs == rep.v_krein
 

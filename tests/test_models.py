@@ -42,6 +42,19 @@ class TestIntervalModel:
         assert interval.norm_plus**2 == pytest.approx(oracle.real, abs=1e-11)
         assert interval.norm_plus**2 == pytest.approx(3.1945280494653251, rel=1e-12)
 
+    @pytest.mark.parametrize("length", [1e-3, 1.0, 300.0])
+    def test_norms_against_mpmath(self, length):
+        # ||e^x||^2 = (e^{2l} - 1)/2 and ||e^{-x}||^2 = (1 - e^{-2l})/2; at
+        # l = 1e-3 the differences cancel unless written with expm1
+        mpmath = pytest.importorskip("mpmath")
+        m = models.interval_derivative(length)
+        with mpmath.workdps(40):
+            two_l = 2 * mpmath.mpf(length)
+            plus = float(mpmath.sqrt((mpmath.exp(two_l) - 1) / 2))
+            minus = float(mpmath.sqrt((1 - mpmath.exp(-two_l)) / 2))
+        assert m.norm_plus == pytest.approx(plus, rel=1e-15, abs=0.0)
+        assert m.norm_minus == pytest.approx(minus, rel=1e-15, abs=0.0)
+
     def test_identity_cross_overlap(self, interval):
         ov = interval.overlap_matrix(IDENTITY)
         assert ov.cpp == pytest.approx(1.0, abs=1e-10)
@@ -109,49 +122,76 @@ class TestIntervalModel:
         assert abs(trapz - interval.overlap_matrix(IDENTITY).cmp) < 1e-6
 
 
+K = cmath.exp(-0.25j * math.pi)   # the deficiency representative is sqrt(k x) K_mu(k x)
+
+
 class TestInverseSquareModel:
     def test_ill_posed(self):
         with pytest.raises(IllPosed):
             models.InverseSquareModel(0.8)
 
-    def test_unnormalized_norm_oracle(self, invsq0):
-        # at gamma = 0 the gauge-fixed representative is e^{-kx} e^{Re k},
-        # k = e^{-i pi/4}, so its squared norm is e^{sqrt 2} / sqrt 2
-        oracle = math.exp(math.sqrt(2)) / math.sqrt(2)
-        assert invsq0._norm_sq == pytest.approx(oracle, rel=1e-8)
+    def test_unnormalized_norm_oracle(self):
+        # the squared norm pi/(4 cos(pi mu/2)) and the overlap integral at
+        # sigma = 1 are separate closed forms; cpp at the identity is their
+        # ratio, 1 (measured <= 2.3e-16)
+        for gamma in (-25.0, -2.0, -0.25, 0.0, 0.5, 0.7):
+            ov = models.inverse_square(gamma).overlap_matrix(IDENTITY)
+            assert abs(ov.cpp - 1.0) < 3e-15
+            assert abs(ov.cmm - 1.0) < 3e-15
 
     def test_cross_overlap_oracle(self, invsq0):
         # <phi+, phi-> = int e^{-2kx} / ||e^{-kx}||^2 = e^{i pi/4} / sqrt 2
         expect = np.exp(1j * math.pi / 4) / math.sqrt(2)
-        assert abs(invsq0.overlap_matrix(IDENTITY).cmp - expect) < 1e-8
+        assert abs(invsq0.overlap_matrix(IDENTITY).cmp - expect) < 2e-15
 
     def test_normalized_deficiency_matches_closed_form(self, invsq0):
-        xs = np.geomspace(0.5, 20.0, 200)
-        k = np.exp(-1j * math.pi / 4)
-        exact = 2**0.25 * np.exp(-k * xs)
-        got = invsq0.deficiency_value(1, xs)
-        assert np.max(np.abs(got - exact) / np.abs(exact)) < 1e-6
+        # at gamma = 0, sqrt(k x) K_{1/2}(k x) = sqrt(pi/2) e^{-kx}
+        # = sqrt(pi/2) (1 - k x + ...), so the coefficients of x^1 and x^0,
+        # the branches x^{1/2 +- mu}, are sqrt(pi/2) (-k, 1); measured 1.5e-15
+        c1, c2 = invsq0.branch_coeffs
+        root = math.sqrt(math.pi / 2)
+        assert abs(c1 + root * K) < 2e-14
+        assert abs(c2 - root) < 2e-14
 
-    def test_minus_is_conjugate(self, invsq0):
-        xs = np.geomspace(1e-4, 10.0, 50)
-        assert np.allclose(invsq0.deficiency_value(-1, xs),
-                           np.conj(invsq0.deficiency_value(1, xs)))
+    def test_minus_is_conjugate(self):
+        # the minus representative is the conjugate of the plus one, so the
+        # minus blocks are the conjugate plus blocks and every real theta
+        # gives a unimodular parameter
+        for gamma in (-2.0, 0.0, 0.5):
+            m = models.inverse_square(gamma)
+            for t in (0.3, -1.7, 4.0):
+                ov = m.overlap_matrix(subgroup_eval(m.group, t))
+                assert ov.cmm == ov.cpp.conjugate()
+                assert ov.cpm == ov.cmp.conjugate()
+            assert abs(abs(m.vn_from_boundary(("theta", 0.9))) - 1.0) < 1e-15
 
-    def test_table_matches_asymptotics_below_cut(self, invsq0):
-        # the tabulated solution and the fitted two-term power form agree on
-        # the overlap stretch of the table
-        xs = np.geomspace(2e-6, 9e-4, 40)
-        from_table = invsq0._table_eval(xs)
-        from_form = invsq0._phi_form.eval(xs)
-        assert np.max(np.abs(from_table - from_form) / np.abs(from_form)) < 1e-6
+    def test_branches_match_besselk_near_zero(self):
+        # sqrt(k x) K_mu(k x) against the branch pair with its first series
+        # term, x^s (1 - i x^2 / (2 (2s + 1))), where the next term is
+        # O(x^4); the log pair at mu = 0 (DLMF 10.31.2). Measured <= 2.1e-13.
+        mpmath = pytest.importorskip("mpmath")
+        for gamma in (-2.0, -0.25, -0.1, 0.5):
+            m = models.inverse_square(gamma)
+            c1, c2 = m.branch_coeffs
+            mu = cmath.sqrt(gamma + 0.25)
+            for x in (5e-4, 1e-3):
+                exact = complex(mpmath.sqrt(K * x) * mpmath.besselk(mu, K * x))
+                if m.log_case:
+                    first = math.sqrt(x) * (1 - 0.25j * x * x)
+                    got = c1 * first + c2 * (first * math.log(x) + 0.25j * x**2.5)
+                else:
+                    s1, s2 = 0.5 + mu, 0.5 - mu
+                    got = (c1 * x**s1 * (1 - 0.5j * x * x / (2 * s1 + 1))
+                           + c2 * x**s2 * (1 - 0.5j * x * x / (2 * s2 + 1)))
+                assert abs(got - exact) / abs(exact) < 3e-12
 
     def test_identity_blocks(self, invsq0):
         ov = invsq0.overlap_matrix(IDENTITY)
-        assert abs(ov.cpp - 1.0) < 1e-9
-        assert abs(ov.cmm - 1.0) < 1e-9
+        assert abs(ov.cpp - 1.0) < 1e-15
+        assert abs(ov.cmm - 1.0) < 1e-15
         # <phi+, phi-> normalized: sqrt(2) * e^{i pi/4}/2
         expect = math.sqrt(2) * np.exp(1j * math.pi / 4) / 2
-        assert abs(ov.cmp - expect) < 1e-8
+        assert abs(ov.cmp - expect) < 2e-15
 
     def test_scaled_overlap_closed_form(self, invsq0):
         t = 1.0
@@ -160,14 +200,14 @@ class TestInverseSquareModel:
         kp = np.exp(-1j * math.pi / 4)
         expect_cpp = math.sqrt(2) * math.sqrt(sigma) / (kp * sigma + np.conj(kp))
         expect_cmp = math.sqrt(2) * math.sqrt(sigma) * np.exp(1j * math.pi / 4) / (sigma + 1.0)
-        assert abs(ov.cpp - expect_cpp) < 1e-8
-        assert abs(ov.cmp - expect_cmp) < 1e-8
-        assert abs(ov.cmm - np.conj(expect_cpp)) < 1e-8
-        assert abs(ov.cpm - np.conj(expect_cmp)) < 1e-8
+        assert abs(ov.cpp - expect_cpp) < 2e-15
+        assert abs(ov.cmp - expect_cmp) < 2e-15
+        assert abs(ov.cmm - np.conj(expect_cpp)) < 2e-15
+        assert abs(ov.cpm - np.conj(expect_cmp)) < 2e-15
 
     def test_friedrichs_krein_at_zero_coupling(self, invsq0):
-        assert abs(invsq0.vn_from_boundary("friedrichs") - 1.0) < 1e-8
-        assert abs(invsq0.vn_from_boundary("krein") - (-1j)) < 1e-8
+        assert abs(invsq0.vn_from_boundary("friedrichs") - 1.0) < 3e-15
+        assert abs(invsq0.vn_from_boundary("krein") - (-1j)) < 3e-15
 
     def test_boundary_round_trip_tags(self, invsq0):
         assert invsq0.boundary_from_vn(invsq0.vn_from_boundary("friedrichs")) == "friedrichs"
@@ -177,19 +217,19 @@ class TestInverseSquareModel:
         m = models.inverse_square(0.5)
         for theta in (0.4, 1.0, 2.2):
             v = m.vn_from_boundary(("theta", theta))
-            assert abs(abs(v) - 1.0) < 1e-9
+            assert abs(abs(v) - 1.0) < 2e-15
             kind, back = m.boundary_from_vn(v)
             assert kind == "theta"
-            assert back == pytest.approx(theta, abs=1e-9)
+            assert back == pytest.approx(theta, abs=2e-15)
 
     def test_theta_family_oscillatory(self):
         m = models.inverse_square(-1.0)
         for theta in (0.3, 1.5):
             v = m.vn_from_boundary(("theta", theta))
-            assert abs(abs(v) - 1.0) < 1e-9
+            assert abs(abs(v) - 1.0) < 2e-15
             kind, back = m.boundary_from_vn(v)
             assert kind == "theta"
-            assert back == pytest.approx(theta, abs=1e-9)
+            assert back == pytest.approx(theta, abs=2e-15)
 
     def test_friedrichs_tag_outside_semibounded_range(self):
         with pytest.raises(InvalidBoundary):
@@ -207,17 +247,149 @@ class TestInverseSquareModel:
         rng = np.random.default_rng(3)
         for t in rng.uniform(-5.5, 5.5, 500):
             g = gram_matrix(invsq0, subgroup_eval(invsq0.group, float(t)))
-            assert np.linalg.eigvalsh(g).min() > -1e-8
+            assert np.linalg.eigvalsh(g).min() > 0.0
 
     def test_unitarity_consistency(self, invsq0):
+        # at gamma = 0 the normalized plus representative is 2^{1/4} e^{-kx};
+        # transported on both sides its overlap with the minus one is the
+        # identity block. The trapezoid rule in u = log x converges
+        # geometrically for this analytic, decaying integrand.
         t = 0.8
         w, s = math.exp(t / 4), math.exp(t / 2)
-        xs = np.geomspace(1e-6, 39.0, 400001)
-        up = w * invsq0.deficiency_value(1, s * xs)
-        um = w * invsq0.deficiency_value(-1, s * xs)
-        trapz = np.trapezoid(up * np.conj(um), xs)
+        h = 0.1
+        xs = np.exp(np.arange(-40.0, 4.5, h))
+        phi = 2**0.25 * np.exp(-K * s * xs)
+        trapz = h * np.sum(w * w * phi * phi * xs)
         expect = invsq0.overlap_matrix(IDENTITY).cmp
-        assert abs(trapz - expect) < 1e-5
+        assert abs(trapz - expect) < 1e-13
+
+
+def _bessel_k_lattice(mpmath, mu, h, lo, hi):
+    """{j: K_mu(k e^{jh})} for lo <= jh <= hi: pi/(2 sin(mu pi)) (I_{-mu} -
+    I_mu) (DLMF 10.27.4), or the series of DLMF 10.31.2 at mu = 0, with 20
+    digits beyond the e^{2 Re z} that the difference cancels. Below
+    |z| = 1e-3 three terms of the series of I_{+-mu} (DLMF 10.25.2) reach
+    1e-19. Beyond |z| = 60 the value is below e^{-42} and is stored as 0."""
+    k = mpmath.exp(-0.25j * mpmath.pi)
+    orders = (-mu, mu)
+    inv_gamma = [1 / mpmath.gamma(1 + nu) for nu in orders] if mu != 0 else []
+    out = {}
+    for j in range(math.floor(lo / h), math.ceil(hi / h) + 1):
+        z = k * mpmath.exp(j * mpmath.mpf(h))
+        if abs(z) > 60:
+            out[j] = mpmath.mpc(0)
+            continue
+        with mpmath.workdps(20 + int(z.real)):
+            q = z * z / 4
+            if mu == 0:
+                term, harmonic, i0, total, n = mpmath.mpf(1), 0, 1, 0, 0
+                while n * n < abs(q) or abs(term) > mpmath.mpf(10) ** -mpmath.mp.dps:
+                    n += 1
+                    term *= q / (n * n)
+                    harmonic += mpmath.mpf(1) / n
+                    i0 += term
+                    total += harmonic * term
+                out[j] = total - (mpmath.log(z / 2) + mpmath.euler) * i0
+                continue
+            if abs(z) < 1e-3:
+                i_pm = [(z / 2) ** nu * g * (1 + q / (1 + nu) * (1 + q / (2 * (2 + nu))))
+                        for nu, g in zip(orders, inv_gamma)]
+            else:
+                i_pm = [mpmath.besseli(nu, z) for nu in orders]
+            out[j] = mpmath.pi / (2 * mpmath.sin(mu * mpmath.pi)) * (i_pm[0] - i_pm[1])
+    return out
+
+
+def _overlap_oracle(mpmath, gamma, log_sigmas, h):
+    """{s: (cpp, cmp)} at sigma = e^s for s on the lattice of step h, from
+    int_0^inf x K_mu(a x) K_mu(b x) dx by the trapezoid rule in u = log x
+    over u >= -24; the integrand is analytic and decays at both ends, so the
+    rule converges geometrically in 1/h. Below the cut, for real mu > 0, the
+    lattice sum of the leading term A^2 (ab)^{-mu} e^{(2 - 2 mu) u} is added
+    as a geometric series; every other term is O(e^{2u}) there."""
+    with mpmath.workdps(30):
+        mu = mpmath.sqrt(mpmath.mpf(gamma) + mpmath.mpf(1) / 4)
+        k = mpmath.exp(-0.25j * mpmath.pi)
+        real = mpmath.im(mu) == 0 and mu != 0
+        lo, hi = -24, 4.25
+        shift = max(abs(s) for s in log_sigmas)
+        kv = _bessel_k_lattice(mpmath, mu, h, lo - shift, hi + shift)
+        j0, j1 = round(lo / h), round(hi / h)
+
+        weight = {j: h * mpmath.exp(2 * j * h) for j in range(j0, j1 + 1)}
+        kv_conj = {j: mpmath.conj(kv[j]) for j in weight}
+
+        def integral(s, b):
+            dj = round(s / h)
+            second = kv if b == k else kv_conj
+            total = mpmath.fsum(w * kv[j + dj] * second[j] for j, w in weight.items())
+            if real:
+                a = k * mpmath.exp(s)
+                lead = (mpmath.gamma(mu) * 2 ** (mu - 1)) ** 2 * (a * b) ** -mu
+                ratio = mpmath.exp(-(2 - 2 * mu) * h)
+                total += h * lead * mpmath.exp((2 - 2 * mu) * j0 * h) * ratio / (1 - ratio)
+            return total
+
+        norm = integral(0, mpmath.conj(k))
+        return {s: (complex(mpmath.exp(s) * integral(s, mpmath.conj(k)) / norm),
+                    complex(mpmath.exp(s) * k * integral(s, k) / norm))
+                for s in log_sigmas}
+
+
+class TestClosedForms:
+    """The inverse-square model's closed forms against mpmath, which shares
+    none of their code: Bessel-K values summed over the half-line, mpmath's
+    log-gamma, and the limits at mu = 0."""
+
+    @pytest.mark.parametrize("gamma", [-25.0, -2.0, -0.25, 0.0, 0.5, 0.7])
+    def test_overlaps_match_bessel_quadrature(self, gamma):
+        # sigma in {e^-3, e^-0.5, 1, e^3}, i.e. t = -2 log sigma in {6, 1, 0, -6};
+        # the oscillation x^{+-5i} at gamma = -25 needs the finer lattice.
+        # Halving h moves the oracle by <= 1.6e-14 (gamma = -25, -2) and by
+        # <= 3.3e-16 elsewhere; the model is within 3.0e-14 of it
+        mpmath = pytest.importorskip("mpmath")
+        h = 1 / 16 if gamma == -25.0 else 1 / 8
+        oracle = _overlap_oracle(mpmath, gamma, (-3.0, -0.5, 0.0, 3.0), h)
+        m = models.inverse_square(gamma)
+        for s, (cpp, cmp) in oracle.items():
+            ov = m.overlap_matrix(AffineMap(math.exp(-2 * s), 0.0))
+            assert abs(ov.cpp - cpp) < 3e-13 * abs(cpp)
+            assert abs(ov.cmp - cmp) < 3e-13 * abs(cmp)
+
+    def test_log_gamma_matches_mpmath(self):
+        mpmath = pytest.importorskip("mpmath")
+        for gamma in np.linspace(-30.0, 0.74, 97):
+            mu2 = gamma + 0.25
+            mu = math.sqrt(mu2) if mu2 > 0 else 1j * math.sqrt(-mu2)
+            for z in (mu, -mu):
+                if abs(z) < 1e-12:
+                    continue
+                ref = complex(mpmath.loggamma(z))
+                # measured <= 4.3e-15
+                assert abs(models.log_gamma(z) - ref) < 5e-14 * max(1.0, abs(ref))
+
+    @pytest.mark.parametrize("delta", [1e-9, -1e-9])
+    def test_continuous_across_the_log_case(self, delta):
+        # |gamma + 1/4| = 1e-9 is past the log-pair switch at 1e-10; the
+        # overlaps are even in mu, so they move by O(mu^2) = O(delta);
+        # measured 4.7e-10
+        critical = models.inverse_square(-0.25)
+        near = models.inverse_square(-0.25 + delta)
+        assert critical.log_case and not near.log_case
+        for t in (0.0, 0.3, -2.0, 6.0):
+            g = subgroup_eval(critical.group, t)
+            a, b = critical.overlap_matrix(g), near.overlap_matrix(g)
+            assert abs(a.cpp - b.cpp) < 5e-9
+            assert abs(a.cmp - b.cmp) < 5e-9
+        if delta > 0:
+            # v_F = e^{i pi (mu - 1/2)/2}: it moves by pi mu/2 = 5e-5
+            mu = math.sqrt(near.gamma + 0.25)
+            v_f = near.vn_from_boundary("friedrichs")
+            assert abs(v_f - cmath.exp(0.5j * math.pi * (mu - 0.5))) < 2e-15
+            assert abs(v_f - critical.vn_from_boundary("friedrichs")) < 0.5 * math.pi * mu * 1.0001
+        else:
+            with pytest.raises(InvalidBoundary):
+                near.vn_from_boundary("friedrichs")
 
 
 class TestHalflineModel:

@@ -66,13 +66,6 @@ class TestOdeSolve:
         expect = np.exp(-k * 1.0) * math.exp(40.0 * k.real)
         assert abs(sol.y_end[0] - expect) / abs(expect) < 1e-6
 
-    def test_dense_output(self):
-        sol = numerics.ode_solve(lambda x: 1.0, 0.0, (1.0, 1.0), 2.0, tol=1e-11,
-                                 max_step=0.05)
-        xs = np.linspace(0.1, 1.9, 37)
-        vals = sol(xs)[:, 0]
-        assert np.max(np.abs(vals - np.exp(xs))) < 1e-8
-
     def test_energy_conservation_long_run(self):
         sol = numerics.ode_solve(lambda x: -1.0, 0.0, (0.0, 1.0), 20 * math.pi,
                                  tol=1e-10)
