@@ -223,6 +223,9 @@ def _validate(cfg: RunConfig):
         if not cfg.gamma < -0.25:
             raise ParseError(
                 f"shoot: gamma must be below -1/4 (oscillatory boundary), got {cfg.gamma}")
+        if not (math.isfinite(cfg.gamma) and math.isfinite(cfg.theta or 0.0)):
+            raise ParseError(
+                f"shoot: gamma and theta must be finite, got {cfg.gamma} and {cfg.theta}")
     if cfg.command in _GRID_COMMANDS and min(cfg.n_values, default=0) < 8:
         raise ParseError(f"{cfg.command}: every grid size n must be at least 8")
     if cfg.command == "refine" and len(set(cfg.n_values)) < 3:

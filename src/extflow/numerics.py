@@ -2,11 +2,12 @@
 
 Adaptive Gauss-Kronrod quadrature over a finite interval (complex
 integrands), a Dormand-Prince 5(4) solver for the linear equation
-u'' = q(x) u and an Illinois bracketed root finder. Shooting is the only
-caller of the solver and the root finder. The quadrature has no caller in
-the program; tests use it as an oracle. The inverse-square model is in
-closed form, and the grid operators of the Weyl checks are diagonals times
-shifts (see ``weylcheck``), so neither needs a kernel here.
+u'' = q(x) u and an Illinois bracketed root finder. The solver serves only
+the shooting residual that checks each closed-form ladder rung in
+``spectra``; tests use the quadrature and the root finder as oracles. The
+inverse-square model is in closed form, and the grid operators of the Weyl
+checks are diagonals times shifts (see ``weylcheck``), so neither needs a
+kernel here.
 
 Integrands are called with numpy arrays of nodes; ODE coefficients q(x) and
 root-finder functions with Python floats. All of them must be re-entrant;

@@ -1,6 +1,7 @@
-"""Spectral oracles: closed-form lattices for the interval model, shooting
-eigenvalues for the inverse-square model under the oscillatory boundary
-condition, and geometric-progression diagnostics.
+"""Spectral oracles: closed-form lattices for the interval model, the
+closed-form negative ladder of the inverse-square model under the
+oscillatory boundary condition with a shooting residual per rung, and
+geometric-progression diagnostics.
 
 The fall-to-center ladder: for coupling gamma < -1/4 the boundary form
 sqrt(x) sin(nu log x + theta) is pi-periodic in theta, so the negative
@@ -24,8 +25,9 @@ from .errors import (
     InsufficientData,
     InvalidRho,
 )
-from .models import inverse_square
-from .numerics import find_root, ode_solve
+from .models import inverse_square, log_gamma
+# find_root is unused here; extbench/tracing.py wraps spectra.find_root by name
+from .numerics import find_root, ode_solve  # noqa: F401
 
 _RANGE_LIMIT = 1e12
 
@@ -131,7 +133,8 @@ def _outward_data(gamma: float, nu: float, theta: float, lam: float, x: float):
 
 def _mismatch(gamma: float, nu: float, theta: float, lam: float) -> float:
     """Normalized Wronskian of the outward and inward solutions at the
-    matching point 1/sqrt(|lam|)."""
+    matching point 1/sqrt(|lam|); zero at an eigenvalue, and the residual of
+    each closed-form rung."""
     k = math.sqrt(-lam)
     x_mid = 1.0 / k
     # start where the boundary form is accurate: |lam| x^2 = 1e-4
@@ -142,7 +145,8 @@ def _mismatch(gamma: float, nu: float, theta: float, lam: float) -> float:
 
     u0, du0 = _outward_data(gamma, nu, theta, lam, x_a)
     uo, duo = ode_solve(q, x_a, (u0, du0), x_mid, tol=1e-9).y_end
-    x_in = 40.0 / k
+    # 40/k past the turning point sqrt(-gamma)/k, so the start is evanescent
+    x_in = (40.0 + math.sqrt(-gamma)) / k
     corr = gamma / (2 * k)
     f0 = 1 + corr / x_in
     df0 = -k - k * corr / x_in - corr / (x_in * x_in)
@@ -154,37 +158,27 @@ def _mismatch(gamma: float, nu: float, theta: float, lam: float) -> float:
 
 def shoot_negative_eigenvalues(gamma: float, theta: float, count: int) -> EigenList:
     """Negative eigenvalues of the self-adjoint extension with boundary
-    phase theta, located by outward/inward shooting with the Wronskian
-    matched at 1/sqrt(|lambda|); at most four, capped by dynamic range."""
+    phase theta, read from the closed-form ladder; at most four, capped by
+    dynamic range. Each residual is the shooting mismatch (``_mismatch``)
+    at the closed-form value, which shares no code with the ladder."""
     if gamma >= -0.25:
         raise IllPosed("shooting needs gamma < -1/4 (oscillatory boundary)")
     if not 1 <= count <= 4:
         raise ValueError("count must be between 1 and 4")
     nu = math.sqrt(-gamma - 0.25)
-    step = 2 * math.pi / nu            # exact log-spacing of the ladder
-    span = math.exp(step * (count - 1))
+    span = math.exp(2 * math.pi / nu * (count - 1))
     if span > _RANGE_LIMIT:
         raise DynamicRangeExceeded(
             f"{count} rungs would span a factor {span:.3e} > {_RANGE_LIMIT:.0e}")
-    u_lo = -0.6 * step
-    u_hi = (count - 0.4) * step
-    n_grid = max(12, int(6 * (u_hi - u_lo) / step) + 1)
-    us = np.linspace(u_lo, u_hi, n_grid)
-    vals = [_mismatch(gamma, nu, theta, -math.exp(u)) for u in us]
-    roots = []
-    for i in range(n_grid - 1):
-        if vals[i] == 0.0:
-            roots.append(us[i])
-        elif vals[i] * vals[i + 1] < 0:
-            root = find_root(
-                lambda u: _mismatch(gamma, nu, theta, -math.exp(u)),
-                us[i], us[i + 1], tol=1e-7)
-            roots.append(root)
-        if len(roots) >= count:
-            break
-    roots = roots[:count]
-    values = [complex(-math.exp(u)) for u in roots]
-    residuals = [abs(_mismatch(gamma, nu, theta, lam.real)) for lam in values]
+    # small-x form of sqrt(x) K_{i nu}(k x) (DLMF 10.45): lambda_n = -k_n^2 with
+    # nu log k_n = offset + n pi, where any branch of arg Gamma(1 + i nu) works
+    # (n absorbs multiples of pi); the first rung has nu log|lambda| >= -1.2 pi
+    phase = math.remainder(theta, math.pi)   # ValueError unless finite
+    offset = phase + log_gamma(1 + 1j * nu).imag + nu * math.log(2.0)
+    n_lo = math.ceil(-0.6 - offset / math.pi)
+    values = [complex(-math.exp(2 * (offset + n * math.pi) / nu))
+              for n in range(n_lo, n_lo + count)]
+    residuals = [abs(_mismatch(gamma, nu, phase, lam.real)) for lam in values]
     return EigenList(values, residuals,
                      {"gamma": gamma, "theta": theta, "nu": nu})
 

@@ -41,3 +41,14 @@ def test_traced_grid_commands_run(tracer, tmp_path):
     assert {"weylcheck.grid", "weylcheck.semigroup", "weylcheck.unitary",
             "weylcheck.residual", "weylcheck.nilpotency",
             "cli.emit"} <= set(tracer.names)
+
+
+def test_traced_shoot_counts_one_mismatch_per_rung(tracer, tmp_path):
+    # the tracer wraps spectra._mismatch, spectra.find_root and
+    # spectra.shoot_negative_eigenvalues by name; the ladder is closed form,
+    # so each rung costs one residual mismatch and no root bracket
+    argv = ["shoot", "--gamma", "-2", "--count", "2", "--out", str(tmp_path / "out.json")]
+    assert cli.main(argv) == 0
+    assert tracer.names.count("spectra.mismatch") == 2
+    assert "numerics.root" not in tracer.names
+    assert "spectra.shoot" in tracer.names

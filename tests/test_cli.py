@@ -219,7 +219,11 @@ class TestExitCodes:
         ["--gamma", "-25", "--count", "0"],
         ["--gamma", "0.3", "--count", "2"],
         ["--gamma", "-0.25", "--count", "2"],
-    ], ids=["count-9", "count-0", "gamma-0.3", "gamma-critical"])
+        ["--gamma", "-2", "--theta", "nan"],
+        ["--gamma", "-2", "--theta", "inf"],
+        ["--gamma=-inf", "--count", "2"],
+    ], ids=["count-9", "count-0", "gamma-0.3", "gamma-critical", "theta-nan",
+            "theta-inf", "gamma-minus-inf"])
     def test_shoot_domain_is_configuration_error(self, flags, tmp_path, capsys):
         code = cli.main(["shoot", *flags, "--out", str(tmp_path / "x.json")])
         err = capsys.readouterr().err

@@ -367,6 +367,10 @@ class TestClosedForms:
                 ref = complex(mpmath.loggamma(z))
                 # measured <= 4.3e-15
                 assert abs(models.log_gamma(z) - ref) < 5e-14 * max(1.0, abs(ref))
+        # the fall-to-center ladder reads arg Gamma(1 + i nu); measured <= 2.7e-15
+        for nu in np.linspace(0.05, 100.0, 97):
+            ref = complex(mpmath.loggamma(1 + 1j * nu))
+            assert abs(models.log_gamma(1 + 1j * nu) - ref) < 5e-14 * max(1.0, abs(ref))
 
     @pytest.mark.parametrize("delta", [1e-9, -1e-9])
     def test_continuous_across_the_log_case(self, delta):

@@ -5,6 +5,7 @@ import numpy as np
 import pytest
 
 from extflow import spectra
+from extflow.numerics import find_root
 from extflow.errors import (
     DynamicRangeExceeded,
     IllPosed,
@@ -17,6 +18,42 @@ NU25 = math.sqrt(24.75)
 # frozen from an independent shooting run (separate solver stack) at
 # theta = 0.7: four consecutive ladder rungs
 REFERENCE_LADDER = [-24.18009070, -6.83845304, -1.93400638, -0.54696301]
+
+
+def scan_ladder(gamma, theta, count):
+    """Reference ladder by brute-force shooting: the first ``count`` sign
+    changes of the mismatch over log|lambda| in [-0.6, count - 0.4] ladder
+    steps, on a grid of six points per step, each refined by an Illinois
+    bracket."""
+    nu = math.sqrt(-gamma - 0.25)
+    step = 2 * math.pi / nu
+
+    def mismatch(u):
+        return spectra._mismatch(gamma, nu, theta, -math.exp(u))
+
+    us = np.linspace(-0.6 * step, (count - 0.4) * step,
+                     max(12, int(6 * (count + 0.2)) + 1))
+    vals = [mismatch(u) for u in us]
+    roots = []
+    for i in range(len(us) - 1):
+        if vals[i] == 0.0:
+            roots.append(us[i])
+        elif vals[i] * vals[i + 1] < 0:
+            roots.append(find_root(mismatch, us[i], us[i + 1], tol=1e-7))
+        if len(roots) >= count:
+            break
+    return sorted(-math.exp(u) for u in roots[:count])
+
+
+def closed_form_rung(gamma, theta, lam):
+    """The rung index n nearest to lam and lambda_n = -4 exp(2 (theta +
+    arg Gamma(1 + i nu) + n pi) / nu), from the small-x expansion of
+    sqrt(x) K_{i nu}(k x) (DLMF 10.45), with arg Gamma from mpmath."""
+    mpmath = pytest.importorskip("mpmath")
+    nu = math.sqrt(-gamma - 0.25)
+    offset = theta + float(mpmath.arg(mpmath.gamma(1 + 1j * nu)))
+    n = round((0.5 * nu * math.log(-lam / 4) - offset) / math.pi)
+    return n, -4 * math.exp(2 * (offset + n * math.pi) / nu)
 
 
 @pytest.fixture(scope="module")
@@ -93,7 +130,8 @@ class TestShooting:
         assert got == pytest.approx(REFERENCE_LADDER, rel=1e-5)
 
     def test_residuals_small(self, ladder25):
-        assert max(ladder25.residuals) < 1e-6
+        # measured 7.1e-10
+        assert max(ladder25.residuals) < 1e-8
 
     def test_consecutive_ratio_is_single_step_constant(self, ladder25):
         rep = spectra.progression_ratio(ladder25)
@@ -113,9 +151,11 @@ class TestShooting:
                 f"kappa * {lam} = {target} missing")
 
     def test_theta_plus_pi_gives_same_spectrum(self, ladder25):
-        shifted = spectra.shoot_negative_eigenvalues(-25.0, 0.7 + math.pi, 4)
-        for a, b in zip(shifted.values, ladder25.values):
-            assert a.real == pytest.approx(b.real, rel=1e-9)
+        for turns in (1, 10**6):
+            shifted = spectra.shoot_negative_eigenvalues(-25.0, 0.7 + turns * math.pi, 4)
+            for a, b in zip(shifted.values, ladder25.values):
+                assert a.real == pytest.approx(b.real, rel=1e-9)
+            assert max(shifted.residuals) < 1e-8
 
     def test_weak_coupling_ladder(self):
         eig = spectra.shoot_negative_eigenvalues(-1.0, 0.3, 2)
@@ -126,20 +166,39 @@ class TestShooting:
 
     @pytest.mark.parametrize("gamma, theta, count", [(-25.0, 0.7, 4), (-1.0, 0.3, 2)])
     def test_matches_closed_form_ladder(self, gamma, theta, count):
-        # lambda_n = -4 exp(2 (theta + arg Gamma(1 + i nu) + n pi) / nu), from the
-        # small-x expansion of sqrt(x) K_{i nu}(k x) (DLMF 10.45)
-        mpmath = pytest.importorskip("mpmath")
-        nu = math.sqrt(-gamma - 0.25)
-        offset = theta + float(mpmath.arg(mpmath.gamma(1 + 1j * nu)))
         eig = spectra.shoot_negative_eigenvalues(gamma, theta, count)
         assert len(eig) == count
         rungs = []
         for lam in eig.values:
-            n = round((0.5 * nu * math.log(-lam.real / 4) - offset) / math.pi)
+            n, expect = closed_form_rung(gamma, theta, lam.real)
             rungs.append(n)
-            expect = -4 * math.exp(2 * (offset + n * math.pi) / nu)
             assert lam.real == pytest.approx(expect, rel=1e-8)
         assert rungs == list(range(rungs[0], rungs[0] - count, -1))
+
+    @pytest.mark.parametrize("gamma, theta, count",
+                             [(-25.0, 0.7, 4), (-1.0, 0.3, 2), (-2.0, 0.1, 1)])
+    def test_scan_oracle_finds_the_same_rungs(self, gamma, theta, count):
+        eig = spectra.shoot_negative_eigenvalues(gamma, theta, count)
+        scanned = scan_ladder(gamma, theta, count)
+        got = [lam.real for lam in eig.values]
+        assert [closed_form_rung(gamma, theta, lam)[0] for lam in got] == [
+            closed_form_rung(gamma, theta, lam)[0] for lam in scanned]
+        assert got == pytest.approx(scanned, rel=1e-8)
+
+    @pytest.mark.parametrize("gamma", [-2.0, -1600.0, -1e4])
+    def test_residuals_at_closed_form_values(self, gamma):
+        # the inward shot must start outside the turning point sqrt(-gamma)/k,
+        # which passes 40/k at gamma = -1600; measured residuals <= 1.6e-9
+        eig = spectra.shoot_negative_eigenvalues(gamma, 0.7, 4)
+        for lam in eig.values:
+            assert lam.real == pytest.approx(
+                closed_form_rung(gamma, 0.7, lam.real)[1], rel=1e-8)
+        assert max(eig.residuals) <= 1e-8
+
+    @pytest.mark.parametrize("theta", [math.nan, math.inf, -math.inf])
+    def test_rejects_non_finite_theta(self, theta):
+        with pytest.raises(ValueError):
+            spectra.shoot_negative_eigenvalues(-2.0, theta, 1)
 
     def test_requires_oscillatory_coupling(self):
         with pytest.raises(IllPosed):
