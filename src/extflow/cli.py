@@ -15,6 +15,8 @@ errors, 3 on numerical failures (or unwritable output).
 from __future__ import annotations
 
 import argparse
+import cmath
+import functools
 import math
 import sys
 import time
@@ -154,6 +156,9 @@ _FILE_KEYS = {
 def load_config(args: argparse.Namespace) -> RunConfig:
     """Merge config file (if any) with flags; flags win. Validates model
     and group compatibility before dispatch."""
+    if args.command == "invariance" and args.t is not None:
+        raise ParseError("invariance: the flow is sampled at its own t values; "
+                         "--t is not an option of this command")
     file_values = {}
     if args.config:
         raw = read_config_file(args.config)
@@ -203,6 +208,10 @@ _GRID_COMMANDS = {"weyl", "refine", "certify-nonequivalence"}
 
 
 def _validate(cfg: RunConfig):
+    numbers = [*cfg.t_values, *cfg.window, cfg.length, cfg.gamma, cfg.tol, cfg.theta,
+               cfg.rho, cfg.length2, cfg.v0, cfg.t_max]
+    if not all(cmath.isfinite(x) for x in numbers if x is not None):
+        raise ParseError(f"{cfg.command}: every numeric input must be finite")
     if cfg.command in _NEEDS_MODEL:
         if cfg.model is None:
             raise ParseError(f"{cfg.command}: missing required field 'model'")
@@ -223,9 +232,6 @@ def _validate(cfg: RunConfig):
         if not cfg.gamma < -0.25:
             raise ParseError(
                 f"shoot: gamma must be below -1/4 (oscillatory boundary), got {cfg.gamma}")
-        if not (math.isfinite(cfg.gamma) and math.isfinite(cfg.theta or 0.0)):
-            raise ParseError(
-                f"shoot: gamma and theta must be finite, got {cfg.gamma} and {cfg.theta}")
     if cfg.command in _GRID_COMMANDS and min(cfg.n_values, default=0) < 8:
         raise ParseError(f"{cfg.command}: every grid size n must be at least 8")
     if cfg.command == "refine" and len(set(cfg.n_values)) < 3:
@@ -511,8 +517,6 @@ _HANDLERS = {
 # ---------------------------------------------------------------------------
 
 def _format_number(x: float) -> str:
-    if isinstance(x, bool):
-        return "true" if x else "false"
     if x != x:
         return '"nan"'
     if x in (math.inf, -math.inf):
@@ -522,35 +526,61 @@ def _format_number(x: float) -> str:
     return f"{x:.17g}"
 
 
+def _quote(text: str) -> str:
+    return '"' + text.replace("\\", "\\\\").replace('"', '\\"').replace("\n", "\\n") + '"'
+
+
 def to_json(obj, indent: int = 0) -> str:
     """JSON with floats at 17 significant digits and sorted keys; complex
-    numbers become {"im": ..., "re": ...} objects."""
-    pad = " " * indent
-    inner = " " * (indent + 1)
-    if obj is None:
-        return "null"
-    if isinstance(obj, (bool, np.bool_)):
-        return "true" if obj else "false"
-    if isinstance(obj, (int, float, np.integer, np.floating)):
-        return _format_number(float(obj) if isinstance(obj, np.floating) else obj)
-    if isinstance(obj, (complex, np.complexfloating)):
-        return to_json({"re": float(obj.real), "im": float(obj.imag)}, indent)
-    if isinstance(obj, str):
-        escaped = obj.replace("\\", "\\\\").replace('"', '\\"').replace("\n", "\\n")
-        return f'"{escaped}"'
-    if isinstance(obj, dict):
+    numbers become {"im": ..., "re": ...} objects. One pass appending to
+    one list, with the common types tested first."""
+    parts = []
+    _write_json(obj, indent, parts.append)
+    return "".join(parts)
+
+
+def _write_json(obj, depth: int, put) -> None:
+    # a module-level function, not a closure: a closure that calls itself is
+    # a reference cycle, which would keep each payload's parts alive until
+    # the cyclic garbage collector runs
+    kind = type(obj)
+    if kind is float:
+        # x - x is 0 exactly when x is finite; nan and inf are quoted
+        put(f"{obj:.17g}" if obj - obj == 0.0 else _format_number(obj))
+    elif isinstance(obj, str):
+        put(_quote(obj))
+    elif isinstance(obj, dict):
         if not obj:
-            return "{}"
-        keys = sorted(obj, key=str)
-        parts = [f'{inner}{to_json(str(k))}: {to_json(obj[k], indent + 1)}'
-                 for k in keys]
-        return "{\n" + ",\n".join(parts) + f"\n{pad}}}"
-    if isinstance(obj, (list, tuple)):
+            put("{}")
+            return
+        sep = "{\n" + " " * (depth + 1)
+        for key in sorted(obj, key=str):
+            put(sep)
+            put(_quote(str(key)))
+            put(": ")
+            _write_json(obj[key], depth + 1, put)
+            sep = ",\n" + " " * (depth + 1)
+        put("\n" + " " * depth + "}")
+    elif isinstance(obj, (list, tuple)):
         if not obj:
-            return "[]"
-        parts = [f"{inner}{to_json(item, indent + 1)}" for item in obj]
-        return "[\n" + ",\n".join(parts) + f"\n{pad}]"
-    raise TypeError(f"cannot serialize {type(obj)!r}")
+            put("[]")
+            return
+        sep = "[\n" + " " * (depth + 1)
+        for item in obj:
+            put(sep)
+            _write_json(item, depth + 1, put)
+            sep = ",\n" + " " * (depth + 1)
+        put("\n" + " " * depth + "]")
+    elif obj is None:
+        put("null")
+    elif kind is bool or isinstance(obj, np.bool_):
+        put("true" if obj else "false")
+    elif isinstance(obj, (int, float, np.integer, np.floating)):
+        put(_format_number(float(obj) if isinstance(obj, np.floating) else obj))
+    elif isinstance(obj, (complex, np.complexfloating)):
+        _write_json({"re": float(obj.real), "im": float(obj.imag)}, depth, put)
+    else:
+        raise TypeError(f"cannot serialize {type(obj)!r}")
 
 
 def to_csv(report: RunReport) -> str:
@@ -592,7 +622,10 @@ def emit(report: RunReport, fmt: str, out: str | None) -> str:
 # entry point
 # ---------------------------------------------------------------------------
 
+@functools.cache
 def build_parser() -> argparse.ArgumentParser:
+    """The argument parser, built once per process: building it costs about
+    ten times a parse. Each parse_args call still returns a fresh Namespace."""
     parser = argparse.ArgumentParser(
         prog="extflow",
         description="Extension flows, their fixed points, spectra, and "

@@ -134,15 +134,27 @@ def fixed_points(m: LinearFractionalMap, identity_tol: float = 1e-13,
     return [z1, z2]
 
 
+# the 64 boundary samples of the self-map and contraction tests
+_CIRCLE = np.exp(1j * np.linspace(0.0, 2 * math.pi, 64, endpoint=False))
+_CIRCLE.setflags(write=False)
+
+
+def _boundary_max(m: LinearFractionalMap) -> float:
+    """max |m(z)| over the boundary samples; inf when one of them is a pole."""
+    den = m.c * _CIRCLE + m.d
+    if np.any(np.abs(den) == 0.0):
+        return math.inf
+    return float(np.max(np.abs((m.a * _CIRCLE + m.b) / den)))
+
+
 def is_disk_self_map(m: LinearFractionalMap, tol: float = 1e-9) -> bool:
     """True iff 64 boundary samples and the center land in the closed disk
     (within tol)."""
-    theta = np.linspace(0.0, 2 * math.pi, 64, endpoint=False)
-    z = np.exp(1j * theta)
-    den = m.c * z + m.d
-    if np.any(np.abs(den) == 0.0):
-        return False
-    if np.max(np.abs((m.a * z + m.b) / den)) > 1.0 + tol:
+    return _maps_disk(m, _boundary_max(m), tol)
+
+
+def _maps_disk(m: LinearFractionalMap, boundary_max: float, tol: float) -> bool:
+    if boundary_max > 1.0 + tol:
         return False
     center = apply(m, 0j)
     return not is_infinite(center) and abs(center) <= 1.0 + tol
@@ -163,12 +175,6 @@ class MapClass:
     companion: complex | None = None   # partner fixed point outside the disk
 
 
-def _boundary_max(m: LinearFractionalMap) -> float:
-    theta = np.linspace(0.0, 2 * math.pi, 64, endpoint=False)
-    z = np.exp(1j * theta)
-    return float(np.max(np.abs((m.a * z + m.b) / (m.c * z + m.d))))
-
-
 def classify(m: LinearFractionalMap, eps_class: float = 1e-9) -> MapClass:
     """Classification of a disk self-map by its fixed-point configuration.
 
@@ -176,11 +182,12 @@ def classify(m: LinearFractionalMap, eps_class: float = 1e-9) -> MapClass:
     its scale) the tie-break is Parabolic. Raises NotDiskMap when the disk
     is not preserved within max(eps_class, 1e-9).
     """
-    if not is_disk_self_map(m, tol=max(eps_class, 1e-9)):
+    boundary_max = _boundary_max(m)
+    if not _maps_disk(m, boundary_max, max(eps_class, 1e-9)):
         raise NotDiskMap("map does not take the closed disk into itself")
     if projective_distance(m, IDENTITY_MAP) <= eps_class:
         return MapClass(MapTag.IDENTITY, ALL_POINTS)
-    if _boundary_max(m) < 1.0 - eps_class:
+    if boundary_max < 1.0 - eps_class:
         fps = fixed_points(m)
         inside = [z for z in fps if not is_infinite(z) and abs(z) < 1.0]
         outside = [z for z in fps if z not in inside]

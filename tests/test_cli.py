@@ -1,7 +1,13 @@
+import contextlib
+import gc
+import io
 import json
 import math
 
+import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from extflow import cli, flow, mobius
 
@@ -262,8 +268,20 @@ class TestExitCodes:
         ["fk-params", "--gamma", "-0.3"],
         ["spectrum", "--rho", "2"],
         ["fixed-points", "--model", "inverse-square", "--gamma", "0.8"],
+        ["invariance", "--model", "interval", "--t", "1"],
+        ["flow-orbit", "--model", "interval", "--t", "nan"],
+        ["fixed-points", "--model", "inverse-square", "--t", "0.5,inf"],
+        ["generator-check", "--model", "interval", "--t", "nan"],
+        ["spectrum", "--theta", "nan"],
+        ["spectrum", "--rho", "nan"],
+        ["spectrum", "--window=-inf,inf"],
+        ["period", "--model", "interval", "--t-max", "nan"],
+        ["fixed-points", "--model", "interval", "--tol", "nan"],
+        ["flow-orbit", "--model", "interval", "--v0", "nan+0j"],
     ], ids=["halfline-period", "l-400", "l-1e-9", "l2-400", "v0-2", "halfline-v0",
-            "fk-gamma-0.8", "fk-gamma-below-critical", "rho-2", "invsq-gamma-0.8"])
+            "fk-gamma-0.8", "fk-gamma-below-critical", "rho-2", "invsq-gamma-0.8",
+            "invariance-t", "orbit-t-nan", "fixed-points-t-inf", "generator-t-nan",
+            "theta-nan", "rho-nan", "window-inf", "t-max-nan", "tol-nan", "v0-nan"])
     def test_input_domain_is_configuration_error(self, argv, tmp_path, capsys):
         code = cli.main([*argv, "--out", str(tmp_path / "x.json")])
         err = capsys.readouterr().err
@@ -297,3 +315,182 @@ class TestExitCodes:
         path = tmp_path / "run.cfg"
         path.write_text("seed = 3\n")
         assert cli.main(["weyl", "--config", str(path)]) == 2
+
+
+# ---------------------------------------------------------------------------
+# the recursive emitter that the one-pass cli.to_json replaced, kept as its
+# oracle
+# ---------------------------------------------------------------------------
+
+def _reference_number(x) -> str:
+    if isinstance(x, bool):
+        return "true" if x else "false"
+    if x != x:
+        return '"nan"'
+    if x in (math.inf, -math.inf):
+        return f'"{x}"'
+    if isinstance(x, int):
+        return str(x)
+    return f"{x:.17g}"
+
+
+def reference_to_json(obj, indent: int = 0) -> str:
+    pad = " " * indent
+    inner = " " * (indent + 1)
+    if obj is None:
+        return "null"
+    if isinstance(obj, (bool, np.bool_)):
+        return "true" if obj else "false"
+    if isinstance(obj, (int, float, np.integer, np.floating)):
+        return _reference_number(float(obj) if isinstance(obj, np.floating) else obj)
+    if isinstance(obj, (complex, np.complexfloating)):
+        return reference_to_json({"re": float(obj.real), "im": float(obj.imag)}, indent)
+    if isinstance(obj, str):
+        escaped = obj.replace("\\", "\\\\").replace('"', '\\"').replace("\n", "\\n")
+        return f'"{escaped}"'
+    if isinstance(obj, dict):
+        if not obj:
+            return "{}"
+        keys = sorted(obj, key=str)
+        parts = [f'{inner}{reference_to_json(str(k))}: {reference_to_json(obj[k], indent + 1)}'
+                 for k in keys]
+        return "{\n" + ",\n".join(parts) + f"\n{pad}}}"
+    if isinstance(obj, (list, tuple)):
+        if not obj:
+            return "[]"
+        parts = [f"{inner}{reference_to_json(item, indent + 1)}" for item in obj]
+        return "[\n" + ",\n".join(parts) + f"\n{pad}]"
+    raise TypeError(f"cannot serialize {type(obj)!r}")
+
+
+_TEXT = st.text(st.sampled_from('ab "\\\n\té∂中'), max_size=6) | st.text(max_size=6)
+_LEAVES = st.one_of(
+    st.none(),
+    st.booleans(),
+    st.integers(),
+    st.integers(min_value=10**17, max_value=10**40),
+    st.sampled_from([math.nan, -math.nan, math.inf, -math.inf, 0.0, -0.0,
+                     5e-324, 1e300, 1e17, 0.1]),
+    st.floats(),
+    st.integers(-2**63, 2**63 - 1).map(np.int64),
+    st.floats().map(np.float64),
+    st.booleans().map(np.bool_),
+    st.complex_numbers().map(np.complex128),
+    st.complex_numbers(),
+    _TEXT,
+)
+_KEYS = _TEXT | st.integers() | st.floats(allow_nan=False) | st.booleans() | st.none()
+_PAYLOADS = st.recursive(_LEAVES, lambda children: st.one_of(
+    st.lists(children, max_size=4),
+    st.lists(children, max_size=4).map(tuple),
+    st.dictionaries(_KEYS, children, max_size=4),
+), max_leaves=24)
+
+
+@settings(max_examples=120, deadline=None, derandomize=True)
+@given(obj=_PAYLOADS, indent=st.integers(0, 3))
+def test_to_json_matches_the_recursive_emitter(obj, indent):
+    assert cli.to_json(obj, indent) == reference_to_json(obj, indent)
+
+
+def test_to_json_rejects_what_the_recursive_emitter_rejects():
+    for obj in (object(), np.zeros(2), {1: {2, 3}}):
+        with pytest.raises(TypeError):
+            reference_to_json(obj)
+        with pytest.raises(TypeError):
+            cli.to_json(obj)
+
+
+def test_to_json_leaves_no_reference_cycles():
+    # cyclic garbage would hold each payload's parts until the collector runs
+    payload = {"rows": [{"re": 0.5, "im": None, "z": 1 + 2j}], "pass": True}
+    gc.collect()
+    gc.disable()
+    try:
+        cli.to_json(payload)
+        assert gc.collect() == 0
+    finally:
+        gc.enable()
+
+
+# ---------------------------------------------------------------------------
+# the flag space: exit codes, streams and byte stability of cli.main
+# ---------------------------------------------------------------------------
+
+def _number(lo, hi, *special):
+    return st.sampled_from(special) | st.floats(lo, hi).map(repr)
+
+
+# in-domain values of every flag but --config, --out and --jobs, and values
+# outside each domain, which are drawn one time in eight
+_FLAGS = {
+    "--model": (st.sampled_from(["interval", "inverse-square", "halfline"]), ["ring"]),
+    "--l": (_number(1e-3, 300.0, "1", "0.5"), ["400", "-1", "0", "x"]),
+    "--gamma": (_number(-30.0, 0.7, "-25", "-2", "-0.26", "-0.25", "0"),
+                ["0.75", "nan", "-inf"]),
+    "--group": (st.sampled_from(["translation", "scaling"]), ["rotation"]),
+    "--t": (st.lists(_number(-6.0, 6.0, "1", "0.3", "-1.5", "0"),
+                     min_size=1, max_size=3).map(",".join), ["7", "nan", "1,x"]),
+    "--n": (st.lists(st.sampled_from(["8", "64", "128", "256", "512"]),
+                     min_size=1, max_size=3).map(",".join), ["4", "64,x"]),
+    "--tol": (_number(1e-14, 1e-3, "1e-6"), ["0", "-1"]),
+    "--format": (st.sampled_from(["json", "csv"]), ["xml"]),
+    "--theta": (_number(-7.0, 7.0, "0", "1.9"), ["inf", "nan"]),
+    "--rho": (st.sampled_from(["0.36", "0.3+0.1j", "-0.5j", "0"]), ["2", "1j", "x"]),
+    "--window": (st.sampled_from(["-20,20", "-5,5", "0,3"]), ["3,1", "1", ""]),
+    "--count": (st.sampled_from(["1", "2", "3", "4"]), ["0", "9"]),
+    "--on-grid": (st.just(None), [None]),
+    "--l2": (_number(1e-3, 300.0, "2"), ["400"]),
+    "--v0": (st.sampled_from(["0", "0.3", "0.1+0.4j", "-1", "1j"]), ["2", "nan"]),
+    "--t-max": (_number(0.1, 10.0, "8"), ["0", "-1"]),
+}
+# flags that make each command runnable; the drawn flags come after them
+# and override them
+_BASE = {
+    "flow-orbit": ["--model=interval"], "fixed-points": ["--model=interval"],
+    "invariance": ["--model=interval"], "period": ["--model=interval"],
+    "generator-check": ["--model=interval"], "shoot": ["--gamma=-2"],
+    "refine": ["--n=64,128,256"], "certify-nonequivalence": ["--l2=2"],
+}
+_COMMANDS = [c for c in cli.COMMANDS if c != "all"] + ["frobnicate"]
+
+
+@st.composite
+def _argvs(draw):
+    command = draw(st.sampled_from(_COMMANDS))
+    argv = [command, *_BASE.get(command, [])]
+    for name in draw(st.lists(st.sampled_from(sorted(_FLAGS)), max_size=4, unique=True)):
+        valid, invalid = _FLAGS[name]
+        in_domain = draw(st.integers(0, 7)) < 7
+        value = draw(valid if in_domain else st.sampled_from(invalid))
+        argv.append(name if value is None else f"{name}={value}")
+    return argv
+
+
+def _call(argv):
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        code = cli.main(argv)
+    return code, out.getvalue(), err.getvalue()
+
+
+@settings(max_examples=80, deadline=None, derandomize=True)
+@given(argv=_argvs(), other=_argvs(),
+       bad=st.sampled_from([["--frob"], ["--jobs=x"], ["--format=xml"],
+                            ["--model=ring"], ["--n"]]))
+def test_flag_space(argv, other, bad):
+    cli.build_parser.cache_clear()
+    code, out, err = _call([*argv, "--jobs=1"])      # a fresh parser
+    assert code in (0, 1, 2, 3)
+    assert "Traceback" not in err
+    if code in (0, 1):
+        if "--format=csv" not in argv:
+            assert json.loads(out)["pass"] is (code == 0)
+    else:
+        assert out == ""
+    assert _call([*other, *bad])[0] == 2
+    # after a parse failure on other flags, the cached parser gives the bytes
+    # of the fresh call
+    assert _call([*argv, "--jobs=1"])[:2] == (code, out)
+    two = _call([*argv, "--jobs=2"])
+    assert two[:2] == (code, out.replace('"jobs": 1,', '"jobs": 2,', 1))
