@@ -78,7 +78,7 @@ def criterion_1_identity_and_group_law() -> CriterionResult:
         t1, t2 = rng.uniform(-2.5, 2.5, 2)
         worst = max(worst, flow.check_group_law(
             invsq, subgroup_eval(SCALING, t1), subgroup_eval(SCALING, t2)))
-    checks["group_law[inverse-square] <= 1e-6"] = worst <= 1e-6
+    checks["group_law[inverse-square] <= 1e-9"] = worst <= 1e-9
     details["group_law_inverse_square"] = worst
     return _finish("criterion 1: flow identity and group law", 10.0, start,
                    checks, details)
@@ -181,25 +181,24 @@ def criterion_6_friedrichs_krein_fixed_points() -> CriterionResult:
     checks, details = {}, {}
     for gamma in (0.0, 0.5):
         model = models.inverse_square(gamma)
-        rep = flow.invariant_extensions(model, SCALING, fp_tol=1e-6,
-                                        sa_tol=1e-6, eps_class=1e-6)
+        rep = flow.invariant_extensions(model, SCALING)
         v_f = model.vn_from_boundary("friedrichs")
         v_k = model.vn_from_boundary("krein")
         fps = [z for z, kind in rep.fixed_points]
         ok = rep.group_verdict is Verdict.TWO_SELF_ADJOINT and len(fps) == 2
         if ok:
             match = max(min(abs(z - v_f), abs(z - v_k)) for z in fps)
-            ok = match <= 1e-6
+            ok = match <= 1e-12
             details[f"match[gamma={gamma}]"] = match
         if gamma == 0.0 and ok:
-            ok = (min(abs(z - 1.0) for z in fps) <= 1e-6
-                  and min(abs(z + 1j) for z in fps) <= 1e-6)
+            ok = (min(abs(z - 1.0) for z in fps) <= 1e-12
+                  and min(abs(z + 1j) for z in fps) <= 1e-12)
         checks[f"two boundary fixed points [gamma={gamma}]"] = ok
     model = models.inverse_square(-0.25)
     fm = flow.gamma_map(model, subgroup_eval(SCALING, 1.0))
-    cls = mobius.classify(fm.mobius, eps_class=1e-6)
+    cls = mobius.classify(fm.mobius)
     ok = cls.tag is mobius.MapTag.PARABOLIC and len(cls.fixed_points) == 1
-    ok = ok and abs(abs(cls.fixed_points[0]) - 1.0) <= 1e-6
+    ok = ok and abs(abs(cls.fixed_points[0]) - 1.0) <= 1e-12
     checks["parabolic at gamma=-1/4"] = ok
     details["parabolic_point"] = cls.fixed_points[0] if cls.fixed_points else None
     return _finish("criterion 6: extremal extension fixed points", 60.0,

@@ -271,12 +271,6 @@ def _subgroup(cfg: RunConfig):
     return Translation(1.0) if cfg.group == "translation" else Scaling(math.e, 0.0)
 
 
-def _flow_tol(cfg: RunConfig) -> float:
-    if cfg.tol is not None:
-        return cfg.tol
-    return 1e-6 if cfg.model == "inverse-square" else 1e-8
-
-
 # ---------------------------------------------------------------------------
 # dispatch
 # ---------------------------------------------------------------------------
@@ -303,13 +297,12 @@ def _cmd_flow_orbit(cfg):
 def _cmd_fixed_points(cfg):
     model = _build_model(cfg)
     group = _subgroup(cfg)
-    tol = _flow_tol(cfg)
-    sa_tol = 1e-6 if cfg.model == "inverse-square" else 1e-9
+    tol = cfg.tol or 1e-8
     rows = []
     worst = 0.0
     for t in cfg.t_values:
         fm = flow.gamma_map(model, subgroup_eval(group, t))
-        fps = flow.fixed_points_flow(fm, sa_tol=sa_tol)
+        fps = flow.fixed_points_flow(fm)
         if fps is flow.ALL_POINTS:
             fps = [(None, "all-points")]
         for v, kind in fps:
@@ -331,13 +324,10 @@ _VERDICT_CLASSES = {
 def _cmd_invariance(cfg):
     model = _build_model(cfg)
     group = _subgroup(cfg)
-    kwargs = {}
-    if cfg.model == "inverse-square":
-        kwargs = {"fp_tol": 1e-6, "sa_tol": 1e-6, "eps_class": 1e-6}
-    rep = flow.invariant_extensions(model, group, **kwargs)
+    rep = flow.invariant_extensions(model, group)
     period = None
     if cfg.t_max is not None:
-        period = flow.period_detect(model, group, t_max=cfg.t_max, tol=1e-7)
+        period = flow.period_detect(model, group, t_max=cfg.t_max)
     results = {
         "verdict": rep.group_verdict.value,
         "fixed_points": [
@@ -361,7 +351,7 @@ def _cmd_invariance(cfg):
 def _cmd_period(cfg):
     model = _build_model(cfg)
     group = _subgroup(cfg)
-    tol = cfg.tol or (1e-5 if cfg.model == "inverse-square" else 1e-8)
+    tol = cfg.tol or 1e-8
     t_max = cfg.t_max
     if t_max is None:
         t_max = (1.4 * 2 * math.pi / cfg.length if cfg.model == "interval"
@@ -413,8 +403,8 @@ def _cmd_fk_params(cfg):
         "exponents": list(fk.exponents),
     }
     checks = {
-        "friedrichs parameter unimodular": abs(abs(fk.v_friedrichs) - 1) <= 1e-6,
-        "krein parameter unimodular": abs(abs(fk.v_krein) - 1) <= 1e-6,
+        "friedrichs parameter unimodular": abs(abs(fk.v_friedrichs) - 1) <= flow.SA_TOL,
+        "krein parameter unimodular": abs(abs(fk.v_krein) - 1) <= flow.SA_TOL,
     }
     return results, checks
 

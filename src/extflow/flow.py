@@ -42,6 +42,15 @@ from .mobius import IDENTITY_MAP, LinearFractionalMap, classify
 SELF_ADJOINT = "self-adjoint"
 DISSIPATIVE = "dissipative-nonselfadjoint"
 
+# One tolerance set for every (1, 1) model: the overlap blocks are closed
+# forms, and fixed points come out within about 1e-14 of their own element.
+SA_TOL = 1e-9       # | |v| - 1 | of a self-adjoint parameter; relative
+                    # discriminant of a double fixed point
+FP_TOL = 1e-7       # how far the generator's element may move an invariant point
+EPS_CLASS = 1e-9    # mobius.classify threshold for the classes of exp(tX)
+ID_TOL = 1e-8       # an element this close to the identity moves nothing
+T_SAMPLES = (0.3, 0.7, 1.3, 2.9)
+
 
 @dataclass(frozen=True)
 class FlowMap:
@@ -117,22 +126,21 @@ def check_group_law(model, f: AffineMap, g: AffineMap, samples: int = 25) -> flo
     return worst
 
 
-def fixed_points_flow(fm: FlowMap, sa_tol: float = 1e-9):
+def fixed_points_flow(fm: FlowMap):
     """In-ball fixed points of the flow element fm, each tagged
-    self-adjoint (unit modulus within sa_tol) or dissipative; ALL_POINTS
-    when the element acts as the identity. ``sa_tol`` doubles as the
-    relative discriminant threshold for reporting a double fixed point,
-    matching the accuracy of the overlap data."""
+    self-adjoint (unit modulus within SA_TOL) or dissipative; ALL_POINTS
+    when the element acts as the identity. SA_TOL doubles as the relative
+    discriminant threshold for reporting a double fixed point."""
     if fm.trivial:
         return [(None, DISSIPATIVE)]
-    fps = mobius.fixed_points(fm.mobius, parabolic_tol=max(sa_tol, 1e-12))
+    fps = mobius.fixed_points(fm.mobius, parabolic_tol=SA_TOL)
     if fps is ALL_POINTS:
         return ALL_POINTS
     out = []
     for z in fps:
-        if mobius.is_infinite(z) or abs(z) > 1.0 + max(sa_tol, 1e-9):
+        if mobius.is_infinite(z) or abs(z) > 1.0 + SA_TOL:
             continue
-        kind = SELF_ADJOINT if abs(abs(z) - 1.0) <= sa_tol else DISSIPATIVE
+        kind = SELF_ADJOINT if abs(abs(z) - 1.0) <= SA_TOL else DISSIPATIVE
         out.append((z, kind))
     return out
 
@@ -205,16 +213,11 @@ class InvarianceReport:
     notes: list = field(default_factory=list)
 
 
-def invariant_extensions(model, group: Subgroup,
-                         t_samples=(0.3, 0.7, 1.3, 2.9),
-                         fp_tol: float = 1e-7,
-                         sa_tol: float = 1e-9,
-                         eps_class: float = 1e-9,
-                         id_tol: float = 1e-8) -> InvarianceReport:
+def invariant_extensions(model, group: Subgroup) -> InvarianceReport:
     """The invariant extensions of a one-parameter subgroup: the fixed points
     of its first sampled element that is not the identity (else of the
     generator's element), which the generator's element must fix within
-    fp_tol, and the class of exp(tX) at each sample."""
+    FP_TOL, and the class of exp(tX) at each of T_SAMPLES."""
     if model.deficiency_dims == (0, 1):
         return InvarianceReport(
             fixed_points=[(None, DISSIPATIVE)],
@@ -224,25 +227,25 @@ def invariant_extensions(model, group: Subgroup,
                    "invariant maximal dissipative extension"],
         )
     gen = generator(model, group)
-    classes = {t: classify(gen.exp(t), eps_class) for t in t_samples}
-    elements = (gamma_map(model, subgroup_eval(group, t)) for t in t_samples)
-    fm = next((fm for fm in elements if fm.distance_to_identity() > id_tol),
+    classes = {t: classify(gen.exp(t), EPS_CLASS) for t in T_SAMPLES}
+    elements = (gamma_map(model, subgroup_eval(group, t)) for t in T_SAMPLES)
+    fm = next((fm for fm in elements if fm.distance_to_identity() > ID_TOL),
               gen.element)
-    if fm.distance_to_identity() <= id_tol:
+    if fm.distance_to_identity() <= ID_TOL:
         return InvarianceReport(
             fixed_points=[],
             flow_class=classes,
             group_verdict=Verdict.ALL_EXTENSIONS_INVARIANT,
             notes=["the flow acts as the identity"],
         )
-    tagged = fixed_points_flow(fm, sa_tol=sa_tol)
+    tagged = fixed_points_flow(fm)
     moved = max((abs(mobius.apply(gen.element.mobius, z) - z) for z, _ in tagged),
                 default=math.inf)
     interior = [z for z, kind in tagged if kind == DISSIPATIVE]
-    if moved > fp_tol or (interior and len(tagged) > 1):
+    if moved > FP_TOL or (interior and len(tagged) > 1):
         raise NumericalInconsistency(
             f"fixed points {tagged} at {fm.g}, moved by {moved:.3e} at "
-            f"{gen.element.g} (fp_tol {fp_tol}), or an interior point with others")
+            f"{gen.element.g} (FP_TOL {FP_TOL}), or an interior point with others")
     notes = []
     if len(tagged) == 1 and not interior:
         notes.append("single boundary fixed point: the two extremal "

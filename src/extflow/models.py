@@ -97,7 +97,6 @@ class IntervalModel:
     name = "interval"
     deficiency_dims = (1, 1)
     generator_kind = "first-order"
-    representation_kinds = ("translation",)
     T_RANGE = math.inf
 
     def __init__(self, length: float):
@@ -207,7 +206,6 @@ class InverseSquareModel:
     name = "inverse-square"
     deficiency_dims = (1, 1)
     generator_kind = "schrodinger"
-    representation_kinds = ("scaling",)
 
     T_RANGE = 6.0
 
@@ -368,7 +366,6 @@ class HalflineModel:
     name = "halfline"
     deficiency_dims = (0, 1)
     generator_kind = "first-order"
-    representation_kinds = ("translation", "scaling")
 
     def __init__(self):
         self.group = Translation(1.0)

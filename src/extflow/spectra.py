@@ -13,7 +13,6 @@ maps the set into itself two rungs at a time and is reported alongside as
 
 from __future__ import annotations
 
-import csv
 import math
 from dataclasses import dataclass, field
 
@@ -48,14 +47,6 @@ class EigenList:
 
     def __len__(self):
         return len(self.values)
-
-    def to_csv(self, path):
-        with open(path, "w", newline="") as handle:
-            writer = csv.writer(handle)
-            writer.writerow(["index", "re_lambda", "im_lambda", "residual"])
-            for i, (lam, res) in enumerate(zip(self.values, self.residuals)):
-                writer.writerow([i, f"{lam.real:.17g}", f"{lam.imag:.17g}",
-                                 f"{res:.17g}"])
 
 
 def interval_sa_spectrum(length: float, theta: float, window,

@@ -20,7 +20,6 @@ nilpotency index n h of the shift semigroup is fixed by the construction.
 
 from __future__ import annotations
 
-import json
 import math
 from dataclasses import dataclass, field
 
@@ -147,20 +146,6 @@ class ResidualTable:
 
     def sorted_rows(self):
         return sorted(self.rows, key=lambda r: (r["variant"], r["n"], r["t"], r["s"]))
-
-    def to_csv(self, path):
-        import csv
-        with open(path, "w", newline="") as handle:
-            writer = csv.writer(handle)
-            writer.writerow(["n", "h", "t", "s", "variant", "residual"])
-            for r in self.sorted_rows():
-                writer.writerow([r["n"], f"{r['h']:.17g}", f"{r['t']:.17g}",
-                                 f"{r['s']:.17g}", r["variant"],
-                                 f"{r['residual']:.17g}"])
-
-    def to_json(self, path):
-        with open(path, "w") as handle:
-            json.dump(self.sorted_rows(), handle, indent=1, sort_keys=True)
 
 
 @dataclass

@@ -146,6 +146,28 @@ class TestCommands:
         payload = json.loads(text)
         assert payload["results"]["verdict"] == "UniqueDissipative"
 
+    @pytest.mark.parametrize("offset", [1e-7, 1e-8, 1e-9])
+    @pytest.mark.parametrize("side", [-1, 1], ids=["below", "above"])
+    def test_alternative_next_to_the_critical_coupling(self, side, offset, tmp_path):
+        # outside the band |gamma + 1/4| <= 1e-10 that the model treats as
+        # critical, an elliptic flow has one interior invariant point (|v| =
+        # 1 - 5e-5 at offset 1e-9) and a hyperbolic flow two boundary points
+        gamma = f"--gamma={-0.25 + side * offset!r}"
+        if side < 0:
+            verdict, tag, kinds = "UniqueDissipative", "elliptic", [flow.DISSIPATIVE]
+        else:
+            verdict, tag, kinds = "TwoSelfAdjoint", "hyperbolic", [flow.SELF_ADJOINT] * 2
+        code, text = run_cli(tmp_path, "invariance", "--model", "inverse-square", gamma)
+        assert code == 0
+        results = json.loads(text)["results"]
+        assert results["verdict"] == verdict
+        assert set(results["flow_class"].values()) == {tag}
+        assert [fp["kind"] for fp in results["fixed_points"]] == kinds
+        code, text = run_cli(tmp_path, "fixed-points", "--model", "inverse-square",
+                             gamma, "--t", "1")
+        assert code == 0
+        assert [row["kind"] for row in json.loads(text)["results"]["rows"]] == kinds
+
     def test_generator_check_scaling(self, tmp_path):
         code, text = run_cli(tmp_path, "generator-check", "--model", "halfline",
                              "--group", "scaling", "--t", "0.5")

@@ -124,8 +124,7 @@ class TestInverseSquareFlow:
             assert check_group_law(invsq0, f, g) < 2e-14   # measured 1.2e-15
 
     def test_fixed_points_are_friedrichs_and_krein(self, invsq0):
-        fps = fixed_points_flow(gamma_map(invsq0, subgroup_eval(SCALING, 1.0)),
-                                sa_tol=1e-6)
+        fps = fixed_points_flow(gamma_map(invsq0, subgroup_eval(SCALING, 1.0)))
         vals = sorted((z for z, kind in fps), key=lambda z: z.real)
         assert len(vals) == 2
         assert vals[0] == pytest.approx(-1j, abs=5e-15)
@@ -135,7 +134,7 @@ class TestInverseSquareFlow:
     def test_parabolic_at_critical_coupling(self):
         m = models.inverse_square(-0.25)
         fm = gamma_map(m, subgroup_eval(SCALING, 1.0))
-        cls = classify(fm.mobius, eps_class=1e-6)
+        cls = classify(fm.mobius)
         assert cls.tag is MapTag.PARABOLIC
         assert len(cls.fixed_points) == 1
         assert abs(abs(cls.fixed_points[0]) - 1.0) < 1e-15
@@ -161,8 +160,7 @@ class TestInvariantExtensions:
             assert all(c.tag is MapTag.ELLIPTIC for c in rep.flow_class.values())
 
     def test_inverse_square_two_self_adjoint(self, invsq0):
-        rep = invariant_extensions(invsq0, SCALING, fp_tol=1e-6, sa_tol=1e-6,
-                                   eps_class=1e-6)
+        rep = invariant_extensions(invsq0, SCALING)
         assert rep.group_verdict is Verdict.TWO_SELF_ADJOINT
         vals = sorted((z for z, _ in rep.fixed_points), key=lambda z: z.real)
         assert vals[0] == pytest.approx(-1j, abs=2e-14)
@@ -170,24 +168,23 @@ class TestInvariantExtensions:
 
     def test_inverse_square_unique_dissipative_below_critical(self):
         m = models.inverse_square(-1.0)
-        rep = invariant_extensions(m, SCALING, fp_tol=1e-6, sa_tol=1e-6,
-                                   eps_class=1e-6)
+        rep = invariant_extensions(m, SCALING)
         assert rep.group_verdict is Verdict.UNIQUE_DISSIPATIVE
         (v, kind), = rep.fixed_points
         assert kind == DISSIPATIVE
         assert abs(v) < 0.999
 
-    @pytest.mark.parametrize("model, kwargs", [
-        (models.interval_derivative(0.5), {}),
-        (models.interval_derivative(1.0), {}),
-        (models.interval_derivative(2.0), {}),
-        (models.inverse_square(0.0), {"fp_tol": 1e-6, "sa_tol": 1e-6, "eps_class": 1e-6}),
-        (models.inverse_square(-1.0), {"fp_tol": 1e-6, "sa_tol": 1e-6, "eps_class": 1e-6}),
+    @pytest.mark.parametrize("model", [
+        models.interval_derivative(0.5),
+        models.interval_derivative(1.0),
+        models.interval_derivative(2.0),
+        models.inverse_square(0.0),
+        models.inverse_square(-1.0),
     ], ids=["l=0.5", "l=1", "l=2", "gamma=0", "gamma=-1"])
-    def test_intersection_oracle_agrees(self, model, kwargs):
+    def test_intersection_oracle_agrees(self, model):
         group = model.group
-        rep = invariant_extensions(model, group, **kwargs)
-        points, classes = intersect_fixed_points(model, group, **kwargs)
+        rep = invariant_extensions(model, group)
+        points, classes = intersect_fixed_points(model, group)
         assert rep.fixed_points == points
         assert {t: c.tag for t, c in rep.flow_class.items()} == classes
 
@@ -244,7 +241,8 @@ def intersect_fixed_points(model, group, t_samples=(0.3, 0.7, 1.3, 2.9),
     sampled element that is not the identity, and each sample's class."""
     maps = {t: gamma_map(model, subgroup_eval(group, t)) for t in t_samples}
     classes = {t: classify(fm.mobius, eps_class).tag for t, fm in maps.items()}
-    per_sample = [[z for z, _ in fixed_points_flow(fm, sa_tol=sa_tol)]
+    per_sample = [[z for z in mobius.fixed_points(fm.mobius, parabolic_tol=sa_tol)
+                   if not mobius.is_infinite(z) and abs(z) <= 1.0 + sa_tol]
                   for fm in maps.values() if fm.distance_to_identity() > id_tol]
     common = [z for z in per_sample[0]
               if all(any(abs(z - w) <= fp_tol for w in points)
@@ -278,7 +276,7 @@ class TestPeriodDetect:
         # boundary-condition phase angle is pi-periodic, giving 2 pi / nu
         m = models.inverse_square(-25.0)
         nu = math.sqrt(24.75)
-        period = period_detect(m, SCALING, t_max=1.6, tol=1e-5)
+        period = period_detect(m, SCALING, t_max=1.6)
         assert period == pytest.approx(2 * math.pi / nu, abs=3e-15)
 
     @pytest.mark.parametrize("length", [1e-3, 1e-2, 0.5, 1.0, 2.0, 40.0, 300.0])
@@ -293,13 +291,13 @@ class TestPeriodDetect:
     def test_inverse_square_period_is_two_pi_over_nu(self, gamma):
         expect = 2 * math.pi / math.sqrt(-gamma - 0.25)
         m = models.inverse_square(gamma)
-        period = period_detect(m, SCALING, t_max=m.T_RANGE, tol=1e-5)
+        period = period_detect(m, SCALING, t_max=m.T_RANGE)
         assert period == pytest.approx(expect, abs=1e-14)
 
     def test_period_beyond_t_max_is_none(self):
         # nu = sqrt(0.05): the period 28.1 lies beyond the model's range
         m = models.inverse_square(-0.3)
-        assert period_detect(m, SCALING, t_max=m.T_RANGE, tol=1e-5) is None
+        assert period_detect(m, SCALING, t_max=m.T_RANGE) is None
 
     @pytest.mark.parametrize("model, group", [
         (models.interval_derivative(1e-3), Translation(1.0)),
@@ -311,7 +309,7 @@ class TestPeriodDetect:
         original = flow.gamma_map
         monkeypatch.setattr(flow, "gamma_map",
                             lambda *args: calls.append(args) or original(*args))
-        assert period_detect(model, group, t_max=1e4, tol=1e-5) is not None
+        assert period_detect(model, group, t_max=1e4) is not None
         assert len(calls) <= 4
 
     @pytest.mark.parametrize("length", [0.5, 1.0, 2.0])
@@ -325,8 +323,8 @@ class TestPeriodDetect:
     def test_scan_oracle_agrees_inverse_square(self, gamma):
         # no period: hyperbolic at 0, and 2 pi/nu = 7.3 beyond the range at -1
         m = models.inverse_square(gamma)
-        assert period_detect(m, SCALING, m.T_RANGE, 1e-5) is None
-        assert scan_period(m, SCALING, m.T_RANGE, 1e-5, grid=16) is None
+        assert period_detect(m, SCALING, m.T_RANGE) is None
+        assert scan_period(m, SCALING, m.T_RANGE, grid=16) is None
 
 
 class TestGenerator:
@@ -428,8 +426,9 @@ class TestErrors:
         with pytest.raises(UnsupportedIndices):
             gamma_apply(halfline, IDENTITY, 0.5)
 
-    def test_inconsistent_sets_detected(self, interval):
+    def test_inconsistent_sets_detected(self, interval, monkeypatch):
         # forcing an impossible tolerance on honest data raises rather than
         # returning a bogus verdict
+        monkeypatch.setattr(flow, "FP_TOL", 1e-18)
         with pytest.raises(NumericalInconsistency):
-            invariant_extensions(interval, Translation(1.0), fp_tol=1e-18)
+            invariant_extensions(interval, Translation(1.0))

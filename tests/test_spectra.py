@@ -79,14 +79,6 @@ class TestSelfAdjointLattice:
         eig = spectra.interval_sa_spectrum(1.3, 0.4, (-30.0, 30.0))
         assert max(eig.residuals) < 1e-12
 
-    def test_csv(self, tmp_path):
-        eig = spectra.interval_sa_spectrum(1.0, 0.0, (-10.0, 10.0))
-        path = tmp_path / "eigenvalues.csv"
-        eig.to_csv(path)
-        lines = path.read_text().strip().splitlines()
-        assert len(lines) == len(eig) + 1
-        assert lines[0] == "index,re_lambda,im_lambda,residual"
-
 
 class TestDissipativeLattice:
     def test_nilpotent_case_empty(self):

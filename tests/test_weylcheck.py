@@ -228,16 +228,6 @@ class TestWeylResidual:
         ]
         assert max(residuals) <= 1e-12
 
-    def test_table_serialization(self, tmp_path):
-        res = weylcheck.refinement_study(1.0, [128, 256, 512], [1.0], on_grid=True)
-        csv_path = tmp_path / "table.csv"
-        json_path = tmp_path / "table.json"
-        res.table.to_csv(csv_path)
-        res.table.to_json(json_path)
-        lines = csv_path.read_text().strip().splitlines()
-        assert len(lines) == len(res.table.rows) + 1
-        assert json_path.read_text().startswith("[")
-
 
 class TestGeneratorInvariance:
     def test_interval_translation_product_rule(self):
