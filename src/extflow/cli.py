@@ -224,8 +224,9 @@ def _validate(cfg: RunConfig):
             raise IncompatibleModelGroup(
                 f"model {cfg.model!r} is not invariant under {group!r}")
         cfg.group = group
-        if cfg.model == "inverse-square" and not cfg.gamma < 0.75:
-            raise ParseError(f"gamma must be below 3/4 (indices (1, 1)), got {cfg.gamma}")
+        floor = models.InverseSquareModel.GAMMA_MIN
+        if cfg.model == "inverse-square" and not floor <= cfg.gamma < 0.75:
+            raise ParseError(f"gamma must lie in [{floor:g}, 3/4), got {cfg.gamma}")
     if cfg.command == "shoot":
         if not 1 <= cfg.count <= 4:
             raise ParseError(f"shoot: count must be between 1 and 4, got {cfg.count}")
@@ -298,11 +299,12 @@ def _cmd_fixed_points(cfg):
     model = _build_model(cfg)
     group = _subgroup(cfg)
     tol = cfg.tol or 1e-8
+    gen = flow.generator(model, group)
     rows = []
     worst = 0.0
     for t in cfg.t_values:
         fm = flow.gamma_map(model, subgroup_eval(group, t))
-        fps = flow.fixed_points_flow(fm)
+        fps = flow.fixed_points_flow(fm, gen)
         if fps is flow.ALL_POINTS:
             fps = [(None, "all-points")]
         for v, kind in fps:
@@ -317,7 +319,6 @@ def _cmd_fixed_points(cfg):
 _VERDICT_CLASSES = {
     Verdict.UNIQUE_DISSIPATIVE: {mobius.MapTag.ELLIPTIC},
     Verdict.TWO_SELF_ADJOINT: {mobius.MapTag.HYPERBOLIC, mobius.MapTag.PARABOLIC},
-    Verdict.ALL_EXTENSIONS_INVARIANT: set(),
 }
 
 
@@ -335,16 +336,16 @@ def _cmd_invariance(cfg):
              "im": None if v is None else v.imag, "kind": kind}
             for v, kind in rep.fixed_points
         ],
-        "flow_class": {f"{t:g}": cls.tag.value
-                       for t, cls in sorted(rep.flow_class.items())},
+        "flow_class": {f"{t:g}": tag.value
+                       for t, tag in sorted(rep.flow_class.items())},
         "cyclic_period": period,
         "notes": rep.notes,
     }
     # the paper's alternative: a unique dissipative invariant extension for an
     # elliptic flow, two self-adjoint ones for a hyperbolic or parabolic flow
     allowed = _VERDICT_CLASSES[rep.group_verdict]
-    agrees = all(cls.tag in allowed for cls in rep.flow_class.values()
-                 if cls.tag is not mobius.MapTag.IDENTITY)
+    agrees = all(tag in allowed for tag in rep.flow_class.values()
+                 if tag is not mobius.MapTag.IDENTITY)
     return results, {"verdict matches the flow class": agrees}
 
 

@@ -1,7 +1,7 @@
 """The extension flow on the parameter ball of a model: flow elements from
-overlap blocks, group-law validation, fixed points with their extension
-kind, and the flow's generator, from which invariance and the cyclic
-period are read.
+overlap blocks, group-law validation, and the flow's generator, which each
+model states in closed form and from which the fixed points, their
+extension kind, the class and the cyclic period are read.
 
 In the scalar gauge the flow element for an affine g acts on the parameter
 v as the linear-fractional map
@@ -11,8 +11,9 @@ v as the linear-fractional map
 with the Cayley coefficients of ``affine.flow_coefficients`` and the
 overlap blocks of the model; the identity element acts as v -> v. Along a
 one-parameter subgroup the elements form a one-parameter group exp(tX), so
-the sign of det X gives the class, X fixes the invariant extensions for
-every t at once, and an elliptic X has the period pi/sqrt(det X).
+the sign of det X gives the class, the zeros of X's field are the invariant
+extensions for every t at once, and an elliptic X has the period
+pi/sqrt(det X).
 """
 
 from __future__ import annotations
@@ -37,17 +38,18 @@ from .errors import (
     NumericalInconsistency,
     UnsupportedIndices,
 )
-from .mobius import IDENTITY_MAP, LinearFractionalMap, classify
+from .mobius import IDENTITY_MAP, LinearFractionalMap, MapTag
+# unused here; extbench/tracing.py wraps flow.classify by name
+from .mobius import classify  # noqa: F401
 
 SELF_ADJOINT = "self-adjoint"
 DISSIPATIVE = "dissipative-nonselfadjoint"
 
-# One tolerance set for every (1, 1) model: the overlap blocks are closed
-# forms, and fixed points come out within about 1e-14 of their own element.
-SA_TOL = 1e-9       # | |v| - 1 | of a self-adjoint parameter; relative
-                    # discriminant of a double fixed point
-FP_TOL = 1e-7       # how far the generator's element may move an invariant point
-EPS_CLASS = 1e-9    # mobius.classify threshold for the classes of exp(tX)
+# One tolerance set for every (1, 1) model: X and the overlap blocks are
+# closed forms, and the sampled elements move X's zeros by about 1e-14.
+SA_TOL = 1e-9       # | |v| - 1 | of a self-adjoint parameter
+FP_TOL = 1e-7       # how far a sampled element may move an invariant point
+TRACE_TOL = 1e-12   # | tr - (+-2 cos(t sqrt(det X))) | of a sampled element
 ID_TOL = 1e-8       # an element this close to the identity moves nothing
 T_SAMPLES = (0.3, 0.7, 1.3, 2.9)
 
@@ -126,35 +128,15 @@ def check_group_law(model, f: AffineMap, g: AffineMap, samples: int = 25) -> flo
     return worst
 
 
-def fixed_points_flow(fm: FlowMap):
-    """In-ball fixed points of the flow element fm, each tagged
-    self-adjoint (unit modulus within SA_TOL) or dissipative; ALL_POINTS
-    when the element acts as the identity. SA_TOL doubles as the relative
-    discriminant threshold for reporting a double fixed point."""
-    if fm.trivial:
-        return [(None, DISSIPATIVE)]
-    fps = mobius.fixed_points(fm.mobius, parabolic_tol=SA_TOL)
-    if fps is ALL_POINTS:
-        return ALL_POINTS
-    out = []
-    for z in fps:
-        if mobius.is_infinite(z) or abs(z) > 1.0 + SA_TOL:
-            continue
-        kind = SELF_ADJOINT if abs(abs(z) - 1.0) <= SA_TOL else DISSIPATIVE
-        out.append((z, kind))
-    return out
-
-
 @dataclass(frozen=True)
 class FlowGenerator:
-    """X = log(flow element at t)/t = [[a, b], [c, -a]], its det X from the
-    logarithm's angle (better conditioned than -(a^2 + bc)), and the element."""
+    """X = [[a, b], [c, -a]] of the flow t -> exp(tX) and its det X, both in
+    closed form from the model."""
 
     a: complex
     b: complex
     c: complex
     det: float
-    element: FlowMap
 
     def exp(self, t: float) -> LinearFractionalMap:
         """exp(tX) = cos(tw) + sin(tw)/w X with w^2 = det X."""
@@ -164,43 +146,52 @@ class FlowGenerator:
         return mobius.from_coefficients(cos + s * self.a, s * self.b,
                                         s * self.c, cos - s * self.a)
 
+    def zeros(self) -> list[complex]:
+        """Zeros of the field b + 2av - cv^2, which the whole flow fixes:
+        (a +- sqrt(-det X))/c, one from the sign that avoids cancellation
+        and its mate from the product -b/c; one double zero at det X = 0."""
+        root = cmath.sqrt(-self.det)
+        q = self.a + root if (self.a.conjugate() * root).real >= 0 else self.a - root
+        return [q / self.c] if self.det == 0 else [q / self.c, -self.b / q]
 
-def _logarithm(model, group: Subgroup, t: float, angle: float) -> FlowGenerator:
-    """X from the element M at t: +-M = cos(w) + sin(w)/w tX, where of the
-    angles w = +-acos(tr(M)/2) mod pi the one nearest ``angle`` is taken."""
-    fm = gamma_map(model, subgroup_eval(group, t))
-    m = fm.mobius
-    w0 = cmath.acos((m.a + m.d) / 2)
-    k, w = min(((k, sign * w0 + k * math.pi) for sign in (1, -1)
-                for k in [round((angle - sign * w0.real) / math.pi)]),
-               key=lambda kw: abs(kw[1] - angle))
-    f = (-1) ** k * (w / cmath.sin(w) if w else 1.0) / t
-    return FlowGenerator(f * (m.a - m.d) / 2, f * m.b, f * m.c,
-                         ((w / t) ** 2).real, fm)
+    def tag(self, t: float) -> MapTag:
+        """The class of exp(tX) from the sign of det X; an elliptic element
+        within ID_TOL of the identity is the identity."""
+        if self.det < 0:
+            return MapTag.HYPERBOLIC
+        if self.det == 0:
+            return MapTag.PARABOLIC
+        if mobius.projective_distance(self.exp(t), IDENTITY_MAP) <= ID_TOL:
+            return MapTag.IDENTITY
+        return MapTag.ELLIPTIC
 
 
 def generator(model, group: Subgroup) -> FlowGenerator:
-    """The generator X of the flow t -> exp(tX) along the subgroup; X = 0
-    for the trivial flow of indices (0, 1). A coarse X from t = 1e-3 fixes
-    the logarithm's branch at the angle 0.45 pi, away from trace +-2. Up to
-    32 more periods, within the model's T_RANGE, divide the angle error that
-    remains: 1e-11 rad at any t for the interval model at l = 1e-3, whose
-    fixed point lies 1e-3 from the circle."""
-    gen = _logarithm(model, group, 1e-3, 0.0)
-    rate = abs(cmath.sqrt(gen.det))
-    if rate == 0.0:
-        return gen
-    t = min(model.T_RANGE, 0.45 * math.pi / rate)
-    gen = _logarithm(model, group, t, rate * t)
-    periods = min(32.45, model.T_RANGE * math.sqrt(max(gen.det, 0.0)) / math.pi)
-    if periods < 1.45:
-        return gen
-    w = (math.floor(periods - 0.45) + 0.45) * math.pi
-    return _logarithm(model, group, w / math.sqrt(gen.det), w)
+    """The generator X of the flow t -> exp(tX) along the subgroup, as the
+    model states it; X = 0 for the trivial flow of indices (0, 1)."""
+    if model.deficiency_dims == (0, 1):
+        return FlowGenerator(0j, 0j, 0j, 0.0)
+    return FlowGenerator(*model.generator(group))
+
+
+def _in_ball(points) -> list:
+    """The points in the closed ball, each tagged self-adjoint (unit modulus
+    within SA_TOL) or dissipative."""
+    return [(z, SELF_ADJOINT if abs(abs(z) - 1.0) <= SA_TOL else DISSIPATIVE)
+            for z in points if abs(z) <= 1.0 + SA_TOL]
+
+
+def fixed_points_flow(fm: FlowMap, gen: FlowGenerator):
+    """In-ball fixed points of the element fm of the flow of gen: X's zeros,
+    tagged by _in_ball; ALL_POINTS when fm is within ID_TOL of the identity."""
+    if fm.trivial:
+        return [(None, DISSIPATIVE)]
+    if fm.distance_to_identity() <= ID_TOL:
+        return ALL_POINTS
+    return _in_ball(gen.zeros())
 
 
 class Verdict(Enum):
-    ALL_EXTENSIONS_INVARIANT = "AllExtensionsInvariant"
     TWO_SELF_ADJOINT = "TwoSelfAdjoint"
     UNIQUE_DISSIPATIVE = "UniqueDissipative"
 
@@ -208,16 +199,17 @@ class Verdict(Enum):
 @dataclass
 class InvarianceReport:
     fixed_points: list          # (parameter | None, kind) fixed by the subgroup
-    flow_class: dict            # t -> MapClass
+    flow_class: dict            # t -> MapTag of exp(tX)
     group_verdict: Verdict
     notes: list = field(default_factory=list)
 
 
 def invariant_extensions(model, group: Subgroup) -> InvarianceReport:
-    """The invariant extensions of a one-parameter subgroup: the fixed points
-    of its first sampled element that is not the identity (else of the
-    generator's element), which the generator's element must fix within
-    FP_TOL, and the class of exp(tX) at each of T_SAMPLES."""
+    """The invariant extensions of a one-parameter subgroup: the zeros of its
+    generator X in the closed ball, and the class of exp(tX) at each of
+    T_SAMPLES. The flow element at each sample, built from the overlaps and
+    not from X, must move each zero by at most FP_TOL and have the trace
+    +-2 cos(t sqrt(det X)) within TRACE_TOL."""
     if model.deficiency_dims == (0, 1):
         return InvarianceReport(
             fixed_points=[(None, DISSIPATIVE)],
@@ -227,32 +219,25 @@ def invariant_extensions(model, group: Subgroup) -> InvarianceReport:
                    "invariant maximal dissipative extension"],
         )
     gen = generator(model, group)
-    classes = {t: classify(gen.exp(t), EPS_CLASS) for t in T_SAMPLES}
-    elements = (gamma_map(model, subgroup_eval(group, t)) for t in T_SAMPLES)
-    fm = next((fm for fm in elements if fm.distance_to_identity() > ID_TOL),
-              gen.element)
-    if fm.distance_to_identity() <= ID_TOL:
-        return InvarianceReport(
-            fixed_points=[],
-            flow_class=classes,
-            group_verdict=Verdict.ALL_EXTENSIONS_INVARIANT,
-            notes=["the flow acts as the identity"],
-        )
-    tagged = fixed_points_flow(fm)
-    moved = max((abs(mobius.apply(gen.element.mobius, z) - z) for z, _ in tagged),
-                default=math.inf)
-    interior = [z for z, kind in tagged if kind == DISSIPATIVE]
-    if moved > FP_TOL or (interior and len(tagged) > 1):
-        raise NumericalInconsistency(
-            f"fixed points {tagged} at {fm.g}, moved by {moved:.3e} at "
-            f"{gen.element.g} (FP_TOL {FP_TOL}), or an interior point with others")
+    tagged = _in_ball(gen.zeros())
+    w = cmath.sqrt(gen.det)
+    for t in T_SAMPLES:
+        m = gamma_map(model, subgroup_eval(group, t)).mobius
+        moved = max((abs(mobius.apply(m, z) - z) for z, _ in tagged), default=math.inf)
+        trace_error = min(abs(m.a + m.d + sign * 2 * cmath.cos(t * w)) for sign in (1, -1))
+        if moved > FP_TOL or trace_error > TRACE_TOL:
+            raise NumericalInconsistency(
+                f"the element at t = {t} moves X's zeros {tagged} by {moved:.3e} "
+                f"(FP_TOL {FP_TOL}), and its trace is {trace_error:.3e} from "
+                f"+-2cos(t sqrt(det X)) (TRACE_TOL {TRACE_TOL})")
+    interior = any(kind == DISSIPATIVE for _, kind in tagged)
     notes = []
     if len(tagged) == 1 and not interior:
         notes.append("single boundary fixed point: the two extremal "
                      "self-adjoint invariant extensions coincide")
     return InvarianceReport(
         fixed_points=tagged,
-        flow_class=classes,
+        flow_class={t: gen.tag(t) for t in T_SAMPLES},
         group_verdict=(Verdict.UNIQUE_DISSIPATIVE if interior
                        else Verdict.TWO_SELF_ADJOINT),
         notes=notes,
@@ -275,25 +260,6 @@ def period_detect(model, group: Subgroup, t_max: float,
             f"the flow element at the predicted period {period} is {dist:.3e} "
             f"from the identity, beyond {tol}")
     return period
-
-
-@dataclass
-class SemiboundedFixedReport:
-    v_friedrichs: complex
-    v_krein: complex
-    residual_friedrichs: float
-    residual_krein: float
-
-
-def verify_semibounded_fixed(model) -> SemiboundedFixedReport:
-    """For a semibounded inverse-square model: the generator's field
-    |X(v)| = |b + 2av - cv^2|, which vanishes where the whole flow fixes v,
-    at the extremal nonnegative extensions' parameters."""
-    gen = generator(model, model.group)
-    v_f = model.vn_from_boundary("friedrichs")
-    v_k = model.vn_from_boundary("krein")
-    res_f, res_k = (abs(gen.b + 2 * gen.a * v - gen.c * v * v) for v in (v_f, v_k))
-    return SemiboundedFixedReport(v_f, v_k, res_f, res_k)
 
 
 def orbit(model, group: Subgroup, v0: complex, t_list) -> list[complex]:

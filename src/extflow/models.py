@@ -97,7 +97,6 @@ class IntervalModel:
     name = "interval"
     deficiency_dims = (1, 1)
     generator_kind = "first-order"
-    T_RANGE = math.inf
 
     def __init__(self, length: float):
         if not length > 0:
@@ -131,6 +130,17 @@ class IntervalModel:
             cmp=cross,
             cmm=_int_exp(-2 + 1j * t, length) / self.norm_minus**2,
         )
+
+    def generator(self, group) -> tuple:
+        """(a, b, c, det X) of the flow's generator X = [[a, b], [c, -a]]
+        along x -> x + speed*t: speed*(l/2) [[-i coth l, i csch l],
+        [-i csch l, i coth l]], with det X = (speed*l/2)^2. Its zeros are
+        e^{-l} and e^{l}."""
+        if not isinstance(group, Translation):
+            raise OutsideGroup("interval model is invariant under translations only")
+        half = 0.5 * self.length * group.speed
+        coth, csch = 1.0 / math.tanh(self.length), 1.0 / math.sinh(self.length)
+        return -1j * half * coth, 1j * half * csch, -1j * half * csch, half * half
 
     def vn_from_boundary(self, rho) -> complex:
         """Parameter of the extension with domain condition f(0) = rho*f(l)."""
@@ -192,8 +202,9 @@ def _expm1(z: complex) -> complex:
 
 
 class InverseSquareModel:
-    """Second-order model with potential gamma/x^2, indices (1, 1) for
-    gamma < 3/4, invariant under scalings about the origin.
+    """Second-order model with potential gamma/x^2, indices (1, 1), built for
+    GAMMA_MIN <= gamma < 3/4, invariant under scalings about the origin;
+    sin(pi mu) overflows below gamma = -51,144.7.
 
     Every datum is a Bessel-K closed form. In the model's gauge the plus
     representative is sqrt(k) sqrt(x) K_mu(kx) with k = e^{-i pi/4} and
@@ -208,11 +219,12 @@ class InverseSquareModel:
     generator_kind = "schrodinger"
 
     T_RANGE = 6.0
+    GAMMA_MIN = -5e4
 
     def __init__(self, gamma: float):
-        if gamma >= 0.75:
-            raise IllPosed(
-                f"gamma {gamma} >= 3/4: deficiency indices are no longer (1, 1)")
+        if not self.GAMMA_MIN <= gamma < 0.75:
+            raise IllPosed(f"gamma {gamma} outside [{self.GAMMA_MIN:g}, 3/4): "
+                           "the indices are (1, 1) and sin(pi mu) is finite there")
         self.gamma = float(gamma)
         self.group = Scaling(math.e, 0.0)
         self.description = f"-d^2/dx^2 + {self.gamma}/x^2 on (0, inf)"
@@ -235,8 +247,9 @@ class InverseSquareModel:
                 0.5 * root_k * cmath.exp(log_gamma(-mu) + mu * log_half_k),
                 0.5 * root_k * cmath.exp(log_gamma(mu) - mu * log_half_k))
         self.mu = mu
+        self._cos_half = cmath.cos(0.5 * math.pi * mu)
         # ||sqrt(x) K_mu(kx)||^2 = I(k, conj k)
-        self._norm_sq = (math.pi / (4 * cmath.cos(0.5 * math.pi * mu))).real
+        self._norm_sq = (math.pi / (4 * self._cos_half)).real
 
     def _integral(self, log_ratio: complex, b2: complex) -> complex:
         """I(a, b) = int_0^inf x K_mu(ax) K_mu(bx) dx
@@ -272,6 +285,22 @@ class InverseSquareModel:
         cross = scale * cmath.exp(-0.25j * math.pi) * self._integral(log_sigma, -1j)
         return OverlapData(cpp=same, cpm=cross.conjugate(),
                            cmp=cross, cmm=same.conjugate())
+
+    def generator(self, group) -> tuple:
+        """(a, b, c, det X) of the flow's generator X = [[a, b], [c, -a]]
+        along x -> base^t x: with r = mu/sin(pi mu/2) (2/pi at mu = 0) and
+        rate = log(base), X = rate (r/2) [[i cos(pi mu/2), -e^{i pi/4}],
+        [-e^{-i pi/4}, -i cos(pi mu/2)]] and det X = -rate^2 mu^2/4. Its
+        zeros are e^{i pi (+-mu - 1/2)/2}."""
+        if not isinstance(group, Scaling) or group.center != 0.0:
+            raise OutsideGroup(
+                "inverse-square model is invariant under scalings about 0 only")
+        rate = math.log(group.base)
+        # r/2 = (2/pi) (mu pi/(2 sin(mu pi))) cos(pi mu/2), also at mu = 0
+        x = rate * (2 / math.pi * self._half_limit * self._cos_half).real
+        corner = x * cmath.exp(0.25j * math.pi)
+        det = 0.0 if self.log_case else -self.mu2 / 4
+        return 1j * x * self._cos_half, -corner, -corner.conjugate(), rate * rate * det
 
     # boundary <-> parameter ---------------------------------------------------
     def _branch_coeffs_minus(self):

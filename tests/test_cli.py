@@ -9,7 +9,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from extflow import cli, flow, mobius
+from extflow import cli, flow, mobius, models
+from extflow.errors import IllPosed
 
 
 def run_cli(tmp_path, *argv, name="out.json"):
@@ -146,12 +147,13 @@ class TestCommands:
         payload = json.loads(text)
         assert payload["results"]["verdict"] == "UniqueDissipative"
 
-    @pytest.mark.parametrize("offset", [1e-7, 1e-8, 1e-9])
+    @pytest.mark.parametrize("offset", [1e-7, 1e-8, 1e-9, 4e-10, 2e-10, 1.5e-10])
     @pytest.mark.parametrize("side", [-1, 1], ids=["below", "above"])
     def test_alternative_next_to_the_critical_coupling(self, side, offset, tmp_path):
         # outside the band |gamma + 1/4| <= 1e-10 that the model treats as
         # critical, an elliptic flow has one interior invariant point (|v| =
-        # 1 - 5e-5 at offset 1e-9) and a hyperbolic flow two boundary points
+        # 1 - 5e-5 at offset 1e-9, 1 - 2e-5 at 1.5e-10) and a hyperbolic flow
+        # two boundary points
         gamma = f"--gamma={-0.25 + side * offset!r}"
         if side < 0:
             verdict, tag, kinds = "UniqueDissipative", "elliptic", [flow.DISSIPATIVE]
@@ -312,6 +314,28 @@ class TestExitCodes:
         assert err.count("\n") == 1 and "Traceback" not in err
         assert not (tmp_path / "x.json").exists()
 
+    @pytest.mark.parametrize("gamma", ["-51145", "-1e6", "-1e300"])
+    @pytest.mark.parametrize("command", ["invariance", "fixed-points", "period",
+                                         "flow-orbit"])
+    def test_gamma_below_the_model_floor(self, command, gamma, tmp_path, capsys):
+        # sin(pi mu) overflows below gamma = -51,144.7; the model stops at -5e4
+        code = cli.main([command, "--model", "inverse-square", f"--gamma={gamma}",
+                         "--out", str(tmp_path / "x.json")])
+        err = capsys.readouterr().err
+        assert code == 2
+        assert err.startswith("configuration error: gamma must lie in [-50000, 3/4)")
+        assert err.count("\n") == 1 and "Traceback" not in err
+        with pytest.raises(IllPosed):
+            models.InverseSquareModel(float(gamma))
+
+    @pytest.mark.parametrize("command", ["invariance", "fixed-points", "period",
+                                         "flow-orbit"])
+    def test_gamma_at_the_model_floor_runs(self, command, tmp_path):
+        code, text = run_cli(tmp_path, command, "--model", "inverse-square",
+                             "--gamma=-5e4")
+        assert code == 0
+        assert json.loads(text)["pass"] is True
+
     def test_halfline_orbit_of_zero_runs(self, tmp_path):
         code, text = run_cli(tmp_path, "flow-orbit", "--model", "halfline",
                              "--v0", "0", "--t", "0.5")
@@ -324,13 +348,34 @@ class TestExitCodes:
         code, text = run_cli(tmp_path, "invariance", "--model", "interval", "--l", "1")
         assert code == 0
         assert json.loads(text)["checks"] == {"verdict matches the flow class": True}
-        monkeypatch.setattr(flow, "classify", lambda m, eps: mobius.MapClass(
-            mobius.MapTag.HYPERBOLIC, []))
+        monkeypatch.setattr(flow.FlowGenerator, "tag",
+                            lambda gen, t: mobius.MapTag.HYPERBOLIC)
         code, text = run_cli(tmp_path, "invariance", "--model", "interval", "--l", "1")
         assert code == 1
         payload = json.loads(text)
         assert payload["results"]["verdict"] == "UniqueDissipative"
         assert payload["checks"] == {"verdict matches the flow class": False}
+
+    @pytest.mark.parametrize("perturb", [
+        lambda a, b, c, det: (a, b, c, 1.01 * det),
+        lambda a, b, c, det: (1.01 * a, 1.01 * b, 1.01 * c, 1.01**2 * det),
+    ], ids=["det", "rate"])
+    @pytest.mark.parametrize("model, flags", [
+        (models.IntervalModel, ["--model", "interval", "--l", "1"]),
+        (models.InverseSquareModel, ["--model", "inverse-square", "--gamma=-2"]),
+        (models.InverseSquareModel, ["--model", "inverse-square", "--gamma=0"]),
+    ], ids=["interval", "gamma=-2", "gamma=0"])
+    def test_invariance_checks_the_generator_against_the_elements(
+            self, model, flags, perturb, tmp_path, monkeypatch, capsys):
+        # a generator 1% off in det X, or in its rate (which keeps its zeros),
+        # no longer gives the sampled elements' traces: a numerical failure,
+        # not a verdict
+        stated = model.generator
+        monkeypatch.setattr(model, "generator",
+                            lambda self, group: perturb(*stated(self, group)))
+        code, _ = run_cli(tmp_path, "invariance", *flags)
+        assert code == 3
+        assert "NumericalInconsistency" in capsys.readouterr().err
 
     def test_seed_is_not_an_option(self, tmp_path):
         assert cli.main(["weyl", "--seed", "3"]) == 2
