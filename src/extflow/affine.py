@@ -10,6 +10,8 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 
+from .errors import InvalidArgument
+
 
 class _AllPoints:
     """Singleton tag: every point is fixed (the identity map)."""
@@ -37,7 +39,7 @@ class AffineMap:
 
     def __post_init__(self):
         if not (self.a > 0 and math.isfinite(self.a) and math.isfinite(self.b)):
-            raise ValueError(f"affine map needs finite a > 0, b; got a={self.a}, b={self.b}")
+            raise InvalidArgument(f"affine map needs finite a > 0, b; got a={self.a}, b={self.b}")
 
 
 IDENTITY = AffineMap(1.0, 0.0)
@@ -72,7 +74,7 @@ class Translation:
 
     def __post_init__(self):
         if not (math.isfinite(self.speed) and self.speed != 0.0):
-            raise ValueError("translation subgroup needs a nonzero finite speed")
+            raise InvalidArgument("translation subgroup needs a nonzero finite speed")
 
 
 @dataclass(frozen=True)
@@ -84,9 +86,9 @@ class Scaling:
 
     def __post_init__(self):
         if not (self.base > 0 and self.base != 1.0 and math.isfinite(self.base)):
-            raise ValueError("scaling subgroup needs base > 0, base != 1")
+            raise InvalidArgument("scaling subgroup needs base > 0, base != 1")
         if not math.isfinite(self.center):
-            raise ValueError("scaling subgroup needs a finite center")
+            raise InvalidArgument("scaling subgroup needs a finite center")
 
 
 Subgroup = Translation | Scaling

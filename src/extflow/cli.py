@@ -27,7 +27,7 @@ import numpy as np
 
 from . import acceptance, flow, mobius, models, spectra, weylcheck
 from .affine import Scaling, Translation, subgroup_eval
-from .errors import ExtflowError, IncompatibleModelGroup, ParseError
+from .errors import ExtflowError, IncompatibleModelGroup, InvalidArgument, ParseError
 from .flow import Verdict
 
 COMMANDS = (
@@ -663,7 +663,7 @@ def main(argv=None) -> int:
     try:
         report = dispatch(cfg)
         emit(report, cfg.fmt, cfg.out)
-    except ParseError as exc:
+    except (ParseError, InvalidArgument) as exc:
         print(f"configuration error: {exc}", file=sys.stderr)
         return 2
     except (ExtflowError, OSError) as exc:

@@ -5,6 +5,11 @@ class ExtflowError(Exception):
     """Base class for all extflow errors."""
 
 
+class InvalidArgument(ExtflowError, ValueError):
+    """An argument outside the domain a library function accepts; also a
+    ValueError, so callers that catch ValueError keep working."""
+
+
 # numerics
 class NoConvergence(ExtflowError):
     """Adaptive quadrature exhausted its subdivision budget."""

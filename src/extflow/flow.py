@@ -34,6 +34,7 @@ from .affine import (
     subgroup_eval,
 )
 from .errors import (
+    InvalidArgument,
     NearSingularDenominator,
     NumericalInconsistency,
     UnsupportedIndices,
@@ -94,7 +95,7 @@ def gamma_apply(model, g: AffineMap, v: complex) -> complex:
     """Transport the parameter v by the flow element for g."""
     v = complex(v)
     if abs(v) > 1.0 + 1e-10:
-        raise ValueError(f"parameter modulus {abs(v)} exceeds the closed ball")
+        raise InvalidArgument(f"parameter modulus {abs(v)} exceeds the closed ball")
     fm = gamma_map(model, g)
     if fm.trivial:
         if v != 0:

@@ -16,7 +16,7 @@ from enum import Enum
 import numpy as np
 
 from .affine import ALL_POINTS
-from .errors import DegenerateMap, NotDiskMap
+from .errors import DegenerateMap, InvalidArgument, NotDiskMap
 
 INFINITY = complex(math.inf, 0.0)
 
@@ -57,7 +57,7 @@ def rotation(theta: float) -> LinearFractionalMap:
 def disk_automorphism(w: complex, theta: float = 0.0) -> LinearFractionalMap:
     """z -> e^{i theta} (z - w)/(1 - conj(w) z), |w| < 1."""
     if abs(w) >= 1:
-        raise ValueError("automorphism parameter must lie inside the disk")
+        raise InvalidArgument("automorphism parameter must lie inside the disk")
     phase = cmath.exp(1j * theta)
     return from_coefficients(phase, -phase * w, -w.conjugate(), 1)
 
@@ -227,7 +227,7 @@ def classify(m: LinearFractionalMap, eps_class: float = 1e-9) -> MapClass:
 def iterate(m: LinearFractionalMap, z0: complex, n: int) -> list[complex]:
     """[z0, m(z0), ..., m^n(z0)]."""
     if n < 1:
-        raise ValueError("need n >= 1")
+        raise InvalidArgument("need n >= 1")
     orbit = [complex(z0)]
     for _ in range(n):
         orbit.append(apply(m, orbit[-1]))

@@ -33,7 +33,13 @@ from functools import lru_cache
 import numpy as np
 
 from .affine import AffineMap, Scaling, Translation
-from .errors import IllPosed, InvalidBoundary, OutsideGroup, UnsupportedIndices
+from .errors import (
+    IllPosed,
+    InvalidArgument,
+    InvalidBoundary,
+    OutsideGroup,
+    UnsupportedIndices,
+)
 # unused here; extbench/tracing.py wraps models.ode_solve and models.quad_finite by name
 from .numerics import ode_solve, quad_finite  # noqa: F401
 
@@ -53,7 +59,7 @@ def check_contraction(v: complex, tol: float = 1e-12) -> complex:
     """Validate |v| <= 1 within tol and return v as a complex number."""
     v = complex(v)
     if abs(v) > 1.0 + tol:
-        raise ValueError(f"contraction parameter has modulus {abs(v)} > 1")
+        raise InvalidArgument(f"contraction parameter has modulus {abs(v)} > 1")
     return v
 
 
@@ -77,7 +83,7 @@ def right_shift(s: float, f):
     contraction semigroup of i d/dx with f(0) = 0 on the interval and the
     half-line alike."""
     if s < 0:
-        raise ValueError("semigroup parameter must be nonnegative")
+        raise InvalidArgument("semigroup parameter must be nonnegative")
 
     def shifted(x):
         x = np.asarray(x, dtype=float)
@@ -100,7 +106,7 @@ class IntervalModel:
 
     def __init__(self, length: float):
         if not length > 0:
-            raise ValueError("interval length must be positive")
+            raise InvalidArgument("interval length must be positive")
         self.length = float(length)
         self.norm_plus = math.sqrt(math.expm1(2 * self.length) / 2)
         self.norm_minus = math.sqrt(-math.expm1(-2 * self.length) / 2)
@@ -458,4 +464,4 @@ def by_name(name: str, **params):
         return inverse_square(params.get("gamma", 0.0))
     if name == "halfline":
         return halfline_derivative()
-    raise ValueError(f"unknown model {name!r}")
+    raise InvalidArgument(f"unknown model {name!r}")

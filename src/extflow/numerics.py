@@ -1,17 +1,17 @@
 """Self-contained numerical kernels.
 
 Adaptive Gauss-Kronrod quadrature over a finite interval (complex
-integrands), a Dormand-Prince 5(4) solver for the linear equation
-u'' = q(x) u and an Illinois bracketed root finder. The solver serves only
+integrands), a Dormand-Prince 5(4) solver for a real scalar equation
+y' = f(x, y) and an Illinois bracketed root finder. The solver serves only
 the shooting residual that checks each closed-form ladder rung in
-``spectra``; tests use the quadrature and the root finder as oracles. The
-inverse-square model is in closed form, and the grid operators of the Weyl
-checks are diagonals times shifts (see ``weylcheck``), so neither needs a
-kernel here.
+``spectra``, where it carries a Pruefer phase; tests use the quadrature and
+the root finder as oracles. The inverse-square model is in closed form, and
+the grid operators of the Weyl checks are diagonals times shifts (see
+``weylcheck``), so neither needs a kernel here.
 
-Integrands are called with numpy arrays of nodes; ODE coefficients q(x) and
-root-finder functions with Python floats. All of them must be re-entrant;
-everything here is pure, so concurrent use is safe.
+Integrands are called with numpy arrays of nodes; ODE right-hand sides
+f(x, y) and root-finder functions with Python floats. All of them must be
+re-entrant; everything here is pure, so concurrent use is safe.
 """
 
 from __future__ import annotations
@@ -21,7 +21,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import NoConvergence, NoSignChange, StepUnderflow
+from .errors import InvalidArgument, NoConvergence, NoSignChange, StepUnderflow
 
 # ---------------------------------------------------------------------------
 # quadrature
@@ -99,9 +99,9 @@ def quad_finite(f, a: float, b: float, tol: float = 1e-10, max_panels: int = 10*
     Raises NoConvergence when ``max_panels`` panels do not reach ``tol``.
     """
     if not a < b:
-        raise ValueError(f"need a < b, got [{a}, {b}]")
+        raise InvalidArgument(f"need a < b, got [{a}, {b}]")
     if tol <= 0:
-        raise ValueError("tol must be positive")
+        raise InvalidArgument("tol must be positive")
     val, err = _gk_panel(f, a, b)
     heap = [(-err, 0, a, b, val, err)]
     count = 1
@@ -132,95 +132,72 @@ def quad_finite(f, a: float, b: float, tol: float = 1e-10, max_panels: int = 10*
 class OdeSolution:
     """Accepted solver nodes and states, stored in ascending x; ``y_end`` is
     the state at the endpoint the integration was driven to (the smallest x
-    for backward runs)."""
+    for backward runs), and ``rejected`` counts the steps the error control
+    threw away."""
 
-    def __init__(self, xs, ys, forward: bool = True):
+    def __init__(self, xs, ys, forward: bool = True, rejected: int = 0):
         order = np.argsort(xs)
         self.xs = np.asarray(xs)[order]
         self.ys = np.asarray(ys)[order]
         self.forward = forward
+        self.rejected = rejected
 
     @property
     def y_end(self):
         return self.ys[-1] if self.forward else self.ys[0]
 
 
-def ode_solve(q, x0: float, y0, x1: float, tol: float = 1e-9,
+def ode_solve(f, x0: float, y0: float, x1: float, tol: float = 1e-9,
               max_steps: int = 10**6) -> OdeSolution:
-    """Integrate u'' = q(x) u from x0 to x1 (either order) by Dormand-Prince
-    5(4) with adaptive steps (Hairer, Norsett and Wanner, Solving ODEs I,
-    II.5).
+    """Integrate the real scalar equation y' = f(x, y) from x0 to x1 (either
+    order) by Dormand-Prince 5(4) with adaptive steps (Hairer, Norsett and
+    Wanner, Solving ODEs I, II.5).
 
-    ``q(x)`` returns the scalar coefficient and ``y0`` is the pair (u, u').
-    The state is two Python scalars: real when ``q`` and ``y0`` are real,
-    complex otherwise. The per-step error is controlled componentwise
-    against tol*(1+max(|y|,|y_new|)). Returns the accepted nodes as an
+    The local error estimate of each step is held below ``tol`` in absolute
+    terms, which suits a state such as a phase in radians, whose error
+    matters whatever its size. Returns the accepted nodes as an
     OdeSolution; raises StepUnderflow when the step collapses or
     ``max_steps`` attempts do not reach x1.
     """
-    u, v = y0
-    cast = complex if np.iscomplexobj(q(x0) * u * v) else float
-    u, v, x = cast(u), cast(v), float(x0)
-    w = q(x) * u
+    y, x = float(y0), float(x0)
     if x1 == x0:
-        return OdeSolution([x], [(u, v)], forward=True)
-    direction = 1.0 if x1 > x0 else -1.0
+        return OdeSolution([x], [y])
+    forward = x1 > x0
     h = (x1 - x0) / 10.0
     tiny = 16 * np.finfo(float).eps
-    xs, us, vs = [x], [u], [v]
-    steps = 0
-    while (x1 - x) * direction > 0:
+    k1 = f(x, y)   # stage 1 is the previous step's last stage (FSAL)
+    xs, ys = [x], [y]
+    steps = rejected = 0
+    while x < x1 if forward else x > x1:
         if steps > max_steps:
             raise StepUnderflow(f"ode_solve: step budget exhausted at x={x}")
         if abs(h) < tiny * max(1.0, abs(x)):
             raise StepUnderflow(f"ode_solve: step underflow at x={x}")
-        if (x + h - x1) * direction > 0:
-            h = x1 - x
-        # stage i has state (u_i, v_i) and derivative (v_i, w_i = q u_i);
-        # stage 1 is the previous step's last stage (FSAL)
-        u2 = u + h * (1 / 5 * v)
-        v2 = v + h * (1 / 5 * w)
-        w2 = q(x + 1 / 5 * h) * u2
-        u3 = u + h * (3 / 40 * v + 9 / 40 * v2)
-        v3 = v + h * (3 / 40 * w + 9 / 40 * w2)
-        w3 = q(x + 3 / 10 * h) * u3
-        u4 = u + h * (44 / 45 * v - 56 / 15 * v2 + 32 / 9 * v3)
-        v4 = v + h * (44 / 45 * w - 56 / 15 * w2 + 32 / 9 * w3)
-        w4 = q(x + 4 / 5 * h) * u4
-        u5 = u + h * (19372 / 6561 * v - 25360 / 2187 * v2 + 64448 / 6561 * v3
-                      - 212 / 729 * v4)
-        v5 = v + h * (19372 / 6561 * w - 25360 / 2187 * w2 + 64448 / 6561 * w3
-                      - 212 / 729 * w4)
-        w5 = q(x + 8 / 9 * h) * u5
-        u6 = u + h * (9017 / 3168 * v - 355 / 33 * v2 + 46732 / 5247 * v3
-                      + 49 / 176 * v4 - 5103 / 18656 * v5)
-        v6 = v + h * (9017 / 3168 * w - 355 / 33 * w2 + 46732 / 5247 * w3
-                      + 49 / 176 * w4 - 5103 / 18656 * w5)
-        q_end = q(x + h)
-        w6 = q_end * u6
-        u_new = u + h * (35 / 384 * v + 500 / 1113 * v3 + 125 / 192 * v4
-                         - 2187 / 6784 * v5 + 11 / 84 * v6)
-        v_new = v + h * (35 / 384 * w + 500 / 1113 * w3 + 125 / 192 * w4
-                         - 2187 / 6784 * w5 + 11 / 84 * w6)
-        w_new = q_end * u_new
-        err_u = h * (71 / 57600 * v - 71 / 16695 * v3 + 71 / 1920 * v4
-                     - 17253 / 339200 * v5 + 22 / 525 * v6 - 1 / 40 * v_new)
-        err_v = h * (71 / 57600 * w - 71 / 16695 * w3 + 71 / 1920 * w4
-                     - 17253 / 339200 * w5 + 22 / 525 * w6 - 1 / 40 * w_new)
-        err = max(abs(err_u) / (tol * (1.0 + max(abs(u), abs(u_new)))),
-                  abs(err_v) / (tol * (1.0 + max(abs(v), abs(v_new)))))
+        x_new = x + h
+        if x_new > x1 if forward else x_new < x1:
+            h, x_new = x1 - x, x1
+        k2 = f(x + 1 / 5 * h, y + h * (1 / 5 * k1))
+        k3 = f(x + 3 / 10 * h, y + h * (3 / 40 * k1 + 9 / 40 * k2))
+        k4 = f(x + 4 / 5 * h, y + h * (44 / 45 * k1 - 56 / 15 * k2 + 32 / 9 * k3))
+        k5 = f(x + 8 / 9 * h, y + h * (19372 / 6561 * k1 - 25360 / 2187 * k2
+                                       + 64448 / 6561 * k3 - 212 / 729 * k4))
+        k6 = f(x_new, y + h * (9017 / 3168 * k1 - 355 / 33 * k2 + 46732 / 5247 * k3
+                               + 49 / 176 * k4 - 5103 / 18656 * k5))
+        y_new = y + h * (35 / 384 * k1 + 500 / 1113 * k3 + 125 / 192 * k4
+                         - 2187 / 6784 * k5 + 11 / 84 * k6)
+        k7 = f(x_new, y_new)
+        err = abs(h * (71 / 57600 * k1 - 71 / 16695 * k3 + 71 / 1920 * k4
+                       - 17253 / 339200 * k5 + 22 / 525 * k6 - 1 / 40 * k7)) / tol
         steps += 1
         if err <= 1.0:
-            x = x + h
-            u, v, w = u_new, v_new, w_new
+            x, y, k1 = x_new, y_new, k7
             xs.append(x)
-            us.append(u)
-            vs.append(v)
-            factor = 5.0 if err == 0.0 else min(5.0, 0.9 * err ** -0.2)
+            ys.append(y)
+            h *= 5.0 if err == 0.0 else min(5.0, 0.9 * err ** -0.2)
         else:
-            factor = max(0.2, 0.9 * err ** -0.2)
-        h *= factor
-    return OdeSolution(xs, list(zip(us, vs)), forward=direction > 0)
+            rejected += 1
+            h *= max(0.2, 0.9 * err ** -0.2)
+    return OdeSolution(xs, ys, forward, rejected)
 
 
 # ---------------------------------------------------------------------------
@@ -237,7 +214,7 @@ def find_root(f, lo: float, hi: float, tol: float = 1e-12, max_iter: int = 200) 
     when f(lo) and f(hi) have equal sign.
     """
     if not lo < hi:
-        raise ValueError("need lo < hi")
+        raise InvalidArgument("need lo < hi")
     fa = f(lo)
     fb = f(hi)
     if fa == 0.0:

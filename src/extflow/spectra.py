@@ -9,6 +9,12 @@ eigenvalues of one self-adjoint extension form a geometric progression
 with consecutive ratio exp(2 pi / nu). The squared factor exp(4 pi / nu)
 maps the set into itself two rungs at a time and is reported alongside as
 ``kappa``.
+
+Each rung is read from the closed form and checked by shooting, which shares
+no code with it: an outward and an inward Dormand-Prince shot of the modified
+Pruefer phase in sigma = log(k x) meet at x = 1/k. The residual is their phase
+gap modulo pi, in radians, and the gap's multiple of pi counts the rungs, so
+a ladder that skips or repeats one raises NumericalInconsistency.
 """
 
 from __future__ import annotations
@@ -22,7 +28,9 @@ from .errors import (
     DynamicRangeExceeded,
     IllPosed,
     InsufficientData,
+    InvalidArgument,
     InvalidRho,
+    NumericalInconsistency,
 )
 from .models import inverse_square, log_gamma
 # find_root is unused here; extbench/tracing.py wraps spectra.find_root by name
@@ -54,10 +62,10 @@ def interval_sa_spectrum(length: float, theta: float, window,
     """Lattice (theta + 2 pi n)/length inside the window, the spectrum of the
     extension with boundary condition f(0) = e^{i theta} f(length)."""
     if not length > 0:
-        raise ValueError("length must be positive")
+        raise InvalidArgument("length must be positive")
     lo, hi = window
     if not lo < hi:
-        raise ValueError("empty window")
+        raise InvalidArgument("empty window")
     spacing = 2 * math.pi / length
     n_lo = math.ceil((lo - theta / length) / spacing)
     values = []
@@ -80,7 +88,7 @@ def interval_dissipative_lattice(length: float, rho: complex, window,
     the upper-half-plane lattice from e^{-i lambda length} = 1/rho; empty for
     rho = 0 (the nilpotent case has empty spectrum)."""
     if not length > 0:
-        raise ValueError("length must be positive")
+        raise InvalidArgument("length must be positive")
     rho = complex(rho)
     if abs(rho) >= 1.0:
         raise InvalidRho(f"need |rho| < 1, got {abs(rho)}")
@@ -88,7 +96,7 @@ def interval_dissipative_lattice(length: float, rho: complex, window,
         return EigenList([], [], {"length": length, "rho": rho})
     lo, hi = window
     if not lo < hi:
-        raise ValueError("empty window")
+        raise InvalidArgument("empty window")
     im_part = math.log(1.0 / abs(rho)) / length
     arg = math.atan2(rho.imag, rho.real)
     spacing = 2 * math.pi / length
@@ -110,66 +118,86 @@ def interval_dissipative_lattice(length: float, rho: complex, window,
 # shooting for the inverse-square model below the critical coupling
 # ---------------------------------------------------------------------------
 
-def _outward_data(gamma: float, nu: float, theta: float, lam: float, x: float):
-    """Value and derivative at x of the real solution with small-x behavior
-    sqrt(x) sin(nu log x + theta), two-term accurate."""
-    s1 = 0.5 + 1j * nu
-    c1 = -lam / (2 * (2 * s1 + 1))
-    phase = np.exp(1j * theta)
-    xs = x ** s1
-    val = (phase * xs * (1 + c1 * x * x)).imag
-    dval = (phase * xs / x * (s1 + (s1 + 2) * c1 * x * x)).imag
-    return val, dval
+# the outward shot starts at k x = 1e-6, where the boundary form's neglected
+# term is O((k x)^2 / nu^2) = O(1e-12 / nu^2)
+_SIGMA_OUT = math.log(1e-6)
+# absolute local error per DP5 step, in radians of phase
+_PHASE_TOL = 1e-10
 
 
 def _mismatch(gamma: float, nu: float, theta: float, lam: float) -> float:
-    """Normalized Wronskian of the outward and inward solutions at the
-    matching point 1/sqrt(|lam|); zero at an eigenvalue, and the residual of
-    each closed-form rung."""
+    """Unwrapped phase gap phi_out - phi_in at the matching point
+    x = 1/sqrt(|lam|): a multiple of pi exactly at an eigenvalue, so a
+    rung's residual is |remainder(gap, pi)| in radians.
+
+    In sigma = log(k x), lam = -k^2, the function w = u/sqrt(x) obeys
+    w'' = (e^{2 sigma} - nu^2) w for every k, and its modified Pruefer angle
+    (w = r sin phi, w' = nu r cos phi) obeys
+    phi' = nu - (e^{2 sigma}/nu) sin^2 phi; both shots integrate that
+    equation to sigma = 0. The outward one starts from the boundary form
+    sqrt(x) sin(nu log x + theta), whose phase is nu sigma + theta - nu log k,
+    so the start carries the rung index; the inward one starts outside the
+    turning point from the decaying asymptotics and is the same for every
+    rung."""
     k = math.sqrt(-lam)
-    x_mid = 1.0 / k
-    # start where the boundary form is accurate: |lam| x^2 = 1e-4
-    x_a = min(1e-3, 1e-2 / k)
+    exp, sin = math.exp, math.sin   # looked up once: six calls per DP5 step
 
-    def q(x):
-        return gamma / (x * x) - lam
+    def phase_rate(sigma, phi):
+        s = sin(phi)
+        return nu - exp(2 * sigma) / nu * s * s
 
-    u0, du0 = _outward_data(gamma, nu, theta, lam, x_a)
-    uo, duo = ode_solve(q, x_a, (u0, du0), x_mid, tol=1e-9).y_end
-    # 40/k past the turning point sqrt(-gamma)/k, so the start is evanescent
-    x_in = (40.0 + math.sqrt(-gamma)) / k
-    corr = gamma / (2 * k)
-    f0 = 1 + corr / x_in
-    df0 = -k - k * corr / x_in - corr / (x_in * x_in)
-    vi, dvi = ode_solve(q, x_in, (f0, df0), x_mid, tol=1e-9).y_end
-    wron = uo * dvi - duo * vi
-    scale = ((abs(uo) + x_mid * abs(duo)) * (abs(vi) + x_mid * abs(dvi))) / x_mid
-    return wron / max(scale, 1e-300)
+    phi_out = ode_solve(phase_rate, _SIGMA_OUT,
+                        nu * _SIGMA_OUT + theta - nu * math.log(k), 0.0,
+                        tol=_PHASE_TOL).y_end
+    # k x_in is 40 past the turning point k x = sqrt(-gamma), so the start is
+    # evanescent; u is e^{-k x} (1 + gamma/(2 k x)) up to a constant factor
+    kx_in = 40.0 + math.sqrt(-gamma)
+    c = gamma / (2 * kx_in)
+    u, xdu = 1 + c, -kx_in * (1 + c) - c      # u and x u' at x_in
+    phi_in = ode_solve(phase_rate, math.log(kx_in),
+                       math.atan2(nu * u, xdu - 0.5 * u), 0.0,
+                       tol=_PHASE_TOL).y_end
+    return phi_out - phi_in
+
+
+def _ladder(nu: float, phase: float, count: int) -> list:
+    """The first ``count`` rungs with nu log|lambda| >= -1.2 pi, from the
+    small-x form of sqrt(x) K_{i nu}(k x) (DLMF 10.45): lambda_n = -k_n^2
+    with nu log k_n = offset + n pi, where any branch of arg Gamma(1 + i nu)
+    works (n absorbs multiples of pi). Listed by rising n, so each rung lies
+    one ladder step below the one before."""
+    offset = phase + log_gamma(1 + 1j * nu).imag + nu * math.log(2.0)
+    n_lo = math.ceil(-0.6 - offset / math.pi)
+    return [-math.exp(2 * (offset + n * math.pi) / nu)
+            for n in range(n_lo, n_lo + count)]
 
 
 def shoot_negative_eigenvalues(gamma: float, theta: float, count: int) -> EigenList:
     """Negative eigenvalues of the self-adjoint extension with boundary
     phase theta, read from the closed-form ladder; at most four, capped by
-    dynamic range. Each residual is the shooting mismatch (``_mismatch``)
-    at the closed-form value, which shares no code with the ladder."""
+    dynamic range. Each residual is the shooting phase gap (``_mismatch``)
+    at the closed-form value, modulo pi, which shares no code with the
+    ladder. The gap's multiple of pi must fall by one from each rung to the
+    next, else NumericalInconsistency: a skipped or repeated rung moves it
+    by another amount."""
     if gamma >= -0.25:
         raise IllPosed("shooting needs gamma < -1/4 (oscillatory boundary)")
     if not 1 <= count <= 4:
-        raise ValueError("count must be between 1 and 4")
+        raise InvalidArgument("count must be between 1 and 4")
     nu = math.sqrt(-gamma - 0.25)
     span = math.exp(2 * math.pi / nu * (count - 1))
     if span > _RANGE_LIMIT:
         raise DynamicRangeExceeded(
             f"{count} rungs would span a factor {span:.3e} > {_RANGE_LIMIT:.0e}")
-    # small-x form of sqrt(x) K_{i nu}(k x) (DLMF 10.45): lambda_n = -k_n^2 with
-    # nu log k_n = offset + n pi, where any branch of arg Gamma(1 + i nu) works
-    # (n absorbs multiples of pi); the first rung has nu log|lambda| >= -1.2 pi
     phase = math.remainder(theta, math.pi)   # ValueError unless finite
-    offset = phase + log_gamma(1 + 1j * nu).imag + nu * math.log(2.0)
-    n_lo = math.ceil(-0.6 - offset / math.pi)
-    values = [complex(-math.exp(2 * (offset + n * math.pi) / nu))
-              for n in range(n_lo, n_lo + count)]
-    residuals = [abs(_mismatch(gamma, nu, phase, lam.real)) for lam in values]
+    values = _ladder(nu, phase, count)
+    gaps = [_mismatch(gamma, nu, phase, lam) for lam in values]
+    turns = [round(gap / math.pi) for gap in gaps]
+    if any(b - a != -1 for a, b in zip(turns, turns[1:])):
+        raise NumericalInconsistency(
+            f"shooting phases put the rungs at multiples {turns} of pi, "
+            "not one apart")
+    residuals = [abs(math.remainder(gap, math.pi)) for gap in gaps]
     return EigenList(values, residuals,
                      {"gamma": gamma, "theta": theta, "nu": nu})
 

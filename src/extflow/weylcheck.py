@@ -25,6 +25,8 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
+from .errors import InvalidArgument
+
 
 # ---------------------------------------------------------------------------
 # grid operators
@@ -74,7 +76,7 @@ class GridOperator:
 
     def __sub__(self, other: "GridOperator") -> "GridOperator":
         if other.shift != self.shift:
-            raise ValueError("the difference of two shifts by different counts "
+            raise InvalidArgument("the difference of two shifts by different counts "
                              "is not a diagonal times a shift")
         return GridOperator(self.diag - other.diag, self.shift)
 
@@ -82,7 +84,7 @@ class GridOperator:
 def build_interval_grid(length: float, n: int) -> IntervalGrid:
     """The grid for upwind i d/dx with f(0) = 0 and multiplication by x."""
     if n < 8:
-        raise ValueError("need n >= 8")
+        raise InvalidArgument("need n >= 8")
     return IntervalGrid(n, length / n)
 
 
@@ -96,7 +98,7 @@ def semigroup(grid: IntervalGrid, s: float) -> GridOperator:
     exact k-fold down-shift with k = round(s/h); off-grid times round to
     the nearest grid time. Nilpotent: the zero operator for s >= length."""
     if s < 0:
-        raise ValueError("semigroup parameter must be nonnegative")
+        raise InvalidArgument("semigroup parameter must be nonnegative")
     k = min(int(round(s / grid.h)), grid.n)
     d = np.ones(grid.n, dtype=complex)
     d[:k] = 0.0
@@ -160,7 +162,7 @@ def refinement_study(length: float, n_list, t_values, on_grid: bool) -> Refineme
     worst case for nearest-grid rounding, so the fitted order tracks the
     error envelope. Residuals at the rounding floor are reported as "exact"."""
     if len(set(n_list)) < 3:
-        raise ValueError("need at least three distinct grid sizes")
+        raise InvalidArgument("need at least three distinct grid sizes")
     table = ResidualTable()
     variant = "on-grid" if on_grid else "off-grid"
     for n in sorted(n_list):

@@ -9,8 +9,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from extflow import cli, flow, mobius, models
-from extflow.errors import IllPosed
+from extflow import affine, cli, flow, mobius, models, numerics, spectra, weylcheck
+from extflow.errors import ExtflowError, IllPosed, InvalidArgument
 
 
 def run_cli(tmp_path, *argv, name="out.json"):
@@ -260,6 +260,41 @@ class TestExitCodes:
         assert code == 2
         assert err.startswith("configuration error: shoot:")
         assert err.count("\n") == 1 and "Traceback" not in err
+
+    def test_skipped_rung_is_numerical_failure(self, tmp_path, monkeypatch, capsys):
+        # a closed-form ladder that skips a rung fails the shooting phases'
+        # rung count
+        full = spectra._ladder
+        monkeypatch.setattr(spectra, "_ladder",
+                            lambda nu, phase, count: full(nu, phase, count + 1)[::2])
+        code = cli.main(["shoot", "--gamma", "-25", "--count", "2",
+                         "--out", str(tmp_path / "x.json")])
+        assert code == 3
+        assert "NumericalInconsistency" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("call", [
+        lambda: affine.AffineMap(-1.0, 0.0),
+        lambda: flow.gamma_apply(None, affine.AffineMap(1.0, 0.0), 2.0),
+        lambda: mobius.disk_automorphism(1.5),
+        lambda: models.by_name("sphere"),
+        lambda: numerics.quad_finite(np.sin, 1.0, 0.0),
+        lambda: spectra.shoot_negative_eigenvalues(-2.0, 0.0, 5),
+        lambda: weylcheck.build_interval_grid(1.0, 4),
+    ], ids=["affine", "flow", "mobius", "models", "numerics", "spectra", "weylcheck"])
+    def test_library_domain_errors_are_typed(self, call):
+        with pytest.raises(InvalidArgument) as info:
+            call()
+        assert isinstance(info.value, ExtflowError) and isinstance(info.value, ValueError)
+
+    def test_invalid_argument_is_2(self, tmp_path, monkeypatch, capsys):
+        def reject(*args):
+            raise InvalidArgument("count must be between 1 and 4")
+
+        monkeypatch.setattr(spectra, "shoot_negative_eigenvalues", reject)
+        code = cli.main(["shoot", "--gamma", "-2", "--out", str(tmp_path / "x.json")])
+        err = capsys.readouterr().err
+        assert code == 2
+        assert err == "configuration error: count must be between 1 and 4\n"
 
     def test_unknown_command_is_2(self):
         assert cli.main(["frobnicate"]) == 2

@@ -11,6 +11,7 @@ from extflow.errors import (
     IllPosed,
     InsufficientData,
     InvalidRho,
+    NumericalInconsistency,
 )
 
 NU25 = math.sqrt(24.75)
@@ -22,14 +23,14 @@ REFERENCE_LADDER = [-24.18009070, -6.83845304, -1.93400638, -0.54696301]
 
 def scan_ladder(gamma, theta, count):
     """Reference ladder by brute-force shooting: the first ``count`` sign
-    changes of the mismatch over log|lambda| in [-0.6, count - 0.4] ladder
+    changes of sin(phase gap) over log|lambda| in [-0.6, count - 0.4] ladder
     steps, on a grid of six points per step, each refined by an Illinois
     bracket."""
     nu = math.sqrt(-gamma - 0.25)
     step = 2 * math.pi / nu
 
     def mismatch(u):
-        return spectra._mismatch(gamma, nu, theta, -math.exp(u))
+        return math.sin(spectra._mismatch(gamma, nu, theta, -math.exp(u)))
 
     us = np.linspace(-0.6 * step, (count - 0.4) * step,
                      max(12, int(6 * (count + 0.2)) + 1))
@@ -122,7 +123,7 @@ class TestShooting:
         assert got == pytest.approx(REFERENCE_LADDER, rel=1e-5)
 
     def test_residuals_small(self, ladder25):
-        # measured 7.1e-10
+        # measured 8.8e-10
         assert max(ladder25.residuals) < 1e-8
 
     def test_consecutive_ratio_is_single_step_constant(self, ladder25):
@@ -180,12 +181,58 @@ class TestShooting:
     @pytest.mark.parametrize("gamma", [-2.0, -1600.0, -1e4])
     def test_residuals_at_closed_form_values(self, gamma):
         # the inward shot must start outside the turning point sqrt(-gamma)/k,
-        # which passes 40/k at gamma = -1600; measured residuals <= 1.6e-9
+        # which passes 40/k at gamma = -1600; measured residuals <= 3.1e-9
         eig = spectra.shoot_negative_eigenvalues(gamma, 0.7, 4)
         for lam in eig.values:
             assert lam.real == pytest.approx(
                 closed_form_rung(gamma, 0.7, lam.real)[1], rel=1e-8)
         assert max(eig.residuals) <= 1e-8
+
+    @pytest.mark.parametrize("theta", [0.7, 1.9])
+    def test_residual_at_the_weakest_sampled_coupling(self, theta):
+        # nu = 0.1; measured 1.5e-10
+        eig = spectra.shoot_negative_eigenvalues(-0.26, theta, 1)
+        assert eig.residuals[0] <= 1.5e-9
+
+    def test_residual_reads_the_phase_error(self):
+        # moving lambda by a factor 1 +- 1e-6 moves the outward start phase by
+        # nu * 1e-6 / 2; the residual must follow that by a factor that does
+        # not depend on where the matching point falls in the oscillation
+        # (a normalized Wronskian read from 0.0105 to 21.3 times it here)
+        gammas = [float(g) for g in -np.logspace(4, math.log10(0.5), 40)] + [-0.26]
+        worst, slopes = 0.0, []
+        for gamma in gammas:
+            nu = math.sqrt(-gamma - 0.25)
+            for theta in (0.7, 1.9, 2.8):
+                (lam,) = spectra._ladder(nu, theta, 1)
+
+                def residual(lam):
+                    return abs(math.remainder(
+                        spectra._mismatch(gamma, nu, theta, lam), math.pi))
+
+                r0 = residual(lam)
+                worst = max(worst, r0)
+                change = max(abs(residual(lam * (1 + e)) - r0) for e in (1e-6, -1e-6))
+                slopes.append(change / (nu * 1e-6 / 2))
+        # measured 0.90 to 2.73, and a worst residual of 2.1e-8
+        assert max(slopes) < 4 * min(slopes)
+        assert worst <= 1e-7
+
+    def test_rung_index_from_the_phases(self, monkeypatch):
+        # the phase gap of each rung counts its index: a ladder that skips a
+        # rung moves it by two multiples of pi and must not pass
+        eig = spectra.shoot_negative_eigenvalues(-25.0, 0.7, 3)
+        full = spectra._ladder
+        monkeypatch.setattr(spectra, "_ladder",
+                            lambda nu, phase, count: full(nu, phase, count + 1)[::2])
+        with pytest.raises(NumericalInconsistency):
+            spectra.shoot_negative_eigenvalues(-25.0, 0.7, 2)
+        monkeypatch.setattr(spectra, "_ladder",
+                            lambda nu, phase, count: full(nu, phase, count - 1) * 2)
+        with pytest.raises(NumericalInconsistency):
+            spectra.shoot_negative_eigenvalues(-25.0, 0.7, 2)
+        monkeypatch.setattr(spectra, "_ladder", full)
+        assert spectra.shoot_negative_eigenvalues(-25.0, 0.7, 3).values == eig.values
 
     @pytest.mark.parametrize("theta", [math.nan, math.inf, -math.inf])
     def test_rejects_non_finite_theta(self, theta):
