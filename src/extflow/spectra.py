@@ -12,9 +12,12 @@ maps the set into itself two rungs at a time and is reported alongside as
 
 Each rung is read from the closed form and checked by shooting, which shares
 no code with it: an outward and an inward Dormand-Prince shot of the modified
-Pruefer phase in sigma = log(k x) meet at x = 1/k. The residual is their phase
-gap modulo pi, in radians, and the gap's multiple of pi counts the rungs, so
-a ladder that skips or repeats one raises NumericalInconsistency.
+Pruefer phase in sigma = log(k x) meet at x = 1/k. The inward shot has no k
+in it, so one serves the whole ladder. It starts where the WKB action past
+the matching point, or past the turning point if that lies farther out,
+reaches S_IN = 18, which damps its start error by e^{-36}. The residual is
+the phase gap modulo pi, in radians, and the gap's multiple of pi counts the
+rungs, so a ladder that skips or repeats one raises NumericalInconsistency.
 """
 
 from __future__ import annotations
@@ -121,42 +124,78 @@ def interval_dissipative_lattice(length: float, rho: complex, window,
 # the outward shot starts at k x = 1e-6, where the boundary form's neglected
 # term is O((k x)^2 / nu^2) = O(1e-12 / nu^2)
 _SIGMA_OUT = math.log(1e-6)
+# the inward shot starts where the WKB action beyond the matching point (or
+# beyond the turning point, when that lies outside it) is S_IN. Shot inward,
+# the decaying solution grows like e^{S} and the other solution, which a
+# start error mixes in, shrinks like e^{-S}, so the phase error falls by
+# e^{-2 S} (Olver, Asymptotics and Special Functions, ch. 6): e^{-36} =
+# 2.3e-16 damps even an O(1) start error below rounding at x = 1/k
+_S_IN = 18.0
 # absolute local error per DP5 step, in radians of phase
 _PHASE_TOL = 1e-10
 
 
-def _mismatch(gamma: float, nu: float, theta: float, lam: float) -> float:
-    """Unwrapped phase gap phi_out - phi_in at the matching point
-    x = 1/sqrt(|lam|): a multiple of pi exactly at an eigenvalue, so a
-    rung's residual is |remainder(gap, pi)| in radians.
-
-    In sigma = log(k x), lam = -k^2, the function w = u/sqrt(x) obeys
-    w'' = (e^{2 sigma} - nu^2) w for every k, and its modified Pruefer angle
-    (w = r sin phi, w' = nu r cos phi) obeys
-    phi' = nu - (e^{2 sigma}/nu) sin^2 phi; both shots integrate that
-    equation to sigma = 0. The outward one starts from the boundary form
-    sqrt(x) sin(nu log x + theta), whose phase is nu sigma + theta - nu log k,
-    so the start carries the rung index; the inward one starts outside the
-    turning point from the decaying asymptotics and is the same for every
-    rung."""
-    k = math.sqrt(-lam)
+def _phase_rate(nu: float):
+    """phi' = nu - (e^{2 sigma}/nu) sin^2 phi, the modified Pruefer angle
+    (w = r sin phi, w' = nu r cos phi) of w'' = (e^{2 sigma} - nu^2) w."""
     exp, sin = math.exp, math.sin   # looked up once: six calls per DP5 step
 
     def phase_rate(sigma, phi):
         s = sin(phi)
         return nu - exp(2 * sigma) / nu * s * s
+    return phase_rate
 
-    phi_out = ode_solve(phase_rate, _SIGMA_OUT,
-                        nu * _SIGMA_OUT + theta - nu * math.log(k), 0.0,
-                        tol=_PHASE_TOL).y_end
-    # k x_in is 40 past the turning point k x = sqrt(-gamma), so the start is
-    # evanescent; u is e^{-k x} (1 + gamma/(2 k x)) up to a constant factor
-    kx_in = 40.0 + math.sqrt(-gamma)
+
+def _action(z: float, nu: float) -> float:
+    """WKB action S(z) = int_nu^z sqrt(t^2 - nu^2) dt / t from the turning
+    point z = nu, in closed form."""
+    return math.sqrt(z * z - nu * nu) - nu * math.acos(nu / z)
+
+
+def _inward_start(nu: float) -> float:
+    """k x_in with S(k x_in) = S_IN + S(max(nu, 1)), by Newton's method from
+    above: S(z) > z - pi nu / 2, so the first guess is past the root, and S
+    is increasing and convex, so no Newton step undershoots it. A step that
+    would cross the target by rounding is not taken."""
+    target = _S_IN + _action(max(nu, 1.0), nu)
+    z = target + 0.5 * math.pi * nu
+    while True:
+        nxt = z - (_action(z, nu) - target) * z / math.sqrt(z * z - nu * nu)
+        if not nxt < z or _action(nxt, nu) < target:
+            return z
+        z = nxt
+
+
+def _inward_phase(gamma: float, nu: float) -> float:
+    """Pruefer phase at sigma = 0 of the solution that decays at infinity,
+    the same for every rung: shot inward from sigma = log(k x_in), beyond
+    the turning point, from the two-term decaying asymptotics
+    u = e^{-k x} (1 + gamma/(2 k x)) up to a constant factor (DLMF 10.40.2).
+    Any error in that start data is damped by e^{-2 S_IN} on the way in."""
+    kx_in = _inward_start(nu)
     c = gamma / (2 * kx_in)
     u, xdu = 1 + c, -kx_in * (1 + c) - c      # u and x u' at x_in
-    phi_in = ode_solve(phase_rate, math.log(kx_in),
-                       math.atan2(nu * u, xdu - 0.5 * u), 0.0,
-                       tol=_PHASE_TOL).y_end
+    return ode_solve(_phase_rate(nu), math.log(kx_in),
+                     math.atan2(nu * u, xdu - 0.5 * u), 0.0,
+                     tol=_PHASE_TOL).y_end
+
+
+def _mismatch(nu: float, theta: float, lam: float, phi_in: float) -> float:
+    """Unwrapped phase gap phi_out - phi_in at the matching point
+    x = 1/sqrt(|lam|): a multiple of pi exactly at an eigenvalue, so a
+    rung's residual is |remainder(gap, pi)| in radians.
+
+    In sigma = log(k x), lam = -k^2, the function w = u/sqrt(x) obeys
+    w'' = (e^{2 sigma} - nu^2) w for every k, so its Pruefer phase
+    (``_phase_rate``) has no k in it. The outward shot starts from the
+    boundary form sqrt(x) sin(nu log x + theta), whose phase is
+    nu sigma + theta - nu log k, so the start carries the rung index; the
+    inward phase ``phi_in`` (``_inward_phase``) depends on nu alone and is
+    passed in, shot once for the whole ladder."""
+    k = math.sqrt(-lam)
+    phi_out = ode_solve(_phase_rate(nu), _SIGMA_OUT,
+                        nu * _SIGMA_OUT + theta - nu * math.log(k), 0.0,
+                        tol=_PHASE_TOL).y_end
     return phi_out - phi_in
 
 
@@ -191,7 +230,8 @@ def shoot_negative_eigenvalues(gamma: float, theta: float, count: int) -> EigenL
             f"{count} rungs would span a factor {span:.3e} > {_RANGE_LIMIT:.0e}")
     phase = math.remainder(theta, math.pi)   # ValueError unless finite
     values = _ladder(nu, phase, count)
-    gaps = [_mismatch(gamma, nu, phase, lam) for lam in values]
+    phi_in = _inward_phase(gamma, nu)
+    gaps = [_mismatch(nu, phase, lam, phi_in) for lam in values]
     turns = [round(gap / math.pi) for gap in gaps]
     if any(b - a != -1 for a, b in zip(turns, turns[1:])):
         raise NumericalInconsistency(

@@ -28,9 +28,10 @@ def scan_ladder(gamma, theta, count):
     bracket."""
     nu = math.sqrt(-gamma - 0.25)
     step = 2 * math.pi / nu
+    phi_in = spectra._inward_phase(gamma, nu)
 
     def mismatch(u):
-        return math.sin(spectra._mismatch(gamma, nu, theta, -math.exp(u)))
+        return math.sin(spectra._mismatch(nu, theta, -math.exp(u), phi_in))
 
     us = np.linspace(-0.6 * step, (count - 0.4) * step,
                      max(12, int(6 * (count + 0.2)) + 1))
@@ -123,7 +124,7 @@ class TestShooting:
         assert got == pytest.approx(REFERENCE_LADDER, rel=1e-5)
 
     def test_residuals_small(self, ladder25):
-        # measured 8.8e-10
+        # measured 8.7e-10
         assert max(ladder25.residuals) < 1e-8
 
     def test_consecutive_ratio_is_single_step_constant(self, ladder25):
@@ -180,8 +181,9 @@ class TestShooting:
 
     @pytest.mark.parametrize("gamma", [-2.0, -1600.0, -1e4])
     def test_residuals_at_closed_form_values(self, gamma):
-        # the inward shot must start outside the turning point sqrt(-gamma)/k,
-        # which passes 40/k at gamma = -1600; measured residuals <= 3.1e-9
+        # the inward shot starts an action S_IN past the turning point nu/k,
+        # 1.7 nu/k at gamma = -1600 and 1.36 nu/k at -1e4; measured
+        # residuals <= 3.0e-9
         eig = spectra.shoot_negative_eigenvalues(gamma, 0.7, 4)
         for lam in eig.values:
             assert lam.real == pytest.approx(
@@ -203,12 +205,13 @@ class TestShooting:
         worst, slopes = 0.0, []
         for gamma in gammas:
             nu = math.sqrt(-gamma - 0.25)
+            phi_in = spectra._inward_phase(gamma, nu)
             for theta in (0.7, 1.9, 2.8):
                 (lam,) = spectra._ladder(nu, theta, 1)
 
                 def residual(lam):
                     return abs(math.remainder(
-                        spectra._mismatch(gamma, nu, theta, lam), math.pi))
+                        spectra._mismatch(nu, theta, lam, phi_in), math.pi))
 
                 r0 = residual(lam)
                 worst = max(worst, r0)
@@ -234,6 +237,16 @@ class TestShooting:
         monkeypatch.setattr(spectra, "_ladder", full)
         assert spectra.shoot_negative_eigenvalues(-25.0, 0.7, 3).values == eig.values
 
+    def test_one_inward_shot_per_ladder(self, monkeypatch):
+        # the inward phase has no k in it: one inward shot, then one outward
+        # shot per rung
+        calls = []
+        solve = spectra.ode_solve
+        monkeypatch.setattr(spectra, "ode_solve",
+                            lambda *args, **kw: calls.append(args) or solve(*args, **kw))
+        spectra.shoot_negative_eigenvalues(-25.0, 0.7, 4)
+        assert len(calls) == 5
+
     @pytest.mark.parametrize("theta", [math.nan, math.inf, -math.inf])
     def test_rejects_non_finite_theta(self, theta):
         with pytest.raises(ValueError):
@@ -251,6 +264,54 @@ class TestShooting:
         # nu = 0.1: one ladder step alone spans e^{20 pi} >> 1e12
         with pytest.raises(DynamicRangeExceeded):
             spectra.shoot_negative_eigenvalues(-0.26, 0.0, 2)
+
+
+class TestInwardShot:
+    # (gamma, bound): 10x the measured distance from the Bessel-K phase,
+    # 2.7e-11, 8.4e-12, 3.3e-13, 9.7e-11, 4.5e-10 and 2.5e-9 in turn
+    @pytest.mark.parametrize("gamma, bound", [
+        (-0.26, 3e-10), (-1.5, 9e-11), (-2.5, 4e-12), (-25.0, 1e-9),
+        (-1600.0, 5e-9), (-1e4, 3e-8)])
+    def test_matches_the_bessel_k_phase(self, gamma, bound):
+        # the solution that decays at infinity is w = K_{i nu}(e^sigma), so
+        # its Pruefer phase at sigma = 0 is atan2(nu K_{i nu}(1), K'_{i nu}(1));
+        # K_{i nu}(1) ~ e^{-pi nu / 2}, hence the working precision
+        mpmath = pytest.importorskip("mpmath")
+        nu = math.sqrt(-gamma - 0.25)
+        with mpmath.workdps(30 + int(0.7 * nu)):
+            mu = mpmath.mpc(0, nu)
+            k0 = mpmath.re(mpmath.besselk(mu, 1))
+            k1 = -mpmath.re(mpmath.besselk(mu - 1, 1) + mpmath.besselk(mu + 1, 1)) / 2
+            exact = float(mpmath.atan2(nu * k0, k1))
+        got = spectra._inward_phase(gamma, nu)
+        assert abs(math.remainder(got - exact, math.pi)) <= bound
+
+    def test_start_lies_an_action_s_in_out(self):
+        for nu in np.logspace(-1, math.log10(224), 40):
+            nu = float(nu)
+            target = spectra._S_IN + spectra._action(max(nu, 1.0), nu)
+            assert spectra._action(spectra._inward_start(nu), nu) >= target
+
+    # (gamma, bound): 10x the measured end-phase shift, <= 2.7e-15 for
+    # |gamma| <= 25, then 1.6e-12 and 7.0e-12
+    @pytest.mark.parametrize("gamma, bound", [
+        (-0.26, 3e-14), (-2.0, 3e-14), (-25.0, 3e-14), (-1e4, 2e-11), (-5e4, 7e-11)])
+    def test_start_error_is_damped(self, gamma, bound, monkeypatch):
+        # the e^{-2 S_IN} damping: moving the start phase by 0.5 rad barely
+        # moves the end phase, modulo pi (a shift can cross a branch and end
+        # one pi over); the legs run at tol = 1e-13, since at the usual
+        # 1e-10 a moved start alone changes DP5's error by up to 1.2e-10
+        nu = math.sqrt(-gamma - 0.25)
+        legs = []
+        solve = spectra.ode_solve
+        monkeypatch.setattr(spectra, "ode_solve",
+                            lambda *args, **kw: legs.append(args) or solve(*args, **kw))
+        spectra._inward_phase(gamma, nu)
+        (rate, sigma_in, phi0, sigma_end), = legs
+        ends = [solve(rate, sigma_in, phi0 + shift, sigma_end, tol=1e-13).y_end
+                for shift in (0.0, 0.5, -0.5)]
+        for end in ends[1:]:
+            assert abs(math.remainder(end - ends[0], math.pi)) <= bound
 
 
 class TestProgressionRatio:
@@ -309,9 +370,10 @@ class TestScalingCovariance:
         # boundary phase shifted by -nu log k
         gamma = -2.0
         nu = math.sqrt(-gamma - 0.25)
+        phi_in = spectra._inward_phase(gamma, nu)
         for k in (0.3, 0.7, 2.0, 5.0):
-            lhs = spectra._mismatch(gamma, nu, theta, -k * k)
-            rhs = spectra._mismatch(gamma, nu, theta - nu * math.log(k), -1.0)
+            lhs = spectra._mismatch(nu, theta, -k * k, phi_in)
+            rhs = spectra._mismatch(nu, theta - nu * math.log(k), -1.0, phi_in)
             assert abs(lhs - rhs) < 1e-8
 
     def test_ladder_invariant_under_generator_step(self, ladder25):
