@@ -8,9 +8,10 @@ All values are immutable and every operation is a pure function.
 from __future__ import annotations
 
 import math
+import sys
 from dataclasses import dataclass
 
-from .errors import InvalidArgument
+from .errors import DynamicRangeExceeded, InvalidArgument
 
 
 class _AllPoints:
@@ -95,13 +96,16 @@ Subgroup = Translation | Scaling
 
 
 def subgroup_eval(group: Subgroup, t: float) -> AffineMap:
-    """The group element at parameter t."""
+    """The group element at parameter t; DynamicRangeExceeded where a
+    scaling's slope base^t or its inverse's base^-t overflows a float."""
     if isinstance(group, Translation):
         return AffineMap(1.0, group.speed * t)
-    log_base = math.log(group.base)
-    slope = math.exp(t * log_base)
+    rate = t * math.log(group.base)
+    if not abs(rate) <= math.log(sys.float_info.max):
+        raise DynamicRangeExceeded(
+            f"the scaling x -> e^{rate:.6g} x or its inverse overflows a float")
     # center*(1 - base^t) via expm1 to avoid cancellation for small t
-    return AffineMap(slope, -group.center * math.expm1(t * log_base))
+    return AffineMap(math.exp(rate), -group.center * math.expm1(rate))
 
 
 @dataclass(frozen=True)

@@ -64,7 +64,8 @@ class InvalidRho(ExtflowError):
 
 
 class DynamicRangeExceeded(ExtflowError):
-    """Requested eigenvalues would span more than the supported magnitude range."""
+    """More magnitude range than a float holds: eigenvalues spanning too
+    many decades, or a scaling element whose slope or inverse's overflows."""
 
 
 class InsufficientData(ExtflowError):

@@ -14,6 +14,8 @@ one-parameter subgroup the elements form a one-parameter group exp(tX), so
 the sign of det X gives the class, the zeros of X's field are the invariant
 extensions for every t at once, and an elliptic X has the period
 pi/sqrt(det X).
+No model bounds t: an element exists wherever ``affine.subgroup_eval``
+gives one, unless ``gamma_map`` finds its denominator condition above 1e12.
 """
 
 from __future__ import annotations
@@ -84,7 +86,8 @@ def gamma_map(model, g: AffineMap) -> FlowMap:
     d = co.alpha * ov.cpp
     det = a * d - b * c
     scale = max(abs(a), abs(b), abs(c), abs(d))
-    condition = scale * scale / abs(det) if abs(det) > 0 else math.inf
+    # a det that over- or underflows leaves the condition unknown: infinite
+    condition = scale * scale / abs(det) if 0 < abs(det) < math.inf else math.inf
     if condition > 1e12:
         raise NearSingularDenominator(
             f"flow denominator condition {condition:.3e} for g={g}")
@@ -245,15 +248,16 @@ def invariant_extensions(model, group: Subgroup) -> InvarianceReport:
     )
 
 
-def period_detect(model, group: Subgroup, t_max: float,
+def period_detect(model, group: Subgroup, t_max: float = math.inf,
                   tol: float = 1e-8) -> float | None:
     """Smallest T in (0, t_max] whose flow element is the identity: pi/sqrt(det X)
     for an elliptic generator X, None for any other class or a longer period.
     Raises NumericalInconsistency when the element at T is farther than tol
-    from the identity (projective coefficient distance)."""
+    from the identity (projective coefficient distance), and
+    DynamicRangeExceeded when that element does not exist in floats."""
     det = generator(model, group).det
-    period = math.pi / math.sqrt(det) if det > 0 else math.inf
-    if period > t_max:
+    period = math.pi / math.sqrt(det) if det > 0 else None
+    if period is None or period > t_max:
         return None
     dist = gamma_map(model, subgroup_eval(group, period)).distance_to_identity()
     if dist > tol:

@@ -32,7 +32,7 @@ from functools import lru_cache
 
 import numpy as np
 
-from .affine import AffineMap, Scaling, Translation
+from .affine import AffineMap, Scaling, Translation, subgroup_eval
 from .errors import (
     IllPosed,
     InvalidArgument,
@@ -200,13 +200,6 @@ def log_gamma(z: complex) -> complex:
             + series / z - shift)
 
 
-def _expm1(z: complex) -> complex:
-    """e^z - 1 without cancellation near z = 0 (cmath has no expm1)."""
-    x, y = z.real, z.imag
-    return complex(math.expm1(x) * math.cos(y) - 2 * math.sin(y / 2) ** 2,
-                   math.exp(x) * math.sin(y))
-
-
 class InverseSquareModel:
     """Second-order model with potential gamma/x^2, indices (1, 1), built for
     GAMMA_MIN <= gamma < 3/4, invariant under scalings about the origin;
@@ -224,7 +217,6 @@ class InverseSquareModel:
     deficiency_dims = (1, 1)
     generator_kind = "schrodinger"
 
-    T_RANGE = 6.0
     GAMMA_MIN = -5e4
 
     def __init__(self, gamma: float):
@@ -258,37 +250,32 @@ class InverseSquareModel:
         self._norm_sq = (math.pi / (4 * self._cos_half)).real
 
     def _integral(self, log_ratio: complex, b2: complex) -> complex:
-        """I(a, b) = int_0^inf x K_mu(ax) K_mu(bx) dx
-        = pi (ab)^{-mu} (a^{2 mu} - b^{2 mu}) / (2 sin(mu pi) (a^2 - b^2)),
-        written with L = log(a/b) as pi sinh(mu L) / (sin(mu pi) b^2 expm1(2L)),
-        which stays finite at L = 0 and at mu = 0, where pi sinh(mu L) /
-        sin(mu pi) becomes L. ``b2`` is b^2."""
+        """|a/b| I(a, b), |b| = 1, with I(a, b) = int_0^inf x K_mu(ax) K_mu(bx) dx
+        = pi (ab)^{-mu} (a^{2 mu} - b^{2 mu}) / (2 sin(mu pi) (a^2 - b^2)):
+        with L = log(a/b), pi sinh(mu L) e^{-i Im L} / (2 sin(mu pi) b^2 sinh L).
+        It stays finite at L = 0 and at mu = 0, where pi sinh(mu L) / sin(mu pi)
+        becomes L, and |a/b| inside sinh L neither under- nor overflows."""
         if log_ratio == 0:
             return self._half_limit / b2
         if self.log_case:
             num = log_ratio
         else:
             num = cmath.sinh(self.mu * log_ratio) * self._pi_over_sin
-        return num / (b2 * _expm1(2 * log_ratio))
+        return num * cmath.exp(-1j * log_ratio.imag) / (2 * b2 * cmath.sinh(log_ratio))
 
     def _log_sigma(self, g: AffineMap) -> float:
         if abs(g.b) > 1e-12 * max(1.0, abs(g.a)):
             raise OutsideGroup(
                 "inverse-square model is invariant under scalings about 0 only")
-        t = math.log(g.a)
-        if abs(t) > self.T_RANGE + 1e-12:
-            raise OutsideGroup(
-                f"group parameter |t| = {abs(t):.3f} beyond the supported range "
-                f"{self.T_RANGE} of scaling parameters")
-        return -0.5 * t
+        return -0.5 * math.log(g.a)
 
     def overlap_matrix(self, g: AffineMap) -> OverlapData:
         """With a = k sigma, sigma = a_g^{-1/2}: cpp = sigma I(a, conj k) and
         cmp = sigma k I(a, k), over the squared norm."""
         log_sigma = self._log_sigma(g)
-        scale = g.a ** -0.5 / self._norm_sq
-        same = scale * self._integral(complex(log_sigma, -0.5 * math.pi), 1j)
-        cross = scale * cmath.exp(-0.25j * math.pi) * self._integral(log_sigma, -1j)
+        same = self._integral(complex(log_sigma, -0.5 * math.pi), 1j) / self._norm_sq
+        cross = (cmath.exp(-0.25j * math.pi) / self._norm_sq
+                 * self._integral(log_sigma, -1j))
         return OverlapData(cpp=same, cpm=cross.conjugate(),
                            cmp=cross, cmm=same.conjugate())
 
@@ -380,6 +367,7 @@ class InverseSquareModel:
     def representation(self, kind: str, t: float):
         if kind != "scaling":
             raise OutsideGroup(f"inverse-square model has no {kind!r} representation")
+        subgroup_eval(self.group, -t)   # U_g for g(x) = e^{-t} x, which must exist
         w = math.exp(t / 4)
         s = math.exp(t / 2)
 
@@ -428,6 +416,7 @@ class HalflineModel:
                 return lambda x: np.exp(1j * np.asarray(x, dtype=float) * t) * f(x)
             return transform
         if kind == "scaling":
+            subgroup_eval(Scaling(math.e, 0.0), -t)   # g(x) = e^{-t} x must exist
             w = math.exp(t / 2)
             s = math.exp(t)
 

@@ -91,13 +91,15 @@ class TestCommands:
         assert all(r["modulus"] <= 1 + 1e-10 for r in rows)
 
     def test_period_inverse_square_default_bound(self, tmp_path):
-        code, text = run_cli(tmp_path, "period", "--model", "inverse-square",
-                             "--gamma", "-25")
-        assert code == 0
-        results = json.loads(text)["results"]
-        assert results["t_max"] == 6.0
-        assert results["period"] == pytest.approx(
-            2 * math.pi / math.sqrt(24.75), abs=3e-15)
+        # no bound by default, reported as null: at -0.3 the period is 28.0993
+        for gamma, rel in ((-25.0, 3e-15), (-0.3, 1e-11)):
+            code, text = run_cli(tmp_path, "period", "--model", "inverse-square",
+                                 f"--gamma={gamma}")
+            assert code == 0
+            results = json.loads(text)["results"]
+            assert results["t_max"] is None
+            assert results["period"] == pytest.approx(
+                2 * math.pi / math.sqrt(-gamma - 0.25), rel=rel)
 
     def test_fixed_points_evaluates_each_element_once(self, tmp_path, monkeypatch):
         calls = []
@@ -108,6 +110,18 @@ class TestCommands:
                           "--t", "0.3,1,2.5")
         assert code == 0
         assert len(calls) == 3
+
+    @pytest.mark.parametrize("gamma, t", [("-2", "7"), ("0.5", "25"), ("0.74", "25"),
+                                          ("-0.26", "-690")])
+    def test_fixed_points_beyond_six(self, gamma, t, tmp_path):
+        # each point is read under the element or its inverse, whichever does
+        # not expand there; under the element alone the repelling point at
+        # gamma = 0.5, t = 25 reads 4.2e-7
+        code, text = run_cli(tmp_path, "fixed-points", "--model", "inverse-square",
+                             f"--gamma={gamma}", f"--t={t}")
+        assert code == 0
+        rows = json.loads(text)["results"]["rows"]
+        assert len(rows) >= 1 and all(r["residual"] <= 1e-13 for r in rows)
 
     def test_invariance_with_period(self, tmp_path):
         code, text = run_cli(tmp_path, "invariance", "--model", "interval",
@@ -351,10 +365,12 @@ class TestExitCodes:
 
     @pytest.mark.parametrize("gamma", ["-51145", "-1e6", "-1e300"])
     @pytest.mark.parametrize("command", ["invariance", "fixed-points", "period",
-                                         "flow-orbit"])
+                                         "flow-orbit", "shoot"])
     def test_gamma_below_the_model_floor(self, command, gamma, tmp_path, capsys):
-        # sin(pi mu) overflows below gamma = -51,144.7; the model stops at -5e4
-        code = cli.main([command, "--model", "inverse-square", f"--gamma={gamma}",
+        # sin(pi mu) overflows below gamma = -51,144.7; the model stops at -5e4,
+        # and shoot, whose work grows with nu, stops there too
+        model = [] if command == "shoot" else ["--model", "inverse-square"]
+        code = cli.main([command, *model, f"--gamma={gamma}",
                          "--out", str(tmp_path / "x.json")])
         err = capsys.readouterr().err
         assert code == 2
@@ -362,6 +378,38 @@ class TestExitCodes:
         assert err.count("\n") == 1 and "Traceback" not in err
         with pytest.raises(IllPosed):
             models.InverseSquareModel(float(gamma))
+
+    @pytest.mark.parametrize("argv", [
+        ["fixed-points", "--model", "inverse-square", "--t", "800"],
+        ["fixed-points", "--model", "inverse-square", "--t=-800"],
+        ["flow-orbit", "--model", "inverse-square", "--t=-1e4"],
+        ["period", "--model", "inverse-square", "--gamma=-0.25001"],
+        ["generator-check", "--model", "halfline", "--group", "scaling", "--t", "800"],
+        ["generator-check", "--model", "halfline", "--group", "scaling", "--t=-800"],
+        ["generator-check", "--model", "inverse-square", "--t=-800"],
+        ["generator-check", "--model", "inverse-square", "--t", "1500"],
+    ], ids=["fixed-points-800", "fixed-points--800", "orbit--1e4", "period-2pi/nu-1987",
+            "halfline-800", "halfline--800", "invsq--800", "invsq-1500"])
+    def test_scaling_beyond_the_float_range(self, argv, tmp_path, capsys):
+        # a scaling element exists while e^t and e^{-t} are finite floats
+        code = cli.main([*argv, "--out", str(tmp_path / "x.json")])
+        err = capsys.readouterr().err
+        assert code == 3
+        assert err.startswith("numerical/runtime failure: DynamicRangeExceeded:")
+        assert err.count("\n") == 1 and "Traceback" not in err
+
+    def test_hyperbolic_flow_stops_at_the_condition_guard(self, tmp_path, capsys):
+        code = cli.main(["fixed-points", "--model", "inverse-square", "--t", "100",
+                         "--out", str(tmp_path / "x.json")])
+        assert code == 3
+        assert "NearSingularDenominator" in capsys.readouterr().err
+
+    def test_generator_check_nan_fit_fails(self, tmp_path):
+        # the fit of the inverse-square scaling family is not finite at t = -20
+        code, text = run_cli(tmp_path, "generator-check", "--model", "inverse-square",
+                             "--t=-20")
+        assert code == 1
+        assert json.loads(text)["results"]["rows"][0]["residual"] == "nan"
 
     @pytest.mark.parametrize("command", ["invariance", "fixed-points", "period",
                                          "flow-orbit"])
@@ -531,8 +579,9 @@ _FLAGS = {
     "--gamma": (_number(-30.0, 0.7, "-25", "-2", "-0.26", "-0.25", "0"),
                 ["0.75", "nan", "-inf"]),
     "--group": (st.sampled_from(["translation", "scaling"]), ["rotation"]),
-    "--t": (st.lists(_number(-6.0, 6.0, "1", "0.3", "-1.5", "0"),
-                     min_size=1, max_size=3).map(",".join), ["7", "nan", "1,x"]),
+    "--t": (st.lists(_number(-6.0, 6.0, "1", "0.3", "-1.5", "0", "7"),
+                     min_size=1, max_size=3).map(",".join),
+            ["800", "-1e4", "nan", "1,x"]),
     "--n": (st.lists(st.sampled_from(["8", "64", "128", "256", "512"]),
                      min_size=1, max_size=3).map(",".join), ["4", "64,x"]),
     "--tol": (_number(1e-14, 1e-3, "1e-6"), ["0", "-1"]),

@@ -14,7 +14,12 @@ from extflow.affine import (
     compose,
     subgroup_eval,
 )
-from extflow.errors import NumericalInconsistency, OutsideGroup, UnsupportedIndices
+from extflow.errors import (
+    DynamicRangeExceeded,
+    NumericalInconsistency,
+    OutsideGroup,
+    UnsupportedIndices,
+)
 from extflow.flow import (
     DISSIPATIVE,
     SELF_ADJOINT,
@@ -301,17 +306,23 @@ class TestPeriodDetect:
         period = period_detect(m, Translation(1.0), t_max=1.4 * expect, tol=1e-8)
         assert period == pytest.approx(expect, rel=1e-11)
 
-    @pytest.mark.parametrize("gamma", [-2.0, -25.0])
+    @pytest.mark.parametrize("gamma", [-2.0, -25.0, -0.3, -0.26, -0.2501])
     def test_inverse_square_period_is_two_pi_over_nu(self, gamma):
+        # no bound by default: the period 628.3 at -0.2501 is found too
         expect = 2 * math.pi / math.sqrt(-gamma - 0.25)
         m = models.inverse_square(gamma)
-        period = period_detect(m, SCALING, t_max=m.T_RANGE)
-        assert period == pytest.approx(expect, abs=1e-14)
+        assert period_detect(m, SCALING) == pytest.approx(expect, rel=1e-15)
 
     def test_period_beyond_t_max_is_none(self):
-        # nu = sqrt(0.05): the period 28.1 lies beyond the model's range
+        # nu = sqrt(0.05): the period 28.0993 lies beyond t_max = 28
         m = models.inverse_square(-0.3)
-        assert period_detect(m, SCALING, t_max=m.T_RANGE) is None
+        assert period_detect(m, SCALING, t_max=28.0) is None
+        assert period_detect(m, SCALING, t_max=28.1) == pytest.approx(28.0993, abs=1e-4)
+
+    def test_period_without_an_element_is_a_range_error(self):
+        # nu = sqrt(1e-5): the period 1986.9 needs the slope e^{1986.9}
+        with pytest.raises(DynamicRangeExceeded):
+            period_detect(models.inverse_square(-0.25001), SCALING)
 
     @pytest.mark.parametrize("model, group", [
         (models.interval_derivative(1e-3), Translation(1.0)),
@@ -335,10 +346,14 @@ class TestPeriodDetect:
 
     @pytest.mark.parametrize("gamma", [0.0, -1.0])
     def test_scan_oracle_agrees_inverse_square(self, gamma):
-        # no period: hyperbolic at 0, and 2 pi/nu = 7.3 beyond the range at -1
+        # hyperbolic at 0, no period; at -1 the period 2 pi/nu = 7.26
         m = models.inverse_square(gamma)
-        assert period_detect(m, SCALING, m.T_RANGE) is None
-        assert scan_period(m, SCALING, m.T_RANGE, grid=16) is None
+        found = period_detect(m, SCALING, 8.0)
+        scanned = scan_period(m, SCALING, 8.0, grid=16)
+        if gamma == 0.0:
+            assert found is None and scanned is None
+        else:
+            assert found == pytest.approx(scanned, abs=1e-6)
 
 
 def _logarithm(model, group, t, angle):
@@ -357,9 +372,9 @@ def _logarithm(model, group, t, angle):
 def log_generator(model, group):
     """Reference X = log(flow element at t)/t, read from the elements alone.
     A coarse X from t = 1e-3 fixes the logarithm's branch at the angle
-    0.45 pi, away from trace +-2. Up to 32 more periods, within the model's
-    range of t, divide the angle error that remains."""
-    t_range = getattr(model, "T_RANGE", math.inf)
+    0.45 pi, away from trace +-2. Up to 32 more periods, within |t| <= 6 for
+    a scaling flow, divide the angle error that remains."""
+    t_range = 6.0 if isinstance(group, Scaling) else math.inf
     gen = _logarithm(model, group, 1e-3, 0.0)
     rate = abs(cmath.sqrt(gen[3]))
     if rate == 0.0:
@@ -443,18 +458,34 @@ class TestGenerator:
         with pytest.raises(OutsideGroup):
             generator(model, group)
 
-    @pytest.mark.parametrize("model, group, tol", [
-        (models.interval_derivative(1.0), Translation(1.0), 4e-15),
-        (models.interval_derivative(40.0), Translation(1.0), 4e-15),
-        (models.inverse_square(0.0), SCALING, 1.6e-13),
-        (models.inverse_square(-2.0), SCALING, 3e-15),
-    ], ids=["l=1", "l=40", "gamma=0", "gamma=-2"])
-    def test_exponential_reproduces_flow_elements(self, model, group, tol):
-        # measured 3.1e-16, 4.0e-16, 1.6e-14 and 2.5e-16
+    @pytest.mark.parametrize("model, group, t_max, tol", [
+        (models.interval_derivative(1.0), Translation(1.0), 700.0, 9e-15),
+        (models.interval_derivative(40.0), Translation(1.0), 700.0, 1e-14),
+        (models.inverse_square(0.0), SCALING, 50.0, 4e-14),
+        (models.inverse_square(-2.0), SCALING, 700.0, 8e-15),
+        (models.inverse_square(-0.26), SCALING, 700.0, 1e-13),
+        (models.inverse_square(-0.25), SCALING, 690.0, 1.2e-13),
+        (models.inverse_square(0.5), SCALING, 30.0, 4e-14),
+        (models.inverse_square(0.74), SCALING, 25.0, 3.5e-14),
+        (models.inverse_square(-1000.0), SCALING, 700.0, 2e-14),
+    ], ids=["l=1", "l=40", "gamma=0", "gamma=-2", "gamma=-0.26", "gamma=-0.25",
+            "gamma=0.5", "gamma=0.74", "gamma=-1000"])
+    def test_exponential_reproduces_flow_elements(self, model, group, t_max, tol):
+        # the action on the sample parameters, out to t_max: the hyperbolic
+        # flows up to below their condition guard (3.6e10 at gamma = 0,
+        # t = 50), the others to the edge of the float range. Bounds are 10x
+        # the measured 8.5e-16, 9.4e-16, 3.6e-15, 7.8e-16, 1e-14, 1.2e-14,
+        # 4e-15, 3.5e-15 and 2e-15. The coefficients are not compared: at
+        # unit determinant they grow like sqrt(condition)
         gen = generator(model, group)
-        for t in (0.3, 1.1, -2.4, 5.9):
+        for t in (0.3, 1.1, -2.4, 5.9, 7.0, 25.0, -25.0, 30.0, -30.0, 50.0, -50.0,
+                  100.0, -100.0, 200.0, -200.0, 700.0, -690.0):
+            if abs(t) > t_max:
+                continue
             fm = gamma_map(model, subgroup_eval(group, t))
-            assert mobius.projective_distance(gen.exp(t), fm.mobius) <= tol
+            exact = gen.exp(t)
+            assert max(abs(mobius.apply(fm.mobius, v) - mobius.apply(exact, v))
+                       for v in flow._sample_parameters(25)) <= tol
 
     @pytest.mark.parametrize("model, group", GENERATOR_CASES, ids=GENERATOR_IDS)
     def test_central_difference_of_the_elements(self, model, group):

@@ -6,7 +6,13 @@ import pytest
 
 from extflow import models
 from extflow.affine import IDENTITY, AffineMap, Scaling, Translation, subgroup_eval
-from extflow.errors import IllPosed, InvalidBoundary, OutsideGroup, UnsupportedIndices
+from extflow.errors import (
+    DynamicRangeExceeded,
+    IllPosed,
+    InvalidBoundary,
+    OutsideGroup,
+    UnsupportedIndices,
+)
 from extflow.numerics import quad_finite
 
 
@@ -194,16 +200,18 @@ class TestInverseSquareModel:
         assert abs(ov.cmp - expect) < 2e-15
 
     def test_scaled_overlap_closed_form(self, invsq0):
-        t = 1.0
-        sigma = math.exp(-t / 2)
-        ov = invsq0.overlap_matrix(AffineMap(math.exp(t), 0.0))
+        # relative to each block, which lies near e^{-175} at |t| = 700
         kp = np.exp(-1j * math.pi / 4)
-        expect_cpp = math.sqrt(2) * math.sqrt(sigma) / (kp * sigma + np.conj(kp))
-        expect_cmp = math.sqrt(2) * math.sqrt(sigma) * np.exp(1j * math.pi / 4) / (sigma + 1.0)
-        assert abs(ov.cpp - expect_cpp) < 2e-15
-        assert abs(ov.cmp - expect_cmp) < 2e-15
-        assert abs(ov.cmm - np.conj(expect_cpp)) < 2e-15
-        assert abs(ov.cpm - np.conj(expect_cmp)) < 2e-15
+        for t in (1.0, 40.0, -40.0, 700.0, -700.0):
+            sigma = math.exp(-t / 2)
+            ov = invsq0.overlap_matrix(AffineMap(math.exp(t), 0.0))
+            root = math.sqrt(2) * math.exp(-t / 4)
+            expect_cpp = root / (kp * sigma + np.conj(kp))
+            expect_cmp = root * np.exp(1j * math.pi / 4) / (sigma + 1.0)
+            assert abs(ov.cpp - expect_cpp) < 2e-15 * abs(expect_cpp)
+            assert abs(ov.cmp - expect_cmp) < 2e-15 * abs(expect_cmp)
+            assert abs(ov.cmm - np.conj(expect_cpp)) < 2e-15 * abs(expect_cpp)
+            assert abs(ov.cpm - np.conj(expect_cmp)) < 2e-15 * abs(expect_cmp)
 
     def test_friedrichs_krein_at_zero_coupling(self, invsq0):
         assert abs(invsq0.vn_from_boundary("friedrichs") - 1.0) < 3e-15
@@ -240,8 +248,16 @@ class TestInverseSquareModel:
             invsq0.overlap_matrix(AffineMap(1.0, 1.0))
 
     def test_range_limit(self, invsq0):
-        with pytest.raises(OutsideGroup):
-            invsq0.overlap_matrix(AffineMap(math.exp(7.0), 0.0))
+        # the scaling group has no range of its own: the element exists while
+        # its slope e^t and the inverse's e^{-t} are finite positive floats
+        invsq0.overlap_matrix(AffineMap(math.exp(7.0), 0.0))
+        for t in (709.78, -709.78):
+            subgroup_eval(invsq0.group, t)
+        for t in (709.79, -709.79, -800.0, 1e4):
+            with pytest.raises(DynamicRangeExceeded):
+                subgroup_eval(invsq0.group, t)
+            with pytest.raises(DynamicRangeExceeded):
+                invsq0.representation("scaling", -t)
 
     def test_gram_positivity(self, invsq0):
         rng = np.random.default_rng(3)

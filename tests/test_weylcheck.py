@@ -254,6 +254,21 @@ class TestGeneratorInvariance:
             assert chk.scale == pytest.approx(math.exp(-t), abs=1e-6)
             assert abs(chk.phase_factor - 1.0) <= 1e-6
 
+    def test_scaling_relation_is_relative(self):
+        # the scale must be e^{-t} within 1e-6 relative: an absolute 1e-6
+        # passed a scale of 0, and a relative error of 2e-5, at t = 20
+        def check(scale, t, phase=1.0):
+            return weylcheck.GeneratorCheck(0.0, scale, 0j, phase, {}).fits_scaling(t)
+
+        for t in (-700.0, -20.0, 0.5, 20.0, 700.0):
+            assert check(math.exp(-t) * (1 + 9e-7), t)
+            assert not check(math.exp(-t) * (1 + 2e-5), t)
+            assert not check(math.exp(-t), t, phase=1.0 + 2e-6)
+        for scale in (0j, complex(math.nan), complex(math.inf), 1e300 + 0j):
+            for t in (-1e4, 20.0, 1e4):
+                assert not check(scale, t)
+        assert check(math.exp(-1e-3), 1e-3) and not check(math.exp(-1e-3), 1e4)
+
     def test_halfline_translation(self):
         m = models.halfline_derivative()
         chk = weylcheck.generator_invariance_residual(m, "translation", 1.4)
