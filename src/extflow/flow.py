@@ -84,8 +84,12 @@ def gamma_map(model, g: AffineMap) -> FlowMap:
     b = co.gamma_c * ov.cmp
     c = -co.beta * ov.cpm
     d = co.alpha * ov.cpp
-    det = a * d - b * c
     scale = max(abs(a), abs(b), abs(c), abs(d))
+    # one power of two brings the coefficients, which grow like e^{-t/2},
+    # into [1/2, 1) exactly, so their determinant cannot over- or underflow
+    unit = math.ldexp(1.0, min(1023, -math.frexp(scale)[1]))
+    a, b, c, d, scale = a * unit, b * unit, c * unit, d * unit, scale * unit
+    det = a * d - b * c
     # a det that over- or underflows leaves the condition unknown: infinite
     condition = scale * scale / abs(det) if 0 < abs(det) < math.inf else math.inf
     if condition > 1e12:

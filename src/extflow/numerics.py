@@ -3,11 +3,11 @@
 Adaptive Gauss-Kronrod quadrature over a finite interval (complex
 integrands), a Dormand-Prince 5(4) solver for a real scalar equation
 y' = f(x, y) and an Illinois bracketed root finder. The solver serves only
-the shooting residual that checks each closed-form ladder rung in
-``spectra``, where it carries a Pruefer phase; tests use the quadrature and
-the root finder as oracles. The inverse-square model is in closed form, and
-the grid operators of the Weyl checks are diagonals times shifts (see
-``weylcheck``), so neither needs a kernel here.
+the inward shot of the shooting check in ``spectra``, once per ladder,
+where it carries a Pruefer phase; tests use the quadrature, the root finder
+and the former outward shot as oracles. The inverse-square model is in
+closed form, and the grid operators of the Weyl checks are diagonals times
+shifts (see ``weylcheck``), so neither needs a kernel here.
 
 Integrands are called with numpy arrays of nodes; ODE right-hand sides
 f(x, y) and root-finder functions with Python floats. All of them must be

@@ -11,13 +11,13 @@ maps the set into itself two rungs at a time and is reported alongside as
 ``kappa``.
 
 Each rung is read from the closed form and checked by shooting, which shares
-no code with it: an outward and an inward Dormand-Prince shot of the modified
-Pruefer phase in sigma = log(k x) meet at x = 1/k. The inward shot has no k
-in it, so one serves the whole ladder. It starts where the WKB action past
-the matching point, or past the turning point if that lies farther out,
-reaches S_IN = 18, which damps its start error by e^{-36}. The residual is
-the phase gap modulo pi, in radians, and the gap's multiple of pi counts the
-rungs, so a ladder that skips or repeats one raises NumericalInconsistency.
+no code with it: two modified Pruefer phases in sigma = log(k x) meet at
+x = 1/k. The outward one sums the regular solution's power series (DLMF
+10.25.2). The inward one is a Dormand-Prince shot with no k in it, one per
+ladder, started where the WKB action past max(nu, 1) reaches S_IN = 18,
+which damps its start error by e^{-36}. The residual is the phase gap
+modulo pi, in radians, and the gap's multiple of pi counts the rungs, so a
+ladder that skips or repeats one raises NumericalInconsistency.
 """
 
 from __future__ import annotations
@@ -121,9 +121,6 @@ def interval_dissipative_lattice(length: float, rho: complex, window,
 # shooting for the inverse-square model below the critical coupling
 # ---------------------------------------------------------------------------
 
-# the outward shot starts at k x = 1e-6, where the boundary form's neglected
-# term is O((k x)^2 / nu^2) = O(1e-12 / nu^2)
-_SIGMA_OUT = math.log(1e-6)
 # the inward shot starts where the WKB action beyond the matching point (or
 # beyond the turning point, when that lies outside it) is S_IN. Shot inward,
 # the decaying solution grows like e^{S} and the other solution, which a
@@ -181,21 +178,28 @@ def _inward_phase(gamma: float, nu: float) -> float:
 
 
 def _mismatch(nu: float, theta: float, lam: float, phi_in: float) -> float:
-    """Unwrapped phase gap phi_out - phi_in at the matching point
-    x = 1/sqrt(|lam|): a multiple of pi exactly at an eigenvalue, so a
-    rung's residual is |remainder(gap, pi)| in radians.
+    """Unwrapped phase gap phi_out - phi_in at x = 1/sqrt(|lam|): a multiple
+    of pi exactly at an eigenvalue; a rung's residual is |remainder(gap, pi)|.
 
-    In sigma = log(k x), lam = -k^2, the function w = u/sqrt(x) obeys
-    w'' = (e^{2 sigma} - nu^2) w for every k, so its Pruefer phase
-    (``_phase_rate``) has no k in it. The outward shot starts from the
-    boundary form sqrt(x) sin(nu log x + theta), whose phase is
-    nu sigma + theta - nu log k, so the start carries the rung index; the
-    inward phase ``phi_in`` (``_inward_phase``) depends on nu alone and is
-    passed in, shot once for the whole ladder."""
-    k = math.sqrt(-lam)
-    phi_out = ode_solve(_phase_rate(nu), _SIGMA_OUT,
-                        nu * _SIGMA_OUT + theta - nu * math.log(k), 0.0,
-                        tol=_PHASE_TOL).y_end
+    With z = k x = e^sigma and lam = -k^2, w = u/sqrt(x) solves
+    w'' = (e^{2 sigma} - nu^2) w. The solution with the boundary form
+    sqrt(x) sin(nu log x + theta) is w = Im(e^{i psi0} z^{i nu} sum a_m z^2m),
+    psi0 = theta - nu log k, a_m = (1/4)^m / (m! (1 + i nu)_m) (DLMF 10.25.2
+    over Gamma(1 + i nu)), summed at z = 1 to 1e-17. The phase lags
+    psi0 + nu sigma by less than pi (phi' <= nu, and phi never crosses a
+    multiple of pi downward), which fixes the branch; ``phi_in`` is the
+    ladder's one ``_inward_phase``."""
+    psi0 = theta - nu * math.log(math.sqrt(-lam))
+    term, total, slope = 1.0 + 0j, 1.0 + 0j, 0j   # slope: sum of 2 m a_m
+    for m in range(1, 64):            # |a_m| <= 1 / (4^m m!^2): m <= 10
+        term /= 4 * m * (m + 1j * nu)
+        total += term
+        slope += 2 * m * term
+        if 2 * m * abs(term) <= 1e-17 * abs(total):
+            break
+    c = complex(math.cos(psi0), math.sin(psi0))
+    w, dw = (c * total).imag, (c * (1j * nu * total + slope)).imag
+    phi_out = psi0 + math.remainder(math.atan2(nu * w, dw) - psi0, 2 * math.pi)
     return phi_out - phi_in
 
 
@@ -204,11 +208,18 @@ def _ladder(nu: float, phase: float, count: int) -> list:
     small-x form of sqrt(x) K_{i nu}(k x) (DLMF 10.45): lambda_n = -k_n^2
     with nu log k_n = offset + n pi, where any branch of arg Gamma(1 + i nu)
     works (n absorbs multiples of pi). Listed by rising n, so each rung lies
-    one ladder step below the one before."""
+    one ladder step below the one before; a rung that is not a positive
+    finite float (near nu = 0) raises DynamicRangeExceeded."""
     offset = phase + log_gamma(1 + 1j * nu).imag + nu * math.log(2.0)
     n_lo = math.ceil(-0.6 - offset / math.pi)
-    return [-math.exp(2 * (offset + n * math.pi) / nu)
-            for n in range(n_lo, n_lo + count)]
+    try:
+        values = [-math.exp(2 * (offset + n * math.pi) / nu)
+                  for n in range(n_lo, n_lo + count)]
+    except OverflowError:
+        values = [-math.inf]
+    if not all(-math.inf < lam < 0 for lam in values):
+        raise DynamicRangeExceeded(f"a rung leaves the positive floats at nu = {nu:.3e}")
+    return values
 
 
 def shoot_negative_eigenvalues(gamma: float, theta: float, count: int) -> EigenList:
@@ -224,10 +235,10 @@ def shoot_negative_eigenvalues(gamma: float, theta: float, count: int) -> EigenL
     if not 1 <= count <= 4:
         raise InvalidArgument("count must be between 1 and 4")
     nu = math.sqrt(-gamma - 0.25)
-    span = math.exp(2 * math.pi / nu * (count - 1))
-    if span > _RANGE_LIMIT:
+    log_span = 2 * math.pi / nu * (count - 1)   # no exp: it overflows near nu = 0
+    if log_span > math.log(_RANGE_LIMIT):
         raise DynamicRangeExceeded(
-            f"{count} rungs would span a factor {span:.3e} > {_RANGE_LIMIT:.0e}")
+            f"{count} rungs would span a factor e^{log_span:.4g} > {_RANGE_LIMIT:.0e}")
     phase = math.remainder(theta, math.pi)   # ValueError unless finite
     values = _ladder(nu, phase, count)
     phi_in = _inward_phase(gamma, nu)

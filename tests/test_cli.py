@@ -398,6 +398,38 @@ class TestExitCodes:
         assert err.startswith("numerical/runtime failure: DynamicRangeExceeded:")
         assert err.count("\n") == 1 and "Traceback" not in err
 
+    @pytest.mark.parametrize("argv", [
+        ["--gamma=-0.25001", "--theta=1.2", "--count=1"],
+        ["--gamma=-0.250001", "--theta=2.0", "--count=1"],
+        ["--gamma=-0.25000001", "--theta=0.7", "--count=1"],
+        ["--gamma=-0.25000001", "--theta=2.0", "--count=1"],
+        ["--gamma=-0.2501", "--theta=0.7", "--count=4"],
+    ], ids=["overflow", "underflow", "nu=1e-4-overflow", "nu=1e-4-underflow", "span"])
+    def test_shoot_rungs_beyond_the_floats(self, argv, tmp_path, capsys):
+        # near gamma = -1/4 one ladder step is e^{2 pi / nu}: a rung, or the
+        # span of four, leaves the floats
+        code = cli.main(["shoot", *argv, "--out", str(tmp_path / "x.json")])
+        err = capsys.readouterr().err
+        assert code == 3
+        assert err.startswith("numerical/runtime failure: DynamicRangeExceeded:")
+        assert err.count("\n") == 1 and "Traceback" not in err
+
+    @pytest.mark.parametrize("gamma, t", [("-0.25", "-698"), ("-0.25", "-700"),
+                                          ("-2", "-708.5")])
+    def test_fixed_points_at_the_negative_edge(self, gamma, t, tmp_path):
+        # the unscaled coefficients grow like e^{-t/2}, and their determinant
+        # overflowed here; measured residuals <= 6.9e-14
+        code, text = run_cli(tmp_path, "fixed-points", "--model", "inverse-square",
+                             f"--gamma={gamma}", f"--t={t}")
+        assert code == 0
+        rows = json.loads(text)["results"]["rows"]
+        zeros = flow.generator(models.inverse_square(float(gamma)),
+                               affine.Scaling(math.e, 0.0)).zeros()
+        assert len(rows) >= 1
+        for r in rows:
+            assert min(abs(complex(r["re"], r["im"]) - z) for z in zeros) <= flow.FP_TOL
+            assert r["residual"] <= 1e-12
+
     def test_hyperbolic_flow_stops_at_the_condition_guard(self, tmp_path, capsys):
         code = cli.main(["fixed-points", "--model", "inverse-square", "--t", "100",
                          "--out", str(tmp_path / "x.json")])

@@ -487,6 +487,18 @@ class TestGenerator:
             assert max(abs(mobius.apply(fm.mobius, v) - mobius.apply(exact, v))
                        for v in flow._sample_parameters(25)) <= tol
 
+    @pytest.mark.parametrize("gamma", [-0.25, -0.26, -2.0, -1000.0, -5e4])
+    def test_elements_reach_the_negative_edge(self, gamma):
+        # the coefficients, scaled by one power of two, keep a finite
+        # determinant out to the float range; measured <= 5e-15 from exp(tX)
+        model = models.inverse_square(gamma)
+        gen = generator(model, SCALING)
+        for t in (-698.0, -700.0, -705.0, -708.5, -709.7):
+            fm = gamma_map(model, subgroup_eval(SCALING, t))
+            exact = gen.exp(t)
+            assert max(abs(mobius.apply(fm.mobius, v) - mobius.apply(exact, v))
+                       for v in flow._sample_parameters(25)) <= 5e-14
+
     @pytest.mark.parametrize("model, group", GENERATOR_CASES, ids=GENERATOR_IDS)
     def test_central_difference_of_the_elements(self, model, group):
         # 8th-order central difference of the elements at t = 0, each taken
