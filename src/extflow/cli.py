@@ -4,9 +4,12 @@ JSON/CSV report emission.
 Commands: flow-orbit, fixed-points, invariance, period, spectrum, shoot,
 fk-params, weyl, generator-check, refine, certify-nonequivalence, all.
 Configuration comes from flags, optionally read from a flat key=value
-file (# comments); flags override the file. Reports are byte-stable for a
-fixed configuration: numbers are printed with 17 significant digits and
-wall-clock timings go to stderr, never into the payload.
+file (# comments); flags override the file. One table, _KEYS, declares
+every key; each command takes the keys of its _COMMAND_KEYS row, which its
+report echoes, and the run-wide jobs, out and format. Reports are
+byte-stable for a fixed configuration, whatever --jobs is: numbers are
+printed with 17 significant digits and wall-clock timings go to stderr,
+never into the payload.
 
 Exit codes: 0 when every check in the run passed, 2 on configuration
 errors, 3 on numerical failures (or unwritable output).
@@ -66,26 +69,8 @@ class RunConfig:
     t_max: float | None = None
 
     def echo(self) -> dict:
-        return {
-            "command": self.command,
-            "model": self.model,
-            "l": self.length,
-            "gamma": self.gamma,
-            "group": self.group,
-            "t": list(self.t_values),
-            "n": list(self.n_values),
-            "tol": self.tol,
-            "jobs": self.jobs,
-            "format": self.fmt,
-            "theta": self.theta,
-            "rho": self.rho,
-            "window": list(self.window),
-            "count": self.count,
-            "on_grid": self.on_grid,
-            "l2": self.length2,
-            "v0": self.v0,
-            "t_max": self.t_max,
-        }
+        """The command's own keys and their values; run-wide keys stay out."""
+        return {key: getattr(self, _KEYS[key][0]) for key in _COMMAND_KEYS[self.command]}
 
 
 @dataclass
@@ -143,76 +128,87 @@ def read_config_file(path: str) -> dict:
     return values
 
 
-_FILE_KEYS = {
-    "model": str, "l": float, "gamma": float, "group": str,
-    "t": _parse_float_list, "n": _parse_int_list, "tol": float, "jobs": int,
-    "out": str, "format": str, "theta": float,
-    "rho": _parse_complex, "window": _parse_float_list, "count": int,
-    "on_grid": lambda s: s.lower() in ("1", "true", "yes", "on"),
-    "l2": float, "v0": _parse_complex, "t_max": float,
+def _parse_bool(text) -> bool:
+    return str(text).lower() in ("1", "true", "yes", "on")
+
+
+# key -> (RunConfig field, parser of its text, help); each key is a flag
+# --key (underscores as dashes) and a config-file key. --on-grid is a switch.
+_KEYS = {
+    "model": ("model", str, "interval, inverse-square or halfline"),
+    "l": ("length", float, "interval length"),
+    "gamma": ("gamma", float, "inverse-square coupling"),
+    "group": ("group", str, "translation or scaling"),
+    "t": ("t_values", _parse_float_list, "group parameter(s), comma separated"),
+    "n": ("n_values", _parse_int_list, "grid size(s), comma separated"),
+    "tol": ("tol", float, "check tolerance"),
+    "theta": ("theta", float, "boundary phase angle"),
+    "rho": ("rho", _parse_complex, "interval boundary multiplier, e.g. 0.36 or 0.3+0.1j"),
+    "window": ("window", _parse_float_list, "lo,hi"),
+    "count": ("count", int, "eigenvalue count for shoot"),
+    "on_grid": ("on_grid", _parse_bool, "shift by a whole number of grid steps"),
+    "l2": ("length2", float, "second interval length"),
+    "v0": ("v0", _parse_complex, "orbit start parameter"),
+    "t_max": ("t_max", float, "period search bound"),
+    "jobs": ("jobs", int, "worker threads"),
+    "out": ("out", str, "output path (default stdout)"),
+    "format": ("fmt", str, "json or csv"),
+}
+
+# how a run is carried out, not what it computes: every command takes them
+# and no payload echoes them
+_RUN_KEYS = ("jobs", "out", "format")
+
+_FLOW_KEYS = ("model", "l", "gamma", "group")
+# the keys each command reads, and echoes
+_COMMAND_KEYS = {
+    "flow-orbit": (*_FLOW_KEYS, "t", "v0"),
+    "fixed-points": (*_FLOW_KEYS, "t", "tol"),
+    "invariance": (*_FLOW_KEYS, "t_max"),
+    "period": (*_FLOW_KEYS, "tol", "t_max"),
+    "spectrum": ("l", "theta", "rho", "window"),
+    "shoot": ("gamma", "theta", "count"),
+    "fk-params": ("gamma",),
+    "weyl": ("l", "n", "t", "on_grid"),
+    "generator-check": (*_FLOW_KEYS, "t", "tol"),
+    "refine": ("l", "n", "t", "on_grid"),
+    "certify-nonequivalence": ("l", "l2", "n"),
+    "all": (),
 }
 
 
 def load_config(args: argparse.Namespace) -> RunConfig:
-    """Merge config file (if any) with flags; flags win. Validates model
-    and group compatibility before dispatch."""
-    if args.command == "invariance" and args.t is not None:
-        raise ParseError("invariance: the flow is sampled at its own t values; "
-                         "--t is not an option of this command")
-    file_values = {}
+    """Merge config file (if any) with flags; flags win. A key outside the
+    command's own and the run-wide keys is an error wherever it was given.
+    Validates model and group compatibility before dispatch."""
+    values = {}
     if args.config:
-        raw = read_config_file(args.config)
-        for key, value in raw.items():
-            if key not in _FILE_KEYS:
+        for key, text in read_config_file(args.config).items():
+            if key not in _KEYS:
                 raise ParseError(f"unknown config key {key!r}")
             try:
-                file_values[key] = _FILE_KEYS[key](value)
+                values[key] = _KEYS[key][1](text)
             except (ValueError, TypeError) as exc:
-                raise ParseError(f"bad value for {key!r}: {value!r}") from exc
-
-    def pick(flag_value, key, default):
-        if flag_value is not None:
-            return flag_value
-        if key in file_values:
-            return file_values[key]
-        return default
-
-    cfg = RunConfig(
-        command=args.command,
-        model=pick(args.model, "model", None),
-        length=pick(args.l, "l", 1.0),
-        gamma=pick(args.gamma, "gamma", 0.0),
-        group=pick(args.group, "group", None),
-        t_values=pick(args.t, "t", [1.0]),
-        n_values=pick(args.n, "n", [256]),
-        tol=pick(args.tol, "tol", None),
-        jobs=pick(args.jobs, "jobs", 1),
-        out=pick(args.out, "out", None),
-        fmt=pick(args.format, "format", "json"),
-        theta=pick(args.theta, "theta", None),
-        rho=pick(args.rho, "rho", None),
-        window=tuple(pick(args.window, "window", [-20.0, 20.0])),
-        count=pick(args.count, "count", 3),
-        on_grid=pick(args.on_grid or None, "on_grid", False),
-        length2=pick(args.l2, "l2", None),
-        v0=pick(args.v0, "v0", 0.3 + 0j),
-        t_max=pick(args.t_max, "t_max", None),
-    )
+                raise ParseError(f"bad value for {key!r}: {text!r}") from exc
+    values.update((key, value) for key, value in vars(args).items()
+                  if key in _KEYS and value is not None)
+    allowed = _COMMAND_KEYS[args.command]
+    for key in values:
+        if key not in allowed and key not in _RUN_KEYS:
+            raise ParseError(f"{args.command}: {key!r} is not a key of this command "
+                             f"(its keys: {', '.join(allowed) or 'none'})")
+    cfg = RunConfig(args.command, **{_KEYS[key][0]: value for key, value in values.items()})
     _validate(cfg)
     return cfg
 
 
-_NEEDS_MODEL = {"flow-orbit", "fixed-points", "invariance", "period",
-                "generator-check"}
-_GRID_COMMANDS = {"weyl", "refine", "certify-nonequivalence"}
-
-
 def _validate(cfg: RunConfig):
+    keys = _COMMAND_KEYS[cfg.command]
     numbers = [*cfg.t_values, *cfg.window, cfg.length, cfg.gamma, cfg.tol, cfg.theta,
                cfg.rho, cfg.length2, cfg.v0, cfg.t_max]
     if not all(cmath.isfinite(x) for x in numbers if x is not None):
         raise ParseError(f"{cfg.command}: every numeric input must be finite")
-    if cfg.command in _NEEDS_MODEL:
+    if "model" in keys:
         if cfg.model is None:
             raise ParseError(f"{cfg.command}: missing required field 'model'")
         if cfg.model not in _MODEL_GROUPS:
@@ -224,9 +220,10 @@ def _validate(cfg: RunConfig):
             raise IncompatibleModelGroup(
                 f"model {cfg.model!r} is not invariant under {group!r}")
         cfg.group = group
+    if "l2" in keys and cfg.length2 is None:
+        raise ParseError(f"{cfg.command}: missing required field 'l2'")
     floor = models.InverseSquareModel.GAMMA_MIN
-    inverse_square = cfg.command == "shoot" or (
-        cfg.command in _NEEDS_MODEL and cfg.model == "inverse-square")
+    inverse_square = cfg.command == "shoot" or cfg.model == "inverse-square"
     if inverse_square and not floor <= cfg.gamma < 0.75:
         raise ParseError(f"gamma must lie in [{floor:g}, 3/4), got {cfg.gamma}")
     if cfg.command == "shoot":
@@ -235,7 +232,7 @@ def _validate(cfg: RunConfig):
         if not cfg.gamma < -0.25:
             raise ParseError(
                 f"shoot: gamma must be below -1/4 (oscillatory boundary), got {cfg.gamma}")
-    if cfg.command in _GRID_COMMANDS and min(cfg.n_values, default=0) < 8:
+    if "n" in keys and min(cfg.n_values, default=0) < 8:
         raise ParseError(f"{cfg.command}: every grid size n must be at least 8")
     if cfg.command == "refine" and len(set(cfg.n_values)) < 3:
         raise ParseError("refine: need at least three distinct grid sizes in 'n'")
@@ -460,8 +457,6 @@ def _cmd_refine(cfg):
 
 
 def _cmd_certify(cfg):
-    if cfg.length2 is None:
-        raise ParseError("certify-nonequivalence: missing required field 'l2'")
     rep = weylcheck.nonequivalence_certificate(cfg.length, cfg.length2,
                                                n=cfg.n_values[0])
     results = {
@@ -618,28 +613,12 @@ def build_parser() -> argparse.ArgumentParser:
                     "commutation-relation checks for the bundled operator models.")
     parser.add_argument("command", choices=COMMANDS)
     parser.add_argument("--config", help="flat key = value configuration file")
-    parser.add_argument("--model", choices=sorted(_MODEL_GROUPS))
-    parser.add_argument("--l", type=float, help="interval length")
-    parser.add_argument("--gamma", type=float, help="inverse-square coupling")
-    parser.add_argument("--group", choices=["translation", "scaling"])
-    parser.add_argument("--t", type=_parse_float_list,
-                        help="group parameter(s), comma separated")
-    parser.add_argument("--n", type=_parse_int_list,
-                        help="grid size(s), comma separated")
-    parser.add_argument("--tol", type=float)
-    parser.add_argument("--jobs", type=int)
-    parser.add_argument("--out", help="output path (default stdout)")
-    parser.add_argument("--format", choices=["json", "csv"])
-    parser.add_argument("--theta", type=float, help="boundary phase angle")
-    parser.add_argument("--rho", type=_parse_complex,
-                        help="interval boundary multiplier, e.g. 0.36 or 0.3+0.1j")
-    parser.add_argument("--window", type=_parse_float_list, help="lo,hi")
-    parser.add_argument("--count", type=int, help="eigenvalue count for shoot")
-    parser.add_argument("--on-grid", action="store_true", dest="on_grid")
-    parser.add_argument("--l2", type=float, help="second interval length")
-    parser.add_argument("--v0", type=_parse_complex, help="orbit start parameter")
-    parser.add_argument("--t-max", type=float, dest="t_max",
-                        help="period search bound")
+    for key, (_, parse, text) in _KEYS.items():
+        flag = "--" + key.replace("_", "-")
+        if parse is _parse_bool:
+            parser.add_argument(flag, action="store_true", default=None, dest=key, help=text)
+        else:
+            parser.add_argument(flag, type=parse, dest=key, help=text)
     return parser
 
 

@@ -34,6 +34,7 @@ import numpy as np
 
 from .affine import AffineMap, Scaling, Translation, subgroup_eval
 from .errors import (
+    DynamicRangeExceeded,
     IllPosed,
     InvalidArgument,
     InvalidBoundary,
@@ -108,7 +109,11 @@ class IntervalModel:
         if not length > 0:
             raise InvalidArgument("interval length must be positive")
         self.length = float(length)
-        self.norm_plus = math.sqrt(math.expm1(2 * self.length) / 2)
+        try:
+            self.norm_plus = math.sqrt(math.expm1(2 * self.length) / 2)
+        except OverflowError:
+            raise DynamicRangeExceeded(
+                f"||e^x||^2 = (e^(2l) - 1)/2 is not a float at l = {self.length:g}") from None
         self.norm_minus = math.sqrt(-math.expm1(-2 * self.length) / 2)
         self.group = Translation(1.0)
         self.description = f"i d/dx on (0, {self.length}) with Dirichlet ends"

@@ -61,6 +61,13 @@ class TestIntervalModel:
         assert m.norm_plus == pytest.approx(plus, rel=1e-15, abs=0.0)
         assert m.norm_minus == pytest.approx(minus, rel=1e-15, abs=0.0)
 
+    @pytest.mark.parametrize("length", [354.8914, 360.0, 1e300])
+    def test_length_beyond_the_float_range(self, length):
+        # e^{2l} overflows above l = 354.8913...; just below, the norm is a float
+        assert math.isfinite(models.IntervalModel(354.8913).norm_plus)
+        with pytest.raises(DynamicRangeExceeded):
+            models.IntervalModel(length)
+
     def test_identity_cross_overlap(self, interval):
         ov = interval.overlap_matrix(IDENTITY)
         assert ov.cpp == pytest.approx(1.0, abs=1e-10)
