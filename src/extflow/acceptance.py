@@ -244,13 +244,13 @@ def criterion_8_generator_invariance() -> CriterionResult:
     interval = models.interval_derivative(1.0)
     for t in (0.4, 1.2):
         chk = weylcheck.generator_invariance_residual(interval, "translation", t)
-        checks[f"interval residual [t={t}]"] = chk.residual <= 1e-8
+        checks[f"interval residual [t={t}]"] = chk.residual <= weylcheck.GENERATOR_TOL
         details[f"interval[t={t}]"] = chk.residual
     for model, label in ((models.inverse_square(0.0), "inverse-square"),
                          (models.halfline_derivative(), "halfline")):
         for t in (0.5, -0.7):
             chk = weylcheck.generator_invariance_residual(model, "scaling", t)
-            checks[f"{label} scaling [t={t}]"] = (chk.residual <= 1e-6
+            checks[f"{label} scaling [t={t}]"] = (chk.residual <= weylcheck.GENERATOR_TOL
                                                   and chk.fits_scaling(t))
             details[f"{label}[t={t}]"] = {
                 "residual": chk.residual,

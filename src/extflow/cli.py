@@ -5,11 +5,11 @@ Commands: flow-orbit, fixed-points, invariance, period, spectrum, shoot,
 fk-params, weyl, generator-check, refine, certify-nonequivalence, all.
 Configuration comes from flags, optionally read from a flat key=value
 file (# comments); flags override the file. One table, _KEYS, declares
-every key; each command takes the keys of its _COMMAND_KEYS row, which its
-report echoes, and the run-wide jobs, out and format. Reports are
-byte-stable for a fixed configuration, whatever --jobs is: numbers are
-printed with 17 significant digits and wall-clock timings go to stderr,
-never into the payload.
+every key; each command takes the keys of its _COMMAND_KEYS row, with the
+_MODEL_KEYS of its model where it reads one, which its report echoes, and
+the run-wide jobs, out and format. Reports are byte-stable for a fixed
+configuration, whatever --jobs is: numbers are printed with 17 significant
+digits and wall-clock timings go to stderr, never into the payload.
 
 Exit codes: 0 when every check in the run passed, 2 on configuration
 errors, 3 on numerical failures (or unwritable output).
@@ -39,10 +39,11 @@ COMMANDS = (
     "certify-nonequivalence", "all",
 )
 
+# each model's groups, its default first
 _MODEL_GROUPS = {
-    "interval": {"translation"},
-    "inverse-square": {"scaling"},
-    "halfline": {"translation", "scaling"},
+    "interval": ("translation",),
+    "inverse-square": ("scaling",),
+    "halfline": ("translation", "scaling"),
 }
 
 
@@ -70,7 +71,7 @@ class RunConfig:
 
     def echo(self) -> dict:
         """The command's own keys and their values; run-wide keys stay out."""
-        return {key: getattr(self, _KEYS[key][0]) for key in _COMMAND_KEYS[self.command]}
+        return {key: getattr(self, _KEYS[key][0]) for key in _row(self.command, self.model)}
 
 
 @dataclass
@@ -159,7 +160,7 @@ _KEYS = {
 # and no payload echoes them
 _RUN_KEYS = ("jobs", "out", "format")
 
-_FLOW_KEYS = ("model", "l", "gamma", "group")
+_FLOW_KEYS = ("model", "group")
 # the keys each command reads, and echoes
 _COMMAND_KEYS = {
     "flow-orbit": (*_FLOW_KEYS, "t", "v0"),
@@ -175,12 +176,20 @@ _COMMAND_KEYS = {
     "certify-nonequivalence": ("l", "l2", "n"),
     "all": (),
 }
+# the parameters of each model, which a command that reads a model reads of
+# the given one only
+_MODEL_KEYS = {"interval": ("l",), "inverse-square": ("gamma",), "halfline": ()}
+
+
+def _row(command: str, model: str | None) -> tuple:
+    keys = _COMMAND_KEYS[command]
+    return (*keys, *_MODEL_KEYS[model]) if "model" in keys else keys
 
 
 def load_config(args: argparse.Namespace) -> RunConfig:
     """Merge config file (if any) with flags; flags win. A key outside the
-    command's own and the run-wide keys is an error wherever it was given.
-    Validates model and group compatibility before dispatch."""
+    command's own, its model's and the run-wide keys is an error wherever it
+    was given. Validates model and group compatibility before dispatch."""
     values = {}
     if args.config:
         for key, text in read_config_file(args.config).items():
@@ -192,7 +201,11 @@ def load_config(args: argparse.Namespace) -> RunConfig:
                 raise ParseError(f"bad value for {key!r}: {text!r}") from exc
     values.update((key, value) for key, value in vars(args).items()
                   if key in _KEYS and value is not None)
-    allowed = _COMMAND_KEYS[args.command]
+    model = values.get("model")
+    if "model" in _COMMAND_KEYS[args.command] and model not in _MODEL_KEYS:
+        raise ParseError(f"unknown model {model!r}" if model is not None else
+                         f"{args.command}: missing required field 'model'")
+    allowed = _row(args.command, model)
     for key in values:
         if key not in allowed and key not in _RUN_KEYS:
             raise ParseError(f"{args.command}: {key!r} is not a key of this command "
@@ -209,11 +222,7 @@ def _validate(cfg: RunConfig):
     if not all(cmath.isfinite(x) for x in numbers if x is not None):
         raise ParseError(f"{cfg.command}: every numeric input must be finite")
     if "model" in keys:
-        if cfg.model is None:
-            raise ParseError(f"{cfg.command}: missing required field 'model'")
-        if cfg.model not in _MODEL_GROUPS:
-            raise ParseError(f"unknown model {cfg.model!r}")
-        group = cfg.group or _default_group(cfg.model)
+        group = cfg.group or _MODEL_GROUPS[cfg.model][0]
         if group not in ("translation", "scaling"):
             raise ParseError(f"unknown group {group!r}")
         if group not in _MODEL_GROUPS[cfg.model]:
@@ -246,6 +255,8 @@ def _validate(cfg: RunConfig):
         raise ParseError(f"fk-params: gamma must lie in [-1/4, 3/4), got {cfg.gamma}")
     if cfg.command == "spectrum" and cfg.rho is not None and abs(cfg.rho) >= 1.0:
         raise ParseError(f"spectrum: |rho| must be below 1, got {cfg.rho}")
+    if cfg.command == "spectrum" and cfg.rho is not None and cfg.theta is not None:
+        raise ParseError("spectrum: give theta or rho, not both")
     for key, length in (("l", cfg.length), ("l2", cfg.length2)):
         if length is not None and not 1e-3 <= length <= 300.0:
             raise ParseError(f"{key} must lie in [1e-3, 300], got {length}")
@@ -259,12 +270,9 @@ def _validate(cfg: RunConfig):
         raise ParseError("jobs must be >= 1")
 
 
-def _default_group(model: str) -> str:
-    return "translation" if model in ("interval", "halfline") else "scaling"
-
-
 def _build_model(cfg: RunConfig):
-    return models.by_name(cfg.model, length=cfg.length, gamma=cfg.gamma)
+    fields = (_KEYS[key][0] for key in _MODEL_KEYS[cfg.model])
+    return models.by_name(cfg.model, **{name: getattr(cfg, name) for name in fields})
 
 
 def _subgroup(cfg: RunConfig):
@@ -429,7 +437,7 @@ def _cmd_generator_check(cfg):
     model = _build_model(cfg)
     rows, checks = [], {}
     scaling = cfg.group == "scaling"
-    bound = cfg.tol or (1e-6 if scaling else 1e-8)
+    bound = cfg.tol or weylcheck.GENERATOR_TOL
     for t in cfg.t_values:
         chk = weylcheck.generator_invariance_residual(model, cfg.group, t)
         rows.append({

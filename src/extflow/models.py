@@ -17,10 +17,12 @@ value depends on them:
 The scaling-model unitary for the affine element g(x) = a*x is
 (U_g f)(x) = a^{-1/4} f(a^{-1/2} x), the orientation that realizes
 U_g A U_g^* = a A on the domain. The one-parameter families printed as
-e^{t/4} f(e^{t/2} x) and e^{t/2} f(e^t x) (exposed via ``representation``
-for the commutation harness) act as U_g for g(x) = e^{-t} x under this
-convention; the harness measures the resulting scale factor instead of
-assuming one.
+e^{t/4} f(e^{t/2} x) and e^{t/2} f(e^t x) act as U_g for g(x) = e^{-t} x
+under this convention; the harness measures the resulting scale factor
+instead of assuming one. Every family a model exposes through
+``representation`` is one ``Representation`` record,
+(U f)(x) = w e^{i kappa x} f(s x), which maps exact jets (f, f', f'') by
+the chain and product rules.
 """
 
 from __future__ import annotations
@@ -79,18 +81,44 @@ def _int_exp(c: complex, length: float) -> complex:
     return (cmath.exp(z) - 1.0) / c
 
 
-def right_shift(s: float, f):
-    """Right shift with zero fill, f -> f(x - s) for x > s and 0 below: the
-    contraction semigroup of i d/dx with f(0) = 0 on the interval and the
-    half-line alike."""
+def right_shift(s: float, jet):
+    """Right shift with zero fill, f -> f(x - s) for x > s and 0 below, on
+    each component of a jet: the contraction semigroup of i d/dx with
+    f(0) = 0 on the interval and the half-line alike."""
     if s < 0:
         raise InvalidArgument("semigroup parameter must be nonnegative")
 
     def shifted(x):
         x = np.asarray(x, dtype=float)
-        return np.where(x > s, f(np.maximum(x - s, 0.0)), 0.0)
+        return tuple(np.where(x > s, c, 0.0) for c in jet(np.maximum(x - s, 0.0)))
 
     return shifted
+
+
+@dataclass(frozen=True)
+class Representation:
+    """(U f)(x) = w e^{i kappa x} f(s x), with weight w, dilation s and
+    frequency kappa, on jets: a jet maps points x to (f, f', ...) at x, and
+    U maps it to the jet of U f of the same length by the chain rule
+    s^k f^(k)(s x) and the product rule with e^{i kappa x}. A value is a
+    jet's first component."""
+
+    weight: float
+    dilation: float = 1.0
+    frequency: float = 0.0
+
+    def __call__(self, jet):
+        s, ik = self.dilation, 1j * self.frequency
+
+        def image(x):
+            x = np.asarray(x, dtype=float)
+            chain = [np.float64(s) ** k * c for k, c in enumerate(jet(s * x))]
+            factor = self.weight * np.exp(ik * x)
+            return tuple(factor * sum(math.comb(n, k) * ik ** (n - k) * chain[k]
+                                      for k in range(n + 1))
+                         for n in range(len(chain)))
+
+        return image
 
 
 # ---------------------------------------------------------------------------
@@ -167,14 +195,11 @@ class IntervalModel:
         return (e - v) / (1.0 - v * e)
 
     # continuum actions for the commutation harness -------------------------
-    def representation(self, kind: str, t: float):
+    def representation(self, kind: str, t: float) -> Representation:
+        """Multiplication by e^{i x t}."""
         if kind != "translation":
             raise OutsideGroup(f"interval model has no {kind!r} representation")
-
-        def transform(f):
-            return lambda x: np.exp(1j * x * t) * f(x)
-
-        return transform
+        return Representation(1.0, frequency=t)
 
     semigroup_action = staticmethod(right_shift)
 
@@ -369,17 +394,12 @@ class InverseSquareModel:
         return ("theta", theta)
 
     # continuum actions ---------------------------------------------------------
-    def representation(self, kind: str, t: float):
+    def representation(self, kind: str, t: float) -> Representation:
+        """e^{t/4} f(e^{t/2} x)."""
         if kind != "scaling":
             raise OutsideGroup(f"inverse-square model has no {kind!r} representation")
         subgroup_eval(self.group, -t)   # U_g for g(x) = e^{-t} x, which must exist
-        w = math.exp(t / 4)
-        s = math.exp(t / 2)
-
-        def transform(f):
-            return lambda x: w * f(s * np.asarray(x, dtype=float))
-
-        return transform
+        return Representation(math.exp(t / 4), math.exp(t / 2))
 
 
 # ---------------------------------------------------------------------------
@@ -388,8 +408,8 @@ class InverseSquareModel:
 
 class HalflineModel:
     """Already maximal dissipative; the parameter set is the single zero map,
-    so the flow is trivial. Supplies representation data for both the
-    multiplication family e^{i x t} and the scaling family e^{t/2} f(e^t x)."""
+    so the flow is trivial. Represents both the multiplication family
+    e^{i x t} and the scaling family e^{t/2} f(e^t x)."""
 
     name = "halfline"
     deficiency_dims = (0, 1)
@@ -415,19 +435,13 @@ class HalflineModel:
     def boundary_from_vn(self, v):
         raise UnsupportedIndices("no extension parameters: indices (0, 1)")
 
-    def representation(self, kind: str, t: float):
+    def representation(self, kind: str, t: float) -> Representation:
+        """e^{i x t} f(x) for translations, e^{t/2} f(e^t x) for scalings."""
         if kind == "translation":
-            def transform(f):
-                return lambda x: np.exp(1j * np.asarray(x, dtype=float) * t) * f(x)
-            return transform
+            return Representation(1.0, frequency=t)
         if kind == "scaling":
             subgroup_eval(Scaling(math.e, 0.0), -t)   # g(x) = e^{-t} x must exist
-            w = math.exp(t / 2)
-            s = math.exp(t)
-
-            def transform(f):
-                return lambda x: w * f(s * np.asarray(x, dtype=float))
-            return transform
+            return Representation(math.exp(t / 2), math.exp(t))
         raise OutsideGroup(f"unknown representation kind {kind!r}")
 
     semigroup_action = staticmethod(right_shift)

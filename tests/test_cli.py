@@ -3,6 +3,7 @@ import gc
 import io
 import json
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -192,6 +193,35 @@ class TestCommands:
         row = payload["results"]["rows"][0]
         assert row["scale"]["re"] == pytest.approx(math.exp(-0.5), abs=1e-6)
 
+    @pytest.mark.parametrize("argv", [
+        *(["--model=inverse-square", f"--gamma={g}", "--t=-20,-14,14,20,25,100,300"]
+          for g in ("-2", "-0.25", "0", "0.5")),
+        ["--model=halfline", "--group=scaling", "--t=-20,-14,14,20,25,100,300"],
+        ["--model=halfline", "--t=-700,700"],
+        ["--model=interval", "--l=300", "--t=-700,700"],
+    ], ids=["gamma=-2", "gamma=-0.25", "gamma=0", "gamma=0.5", "halfline-scaling",
+            "halfline-translation", "interval"])
+    def test_generator_check_over_the_group(self, argv, tmp_path):
+        code, text = run_cli(tmp_path, "generator-check", *argv)
+        assert code == 0
+        assert all(r["residual"] <= weylcheck.GENERATOR_TOL
+                   for r in json.loads(text)["results"]["rows"])
+
+    @pytest.mark.parametrize("t, expected", [("-100", 1), ("-25", 1), ("-709.7", 3),
+                                             ("-700", 3), ("600", 3), ("700", 3)])
+    def test_generator_check_fails_without_warnings(self, t, expected, tmp_path, capsys):
+        # past the offset's rounding floor, eps e^{-t} |A f|/|f| > 1e-6 at
+        # t <= -25, the phase fails; where e^{-t} A f overflows, or its
+        # intermediates underflow to zero, the check stops with exit 3
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            code = cli.main(["generator-check", "--model=inverse-square", "--gamma=-2",
+                             f"--t={t}", "--out", str(tmp_path / "x.json")])
+        err = capsys.readouterr().err
+        assert code == expected
+        assert err.count("\n") == 1 and "Traceback" not in err
+        assert (expected == 3) == ("DynamicRangeExceeded" in err)
+
     def test_certify_nonequivalence(self, tmp_path):
         code, text = run_cli(tmp_path, "certify-nonequivalence", "--l", "1",
                              "--l2", "2", "--n", "128")
@@ -348,10 +378,17 @@ class TestExitCodes:
         ["period", "--model", "interval", "--t-max", "nan"],
         ["fixed-points", "--model", "interval", "--tol", "nan"],
         ["flow-orbit", "--model", "interval", "--v0", "nan+0j"],
+        ["spectrum", "--rho", "0.3", "--theta", "1", "--window=-5,5"],
+        ["fixed-points", "--model", "inverse-square", "--gamma", "-2", "--l", "5"],
+        ["invariance", "--model", "halfline", "--gamma", "3"],
+        ["invariance", "--model", "halfline", "--l", "2"],
+        ["generator-check", "--model", "interval", "--gamma=-2"],
     ], ids=["halfline-period", "l-400", "l-1e-9", "l2-400", "v0-2", "halfline-v0",
             "fk-gamma-0.8", "fk-gamma-below-critical", "rho-2", "invsq-gamma-0.8",
             "invariance-t", "orbit-t-nan", "fixed-points-t-inf", "generator-t-nan",
-            "theta-nan", "rho-nan", "window-inf", "t-max-nan", "tol-nan", "v0-nan"])
+            "theta-nan", "rho-nan", "window-inf", "t-max-nan", "tol-nan", "v0-nan",
+            "spectrum-theta-and-rho", "invsq-l", "halfline-gamma", "halfline-l",
+            "interval-gamma"])
     def test_input_domain_is_configuration_error(self, argv, tmp_path, capsys):
         code = cli.main([*argv, "--out", str(tmp_path / "x.json")])
         err = capsys.readouterr().err
@@ -433,12 +470,25 @@ class TestExitCodes:
         assert code == 3
         assert "NearSingularDenominator" in capsys.readouterr().err
 
-    def test_generator_check_nan_fit_fails(self, tmp_path):
-        # the fit of the inverse-square scaling family is not finite at t = -20
+    def test_generator_check_nan_fit_fails(self, tmp_path, monkeypatch, capsys):
+        # a fit that is not finite never reads as a pass, whatever --tol is
+        nan = complex(math.nan, math.nan)
+        monkeypatch.setattr(weylcheck, "generator_invariance_residual",
+                            lambda *args: weylcheck.GeneratorCheck(math.nan, nan, nan, nan))
+        for argv in (["--model", "inverse-square"], ["--model", "interval"],
+                     ["--model", "halfline", "--group", "scaling", "--tol", "1e300"]):
+            code, text = run_cli(tmp_path, "generator-check", *argv)
+            assert code == 1
+            assert json.loads(text)["results"]["rows"][0]["residual"] == "nan"
+        monkeypatch.undo()
+        capsys.readouterr()
+        # beyond the float range of one side the check stops with exit 3
         code, text = run_cli(tmp_path, "generator-check", "--model", "inverse-square",
-                             "--t=-20")
-        assert code == 1
-        assert json.loads(text)["results"]["rows"][0]["residual"] == "nan"
+                             "--t=-709.7", name="range.json")
+        err = capsys.readouterr().err
+        assert code == 3 and text == ""
+        assert err.startswith("numerical/runtime failure: DynamicRangeExceeded:")
+        assert err.count("\n") == 1 and "Warning" not in err
 
     @pytest.mark.parametrize("command", ["invariance", "fixed-points", "period",
                                          "flow-orbit"])
@@ -635,11 +685,15 @@ _BASE = {
 _COMMANDS = [c for c in cli.COMMANDS if c != "all"] + ["frobnicate"]
 
 
-def _row(command):
-    """The drawn flags a command takes: its own keys and --format; every
-    flag for an unknown command."""
-    keys = cli._COMMAND_KEYS.get(command, cli._KEYS)
+def _row(command, model="interval"):
+    """The drawn flags a command takes: its own keys, the model's where it
+    reads one, and --format; every flag for an unknown command."""
+    keys = cli._row(command, model) if command in cli._COMMAND_KEYS else cli._KEYS
     return sorted({"--" + key.replace("_", "-") for key in keys} & set(_FLAGS) | {"--format"})
+
+
+def _reads_model(command):
+    return "model" in cli._COMMAND_KEYS.get(command, ())
 
 
 def _arg(name, value):
@@ -650,7 +704,10 @@ def _arg(name, value):
 def _argvs(draw):
     command = draw(st.sampled_from(_COMMANDS))
     argv = [command, *_BASE.get(command, [])]
-    for name in draw(st.lists(st.sampled_from(_row(command)), max_size=4, unique=True)):
+    model = draw(st.sampled_from(sorted(cli._MODEL_KEYS)))
+    if _reads_model(command):
+        argv.append(f"--model={model}")
+    for name in draw(st.lists(st.sampled_from(_row(command, model)), max_size=4, unique=True)):
         valid, invalid = _FLAGS[name]
         in_domain = draw(st.integers(0, 7)) < 7
         argv.append(_arg(name, draw(valid if in_domain else st.sampled_from(invalid))))
@@ -691,7 +748,8 @@ def test_flag_space(argv, other, stray, bad):
         if "--format=csv" not in argv:
             payload = json.loads(out)
             assert payload["pass"] is (code == 0)
-            assert sorted(payload["config"]) == sorted(cli._COMMAND_KEYS[argv[0]])
+            config = payload["config"]
+            assert sorted(config) == sorted(cli._row(argv[0], config.get("model")))
     else:
         assert out == ""
     assert _call([*other, *bad])[0] == 2
@@ -710,24 +768,53 @@ _FILE_VALUES = {
 }
 
 
+def _models(command):
+    """Each model where the command reads one, else None alone."""
+    return sorted(cli._MODEL_KEYS) if _reads_model(command) else [None]
+
+
+def _base(command, model):
+    """Flags that make a command runnable with the given model."""
+    if model is None:
+        return _BASE.get(command, [])
+    halfline_orbit = (command, model) == ("flow-orbit", "halfline")
+    return [f"--model={model}", *(["--v0=0"] if halfline_orbit else [])]
+
+
+@pytest.mark.parametrize("file, flags", [
+    ("rho = 0.3\ntheta = 1\n", []),
+    ("rho = 0.3\n", ["--theta=1"]),
+    ("theta = 1\n", ["--rho=0.3"]),
+])
+def test_spectrum_takes_theta_or_rho(file, flags, tmp_path):
+    # each selects the extension, so the lattice of rho would ignore theta
+    path = tmp_path / "spectrum.cfg"
+    path.write_text(file)
+    code, out, err = _call(["spectrum", "--window=-5,5", "--config", str(path), *flags])
+    assert code == 2 and out == ""
+    assert err == "configuration error: spectrum: give theta or rho, not both\n"
+
+
 @pytest.mark.parametrize("command", cli.COMMANDS)
 def test_config_file_key_outside_the_row(command, tmp_path):
     # the command's base flags and a file with one key it does not read, as
-    # `invariance` with `t = 5`
-    strays = sorted(set(_FILE_VALUES) - set(cli._COMMAND_KEYS[command]))
-    assert strays and set(_FILE_VALUES) | set(cli._RUN_KEYS) == set(cli._KEYS)
-    for key in strays:
-        path = tmp_path / f"{key}.cfg"
-        path.write_text(f"{key} = {_FILE_VALUES[key]}\n")
-        result = _call([command, *_BASE.get(command, []), "--config", str(path)])
-        assert _is_stray_key_error(*result, command)
-        assert f"'{key}' is not a key" in result[2]
+    # `invariance` with `t = 5`, or `fixed-points --model inverse-square`
+    # with `l = 1`
+    for model in _models(command):
+        strays = sorted(set(_FILE_VALUES) - set(cli._row(command, model)))
+        assert strays and set(_FILE_VALUES) | set(cli._RUN_KEYS) == set(cli._KEYS)
+        for key in strays:
+            path = tmp_path / f"{key}.cfg"
+            path.write_text(f"{key} = {_FILE_VALUES[key]}\n")
+            result = _call([command, *_base(command, model), "--config", str(path)])
+            assert _is_stray_key_error(*result, command)
+            assert f"'{key}' is not a key" in result[2]
 
 
 @pytest.mark.parametrize("command", cli.COMMANDS)
 def test_each_row_is_what_its_handler_reads(command):
     # the keys a command takes and echoes are the fields its handler reads,
-    # the run-wide jobs aside
+    # with each model, the run-wide jobs aside; the halfline has no period
     key_of = {field: key for key, (field, *_) in cli._KEYS.items()}
     reads = set()
 
@@ -737,7 +824,11 @@ def test_each_row_is_what_its_handler_reads(command):
                 reads.add(key_of[name])
             return super().__getattribute__(name)
 
-    cfg = cli.load_config(cli.build_parser().parse_args([command, *_BASE.get(command, [])]))
-    cfg.__class__ = Recording
-    cli._HANDLERS[command](cfg)
-    assert reads - set(cli._RUN_KEYS) == set(cli._COMMAND_KEYS[command])
+    for model in _models(command):
+        if (command, model) == ("period", "halfline"):
+            continue
+        cfg = cli.load_config(cli.build_parser().parse_args([command, *_base(command, model)]))
+        cfg.__class__ = Recording
+        reads.clear()
+        cli._HANDLERS[command](cfg)
+        assert reads - set(cli._RUN_KEYS) == set(cli._row(command, model))

@@ -438,12 +438,14 @@ class TestHalflineModel:
 
     def test_two_representations(self):
         m = models.halfline_derivative()
-        f = lambda x: np.asarray(x) * np.exp(-np.asarray(x))
+        f = lambda x: (x * np.exp(-x),)
         xs = np.linspace(0.1, 5.0, 7)
-        tr = m.representation("translation", 0.7)(f)
-        assert np.allclose(tr(xs), np.exp(1j * 0.7 * xs) * f(xs))
-        sc = m.representation("scaling", 0.7)(f)
-        assert np.allclose(sc(xs), math.exp(0.35) * f(math.exp(0.7) * xs))
+        tr = m.representation("translation", 0.7)
+        assert tr == models.Representation(1.0, frequency=0.7)
+        assert np.allclose(tr(f)(xs)[0], np.exp(1j * 0.7 * xs) * f(xs)[0])
+        sc = m.representation("scaling", 0.7)
+        assert sc == models.Representation(math.exp(0.35), math.exp(0.7))
+        assert np.allclose(sc(f)(xs)[0], math.exp(0.35) * f(math.exp(0.7) * xs)[0])
 
 
 class TestRegistry:

@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 from extflow import models, weylcheck
+from extflow.errors import DynamicRangeExceeded
 from extflow.weylcheck import GridOperator
 
 # Dense oracle: the grid operators as n x n matrices, built here from their
@@ -229,36 +230,89 @@ class TestWeylResidual:
         assert max(residuals) <= 1e-12
 
 
+# The finite-difference fit the generator check made before its jets were
+# exact: 9-point stencils with steps 0.004 (first order) and 0.01 (second
+# order) on values. Kept as an oracle where it is accurate, |t| <= 14.
+_FD1 = np.array([1 / 280, -4 / 105, 1 / 5, -4 / 5, 0.0, 4 / 5, -1 / 5, 4 / 105, -1 / 280])
+_FD2 = np.array([-1 / 560, 8 / 315, -1 / 5, 8 / 5, -205 / 72, 8 / 5, -1 / 5, 8 / 315, -1 / 560])
+_OFFSETS = np.arange(-4, 5)
+
+
+def _fd_derivative(f, x, order, step):
+    coeffs = _FD1 if order == 1 else _FD2
+    return sum(c * f(x + k * step) for c, k in zip(coeffs, _OFFSETS) if c) / step**order
+
+
+def fd_fit(model, kind, t):
+    """(scale, offset) fitted on finite-difference derivatives of values."""
+    right = getattr(model, "length", 30.0)
+    xs = np.linspace(right / 4096, right, 4096)
+    h = xs[1] - xs[0]
+    root_w = np.sqrt(np.r_[h / 2, np.full(len(xs) - 2, h), h / 2])
+
+    def values(rep, f):
+        return lambda x: rep(lambda y: (f(y),))(x)[0]
+
+    def apply(f, x):
+        if model.generator_kind == "first-order":
+            return 1j * _fd_derivative(f, x, 1, 0.004)
+        return -_fd_derivative(f, x, 2, 0.01) + model.gamma / (x * x) * f(x)
+
+    forward, backward = model.representation(kind, t), model.representation(kind, -t)
+    lhs, columns = [], []
+    for _, jet in weylcheck.default_test_functions(model):
+        f = lambda x, jet=jet: jet(x)[0]
+        pulled = values(backward, f)
+        lhs.append(root_w * values(forward, lambda y, p=pulled: apply(p, y))(xs))
+        columns.append(root_w[:, None] * np.stack([apply(f, xs), f(xs)], axis=1))
+    (scale, offset), *_ = np.linalg.lstsq(np.concatenate(columns), np.concatenate(lhs),
+                                          rcond=None)
+    return scale, offset
+
+
+_FAMILIES = [
+    (models.interval_derivative(1.0), "translation"),
+    (models.interval_derivative(5.0), "translation"),
+    (models.inverse_square(0.0), "scaling"),
+    (models.inverse_square(-2.0), "scaling"),
+    (models.inverse_square(0.5), "scaling"),
+    (models.halfline_derivative(), "translation"),
+    (models.halfline_derivative(), "scaling"),
+]
+_FAMILY_IDS = ["interval-1", "interval-5", "gamma=0", "gamma=-2", "gamma=0.5",
+               "halfline-translation", "halfline-scaling"]
+
+
 class TestGeneratorInvariance:
     def test_interval_translation_product_rule(self):
         m = models.interval_derivative(1.0)
         for t in (0.4, 1.2):
             chk = weylcheck.generator_invariance_residual(m, "translation", t)
-            assert chk.residual <= 1e-8
-            assert chk.scale == pytest.approx(1.0, abs=1e-8)
-            assert chk.offset == pytest.approx(t, abs=1e-8)
+            assert chk.residual <= weylcheck.GENERATOR_TOL
+            assert chk.scale == pytest.approx(1.0, abs=1e-14)
+            assert chk.offset == pytest.approx(t, abs=1e-14)
 
     def test_inverse_square_scaling(self):
         m = models.inverse_square(0.0)
         for t in (0.5, -0.7):
             chk = weylcheck.generator_invariance_residual(m, "scaling", t)
-            assert chk.residual <= 1e-6
-            assert chk.scale == pytest.approx(math.exp(-t), abs=1e-6)
-            assert abs(chk.phase_factor - 1.0) <= 1e-6
+            assert chk.residual <= weylcheck.GENERATOR_TOL
+            assert chk.scale == pytest.approx(math.exp(-t), rel=1e-14)
+            assert abs(chk.phase_factor - 1.0) <= 1e-14
 
     def test_halfline_scaling(self):
         m = models.halfline_derivative()
         for t in (0.8, -0.5):
             chk = weylcheck.generator_invariance_residual(m, "scaling", t)
-            assert chk.residual <= 1e-6
-            assert chk.scale == pytest.approx(math.exp(-t), abs=1e-6)
-            assert abs(chk.phase_factor - 1.0) <= 1e-6
+            assert chk.residual <= weylcheck.GENERATOR_TOL
+            assert chk.scale == pytest.approx(math.exp(-t), rel=1e-14)
+            assert abs(chk.phase_factor - 1.0) <= 1e-14
 
     def test_scaling_relation_is_relative(self):
         # the scale must be e^{-t} within 1e-6 relative: an absolute 1e-6
         # passed a scale of 0, and a relative error of 2e-5, at t = 20
         def check(scale, t, phase=1.0):
-            return weylcheck.GeneratorCheck(0.0, scale, 0j, phase, {}).fits_scaling(t)
+            return weylcheck.GeneratorCheck(0.0, scale, 0j, phase).fits_scaling(t)
 
         for t in (-700.0, -20.0, 0.5, 20.0, 700.0):
             assert check(math.exp(-t) * (1 + 9e-7), t)
@@ -272,9 +326,69 @@ class TestGeneratorInvariance:
     def test_halfline_translation(self):
         m = models.halfline_derivative()
         chk = weylcheck.generator_invariance_residual(m, "translation", 1.4)
-        assert chk.residual <= 1e-8
-        assert chk.scale == pytest.approx(1.0, abs=1e-8)
-        assert chk.offset == pytest.approx(1.4, abs=1e-8)
+        assert chk.residual <= weylcheck.GENERATOR_TOL
+        assert chk.scale == pytest.approx(1.0, abs=1e-14)
+        assert chk.offset == pytest.approx(1.4, abs=1e-14)
+
+    @pytest.mark.parametrize("model, kind", _FAMILIES, ids=_FAMILY_IDS)
+    def test_fit_matches_the_finite_difference_fit(self, model, kind):
+        # where the stencils were accurate, |t| <= 14 and the finite-difference
+        # check passed, the exact fit agrees with theirs; measured scale
+        # 9.7e-9 relative at t = 14, offset 2.9e-12
+        ts = (-14, -7, -0.7, 0.5, 7, 14) if kind == "translation" else (-0.7, 0.5, 7, 14)
+        for t in ts:
+            scale, offset = fd_fit(model, kind, t)
+            chk = weylcheck.generator_invariance_residual(model, kind, t)
+            assert abs(chk.scale / scale - 1) <= 1e-8
+            assert abs(chk.offset - offset) <= 1e-8
+
+    def test_a_nan_entry_never_passes(self):
+        def nan_jet(x):
+            return (x * math.nan,) * 3
+
+        for model, kind in _FAMILIES:
+            with pytest.raises(DynamicRangeExceeded):
+                weylcheck.generator_invariance_residual(
+                    model, kind, 0.5, test_functions=[("nan", nan_jet)])
+
+
+class TestJets:
+    @pytest.mark.parametrize("name, jet", weylcheck.default_test_functions(
+        models.interval_derivative(1.0)))
+    def test_dictionary_against_mpmath(self, name, jet):
+        mpmath = pytest.importorskip("mpmath")
+        exprs = {
+            "x*exp(-x)": lambda x: x * mpmath.exp(-x),
+            "x^2*exp(-x)": lambda x: x * x * mpmath.exp(-x),
+            "x*sin(x)*exp(-x^2/2)": lambda x: x * mpmath.sin(x) * mpmath.exp(-x * x / 2),
+        }
+        xs = np.array([0.3, 1.7, 3.1, 4.2, 6.5])
+        got = jet(xs)
+        with mpmath.workdps(40):
+            for i, x in enumerate(xs):
+                for k in range(3):
+                    want = float(mpmath.diff(exprs[name], mpmath.mpf(x), k))
+                    assert abs(got[k][i] - want) <= 1e-13 * abs(want)
+
+    @pytest.mark.parametrize("model, kind", _FAMILIES, ids=_FAMILY_IDS)
+    def test_group_law(self, model, kind):
+        # rep(t1) after rep(t2) is rep(t1 + t2), and rep(t) after rep(-t)
+        # the identity, on every component of every jet
+        xs = np.linspace(0.05, getattr(model, "length", 6.0), 97)
+        for _, jet in weylcheck.default_test_functions(model):
+            for t1, t2 in ((0.7, -1.9), (3.0, 4.0), (-2.5, 2.5)):
+                composed = model.representation(kind, t1)(model.representation(kind, t2)(jet))
+                for got, want in zip(composed(xs), model.representation(kind, t1 + t2)(jet)(xs)):
+                    assert np.abs(got - want).max() <= 1e-13 * np.abs(want).max()
+            back = model.representation(kind, 1.3)(model.representation(kind, -1.3)(jet))
+            for got, want in zip(back(xs), jet(xs)):
+                assert np.abs(got - want).max() <= 1e-13 * np.abs(want).max()
+
+    def test_right_shift_acts_on_every_component(self):
+        xs = np.linspace(0.0, 4.0, 41)
+        jet = weylcheck.default_test_functions(models.halfline_derivative())[1][1]
+        for got, want in zip(models.right_shift(1.5, jet)(xs), jet(xs - 1.5)):
+            assert np.array_equal(got, np.where(xs > 1.5, want, 0.0))
 
 
 class TestCommutationPhase:
