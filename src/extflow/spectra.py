@@ -13,11 +13,14 @@ maps the set into itself two rungs at a time and is reported alongside as
 Each rung is read from the closed form and checked by shooting, which shares
 no code with it: two modified Pruefer phases in sigma = log(k x) meet at
 x = 1/k. The outward one sums the regular solution's power series (DLMF
-10.25.2). The inward one is a Dormand-Prince shot with no k in it, one per
-ladder, started where the WKB action past max(nu, 1) reaches S_IN = 18,
-which damps its start error by e^{-36}. The residual is the phase gap
-modulo pi, in radians, and the gap's multiple of pi counts the rungs, so a
-ladder that skips or repeats one raises NumericalInconsistency.
+10.25.2). The inward one has no k in it and is formed once per ladder: the
+decaying solution of u'' = (1 + gamma/z^2) u, z = k x, is carried to z = 1
+by a batch of sixth-order Magnus propagators on a mesh fixed in advance,
+with the same leg on every other node as its error estimate. It starts
+where the WKB action past max(nu, 1) reaches S_IN = 18, which damps its
+start error by e^{-36}. The residual is the phase gap modulo pi, in
+radians, and the gap's multiple of pi counts the rungs, so a ladder that
+skips or repeats one raises NumericalInconsistency.
 """
 
 from __future__ import annotations
@@ -33,10 +36,13 @@ from .errors import (
     InsufficientData,
     InvalidArgument,
     InvalidRho,
+    NoConvergence,
     NumericalInconsistency,
 )
 from .models import inverse_square, log_gamma
-# find_root is unused here; extbench/tracing.py wraps spectra.find_root by name
+from .numerics import magnus_propagators, magnus_transfer
+# kept only for the benchmark: extbench/tracing.py wraps spectra.find_root and
+# spectra.ode_solve by name, and nothing here calls either
 from .numerics import find_root, ode_solve  # noqa: F401
 
 _RANGE_LIMIT = 1e12
@@ -121,26 +127,24 @@ def interval_dissipative_lattice(length: float, rho: complex, window,
 # shooting for the inverse-square model below the critical coupling
 # ---------------------------------------------------------------------------
 
-# the inward shot starts where the WKB action beyond the matching point (or
-# beyond the turning point, when that lies outside it) is S_IN. Shot inward,
-# the decaying solution grows like e^{S} and the other solution, which a
-# start error mixes in, shrinks like e^{-S}, so the phase error falls by
-# e^{-2 S} (Olver, Asymptotics and Special Functions, ch. 6): e^{-36} =
+# the inward leg starts where the WKB action beyond the matching point (or
+# beyond the turning point, when that lies outside it) is S_IN. Carried
+# inward, the decaying solution grows like e^{S} and the other solution,
+# which a start error mixes in, shrinks like e^{-S}, so the phase error falls
+# by e^{-2 S} (Olver, Asymptotics and Special Functions, ch. 6): e^{-36} =
 # 2.3e-16 damps even an O(1) start error below rounding at x = 1/k
 _S_IN = 18.0
-# absolute local error per DP5 step, in radians of phase
-_PHASE_TOL = 1e-10
-
-
-def _phase_rate(nu: float):
-    """phi' = nu - (e^{2 sigma}/nu) sin^2 phi, the modified Pruefer angle
-    (w = r sin phi, w' = nu r cos phi) of w'' = (e^{2 sigma} - nu^2) w."""
-    exp, sin = math.exp, math.sin   # looked up once: six calls per DP5 step
-
-    def phase_rate(sigma, phi):
-        s = sin(phi)
-        return nu - exp(2 * sigma) / nu * s * s
-    return phase_rate
+# the mesh's steps, as a fraction of the length over which the leading
+# error term of one Magnus step is O(1); the estimate below then reads
+# 2e-10 to 2.6e-9 for every nu up to 224
+_MESH_STEP = 0.055
+# the largest accepted difference, in radians, between the leg and the same
+# leg with every other node dropped: 63 times the leg's own error, to
+# leading order, and far more than the error of the two extrapolated
+_PHASE_BUDGET = 1e-8
+# a leg that would need more steps raises NoConvergence; |gamma| <= 5e4
+# needs at most 11,000
+_MAX_STEPS = 2 ** 17
 
 
 def _action(z: float, nu: float) -> float:
@@ -163,18 +167,75 @@ def _inward_start(nu: float) -> float:
         z = nxt
 
 
+def _inward_mesh(nu: float, z_in: float, step: float) -> np.ndarray:
+    """Nodes from z_in down to exactly z = 1 for u'' = Q u, Q = 1 + gamma/z^2.
+
+    The leading error term of a sixth-order Magnus step of length h is
+    h^7 |Q'| Q^2, or h^7 |Q'|^{7/3} at the Airy scale near the turning point,
+    so a step is ``step`` times L = (|Q'| (Q^2 + |Q'|^{4/3}))^{-1/7}: in
+    proportion to z below the turning point (where L ~ z / nu^{6/7}) and at
+    it (the Airy scale |Q'|^{-1/3}). Past max(nu, 1) an error is damped on
+    the way in like the start error, by e^{-2 (S(z) - S(max(nu, 1)))}, so the
+    step widens by that factor to the power 1/7, up to h = Q^{-1/2}: there
+    ||A|| ~ 1, and the coarse leg's doubled steps stay within the Magnus
+    series' convergence bound, the integral of ||A|| below pi. The nodes
+    split the integral of 1/h from 1 to z_in, taken by the trapezoid rule on
+    257 geometric samples, into equal whole steps."""
+    gamma = -nu * nu - 0.25
+    far = max(nu, 1.0)
+    z = z_in ** (np.arange(257) / 256)
+    q = 1 + gamma / (z * z)
+    dq = -2 * gamma / (z * z * z)
+    beyond = np.maximum(z, far)
+    widen = np.exp(2 / 7 * (np.sqrt(beyond * beyond - nu * nu) - nu * np.arccos(nu / beyond)
+                            - _action(far, nu)))
+    density = np.maximum((dq * (q * q + dq ** (4 / 3))) ** (1 / 7) / (step * widen),
+                         np.sqrt(np.maximum(q, 0.0)))
+    count = np.cumsum(np.diff(z) * (density[1:] + density[:-1])) / 2
+    steps = math.ceil(count[-1])
+    if steps > _MAX_STEPS:
+        raise NoConvergence(f"the inward mesh needs {steps} steps at nu = {nu:.4g}")
+    # count / count[-1] ends at 1.0 exactly, and so do the levels, so the
+    # mesh ends at z_in and at z = 1 exactly
+    return np.interp(np.arange(steps, -1, -1) / steps,
+                     np.concatenate(([0.0], count / count[-1])), z)
+
+
 def _inward_phase(gamma: float, nu: float) -> float:
     """Pruefer phase at sigma = 0 of the solution that decays at infinity,
-    the same for every rung: shot inward from sigma = log(k x_in), beyond
-    the turning point, from the two-term decaying asymptotics
-    u = e^{-k x} (1 + gamma/(2 k x)) up to a constant factor (DLMF 10.40.2).
-    Any error in that start data is damped by e^{-2 S_IN} on the way in."""
-    kx_in = _inward_start(nu)
-    c = gamma / (2 * kx_in)
-    u, xdu = 1 + c, -kx_in * (1 + c) - c      # u and x u' at x_in
-    return ode_solve(_phase_rate(nu), math.log(kx_in),
-                     math.atan2(nu * u, xdu - 0.5 * u), 0.0,
-                     tol=_PHASE_TOL).y_end
+    the same for every rung. With z = k x, u = sqrt(z) K_{i nu}(z) solves
+    u'' = (1 + gamma/z^2) u; (u, u') is carried from z_in, beyond the
+    turning point, to z = 1 by sixth-order Magnus propagators, from the
+    two-term decaying asymptotics u = e^{-z} (1 + gamma/(2 z)) up to a
+    constant factor (DLMF 10.40.2), and the phase is atan2(nu u, u' - u/2)
+    there. The same leg with every other node dropped, formed in the same
+    batch, gives the error estimate: above ``_PHASE_BUDGET`` the mesh step
+    is halved, and else the two phases are extrapolated in the step's sixth
+    power. Any error in the start data is damped by e^{-2 S_IN} on the way
+    in."""
+    z_in = _inward_start(nu)
+    c = gamma / (2 * z_in)
+    start = (1 + c, -(1 + c) - c / z_in)      # u and u' at z_in
+
+    def q(z):
+        return 1 + gamma / (z * z)
+
+    def phase(propagators):
+        u, du = magnus_transfer(propagators, *start)
+        return math.atan2(nu * u, du - 0.5 * u)
+
+    step = _MESH_STEP
+    while True:
+        fine = _inward_mesh(nu, z_in, step)
+        coarse = np.concatenate((fine[:-1:2], fine[-1:]))
+        n = len(fine) - 1
+        batch = magnus_propagators(q, np.concatenate((fine[:-1], coarse[:-1])),
+                                   np.concatenate((np.diff(fine), np.diff(coarse))))
+        phi = phase([m[:n] for m in batch])
+        gap = math.remainder(phi - phase([m[n:] for m in batch]), math.pi)
+        if abs(gap) <= _PHASE_BUDGET:
+            return phi + gap / 63
+        step /= 2
 
 
 def _mismatch(nu: float, theta: float, lam: float, phi_in: float) -> float:

@@ -269,16 +269,21 @@ def generator_invariance_residual(model, rep_kind: str, t: float,
         lhs = root_w * np.array([
             forward(lambda y, p=backward(jet): (_apply_generator(model, p, y),))(xs)[0]
             for _, jet in test_functions])
-        norms = np.linalg.norm(lhs, axis=1)
-        if not all(0 < norm < math.inf for norm in norms):
+        peaks = np.abs(lhs).max(axis=1)
+        if not all(np.finfo(float).tiny <= peak < math.inf for peak in peaks):
             raise DynamicRangeExceeded(
-                f"U A U* f is zero or not a float on the grid at t = {t:g}")
+                f"U A U* f is zero or not a normal float on the grid at t = {t:g}")
+        # each row and its residual scaled by the power of two that brings
+        # the row's peak into [1/2, 1): exact, so the ratio of their norms
+        # keeps its bytes, and the squares inside the norms stay floats
+        row_scale = np.ldexp(1.0, -np.frexp(peaks)[1])[:, None]
         columns = root_w * np.array([[_apply_generator(model, jet, xs), jet(xs)[0]]
                                      for _, jet in test_functions])
         (scale, offset), *_ = np.linalg.lstsq(
             columns.transpose(0, 2, 1).reshape(-1, 2), lhs.ravel(), rcond=None)
         resid = lhs - scale * columns[:, 0] - offset * columns[:, 1]
-        worst = float(np.max(np.linalg.norm(resid, axis=1) / norms))
+        worst = float(np.max(np.linalg.norm(row_scale * resid, axis=1)
+                             / np.linalg.norm(row_scale * lhs, axis=1)))
         return GeneratorCheck(worst, complex(scale), complex(offset),
                               complex(np.exp(1j * offset)))
 

@@ -222,6 +222,27 @@ class TestCommands:
         assert err.count("\n") == 1 and "Traceback" not in err
         assert (expected == 3) == ("DynamicRangeExceeded" in err)
 
+    @pytest.mark.parametrize("argv, expected", [
+        (["--model=halfline", "--group=scaling", "--t=400"], 0),
+        (["--model=inverse-square", "--gamma=-2", "--t=400"], 0),
+        (["--model=halfline", "--group=scaling", "--t=-400"], 1),
+        (["--model=inverse-square", "--gamma=-2", "--t=-400"], 1),
+        (["--model=halfline", "--group=scaling", "--t=700"], 3),
+        (["--model=inverse-square", "--gamma=-2", "--t=700"], 3),
+    ], ids=["halfline-400", "gamma=-2-400", "halfline--400", "gamma=-2--400",
+            "halfline-700", "gamma=-2-700"])
+    def test_generator_check_at_t_400(self, argv, expected, tmp_path, capsys):
+        # the norms' rows are scaled by powers of two: t = 400 passes, t =
+        # -400 reaches the phase bound's FAIL, and at t = 700 U A U* f itself
+        # leaves the floats
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            code = cli.main(["generator-check", *argv, "--out", str(tmp_path / "x.json")])
+        err = capsys.readouterr().err
+        assert code == expected
+        assert err.count("\n") == 1 and "Traceback" not in err and "Warning" not in err
+        assert (expected == 3) == ("DynamicRangeExceeded" in err)
+
     def test_certify_nonequivalence(self, tmp_path):
         code, text = run_cli(tmp_path, "certify-nonequivalence", "--l", "1",
                              "--l2", "2", "--n", "128")

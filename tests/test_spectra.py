@@ -3,14 +3,17 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from extflow import spectra
-from extflow.numerics import find_root, ode_solve
+from extflow.numerics import find_root, magnus_propagators, magnus_transfer, ode_solve
 from extflow.errors import (
     DynamicRangeExceeded,
     IllPosed,
     InsufficientData,
     InvalidRho,
+    NoConvergence,
     NumericalInconsistency,
 )
 
@@ -58,14 +61,56 @@ def closed_form_rung(gamma, theta, lam):
     return n, -4 * math.exp(2 * (offset + n * math.pi) / nu)
 
 
+def phase_rate(nu):
+    """phi' = nu - (e^{2 sigma}/nu) sin^2 phi, the modified Pruefer angle
+    (w = r sin phi, w' = nu r cos phi) of w'' = (e^{2 sigma} - nu^2) w."""
+    def rate(sigma, phi):
+        s = math.sin(phi)
+        return nu - math.exp(2 * sigma) / nu * s * s
+    return rate
+
+
 def outward_shot(nu, theta, lam, tol):
     """The outward Pruefer phase at x = 1/k by Dormand-Prince, the shot that
     the summed series replaced: from k x = 1e-6, where the boundary form's
     phase nu sigma + theta - nu log k is exact up to O((k x)^2 / nu^2)."""
     sigma0 = math.log(1e-6)
     k = math.sqrt(-lam)
-    return ode_solve(spectra._phase_rate(nu), sigma0,
+    return ode_solve(phase_rate(nu), sigma0,
                      nu * sigma0 + theta - nu * math.log(k), 0.0, tol=tol).y_end
+
+
+def dormand_prince_inward_phase(gamma, nu, tol):
+    """The inward Pruefer phase at sigma = 0 by Dormand-Prince, the leg that
+    the Magnus transfer replaced: from sigma = log(k x_in), with the phase
+    of the two-term decaying asymptotics there."""
+    kx_in = spectra._inward_start(nu)
+    c = gamma / (2 * kx_in)
+    u, xdu = 1 + c, -kx_in * (1 + c) - c      # u and x u' at x_in
+    return ode_solve(phase_rate(nu), math.log(kx_in),
+                     math.atan2(nu * u, xdu - 0.5 * u), 0.0, tol=tol).y_end
+
+
+def inward_leg(gamma, nu):
+    """The mesh the inward leg accepts, its q and its start (u, u'), read
+    by running the leg once with ``_inward_mesh`` recorded."""
+    meshes = []
+    mesh = spectra._inward_mesh
+
+    def recorded(*args):
+        meshes.append(mesh(*args))
+        return meshes[-1]
+
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(spectra, "_inward_mesh", recorded)
+        spectra._inward_phase(gamma, nu)
+    z_in = meshes[-1][0]
+    c = gamma / (2 * z_in)
+    return meshes[-1], (lambda z: 1 + gamma / (z * z)), (1 + c, -(1 + c) - c / z_in)
+
+
+def propagators_on(q, mesh):
+    return magnus_propagators(q, mesh[:-1], np.diff(mesh))
 
 
 def bessel_k_phase(nu):
@@ -146,7 +191,7 @@ class TestShooting:
         assert got == pytest.approx(REFERENCE_LADDER, rel=1e-5)
 
     def test_residuals_small(self, ladder25):
-        # measured 9.7e-11
+        # measured 5.0e-14
         assert max(ladder25.residuals) < 1e-9
 
     def test_consecutive_ratio_is_single_step_constant(self, ladder25):
@@ -203,9 +248,9 @@ class TestShooting:
 
     @pytest.mark.parametrize("gamma", [-2.0, -1600.0, -1e4])
     def test_residuals_at_closed_form_values(self, gamma):
-        # the inward shot starts an action S_IN past the turning point nu/k,
+        # the inward leg starts an action S_IN past the turning point nu/k,
         # 1.7 nu/k at gamma = -1600 and 1.36 nu/k at -1e4; measured
-        # residuals 3.4e-12, 4.5e-10 and 2.5e-9
+        # residuals 7.0e-14, 8.0e-13 and 1.3e-13
         eig = spectra.shoot_negative_eigenvalues(gamma, 0.7, 4)
         for lam in eig.values:
             assert lam.real == pytest.approx(
@@ -214,7 +259,7 @@ class TestShooting:
 
     @pytest.mark.parametrize("theta", [0.7, 1.9])
     def test_residual_at_the_weakest_sampled_coupling(self, theta):
-        # nu = 0.1; measured 2.7e-11
+        # nu = 0.1; measured 9.3e-15
         eig = spectra.shoot_negative_eigenvalues(-0.26, theta, 1)
         assert eig.residuals[0] <= 3e-10
 
@@ -239,7 +284,7 @@ class TestShooting:
                 worst = max(worst, r0)
                 change = max(abs(residual(lam * (1 + e)) - r0) for e in (1e-6, -1e-6))
                 slopes.append(change / (nu * 1e-6 / 2))
-        # measured 0.90 to 2.73, and a worst residual of 2.5e-9
+        # measured 0.90 to 2.73, and a worst residual of 1.5e-12
         assert max(slopes) < 4 * min(slopes)
         assert worst <= 3e-8
 
@@ -260,12 +305,13 @@ class TestShooting:
         assert spectra.shoot_negative_eigenvalues(-25.0, 0.7, 3).values == eig.values
 
     def test_one_inward_shot_per_ladder(self, monkeypatch):
-        # the inward phase has no k in it, so one shot serves every rung, and
-        # the outward phase is a summed series: one ODE solve per ladder
+        # the inward phase has no k in it, so one leg serves every rung, and
+        # the outward phase is a summed series: one batch of propagators per
+        # ladder, the leg and its coarse estimate together
         calls = []
-        solve = spectra.ode_solve
-        monkeypatch.setattr(spectra, "ode_solve",
-                            lambda *args, **kw: calls.append(args) or solve(*args, **kw))
+        batch = spectra.magnus_propagators
+        monkeypatch.setattr(spectra, "magnus_propagators",
+                            lambda *args: calls.append(args) or batch(*args))
         for count in (1, 2, 3, 4):
             calls.clear()
             spectra.shoot_negative_eigenvalues(-25.0, 0.7, count)
@@ -291,21 +337,34 @@ class TestShooting:
 
 
 class TestInwardShot:
-    # (gamma, bound): 10x the measured distance from the Bessel-K phase,
-    # 2.7e-11, 8.4e-12, 3.3e-13, 9.7e-11, 4.5e-10 and 2.5e-9 in turn
-    @pytest.mark.parametrize("gamma, bound", [
-        (-0.26, 3e-10), (-1.5, 9e-11), (-2.5, 4e-12), (-25.0, 1e-9),
-        (-1600.0, 5e-9), (-1e4, 3e-8)])
+    # (gamma, bound): 10x the distance the Dormand-Prince leg measured from
+    # the Bessel-K phase, 2.7e-11, 8.4e-12, 3.3e-13, 9.7e-11, 4.5e-10 and
+    # 2.5e-9 in turn; the Magnus leg measures 8.9e-15, 7.2e-14, 2.2e-13,
+    # 4.8e-14, 8.0e-13 and 1.9e-13, and the test below holds it to 3e-12
+    INWARD_BOUNDS = [(-0.26, 3e-10), (-1.5, 9e-11), (-2.5, 4e-12), (-25.0, 1e-9),
+                     (-1600.0, 5e-9), (-1e4, 3e-8)]
+
+    @pytest.mark.parametrize("gamma, bound", INWARD_BOUNDS)
     def test_matches_the_bessel_k_phase(self, gamma, bound):
         nu = math.sqrt(-gamma - 0.25)
         got = spectra._inward_phase(gamma, nu)
         assert abs(math.remainder(got - bessel_k_phase(nu), math.pi)) <= bound
 
+    @pytest.mark.parametrize("gamma", [float(g) for g in -np.geomspace(0.2500001, 5e4, 13)])
+    def test_within_3e_12_of_the_bessel_k_phase(self, gamma):
+        # the extrapolated leg over the whole range of shoot, nu from 3e-4 to
+        # 224; measured <= 7.4e-13, at gamma = -5e4
+        nu = math.sqrt(-gamma - 0.25)
+        got = spectra._inward_phase(gamma, nu)
+        assert abs(math.remainder(got - bessel_k_phase(nu), math.pi)) <= 3e-12
+
     @pytest.mark.parametrize("gamma", [-0.26, -2.37, -25.0, -1600.0, -1e4])
     def test_residual_is_the_inward_error(self, gamma):
         # the outward phase is exact to rounding, so at each closed-form rung
-        # the residual is the inward shot's distance from the Bessel-K phase;
-        # measured <= 6.8e-14 apart, at gamma = -1e4
+        # the residual is the inward leg's distance from the Bessel-K phase;
+        # measured <= 9.8e-14 apart, at gamma = -1e4, where the rung is read
+        # from the closed-form offset arg Gamma(1 + i nu) + nu log 2 ~ 430,
+        # which rounds at that size
         nu = math.sqrt(-gamma - 0.25)
         inward_error = abs(math.remainder(
             spectra._inward_phase(gamma, nu) - bessel_k_phase(nu), math.pi))
@@ -320,26 +379,111 @@ class TestInwardShot:
             target = spectra._S_IN + spectra._action(max(nu, 1.0), nu)
             assert spectra._action(spectra._inward_start(nu), nu) >= target
 
-    # (gamma, bound): 10x the measured end-phase shift, <= 2.7e-15 for
-    # |gamma| <= 25, then 1.6e-12 and 7.0e-12
+    # (gamma, bound): the bounds the Dormand-Prince leg held; the transfer
+    # moves the end phase by at most 4.7e-15 (measured, at gamma = -5e4)
     @pytest.mark.parametrize("gamma, bound", [
         (-0.26, 3e-14), (-2.0, 3e-14), (-25.0, 3e-14), (-1e4, 2e-11), (-5e4, 7e-11)])
-    def test_start_error_is_damped(self, gamma, bound, monkeypatch):
-        # the e^{-2 S_IN} damping: moving the start phase by 0.5 rad barely
-        # moves the end phase, modulo pi (a shift can cross a branch and end
-        # one pi over); the legs run at tol = 1e-13, since at the usual
-        # 1e-10 a moved start alone changes DP5's error by up to 1.2e-10
+    def test_start_error_is_damped(self, gamma, bound):
+        # the e^{-2 S_IN} damping: moving the start phase by 0.5 rad, on the
+        # leg's own mesh, barely moves the end phase, modulo pi (a shift can
+        # cross a branch and end one pi over)
         nu = math.sqrt(-gamma - 0.25)
-        legs = []
-        solve = spectra.ode_solve
-        monkeypatch.setattr(spectra, "ode_solve",
-                            lambda *args, **kw: legs.append(args) or solve(*args, **kw))
-        spectra._inward_phase(gamma, nu)
-        (rate, sigma_in, phi0, sigma_end), = legs
-        ends = [solve(rate, sigma_in, phi0 + shift, sigma_end, tol=1e-13).y_end
-                for shift in (0.0, 0.5, -0.5)]
+        mesh, q, (u, du) = inward_leg(gamma, nu)
+        z_in = mesh[0]
+        radius = math.hypot(nu * u, z_in * du - 0.5 * u)
+        phi0 = math.atan2(nu * u, z_in * du - 0.5 * u)    # w = u/sqrt(z), w_sigma
+        propagators = propagators_on(q, mesh)
+        ends = []
+        for shift in (0.0, 0.5, -0.5):
+            w = radius * math.sin(phi0 + shift) / nu
+            end_u, end_du = magnus_transfer(
+                propagators, w, (radius * math.cos(phi0 + shift) + 0.5 * w) / z_in)
+            ends.append(math.atan2(nu * end_u, end_du - 0.5 * end_u))
         for end in ends[1:]:
             assert abs(math.remainder(end - ends[0], math.pi)) <= bound
+
+    # (gamma, bound): the Bessel-K bounds above; measured 3.6e-14, 6.6e-14,
+    # 2.1e-13, 2.4e-13, 5.5e-13 and 1.1e-12 apart, mostly the Dormand-Prince
+    # leg's own error at tol = 1e-13
+    @pytest.mark.parametrize("gamma, bound", INWARD_BOUNDS)
+    def test_matches_the_dormand_prince_leg(self, gamma, bound):
+        nu = math.sqrt(-gamma - 0.25)
+        got = spectra._inward_phase(gamma, nu)
+        oracle = dormand_prince_inward_phase(gamma, nu, tol=1e-13)
+        assert abs(math.remainder(got - oracle, math.pi)) <= bound
+
+    @pytest.mark.parametrize("gamma", [-0.26, -2.0, -25.0])
+    def test_batched_transfer_is_the_scalar_product(self, gamma):
+        # each interval's sixth-order Magnus exponent from the textbook
+        # commutator form with 2x2 matrices (Blanes, Casas and Ros), its
+        # exponential from mpmath, and the product taken one interval at a
+        # time, all on the leg's own mesh; measured <= 2.0e-15 relative
+        mpmath = pytest.importorskip("mpmath")
+        nu = math.sqrt(-gamma - 0.25)
+        mesh, q, (u, du) = inward_leg(gamma, nu)
+        gauss = [0.5 - math.sqrt(15) / 10, 0.5, 0.5 + math.sqrt(15) / 10]
+
+        def a(z):
+            return np.array([[0.0, 1.0], [1 + gamma / (z * z), 0.0]])
+
+        def bracket(x, y):
+            return x @ y - y @ x
+
+        state = np.array([u, du])
+        for z0, z1 in zip(mesh[:-1].tolist(), mesh[1:].tolist()):
+            h = z1 - z0
+            a1, a2, a3 = (a(z0 + c * h) for c in gauss)
+            b1 = h * a2
+            b2 = math.sqrt(15) / 3 * h * (a3 - a1)
+            b3 = 10 / 3 * h * (a3 - 2 * a2 + a1)
+            c1 = bracket(b1, b2)
+            c2 = -bracket(b1, 2 * b3 + c1) / 60
+            omega = b1 + b3 / 12 + bracket(-20 * b1 - b3 + c1, b2 + c2) / 240
+            prop = mpmath.expm(mpmath.matrix(omega.tolist()))
+            state = np.array(prop.tolist(), dtype=float) @ state
+        got = np.array(magnus_transfer(propagators_on(q, mesh), u, du))
+        assert np.max(np.abs(got - state)) <= 1e-14 * np.max(np.abs(state))
+
+    def test_refines_while_the_estimate_exceeds_the_budget(self, monkeypatch):
+        # at gamma = -2 the estimate reads 1.3e-9 and falls about 64-fold a
+        # halving: against a budget of 1e-11 the step is halved twice, and
+        # the phase stays within the Bessel-K bound
+        steps = []
+        mesh = spectra._inward_mesh
+        monkeypatch.setattr(spectra, "_inward_mesh",
+                            lambda nu, z_in, step: steps.append(step) or mesh(nu, z_in, step))
+        monkeypatch.setattr(spectra, "_PHASE_BUDGET", 1e-11)
+        nu = math.sqrt(1.75)
+        got = spectra._inward_phase(-2.0, nu)
+        assert steps == [spectra._MESH_STEP / 2 ** k for k in range(3)]
+        assert abs(math.remainder(got - bessel_k_phase(nu), math.pi)) <= 7e-13
+
+    def test_a_mesh_past_its_cap_raises(self, monkeypatch):
+        monkeypatch.setattr(spectra, "_MAX_STEPS", 100)
+        with pytest.raises(NoConvergence):
+            spectra.shoot_negative_eigenvalues(-25.0, 0.7, 1)
+
+    @settings(max_examples=60, deadline=None)
+    @given(st.floats(min_value=3e-4, max_value=224.0))
+    def test_mesh_falls_strictly_from_the_start_to_one(self, nu):
+        z_in = spectra._inward_start(nu)
+        mesh = spectra._inward_mesh(nu, z_in, spectra._MESH_STEP)
+        assert mesh[0] == z_in and mesh[-1] == 1.0
+        assert np.all(np.diff(mesh) < 0)
+
+    def test_propagator_count(self, monkeypatch):
+        # the benchmark's couplings, gamma in [-2.5, -1.5]: the leg and its
+        # coarse estimate take 90 to 107 propagators, the same in every run
+        counts = []
+        batch = spectra.magnus_propagators
+        monkeypatch.setattr(spectra, "magnus_propagators",
+                            lambda q, z, h: counts.append(len(z)) or batch(q, z, h))
+        gammas = [float(g) for g in np.linspace(-2.5, -1.5, 21)]
+        for _ in range(2):
+            for gamma in gammas:
+                spectra._inward_phase(gamma, math.sqrt(-gamma - 0.25))
+        assert max(counts) <= 120
+        assert counts[:21] == counts[21:]
 
 
 class TestOutwardSeries:

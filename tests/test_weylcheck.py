@@ -342,6 +342,32 @@ class TestGeneratorInvariance:
             assert abs(chk.scale / scale - 1) <= 1e-8
             assert abs(chk.offset - offset) <= 1e-8
 
+    @pytest.mark.parametrize("model, kind", _FAMILIES, ids=_FAMILY_IDS)
+    def test_scaled_norms_keep_the_bytes(self, model, kind, monkeypatch):
+        # the rows enter the norms scaled by a power of two, which is exact:
+        # wherever the unscaled norms stayed in range, every field of the
+        # check is the same float
+        ts = (-20.0, 1.0, 20.0, 300.0)
+        scaled = [weylcheck.generator_invariance_residual(model, kind, t) for t in ts]
+        monkeypatch.setattr(np, "frexp", lambda x: (x, np.zeros(np.shape(x), dtype=int)))
+        unscaled = [weylcheck.generator_invariance_residual(model, kind, t) for t in ts]
+        assert scaled == unscaled
+
+    @pytest.mark.parametrize("model", [models.halfline_derivative(), models.inverse_square(-2.0)],
+                             ids=["halfline", "gamma=-2"])
+    def test_scaling_families_at_t_400(self, model):
+        # U A U* f ~ e^{-400} and ~ e^{400}: the squares in an unscaled norm
+        # leave the floats, the scaled rows do not. At t = 400 the relation
+        # holds to the tolerance (measured 4.2e-16 and 2.8e-16); at t = -400
+        # the residual passes (2.9e-16 and 9.9e-16) and the absolute phase
+        # bound fails
+        chk = weylcheck.generator_invariance_residual(model, "scaling", 400.0)
+        assert chk.residual <= weylcheck.GENERATOR_TOL and chk.fits_scaling(400.0)
+        chk = weylcheck.generator_invariance_residual(model, "scaling", -400.0)
+        assert chk.residual <= weylcheck.GENERATOR_TOL and not chk.fits_scaling(-400.0)
+        with pytest.raises(DynamicRangeExceeded):
+            weylcheck.generator_invariance_residual(model, "scaling", 700.0)
+
     def test_a_nan_entry_never_passes(self):
         def nan_jet(x):
             return (x * math.nan,) * 3
