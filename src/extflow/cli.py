@@ -4,12 +4,14 @@ JSON/CSV report emission.
 Commands: flow-orbit, fixed-points, invariance, period, spectrum, shoot,
 fk-params, weyl, generator-check, refine, certify-nonequivalence, all.
 Configuration comes from flags, optionally read from a flat key=value
-file (# comments); flags override the file. One table, _KEYS, declares
-every key; each command takes the keys of its _COMMAND_KEYS row, with the
-_MODEL_KEYS of its model where it reads one, which its report echoes, and
-the run-wide jobs, out and format. Reports are byte-stable for a fixed
-configuration, whatever --jobs is: numbers are printed with 17 significant
-digits and wall-clock timings go to stderr, never into the payload.
+file (# comments); flags override the file. Each decision is declared
+once: _KEYS declares every key, _MODELS each model's constructor, keys and
+groups, and _COMMANDS each command's handler and keys. A command takes the
+keys of its row, with those of its model where it reads one, which its
+report echoes, and the run-wide jobs, out and format. Reports are
+byte-stable for a fixed configuration, whatever --jobs is: numbers are
+printed with 17 significant digits and wall-clock timings go to stderr,
+never into the payload.
 
 Exit codes: 0 when every check in the run passed, 2 on configuration
 errors, 3 on numerical failures (or unwritable output).
@@ -23,7 +25,6 @@ import functools
 import math
 import sys
 import time
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -33,18 +34,15 @@ from .affine import Scaling, Translation, subgroup_eval
 from .errors import ExtflowError, IncompatibleModelGroup, InvalidArgument, ParseError
 from .flow import Verdict
 
-COMMANDS = (
-    "flow-orbit", "fixed-points", "invariance", "period", "spectrum",
-    "shoot", "fk-params", "weyl", "generator-check", "refine",
-    "certify-nonequivalence", "all",
-)
-
-# each model's groups, its default first
-_MODEL_GROUPS = {
-    "interval": ("translation",),
-    "inverse-square": ("scaling",),
-    "halfline": ("translation", "scaling"),
+# each model: its constructor, the keys of its parameters in the
+# constructor's order, which a command that reads a model reads of the given
+# one only, and its groups, the default first
+_MODELS = {
+    "interval": (models.IntervalModel, ("l",), ("translation",)),
+    "inverse-square": (models.inverse_square, ("gamma",), ("scaling",)),
+    "halfline": (models.HalflineModel, (), ("translation", "scaling")),
 }
+_GROUPS = {"translation": Translation(1.0), "scaling": Scaling(math.e, 0.0)}
 
 
 @dataclass
@@ -160,30 +158,10 @@ _KEYS = {
 # and no payload echoes them
 _RUN_KEYS = ("jobs", "out", "format")
 
-_FLOW_KEYS = ("model", "group")
-# the keys each command reads, and echoes
-_COMMAND_KEYS = {
-    "flow-orbit": (*_FLOW_KEYS, "t", "v0"),
-    "fixed-points": (*_FLOW_KEYS, "t", "tol"),
-    "invariance": (*_FLOW_KEYS, "t_max"),
-    "period": (*_FLOW_KEYS, "tol", "t_max"),
-    "spectrum": ("l", "theta", "rho", "window"),
-    "shoot": ("gamma", "theta", "count"),
-    "fk-params": ("gamma",),
-    "weyl": ("l", "n", "t", "on_grid"),
-    "generator-check": (*_FLOW_KEYS, "t", "tol"),
-    "refine": ("l", "n", "t", "on_grid"),
-    "certify-nonequivalence": ("l", "l2", "n"),
-    "all": (),
-}
-# the parameters of each model, which a command that reads a model reads of
-# the given one only
-_MODEL_KEYS = {"interval": ("l",), "inverse-square": ("gamma",), "halfline": ()}
-
 
 def _row(command: str, model: str | None) -> tuple:
-    keys = _COMMAND_KEYS[command]
-    return (*keys, *_MODEL_KEYS[model]) if "model" in keys else keys
+    keys = _COMMANDS[command][1]
+    return (*keys, *_MODELS[model][1]) if "model" in keys else keys
 
 
 def load_config(args: argparse.Namespace) -> RunConfig:
@@ -202,7 +180,7 @@ def load_config(args: argparse.Namespace) -> RunConfig:
     values.update((key, value) for key, value in vars(args).items()
                   if key in _KEYS and value is not None)
     model = values.get("model")
-    if "model" in _COMMAND_KEYS[args.command] and model not in _MODEL_KEYS:
+    if "model" in _COMMANDS[args.command][1] and model not in _MODELS:
         raise ParseError(f"unknown model {model!r}" if model is not None else
                          f"{args.command}: missing required field 'model'")
     allowed = _row(args.command, model)
@@ -216,16 +194,17 @@ def load_config(args: argparse.Namespace) -> RunConfig:
 
 
 def _validate(cfg: RunConfig):
-    keys = _COMMAND_KEYS[cfg.command]
+    keys = _COMMANDS[cfg.command][1]
     numbers = [*cfg.t_values, *cfg.window, cfg.length, cfg.gamma, cfg.tol, cfg.theta,
                cfg.rho, cfg.length2, cfg.v0, cfg.t_max]
     if not all(cmath.isfinite(x) for x in numbers if x is not None):
         raise ParseError(f"{cfg.command}: every numeric input must be finite")
     if "model" in keys:
-        group = cfg.group or _MODEL_GROUPS[cfg.model][0]
-        if group not in ("translation", "scaling"):
+        groups = _MODELS[cfg.model][2]
+        group = cfg.group or groups[0]
+        if group not in _GROUPS:
             raise ParseError(f"unknown group {group!r}")
-        if group not in _MODEL_GROUPS[cfg.model]:
+        if group not in groups:
             raise IncompatibleModelGroup(
                 f"model {cfg.model!r} is not invariant under {group!r}")
         cfg.group = group
@@ -241,8 +220,12 @@ def _validate(cfg: RunConfig):
         if not cfg.gamma < -0.25:
             raise ParseError(
                 f"shoot: gamma must be below -1/4 (oscillatory boundary), got {cfg.gamma}")
+    if "t" in keys and not cfg.t_values:
+        raise ParseError(f"{cfg.command}: 't' needs at least one value")
     if "n" in keys and min(cfg.n_values, default=0) < 8:
         raise ParseError(f"{cfg.command}: every grid size n must be at least 8")
+    if cfg.command == "certify-nonequivalence" and len(cfg.n_values) != 1:
+        raise ParseError("certify-nonequivalence: give exactly one grid size in 'n'")
     if cfg.command == "refine" and len(set(cfg.n_values)) < 3:
         raise ParseError("refine: need at least three distinct grid sizes in 'n'")
     if cfg.command == "period" and cfg.model == "halfline":
@@ -271,12 +254,8 @@ def _validate(cfg: RunConfig):
 
 
 def _build_model(cfg: RunConfig):
-    fields = (_KEYS[key][0] for key in _MODEL_KEYS[cfg.model])
-    return models.by_name(cfg.model, **{name: getattr(cfg, name) for name in fields})
-
-
-def _subgroup(cfg: RunConfig):
-    return Translation(1.0) if cfg.group == "translation" else Scaling(math.e, 0.0)
+    constructor, keys, _ = _MODELS[cfg.model]
+    return constructor(*(getattr(cfg, _KEYS[key][0]) for key in keys))
 
 
 # ---------------------------------------------------------------------------
@@ -284,14 +263,13 @@ def _subgroup(cfg: RunConfig):
 # ---------------------------------------------------------------------------
 
 def dispatch(cfg: RunConfig) -> RunReport:
-    handler = _HANDLERS[cfg.command]
-    results, checks = handler(cfg)
+    results, checks = _COMMANDS[cfg.command][0](cfg)
     return RunReport(cfg.command, cfg.echo(), results, checks)
 
 
 def _cmd_flow_orbit(cfg):
     model = _build_model(cfg)
-    group = _subgroup(cfg)
+    group = _GROUPS[cfg.group]
     rows = []
     worst = 0.0
     values = flow.orbit(model, group, cfg.v0, cfg.t_values)
@@ -304,7 +282,7 @@ def _cmd_flow_orbit(cfg):
 
 def _cmd_fixed_points(cfg):
     model = _build_model(cfg)
-    group = _subgroup(cfg)
+    group = _GROUPS[cfg.group]
     tol = cfg.tol or 1e-8
     gen = flow.generator(model, group)
     rows = []
@@ -334,7 +312,7 @@ _VERDICT_CLASSES = {
 
 def _cmd_invariance(cfg):
     model = _build_model(cfg)
-    group = _subgroup(cfg)
+    group = _GROUPS[cfg.group]
     rep = flow.invariant_extensions(model, group)
     period = None
     if cfg.t_max is not None:
@@ -362,7 +340,7 @@ def _cmd_invariance(cfg):
 def _cmd_period(cfg):
     tol = cfg.tol or 1e-8
     t_max = math.inf if cfg.t_max is None else cfg.t_max
-    period = flow.period_detect(_build_model(cfg), _subgroup(cfg), t_max, tol)
+    period = flow.period_detect(_build_model(cfg), _GROUPS[cfg.group], t_max, tol)
     results = {"period": period, "t_max": cfg.t_max, "tol": tol}
     return results, {"period found": period is not None}
 
@@ -416,20 +394,14 @@ def _cmd_fk_params(cfg):
 
 
 def _cmd_weyl(cfg):
-    cells = [(cfg.length, n, t, cfg.on_grid)
-             for n in sorted(cfg.n_values) for t in cfg.t_values]
-    if cfg.jobs > 1:
-        with ThreadPoolExecutor(max_workers=cfg.jobs) as pool:
-            rows = list(pool.map(lambda c: weylcheck.residual_row(*c), cells))
-    else:
-        rows = [weylcheck.residual_row(*c) for c in cells]
-    rows.sort(key=lambda r: (r["n"], r["t"]))
+    rows = weylcheck.residual_rows(cfg.length, cfg.n_values, cfg.t_values,
+                                   cfg.on_grid, cfg.jobs)
     worst = max((r["residual"] for r in rows), default=0.0)
     checks = {}
     if cfg.on_grid:
         checks["on-grid residual <= 1e-12"] = worst <= 1e-12
     else:
-        checks["residuals finite"] = all(np.isfinite(r["residual"]) for r in rows)
+        checks["residuals finite"] = all(math.isfinite(r["residual"]) for r in rows)
     return {"rows": rows, "worst_residual": worst}, checks
 
 
@@ -453,10 +425,10 @@ def _cmd_generator_check(cfg):
 
 
 def _cmd_refine(cfg):
-    res = weylcheck.refinement_study(cfg.length, cfg.n_values, cfg.t_values,
-                                     on_grid=cfg.on_grid)
-    variant, order = next(iter(res.orders.items()))
-    results = {"rows": res.table.sorted_rows(), "orders": res.orders}
+    rows = weylcheck.residual_rows(cfg.length, cfg.n_values, cfg.t_values,
+                                   cfg.on_grid, cfg.jobs)
+    order = weylcheck.refinement_order(rows)
+    results = {"rows": rows, "orders": {rows[0]["variant"]: order}}
     if order == "exact":
         checks = {"residuals at rounding floor": True}
     else:
@@ -465,8 +437,8 @@ def _cmd_refine(cfg):
 
 
 def _cmd_certify(cfg):
-    rep = weylcheck.nonequivalence_certificate(cfg.length, cfg.length2,
-                                               n=cfg.n_values[0])
+    (n,) = cfg.n_values
+    rep = weylcheck.nonequivalence_certificate(cfg.length, cfg.length2, n=n)
     results = {
         "sstar_1": rep.sstar_1, "sstar_2": rep.sstar_2,
         "h1": rep.h1, "h2": rep.h2, "message": rep.message,
@@ -485,20 +457,23 @@ def _cmd_all(cfg):
     return {"criteria": payload}, checks
 
 
-_HANDLERS = {
-    "flow-orbit": _cmd_flow_orbit,
-    "fixed-points": _cmd_fixed_points,
-    "invariance": _cmd_invariance,
-    "period": _cmd_period,
-    "spectrum": _cmd_spectrum,
-    "shoot": _cmd_shoot,
-    "fk-params": _cmd_fk_params,
-    "weyl": _cmd_weyl,
-    "generator-check": _cmd_generator_check,
-    "refine": _cmd_refine,
-    "certify-nonequivalence": _cmd_certify,
-    "all": _cmd_all,
+_FLOW_KEYS = ("model", "group")
+# each command: its handler, and the keys it reads and echoes
+_COMMANDS = {
+    "flow-orbit": (_cmd_flow_orbit, (*_FLOW_KEYS, "t", "v0")),
+    "fixed-points": (_cmd_fixed_points, (*_FLOW_KEYS, "t", "tol")),
+    "invariance": (_cmd_invariance, (*_FLOW_KEYS, "t_max")),
+    "period": (_cmd_period, (*_FLOW_KEYS, "tol", "t_max")),
+    "spectrum": (_cmd_spectrum, ("l", "theta", "rho", "window")),
+    "shoot": (_cmd_shoot, ("gamma", "theta", "count")),
+    "fk-params": (_cmd_fk_params, ("gamma",)),
+    "weyl": (_cmd_weyl, ("l", "n", "t", "on_grid")),
+    "generator-check": (_cmd_generator_check, (*_FLOW_KEYS, "t", "tol")),
+    "refine": (_cmd_refine, ("l", "n", "t", "on_grid")),
+    "certify-nonequivalence": (_cmd_certify, ("l", "l2", "n")),
+    "all": (_cmd_all, ()),
 }
+COMMANDS = tuple(_COMMANDS)
 
 
 # ---------------------------------------------------------------------------

@@ -463,13 +463,3 @@ def inverse_square(gamma: float) -> InverseSquareModel:
 def halfline_derivative() -> HalflineModel:
     return HalflineModel()
 
-
-def by_name(name: str, **params):
-    """CLI-facing model selection: 'interval', 'inverse-square', 'halfline'."""
-    if name == "interval":
-        return interval_derivative(params.get("length", 1.0))
-    if name == "inverse-square":
-        return inverse_square(params.get("gamma", 0.0))
-    if name == "halfline":
-        return halfline_derivative()
-    raise InvalidArgument(f"unknown model {name!r}")

@@ -66,26 +66,31 @@ class EigenList:
         return len(self.values)
 
 
+def _lattice(length: float, phase: float, height: float, window, max_count: int) -> list:
+    """The points (phase + 2 pi n)/length + i height, n an integer, whose real
+    part lies inside the window, at most max_count of them."""
+    lo, hi = window
+    if not lo < hi:
+        raise InvalidArgument("empty window")
+    n = math.ceil((lo - phase / length) / (2 * math.pi / length))
+    values = []
+    while len(values) < max_count:
+        re_part = (phase + 2 * math.pi * n) / length
+        if re_part > hi:
+            break
+        if re_part >= lo:
+            values.append(complex(re_part, height))
+        n += 1
+    return values
+
+
 def interval_sa_spectrum(length: float, theta: float, window,
                          max_count: int = 10**6) -> EigenList:
     """Lattice (theta + 2 pi n)/length inside the window, the spectrum of the
     extension with boundary condition f(0) = e^{i theta} f(length)."""
     if not length > 0:
         raise InvalidArgument("length must be positive")
-    lo, hi = window
-    if not lo < hi:
-        raise InvalidArgument("empty window")
-    spacing = 2 * math.pi / length
-    n_lo = math.ceil((lo - theta / length) / spacing)
-    values = []
-    n = n_lo
-    while True:
-        lam = (theta + 2 * math.pi * n) / length
-        if lam > hi or len(values) >= max_count:
-            break
-        if lam >= lo:
-            values.append(complex(lam))
-        n += 1
+    values = _lattice(length, theta, 0.0, window, max_count)
     residuals = [abs(np.exp(-1j * lam * length) - np.exp(-1j * theta))
                  for lam in values]
     return EigenList(values, residuals, {"length": length, "theta": theta})
@@ -103,22 +108,8 @@ def interval_dissipative_lattice(length: float, rho: complex, window,
         raise InvalidRho(f"need |rho| < 1, got {abs(rho)}")
     if rho == 0:
         return EigenList([], [], {"length": length, "rho": rho})
-    lo, hi = window
-    if not lo < hi:
-        raise InvalidArgument("empty window")
-    im_part = math.log(1.0 / abs(rho)) / length
-    arg = math.atan2(rho.imag, rho.real)
-    spacing = 2 * math.pi / length
-    n_lo = math.ceil((lo - arg / length) / spacing)
-    values = []
-    n = n_lo
-    while True:
-        re_part = (arg + 2 * math.pi * n) / length
-        if re_part > hi or len(values) >= max_count:
-            break
-        if re_part >= lo:
-            values.append(complex(re_part, im_part))
-        n += 1
+    values = _lattice(length, math.atan2(rho.imag, rho.real),
+                      math.log(1.0 / abs(rho)) / length, window, max_count)
     residuals = [abs(np.exp(-1j * lam * length) - 1.0 / rho) for lam in values]
     return EigenList(values, residuals, {"length": length, "rho": rho})
 

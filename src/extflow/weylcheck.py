@@ -15,15 +15,18 @@ and V_s the shift by k = round(s/h). Products stay of that form, so the
 commutator U_t V_s - e^{i s t} V_s U_t has a single nonzero diagonal and
 its operator norm is the exact maximum of that diagonal, in O(n). The
 relation then holds to machine precision on the grid, while off-grid times
-are realized by nearest-grid rounding and converge at first order. The
-nilpotency index n h of the shift semigroup is fixed by the construction.
+are realized by nearest-grid rounding and converge at first order. One
+sweep, residual_rows, serves the weyl and refine commands and the
+acceptance battery, on worker threads when asked, and refinement_order
+fits its convergence order. The nilpotency index n h of the shift
+semigroup is fixed by the construction.
 """
 
 from __future__ import annotations
 
 import cmath
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -138,51 +141,39 @@ def residual_row(length: float, n: int, t: float, on_grid: bool) -> dict:
 
 
 # ---------------------------------------------------------------------------
-# refinement studies
+# residual sweeps and refinement orders
 # ---------------------------------------------------------------------------
 
-@dataclass
-class ResidualTable:
-    rows: list = field(default_factory=list)   # dicts: n, h, t, s, variant, residual
-
-    def append(self, **row):
-        self.rows.append(row)
-
-    def sorted_rows(self):
-        return sorted(self.rows, key=lambda r: (r["variant"], r["n"], r["t"], r["s"]))
-
-
-@dataclass
-class RefinementResult:
-    table: ResidualTable
-    orders: dict    # variant -> fitted order (float) or "exact"
-
-
-def refinement_study(length: float, n_list, t_values, on_grid: bool) -> RefinementResult:
-    """Sweep grid sizes and group parameters; fit log(residual) against
-    log(h). Off-grid times sit at the half-spacing offset (k + 1/2) h, the
-    worst case for nearest-grid rounding, so the fitted order tracks the
-    error envelope. Residuals at the rounding floor are reported as "exact"."""
-    if len(set(n_list)) < 3:
-        raise InvalidArgument("need at least three distinct grid sizes")
-    table = ResidualTable()
-    variant = "on-grid" if on_grid else "off-grid"
-    for n in sorted(n_list):
-        for t in t_values:
-            table.append(**residual_row(length, n, t, on_grid))
-    worst = {}
-    for r in table.rows:
-        worst.setdefault(r["n"], 0.0)
-        worst[r["n"]] = max(worst[r["n"]], r["residual"])
-    ns = sorted(worst)
-    if all(worst[n] <= 1e-12 for n in ns):
-        order = "exact"
+def residual_rows(length: float, n_list, t_values, on_grid: bool, jobs: int = 1) -> list:
+    """residual_row for every grid size and group parameter, sorted by (n, t)
+    whatever the number of worker threads."""
+    cells = [(length, n, t, on_grid) for n in sorted(n_list) for t in t_values]
+    if jobs > 1:
+        from concurrent.futures import ThreadPoolExecutor
+        with ThreadPoolExecutor(max_workers=jobs) as pool:
+            rows = list(pool.map(lambda cell: residual_row(*cell), cells))
     else:
-        hs = np.log([length / n for n in ns])
-        rs = np.log([max(worst[n], 1e-300) for n in ns])
-        slope = np.polyfit(hs, rs, 1)[0]
-        order = float(slope)
-    return RefinementResult(table, {variant: order})
+        rows = [residual_row(*cell) for cell in cells]
+    return sorted(rows, key=lambda r: (r["n"], r["t"]))
+
+
+def refinement_order(rows):
+    """The slope of log(worst residual per grid size) against log(h), or
+    "exact" when every residual is at the rounding floor. Off-grid times sit
+    at the half-spacing offset (k + 1/2) h, the worst case for nearest-grid
+    rounding, so the fitted order tracks the error envelope."""
+    worst = {}
+    for r in rows:
+        size = (r["n"], r["h"])
+        worst[size] = max(worst.get(size, 0.0), r["residual"])
+    if len(worst) < 3:
+        raise InvalidArgument("need at least three distinct grid sizes")
+    sizes = sorted(worst)
+    if all(worst[size] <= 1e-12 for size in sizes):
+        return "exact"
+    hs = np.log([h for _, h in sizes])
+    rs = np.log([max(worst[size], 1e-300) for size in sizes])
+    return float(np.polyfit(hs, rs, 1)[0])
 
 
 # ---------------------------------------------------------------------------

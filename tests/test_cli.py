@@ -264,6 +264,28 @@ class TestCommands:
                            "--t", "0.5,1.5", "--on-grid", "--jobs", "4",
                            name="b.json")
         assert text1 and text1 == text2
+        texts = [run_cli(tmp_path, "refine", "--n", "256,64,128,64", "--t", "1.5,0.5",
+                         "--jobs", jobs, name=f"refine-{jobs}.json")
+                 for jobs in ("1", "2", "4")]
+        assert texts[0][0] == 0 and texts[0][1]
+        assert texts[1] == texts[0] and texts[2] == texts[0]
+
+    def test_refine_sweeps_on_the_worker_threads(self, tmp_path, monkeypatch):
+        # refine's residual rows come from weylcheck.residual_rows, which
+        # starts a pool only for --jobs above 1
+        import concurrent.futures
+        pools = []
+
+        class Recording(concurrent.futures.ThreadPoolExecutor):
+            def __init__(self, max_workers):
+                pools.append(max_workers)
+                super().__init__(max_workers=max_workers)
+
+        monkeypatch.setattr(concurrent.futures, "ThreadPoolExecutor", Recording)
+        for jobs in ("1", "3"):
+            code, _ = run_cli(tmp_path, "refine", "--n", "64,128,256", "--jobs", jobs)
+            assert code == 0
+        assert pools == [3]
 
 
 class TestEmission:
@@ -338,7 +360,7 @@ class TestExitCodes:
         lambda: affine.AffineMap(-1.0, 0.0),
         lambda: flow.gamma_apply(None, affine.AffineMap(1.0, 0.0), 2.0),
         lambda: mobius.disk_automorphism(1.5),
-        lambda: models.by_name("sphere"),
+        lambda: models.IntervalModel(-1.0),
         lambda: numerics.quad_finite(np.sin, 1.0, 0.0),
         lambda: spectra.shoot_negative_eigenvalues(-2.0, 0.0, 5),
         lambda: weylcheck.build_interval_grid(1.0, 4),
@@ -376,6 +398,34 @@ class TestExitCodes:
         assert code == 2
         assert err.startswith(f"configuration error: {argv[0]}:")
         assert err.count("\n") == 1 and "Traceback" not in err
+        assert not (tmp_path / "x.json").exists()
+
+    @pytest.mark.parametrize("n", ["64,128", "64,64", "128,64,256"])
+    def test_certify_takes_exactly_one_size(self, n, tmp_path, capsys):
+        # the certificate is taken at one grid size, so a list is an error
+        code = cli.main(["certify-nonequivalence", "--l2", "2", "--n", n,
+                         "--out", str(tmp_path / "x.json")])
+        err = capsys.readouterr().err
+        assert code == 2
+        assert err == ("configuration error: certify-nonequivalence: "
+                       "give exactly one grid size in 'n'\n")
+        assert not (tmp_path / "x.json").exists()
+
+    @pytest.mark.parametrize("source", ["flag", "file"])
+    @pytest.mark.parametrize("command", [c for c in cli.COMMANDS if "t" in cli._COMMANDS[c][1]])
+    def test_empty_t_is_configuration_error(self, command, source, tmp_path, capsys):
+        # every command whose row holds t; an empty t would check nothing and pass
+        argv = [command, *_BASE.get(command, [])]
+        if source == "flag":
+            argv.append("--t=")
+        else:
+            path = tmp_path / "empty.cfg"
+            path.write_text("t =\n")
+            argv += ["--config", str(path)]
+        code = cli.main([*argv, "--out", str(tmp_path / "x.json")])
+        err = capsys.readouterr().err
+        assert code == 2
+        assert err == f"configuration error: {command}: 't' needs at least one value\n"
         assert not (tmp_path / "x.json").exists()
 
     @pytest.mark.parametrize("argv", [
@@ -709,12 +759,12 @@ _COMMANDS = [c for c in cli.COMMANDS if c != "all"] + ["frobnicate"]
 def _row(command, model="interval"):
     """The drawn flags a command takes: its own keys, the model's where it
     reads one, and --format; every flag for an unknown command."""
-    keys = cli._row(command, model) if command in cli._COMMAND_KEYS else cli._KEYS
+    keys = cli._row(command, model) if command in cli._COMMANDS else cli._KEYS
     return sorted({"--" + key.replace("_", "-") for key in keys} & set(_FLAGS) | {"--format"})
 
 
 def _reads_model(command):
-    return "model" in cli._COMMAND_KEYS.get(command, ())
+    return command in cli._COMMANDS and "model" in cli._COMMANDS[command][1]
 
 
 def _arg(name, value):
@@ -725,7 +775,7 @@ def _arg(name, value):
 def _argvs(draw):
     command = draw(st.sampled_from(_COMMANDS))
     argv = [command, *_BASE.get(command, [])]
-    model = draw(st.sampled_from(sorted(cli._MODEL_KEYS)))
+    model = draw(st.sampled_from(sorted(cli._MODELS)))
     if _reads_model(command):
         argv.append(f"--model={model}")
     for name in draw(st.lists(st.sampled_from(_row(command, model)), max_size=4, unique=True)):
@@ -791,7 +841,7 @@ _FILE_VALUES = {
 
 def _models(command):
     """Each model where the command reads one, else None alone."""
-    return sorted(cli._MODEL_KEYS) if _reads_model(command) else [None]
+    return sorted(cli._MODELS) if _reads_model(command) else [None]
 
 
 def _base(command, model):
@@ -851,5 +901,27 @@ def test_each_row_is_what_its_handler_reads(command):
         cfg = cli.load_config(cli.build_parser().parse_args([command, *_base(command, model)]))
         cfg.__class__ = Recording
         reads.clear()
-        cli._HANDLERS[command](cfg)
+        handler, _ = cli._COMMANDS[command]
+        handler(cfg)
         assert reads - set(cli._RUN_KEYS) == set(cli._row(command, model))
+
+
+@pytest.mark.parametrize("model", sorted(cli._MODELS))
+def test_each_model_row_builds_its_model(model):
+    # the constructor reads the model's keys in order, the default group
+    # comes first, and every group is one the model is invariant under
+    argv = {"interval": ["--l=2"], "inverse-square": ["--gamma=-2"], "halfline": []}[model]
+    cfg = cli.load_config(cli.build_parser().parse_args(
+        ["fixed-points", f"--model={model}", *argv]))
+    built = cli._build_model(cfg)
+    _, keys, groups = cli._MODELS[model]
+    assert built.name == model
+    assert [getattr(built, cli._KEYS[key][0]) for key in keys] == [
+        {"l": 2.0, "gamma": -2.0}[key] for key in keys]
+    assert cfg.group == groups[0] and set(groups) <= set(cli._GROUPS)
+    if model == "inverse-square":
+        assert built is cli._build_model(cfg)       # the cached model
+    for group in set(cli._GROUPS) - set(groups):
+        with pytest.raises(cli.IncompatibleModelGroup):
+            cli.load_config(cli.build_parser().parse_args(
+                ["fixed-points", f"--model={model}", f"--group={group}", *argv]))

@@ -447,11 +447,3 @@ class TestHalflineModel:
         assert sc == models.Representation(math.exp(0.35), math.exp(0.7))
         assert np.allclose(sc(f)(xs)[0], math.exp(0.35) * f(math.exp(0.7) * xs)[0])
 
-
-class TestRegistry:
-    def test_by_name(self):
-        assert models.by_name("interval", length=2.0).length == 2.0
-        assert models.by_name("inverse-square", gamma=0.0).gamma == 0.0
-        assert models.by_name("halfline").deficiency_dims == (0, 1)
-        with pytest.raises(ValueError):
-            models.by_name("nonsense")

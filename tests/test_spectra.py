@@ -12,6 +12,7 @@ from extflow.errors import (
     DynamicRangeExceeded,
     IllPosed,
     InsufficientData,
+    InvalidArgument,
     InvalidRho,
     NoConvergence,
     NumericalInconsistency,
@@ -183,6 +184,47 @@ class TestDissipativeLattice:
         with pytest.raises(InvalidRho):
             spectra.interval_dissipative_lattice(1.0, 1.0, (-10.0, 10.0))
 
+
+def _lattice_real_parts(length, phase, lo, hi):
+    """(phase + 2 pi n)/length in [lo, hi], n enumerated over a wide range."""
+    parts = ((phase + 2 * math.pi * n) / length for n in range(-1000, 1000))
+    return [x for x in parts if lo <= x <= hi]
+
+
+class TestLattices:
+    # both lattice functions share one loop; each keeps its own residual
+
+    @pytest.mark.parametrize("theta", [0.0, 1.1, -3.0, math.pi, 7.5, -9.25])
+    @pytest.mark.parametrize("length", [0.7, 1.0, 2 * math.pi])
+    def test_self_adjoint_real_parts_are_exact(self, length, theta):
+        # theta = 7.5 and -9.25 lie outside (-pi, pi]: the lattice is the same
+        eig = spectra.interval_sa_spectrum(length, theta, (-40.0, 40.0))
+        assert [v.real for v in eig.values] == _lattice_real_parts(length, theta, -40.0, 40.0)
+        assert all(v.imag == 0.0 for v in eig.values)
+
+    @pytest.mark.parametrize("rho", [0.36, 0.3 - 0.4j, -0.5j, -0.2, math.exp(-1) * 1j])
+    @pytest.mark.parametrize("length", [0.7, 1.0, 2.0])
+    def test_dissipative_parts_are_exact(self, length, rho):
+        eig = spectra.interval_dissipative_lattice(length, rho, (-30.0, 30.0))
+        phase = math.atan2(complex(rho).imag, complex(rho).real)
+        assert [v.real for v in eig.values] == _lattice_real_parts(length, phase, -30.0, 30.0)
+        assert all(v.imag == math.log(1.0 / abs(rho)) / length for v in eig.values)
+
+    @pytest.mark.parametrize("count", [0, 1, 5])
+    def test_max_count_truncates_from_the_bottom(self, count):
+        for lattice, parameter in ((spectra.interval_sa_spectrum, 7.5),
+                                   (spectra.interval_dissipative_lattice, 0.3 - 0.4j)):
+            full = lattice(1.3, parameter, (-50.0, 50.0))
+            cut = lattice(1.3, parameter, (-50.0, 50.0), max_count=count)
+            assert len(full) > 5
+            assert cut.values == full.values[:count]
+            assert cut.residuals == full.residuals[:count]
+
+    def test_empty_window_is_invalid(self):
+        for lattice, parameter in ((spectra.interval_sa_spectrum, 0.0),
+                                   (spectra.interval_dissipative_lattice, 0.5)):
+            with pytest.raises(InvalidArgument):
+                lattice(1.0, parameter, (1.0, 1.0))
 
 class TestShooting:
     def test_matches_independent_reference(self, ladder25):

@@ -200,24 +200,35 @@ class TestWeylResidual:
                                             rel=1e-12, abs=0.0)
 
     def test_off_grid_first_order(self):
-        res = weylcheck.refinement_study(1.0, [128, 256, 512, 1024], [1.0, 2.5],
-                                         on_grid=False)
-        assert res.orders["off-grid"] >= 0.9
+        order = weylcheck.refinement_order(weylcheck.residual_rows(
+            1.0, [128, 256, 512, 1024], [1.0, 2.5], on_grid=False))
+        assert order >= 0.9
 
     def test_off_grid_order_over_four_decades(self):
-        res = weylcheck.refinement_study(1.0, [10**2, 10**3, 10**4, 10**5, 10**6],
-                                         [1.0, 2.5], on_grid=False)
-        assert 0.99 <= res.orders["off-grid"] <= 1.01
+        order = weylcheck.refinement_order(weylcheck.residual_rows(
+            1.0, [10**2, 10**3, 10**4, 10**5, 10**6], [1.0, 2.5], on_grid=False))
+        assert 0.99 <= order <= 1.01
 
     def test_on_grid_reported_exact(self):
-        res = weylcheck.refinement_study(1.0, [128, 256, 512], [1.0, 2.5],
-                                         on_grid=True)
-        assert res.orders["on-grid"] == "exact"
-        assert all(r["residual"] <= 1e-12 for r in res.table.rows)
+        rows = weylcheck.residual_rows(1.0, [128, 256, 512], [1.0, 2.5], on_grid=True)
+        assert weylcheck.refinement_order(rows) == "exact"
+        assert all(r["residual"] <= 1e-12 for r in rows)
 
     def test_refinement_needs_three_distinct_sizes(self):
         with pytest.raises(ValueError):
-            weylcheck.refinement_study(1.0, [64, 64, 128], [1.0], on_grid=False)
+            weylcheck.refinement_order(
+                weylcheck.residual_rows(1.0, [64, 64, 128], [1.0], on_grid=False))
+
+    @pytest.mark.parametrize("jobs", [2, 3])
+    def test_rows_are_sorted_whatever_the_jobs(self, jobs):
+        # every (n, t) once per listed size, in (n, t) order, the same rows
+        # from the worker threads as from the serial sweep
+        args = (1.0, [256, 64, 128, 64], [1.5, -0.5, 1.5], False)
+        rows = weylcheck.residual_rows(*args)
+        assert [(r["n"], r["t"]) for r in rows] == sorted(
+            (n, t) for n in [256, 64, 128, 64] for t in [1.5, -0.5, 1.5])
+        assert rows == [weylcheck.residual_row(1.0, r["n"], r["t"], False) for r in rows]
+        assert weylcheck.residual_rows(*args, jobs=jobs) == rows
 
     def test_residual_independent_of_t_on_grid(self, grid256):
         rng = np.random.default_rng(3)
