@@ -21,11 +21,9 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from . import flow, models, mobius, spectra, weylcheck
-from .affine import IDENTITY, AffineMap, Scaling, Translation, subgroup_eval
+from .affine import IDENTITY, AffineMap, subgroup_eval
 from .errors import ExtflowError
 from .flow import DISSIPATIVE, Verdict
-
-SCALING = Scaling(math.e, 0.0)
 
 
 @dataclass
@@ -58,9 +56,9 @@ def _finish(name, budget, start, checks, details, notes=None):
 def criterion_1_identity_and_group_law() -> CriterionResult:
     start = time.perf_counter()
     checks, details = {}, {}
-    interval = models.interval_derivative(1.0)
+    interval = models.IntervalModel(1.0)
     invsq = models.inverse_square(0.0)
-    halfline = models.halfline_derivative()
+    halfline = models.HalflineModel()
     for model in (interval, invsq, halfline):
         dist = flow.gamma_map(model, IDENTITY).distance_to_identity()
         checks[f"identity[{model.name}]"] = dist <= 1e-12
@@ -77,7 +75,7 @@ def criterion_1_identity_and_group_law() -> CriterionResult:
     for _ in range(50):
         t1, t2 = rng.uniform(-2.5, 2.5, 2)
         worst = max(worst, flow.check_group_law(
-            invsq, subgroup_eval(SCALING, t1), subgroup_eval(SCALING, t2)))
+            invsq, subgroup_eval("scaling", t1), subgroup_eval("scaling", t2)))
     checks["group_law[inverse-square] <= 1e-9"] = worst <= 1e-9
     details["group_law_inverse_square"] = worst
     return _finish("criterion 1: flow identity and group law", 10.0, start,
@@ -88,8 +86,8 @@ def criterion_2_interval_invariant_extension() -> CriterionResult:
     start = time.perf_counter()
     checks, details = {}, {}
     for length in (0.5, 1.0, 2.0):
-        model = models.interval_derivative(length)
-        rep = flow.invariant_extensions(model, Translation(1.0))
+        model = models.IntervalModel(length)
+        rep = flow.invariant_extensions(model, "translation")
         ok = rep.group_verdict is Verdict.UNIQUE_DISSIPATIVE
         ok = ok and len(rep.fixed_points) == 1
         v, kind = rep.fixed_points[0]
@@ -106,10 +104,9 @@ def criterion_3_cyclic_period() -> CriterionResult:
     checks, details = {}, {}
     rng = np.random.default_rng(103)
     for length in (0.5, 1.0, 2.0):
-        model = models.interval_derivative(length)
+        model = models.IntervalModel(length)
         expect = 2 * math.pi / length
-        period = flow.period_detect(model, Translation(1.0),
-                                    t_max=1.4 * expect, tol=1e-8)
+        period = flow.period_detect(model, "translation", t_max=1.4 * expect, tol=1e-8)
         ok = period is not None and abs(period - expect) <= 1e-6
         details[f"period[l={length}]"] = period
         if ok:
@@ -180,7 +177,7 @@ def criterion_6_friedrichs_krein_fixed_points() -> CriterionResult:
     checks, details = {}, {}
     for gamma in (0.0, 0.5):
         model = models.inverse_square(gamma)
-        rep = flow.invariant_extensions(model, SCALING)
+        rep = flow.invariant_extensions(model, "scaling")
         v_f = model.vn_from_boundary("friedrichs")
         v_k = model.vn_from_boundary("krein")
         fps = [z for z, kind in rep.fixed_points]
@@ -194,7 +191,7 @@ def criterion_6_friedrichs_krein_fixed_points() -> CriterionResult:
                   and min(abs(z + 1j) for z in fps) <= 1e-12)
         checks[f"two boundary fixed points [gamma={gamma}]"] = ok
     model = models.inverse_square(-0.25)
-    fm = flow.gamma_map(model, subgroup_eval(SCALING, 1.0))
+    fm = flow.gamma_map(model, subgroup_eval("scaling", 1.0))
     cls = mobius.classify(fm.mobius)
     ok = cls.tag is mobius.MapTag.PARABOLIC and len(cls.fixed_points) == 1
     ok = ok and abs(abs(cls.fixed_points[0]) - 1.0) <= 1e-12
@@ -240,13 +237,13 @@ def criterion_7_fall_to_center() -> CriterionResult:
 def criterion_8_generator_invariance() -> CriterionResult:
     start = time.perf_counter()
     checks, details = {}, {}
-    interval = models.interval_derivative(1.0)
+    interval = models.IntervalModel(1.0)
     for t in (0.4, 1.2):
         chk = weylcheck.generator_invariance_residual(interval, "translation", t)
         checks[f"interval residual [t={t}]"] = chk.residual <= weylcheck.GENERATOR_TOL
         details[f"interval[t={t}]"] = chk.residual
     for model, label in ((models.inverse_square(0.0), "inverse-square"),
-                         (models.halfline_derivative(), "halfline")):
+                         (models.HalflineModel(), "halfline")):
         for t in (0.5, -0.7):
             chk = weylcheck.generator_invariance_residual(model, "scaling", t)
             checks[f"{label} scaling [t={t}]"] = (chk.residual <= weylcheck.GENERATOR_TOL
@@ -256,7 +253,7 @@ def criterion_8_generator_invariance() -> CriterionResult:
                 "scale": chk.scale,
                 "phase_factor": chk.phase_factor,
             }
-    halfline = models.halfline_derivative()
+    halfline = models.HalflineModel()
     phase = weylcheck.measure_commutation_phase(halfline, "scaling", 0.7, 0.5)
     checks["semigroup-level scaling phase = 1"] = abs(phase["phase"] - 1.0) <= 1e-6
     details["semigroup_phase"] = phase["phase"]
@@ -272,7 +269,7 @@ def criterion_9_property_suites() -> CriterionResult:
     start = time.perf_counter()
     checks, details = {}, {}
     rng = np.random.default_rng(109)
-    interval = models.interval_derivative(1.0)
+    interval = models.IntervalModel(1.0)
     invsq = models.inverse_square(0.0)
 
     worst = 0.0
@@ -284,13 +281,13 @@ def criterion_9_property_suites() -> CriterionResult:
         t = rng.uniform(-5, 5)
         v = rng.uniform(0, 1) * cmath.exp(1j * rng.uniform(0, 2 * math.pi))
         worst = max(worst, abs(flow.gamma_apply(
-            invsq, subgroup_eval(SCALING, t), v)))
+            invsq, subgroup_eval("scaling", t), v)))
     checks["contraction preserved (1000 samples)"] = worst <= 1.0 + 1e-10
     details["worst_modulus"] = worst
 
     worst_circle = 0.0
     for model, par in ((interval, lambda r: AffineMap(1.0, r.uniform(-6, 6))),
-                       (invsq, lambda r: subgroup_eval(SCALING, r.uniform(-5, 5)))):
+                       (invsq, lambda r: subgroup_eval("scaling", r.uniform(-5, 5)))):
         for _ in range(100):
             v = cmath.exp(1j * rng.uniform(0, 2 * math.pi))
             out = flow.gamma_apply(model, par(rng), v)
@@ -317,7 +314,7 @@ def criterion_9_property_suites() -> CriterionResult:
         else:
             length = rng.uniform(0.3, 3.0)
             t = rng.uniform(-8, 8)
-            m = flow.gamma_map(models.interval_derivative(length),
+            m = flow.gamma_map(models.IntervalModel(length),
                                AffineMap(1.0, t)).mobius
         trials += 1
         if mobius.projective_distance(m, mobius.IDENTITY_MAP) < 1e-8:
@@ -349,7 +346,7 @@ def criterion_9_property_suites() -> CriterionResult:
         g = AffineMap(1.0, rng.uniform(-8, 8))
         min_eig = min(min_eig, float(np.linalg.eigvalsh(gram(interval, g)).min()))
     for _ in range(150):
-        g = subgroup_eval(SCALING, rng.uniform(-5.5, 5.5))
+        g = subgroup_eval("scaling", rng.uniform(-5.5, 5.5))
         min_eig = min(min_eig, float(np.linalg.eigvalsh(gram(invsq, g)).min()))
     checks["gram positivity within 1e-8"] = min_eig > -1e-8
     details["min_gram_eigenvalue"] = min_eig

@@ -1,6 +1,7 @@
 """Exact algebra of the orientation-preserving affine maps of the real line,
-x -> a*x + b with a > 0, their one-parameter subgroups, and the four
-Cayley-type coefficients the extension flow is built from.
+x -> a*x + b with a > 0, the two one-parameter subgroups the models are
+invariant under, named "translation" (x -> x + t) and "scaling" (x -> e^t x),
+and the four Cayley-type coefficients the extension flow is built from.
 
 All values are immutable and every operation is a pure function.
 """
@@ -67,45 +68,22 @@ def fixed_point(g: AffineMap):
     return g.b / (1.0 - g.a)
 
 
-@dataclass(frozen=True)
-class Translation:
-    """g_t(x) = x + speed*t."""
-
-    speed: float = 1.0
-
-    def __post_init__(self):
-        if not (math.isfinite(self.speed) and self.speed != 0.0):
-            raise InvalidArgument("translation subgroup needs a nonzero finite speed")
+# the one-parameter subgroups, by name: x -> x + t and x -> e^t x
+GROUPS = ("translation", "scaling")
 
 
-@dataclass(frozen=True)
-class Scaling:
-    """g_t(x) = base^t (x - center) + center, base > 0 and != 1."""
-
-    base: float = math.e
-    center: float = 0.0
-
-    def __post_init__(self):
-        if not (self.base > 0 and self.base != 1.0 and math.isfinite(self.base)):
-            raise InvalidArgument("scaling subgroup needs base > 0, base != 1")
-        if not math.isfinite(self.center):
-            raise InvalidArgument("scaling subgroup needs a finite center")
-
-
-Subgroup = Translation | Scaling
-
-
-def subgroup_eval(group: Subgroup, t: float) -> AffineMap:
-    """The group element at parameter t; DynamicRangeExceeded where a
-    scaling's slope base^t or its inverse's base^-t overflows a float."""
-    if isinstance(group, Translation):
-        return AffineMap(1.0, group.speed * t)
-    rate = t * math.log(group.base)
-    if not abs(rate) <= math.log(sys.float_info.max):
+def subgroup_eval(group: str, t: float) -> AffineMap:
+    """The element at parameter t of the subgroup named group, x -> x + t or
+    x -> e^t x; DynamicRangeExceeded where the scaling's slope e^t or its
+    inverse's e^-t overflows a float."""
+    if group == "translation":
+        return AffineMap(1.0, t)
+    if group != "scaling":
+        raise InvalidArgument(f"unknown subgroup {group!r}; the subgroups are {GROUPS}")
+    if not abs(t) <= math.log(sys.float_info.max):
         raise DynamicRangeExceeded(
-            f"the scaling x -> e^{rate:.6g} x or its inverse overflows a float")
-    # center*(1 - base^t) via expm1 to avoid cancellation for small t
-    return AffineMap(math.exp(rate), -group.center * math.expm1(rate))
+            f"the scaling x -> e^{t:.6g} x or its inverse overflows a float")
+    return AffineMap(math.exp(t), 0.0)
 
 
 @dataclass(frozen=True)

@@ -30,7 +30,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from . import acceptance, flow, mobius, models, spectra, weylcheck
-from .affine import Scaling, Translation, subgroup_eval
+from .affine import GROUPS, subgroup_eval
 from .errors import ExtflowError, IncompatibleModelGroup, InvalidArgument, ParseError
 from .flow import Verdict
 
@@ -42,7 +42,6 @@ _MODELS = {
     "inverse-square": (models.inverse_square, ("gamma",), ("scaling",)),
     "halfline": (models.HalflineModel, (), ("translation", "scaling")),
 }
-_GROUPS = {"translation": Translation(1.0), "scaling": Scaling(math.e, 0.0)}
 
 
 @dataclass
@@ -64,7 +63,7 @@ class RunConfig:
     count: int = 3
     on_grid: bool = False
     length2: float | None = None
-    v0: complex = 0.3 + 0j
+    v0: complex | None = None
     t_max: float | None = None
 
     def echo(self) -> dict:
@@ -147,7 +146,7 @@ _KEYS = {
     "count": ("count", int, "eigenvalue count for shoot"),
     "on_grid": ("on_grid", _parse_bool, "shift by a whole number of grid steps"),
     "l2": ("length2", float, "second interval length"),
-    "v0": ("v0", _parse_complex, "orbit start parameter"),
+    "v0": ("v0", _parse_complex, "orbit start parameter (default 0.3, 0 on the halfline)"),
     "t_max": ("t_max", float, "period search bound"),
     "jobs": ("jobs", int, "worker threads"),
     "out": ("out", str, "output path (default stdout)"),
@@ -202,12 +201,15 @@ def _validate(cfg: RunConfig):
     if "model" in keys:
         groups = _MODELS[cfg.model][2]
         group = cfg.group or groups[0]
-        if group not in _GROUPS:
+        if group not in GROUPS:
             raise ParseError(f"unknown group {group!r}")
         if group not in groups:
             raise IncompatibleModelGroup(
                 f"model {cfg.model!r} is not invariant under {group!r}")
         cfg.group = group
+    if "v0" in keys and cfg.v0 is None:
+        # the halfline's parameter set is {0}
+        cfg.v0 = 0j if cfg.model == "halfline" else 0.3 + 0j
     if "l2" in keys and cfg.length2 is None:
         raise ParseError(f"{cfg.command}: missing required field 'l2'")
     floor = models.InverseSquareModel.GAMMA_MIN
@@ -245,6 +247,8 @@ def _validate(cfg: RunConfig):
             raise ParseError(f"{key} must lie in [1e-3, 300], got {length}")
     if cfg.tol is not None and cfg.tol <= 0:
         raise ParseError("tol must be positive")
+    if cfg.t_max is not None and cfg.t_max <= 0:
+        raise ParseError(f"t_max must be positive, got {cfg.t_max}")
     if len(cfg.window) != 2 or not cfg.window[0] < cfg.window[1]:
         raise ParseError("window must be lo,hi with lo < hi")
     if cfg.fmt not in ("json", "csv"):
@@ -269,10 +273,9 @@ def dispatch(cfg: RunConfig) -> RunReport:
 
 def _cmd_flow_orbit(cfg):
     model = _build_model(cfg)
-    group = _GROUPS[cfg.group]
     rows = []
     worst = 0.0
-    values = flow.orbit(model, group, cfg.v0, cfg.t_values)
+    values = flow.orbit(model, cfg.group, cfg.v0, cfg.t_values)
     for t, v in zip(cfg.t_values, values):
         rows.append({"t": t, "re": v.real, "im": v.imag, "modulus": abs(v)})
         worst = max(worst, abs(v))
@@ -282,13 +285,12 @@ def _cmd_flow_orbit(cfg):
 
 def _cmd_fixed_points(cfg):
     model = _build_model(cfg)
-    group = _GROUPS[cfg.group]
     tol = cfg.tol or 1e-8
-    gen = flow.generator(model, group)
+    gen = flow.generator(model, cfg.group)
     rows = []
     worst = 0.0
     for t in cfg.t_values:
-        fm = flow.gamma_map(model, subgroup_eval(group, t))
+        fm = flow.gamma_map(model, subgroup_eval(cfg.group, t))
         fps = flow.fixed_points_flow(fm, gen)
         if fps is flow.ALL_POINTS:
             fps = [(None, "all-points")]
@@ -312,11 +314,10 @@ _VERDICT_CLASSES = {
 
 def _cmd_invariance(cfg):
     model = _build_model(cfg)
-    group = _GROUPS[cfg.group]
-    rep = flow.invariant_extensions(model, group)
+    rep = flow.invariant_extensions(model, cfg.group)
     period = None
     if cfg.t_max is not None:
-        period = flow.period_detect(model, group, t_max=cfg.t_max)
+        period = flow.period_detect(model, cfg.group, t_max=cfg.t_max)
     results = {
         "verdict": rep.group_verdict.value,
         "fixed_points": [
@@ -340,7 +341,7 @@ def _cmd_invariance(cfg):
 def _cmd_period(cfg):
     tol = cfg.tol or 1e-8
     t_max = math.inf if cfg.t_max is None else cfg.t_max
-    period = flow.period_detect(_build_model(cfg), _GROUPS[cfg.group], t_max, tol)
+    period = flow.period_detect(_build_model(cfg), cfg.group, t_max, tol)
     results = {"period": period, "t_max": cfg.t_max, "tol": tol}
     return results, {"period found": period is not None}
 
@@ -559,7 +560,7 @@ def to_csv(report: RunReport) -> str:
             for key in keys:
                 val = row[key]
                 if isinstance(val, complex):
-                    val = val.real if val.imag == 0 else f"{val.real}+{val.imag}j"
+                    val = val.real if val.imag == 0 else f"{val.real:.17g}{val.imag:+.17g}j"
                 if isinstance(val, float):
                     cells.append(f"{val:.17g}")
                 else:

@@ -10,10 +10,11 @@ v as the linear-fractional map
 
 with the Cayley coefficients of ``affine.flow_coefficients`` and the
 overlap blocks of the model; the identity element acts as v -> v. Along a
-one-parameter subgroup the elements form a one-parameter group exp(tX), so
-the sign of det X gives the class, the zeros of X's field are the invariant
-extensions for every t at once, and an elliptic X has the period
-pi/sqrt(det X).
+one-parameter subgroup, named "translation" (x -> x + t) or "scaling"
+(x -> e^t x) as in ``affine.GROUPS``, the elements form a one-parameter
+group exp(tX), so the sign of det X gives the class, the zeros of X's field
+are the invariant extensions for every t at once, and an elliptic X has the
+period pi/sqrt(det X).
 No model bounds t: an element exists wherever ``affine.subgroup_eval``
 gives one, unless ``gamma_map`` finds its denominator condition above 1e12.
 """
@@ -28,13 +29,7 @@ from enum import Enum
 import numpy as np
 
 from . import mobius
-from .affine import (
-    ALL_POINTS,
-    AffineMap,
-    Subgroup,
-    flow_coefficients,
-    subgroup_eval,
-)
+from .affine import ALL_POINTS, AffineMap, flow_coefficients, subgroup_eval
 from .errors import (
     InvalidArgument,
     NearSingularDenominator,
@@ -174,7 +169,7 @@ class FlowGenerator:
         return MapTag.ELLIPTIC
 
 
-def generator(model, group: Subgroup) -> FlowGenerator:
+def generator(model, group: str) -> FlowGenerator:
     """The generator X of the flow t -> exp(tX) along the subgroup, as the
     model states it; X = 0 for the trivial flow of indices (0, 1)."""
     if model.deficiency_dims == (0, 1):
@@ -212,7 +207,7 @@ class InvarianceReport:
     notes: list = field(default_factory=list)
 
 
-def invariant_extensions(model, group: Subgroup) -> InvarianceReport:
+def invariant_extensions(model, group: str) -> InvarianceReport:
     """The invariant extensions of a one-parameter subgroup: the zeros of its
     generator X in the closed ball, and the class of exp(tX) at each of
     T_SAMPLES. The flow element at each sample, built from the overlaps and
@@ -252,7 +247,7 @@ def invariant_extensions(model, group: Subgroup) -> InvarianceReport:
     )
 
 
-def period_detect(model, group: Subgroup, t_max: float = math.inf,
+def period_detect(model, group: str, t_max: float = math.inf,
                   tol: float = 1e-8) -> float | None:
     """Smallest T in (0, t_max] whose flow element is the identity: pi/sqrt(det X)
     for an elliptic generator X, None for any other class or a longer period.
@@ -271,6 +266,6 @@ def period_detect(model, group: Subgroup, t_max: float = math.inf,
     return period
 
 
-def orbit(model, group: Subgroup, v0: complex, t_list) -> list[complex]:
+def orbit(model, group: str, v0: complex, t_list) -> list[complex]:
     """Trajectory of the parameter v0 under sampled flow elements."""
     return [gamma_apply(model, subgroup_eval(group, t), v0) for t in t_list]

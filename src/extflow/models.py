@@ -34,7 +34,7 @@ from functools import lru_cache
 
 import numpy as np
 
-from .affine import AffineMap, Scaling, Translation, subgroup_eval
+from .affine import AffineMap, subgroup_eval
 from .errors import (
     DynamicRangeExceeded,
     IllPosed,
@@ -143,8 +143,6 @@ class IntervalModel:
             raise DynamicRangeExceeded(
                 f"||e^x||^2 = (e^(2l) - 1)/2 is not a float at l = {self.length:g}") from None
         self.norm_minus = math.sqrt(-math.expm1(-2 * self.length) / 2)
-        self.group = Translation(1.0)
-        self.description = f"i d/dx on (0, {self.length}) with Dirichlet ends"
 
     def _translation_parameter(self, g: AffineMap) -> float:
         if abs(g.a - 1.0) > 1e-12:
@@ -170,14 +168,14 @@ class IntervalModel:
             cmm=_int_exp(-2 + 1j * t, length) / self.norm_minus**2,
         )
 
-    def generator(self, group) -> tuple:
+    def generator(self, group: str) -> tuple:
         """(a, b, c, det X) of the flow's generator X = [[a, b], [c, -a]]
-        along x -> x + speed*t: speed*(l/2) [[-i coth l, i csch l],
-        [-i csch l, i coth l]], with det X = (speed*l/2)^2. Its zeros are
+        along the translations x -> x + t: (l/2) [[-i coth l, i csch l],
+        [-i csch l, i coth l]], with det X = (l/2)^2. Its zeros are
         e^{-l} and e^{l}."""
-        if not isinstance(group, Translation):
+        if group != "translation":
             raise OutsideGroup("interval model is invariant under translations only")
-        half = 0.5 * self.length * group.speed
+        half = 0.5 * self.length
         coth, csch = 1.0 / math.tanh(self.length), 1.0 / math.sinh(self.length)
         return -1j * half * coth, 1j * half * csch, -1j * half * csch, half * half
 
@@ -254,8 +252,6 @@ class InverseSquareModel:
             raise IllPosed(f"gamma {gamma} outside [{self.GAMMA_MIN:g}, 3/4): "
                            "the indices are (1, 1) and sin(pi mu) is finite there")
         self.gamma = float(gamma)
-        self.group = Scaling(math.e, 0.0)
-        self.description = f"-d^2/dx^2 + {self.gamma}/x^2 on (0, inf)"
         mu2 = self.gamma + 0.25
         self.mu2 = mu2
         self.log_case = abs(mu2) <= _DEGENERATE_MU2
@@ -309,21 +305,20 @@ class InverseSquareModel:
         return OverlapData(cpp=same, cpm=cross.conjugate(),
                            cmp=cross, cmm=same.conjugate())
 
-    def generator(self, group) -> tuple:
+    def generator(self, group: str) -> tuple:
         """(a, b, c, det X) of the flow's generator X = [[a, b], [c, -a]]
-        along x -> base^t x: with r = mu/sin(pi mu/2) (2/pi at mu = 0) and
-        rate = log(base), X = rate (r/2) [[i cos(pi mu/2), -e^{i pi/4}],
-        [-e^{-i pi/4}, -i cos(pi mu/2)]] and det X = -rate^2 mu^2/4. Its
-        zeros are e^{i pi (+-mu - 1/2)/2}."""
-        if not isinstance(group, Scaling) or group.center != 0.0:
+        along the scalings x -> e^t x: with r = mu/sin(pi mu/2) (2/pi at
+        mu = 0), X = (r/2) [[i cos(pi mu/2), -e^{i pi/4}],
+        [-e^{-i pi/4}, -i cos(pi mu/2)]] and det X = -mu^2/4. Its zeros are
+        e^{i pi (+-mu - 1/2)/2}."""
+        if group != "scaling":
             raise OutsideGroup(
                 "inverse-square model is invariant under scalings about 0 only")
-        rate = math.log(group.base)
         # r/2 = (2/pi) (mu pi/(2 sin(mu pi))) cos(pi mu/2), also at mu = 0
-        x = rate * (2 / math.pi * self._half_limit * self._cos_half).real
+        x = (2 / math.pi * self._half_limit * self._cos_half).real
         corner = x * cmath.exp(0.25j * math.pi)
         det = 0.0 if self.log_case else -self.mu2 / 4
-        return 1j * x * self._cos_half, -corner, -corner.conjugate(), rate * rate * det
+        return 1j * x * self._cos_half, -corner, -corner.conjugate(), det
 
     # boundary <-> parameter ---------------------------------------------------
     def _branch_coeffs_minus(self):
@@ -398,7 +393,7 @@ class InverseSquareModel:
         """e^{t/4} f(e^{t/2} x)."""
         if kind != "scaling":
             raise OutsideGroup(f"inverse-square model has no {kind!r} representation")
-        subgroup_eval(self.group, -t)   # U_g for g(x) = e^{-t} x, which must exist
+        subgroup_eval("scaling", -t)   # U_g for g(x) = e^{-t} x, which must exist
         return Representation(math.exp(t / 4), math.exp(t / 2))
 
 
@@ -416,9 +411,7 @@ class HalflineModel:
     generator_kind = "first-order"
 
     def __init__(self):
-        self.group = Translation(1.0)
         self.norm_minus = math.sqrt(0.5)
-        self.description = "i d/dx on (0, inf) with f(0) = 0"
 
     def deficiency_vector(self, sign: int, x):
         if sign > 0:
@@ -440,7 +433,7 @@ class HalflineModel:
         if kind == "translation":
             return Representation(1.0, frequency=t)
         if kind == "scaling":
-            subgroup_eval(Scaling(math.e, 0.0), -t)   # g(x) = e^{-t} x must exist
+            subgroup_eval("scaling", -t)   # g(x) = e^{-t} x must exist
             return Representation(math.exp(t / 2), math.exp(t))
         raise OutsideGroup(f"unknown representation kind {kind!r}")
 
@@ -451,15 +444,7 @@ class HalflineModel:
 # constructors
 # ---------------------------------------------------------------------------
 
-def interval_derivative(length: float) -> IntervalModel:
-    return IntervalModel(length)
-
-
 @lru_cache(maxsize=16)
 def inverse_square(gamma: float) -> InverseSquareModel:
     return InverseSquareModel(gamma)
-
-
-def halfline_derivative() -> HalflineModel:
-    return HalflineModel()
 

@@ -6,10 +6,9 @@ import pytest
 from extflow import affine
 from extflow.affine import (
     ALL_POINTS,
+    GROUPS,
     IDENTITY,
     AffineMap,
-    Scaling,
-    Translation,
     apply,
     compose,
     fixed_point,
@@ -17,6 +16,7 @@ from extflow.affine import (
     inverse,
     subgroup_eval,
 )
+from extflow.errors import DynamicRangeExceeded, InvalidArgument
 
 
 def random_maps(n, seed=0):
@@ -85,35 +85,44 @@ class TestFixedPoint:
 
 class TestSubgroups:
     def test_translation(self):
-        assert subgroup_eval(Translation(1.0), 2.0) == AffineMap(1.0, 2.0)
-
-    def test_scaling_with_center(self):
-        g = subgroup_eval(Scaling(2.0, 1.0), 1.0)
-        assert g.a == pytest.approx(2.0)
-        assert g.b == pytest.approx(-1.0)
+        assert subgroup_eval("translation", 2.0) == AffineMap(1.0, 2.0)
 
     def test_scaling_natural_base(self):
-        g = subgroup_eval(Scaling(math.e, 0.0), 1.0)
+        g = subgroup_eval("scaling", 1.0)
         assert g.a == pytest.approx(math.e, rel=1e-15)
         assert g.b == 0.0
 
+    @pytest.mark.parametrize("t", [-709.7, -3.0, -1e-9, 0.0, 1e-9, 2.5, 709.7])
+    def test_scaling_offset_is_exactly_zero(self, t):
+        g = subgroup_eval("scaling", t)
+        assert g.b == 0.0 and math.copysign(1.0, g.b) == 1.0
+        assert g.a == math.exp(t)
+
     def test_zero_parameter_is_identity(self):
-        for group in (Translation(2.3), Scaling(3.0, -1.2)):
+        for group in GROUPS:
             assert subgroup_eval(group, 0.0) == IDENTITY
 
     def test_homomorphism(self):
         rng = np.random.default_rng(1)
-        for group in (Translation(0.7), Scaling(1.9, 2.5), Scaling(0.3, -4.0)):
+        for group in GROUPS:
             for _ in range(50):
                 s, t = rng.uniform(-3, 3, 2)
                 lhs = compose(subgroup_eval(group, s), subgroup_eval(group, t))
                 rhs = subgroup_eval(group, s + t)
                 assert close(lhs, rhs, tol=1e-13)
 
-    def test_small_t_offset_no_cancellation(self):
-        # center*(1 - a^t) for t = 1e-9: relative accuracy survives
-        g = subgroup_eval(Scaling(2.0, 1.0), 1e-9)
-        assert g.b == pytest.approx(-math.expm1(1e-9 * math.log(2.0)), rel=1e-12)
+    @pytest.mark.parametrize("name", ["rotation", "Scaling", "", "translation "])
+    def test_unknown_name_is_rejected(self, name):
+        with pytest.raises(InvalidArgument, match="unknown subgroup"):
+            subgroup_eval(name, 1.0)
+
+    @pytest.mark.parametrize("t", [709.79, -709.79, math.inf, math.nan])
+    def test_scaling_beyond_the_floats(self, t):
+        with pytest.raises(DynamicRangeExceeded):
+            subgroup_eval("scaling", t)
+        # the translation by t exists wherever t is finite
+        if math.isfinite(t):
+            assert subgroup_eval("translation", t) == AffineMap(1.0, t)
 
 
 class TestFlowCoefficients:

@@ -306,6 +306,32 @@ class TestEmission:
         assert lines[0].startswith("index,")
         assert payload_rows == 3   # (theta + 2 pi n) in (-10, 10): n = -1, 0, 1
 
+    @pytest.mark.parametrize("argv", [
+        ["--model", "inverse-square", "--gamma=-2", "--t", "0.4,-1.3"],
+        ["--model", "interval", "--l", "2.5", "--t", "0.4,1.2"],
+        ["--model", "halfline", "--group", "scaling", "--t=0.5,-0.7"],
+    ], ids=["inverse-square", "interval", "halfline-scaling"])
+    def test_csv_complex_cells_read_back_exactly(self, argv, tmp_path):
+        # each generator-check CSV cell parses with float() or complex() to
+        # the value of its JSON report
+        _, text = run_cli(tmp_path, "generator-check", *argv)
+        _, csv = run_cli(tmp_path, "generator-check", *argv, "--format", "csv",
+                         name="out.csv")
+        header, *lines = csv.splitlines()
+        keys = header.split(",")
+        rows = json.loads(text)["results"]["rows"]
+        assert sorted(keys) == sorted(rows[0]) and len(lines) == len(rows)
+        imaginary = 0
+        for line, row in zip(lines, rows):
+            for key, cell in zip(keys, line.split(",")):
+                value = row[key]
+                if isinstance(value, dict):
+                    assert complex(cell) == complex(value["re"], value["im"])
+                    imaginary += value["im"] != 0.0
+                else:
+                    assert float(cell) == value
+        assert imaginary > 0
+
     def test_seventeen_digit_floats(self, tmp_path):
         _, text = run_cli(tmp_path, "period", "--model", "interval", "--l", "1")
         assert "6.2831853071" in text
@@ -454,12 +480,17 @@ class TestExitCodes:
         ["invariance", "--model", "halfline", "--gamma", "3"],
         ["invariance", "--model", "halfline", "--l", "2"],
         ["generator-check", "--model", "interval", "--gamma=-2"],
+        ["period", "--model", "interval", "--t-max=-1"],
+        ["period", "--model", "inverse-square", "--gamma=-2", "--t-max=0"],
+        ["invariance", "--model", "interval", "--t-max=-1"],
+        ["fixed-points", "--model", "interval", "--group", "rotation"],
     ], ids=["halfline-period", "l-400", "l-1e-9", "l2-400", "v0-2", "halfline-v0",
             "fk-gamma-0.8", "fk-gamma-below-critical", "rho-2", "invsq-gamma-0.8",
             "invariance-t", "orbit-t-nan", "fixed-points-t-inf", "generator-t-nan",
             "theta-nan", "rho-nan", "window-inf", "t-max-nan", "tol-nan", "v0-nan",
             "spectrum-theta-and-rho", "invsq-l", "halfline-gamma", "halfline-l",
-            "interval-gamma"])
+            "interval-gamma", "period-t-max-negative", "period-t-max-0",
+            "invariance-t-max-negative", "unknown-group"])
     def test_input_domain_is_configuration_error(self, argv, tmp_path, capsys):
         code = cli.main([*argv, "--out", str(tmp_path / "x.json")])
         err = capsys.readouterr().err
@@ -528,8 +559,7 @@ class TestExitCodes:
                              f"--gamma={gamma}", f"--t={t}")
         assert code == 0
         rows = json.loads(text)["results"]["rows"]
-        zeros = flow.generator(models.inverse_square(float(gamma)),
-                               affine.Scaling(math.e, 0.0)).zeros()
+        zeros = flow.generator(models.inverse_square(float(gamma)), "scaling").zeros()
         assert len(rows) >= 1
         for r in rows:
             assert min(abs(complex(r["re"], r["im"]) - z) for z in zeros) <= flow.FP_TOL
@@ -574,6 +604,16 @@ class TestExitCodes:
                              "--v0", "0", "--t", "0.5")
         assert code == 0
         assert json.loads(text)["results"]["worst_modulus"] == 0.0
+
+    @pytest.mark.parametrize("model, v0", [("halfline", "0"), ("interval", "0.3"),
+                                           ("inverse-square", "0.3")])
+    def test_orbit_start_defaults_to_a_parameter_of_the_model(self, model, v0, tmp_path):
+        # 0 on the halfline, whose parameter set is {0}, and 0.3 elsewhere;
+        # the echo shows the value used, so the bytes are those of --v0
+        code, text = run_cli(tmp_path, "flow-orbit", "--model", model, name="default.json")
+        assert code == 0
+        assert json.loads(text)["config"]["v0"] == {"im": 0.0, "re": float(v0)}
+        assert (code, text) == run_cli(tmp_path, "flow-orbit", "--model", model, "--v0", v0)
 
     def test_invariance_verdict_must_match_the_flow_class(self, tmp_path, monkeypatch):
         # the interval flow is elliptic with a unique dissipative invariant
@@ -846,10 +886,7 @@ def _models(command):
 
 def _base(command, model):
     """Flags that make a command runnable with the given model."""
-    if model is None:
-        return _BASE.get(command, [])
-    halfline_orbit = (command, model) == ("flow-orbit", "halfline")
-    return [f"--model={model}", *(["--v0=0"] if halfline_orbit else [])]
+    return _BASE.get(command, []) if model is None else [f"--model={model}"]
 
 
 @pytest.mark.parametrize("file, flags", [
@@ -918,10 +955,10 @@ def test_each_model_row_builds_its_model(model):
     assert built.name == model
     assert [getattr(built, cli._KEYS[key][0]) for key in keys] == [
         {"l": 2.0, "gamma": -2.0}[key] for key in keys]
-    assert cfg.group == groups[0] and set(groups) <= set(cli._GROUPS)
+    assert cfg.group == groups[0] and set(groups) <= set(affine.GROUPS)
     if model == "inverse-square":
         assert built is cli._build_model(cfg)       # the cached model
-    for group in set(cli._GROUPS) - set(groups):
+    for group in set(affine.GROUPS) - set(groups):
         with pytest.raises(cli.IncompatibleModelGroup):
             cli.load_config(cli.build_parser().parse_args(
                 ["fixed-points", f"--model={model}", f"--group={group}", *argv]))

@@ -4,8 +4,8 @@ import math
 import numpy as np
 import pytest
 
-from extflow import models
-from extflow.affine import IDENTITY, AffineMap, Scaling, Translation, subgroup_eval
+from extflow import cli, models
+from extflow.affine import GROUPS, IDENTITY, AffineMap, subgroup_eval
 from extflow.errors import (
     DynamicRangeExceeded,
     IllPosed,
@@ -18,7 +18,7 @@ from extflow.numerics import quad_finite
 
 @pytest.fixture(scope="module")
 def interval():
-    return models.interval_derivative(1.0)
+    return models.IntervalModel(1.0)
 
 
 @pytest.fixture(scope="module")
@@ -39,6 +39,19 @@ def gram_matrix(model, g):
     return 0.5 * (m + m.conj().T)
 
 
+@pytest.mark.parametrize("name", ["interval", "inverse-square"])
+def test_generator_takes_only_its_own_subgroup(name):
+    # the CLI's model table names the one group each (1, 1) model states X
+    # along; the other name raises OutsideGroup
+    constructor, keys, groups = cli._MODELS[name]
+    model = constructor(*(1.0 if key == "l" else 0.0 for key in keys))
+    (own,) = groups
+    assert len(model.generator(own)) == 4
+    for other in set(GROUPS) - {own}:
+        with pytest.raises(OutsideGroup):
+            model.generator(other)
+
+
 class TestIntervalModel:
     def test_deficiency_dims(self, interval):
         assert interval.deficiency_dims == (1, 1)
@@ -53,7 +66,7 @@ class TestIntervalModel:
         # ||e^x||^2 = (e^{2l} - 1)/2 and ||e^{-x}||^2 = (1 - e^{-2l})/2; at
         # l = 1e-3 the differences cancel unless written with expm1
         mpmath = pytest.importorskip("mpmath")
-        m = models.interval_derivative(length)
+        m = models.IntervalModel(length)
         with mpmath.workdps(40):
             two_l = 2 * mpmath.mpf(length)
             plus = float(mpmath.sqrt((mpmath.exp(two_l) - 1) / 2))
@@ -99,7 +112,7 @@ class TestIntervalModel:
 
     def test_dirichlet_parameter(self):
         for length in (0.5, 1.0, 2.0):
-            m = models.interval_derivative(length)
+            m = models.IntervalModel(length)
             assert m.vn_from_boundary(0.0) == pytest.approx(math.exp(-length), abs=1e-12)
 
     def test_unitary_boundary_gives_unitary_parameter(self, interval):
@@ -173,7 +186,7 @@ class TestInverseSquareModel:
         for gamma in (-2.0, 0.0, 0.5):
             m = models.inverse_square(gamma)
             for t in (0.3, -1.7, 4.0):
-                ov = m.overlap_matrix(subgroup_eval(m.group, t))
+                ov = m.overlap_matrix(subgroup_eval("scaling", t))
                 assert ov.cmm == ov.cpp.conjugate()
                 assert ov.cpm == ov.cmp.conjugate()
             assert abs(abs(m.vn_from_boundary(("theta", 0.9))) - 1.0) < 1e-15
@@ -259,17 +272,17 @@ class TestInverseSquareModel:
         # its slope e^t and the inverse's e^{-t} are finite positive floats
         invsq0.overlap_matrix(AffineMap(math.exp(7.0), 0.0))
         for t in (709.78, -709.78):
-            subgroup_eval(invsq0.group, t)
+            subgroup_eval("scaling", t)
         for t in (709.79, -709.79, -800.0, 1e4):
             with pytest.raises(DynamicRangeExceeded):
-                subgroup_eval(invsq0.group, t)
+                subgroup_eval("scaling", t)
             with pytest.raises(DynamicRangeExceeded):
                 invsq0.representation("scaling", -t)
 
     def test_gram_positivity(self, invsq0):
         rng = np.random.default_rng(3)
         for t in rng.uniform(-5.5, 5.5, 500):
-            g = gram_matrix(invsq0, subgroup_eval(invsq0.group, float(t)))
+            g = gram_matrix(invsq0, subgroup_eval("scaling", float(t)))
             assert np.linalg.eigvalsh(g).min() > 0.0
 
     def test_unitarity_consistency(self, invsq0):
@@ -404,7 +417,7 @@ class TestClosedForms:
         near = models.inverse_square(-0.25 + delta)
         assert critical.log_case and not near.log_case
         for t in (0.0, 0.3, -2.0, 6.0):
-            g = subgroup_eval(critical.group, t)
+            g = subgroup_eval("scaling", t)
             a, b = critical.overlap_matrix(g), near.overlap_matrix(g)
             assert abs(a.cpp - b.cpp) < 5e-9
             assert abs(a.cmp - b.cmp) < 5e-9
@@ -421,23 +434,23 @@ class TestClosedForms:
 
 class TestHalflineModel:
     def test_deficiency_dims(self):
-        m = models.halfline_derivative()
+        m = models.HalflineModel()
         assert m.deficiency_dims == (0, 1)
 
     def test_minus_norm(self):
         # ||e^{-x}||^2 = 1/2 on the half-line
-        m = models.halfline_derivative()
+        m = models.HalflineModel()
         assert m.norm_minus**2 == pytest.approx(0.5, rel=1e-14)
 
     def test_no_parameters(self):
-        m = models.halfline_derivative()
+        m = models.HalflineModel()
         with pytest.raises(UnsupportedIndices):
             m.overlap_matrix(IDENTITY)
         with pytest.raises(UnsupportedIndices):
             m.vn_from_boundary(0.0)
 
     def test_two_representations(self):
-        m = models.halfline_derivative()
+        m = models.HalflineModel()
         f = lambda x: (x * np.exp(-x),)
         xs = np.linspace(0.1, 5.0, 7)
         tr = m.representation("translation", 0.7)

@@ -282,13 +282,13 @@ def fd_fit(model, kind, t):
 
 
 _FAMILIES = [
-    (models.interval_derivative(1.0), "translation"),
-    (models.interval_derivative(5.0), "translation"),
+    (models.IntervalModel(1.0), "translation"),
+    (models.IntervalModel(5.0), "translation"),
     (models.inverse_square(0.0), "scaling"),
     (models.inverse_square(-2.0), "scaling"),
     (models.inverse_square(0.5), "scaling"),
-    (models.halfline_derivative(), "translation"),
-    (models.halfline_derivative(), "scaling"),
+    (models.HalflineModel(), "translation"),
+    (models.HalflineModel(), "scaling"),
 ]
 _FAMILY_IDS = ["interval-1", "interval-5", "gamma=0", "gamma=-2", "gamma=0.5",
                "halfline-translation", "halfline-scaling"]
@@ -296,7 +296,7 @@ _FAMILY_IDS = ["interval-1", "interval-5", "gamma=0", "gamma=-2", "gamma=0.5",
 
 class TestGeneratorInvariance:
     def test_interval_translation_product_rule(self):
-        m = models.interval_derivative(1.0)
+        m = models.IntervalModel(1.0)
         for t in (0.4, 1.2):
             chk = weylcheck.generator_invariance_residual(m, "translation", t)
             assert chk.residual <= weylcheck.GENERATOR_TOL
@@ -312,7 +312,7 @@ class TestGeneratorInvariance:
             assert abs(chk.phase_factor - 1.0) <= 1e-14
 
     def test_halfline_scaling(self):
-        m = models.halfline_derivative()
+        m = models.HalflineModel()
         for t in (0.8, -0.5):
             chk = weylcheck.generator_invariance_residual(m, "scaling", t)
             assert chk.residual <= weylcheck.GENERATOR_TOL
@@ -335,7 +335,7 @@ class TestGeneratorInvariance:
         assert check(math.exp(-1e-3), 1e-3) and not check(math.exp(-1e-3), 1e4)
 
     def test_halfline_translation(self):
-        m = models.halfline_derivative()
+        m = models.HalflineModel()
         chk = weylcheck.generator_invariance_residual(m, "translation", 1.4)
         assert chk.residual <= weylcheck.GENERATOR_TOL
         assert chk.scale == pytest.approx(1.0, abs=1e-14)
@@ -364,7 +364,7 @@ class TestGeneratorInvariance:
         unscaled = [weylcheck.generator_invariance_residual(model, kind, t) for t in ts]
         assert scaled == unscaled
 
-    @pytest.mark.parametrize("model", [models.halfline_derivative(), models.inverse_square(-2.0)],
+    @pytest.mark.parametrize("model", [models.HalflineModel(), models.inverse_square(-2.0)],
                              ids=["halfline", "gamma=-2"])
     def test_scaling_families_at_t_400(self, model):
         # U A U* f ~ e^{-400} and ~ e^{400}: the squares in an unscaled norm
@@ -391,7 +391,7 @@ class TestGeneratorInvariance:
 
 class TestJets:
     @pytest.mark.parametrize("name, jet", weylcheck.default_test_functions(
-        models.interval_derivative(1.0)))
+        models.IntervalModel(1.0)))
     def test_dictionary_against_mpmath(self, name, jet):
         mpmath = pytest.importorskip("mpmath")
         exprs = {
@@ -423,14 +423,14 @@ class TestJets:
 
     def test_right_shift_acts_on_every_component(self):
         xs = np.linspace(0.0, 4.0, 41)
-        jet = weylcheck.default_test_functions(models.halfline_derivative())[1][1]
+        jet = weylcheck.default_test_functions(models.HalflineModel())[1][1]
         for got, want in zip(models.right_shift(1.5, jet)(xs), jet(xs - 1.5)):
             assert np.array_equal(got, np.where(xs > 1.5, want, 0.0))
 
 
 class TestCommutationPhase:
     def test_interval_translation_phase(self):
-        m = models.interval_derivative(1.0)
+        m = models.IntervalModel(1.0)
         out = weylcheck.measure_commutation_phase(m, "translation", 1.3, 0.25)
         assert abs(out["phase"] - np.exp(1j * 0.25 * 1.3)) < 1e-9
         assert out["relative_residual"] < 1e-9
@@ -438,7 +438,7 @@ class TestCommutationPhase:
     def test_halfline_scaling_phase_is_one(self):
         # the scaling family commutes with the shift semigroup up to time
         # rescaling only: measured phase 1, orientation e^{-t}
-        m = models.halfline_derivative()
+        m = models.HalflineModel()
         for t, s in ((0.7, 0.5), (-0.9, 0.8)):
             out = weylcheck.measure_commutation_phase(m, "scaling", t, s)
             assert abs(out["phase"] - 1.0) < 1e-6
