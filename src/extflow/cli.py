@@ -1,17 +1,15 @@
-"""Command-line front end: configuration, dispatch, and deterministic
-JSON/CSV report emission.
+"""Command-line front end: one table-driven parse, dispatch, and
+deterministic JSON/CSV report emission.
 
-Commands: flow-orbit, fixed-points, invariance, period, spectrum, shoot,
-fk-params, weyl, generator-check, refine, certify-nonequivalence, all.
-Configuration comes from flags, optionally read from a flat key=value
-file (# comments); flags override the file. Each decision is declared
-once: _KEYS declares every key, _MODELS each model's constructor, keys and
-groups, and _COMMANDS each command's handler and keys. A command takes the
-keys of its row, with those of its model where it reads one, which its
-report echoes, and the run-wide jobs, out and format. Reports are
-byte-stable for a fixed configuration, whatever --jobs is: numbers are
-printed with 17 significant digits and wall-clock timings go to stderr,
-never into the payload.
+Each decision is declared once: _KEYS declares every key with its parser,
+help and domain, _MODELS each model's constructor, keys and groups, and
+_COMMANDS each command's handler and keys. parse_args reads the flags,
+--key=v or --key v, and the command from those tables; a flat key = value
+file named by --config (# comments) gives keys that flags override. A
+command takes the keys of its row, with those of its model, which its report
+echoes, and the run-wide jobs, out and format. Reports are byte-stable for a
+fixed configuration, whatever --jobs is: numbers are printed with 17
+significant digits and wall-clock timings go to stderr, never the payload.
 
 Exit codes: 0 when every check in the run passed, 2 on configuration
 errors, 3 on numerical failures (or unwritable output).
@@ -19,9 +17,7 @@ errors, 3 on numerical failures (or unwritable output).
 
 from __future__ import annotations
 
-import argparse
 import cmath
-import functools
 import math
 import sys
 import time
@@ -96,12 +92,8 @@ class RunReport:
 # configuration
 # ---------------------------------------------------------------------------
 
-def _parse_float_list(text) -> list:
-    return [float(part) for part in str(text).split(",") if part != ""]
-
-
-def _parse_int_list(text) -> list:
-    return [int(part) for part in str(text).split(",") if part != ""]
+def _parse_list(kind):
+    return lambda text: [kind(part) for part in str(text).split(",") if part != ""]
 
 
 def _parse_complex(text) -> complex:
@@ -130,32 +122,48 @@ def _parse_bool(text) -> bool:
     return str(text).lower() in ("1", "true", "yes", "on")
 
 
-# key -> (RunConfig field, parser of its text, help); each key is a flag
-# --key (underscores as dashes) and a config-file key. --on-grid is a switch.
+_LENGTH = (lambda x: 1e-3 <= x <= 300.0, "must lie in [1e-3, 300], got {!r}")
+_POSITIVE = (lambda x: x > 0, "must be positive, got {!r}")
+
+# key -> (RunConfig field, parser of its text, help, domain); each key is a
+# flag --key (underscores as dashes) and a config-file key. --on-grid is a
+# switch. A domain is None, or a test of the value and the error it raises,
+# formatted with the value; finiteness and the rules that tie keys together
+# are _validate's
 _KEYS = {
-    "model": ("model", str, "interval, inverse-square or halfline"),
-    "l": ("length", float, "interval length"),
-    "gamma": ("gamma", float, "inverse-square coupling"),
-    "group": ("group", str, "translation or scaling"),
-    "t": ("t_values", _parse_float_list, "group parameter(s), comma separated"),
-    "n": ("n_values", _parse_int_list, "grid size(s), comma separated"),
-    "tol": ("tol", float, "check tolerance"),
-    "theta": ("theta", float, "boundary phase angle"),
-    "rho": ("rho", _parse_complex, "interval boundary multiplier, e.g. 0.36 or 0.3+0.1j"),
-    "window": ("window", _parse_float_list, "lo,hi"),
-    "count": ("count", int, "eigenvalue count for shoot"),
-    "on_grid": ("on_grid", _parse_bool, "shift by a whole number of grid steps"),
-    "l2": ("length2", float, "second interval length"),
-    "v0": ("v0", _parse_complex, "orbit start parameter (default 0.3, 0 on the halfline)"),
-    "t_max": ("t_max", float, "period search bound"),
-    "jobs": ("jobs", int, "worker threads"),
-    "out": ("out", str, "output path (default stdout)"),
-    "format": ("fmt", str, "json or csv"),
+    "model": ("model", str, "interval, inverse-square or halfline", None),
+    "l": ("length", float, "interval length", _LENGTH),
+    "gamma": ("gamma", float, "inverse-square coupling", None),
+    "group": ("group", str, "translation or scaling",
+              (GROUPS.__contains__, "must be translation or scaling, got {!r}")),
+    "t": ("t_values", _parse_list(float), "group parameter(s), comma separated",
+          (bool, "needs at least one value")),
+    "n": ("n_values", _parse_list(int), "grid size(s), comma separated",
+          (lambda ns: min(ns, default=0) >= 8, "needs every grid size at least 8, got {!r}")),
+    "tol": ("tol", float, "check tolerance", _POSITIVE),
+    "theta": ("theta", float, "boundary phase angle", None),
+    "rho": ("rho", _parse_complex, "interval boundary multiplier, e.g. 0.36 or 0.3+0.1j",
+            (lambda r: abs(r) < 1.0, "must have modulus below 1, got {!r}")),
+    "window": ("window", _parse_list(float), "lo,hi",
+               (lambda w: len(w) == 2 and w[0] < w[1], "must be lo,hi with lo < hi, got {!r}")),
+    "count": ("count", int, "eigenvalue count for shoot",
+              (lambda c: 1 <= c <= 4, "must be between 1 and 4, got {!r}")),
+    "on_grid": ("on_grid", _parse_bool, "shift by a whole number of grid steps", None),
+    "l2": ("length2", float, "second interval length", _LENGTH),
+    "v0": ("v0", _parse_complex, "orbit start parameter (default 0.3, 0 on the halfline)",
+           (lambda v: abs(v) <= 1.0, "must have modulus at most 1, got {!r}")),
+    "t_max": ("t_max", float, "period search bound", _POSITIVE),
+    "jobs": ("jobs", int, "worker threads", (lambda j: j >= 1, "must be at least 1, got {!r}")),
+    "out": ("out", str, "output path (default stdout)", None),
+    "format": ("fmt", str, "json or csv",
+               (("json", "csv").__contains__, "must be json or csv, got {!r}")),
 }
 
 # how a run is carried out, not what it computes: every command takes them
 # and no payload echoes them
 _RUN_KEYS = ("jobs", "out", "format")
+# each flag and what it sets: a key, or the path of a configuration file
+_FLAGS = {"--config": "config", **{"--" + key.replace("_", "-"): key for key in _KEYS}}
 
 
 def _row(command: str, model: str | None) -> tuple:
@@ -163,31 +171,80 @@ def _row(command: str, model: str | None) -> tuple:
     return (*keys, *_MODELS[model][1]) if "model" in keys else keys
 
 
-def load_config(args: argparse.Namespace) -> RunConfig:
-    """Merge config file (if any) with flags; flags win. A key outside the
-    command's own, its model's and the run-wide keys is an error wherever it
-    was given. Validates model and group compatibility before dispatch."""
-    values = {}
-    if args.config:
-        for key, text in read_config_file(args.config).items():
+def _convert(key: str, text: str):
+    try:
+        return _KEYS[key][1](text)
+    except (ValueError, TypeError) as exc:
+        raise ParseError(f"bad value for {key!r}: {text!r}") from exc
+
+
+def parse_args(argv) -> dict | None:
+    """The command line as a plain dict: the command, "config" when a file is
+    given, and each key given, converted by its _KEYS parser. --key=v and
+    --key v, underscores as dashes, take v whatever it looks like; --on-grid
+    is a switch. The command may come anywhere, and the last of repeated flags
+    wins. None for -h or --help."""
+    values, tokens = {}, iter(argv)
+    for token in tokens:
+        if token in ("-h", "--help"):
+            return None
+        if not token.startswith("-"):
+            if "command" in values:
+                raise ParseError(f"unexpected argument {token!r} after {values['command']!r}")
+            if token not in _COMMANDS:
+                raise ParseError(f"unknown command {token!r} (one of {', '.join(COMMANDS)})")
+            values["command"] = token
+            continue
+        flag, eq, text = token.partition("=")
+        key = _FLAGS.get(flag)
+        if key is None:
+            raise ParseError(f"unknown flag {flag!r}")
+        if key in _KEYS and _KEYS[key][1] is _parse_bool:
+            if eq:
+                raise ParseError(f"{flag} is a switch and takes no value")
+            values[key] = True
+        elif not eq and (text := next(tokens, None)) is None:
+            raise ParseError(f"{flag} needs a value")
+        else:
+            values[key] = _convert(key, text) if key in _KEYS else text
+    if "command" not in values:
+        raise ParseError(f"missing command (one of {', '.join(COMMANDS)})")
+    return values
+
+
+def usage() -> str:
+    """The -h text, from the command and key tables."""
+    lines = ["usage: extflow COMMAND [--KEY=VALUE | --KEY VALUE]... [--config PATH]",
+             "commands and their keys, with those of the model and jobs, out and format:"]
+    lines += [f"  {command:<24}{' '.join(keys)}" for command, (_, keys) in _COMMANDS.items()]
+    lines.append("keys, as flags or as KEY = VALUE lines of a --config file that flags override:")
+    lines += [f"  {flag:<11}{_KEYS[key][2]}" for flag, key in _FLAGS.items() if key in _KEYS]
+    return "\n".join(lines) + "\n"
+
+
+def load_config(values: dict) -> RunConfig:
+    """Merge the configuration file named in values (if any) with the keys of
+    values, a parse_args dict; the keys win. A key outside the command's own,
+    its model's and the run-wide keys is an error wherever it was given.
+    Validates model and group compatibility before dispatch."""
+    command = values["command"]
+    given = {}
+    if values.get("config"):
+        for key, text in read_config_file(values["config"]).items():
             if key not in _KEYS:
                 raise ParseError(f"unknown config key {key!r}")
-            try:
-                values[key] = _KEYS[key][1](text)
-            except (ValueError, TypeError) as exc:
-                raise ParseError(f"bad value for {key!r}: {text!r}") from exc
-    values.update((key, value) for key, value in vars(args).items()
-                  if key in _KEYS and value is not None)
-    model = values.get("model")
-    if "model" in _COMMANDS[args.command][1] and model not in _MODELS:
+            given[key] = _convert(key, text)
+    given.update((key, value) for key, value in values.items() if key in _KEYS)
+    model = given.get("model")
+    if "model" in _COMMANDS[command][1] and model not in _MODELS:
         raise ParseError(f"unknown model {model!r}" if model is not None else
-                         f"{args.command}: missing required field 'model'")
-    allowed = _row(args.command, model)
-    for key in values:
+                         f"{command}: missing required field 'model'")
+    allowed = _row(command, model)
+    for key in given:
         if key not in allowed and key not in _RUN_KEYS:
-            raise ParseError(f"{args.command}: {key!r} is not a key of this command "
+            raise ParseError(f"{command}: {key!r} is not a key of this command "
                              f"(its keys: {', '.join(allowed) or 'none'})")
-    cfg = RunConfig(args.command, **{_KEYS[key][0]: value for key, value in values.items()})
+    cfg = RunConfig(command, **{_KEYS[key][0]: value for key, value in given.items()})
     _validate(cfg)
     return cfg
 
@@ -198,11 +255,13 @@ def _validate(cfg: RunConfig):
                cfg.rho, cfg.length2, cfg.v0, cfg.t_max]
     if not all(cmath.isfinite(x) for x in numbers if x is not None):
         raise ParseError(f"{cfg.command}: every numeric input must be finite")
+    for key, (name, _, _, domain) in _KEYS.items():
+        value = getattr(cfg, name)
+        if domain and value is not None and not domain[0](value):
+            raise ParseError(f"{cfg.command}: {key!r} {domain[1].format(value)}")
     if "model" in keys:
         groups = _MODELS[cfg.model][2]
         group = cfg.group or groups[0]
-        if group not in GROUPS:
-            raise ParseError(f"unknown group {group!r}")
         if group not in groups:
             raise IncompatibleModelGroup(
                 f"model {cfg.model!r} is not invariant under {group!r}")
@@ -216,45 +275,21 @@ def _validate(cfg: RunConfig):
     inverse_square = cfg.command == "shoot" or cfg.model == "inverse-square"
     if inverse_square and not floor <= cfg.gamma < 0.75:
         raise ParseError(f"gamma must lie in [{floor:g}, 3/4), got {cfg.gamma}")
-    if cfg.command == "shoot":
-        if not 1 <= cfg.count <= 4:
-            raise ParseError(f"shoot: count must be between 1 and 4, got {cfg.count}")
-        if not cfg.gamma < -0.25:
-            raise ParseError(
-                f"shoot: gamma must be below -1/4 (oscillatory boundary), got {cfg.gamma}")
-    if "t" in keys and not cfg.t_values:
-        raise ParseError(f"{cfg.command}: 't' needs at least one value")
-    if "n" in keys and min(cfg.n_values, default=0) < 8:
-        raise ParseError(f"{cfg.command}: every grid size n must be at least 8")
+    if cfg.command == "shoot" and not cfg.gamma < -0.25:
+        raise ParseError(
+            f"shoot: gamma must be below -1/4 (oscillatory boundary), got {cfg.gamma}")
     if cfg.command == "certify-nonequivalence" and len(cfg.n_values) != 1:
         raise ParseError("certify-nonequivalence: give exactly one grid size in 'n'")
     if cfg.command == "refine" and len(set(cfg.n_values)) < 3:
         raise ParseError("refine: need at least three distinct grid sizes in 'n'")
     if cfg.command == "period" and cfg.model == "halfline":
         raise ParseError("period: the halfline flow is trivial and has no period")
-    if cfg.command == "flow-orbit" and abs(cfg.v0) > 1.0:
-        raise ParseError(f"flow-orbit: |v0| must be at most 1, got {cfg.v0}")
     if cfg.command == "flow-orbit" and cfg.model == "halfline" and cfg.v0 != 0:
         raise ParseError(f"flow-orbit: the halfline parameter set is {{0}}, got v0 = {cfg.v0}")
     if cfg.command == "fk-params" and not -0.25 <= cfg.gamma < 0.75:
         raise ParseError(f"fk-params: gamma must lie in [-1/4, 3/4), got {cfg.gamma}")
-    if cfg.command == "spectrum" and cfg.rho is not None and abs(cfg.rho) >= 1.0:
-        raise ParseError(f"spectrum: |rho| must be below 1, got {cfg.rho}")
     if cfg.command == "spectrum" and cfg.rho is not None and cfg.theta is not None:
         raise ParseError("spectrum: give theta or rho, not both")
-    for key, length in (("l", cfg.length), ("l2", cfg.length2)):
-        if length is not None and not 1e-3 <= length <= 300.0:
-            raise ParseError(f"{key} must lie in [1e-3, 300], got {length}")
-    if cfg.tol is not None and cfg.tol <= 0:
-        raise ParseError("tol must be positive")
-    if cfg.t_max is not None and cfg.t_max <= 0:
-        raise ParseError(f"t_max must be positive, got {cfg.t_max}")
-    if len(cfg.window) != 2 or not cfg.window[0] < cfg.window[1]:
-        raise ParseError("window must be lo,hi with lo < hi")
-    if cfg.fmt not in ("json", "csv"):
-        raise ParseError(f"unknown format {cfg.fmt!r}")
-    if cfg.jobs < 1:
-        raise ParseError("jobs must be >= 1")
 
 
 def _build_model(cfg: RunConfig):
@@ -368,13 +403,7 @@ def _cmd_shoot(cfg):
     checks = {"eigenvalues found": len(eig) >= min(2, cfg.count)}
     if len(eig) >= 2:
         rep = spectra.progression_ratio(eig)
-        results["progression"] = {
-            "ratio": rep.ratio,
-            "generator": rep.generator,
-            "kappa": rep.kappa,
-            "generator_deviation": rep.generator_deviation,
-            "kappa_deviation": rep.kappa_deviation,
-        }
+        results["progression"] = dict(vars(rep))
         checks["consecutive ratio within 5% of exp(2pi/nu)"] = (
             rep.generator_deviation <= 0.05)
     return results, checks
@@ -382,16 +411,11 @@ def _cmd_shoot(cfg):
 
 def _cmd_fk_params(cfg):
     fk = spectra.friedrichs_krein_params(cfg.gamma)
-    results = {
-        "v_friedrichs": fk.v_friedrichs,
-        "v_krein": fk.v_krein,
-        "exponents": list(fk.exponents),
-    }
     checks = {
         "friedrichs parameter unimodular": abs(abs(fk.v_friedrichs) - 1) <= flow.SA_TOL,
         "krein parameter unimodular": abs(abs(fk.v_krein) - 1) <= flow.SA_TOL,
     }
-    return results, checks
+    return dict(vars(fk)), checks
 
 
 def _cmd_weyl(cfg):
@@ -439,12 +463,9 @@ def _cmd_refine(cfg):
 
 def _cmd_certify(cfg):
     (n,) = cfg.n_values
-    rep = weylcheck.nonequivalence_certificate(cfg.length, cfg.length2, n=n)
-    results = {
-        "sstar_1": rep.sstar_1, "sstar_2": rep.sstar_2,
-        "h1": rep.h1, "h2": rep.h2, "message": rep.message,
-    }
-    return results, {"certified": rep.certified}
+    results = dict(vars(weylcheck.nonequivalence_certificate(cfg.length, cfg.length2, n=n)))
+    certified = results.pop("certified")
+    return results, {"certified": certified}
 
 
 def _cmd_all(cfg):
@@ -587,38 +608,14 @@ def emit(report: RunReport, fmt: str, out: str | None) -> str:
 # entry point
 # ---------------------------------------------------------------------------
 
-@functools.cache
-def build_parser() -> argparse.ArgumentParser:
-    """The argument parser, built once per process: building it costs about
-    ten times a parse. Each parse_args call still returns a fresh Namespace."""
-    parser = argparse.ArgumentParser(
-        prog="extflow",
-        description="Extension flows, their fixed points, spectra, and "
-                    "commutation-relation checks for the bundled operator models.")
-    parser.add_argument("command", choices=COMMANDS)
-    parser.add_argument("--config", help="flat key = value configuration file")
-    for key, (_, parse, text) in _KEYS.items():
-        flag = "--" + key.replace("_", "-")
-        if parse is _parse_bool:
-            parser.add_argument(flag, action="store_true", default=None, dest=key, help=text)
-        else:
-            parser.add_argument(flag, type=parse, dest=key, help=text)
-    return parser
-
-
 def main(argv=None) -> int:
-    parser = build_parser()
-    try:
-        args = parser.parse_args(argv)
-    except SystemExit as exc:
-        return 2 if exc.code not in (0, None) else 0
     start = time.perf_counter()
     try:
-        cfg = load_config(args)
-    except ParseError as exc:
-        print(f"configuration error: {exc}", file=sys.stderr)
-        return 2
-    try:
+        values = parse_args(sys.argv[1:] if argv is None else argv)
+        if values is None:
+            sys.stdout.write(usage())
+            return 0
+        cfg = load_config(values)
         report = dispatch(cfg)
         emit(report, cfg.fmt, cfg.out)
     except (ParseError, InvalidArgument) as exc:

@@ -13,8 +13,6 @@ import math
 from dataclasses import dataclass
 from enum import Enum
 
-import numpy as np
-
 from .affine import ALL_POINTS
 from .errors import DegenerateMap, InvalidArgument, NotDiskMap
 
@@ -134,30 +132,22 @@ def fixed_points(m: LinearFractionalMap, identity_tol: float = 1e-13,
     return [z1, z2]
 
 
-# the 64 boundary samples of the self-map and contraction tests
-_CIRCLE = np.exp(1j * np.linspace(0.0, 2 * math.pi, 64, endpoint=False))
-_CIRCLE.setflags(write=False)
-
-
-def _boundary_max(m: LinearFractionalMap) -> float:
-    """max |m(z)| over the boundary samples; inf when one of them is a pole."""
-    den = m.c * _CIRCLE + m.d
-    if np.any(np.abs(den) == 0.0):
+def boundary_max(m: LinearFractionalMap) -> float:
+    """max |m(z)| over the closed disk, in closed form. For |d| > |c| the unit
+    circle goes to the circle of centre (b conj(d) - a conj(c))/(|d|^2 - |c|^2)
+    and radius |ad - bc|/(|d|^2 - |c|^2), and the disk to its inside, so the
+    maximum is |centre| + radius; otherwise the pole lies in the closed disk
+    and the maximum is inf."""
+    gap = abs(m.d) ** 2 - abs(m.c) ** 2
+    if not gap > 0.0:
         return math.inf
-    return float(np.max(np.abs((m.a * _CIRCLE + m.b) / den)))
+    centre = (m.b * m.d.conjugate() - m.a * m.c.conjugate()) / gap
+    return abs(centre) + abs(m.a * m.d - m.b * m.c) / gap
 
 
 def is_disk_self_map(m: LinearFractionalMap, tol: float = 1e-9) -> bool:
-    """True iff 64 boundary samples and the center land in the closed disk
-    (within tol)."""
-    return _maps_disk(m, _boundary_max(m), tol)
-
-
-def _maps_disk(m: LinearFractionalMap, boundary_max: float, tol: float) -> bool:
-    if boundary_max > 1.0 + tol:
-        return False
-    center = apply(m, 0j)
-    return not is_infinite(center) and abs(center) <= 1.0 + tol
+    """True iff m takes the closed disk into the disk of radius 1 + tol."""
+    return boundary_max(m) <= 1.0 + tol
 
 
 class MapTag(Enum):
@@ -182,12 +172,12 @@ def classify(m: LinearFractionalMap, eps_class: float = 1e-9) -> MapClass:
     its scale) the tie-break is Parabolic. Raises NotDiskMap when the disk
     is not preserved within max(eps_class, 1e-9).
     """
-    boundary_max = _boundary_max(m)
-    if not _maps_disk(m, boundary_max, max(eps_class, 1e-9)):
+    image_max = boundary_max(m)
+    if not image_max <= 1.0 + max(eps_class, 1e-9):
         raise NotDiskMap("map does not take the closed disk into itself")
     if projective_distance(m, IDENTITY_MAP) <= eps_class:
         return MapClass(MapTag.IDENTITY, ALL_POINTS)
-    if boundary_max < 1.0 - eps_class:
+    if image_max < 1.0 - eps_class:
         fps = fixed_points(m)
         inside = [z for z in fps if not is_infinite(z) and abs(z) < 1.0]
         outside = [z for z in fps if z not in inside]

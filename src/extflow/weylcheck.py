@@ -183,6 +183,10 @@ def refinement_order(rows):
 # the worst residual, relative to |U A U* f|, that the generator check
 # passes: ten times the largest measured (README, "Scaling orientation")
 GENERATOR_TOL = 2e-14
+# the phase check's bound on |e^{ib} - 1|, in rounding floors of b, and the
+# widest bound that resolves the phase; wherever it resolves, over t in [-40,
+# 460] on nine couplings and the half-line, the phase measured <= 0.95 floors
+PHASE_FLOORS, PHASE_RESOLUTION = 10.0, 1e-3
 
 
 def _sample_grid(model, n: int = 4096) -> np.ndarray:
@@ -230,15 +234,21 @@ class GeneratorCheck:
     scale: complex           # fitted a_t
     offset: complex          # fitted b_t
     phase_factor: complex    # e^{i b_t}, the commutation phase per unit time
+    phase_floor: float       # eps |a_t| |A f|/|f|, the rounding floor of b_t
 
     def fits_scaling(self, t: float) -> bool:
-        """Scale e^{-t} and phase factor 1 within 1e-6 relative; the scale is
-        read as |scale e^t - 1| through its log, which no |t| overflows."""
+        """Scale e^{-t} within 1e-6 relative, read through its log, which no
+        |t| overflows, and phase factor 1 within PHASE_FLOORS rounding floors;
+        DynamicRangeExceeded where those exceed PHASE_RESOLUTION."""
         if not 0 < abs(self.scale) < math.inf:
             return False
+        bound = PHASE_FLOORS * self.phase_floor
+        if not bound <= PHASE_RESOLUTION:
+            raise DynamicRangeExceeded(f"at t = {t:g} the phase bound, {PHASE_FLOORS:g} "
+                                       f"rounding floors, is {bound:.3g} > {PHASE_RESOLUTION:g}")
         log_ratio = cmath.log(self.scale) + t
         return (log_ratio.real < 1 and abs(cmath.exp(log_ratio) - 1) <= 1e-6
-                and abs(self.phase_factor - 1) <= 1e-6)
+                and abs(self.phase_factor - 1) <= bound)
 
 
 def generator_invariance_residual(model, rep_kind: str, t: float,
@@ -275,8 +285,10 @@ def generator_invariance_residual(model, rep_kind: str, t: float,
         resid = lhs - scale * columns[:, 0] - offset * columns[:, 1]
         worst = float(np.max(np.linalg.norm(row_scale * resid, axis=1)
                              / np.linalg.norm(row_scale * lhs, axis=1)))
+        floor = (np.finfo(float).eps * abs(scale) * np.linalg.norm(columns[:, 0])
+                 / np.linalg.norm(columns[:, 1]))
         return GeneratorCheck(worst, complex(scale), complex(offset),
-                              complex(np.exp(1j * offset)))
+                              complex(np.exp(1j * offset)), float(floor))
 
 
 # ---------------------------------------------------------------------------

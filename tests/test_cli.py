@@ -3,7 +3,11 @@ import gc
 import io
 import json
 import math
+import os
+import subprocess
+import sys
 import warnings
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -23,24 +27,25 @@ def run_cli(tmp_path, *argv, name="out.json"):
 
 class TestConfig:
     def test_flags_only(self):
-        args = cli.build_parser().parse_args(
+        values = cli.parse_args(
             ["fixed-points", "--model", "interval", "--l", "1",
              "--group", "translation"])
-        cfg = cli.load_config(args)
+        assert type(values) is dict
+        cfg = cli.load_config(values)
         assert cfg.model == "interval"
         assert cfg.length == 1.0
         assert cfg.group == "translation"
 
     def test_incompatible_model_group(self):
-        args = cli.build_parser().parse_args(
+        values = cli.parse_args(
             ["fixed-points", "--model", "interval", "--group", "scaling"])
         with pytest.raises(cli.IncompatibleModelGroup):
-            cli.load_config(args)
+            cli.load_config(values)
 
     def test_missing_model_names_field(self):
-        args = cli.build_parser().parse_args(["fixed-points"])
+        values = cli.parse_args(["fixed-points"])
         with pytest.raises(cli.ParseError, match="model"):
-            cli.load_config(args)
+            cli.load_config(values)
 
     def test_config_file_with_flag_override(self, tmp_path):
         path = tmp_path / "run.cfg"
@@ -49,9 +54,9 @@ class TestConfig:
             "model = interval\n"
             "l = 2.0\n"
             "t = 0.5,1.5\n")
-        args = cli.build_parser().parse_args(
+        values = cli.parse_args(
             ["fixed-points", "--config", str(path), "--l", "1.0"])
-        cfg = cli.load_config(args)
+        cfg = cli.load_config(values)
         assert cfg.model == "interval"
         assert cfg.length == 1.0          # flag wins over the file
         assert cfg.t_values == [0.5, 1.5]
@@ -59,10 +64,10 @@ class TestConfig:
     def test_unknown_config_key(self, tmp_path):
         path = tmp_path / "run.cfg"
         path.write_text("flavor = strange\n")
-        args = cli.build_parser().parse_args(
+        values = cli.parse_args(
             ["fixed-points", "--model", "interval", "--config", str(path)])
         with pytest.raises(cli.ParseError, match="flavor"):
-            cli.load_config(args)
+            cli.load_config(values)
 
 
 class TestCommands:
@@ -207,12 +212,13 @@ class TestCommands:
         assert all(r["residual"] <= weylcheck.GENERATOR_TOL
                    for r in json.loads(text)["results"]["rows"])
 
-    @pytest.mark.parametrize("t, expected", [("-100", 1), ("-25", 1), ("-709.7", 3),
+    @pytest.mark.parametrize("t, expected", [("-100", 3), ("-25", 0), ("-709.7", 3),
                                              ("-700", 3), ("600", 3), ("700", 3)])
     def test_generator_check_fails_without_warnings(self, t, expected, tmp_path, capsys):
-        # past the offset's rounding floor, eps e^{-t} |A f|/|f| > 1e-6 at
-        # t <= -25, the phase fails; where e^{-t} A f overflows, or its
-        # intermediates underflow to zero, the check stops with exit 3
+        # the phase passes within ten rounding floors of the offset, eps
+        # e^{-t} |A f|/|f|, at t = -25, and the check stops with exit 3 where
+        # those exceed a milliradian, as at t = -100; also where e^{-t} A f
+        # overflows, or its intermediates underflow to zero
         with warnings.catch_warnings():
             warnings.simplefilter("error")
             code = cli.main(["generator-check", "--model=inverse-square", "--gamma=-2",
@@ -225,16 +231,16 @@ class TestCommands:
     @pytest.mark.parametrize("argv, expected", [
         (["--model=halfline", "--group=scaling", "--t=400"], 0),
         (["--model=inverse-square", "--gamma=-2", "--t=400"], 0),
-        (["--model=halfline", "--group=scaling", "--t=-400"], 1),
-        (["--model=inverse-square", "--gamma=-2", "--t=-400"], 1),
+        (["--model=halfline", "--group=scaling", "--t=-400"], 3),
+        (["--model=inverse-square", "--gamma=-2", "--t=-400"], 3),
         (["--model=halfline", "--group=scaling", "--t=700"], 3),
         (["--model=inverse-square", "--gamma=-2", "--t=700"], 3),
     ], ids=["halfline-400", "gamma=-2-400", "halfline--400", "gamma=-2--400",
             "halfline-700", "gamma=-2-700"])
     def test_generator_check_at_t_400(self, argv, expected, tmp_path, capsys):
-        # the norms' rows are scaled by powers of two: t = 400 passes, t =
-        # -400 reaches the phase bound's FAIL, and at t = 700 U A U* f itself
-        # leaves the floats
+        # the norms' rows are scaled by powers of two: t = 400 passes; at t =
+        # -400 the offset's rounding floor leaves the phase unresolved, and at
+        # t = 700 U A U* f itself leaves the floats
         with warnings.catch_warnings():
             warnings.simplefilter("error")
             code = cli.main(["generator-check", *argv, "--out", str(tmp_path / "x.json")])
@@ -575,7 +581,7 @@ class TestExitCodes:
         # a fit that is not finite never reads as a pass, whatever --tol is
         nan = complex(math.nan, math.nan)
         monkeypatch.setattr(weylcheck, "generator_invariance_residual",
-                            lambda *args: weylcheck.GeneratorCheck(math.nan, nan, nan, nan))
+                            lambda *args: weylcheck.GeneratorCheck(math.nan, nan, nan, nan, math.nan))
         for argv in (["--model", "inverse-square"], ["--model", "interval"],
                      ["--model", "halfline", "--group", "scaling", "--tol", "1e300"]):
             code, text = run_cli(tmp_path, "generator-check", *argv)
@@ -840,8 +846,13 @@ def _call(argv):
     return code, out.getvalue(), err.getvalue()
 
 
-def _is_stray_key_error(code, out, err, command):
+def _is_configuration_error(code, out, err):
     return (code == 2 and out == "" and err.count("\n") == 1 and "Traceback" not in err
+            and err.startswith("configuration error: "))
+
+
+def _is_stray_key_error(code, out, err, command):
+    return (_is_configuration_error(code, out, err)
             and err.startswith(f"configuration error: {command}: '")
             and "is not a key of this command" in err)
 
@@ -849,10 +860,10 @@ def _is_stray_key_error(code, out, err, command):
 @settings(max_examples=80, deadline=None, derandomize=True)
 @given(argv=_argvs(), other=_argvs(), stray=_strays(),
        bad=st.sampled_from([["--frob"], ["--jobs=x"], ["--format=xml"],
-                            ["--model=ring"], ["--n"]]))
+                            ["--model=ring"], ["--n"], ["--gam=-2"], ["--on-grid=1"],
+                            ["--gamma"], ["fixed-points"]]))
 def test_flag_space(argv, other, stray, bad):
-    cli.build_parser.cache_clear()
-    code, out, err = _call([*argv, "--jobs=1"])      # a fresh parser
+    code, out, err = _call([*argv, "--jobs=1"])
     assert code in (0, 1, 2, 3)
     assert "Traceback" not in err
     if code in (0, 1):
@@ -863,10 +874,10 @@ def test_flag_space(argv, other, stray, bad):
             assert sorted(config) == sorted(cli._row(argv[0], config.get("model")))
     else:
         assert out == ""
-    assert _call([*other, *bad])[0] == 2
+    assert _is_configuration_error(*_call([*other, *bad]))
     assert _is_stray_key_error(*_call(stray), stray[0])
-    # after a parse failure on other flags, the cached parser gives the bytes
-    # of the fresh call, and so does every --jobs
+    # after a parse failure on other flags, a call gives the bytes of the
+    # first call, and so does every --jobs
     assert _call([*argv, "--jobs=1"])[:2] == (code, out)
     assert _call([*argv, "--jobs=2"])[:2] == (code, out)
 
@@ -935,7 +946,7 @@ def test_each_row_is_what_its_handler_reads(command):
     for model in _models(command):
         if (command, model) == ("period", "halfline"):
             continue
-        cfg = cli.load_config(cli.build_parser().parse_args([command, *_base(command, model)]))
+        cfg = cli.load_config(cli.parse_args([command, *_base(command, model)]))
         cfg.__class__ = Recording
         reads.clear()
         handler, _ = cli._COMMANDS[command]
@@ -948,7 +959,7 @@ def test_each_model_row_builds_its_model(model):
     # the constructor reads the model's keys in order, the default group
     # comes first, and every group is one the model is invariant under
     argv = {"interval": ["--l=2"], "inverse-square": ["--gamma=-2"], "halfline": []}[model]
-    cfg = cli.load_config(cli.build_parser().parse_args(
+    cfg = cli.load_config(cli.parse_args(
         ["fixed-points", f"--model={model}", *argv]))
     built = cli._build_model(cfg)
     _, keys, groups = cli._MODELS[model]
@@ -960,5 +971,85 @@ def test_each_model_row_builds_its_model(model):
         assert built is cli._build_model(cfg)       # the cached model
     for group in set(affine.GROUPS) - set(groups):
         with pytest.raises(cli.IncompatibleModelGroup):
-            cli.load_config(cli.build_parser().parse_args(
+            cli.load_config(cli.parse_args(
                 ["fixed-points", f"--model={model}", f"--group={group}", *argv]))
+
+
+# each key: a command that reads it, flags that make it runnable, and a value,
+# negative where the key takes one; None for the --on-grid switch
+_KEY_CASES = {
+    "model": (["fixed-points", "--gamma=-2"], "inverse-square"),
+    "l": (["fixed-points", "--model=interval"], "2.5"),
+    "gamma": (["fixed-points", "--model=inverse-square"], "-2"),
+    "group": (["fixed-points", "--model=halfline"], "scaling"),
+    "t": (["fixed-points", "--model=interval"], "-1.5,0.3"),
+    "n": (["weyl", "--t=0.5"], "64,128"),
+    "tol": (["fixed-points", "--model=interval"], "1e-6"),
+    "theta": (["spectrum", "--window=-5,5"], "-1.9"),
+    "rho": (["spectrum", "--window=-5,5"], "-0.5j"),
+    "window": (["spectrum"], "-5,5"),
+    "count": (["shoot", "--gamma=-2"], "2"),
+    "on_grid": (["weyl", "--n=64", "--t=0.5"], None),
+    "l2": (["certify-nonequivalence", "--n=64"], "2"),
+    "v0": (["flow-orbit", "--model=interval"], "-0.5j"),
+    "t_max": (["period", "--model=interval"], "8"),
+    "jobs": (["weyl", "--n=64,128", "--t=0.5"], "2"),
+    "out": (["fixed-points", "--model=interval"], "report.json"),
+    "format": (["fixed-points", "--model=interval"], "csv"),
+}
+
+
+@pytest.mark.parametrize("key", sorted(_KEY_CASES))
+def test_each_key_in_every_flag_form(key, tmp_path):
+    # --key v and --key=v, the command first and last, all parse to the
+    # key's own parser of v and give the same bytes; a value that starts
+    # with a dash is taken as the value
+    assert set(_KEY_CASES) == set(cli._KEYS)
+    (command, *base), value = _KEY_CASES[key]
+    flag = "--" + key.replace("_", "-")
+    if key == "out":
+        value = str(tmp_path / value)
+    forms = [[flag]] if value is None else [[flag, value], [f"{flag}={value}"]]
+    results = []
+    for given in forms:
+        for argv in ([command, *base, *given], [*base, *given, command]):
+            parsed = cli.parse_args(argv)
+            assert parsed[key] == (True if value is None else cli._KEYS[key][1](value))
+            code, out, err = _call(argv)
+            assert code in (0, 1), err
+            results.append((code, out, Path(value).read_text() if key == "out" else None))
+    assert len(results) == 2 * len(forms) and len(set(results)) == 1
+
+
+def test_help_prints_the_tables():
+    code, out, err = _call(["--help"])
+    assert code == 0 and err == "" and out == cli.usage()
+    assert _call(["fixed-points", "-h"])[:2] == (0, out)
+    assert all(command in out for command in cli.COMMANDS)
+    assert all("--" + key.replace("_", "-") in out for key in cli._KEYS)
+
+
+@pytest.mark.parametrize("argv, message", [
+    (["fixed-points", "--model=interval", "--gam=-2"], "unknown flag '--gam'"),
+    (["fixed-points", "--model=interval", "-t", "1"], "unknown flag '-t'"),
+    (["fixed-points", "--model=interval", "--t"], "--t needs a value"),
+    (["fixed-points", "--model=interval", "--t", "x"], "bad value for 't': 'x'"),
+    (["fixed-points", "--model=interval", "--jobs=1.5"], "bad value for 'jobs': '1.5'"),
+    (["frobnicate"], "unknown command 'frobnicate'"),
+    (["--model=interval"], "missing command"),
+    (["fixed-points", "--model=interval", "period"], "unexpected argument 'period'"),
+    (["weyl", "--on-grid=x"], "--on-grid is a switch and takes no value"),
+])
+def test_parse_errors_are_one_line(argv, message):
+    code, out, err = _call(argv)
+    assert _is_configuration_error(code, out, err) and message in err
+
+
+def test_fixed_points_does_not_import_argparse():
+    script = ("import os, sys; from extflow import cli; "
+              "code = cli.main(['fixed-points', '--model=interval', '--out', os.devnull]); "
+              "print(code, 'argparse' in sys.modules)")
+    src = str(Path(cli.__file__).resolve().parents[1])
+    done = subprocess.run([sys.executable, "-c", script], capture_output=True, text=True,
+                          env={**os.environ, "PYTHONPATH": src}, timeout=60)
+    assert done.stdout == "0 False\n", done.stderr

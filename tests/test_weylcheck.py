@@ -1,3 +1,4 @@
+import cmath
 import math
 
 import numpy as np
@@ -323,7 +324,7 @@ class TestGeneratorInvariance:
         # the scale must be e^{-t} within 1e-6 relative: an absolute 1e-6
         # passed a scale of 0, and a relative error of 2e-5, at t = 20
         def check(scale, t, phase=1.0):
-            return weylcheck.GeneratorCheck(0.0, scale, 0j, phase).fits_scaling(t)
+            return weylcheck.GeneratorCheck(0.0, scale, 0j, phase, 1e-8).fits_scaling(t)
 
         for t in (-700.0, -20.0, 0.5, 20.0, 700.0):
             assert check(math.exp(-t) * (1 + 9e-7), t)
@@ -333,6 +334,21 @@ class TestGeneratorInvariance:
             for t in (-1e4, 20.0, 1e4):
                 assert not check(scale, t)
         assert check(math.exp(-1e-3), 1e-3) and not check(math.exp(-1e-3), 1e4)
+
+    def test_phase_bound_follows_its_rounding_floor(self):
+        # ten rounding floors of the offset, up to a milliradian: a phase of
+        # 1e-7 at a floor of 1e-17 passed the former absolute 1e-6 and fails
+        # now; 4e-4 at a floor of 5e-5, as at t = -25, failed and passes
+        def check(phase, floor, t=1.0):
+            return weylcheck.GeneratorCheck(
+                0.0, math.exp(-t), 0j, cmath.exp(1j * phase), floor).fits_scaling(t)
+
+        assert check(9e-17, 1e-17) and not check(1e-7, 1e-17)
+        assert check(4e-4, 5e-5, t=-25.0) and not check(6e-4, 5e-5, t=-25.0)
+        for floor in (1.01e-4, 1e30, math.inf, math.nan):
+            with pytest.raises(DynamicRangeExceeded, match="> 0.001"):
+                check(0.0, floor)
+        assert not weylcheck.GeneratorCheck(0.0, complex(math.nan), 0j, 1, math.nan).fits_scaling(1)
 
     def test_halfline_translation(self):
         m = models.HalflineModel()
@@ -370,12 +386,14 @@ class TestGeneratorInvariance:
         # U A U* f ~ e^{-400} and ~ e^{400}: the squares in an unscaled norm
         # leave the floats, the scaled rows do not. At t = 400 the relation
         # holds to the tolerance (measured 4.2e-16 and 2.8e-16); at t = -400
-        # the residual passes (2.9e-16 and 9.9e-16) and the absolute phase
-        # bound fails
+        # the residual passes (2.9e-16 and 9.9e-16), and the offset's rounding
+        # floor, e^{400} eps |A f|/|f|, leaves the phase unresolved
         chk = weylcheck.generator_invariance_residual(model, "scaling", 400.0)
         assert chk.residual <= weylcheck.GENERATOR_TOL and chk.fits_scaling(400.0)
         chk = weylcheck.generator_invariance_residual(model, "scaling", -400.0)
-        assert chk.residual <= weylcheck.GENERATOR_TOL and not chk.fits_scaling(-400.0)
+        assert chk.residual <= weylcheck.GENERATOR_TOL and chk.phase_floor > 1e150
+        with pytest.raises(DynamicRangeExceeded):
+            chk.fits_scaling(-400.0)
         with pytest.raises(DynamicRangeExceeded):
             weylcheck.generator_invariance_residual(model, "scaling", 700.0)
 
