@@ -10,6 +10,9 @@ command takes the keys of its row, with those of its model, which its report
 echoes, and the run-wide jobs, out and format. Reports are byte-stable for a
 fixed configuration, whatever --jobs is: numbers are printed with 17
 significant digits and wall-clock timings go to stderr, never the payload.
+The module imports flow, mobius and models, which every flow command uses;
+a handler imports spectra, weylcheck or acceptance when its command runs,
+so a fresh process pays only for what it runs.
 
 Exit codes: 0 when every check in the run passed, 2 on configuration
 errors, 3 on numerical failures (or unwritable output).
@@ -25,7 +28,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from . import acceptance, flow, mobius, models, spectra, weylcheck
+from . import flow, mobius, models
 from .affine import GROUPS, subgroup_eval
 from .errors import ExtflowError, IncompatibleModelGroup, InvalidArgument, ParseError
 from .flow import Verdict
@@ -118,8 +121,13 @@ def read_config_file(path: str) -> dict:
     return values
 
 
+# the values a switch takes in a config file; other text is a bad value
+_BOOLS = {"1": True, "true": True, "yes": True, "on": True,
+          "0": False, "false": False, "no": False, "off": False}
+
+
 def _parse_bool(text) -> bool:
-    return str(text).lower() in ("1", "true", "yes", "on")
+    return _BOOLS[str(text).lower()]
 
 
 _LENGTH = (lambda x: 1e-3 <= x <= 300.0, "must lie in [1e-3, 300], got {!r}")
@@ -174,7 +182,7 @@ def _row(command: str, model: str | None) -> tuple:
 def _convert(key: str, text: str):
     try:
         return _KEYS[key][1](text)
-    except (ValueError, TypeError) as exc:
+    except (ValueError, TypeError, KeyError) as exc:
         raise ParseError(f"bad value for {key!r}: {text!r}") from exc
 
 
@@ -382,6 +390,7 @@ def _cmd_period(cfg):
 
 
 def _cmd_spectrum(cfg):
+    from . import spectra
     if cfg.rho is not None:
         eig = spectra.interval_dissipative_lattice(cfg.length, cfg.rho, cfg.window)
         bound = 1e-10 * max(1.0, 1.0 / max(abs(cfg.rho), 1e-10))
@@ -396,6 +405,7 @@ def _cmd_spectrum(cfg):
 
 
 def _cmd_shoot(cfg):
+    from . import spectra
     eig = spectra.shoot_negative_eigenvalues(cfg.gamma, cfg.theta or 0.0, cfg.count)
     rows = [{"index": i, "re": v.real, "im": v.imag, "residual": r}
             for i, (v, r) in enumerate(zip(eig.values, eig.residuals))]
@@ -410,6 +420,7 @@ def _cmd_shoot(cfg):
 
 
 def _cmd_fk_params(cfg):
+    from . import spectra
     fk = spectra.friedrichs_krein_params(cfg.gamma)
     checks = {
         "friedrichs parameter unimodular": abs(abs(fk.v_friedrichs) - 1) <= flow.SA_TOL,
@@ -419,6 +430,7 @@ def _cmd_fk_params(cfg):
 
 
 def _cmd_weyl(cfg):
+    from . import weylcheck
     rows = weylcheck.residual_rows(cfg.length, cfg.n_values, cfg.t_values,
                                    cfg.on_grid, cfg.jobs)
     worst = max((r["residual"] for r in rows), default=0.0)
@@ -431,6 +443,7 @@ def _cmd_weyl(cfg):
 
 
 def _cmd_generator_check(cfg):
+    from . import weylcheck
     model = _build_model(cfg)
     rows, checks = [], {}
     scaling = cfg.group == "scaling"
@@ -450,6 +463,7 @@ def _cmd_generator_check(cfg):
 
 
 def _cmd_refine(cfg):
+    from . import weylcheck
     rows = weylcheck.residual_rows(cfg.length, cfg.n_values, cfg.t_values,
                                    cfg.on_grid, cfg.jobs)
     order = weylcheck.refinement_order(rows)
@@ -462,6 +476,7 @@ def _cmd_refine(cfg):
 
 
 def _cmd_certify(cfg):
+    from . import weylcheck
     (n,) = cfg.n_values
     results = dict(vars(weylcheck.nonequivalence_certificate(cfg.length, cfg.length2, n=n)))
     certified = results.pop("certified")
@@ -469,6 +484,7 @@ def _cmd_certify(cfg):
 
 
 def _cmd_all(cfg):
+    from . import acceptance
     results = acceptance.run_all(echo=lambda line: print(line, file=sys.stderr))
     payload = {
         r.name: {"passed": r.passed, "budget_s": r.budget_s,

@@ -206,7 +206,10 @@ class IntervalModel:
 # inverse-square model: -d^2/dx^2 + gamma/x^2 on (0, inf)
 # ---------------------------------------------------------------------------
 
-_DEGENERATE_MU2 = 1e-10   # |gamma + 1/4| below this uses the log pair (mu = 0)
+# |gamma + 1/4| at most this gives the branch coefficients the log pair of
+# mu = 0: the Gamma-function pair there is near 1/mu and a theta mixes it with
+# cancellation. X, det X and the overlaps take mu from gamma everywhere
+_DEGENERATE_MU2 = 1e-10
 _EULER_GAMMA = 0.57721566490153286
 # B_2j / (2j (2j - 1)), j = 1..8: the Stirling series of log Gamma (DLMF 5.11.1)
 _STIRLING = (1 / 12, -1 / 360, 1 / 1260, -1 / 1680, 1 / 1188, -691 / 360360,
@@ -255,17 +258,18 @@ class InverseSquareModel:
         mu2 = self.gamma + 0.25
         self.mu2 = mu2
         self.log_case = abs(mu2) <= _DEGENERATE_MU2
+        mu = math.sqrt(mu2) if mu2 >= 0 else 1j * math.sqrt(-mu2)
+        if mu:
+            self._pi_over_sin = math.pi / cmath.sin(math.pi * mu)
+            self._half_limit = 0.5 * mu * self._pi_over_sin
+        else:
+            self._half_limit = 0.5
         root_k = cmath.exp(-0.125j * math.pi)
         log_half_k = complex(-math.log(2.0), -0.25 * math.pi)
         if self.log_case:
-            mu = 0j
             # sqrt(x) K_0(kx) ~ -(log(k/2) + gamma_E) sqrt(x) - sqrt(x) log x
-            self._half_limit = 0.5
             self.branch_coeffs = (-root_k * (log_half_k + _EULER_GAMMA), -root_k)
         else:
-            mu = math.sqrt(mu2) if mu2 > 0 else 1j * math.sqrt(-mu2)
-            self._pi_over_sin = math.pi / cmath.sin(math.pi * mu)
-            self._half_limit = 0.5 * mu * self._pi_over_sin
             # coefficients of x^{1/2 + mu} and x^{1/2 - mu} in sqrt(kx) K_mu(kx)
             self.branch_coeffs = (
                 0.5 * root_k * cmath.exp(log_gamma(-mu) + mu * log_half_k),
@@ -283,10 +287,10 @@ class InverseSquareModel:
         becomes L, and |a/b| inside sinh L neither under- nor overflows."""
         if log_ratio == 0:
             return self._half_limit / b2
-        if self.log_case:
-            num = log_ratio
-        else:
+        if self.mu:
             num = cmath.sinh(self.mu * log_ratio) * self._pi_over_sin
+        else:
+            num = log_ratio
         return num * cmath.exp(-1j * log_ratio.imag) / (2 * b2 * cmath.sinh(log_ratio))
 
     def _log_sigma(self, g: AffineMap) -> float:
@@ -317,7 +321,7 @@ class InverseSquareModel:
         # r/2 = (2/pi) (mu pi/(2 sin(mu pi))) cos(pi mu/2), also at mu = 0
         x = (2 / math.pi * self._half_limit * self._cos_half).real
         corner = x * cmath.exp(0.25j * math.pi)
-        det = 0.0 if self.log_case else -self.mu2 / 4
+        det = -self.mu2 / 4 if self.mu else 0.0
         return 1j * x * self._cos_half, -corner, -corner.conjugate(), det
 
     # boundary <-> parameter ---------------------------------------------------

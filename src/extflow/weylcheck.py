@@ -258,7 +258,7 @@ def generator_invariance_residual(model, rep_kind: str, t: float,
     and the worst residual relative to |U_t A U_t^* f|, which the scaling
     leaves unchanged. The jets are exact, and both sides read each entry at
     the grid points. DynamicRangeExceeded where U_t A U_t^* f is zero or not
-    a float on the grid."""
+    a float on the grid, or A U_t^* f peaks below the normal floats there."""
     test_functions = test_functions or default_test_functions(model)
     xs = _sample_grid(model)
     forward, backward = model.representation(rep_kind, t), model.representation(rep_kind, -t)
@@ -267,13 +267,19 @@ def generator_invariance_residual(model, rep_kind: str, t: float,
     # a left side beyond the floats raises below; a phase factor beyond them
     # is inf or nan and fails fits_scaling
     with np.errstate(all="ignore"):
-        lhs = root_w * np.array([
-            forward(lambda y, p=backward(jet): (_apply_generator(model, p, y),))(xs)[0]
-            for _, jet in test_functions])
+        # A U* f at the points s x that (U g)(x) = w e^{i kappa x} g(s x)
+        # reads, which U then maps as the values of g there. Where a row's
+        # peak is subnormal, its entries have lost digits that w cannot restore
+        inner = [_apply_generator(model, backward(jet), forward.dilation * xs)
+                 for _, jet in test_functions]
+        lhs = root_w * np.array([forward(lambda y, row=row: (row,))(xs)[0] for row in inner])
         peaks = np.abs(lhs).max(axis=1)
         if not all(np.finfo(float).tiny <= peak < math.inf for peak in peaks):
             raise DynamicRangeExceeded(
                 f"U A U* f is zero or not a normal float on the grid at t = {t:g}")
+        if not all(np.abs(row).max() >= np.finfo(float).tiny for row in inner):
+            raise DynamicRangeExceeded(
+                f"A U* f, read where U reads it, peaks below the normal floats at t = {t:g}")
         # each row and its residual scaled by the power of two that brings
         # the row's peak into [1/2, 1): exact, so the ratio of their norms
         # keeps its bytes, and the squares inside the norms stay floats

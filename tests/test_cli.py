@@ -167,14 +167,18 @@ class TestCommands:
         payload = json.loads(text)
         assert payload["results"]["verdict"] == "UniqueDissipative"
 
-    @pytest.mark.parametrize("offset", [1e-7, 1e-8, 1e-9, 4e-10, 2e-10, 1.5e-10])
+    @pytest.mark.parametrize("offset", [1e-7, 1e-8, 1e-9, 4e-10, 2e-10, 1.5e-10, 1e-10,
+                                        1e-11, 1e-12, 1e-13, 1e-14, 1e-15, 1e-16, "ulp"])
     @pytest.mark.parametrize("side", [-1, 1], ids=["below", "above"])
     def test_alternative_next_to_the_critical_coupling(self, side, offset, tmp_path):
-        # outside the band |gamma + 1/4| <= 1e-10 that the model treats as
-        # critical, an elliptic flow has one interior invariant point (|v| =
-        # 1 - 5e-5 at offset 1e-9, 1 - 2e-5 at 1.5e-10) and a hyperbolic flow
-        # two boundary points
-        gamma = f"--gamma={-0.25 + side * offset!r}"
+        # at every float coupling off -1/4, an elliptic flow has one interior
+        # invariant point (|v| = 1 - 5e-5 at offset 1e-9, 1 - 1.7e-8 at
+        # 1e-16, 1 - 1.2e-8 one ulp below) and a hyperbolic flow two boundary
+        # points, pi mu/2 apart
+        value = (math.nextafter(-0.25, side * math.inf) if offset == "ulp"
+                 else -0.25 + side * offset)
+        assert value != -0.25
+        gamma = f"--gamma={value!r}"
         if side < 0:
             verdict, tag, kinds = "UniqueDissipative", "elliptic", [flow.DISSIPATIVE]
         else:
@@ -213,12 +217,13 @@ class TestCommands:
                    for r in json.loads(text)["results"]["rows"])
 
     @pytest.mark.parametrize("t, expected", [("-100", 3), ("-25", 0), ("-709.7", 3),
-                                             ("-700", 3), ("600", 3), ("700", 3)])
+                                             ("-700", 3), ("560", 0), ("580", 3),
+                                             ("600", 3), ("700", 3)])
     def test_generator_check_fails_without_warnings(self, t, expected, tmp_path, capsys):
         # the phase passes within ten rounding floors of the offset, eps
         # e^{-t} |A f|/|f|, at t = -25, and the check stops with exit 3 where
         # those exceed a milliradian, as at t = -100; also where e^{-t} A f
-        # overflows, or its intermediates underflow to zero
+        # overflows, or its intermediates leave the normal floats, as at 580
         with warnings.catch_warnings():
             warnings.simplefilter("error")
             code = cli.main(["generator-check", "--model=inverse-square", "--gamma=-2",
@@ -1053,3 +1058,45 @@ def test_fixed_points_does_not_import_argparse():
     done = subprocess.run([sys.executable, "-c", script], capture_output=True, text=True,
                           env={**os.environ, "PYTHONPATH": src}, timeout=60)
     assert done.stdout == "0 False\n", done.stderr
+
+
+_HEAVY = ("extflow.acceptance", "extflow.spectra", "extflow.weylcheck")
+
+
+@pytest.mark.parametrize("argv, loaded", [
+    (["fixed-points", "--model=inverse-square", "--gamma=-2", "--t=1"], set()),
+    (["invariance", "--model=interval"], set()),
+    (["period", "--model=inverse-square", "--gamma=-2"], set()),
+    (["flow-orbit", "--model=interval", "--t=0.5"], set()),
+    (["shoot", "--gamma=-2", "--count=1"], {"extflow.spectra"}),
+    (["weyl", "--n=64", "--t=0.5"], {"extflow.weylcheck"}),
+], ids=lambda value: value[0] if isinstance(value, list) else None)
+def test_a_command_imports_only_what_it_runs(argv, loaded):
+    # a fresh process: the flow commands leave the battery, the shooting code
+    # and the grid checks unimported; each other command loads its own
+    script = ("import os, sys; from extflow import cli; "
+              f"code = cli.main({argv!r} + ['--out', os.devnull]); "
+              f"print(code, sorted(m for m in {_HEAVY!r} if m in sys.modules))")
+    src = str(Path(cli.__file__).resolve().parents[1])
+    done = subprocess.run([sys.executable, "-c", script], capture_output=True, text=True,
+                          env={**os.environ, "PYTHONPATH": src}, timeout=60)
+    assert done.stdout == f"0 {sorted(loaded)}\n", done.stderr
+
+
+@pytest.mark.parametrize("text, value", [
+    *((text, True) for text in ("1", "true", "Yes", "ON")),
+    *((text, False) for text in ("0", "False", "no", "OFF")),
+    *((text, None) for text in ("maybe", "ture", "", "2", "onn")),
+])
+def test_config_file_bool(text, value, tmp_path):
+    # a switch's file value is one of 1/true/yes/on or 0/false/no/off, in
+    # any case; other text exits 2 like any other unreadable value
+    path = tmp_path / "run.cfg"
+    path.write_text(f"on_grid = {text}\n")
+    argv = ["weyl", "--n=64", "--t=0.5", "--config", str(path)]
+    if value is None:
+        code, out, err = _call(argv)
+        assert _is_configuration_error(code, out, err)
+        assert f"bad value for 'on_grid': {text!r}" in err
+    else:
+        assert cli.load_config(cli.parse_args(argv)).on_grid is value

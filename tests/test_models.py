@@ -4,7 +4,7 @@ import math
 import numpy as np
 import pytest
 
-from extflow import cli, models
+from extflow import cli, flow, models
 from extflow.affine import GROUPS, IDENTITY, AffineMap, subgroup_eval
 from extflow.errors import (
     DynamicRangeExceeded,
@@ -149,6 +149,12 @@ class TestIntervalModel:
 
 
 K = cmath.exp(-0.25j * math.pi)   # the deficiency representative is sqrt(k x) K_mu(k x)
+# couplings in and at the edge of the band 0 < |gamma + 1/4| <= 1e-10, where
+# the branch coefficients still take the log pair of mu = 0: one ulp and
+# offsets 1e-16 to 1e-10 on both sides
+_BAND = [value for side in (-1, 1)
+         for value in (math.nextafter(-0.25, side * math.inf),
+                       *(-0.25 + side * 10.0 ** -k for k in range(10, 17)))]
 
 
 class TestInverseSquareModel:
@@ -430,6 +436,55 @@ class TestClosedForms:
         else:
             with pytest.raises(InvalidBoundary):
                 near.vn_from_boundary("friedrichs")
+
+    @pytest.mark.parametrize("gamma", _BAND, ids=repr)
+    def test_generator_matches_mpmath_in_the_former_band(self, gamma):
+        # X = (r/2) [[i cos(pi mu/2), -e^{i pi/4}], [-e^{-i pi/4}, -i cos(pi
+        # mu/2)]], r = mu/sin(pi mu/2), and its zeros e^{i pi (+-mu - 1/2)/2}
+        # at 40 digits, with mu from gamma as the float gives it; det X =
+        # -(gamma + 1/4)/4 is exact. Measured <= 5.2e-16 (X) and 2.5e-16 (zeros)
+        mpmath = pytest.importorskip("mpmath")
+        with mpmath.workdps(40):
+            mu = mpmath.sqrt(mpmath.mpf(gamma) + mpmath.mpf(1) / 4)
+            half_r = mu / (2 * mpmath.sin(mpmath.pi * mu / 2))
+            ref = [complex(1j * half_r * mpmath.cos(mpmath.pi * mu / 2)),
+                   complex(-half_r * mpmath.exp(0.25j * mpmath.pi)),
+                   complex(-half_r * mpmath.exp(-0.25j * mpmath.pi))]
+            zeros = [complex(mpmath.exp(0.5j * mpmath.pi * (s * mu - mpmath.mpf(1) / 2)))
+                     for s in (1, -1)]
+        m = models.inverse_square(gamma)
+        a, b, c, det = m.generator("scaling")
+        assert max(abs(x - r) for x, r in zip((a, b, c), ref)) <= 5e-15 * abs(ref[1])
+        assert det == -(gamma + 0.25) / 4 != 0
+        found = flow.generator(m, "scaling").zeros()
+        assert len(found) == 2
+        assert all(min(abs(z - r) for z in found) <= 3e-15 for r in zeros)
+
+    @pytest.mark.parametrize("gamma", _BAND, ids=repr)
+    def test_overlaps_match_mpmath_in_the_former_band(self, gamma):
+        # cpp = sigma I(k sigma, conj k) and cmp = sigma k I(k sigma, k) over
+        # I(k, conj k), with I(a, b) = pi (ab)^{-mu} (a^{2 mu} - b^{2 mu}) /
+        # (2 sin(mu pi) (a^2 - b^2)) (Gradshteyn-Ryzhik 6.521.3) at 40
+        # digits. Measured <= 6.3e-16 relative
+        mpmath = pytest.importorskip("mpmath")
+        m = models.inverse_square(gamma)
+        with mpmath.workdps(40):
+            mu = mpmath.sqrt(mpmath.mpf(gamma) + mpmath.mpf(1) / 4)
+            k = mpmath.exp(-0.25j * mpmath.pi)
+
+            def integral(a, b):
+                return (mpmath.pi * (a * b) ** -mu * (a ** (2 * mu) - b ** (2 * mu))
+                        / (2 * mpmath.sin(mu * mpmath.pi) * (a * a - b * b)))
+
+            norm = integral(k, mpmath.conj(k))
+            for t in (-6.0, -0.5, 0.3, 4.0, 40.0):
+                g = subgroup_eval("scaling", t)
+                sigma = mpmath.mpf(g.a) ** -0.5
+                cpp = complex(sigma * integral(k * sigma, mpmath.conj(k)) / norm)
+                cmp = complex(sigma * k * integral(k * sigma, k) / norm)
+                ov = m.overlap_matrix(g)
+                assert abs(ov.cpp - cpp) <= 7e-15 * abs(cpp)
+                assert abs(ov.cmp - cmp) <= 7e-15 * abs(cmp)
 
 
 class TestHalflineModel:

@@ -397,6 +397,25 @@ class TestGeneratorInvariance:
         with pytest.raises(DynamicRangeExceeded):
             weylcheck.generator_invariance_residual(model, "scaling", 700.0)
 
+    @pytest.mark.parametrize("model, last, raised", [
+        (models.HalflineModel(), 471.5, (472.0, 474.5, 480.0)),
+        (models.inverse_square(-2.0), 567.5, (568.0, 570.5, 580.0)),
+    ], ids=["halfline", "gamma=-2"])
+    def test_subnormal_intermediates_raise(self, model, last, raised):
+        # A U* f, read at the points U reads it at, is about e^{-3t/2} on the
+        # half-line and e^{-5t/4} here. Once its peak is subnormal, its
+        # entries carry an absolute rounding of 2^-1075 that U's weight
+        # scales up: the residual read 2.1e-14 and 2.9e-14 at t = 474.5 and
+        # 570.5, 7.8e-11 and 3.9e-9 at 480 and 580, although the relation
+        # holds. Those t raise; up to `last` the check passes (measured
+        # <= 1.4e-15)
+        for t in (*range(20, int(last), 20), last):
+            chk = weylcheck.generator_invariance_residual(model, "scaling", float(t))
+            assert chk.residual <= weylcheck.GENERATOR_TOL and chk.fits_scaling(t)
+        for t in raised:
+            with pytest.raises(DynamicRangeExceeded, match="below the normal floats"):
+                weylcheck.generator_invariance_residual(model, "scaling", t)
+
     def test_a_nan_entry_never_passes(self):
         def nan_jet(x):
             return (x * math.nan,) * 3
