@@ -178,8 +178,7 @@ def criterion_6_friedrichs_krein_fixed_points() -> CriterionResult:
     for gamma in (0.0, 0.5):
         model = models.inverse_square(gamma)
         rep = flow.invariant_extensions(model, "scaling")
-        v_f = model.vn_from_boundary("friedrichs")
-        v_k = model.vn_from_boundary("krein")
+        v_f, v_k = model.friedrichs_krein()
         fps = [z for z, kind in rep.fixed_points]
         ok = rep.group_verdict is Verdict.TWO_SELF_ADJOINT and len(fps) == 2
         if ok:

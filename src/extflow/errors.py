@@ -12,7 +12,8 @@ class InvalidArgument(ExtflowError, ValueError):
 
 # numerics
 class NoConvergence(ExtflowError):
-    """Adaptive quadrature exhausted its subdivision budget."""
+    """An iteration exhausted its budget: the panels of the adaptive
+    quadrature, or the steps of the inward shooting mesh."""
 
 
 class StepUnderflow(ExtflowError):
@@ -39,10 +40,6 @@ class IllPosed(ExtflowError):
 
 class OutsideGroup(ExtflowError):
     """Affine element not representable by the model's unitary family."""
-
-
-class InvalidBoundary(ExtflowError):
-    """Boundary parameter invalid for the model."""
 
 
 # flow

@@ -26,8 +26,6 @@ import math
 from dataclasses import dataclass, field
 from enum import Enum
 
-import numpy as np
-
 from . import mobius
 from .affine import ALL_POINTS, AffineMap, flow_coefficients, subgroup_eval
 from .errors import (
@@ -54,11 +52,10 @@ T_SAMPLES = (0.3, 0.7, 1.3, 2.9)
 
 @dataclass(frozen=True)
 class FlowMap:
-    """Scalar-gauge realization of a flow element, with provenance."""
+    """Scalar-gauge realization of a flow element and the condition of its
+    coefficients."""
 
     mobius: LinearFractionalMap
-    model: str
-    g: AffineMap
     condition: float
     trivial: bool = False    # indices (0, 1): the parameter set is a point
 
@@ -70,7 +67,7 @@ def gamma_map(model, g: AffineMap) -> FlowMap:
     """The flow element for g, as a disk self-map of the parameter ball."""
     dims = model.deficiency_dims
     if dims == (0, 1):
-        return FlowMap(IDENTITY_MAP, model.name, g, 1.0, trivial=True)
+        return FlowMap(IDENTITY_MAP, 1.0, trivial=True)
     if dims != (1, 1):
         raise UnsupportedIndices(f"scalar flow needs indices (1, 1), got {dims}")
     co = flow_coefficients(g)
@@ -90,7 +87,7 @@ def gamma_map(model, g: AffineMap) -> FlowMap:
     if condition > 1e12:
         raise NearSingularDenominator(
             f"flow denominator condition {condition:.3e} for g={g}")
-    return FlowMap(mobius.from_coefficients(a, b, c, d), model.name, g, condition)
+    return FlowMap(mobius.from_coefficients(a, b, c, d), condition)
 
 
 def gamma_apply(model, g: AffineMap, v: complex) -> complex:
@@ -113,7 +110,7 @@ def _sample_parameters(count: int) -> list[complex]:
     per_ring = max(1, (count - 1) // len(radii))
     for r in radii:
         for k in range(per_ring):
-            out.append(r * np.exp(2j * math.pi * (k + 0.17) / per_ring))
+            out.append(cmath.rect(r, 2 * math.pi * (k + 0.17) / per_ring))
     return out[:max(count, 1)]
 
 

@@ -1,18 +1,21 @@
 """Concrete symmetric operator models behind a single contract: deficiency
-dimensions, normalized deficiency data, overlap blocks against the model's
-unitary family, and conversions between boundary conditions and the
-contraction parameter labeling an extension.
+indices, overlap blocks of the normalized deficiency vectors against the
+model's unitary family, the generator of the flow those blocks induce, the
+unitary representation itself and, where the operator is i d/dx, its
+contraction semigroup. The inverse-square model also names the parameters
+of its Friedrichs and Krein extensions.
 
 Gauge conventions are fixed once per model and every reported parameter
 value depends on them:
 
 * interval model on (0, l): deficiency representatives e^x and e^{-x},
-  normalized by positive reals; boundary conditions written f(0) = rho*f(l).
+  normalized by positive reals.
 * inverse-square model on (0, inf): the plus representative is
   sqrt(k) sqrt(x) K_mu(kx) with k = exp(-i*pi/4), up to positive reals, the
   solution asymptotic to exp(-k*x) at infinity; the minus representative is
   its complex conjugate, exactly. Its data are Bessel-K closed forms.
-* half-line model: representative e^{-x}; indices (0, 1).
+* half-line model: indices (0, 1), so it has no parameters and its flow is
+  trivial.
 
 The scaling-model unitary for the affine element g(x) = a*x is
 (U_g f)(x) = a^{-1/4} f(a^{-1/2} x), the orientation that realizes
@@ -39,9 +42,7 @@ from .errors import (
     DynamicRangeExceeded,
     IllPosed,
     InvalidArgument,
-    InvalidBoundary,
     OutsideGroup,
-    UnsupportedIndices,
 )
 # unused here; extbench/tracing.py wraps models.ode_solve and models.quad_finite by name
 from .numerics import ode_solve, quad_finite  # noqa: F401
@@ -56,14 +57,6 @@ class OverlapData:
     cpm: complex
     cmp: complex
     cmm: complex
-
-
-def check_contraction(v: complex, tol: float = 1e-12) -> complex:
-    """Validate |v| <= 1 within tol and return v as a complex number."""
-    v = complex(v)
-    if abs(v) > 1.0 + tol:
-        raise InvalidArgument(f"contraction parameter has modulus {abs(v)} > 1")
-    return v
 
 
 def _int_exp(c: complex, length: float) -> complex:
@@ -150,13 +143,6 @@ class IntervalModel:
                 f"interval model is translation-invariant; got slope {g.a}")
         return g.b
 
-    def deficiency_vector(self, sign: int, x):
-        """Normalized deficiency values; sign +1 for e^x, -1 for e^{-x}."""
-        x = np.asarray(x, dtype=float)
-        if sign > 0:
-            return np.exp(x) / self.norm_plus
-        return np.exp(-x) / self.norm_minus
-
     def overlap_matrix(self, g: AffineMap) -> OverlapData:
         t = self._translation_parameter(g)
         length = self.length
@@ -179,19 +165,6 @@ class IntervalModel:
         coth, csch = 1.0 / math.tanh(self.length), 1.0 / math.sinh(self.length)
         return -1j * half * coth, 1j * half * csch, -1j * half * csch, half * half
 
-    def vn_from_boundary(self, rho) -> complex:
-        """Parameter of the extension with domain condition f(0) = rho*f(l)."""
-        rho = complex(rho)
-        if abs(rho) > 1.0 + 1e-12:
-            raise InvalidBoundary(f"need |rho| <= 1, got {abs(rho)}")
-        e = math.exp(-self.length)
-        return e * (1.0 - rho * math.exp(self.length)) / (1.0 - rho * e)
-
-    def boundary_from_vn(self, v) -> complex:
-        v = check_contraction(v)
-        e = math.exp(-self.length)
-        return (e - v) / (1.0 - v * e)
-
     # continuum actions for the commutation harness -------------------------
     def representation(self, kind: str, t: float) -> Representation:
         """Multiplication by e^{i x t}."""
@@ -206,11 +179,6 @@ class IntervalModel:
 # inverse-square model: -d^2/dx^2 + gamma/x^2 on (0, inf)
 # ---------------------------------------------------------------------------
 
-# |gamma + 1/4| at most this gives the branch coefficients the log pair of
-# mu = 0: the Gamma-function pair there is near 1/mu and a theta mixes it with
-# cancellation. X, det X and the overlaps take mu from gamma everywhere
-_DEGENERATE_MU2 = 1e-10
-_EULER_GAMMA = 0.57721566490153286
 # B_2j / (2j (2j - 1)), j = 1..8: the Stirling series of log Gamma (DLMF 5.11.1)
 _STIRLING = (1 / 12, -1 / 360, 1 / 1260, -1 / 1680, 1 / 1188, -691 / 360360,
              1 / 156, -3617 / 122400)
@@ -240,8 +208,8 @@ class InverseSquareModel:
     representative is sqrt(k) sqrt(x) K_mu(kx) with k = e^{-i pi/4} and
     mu = sqrt(gamma + 1/4) (imaginary below -1/4). The overlap blocks come
     from int_0^inf x K_mu(ax) K_mu(bx) dx (Gradshteyn-Ryzhik 6.521.3) and
-    the small-x branch coefficients from the Gamma-function expansion of
-    K_mu (DLMF 10.27.4, 10.25.2; the log pair of DLMF 10.31.2 at mu = 0).
+    the Friedrichs and Krein parameters from the small-x expansion of K_mu
+    (DLMF 10.27.4, 10.25.2).
     """
 
     name = "inverse-square"
@@ -255,25 +223,13 @@ class InverseSquareModel:
             raise IllPosed(f"gamma {gamma} outside [{self.GAMMA_MIN:g}, 3/4): "
                            "the indices are (1, 1) and sin(pi mu) is finite there")
         self.gamma = float(gamma)
-        mu2 = self.gamma + 0.25
-        self.mu2 = mu2
-        self.log_case = abs(mu2) <= _DEGENERATE_MU2
+        self.mu2 = mu2 = self.gamma + 0.25
         mu = math.sqrt(mu2) if mu2 >= 0 else 1j * math.sqrt(-mu2)
         if mu:
             self._pi_over_sin = math.pi / cmath.sin(math.pi * mu)
             self._half_limit = 0.5 * mu * self._pi_over_sin
         else:
             self._half_limit = 0.5
-        root_k = cmath.exp(-0.125j * math.pi)
-        log_half_k = complex(-math.log(2.0), -0.25 * math.pi)
-        if self.log_case:
-            # sqrt(x) K_0(kx) ~ -(log(k/2) + gamma_E) sqrt(x) - sqrt(x) log x
-            self.branch_coeffs = (-root_k * (log_half_k + _EULER_GAMMA), -root_k)
-        else:
-            # coefficients of x^{1/2 + mu} and x^{1/2 - mu} in sqrt(kx) K_mu(kx)
-            self.branch_coeffs = (
-                0.5 * root_k * cmath.exp(log_gamma(-mu) + mu * log_half_k),
-                0.5 * root_k * cmath.exp(log_gamma(mu) - mu * log_half_k))
         self.mu = mu
         self._cos_half = cmath.cos(0.5 * math.pi * mu)
         # ||sqrt(x) K_mu(kx)||^2 = I(k, conj k)
@@ -324,73 +280,22 @@ class InverseSquareModel:
         det = -self.mu2 / 4 if self.mu else 0.0
         return 1j * x * self._cos_half, -corner, -corner.conjugate(), det
 
-    # boundary <-> parameter ---------------------------------------------------
-    def _branch_coeffs_minus(self):
-        c1, c2 = self.branch_coeffs
-        if not self.log_case and self.mu2 < 0:
-            # conjugation swaps the x^{1/2 +- i nu} branches
-            return c2.conjugate(), c1.conjugate()
-        return c1.conjugate(), c2.conjugate()
-
-    def vn_from_boundary(self, boundary) -> complex:
-        """Parameter of the extension selected by a boundary behavior: the
-        tags 'friedrichs' / 'krein' (semibounded range only) pick the pure
-        branches x^{1/2 + mu} / x^{1/2 - mu}; ('theta', value) mixes them,
-        with the oscillatory form sqrt(x) sin(nu log x + theta) below the
-        semibounded range."""
-        c1p, c2p = self.branch_coeffs
-        c1m, c2m = self._branch_coeffs_minus()
-        if boundary in ("friedrichs", "krein"):
-            if self.mu2 < -_DEGENERATE_MU2:
-                raise InvalidBoundary(
-                    "friedrichs/krein tags need gamma >= -1/4 (semibounded)")
-            if self.log_case or boundary == "friedrichs":
-                # coincident exponents: both extremal extensions kill the
-                # log branch, so the tags agree
-                num, den = c2p, c2m
-            else:
-                num, den = c1p, c1m
-            if abs(den) < 1e-14 * max(abs(c1m), abs(c2m)):
-                raise InvalidBoundary("degenerate branch coefficients")
-            return num / den
-        if isinstance(boundary, tuple) and len(boundary) == 2 and boundary[0] == "theta":
-            theta = float(boundary[1])
-        elif isinstance(boundary, (int, float)):
-            theta = float(boundary)
-        else:
-            raise InvalidBoundary(f"unrecognized boundary parameter {boundary!r}")
-        if self.log_case:
-            # single family: both tags coincide; theta has no effect
-            return c2p / c2m
+    def friedrichs_krein(self) -> tuple[complex, complex]:
+        """Parameters (v_F, v_K) of the Friedrichs and Krein extensions, on the
+        semibounded range gamma >= -1/4. Near 0 the plus representative is
+        c_+ x^{1/2 + mu} + c_- x^{1/2 - mu} + ..., with c_{+-} = (1/2) sqrt(k)
+        Gamma(-+mu) (k/2)^{+-mu} (DLMF 10.27.4, 10.25.2), and the minus one has
+        the conjugate coefficients. The Friedrichs extension excludes the
+        x^{1/2 - mu} branch and the Krein extension the x^{1/2 + mu} branch, so
+        each parameter is the v at which phi_+ - v phi_- loses that branch:
+        c/conj(c) for the branch's coefficient c. Gamma(-+mu) is real, so these
+        are the pure phases e^{i pi (+-mu - 1/2)/2}, the zeros of X, continuous
+        down to mu = 0, where both are e^{-i pi/4}."""
         if self.mu2 < 0:
-            phase = cmath.exp(2j * theta)
-            return (c1p + phase * c2p) / (c1m + phase * c2m)
-        st, ct = math.sin(theta), math.cos(theta)
-        num = c1p * st - c2p * ct
-        den = c1m * st - c2m * ct
-        if abs(den) < 1e-14 * max(abs(c1m), abs(c2m)):
-            raise InvalidBoundary(f"theta {theta} degenerates the boundary form")
-        return num / den
-
-    def boundary_from_vn(self, v):
-        v = check_contraction(v, tol=1e-9)
-        c1p, c2p = self.branch_coeffs
-        c1m, c2m = self._branch_coeffs_minus()
-        a1 = c1p - v * c1m
-        a2 = c2p - v * c2m
-        scale = max(abs(a1), abs(a2), 1e-300)
-        if self.log_case:
-            return "friedrichs"
-        if abs(a2) <= 1e-7 * scale:
-            return "friedrichs"
-        if abs(a1) <= 1e-7 * scale:
-            return "krein"
-        if self.mu2 < 0:
-            theta = (cmath.phase(-a1 / a2) / 2) % math.pi
-            return ("theta", theta)
-        ratio = a1 / a2
-        theta = math.atan2(1.0, ratio.real) % math.pi
-        return ("theta", theta)
+            raise IllPosed(f"gamma {self.gamma} < -1/4: the operator is not "
+                           "semibounded, so it has no Friedrichs or Krein extension")
+        return (cmath.exp(0.5j * math.pi * (self.mu - 0.5)),
+                cmath.exp(-0.5j * math.pi * (self.mu + 0.5)))
 
     # continuum actions ---------------------------------------------------------
     def representation(self, kind: str, t: float) -> Representation:
@@ -413,24 +318,6 @@ class HalflineModel:
     name = "halfline"
     deficiency_dims = (0, 1)
     generator_kind = "first-order"
-
-    def __init__(self):
-        self.norm_minus = math.sqrt(0.5)
-
-    def deficiency_vector(self, sign: int, x):
-        if sign > 0:
-            raise UnsupportedIndices("no plus deficiency direction: indices (0, 1)")
-        return np.exp(-np.asarray(x, dtype=float)) / self.norm_minus
-
-    def overlap_matrix(self, g: AffineMap) -> OverlapData:
-        raise UnsupportedIndices(
-            "overlap blocks require indices (1, 1); this model has (0, 1)")
-
-    def vn_from_boundary(self, boundary):
-        raise UnsupportedIndices("no extension parameters: indices (0, 1)")
-
-    def boundary_from_vn(self, v):
-        raise UnsupportedIndices("no extension parameters: indices (0, 1)")
 
     def representation(self, kind: str, t: float) -> Representation:
         """e^{i x t} f(x) for translations, e^{t/2} f(e^t x) for scalings."""

@@ -347,13 +347,7 @@ class FKParams:
 
 def friedrichs_krein_params(gamma: float) -> FKParams:
     """Parameters of the extremal nonnegative extensions together with the
-    small-x exponent pair (1/2 + mu, 1/2 - mu)."""
-    if not -0.25 <= gamma < 0.75:
-        raise IllPosed("semibounded range is -1/4 <= gamma < 3/4")
+    small-x exponent pair (1/2 + mu, 1/2 - mu); IllPosed outside the
+    semibounded range -1/4 <= gamma < 3/4."""
     model = inverse_square(gamma)
-    mu = math.sqrt(max(gamma + 0.25, 0.0))
-    return FKParams(
-        model.vn_from_boundary("friedrichs"),
-        model.vn_from_boundary("krein"),
-        (0.5 + mu, 0.5 - mu),
-    )
+    return FKParams(*model.friedrichs_krein(), (0.5 + model.mu, 0.5 - model.mu))

@@ -511,20 +511,21 @@ class TestGenerator:
 
 
 class TestSemiboundedFixedPoints:
-    @pytest.mark.parametrize("gamma", [0.0, 0.2, 0.5, 0.7, 0.7499, -0.25, -0.25 + 1e-10])
+    @pytest.mark.parametrize("gamma", [0.0, 0.2, 0.5, 0.7, 0.7499, -0.25, -0.25 + 1e-10,
+                                       *(-0.25 + 10.0 ** -k for k in range(11, 17)),
+                                       math.nextafter(-0.25, math.inf)])
     def test_extremal_extensions_are_fixed(self, gamma):
-        # X's zeros against the Gamma-function branch coefficients; measured
-        # <= 3.6e-16
+        # X's zeros against the closed-form Friedrichs and Krein parameters,
+        # down to one ulp above -1/4; measured <= 3.2e-16
         m = models.inverse_square(gamma)
-        v_f = m.vn_from_boundary("friedrichs")
-        v_k = m.vn_from_boundary("krein")
+        v_f, v_k = m.friedrichs_krein()
         zeros = generator(m, "scaling").zeros()
-        if m.log_case:
+        if gamma == -0.25:
             assert v_f == v_k and len(zeros) == 1
         else:
             assert len(zeros) == 2
         for v in (v_f, v_k):
-            assert min(abs(z - v) for z in zeros) <= 3.6e-15
+            assert min(abs(z - v) for z in zeros) <= 1e-15
 
 
 def random_disk_automorphism(rng):

@@ -9,7 +9,6 @@ from extflow.affine import GROUPS, IDENTITY, AffineMap, subgroup_eval
 from extflow.errors import (
     DynamicRangeExceeded,
     IllPosed,
-    InvalidBoundary,
     OutsideGroup,
     UnsupportedIndices,
 )
@@ -110,28 +109,6 @@ class TestIntervalModel:
         with pytest.raises(OutsideGroup):
             interval.overlap_matrix(AffineMap(2.0, 0.0))
 
-    def test_dirichlet_parameter(self):
-        for length in (0.5, 1.0, 2.0):
-            m = models.IntervalModel(length)
-            assert m.vn_from_boundary(0.0) == pytest.approx(math.exp(-length), abs=1e-12)
-
-    def test_unitary_boundary_gives_unitary_parameter(self, interval):
-        rng = np.random.default_rng(0)
-        for theta in rng.uniform(0, 2 * math.pi, 100):
-            v = interval.vn_from_boundary(cmath.exp(1j * theta))
-            assert abs(abs(v) - 1.0) < 1e-12
-
-    def test_round_trip(self, interval):
-        rng = np.random.default_rng(1)
-        for _ in range(100):
-            rho = (rng.uniform(-1, 1) + 1j * rng.uniform(-1, 1)) * 0.7
-            v = interval.vn_from_boundary(rho)
-            assert interval.boundary_from_vn(v) == pytest.approx(rho, abs=1e-9)
-
-    def test_invalid_boundary(self, interval):
-        with pytest.raises(InvalidBoundary):
-            interval.vn_from_boundary(1.5)
-
     def test_gram_positivity(self, interval):
         rng = np.random.default_rng(2)
         for t in rng.uniform(-8, 8, 500):
@@ -142,19 +119,47 @@ class TestIntervalModel:
         # transported on both sides the overlap reduces to the identity one
         xs = np.linspace(1e-6, 1.0, 20001)
         t = 1.7
-        up = np.exp(1j * xs * t) * interval.deficiency_vector(1, xs)
-        um = np.exp(1j * xs * t) * interval.deficiency_vector(-1, xs)
+        up = np.exp(1j * xs * t) * np.exp(xs) / interval.norm_plus
+        um = np.exp(1j * xs * t) * np.exp(-xs) / interval.norm_minus
         trapz = np.trapezoid(up * np.conj(um), xs)
         assert abs(trapz - interval.overlap_matrix(IDENTITY).cmp) < 1e-6
 
 
 K = cmath.exp(-0.25j * math.pi)   # the deficiency representative is sqrt(k x) K_mu(k x)
-# couplings in and at the edge of the band 0 < |gamma + 1/4| <= 1e-10, where
-# the branch coefficients still take the log pair of mu = 0: one ulp and
+# couplings with 0 < |gamma + 1/4| <= 1e-10, where |mu| <= 1e-5 and the
+# Gamma-function pair of the branch coefficients is near 1/mu: one ulp and
 # offsets 1e-16 to 1e-10 on both sides
 _BAND = [value for side in (-1, 1)
          for value in (math.nextafter(-0.25, side * math.inf),
                        *(-0.25 + side * 10.0 ** -k for k in range(10, 17)))]
+# the semibounded couplings at which the Friedrichs and Krein parameters are
+# checked: the band above -1/4, mu = 0 and across the range
+_SEMIBOUNDED = [g for g in _BAND if g > -0.25] + [-0.25, 0.0, 0.2, 0.5, 0.7499]
+
+
+def _branch_coefficients(mpmath, gamma):
+    """Coefficients (c_+, c_-) of the branches x^{1/2 + mu} and x^{1/2 - mu}
+    of sqrt(k x) K_mu(k x) near 0, c_{+-} = (1/2) sqrt(k) Gamma(-+mu)
+    (k/2)^{+-mu} (DLMF 10.27.4, 10.25.2); at mu = 0 the coefficients of
+    sqrt(x) and sqrt(x) log x, -sqrt(k) (log(k/2) + gamma_E) and -sqrt(k)
+    (DLMF 10.31.2). At the working precision of the caller."""
+    mu = mpmath.sqrt(mpmath.mpf(gamma) + mpmath.mpf(1) / 4)
+    k = mpmath.exp(-0.25j * mpmath.pi)
+    if mu == 0:
+        return -mpmath.sqrt(k) * (mpmath.log(k / 2) + mpmath.euler), -mpmath.sqrt(k)
+    return (mpmath.sqrt(k) * mpmath.gamma(-mu) * (k / 2) ** mu / 2,
+            mpmath.sqrt(k) * mpmath.gamma(mu) * (k / 2) ** -mu / 2)
+
+
+def _tag_oracle(mpmath, gamma):
+    """(v_F, v_K) at 40 digits: c/conj(c) for the coefficient c of the branch
+    each extension excludes, x^{1/2 - mu} (Friedrichs) and x^{1/2 + mu}
+    (Krein); at mu = 0 both exclude sqrt(x) log x."""
+    with mpmath.workdps(40):
+        c_plus, c_minus = _branch_coefficients(mpmath, gamma)
+        v_f = c_minus / mpmath.conj(c_minus)
+        v_k = v_f if gamma == -0.25 else c_plus / mpmath.conj(c_plus)
+        return complex(v_f), complex(v_k)
 
 
 class TestInverseSquareModel:
@@ -176,39 +181,28 @@ class TestInverseSquareModel:
         expect = np.exp(1j * math.pi / 4) / math.sqrt(2)
         assert abs(invsq0.overlap_matrix(IDENTITY).cmp - expect) < 2e-15
 
-    def test_normalized_deficiency_matches_closed_form(self, invsq0):
-        # at gamma = 0, sqrt(k x) K_{1/2}(k x) = sqrt(pi/2) e^{-kx}
-        # = sqrt(pi/2) (1 - k x + ...), so the coefficients of x^1 and x^0,
-        # the branches x^{1/2 +- mu}, are sqrt(pi/2) (-k, 1); measured 1.5e-15
-        c1, c2 = invsq0.branch_coeffs
-        root = math.sqrt(math.pi / 2)
-        assert abs(c1 + root * K) < 2e-14
-        assert abs(c2 - root) < 2e-14
-
     def test_minus_is_conjugate(self):
         # the minus representative is the conjugate of the plus one, so the
-        # minus blocks are the conjugate plus blocks and every real theta
-        # gives a unimodular parameter
+        # minus blocks are the conjugate plus blocks
         for gamma in (-2.0, 0.0, 0.5):
             m = models.inverse_square(gamma)
             for t in (0.3, -1.7, 4.0):
                 ov = m.overlap_matrix(subgroup_eval("scaling", t))
                 assert ov.cmm == ov.cpp.conjugate()
                 assert ov.cpm == ov.cmp.conjugate()
-            assert abs(abs(m.vn_from_boundary(("theta", 0.9))) - 1.0) < 1e-15
 
     def test_branches_match_besselk_near_zero(self):
-        # sqrt(k x) K_mu(k x) against the branch pair with its first series
-        # term, x^s (1 - i x^2 / (2 (2s + 1))), where the next term is
+        # the branch coefficients that the parameter oracle reads, against
+        # sqrt(k x) K_mu(k x) from mpmath: the branch pair with its first
+        # series term, x^s (1 - i x^2 / (2 (2s + 1))), where the next term is
         # O(x^4); the log pair at mu = 0 (DLMF 10.31.2). Measured <= 2.1e-13.
         mpmath = pytest.importorskip("mpmath")
         for gamma in (-2.0, -0.25, -0.1, 0.5):
-            m = models.inverse_square(gamma)
-            c1, c2 = m.branch_coeffs
+            c1, c2 = (complex(c) for c in _branch_coefficients(mpmath, gamma))
             mu = cmath.sqrt(gamma + 0.25)
             for x in (5e-4, 1e-3):
                 exact = complex(mpmath.sqrt(K * x) * mpmath.besselk(mu, K * x))
-                if m.log_case:
+                if gamma == -0.25:
                     first = math.sqrt(x) * (1 - 0.25j * x * x)
                     got = c1 * first + c2 * (first * math.log(x) + 0.25j * x**2.5)
                 else:
@@ -240,34 +234,17 @@ class TestInverseSquareModel:
             assert abs(ov.cpm - np.conj(expect_cmp)) < 2e-15 * abs(expect_cmp)
 
     def test_friedrichs_krein_at_zero_coupling(self, invsq0):
-        assert abs(invsq0.vn_from_boundary("friedrichs") - 1.0) < 3e-15
-        assert abs(invsq0.vn_from_boundary("krein") - (-1j)) < 3e-15
-
-    def test_boundary_round_trip_tags(self, invsq0):
-        assert invsq0.boundary_from_vn(invsq0.vn_from_boundary("friedrichs")) == "friedrichs"
-        assert invsq0.boundary_from_vn(invsq0.vn_from_boundary("krein")) == "krein"
-
-    def test_theta_family_round_trip(self):
-        m = models.inverse_square(0.5)
-        for theta in (0.4, 1.0, 2.2):
-            v = m.vn_from_boundary(("theta", theta))
-            assert abs(abs(v) - 1.0) < 2e-15
-            kind, back = m.boundary_from_vn(v)
-            assert kind == "theta"
-            assert back == pytest.approx(theta, abs=2e-15)
-
-    def test_theta_family_oscillatory(self):
-        m = models.inverse_square(-1.0)
-        for theta in (0.3, 1.5):
-            v = m.vn_from_boundary(("theta", theta))
-            assert abs(abs(v) - 1.0) < 2e-15
-            kind, back = m.boundary_from_vn(v)
-            assert kind == "theta"
-            assert back == pytest.approx(theta, abs=2e-15)
+        # Dirichlet and Neumann at 0: sqrt(pi/2) (e^{-kx} - v e^{-conj(k) x})
+        # vanishes at 0 for v = 1 and its derivative for v = k/conj(k) = -i
+        v_f, v_k = invsq0.friedrichs_krein()
+        assert abs(v_f - 1.0) < 3e-15
+        assert abs(v_k - (-1j)) < 3e-15
 
     def test_friedrichs_tag_outside_semibounded_range(self):
-        with pytest.raises(InvalidBoundary):
-            models.inverse_square(-1.0).vn_from_boundary("friedrichs")
+        # one ulp below -1/4 the operator is no longer semibounded
+        for gamma in (-1.0, math.nextafter(-0.25, -math.inf)):
+            with pytest.raises(IllPosed):
+                models.inverse_square(gamma).friedrichs_krein()
 
     def test_wrong_subgroup(self, invsq0):
         with pytest.raises(OutsideGroup):
@@ -416,26 +393,35 @@ class TestClosedForms:
 
     @pytest.mark.parametrize("delta", [1e-9, -1e-9])
     def test_continuous_across_the_log_case(self, delta):
-        # |gamma + 1/4| = 1e-9 is past the log-pair switch at 1e-10; the
-        # overlaps are even in mu, so they move by O(mu^2) = O(delta);
+        # at mu = 0 the branches of K_mu meet in a log pair (DLMF 10.31.2),
+        # but the overlaps are even in mu, so they move by O(mu^2) = O(delta);
         # measured 4.7e-10
         critical = models.inverse_square(-0.25)
         near = models.inverse_square(-0.25 + delta)
-        assert critical.log_case and not near.log_case
         for t in (0.0, 0.3, -2.0, 6.0):
             g = subgroup_eval("scaling", t)
             a, b = critical.overlap_matrix(g), near.overlap_matrix(g)
             assert abs(a.cpp - b.cpp) < 5e-9
             assert abs(a.cmp - b.cmp) < 5e-9
+        v_0 = cmath.exp(-0.25j * math.pi)
+        assert critical.friedrichs_krein() == (v_0, v_0)
         if delta > 0:
-            # v_F = e^{i pi (mu - 1/2)/2}: it moves by pi mu/2 = 5e-5
+            # v_F and v_K = e^{-i pi/4} e^{+-i pi mu/2}: each is 2 sin(pi mu/4),
+            # about 5e-5, from the common value at mu = 0
             mu = math.sqrt(near.gamma + 0.25)
-            v_f = near.vn_from_boundary("friedrichs")
-            assert abs(v_f - cmath.exp(0.5j * math.pi * (mu - 0.5))) < 2e-15
-            assert abs(v_f - critical.vn_from_boundary("friedrichs")) < 0.5 * math.pi * mu * 1.0001
+            for v in near.friedrichs_krein():
+                assert abs(abs(v - v_0) - 2 * math.sin(0.25 * math.pi * mu)) < 1e-15
         else:
-            with pytest.raises(InvalidBoundary):
-                near.vn_from_boundary("friedrichs")
+            with pytest.raises(IllPosed):
+                near.friedrichs_krein()
+
+    @pytest.mark.parametrize("gamma", _SEMIBOUNDED, ids=repr)
+    def test_tags_match_mpmath(self, gamma):
+        # measured <= 4.0e-16; the log pair of mu = 0 used at small mu would
+        # read pi mu/2 off, 5.0e-6 at gamma = -1/4 + 1e-11
+        mpmath = pytest.importorskip("mpmath")
+        tags = models.inverse_square(gamma).friedrichs_krein()
+        assert max(abs(v - ref) for v, ref in zip(tags, _tag_oracle(mpmath, gamma))) <= 1e-15
 
     @pytest.mark.parametrize("gamma", _BAND, ids=repr)
     def test_generator_matches_mpmath_in_the_former_band(self, gamma):
@@ -492,17 +478,14 @@ class TestHalflineModel:
         m = models.HalflineModel()
         assert m.deficiency_dims == (0, 1)
 
-    def test_minus_norm(self):
-        # ||e^{-x}||^2 = 1/2 on the half-line
-        m = models.HalflineModel()
-        assert m.norm_minus**2 == pytest.approx(0.5, rel=1e-14)
-
     def test_no_parameters(self):
+        # indices (0, 1): the only parameter is 0, and every element fixes it
         m = models.HalflineModel()
+        g = subgroup_eval("translation", 0.7)
+        assert flow.gamma_map(m, g).trivial
+        assert flow.gamma_apply(m, g, 0j) == 0
         with pytest.raises(UnsupportedIndices):
-            m.overlap_matrix(IDENTITY)
-        with pytest.raises(UnsupportedIndices):
-            m.vn_from_boundary(0.0)
+            flow.gamma_apply(m, g, 0.3)
 
     def test_two_representations(self):
         m = models.HalflineModel()
