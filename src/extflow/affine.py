@@ -1,7 +1,7 @@
 """Exact algebra of the orientation-preserving affine maps of the real line,
-x -> a*x + b with a > 0, the two one-parameter subgroups the models are
-invariant under, named "translation" (x -> x + t) and "scaling" (x -> e^t x),
-and the four Cayley-type coefficients the extension flow is built from.
+x -> a*x + b with a > 0, and the two one-parameter subgroups the models are
+invariant under, named "translation" (x -> x + t) and "scaling" (x -> e^t x).
+``flow.gamma_map`` evaluates g^{-1}(+-i) from a and b itself.
 
 All values are immutable and every operation is a pure function.
 """
@@ -32,7 +32,7 @@ class _AllPoints:
 ALL_POINTS = _AllPoints()
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class AffineMap:
     """x -> a*x + b, slope a > 0."""
 
@@ -50,10 +50,6 @@ IDENTITY = AffineMap(1.0, 0.0)
 def compose(f: AffineMap, g: AffineMap) -> AffineMap:
     """(f o g)(x) = f(g(x))."""
     return AffineMap(f.a * g.a, f.a * g.b + f.b)
-
-
-def inverse(g: AffineMap) -> AffineMap:
-    return AffineMap(1.0 / g.a, -g.b / g.a)
 
 
 def apply(g: AffineMap, z):
@@ -84,26 +80,3 @@ def subgroup_eval(group: str, t: float) -> AffineMap:
         raise DynamicRangeExceeded(
             f"the scaling x -> e^{t:.6g} x or its inverse overflows a float")
     return AffineMap(math.exp(t), 0.0)
-
-
-@dataclass(frozen=True)
-class FlowCoefficients:
-    """alpha = g^{-1}(i)+i, beta = g^{-1}(-i)+i, gamma_c = g^{-1}(i)-i,
-    delta = g^{-1}(-i)-i; alpha - gamma_c = 2i and delta - beta = -2i exactly."""
-
-    alpha: complex
-    beta: complex
-    gamma_c: complex
-    delta: complex
-
-
-def flow_coefficients(g: AffineMap) -> FlowCoefficients:
-    ginv = inverse(g)
-    at_i = apply(ginv, 1j)
-    at_minus_i = apply(ginv, -1j)
-    return FlowCoefficients(
-        alpha=at_i + 1j,
-        beta=at_minus_i + 1j,
-        gamma_c=at_i - 1j,
-        delta=at_minus_i - 1j,
-    )

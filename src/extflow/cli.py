@@ -253,19 +253,20 @@ def load_config(values: dict) -> RunConfig:
             raise ParseError(f"{command}: {key!r} is not a key of this command "
                              f"(its keys: {', '.join(allowed) or 'none'})")
     cfg = RunConfig(command, **{_KEYS[key][0]: value for key, value in given.items()})
-    _validate(cfg)
+    _validate(cfg, given)
     return cfg
 
 
-def _validate(cfg: RunConfig):
+def _validate(cfg: RunConfig, given: dict):
+    # the keys given, in _KEYS order: every default is finite and in its domain
     keys = _COMMANDS[cfg.command][1]
-    numbers = [*cfg.t_values, *cfg.window, cfg.length, cfg.gamma, cfg.tol, cfg.theta,
-               cfg.rho, cfg.length2, cfg.v0, cfg.t_max]
-    if not all(cmath.isfinite(x) for x in numbers if x is not None):
+    checked = [(key, given[key]) for key in _KEYS if key in given]
+    if not all(cmath.isfinite(x) for _, value in checked
+               for x in (value if type(value) is list else (value,))
+               if type(x) in (float, complex)):
         raise ParseError(f"{cfg.command}: every numeric input must be finite")
-    for key, (name, _, _, domain) in _KEYS.items():
-        value = getattr(cfg, name)
-        if domain and value is not None and not domain[0](value):
+    for key, value in checked:
+        if (domain := _KEYS[key][3]) and not domain[0](value):
             raise ParseError(f"{cfg.command}: {key!r} {domain[1].format(value)}")
     if "model" in keys:
         groups = _MODELS[cfg.model][2]
@@ -518,24 +519,36 @@ COMMANDS = tuple(_COMMANDS)
 # emission: deterministic JSON / CSV
 # ---------------------------------------------------------------------------
 
-def _format_number(x: float) -> str:
-    if x != x:
-        return '"nan"'
-    if x in (math.inf, -math.inf):
-        return f'"{x}"'
-    if isinstance(x, int):
-        return str(x)
-    return f"{x:.17g}"
+def _format_number(x) -> str:
+    # x - x is 0 exactly when x is finite; nan and inf are quoted
+    if x - x == 0:
+        return str(x) if isinstance(x, int) else f"{x:.17g}"
+    return '"nan"' if x != x else f'"{x}"'
 
 
 def _quote(text: str) -> str:
     return '"' + text.replace("\\", "\\\\").replace('"', '\\"').replace("\n", "\\n") + '"'
 
 
+class _Quoted(dict):
+    # _quote by text, for the keys and names that repeat: the first 256 texts
+    def __missing__(self, text: str) -> str:
+        quoted = _quote(text)
+        if len(self) < 256:
+            self[text] = quoted
+        return quoted
+
+
+_quoted = _Quoted().__getitem__
+# scalars of exact builtin types; subclasses and numpy scalars take isinstance tests
+_SCALARS = {float: _format_number, str: _quoted, int: str,
+            bool: ("false", "true").__getitem__, type(None): lambda _: "null"}
+
+
 def to_json(obj, indent: int = 0) -> str:
     """JSON with floats at 17 significant digits and sorted keys; complex
     numbers become {"im": ..., "re": ...} objects. One pass appending to
-    one list, with the common types tested first."""
+    one list, one append for each scalar member or item."""
     parts = []
     _write_json(obj, indent, parts.append)
     return "".join(parts)
@@ -545,37 +558,42 @@ def _write_json(obj, depth: int, put) -> None:
     # a module-level function, not a closure: a closure that calls itself is
     # a reference cycle, which would keep each payload's parts alive until
     # the cyclic garbage collector runs
-    kind = type(obj)
-    if kind is float:
-        # x - x is 0 exactly when x is finite; nan and inf are quoted
-        put(f"{obj:.17g}" if obj - obj == 0.0 else _format_number(obj))
-    elif isinstance(obj, str):
-        put(_quote(obj))
+    text = _SCALARS.get(type(obj))
+    if text is not None:
+        put(text(obj))
     elif isinstance(obj, dict):
         if not obj:
             put("{}")
             return
-        sep = "{\n" + " " * (depth + 1)
+        sep, next_sep = "{\n" + " " * (depth + 1), ",\n" + " " * (depth + 1)
         for key in sorted(obj, key=str):
-            put(sep)
-            put(_quote(str(key)))
-            put(": ")
-            _write_json(obj[key], depth + 1, put)
-            sep = ",\n" + " " * (depth + 1)
+            value = obj[key]
+            head = sep + (_quoted(key) if type(key) is str else _quote(str(key))) + ": "
+            text = _SCALARS.get(type(value))
+            if text is not None:
+                put(head + text(value))
+            else:
+                put(head)
+                _write_json(value, depth + 1, put)
+            sep = next_sep
         put("\n" + " " * depth + "}")
     elif isinstance(obj, (list, tuple)):
         if not obj:
             put("[]")
             return
-        sep = "[\n" + " " * (depth + 1)
+        sep, next_sep = "[\n" + " " * (depth + 1), ",\n" + " " * (depth + 1)
         for item in obj:
-            put(sep)
-            _write_json(item, depth + 1, put)
-            sep = ",\n" + " " * (depth + 1)
+            text = _SCALARS.get(type(item))
+            if text is not None:
+                put(sep + text(item))
+            else:
+                put(sep)
+                _write_json(item, depth + 1, put)
+            sep = next_sep
         put("\n" + " " * depth + "]")
-    elif obj is None:
-        put("null")
-    elif kind is bool or isinstance(obj, np.bool_):
+    elif isinstance(obj, str):
+        put(_quote(obj))
+    elif isinstance(obj, np.bool_):
         put("true" if obj else "false")
     elif isinstance(obj, (int, float, np.integer, np.floating)):
         put(_format_number(float(obj) if isinstance(obj, np.floating) else obj))

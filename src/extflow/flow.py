@@ -8,8 +8,9 @@ v as the linear-fractional map
 
     v -> (gamma_c*cmp - delta*cmm*v) / (alpha*cpp - beta*cpm*v),
 
-with the Cayley coefficients of ``affine.flow_coefficients`` and the
-overlap blocks of the model; the identity element acts as v -> v. Along a
+with the Cayley coefficients alpha = g^{-1}(i) + i, beta = g^{-1}(-i) + i,
+gamma_c = g^{-1}(i) - i and delta = g^{-1}(-i) - i, and the overlap blocks
+of the model; the identity element acts as v -> v. Along a
 one-parameter subgroup, named "translation" (x -> x + t) or "scaling"
 (x -> e^t x) as in ``affine.GROUPS``, the elements form a one-parameter
 group exp(tX), so the sign of det X gives the class, the zeros of X's field
@@ -27,7 +28,7 @@ from dataclasses import dataclass, field
 from enum import Enum
 
 from . import mobius
-from .affine import ALL_POINTS, AffineMap, flow_coefficients, subgroup_eval
+from .affine import ALL_POINTS, AffineMap, subgroup_eval
 from .errors import (
     InvalidArgument,
     NearSingularDenominator,
@@ -42,15 +43,16 @@ SELF_ADJOINT = "self-adjoint"
 DISSIPATIVE = "dissipative-nonselfadjoint"
 
 # One tolerance set for every (1, 1) model: X and the overlap blocks are
-# closed forms, and the sampled elements move X's zeros by about 1e-14.
+# closed forms, and the elements at T_SAMPLES move X's zeros by at most 6.3e-15
+# (couplings in [-5e4, 0.7499], lengths in [1e-3, 300]): FP_TOL is 16 times that.
 SA_TOL = 1e-9       # | |v| - 1 | of a self-adjoint parameter
-FP_TOL = 1e-7       # how far a sampled element may move an invariant point
+FP_TOL = 1e-13      # how far a sampled element may move an invariant point
 TRACE_TOL = 1e-12   # | tr - (+-2 cos(t sqrt(det X))) | of a sampled element
 ID_TOL = 1e-8       # an element this close to the identity moves nothing
 T_SAMPLES = (0.3, 0.7, 1.3, 2.9)
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class FlowMap:
     """Scalar-gauge realization of a flow element and the condition of its
     coefficients."""
@@ -70,12 +72,16 @@ def gamma_map(model, g: AffineMap) -> FlowMap:
         return FlowMap(IDENTITY_MAP, 1.0, trivial=True)
     if dims != (1, 1):
         raise UnsupportedIndices(f"scalar flow needs indices (1, 1), got {dims}")
-    co = flow_coefficients(g)
+    # g^{-1}(+-i) = slope*(+-i) + shift, where g^{-1} is x -> x/a - b/a
+    slope, shift = 1.0 / g.a, -g.b / g.a
+    if not (math.isfinite(slope) and math.isfinite(shift)):
+        raise InvalidArgument(f"affine map needs finite a > 0, b; got a={slope}, b={shift}")
+    at_i, at_minus_i = slope * 1j + shift, slope * -1j + shift
     ov = model.overlap_matrix(g)
-    a = -co.delta * ov.cmm
-    b = co.gamma_c * ov.cmp
-    c = -co.beta * ov.cpm
-    d = co.alpha * ov.cpp
+    a = -(at_minus_i - 1j) * ov.cmm
+    b = (at_i - 1j) * ov.cmp
+    c = -(at_minus_i + 1j) * ov.cpm
+    d = (at_i + 1j) * ov.cpp
     scale = max(abs(a), abs(b), abs(c), abs(d))
     # one power of two brings the coefficients, which grow like e^{-t/2},
     # into [1/2, 1) exactly, so their determinant cannot over- or underflow
@@ -87,7 +93,9 @@ def gamma_map(model, g: AffineMap) -> FlowMap:
     if condition > 1e12:
         raise NearSingularDenominator(
             f"flow denominator condition {condition:.3e} for g={g}")
-    return FlowMap(mobius.from_coefficients(a, b, c, d), condition)
+    # normalised as by mobius.from_coefficients, whose test for condition >= 1e14 is moot
+    root = cmath.sqrt(det)
+    return FlowMap(LinearFractionalMap(a / root, b / root, c / root, d / root), condition)
 
 
 def gamma_apply(model, g: AffineMap, v: complex) -> complex:
@@ -128,7 +136,7 @@ def check_group_law(model, f: AffineMap, g: AffineMap, samples: int = 25) -> flo
     return worst
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class FlowGenerator:
     """X = [[a, b], [c, -a]] of the flow t -> exp(tX) and its det X, both in
     closed form from the model."""

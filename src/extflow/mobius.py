@@ -23,7 +23,7 @@ def is_infinite(z) -> bool:
     return not (math.isfinite(z.real) and math.isfinite(z.imag))
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class LinearFractionalMap:
     """z -> (a z + b)/(c z + d), stored with a d - b c = 1."""
 

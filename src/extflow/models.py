@@ -48,7 +48,7 @@ from .errors import (
 from .numerics import ode_solve, quad_finite  # noqa: F401
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class OverlapData:
     """Blocks c^{pq}(g) = <U_g phi_q, phi_p> for normalized deficiency
     vectors; p is the projection target, q the transported source."""

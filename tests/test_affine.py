@@ -1,4 +1,5 @@
 import math
+from dataclasses import dataclass
 
 import numpy as np
 import pytest
@@ -12,11 +13,15 @@ from extflow.affine import (
     apply,
     compose,
     fixed_point,
-    flow_coefficients,
-    inverse,
     subgroup_eval,
 )
 from extflow.errors import DynamicRangeExceeded, InvalidArgument
+
+
+def inverse(g: AffineMap) -> AffineMap:
+    """g^{-1}: x -> x/a - b/a, the route of flow_coefficients below to
+    g^{-1}(+-i)."""
+    return AffineMap(1.0 / g.a, -g.b / g.a)
 
 
 def random_maps(n, seed=0):
@@ -123,6 +128,31 @@ class TestSubgroups:
         # the translation by t exists wherever t is finite
         if math.isfinite(t):
             assert subgroup_eval("translation", t) == AffineMap(1.0, t)
+
+
+@dataclass(frozen=True)
+class FlowCoefficients:
+    """alpha = g^{-1}(i)+i, beta = g^{-1}(-i)+i, gamma_c = g^{-1}(i)-i,
+    delta = g^{-1}(-i)-i; alpha - gamma_c = 2i and delta - beta = -2i exactly."""
+
+    alpha: complex
+    beta: complex
+    gamma_c: complex
+    delta: complex
+
+
+def flow_coefficients(g: AffineMap) -> FlowCoefficients:
+    """The Cayley coefficients of g through inverse above and affine.apply:
+    the oracle of the one-pass arithmetic in flow.gamma_map."""
+    ginv = inverse(g)
+    at_i = apply(ginv, 1j)
+    at_minus_i = apply(ginv, -1j)
+    return FlowCoefficients(
+        alpha=at_i + 1j,
+        beta=at_minus_i + 1j,
+        gamma_c=at_i - 1j,
+        delta=at_minus_i - 1j,
+    )
 
 
 class TestFlowCoefficients:

@@ -1,3 +1,4 @@
+import cmath
 import contextlib
 import gc
 import io
@@ -68,6 +69,42 @@ class TestConfig:
             ["fixed-points", "--model", "interval", "--config", str(path)])
         with pytest.raises(cli.ParseError, match="flavor"):
             cli.load_config(values)
+
+    def test_every_default_is_finite_and_in_its_domain(self):
+        # load_config validates only the keys given, so a key left out must
+        # pass as its default
+        cfg = cli.RunConfig("fixed-points")
+        for key, (name, _, _, domain) in cli._KEYS.items():
+            value = getattr(cfg, name)
+            if value is None:
+                continue
+            for x in value if isinstance(value, (list, tuple)) else (value,):
+                assert not isinstance(x, (float, complex)) or cmath.isfinite(x), key
+            assert domain is None or domain[0](value), key
+
+    @pytest.mark.parametrize("argv, message", [
+        (["fixed-points", "--model=interval", "--tol=-1", "--l=400"],
+         "fixed-points: 'l' must lie in [1e-3, 300], got 400.0"),
+        (["fixed-points", "--model=interval", "--l=400", "--t=nan"],
+         "fixed-points: every numeric input must be finite"),
+        (["fixed-points", "--model=interval", "--group=rotation", "--tol=0"],
+         "fixed-points: 'group' must be translation or scaling, got 'rotation'"),
+        (["spectrum", "--window=3,1", "--rho=2"],
+         "spectrum: 'rho' must have modulus below 1, got (2+0j)"),
+        (["shoot", "--count=0", "--theta=inf"], "shoot: every numeric input must be finite"),
+        (["shoot", "--count=10" + "0" * 400, "--gamma=nan"],
+         "shoot: every numeric input must be finite"),
+        (["weyl", "--jobs=0", "--n=4"], "weyl: 'n' needs every grid size at least 8, got [4]"),
+        (["weyl", "--format=xml", "--jobs=0"], "weyl: 'jobs' must be at least 1, got 0"),
+        (["period", "--model=interval", "--t-max=-1", "--tol=0"],
+         "period: 'tol' must be positive, got 0.0"),
+    ])
+    def test_first_of_two_bad_keys(self, argv, message):
+        # finiteness first, then the domains in _KEYS order, whatever the
+        # order of the flags
+        with pytest.raises(cli.ParseError) as info:
+            cli.load_config(cli.parse_args(argv))
+        assert str(info.value) == message
 
 
 class TestCommands:
@@ -714,6 +751,14 @@ def reference_to_json(obj, indent: int = 0) -> str:
     raise TypeError(f"cannot serialize {type(obj)!r}")
 
 
+class _Text(str):
+    """A str subclass: to_json takes its isinstance path."""
+
+
+class _Mapping(dict):
+    """A dict subclass: to_json takes its isinstance path."""
+
+
 _TEXT = st.text(st.sampled_from('ab "\\\n\té∂中'), max_size=6) | st.text(max_size=6)
 _LEAVES = st.one_of(
     st.none(),
@@ -729,12 +774,15 @@ _LEAVES = st.one_of(
     st.complex_numbers().map(np.complex128),
     st.complex_numbers(),
     _TEXT,
+    _TEXT.map(_Text),
 )
-_KEYS = _TEXT | st.integers() | st.floats(allow_nan=False) | st.booleans() | st.none()
+_KEYS = (_TEXT | _TEXT.map(_Text) | st.integers() | st.floats(allow_nan=False)
+         | st.booleans() | st.none())
 _PAYLOADS = st.recursive(_LEAVES, lambda children: st.one_of(
     st.lists(children, max_size=4),
     st.lists(children, max_size=4).map(tuple),
     st.dictionaries(_KEYS, children, max_size=4),
+    st.dictionaries(_KEYS, children, max_size=4).map(_Mapping),
 ), max_leaves=24)
 
 

@@ -1,13 +1,17 @@
 import cmath
+import dataclasses
 import math
 
 import numpy as np
 import pytest
+from test_affine import flow_coefficients
 
 from extflow import cli, flow, mobius, models
 from extflow.affine import ALL_POINTS, IDENTITY, AffineMap, subgroup_eval
 from extflow.errors import (
     DynamicRangeExceeded,
+    InvalidArgument,
+    NearSingularDenominator,
     NumericalInconsistency,
     OutsideGroup,
     UnsupportedIndices,
@@ -581,6 +585,82 @@ class TestTrichotomyConsistency:
             self._assert_no_counterexample(composed)
 
 
+def _two_pass_element(model, g):
+    """The flow element as five records and two passes compute it: the
+    Cayley coefficients of the affine oracle times the overlap blocks,
+    scaled by one power of two and normalised by mobius.from_coefficients.
+    None where the denominator condition passes gamma_map's guard."""
+    co = flow_coefficients(g)
+    ov = model.overlap_matrix(g)
+    a, b = -co.delta * ov.cmm, co.gamma_c * ov.cmp
+    c, d = -co.beta * ov.cpm, co.alpha * ov.cpp
+    scale = max(abs(a), abs(b), abs(c), abs(d))
+    unit = math.ldexp(1.0, min(1023, -math.frexp(scale)[1]))
+    a, b, c, d, scale = a * unit, b * unit, c * unit, d * unit, scale * unit
+    det = a * d - b * c
+    condition = scale * scale / abs(det) if 0 < abs(det) < math.inf else math.inf
+    return None if condition > 1e12 else mobius.from_coefficients(a, b, c, d)
+
+
+ELEMENT_TS = (-709.7, -700.0, -100.0, -25.0, -2.9, -0.3, 0.0, 1e-300, 0.7, 2.9,
+              35.0, 100.0, 700.0)
+
+
+class TestOnePassElement:
+    @pytest.mark.parametrize("model", [
+        *(models.IntervalModel(length) for length in (1e-3, 0.5, 1.0, 17.3, 300.0)),
+        *(models.inverse_square(gamma) for gamma in (
+            -5e4, -25.0, -2.0, -0.3, -0.25 - 1e-11, -0.25, -0.25 + 1e-16, -0.25 + 1e-11,
+            0.0, 0.5, 0.7499)),
+    ], ids=lambda m: _model_id(m))
+    def test_equals_the_two_pass_element(self, model):
+        # the same products and roundings in one pass: equal, not close
+        group = default_group(model)
+        for t in ELEMENT_TS:
+            g = subgroup_eval(group, t)
+            expected = _two_pass_element(model, g)
+            if expected is None:
+                with pytest.raises(NearSingularDenominator):
+                    gamma_map(model, g)
+            else:
+                assert gamma_map(model, g).mobius == expected
+
+    def test_errors_at_the_edges(self, invsq0):
+        # the condition guard
+        g = subgroup_eval("scaling", 100.0)
+        assert _two_pass_element(invsq0, g) is None
+        with pytest.raises(NearSingularDenominator):
+            gamma_map(invsq0, g)
+        # no scaling element past |t| = log(float max)
+        for t in (709.79, -709.79):
+            with pytest.raises(DynamicRangeExceeded):
+                gamma_map(invsq0, subgroup_eval("scaling", t))
+        # a subnormal slope, whose inverse 1/a overflows
+        for g in (AffineMap(5e-324, 0.0), AffineMap(1e-10, 1e300)):
+            with pytest.raises(InvalidArgument):
+                flow_coefficients(g)
+            with pytest.raises(InvalidArgument):
+                gamma_map(invsq0, g)
+
+
+@pytest.mark.parametrize("record", [
+    AffineMap(2.0, 1.0),
+    models.OverlapData(1j, 2j, 3j, 4j),
+    mobius.LinearFractionalMap(1j, 2j, 3j, 4j),
+    flow.FlowMap(IDENTITY_MAP, 1.0),
+    flow.FlowGenerator(1j, 2j, 3j, 0.5),
+], ids=lambda r: type(r).__name__)
+def test_slotted_records_are_frozen_values(record):
+    fields = [f.name for f in dataclasses.fields(record)]
+    values = tuple(getattr(record, name) for name in fields)
+    assert not hasattr(record, "__dict__")
+    with pytest.raises(dataclasses.FrozenInstanceError):
+        setattr(record, fields[0], values[0])
+    assert record == type(record)(*values)
+    assert hash(record) == hash(type(record)(*values))
+    assert record != values
+
+
 class TestErrors:
     def test_matrix_indices_rejected(self, halfline):
         with pytest.raises(UnsupportedIndices):
@@ -592,3 +672,24 @@ class TestErrors:
         monkeypatch.setattr(flow, "FP_TOL", 1e-18)
         with pytest.raises(NumericalInconsistency):
             invariant_extensions(interval, "translation")
+
+    @pytest.mark.parametrize("model", [models.IntervalModel(1.0), models.inverse_square(0.2),
+                                       models.inverse_square(-2.0)],
+                             ids=["l=1", "gamma=0.2", "gamma=-2"])
+    def test_fp_tol_catches_a_turned_element(self, model, monkeypatch):
+        # conjugating each element by a turn of 1e-10 keeps its trace and
+        # turns its fixed points: FP_TOL = 1e-13 catches that, 1e-7 did not
+        turn, back = mobius.rotation(1e-10), mobius.rotation(-1e-10)
+
+        def turned(model, g, gamma_map=flow.gamma_map):
+            fm = gamma_map(model, g)
+            return flow.FlowMap(mobius.compose(turn, mobius.compose(fm.mobius, back)),
+                                fm.condition)
+
+        group = default_group(model)
+        invariant_extensions(model, group)
+        monkeypatch.setattr(flow, "gamma_map", turned)
+        with pytest.raises(NumericalInconsistency, match="FP_TOL 1e-13"):
+            invariant_extensions(model, group)
+        monkeypatch.setattr(flow, "FP_TOL", 1e-7)
+        invariant_extensions(model, group)
