@@ -115,7 +115,9 @@ def criterion_3_cyclic_period() -> CriterionResult:
             for _ in range(100):
                 v = rng.uniform(0, 1) * cmath.exp(1j * rng.uniform(0, 2 * math.pi))
                 worst = max(worst, abs(flow.gamma_apply(model, g, v) - v))
-            ok = worst <= 1e-8
+            # measured <= 7.9e-16 here, and <= 6.4e-15 over 123 lengths in
+            # [0.3, 3] with 500 starts each
+            ok = worst <= 1e-13
             details[f"orbit_residual[l={length}]"] = worst
         checks[f"period 2pi/l [l={length}]"] = ok
     return _finish("criterion 3: cyclic invariance period", 10.0, start,
@@ -146,16 +148,14 @@ def criterion_5_weyl_grid() -> CriterionResult:
     start = time.perf_counter()
     checks, details = {}, {}
     rng = np.random.default_rng(105)
-    worst_on = 0.0
+    rows = []
     for n in (128, 256, 512):
+        # fifty group parameters of its own for each grid size
+        rows += weylcheck.residual_rows(1.0, [n], rng.uniform(-10, 10, 50), on_grid=True)
         grid = weylcheck.build_interval_grid(1.0, n)
-        s = (n // 3) * grid.h
-        v = weylcheck.semigroup(grid, s)
-        for t in rng.uniform(-10, 10, 50):
-            u = weylcheck.unitary_group(grid, t)
-            worst_on = max(worst_on, weylcheck.weyl_residual(u, v, t, s))
         nil = weylcheck.operator_norm(weylcheck.semigroup(grid, 1.0))
         checks[f"nilpotent at l [n={n}]"] = nil <= 1e-9
+    worst_on = max(row["residual"] for row in rows)
     checks["on-grid residual <= 1e-12"] = worst_on <= 1e-12
     details["worst_on_grid_residual"] = worst_on
     order = weylcheck.refinement_order(
@@ -254,7 +254,9 @@ def criterion_8_generator_invariance() -> CriterionResult:
             }
     halfline = models.HalflineModel()
     phase = weylcheck.measure_commutation_phase(halfline, "scaling", 0.7, 0.5)
-    checks["semigroup-level scaling phase = 1"] = abs(phase["phase"] - 1.0) <= 1e-6
+    # 1 exactly here, and within two rounding units of 1 over t in [-3.2, 5]
+    # and s in [0.05, 2]
+    checks["semigroup-level scaling phase = 1"] = abs(phase["phase"] - 1.0) <= 2e-15
     details["semigroup_phase"] = phase["phase"]
     details["semigroup_scale_exponent"] = phase["scale_exponent"]
     notes = ["measured scaling-relation phase is 1 (no e^{i s e^t} factor) "
@@ -291,7 +293,9 @@ def criterion_9_property_suites() -> CriterionResult:
             v = cmath.exp(1j * rng.uniform(0, 2 * math.pi))
             out = flow.gamma_apply(model, par(rng), v)
             worst_circle = max(worst_circle, abs(abs(out) - 1.0))
-    checks["circle preserved for (1,1)"] = worst_circle <= 1e-8
+    # measured <= 6.7e-16 here, and <= 4.7e-15 over 200 seeds of 25 draws on
+    # the lengths 0.5, 1, 2 and six couplings in [-2, 0.7]
+    checks["circle preserved for (1,1)"] = worst_circle <= 1e-13
     details["worst_circle_deviation"] = worst_circle
 
     counterexamples = 0

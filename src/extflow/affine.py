@@ -52,18 +52,6 @@ def compose(f: AffineMap, g: AffineMap) -> AffineMap:
     return AffineMap(f.a * g.a, f.a * g.b + f.b)
 
 
-def apply(g: AffineMap, z):
-    """Evaluate the map; accepts real or complex arguments (also arrays)."""
-    return g.a * z + g.b
-
-
-def fixed_point(g: AffineMap):
-    """b/(1-a) when a != 1; None when a = 1, b != 0; ALL_POINTS for the identity."""
-    if g.a == 1.0:
-        return ALL_POINTS if g.b == 0.0 else None
-    return g.b / (1.0 - g.a)
-
-
 # the one-parameter subgroups, by name: x -> x + t and x -> e^t x
 GROUPS = ("translation", "scaling")
 

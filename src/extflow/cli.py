@@ -2,12 +2,14 @@
 deterministic JSON/CSV report emission.
 
 Each decision is declared once: _KEYS declares every key with its parser,
-help and domain, _MODELS each model's constructor, keys and groups, and
-_COMMANDS each command's handler and keys. parse_args reads the flags,
+help, domain and default, _MODELS each model's constructor, keys and groups,
+and _COMMANDS each command's handler and keys. parse_args reads the flags,
 --key=v or --key v, and the command from those tables; a flat key = value
 file named by --config (# comments) gives keys that flags override. A
-command takes the keys of its row, with those of its model, which its report
-echoes, and the run-wide jobs, out and format. Reports are byte-stable for a
+command takes the keys of its row, with those of its model, and the run-wide
+jobs, out and format; its handler reads each by its own name from one
+namespace of the defaults and the keys given. dispatch returns the payload,
+which echoes the row's keys, and emit writes it. Reports are byte-stable for a
 fixed configuration, whatever --jobs is: numbers are printed with 17
 significant digits and wall-clock timings go to stderr, never the payload.
 The module imports flow, mobius and models, which every flow command uses;
@@ -24,7 +26,7 @@ import cmath
 import math
 import sys
 import time
-from dataclasses import dataclass, field
+from types import SimpleNamespace
 
 import numpy as np
 
@@ -41,54 +43,6 @@ _MODELS = {
     "inverse-square": (models.inverse_square, ("gamma",), ("scaling",)),
     "halfline": (models.HalflineModel, (), ("translation", "scaling")),
 }
-
-
-@dataclass
-class RunConfig:
-    command: str
-    model: str | None = None
-    length: float = 1.0
-    gamma: float = 0.0
-    group: str | None = None
-    t_values: list = field(default_factory=lambda: [1.0])
-    n_values: list = field(default_factory=lambda: [256])
-    tol: float | None = None
-    jobs: int = 1
-    out: str | None = None
-    fmt: str = "json"
-    theta: float | None = None
-    rho: complex | None = None
-    window: tuple = (-20.0, 20.0)
-    count: int = 3
-    on_grid: bool = False
-    length2: float | None = None
-    v0: complex | None = None
-    t_max: float | None = None
-
-    def echo(self) -> dict:
-        """The command's own keys and their values; run-wide keys stay out."""
-        return {key: getattr(self, _KEYS[key][0]) for key in _row(self.command, self.model)}
-
-
-@dataclass
-class RunReport:
-    command: str
-    config: dict
-    results: dict
-    checks: dict
-
-    @property
-    def passed(self) -> bool:
-        return all(self.checks.values())
-
-    def payload(self) -> dict:
-        return {
-            "command": self.command,
-            "config": self.config,
-            "results": self.results,
-            "checks": self.checks,
-            "pass": self.passed,
-        }
 
 
 # ---------------------------------------------------------------------------
@@ -133,39 +87,40 @@ def _parse_bool(text) -> bool:
 _LENGTH = (lambda x: 1e-3 <= x <= 300.0, "must lie in [1e-3, 300], got {!r}")
 _POSITIVE = (lambda x: x > 0, "must be positive, got {!r}")
 
-# key -> (RunConfig field, parser of its text, help, domain); each key is a
-# flag --key (underscores as dashes) and a config-file key. --on-grid is a
-# switch. A domain is None, or a test of the value and the error it raises,
-# formatted with the value; finiteness and the rules that tie keys together
-# are _validate's
+# key -> (default, parser of its text, help, domain); each key is a flag
+# --key (underscores as dashes) and a config-file key. --on-grid is a switch.
+# A default is immutable, since one process runs many commands. A domain is
+# None, or a test of the value and the error it raises, formatted with the
+# value; finiteness and the rules that tie keys together are _validate's
 _KEYS = {
-    "model": ("model", str, "interval, inverse-square or halfline", None),
-    "l": ("length", float, "interval length", _LENGTH),
-    "gamma": ("gamma", float, "inverse-square coupling", None),
-    "group": ("group", str, "translation or scaling",
+    "model": (None, str, "interval, inverse-square or halfline", None),
+    "l": (1.0, float, "interval length", _LENGTH),
+    "gamma": (0.0, float, "inverse-square coupling", None),
+    "group": (None, str, "translation or scaling",
               (GROUPS.__contains__, "must be translation or scaling, got {!r}")),
-    "t": ("t_values", _parse_list(float), "group parameter(s), comma separated",
+    "t": ((1.0,), _parse_list(float), "group parameter(s), comma separated",
           (bool, "needs at least one value")),
-    "n": ("n_values", _parse_list(int), "grid size(s), comma separated",
+    "n": ((256,), _parse_list(int), "grid size(s), comma separated",
           (lambda ns: min(ns, default=0) >= 8, "needs every grid size at least 8, got {!r}")),
-    "tol": ("tol", float, "check tolerance", _POSITIVE),
-    "theta": ("theta", float, "boundary phase angle", None),
-    "rho": ("rho", _parse_complex, "interval boundary multiplier, e.g. 0.36 or 0.3+0.1j",
+    "tol": (None, float, "check tolerance", _POSITIVE),
+    "theta": (None, float, "boundary phase angle", None),
+    "rho": (None, _parse_complex, "interval boundary multiplier, e.g. 0.36 or 0.3+0.1j",
             (lambda r: abs(r) < 1.0, "must have modulus below 1, got {!r}")),
-    "window": ("window", _parse_list(float), "lo,hi",
+    "window": ((-20.0, 20.0), _parse_list(float), "lo,hi",
                (lambda w: len(w) == 2 and w[0] < w[1], "must be lo,hi with lo < hi, got {!r}")),
-    "count": ("count", int, "eigenvalue count for shoot",
+    "count": (3, int, "eigenvalue count for shoot",
               (lambda c: 1 <= c <= 4, "must be between 1 and 4, got {!r}")),
-    "on_grid": ("on_grid", _parse_bool, "shift by a whole number of grid steps", None),
-    "l2": ("length2", float, "second interval length", _LENGTH),
-    "v0": ("v0", _parse_complex, "orbit start parameter (default 0.3, 0 on the halfline)",
+    "on_grid": (False, _parse_bool, "shift by a whole number of grid steps", None),
+    "l2": (None, float, "second interval length", _LENGTH),
+    "v0": (None, _parse_complex, "orbit start parameter (default 0.3, 0 on the halfline)",
            (lambda v: abs(v) <= 1.0, "must have modulus at most 1, got {!r}")),
-    "t_max": ("t_max", float, "period search bound", _POSITIVE),
-    "jobs": ("jobs", int, "worker threads", (lambda j: j >= 1, "must be at least 1, got {!r}")),
-    "out": ("out", str, "output path (default stdout)", None),
-    "format": ("fmt", str, "json or csv",
+    "t_max": (None, float, "period search bound", _POSITIVE),
+    "jobs": (1, int, "worker threads", (lambda j: j >= 1, "must be at least 1, got {!r}")),
+    "out": (None, str, "output path (default stdout)", None),
+    "format": ("json", str, "json or csv",
                (("json", "csv").__contains__, "must be json or csv, got {!r}")),
 }
+_DEFAULTS = {key: row[0] for key, row in _KEYS.items()}
 
 # how a run is carried out, not what it computes: every command takes them
 # and no payload echoes them
@@ -230,11 +185,12 @@ def usage() -> str:
     return "\n".join(lines) + "\n"
 
 
-def load_config(values: dict) -> RunConfig:
-    """Merge the configuration file named in values (if any) with the keys of
-    values, a parse_args dict; the keys win. A key outside the command's own,
-    its model's and the run-wide keys is an error wherever it was given.
-    Validates model and group compatibility before dispatch."""
+def load_config(values: dict) -> SimpleNamespace:
+    """The command and every key, by its own name: the _KEYS defaults, the
+    configuration file named in values (if any), and the keys of values, a
+    parse_args dict, each winning over the one before. A key outside the
+    command's own, its model's and the run-wide keys is an error wherever it
+    was given. Validates model and group compatibility before dispatch."""
     command = values["command"]
     given = {}
     if values.get("config"):
@@ -252,12 +208,12 @@ def load_config(values: dict) -> RunConfig:
         if key not in allowed and key not in _RUN_KEYS:
             raise ParseError(f"{command}: {key!r} is not a key of this command "
                              f"(its keys: {', '.join(allowed) or 'none'})")
-    cfg = RunConfig(command, **{_KEYS[key][0]: value for key, value in given.items()})
+    cfg = SimpleNamespace(command=command, **_DEFAULTS | given)
     _validate(cfg, given)
     return cfg
 
 
-def _validate(cfg: RunConfig, given: dict):
+def _validate(cfg: SimpleNamespace, given: dict):
     # the keys given, in _KEYS order: every default is finite and in its domain
     keys = _COMMANDS[cfg.command][1]
     checked = [(key, given[key]) for key in _KEYS if key in given]
@@ -278,7 +234,7 @@ def _validate(cfg: RunConfig, given: dict):
     if "v0" in keys and cfg.v0 is None:
         # the halfline's parameter set is {0}
         cfg.v0 = 0j if cfg.model == "halfline" else 0.3 + 0j
-    if "l2" in keys and cfg.length2 is None:
+    if "l2" in keys and cfg.l2 is None:
         raise ParseError(f"{cfg.command}: missing required field 'l2'")
     floor = models.InverseSquareModel.GAMMA_MIN
     inverse_square = cfg.command == "shoot" or cfg.model == "inverse-square"
@@ -287,9 +243,9 @@ def _validate(cfg: RunConfig, given: dict):
     if cfg.command == "shoot" and not cfg.gamma < -0.25:
         raise ParseError(
             f"shoot: gamma must be below -1/4 (oscillatory boundary), got {cfg.gamma}")
-    if cfg.command == "certify-nonequivalence" and len(cfg.n_values) != 1:
+    if cfg.command == "certify-nonequivalence" and len(cfg.n) != 1:
         raise ParseError("certify-nonequivalence: give exactly one grid size in 'n'")
-    if cfg.command == "refine" and len(set(cfg.n_values)) < 3:
+    if cfg.command == "refine" and len(set(cfg.n)) < 3:
         raise ParseError("refine: need at least three distinct grid sizes in 'n'")
     if cfg.command == "period" and cfg.model == "halfline":
         raise ParseError("period: the halfline flow is trivial and has no period")
@@ -301,26 +257,31 @@ def _validate(cfg: RunConfig, given: dict):
         raise ParseError("spectrum: give theta or rho, not both")
 
 
-def _build_model(cfg: RunConfig):
+def _build_model(cfg: SimpleNamespace):
     constructor, keys, _ = _MODELS[cfg.model]
-    return constructor(*(getattr(cfg, _KEYS[key][0]) for key in keys))
+    return constructor(*(getattr(cfg, key) for key in keys))
 
 
 # ---------------------------------------------------------------------------
 # dispatch
 # ---------------------------------------------------------------------------
 
-def dispatch(cfg: RunConfig) -> RunReport:
+def dispatch(cfg: SimpleNamespace) -> dict:
+    """The payload: the command, its own keys and their values (the run-wide
+    keys stay out), the handler's results and checks, and whether every
+    check passed."""
     results, checks = _COMMANDS[cfg.command][0](cfg)
-    return RunReport(cfg.command, cfg.echo(), results, checks)
+    return {"command": cfg.command,
+            "config": {key: getattr(cfg, key) for key in _row(cfg.command, cfg.model)},
+            "results": results, "checks": checks, "pass": all(checks.values())}
 
 
 def _cmd_flow_orbit(cfg):
     model = _build_model(cfg)
     rows = []
     worst = 0.0
-    values = flow.orbit(model, cfg.group, cfg.v0, cfg.t_values)
-    for t, v in zip(cfg.t_values, values):
+    values = flow.orbit(model, cfg.group, cfg.v0, cfg.t)
+    for t, v in zip(cfg.t, values):
         rows.append({"t": t, "re": v.real, "im": v.imag, "modulus": abs(v)})
         worst = max(worst, abs(v))
     return ({"rows": rows, "worst_modulus": worst},
@@ -333,7 +294,7 @@ def _cmd_fixed_points(cfg):
     gen = flow.generator(model, cfg.group)
     rows = []
     worst = 0.0
-    for t in cfg.t_values:
+    for t in cfg.t:
         fm = flow.gamma_map(model, subgroup_eval(cfg.group, t))
         fps = flow.fixed_points_flow(fm, gen)
         if fps is flow.ALL_POINTS:
@@ -393,10 +354,10 @@ def _cmd_period(cfg):
 def _cmd_spectrum(cfg):
     from . import spectra
     if cfg.rho is not None:
-        eig = spectra.interval_dissipative_lattice(cfg.length, cfg.rho, cfg.window)
+        eig = spectra.interval_dissipative_lattice(cfg.l, cfg.rho, cfg.window)
         bound = 1e-10 * max(1.0, 1.0 / max(abs(cfg.rho), 1e-10))
     else:
-        eig = spectra.interval_sa_spectrum(cfg.length, cfg.theta or 0.0, cfg.window)
+        eig = spectra.interval_sa_spectrum(cfg.l, cfg.theta or 0.0, cfg.window)
         bound = 1e-10
     rows = [{"index": i, "re": v.real, "im": v.imag, "residual": r}
             for i, (v, r) in enumerate(zip(eig.values, eig.residuals))]
@@ -421,19 +382,21 @@ def _cmd_shoot(cfg):
 
 
 def _cmd_fk_params(cfg):
-    from . import spectra
-    fk = spectra.friedrichs_krein_params(cfg.gamma)
+    # the parameters of the extremal nonnegative extensions, and the small-x
+    # exponent pair 1/2 +- mu
+    model = models.inverse_square(cfg.gamma)
+    v_f, v_k = model.friedrichs_krein()
     checks = {
-        "friedrichs parameter unimodular": abs(abs(fk.v_friedrichs) - 1) <= flow.SA_TOL,
-        "krein parameter unimodular": abs(abs(fk.v_krein) - 1) <= flow.SA_TOL,
+        "friedrichs parameter unimodular": abs(abs(v_f) - 1) <= flow.SA_TOL,
+        "krein parameter unimodular": abs(abs(v_k) - 1) <= flow.SA_TOL,
     }
-    return dict(vars(fk)), checks
+    return ({"v_friedrichs": v_f, "v_krein": v_k,
+             "exponents": (0.5 + model.mu, 0.5 - model.mu)}, checks)
 
 
 def _cmd_weyl(cfg):
     from . import weylcheck
-    rows = weylcheck.residual_rows(cfg.length, cfg.n_values, cfg.t_values,
-                                   cfg.on_grid, cfg.jobs)
+    rows = weylcheck.residual_rows(cfg.l, cfg.n, cfg.t, cfg.on_grid, cfg.jobs)
     worst = max((r["residual"] for r in rows), default=0.0)
     checks = {}
     if cfg.on_grid:
@@ -449,7 +412,7 @@ def _cmd_generator_check(cfg):
     rows, checks = [], {}
     scaling = cfg.group == "scaling"
     bound = cfg.tol or weylcheck.GENERATOR_TOL
-    for t in cfg.t_values:
+    for t in cfg.t:
         chk = weylcheck.generator_invariance_residual(model, cfg.group, t)
         rows.append({
             "t": t,
@@ -465,8 +428,7 @@ def _cmd_generator_check(cfg):
 
 def _cmd_refine(cfg):
     from . import weylcheck
-    rows = weylcheck.residual_rows(cfg.length, cfg.n_values, cfg.t_values,
-                                   cfg.on_grid, cfg.jobs)
+    rows = weylcheck.residual_rows(cfg.l, cfg.n, cfg.t, cfg.on_grid, cfg.jobs)
     order = weylcheck.refinement_order(rows)
     results = {"rows": rows, "orders": {rows[0]["variant"]: order}}
     if order == "exact":
@@ -478,8 +440,8 @@ def _cmd_refine(cfg):
 
 def _cmd_certify(cfg):
     from . import weylcheck
-    (n,) = cfg.n_values
-    results = dict(vars(weylcheck.nonequivalence_certificate(cfg.length, cfg.length2, n=n)))
+    (n,) = cfg.n
+    results = dict(vars(weylcheck.nonequivalence_certificate(cfg.l, cfg.l2, n=n)))
     certified = results.pop("certified")
     return results, {"certified": certified}
 
@@ -603,9 +565,9 @@ def _write_json(obj, depth: int, put) -> None:
         raise TypeError(f"cannot serialize {type(obj)!r}")
 
 
-def to_csv(report: RunReport) -> str:
+def to_csv(payload: dict) -> str:
     """Rows when the command produced a table, otherwise flattened checks."""
-    rows = report.results.get("rows")
+    rows = payload["results"].get("rows")
     lines = []
     if rows:
         keys = list(rows[0].keys())
@@ -623,13 +585,13 @@ def to_csv(report: RunReport) -> str:
             lines.append(",".join(cells))
     else:
         lines.append("check,passed")
-        for name, ok in sorted(report.checks.items()):
+        for name, ok in sorted(payload["checks"].items()):
             lines.append(f"\"{name}\",{ok}")
     return "\n".join(lines) + "\n"
 
 
-def emit(report: RunReport, fmt: str, out: str | None) -> str:
-    text = to_json(report.payload()) + "\n" if fmt == "json" else to_csv(report)
+def emit(payload: dict, fmt: str, out: str | None) -> str:
+    text = to_json(payload) + "\n" if fmt == "json" else to_csv(payload)
     if out:
         with open(out, "w") as handle:
             handle.write(text)
@@ -650,8 +612,8 @@ def main(argv=None) -> int:
             sys.stdout.write(usage())
             return 0
         cfg = load_config(values)
-        report = dispatch(cfg)
-        emit(report, cfg.fmt, cfg.out)
+        payload = dispatch(cfg)
+        emit(payload, cfg.format, cfg.out)
     except (ParseError, InvalidArgument) as exc:
         print(f"configuration error: {exc}", file=sys.stderr)
         return 2
@@ -659,9 +621,9 @@ def main(argv=None) -> int:
         print(f"numerical/runtime failure: {type(exc).__name__}: {exc}",
               file=sys.stderr)
         return 3
-    print(f"{cfg.command}: {'pass' if report.passed else 'FAIL'} "
+    print(f"{cfg.command}: {'pass' if payload['pass'] else 'FAIL'} "
           f"({time.perf_counter() - start:.2f}s)", file=sys.stderr)
-    return 0 if report.passed else 1
+    return 0 if payload["pass"] else 1
 
 
 if __name__ == "__main__":

@@ -66,12 +66,10 @@ class FlowMap:
 
 
 def gamma_map(model, g: AffineMap) -> FlowMap:
-    """The flow element for g, as a disk self-map of the parameter ball."""
-    dims = model.deficiency_dims
-    if dims == (0, 1):
+    """The flow element for g, as a disk self-map of the parameter ball; every
+    model has indices (1, 1), or (0, 1) and the trivial flow on {0}."""
+    if model.deficiency_dims == (0, 1):
         return FlowMap(IDENTITY_MAP, 1.0, trivial=True)
-    if dims != (1, 1):
-        raise UnsupportedIndices(f"scalar flow needs indices (1, 1), got {dims}")
     # g^{-1}(+-i) = slope*(+-i) + shift, where g^{-1} is x -> x/a - b/a
     slope, shift = 1.0 / g.a, -g.b / g.a
     if not (math.isfinite(slope) and math.isfinite(shift)):

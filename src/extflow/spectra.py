@@ -1,7 +1,9 @@
 """Spectral oracles: closed-form lattices for the interval model, the
 closed-form negative ladder of the inverse-square model under the
 oscillatory boundary condition with a shooting residual per rung, and
-geometric-progression diagnostics.
+geometric-progression diagnostics. The Friedrichs and Krein parameters of
+the semibounded couplings are the model's closed forms
+(``InverseSquareModel.friedrichs_krein``), which ``fk-params`` reads directly.
 
 The fall-to-center ladder: for coupling gamma < -1/4 the boundary form
 sqrt(x) sin(nu log x + theta) is pi-periodic in theta, so the negative
@@ -39,7 +41,7 @@ from .errors import (
     NoConvergence,
     NumericalInconsistency,
 )
-from .models import inverse_square, log_gamma
+from .models import log_gamma
 from .numerics import magnus_propagators, magnus_transfer
 # kept only for the benchmark: extbench/tracing.py wraps spectra.find_root and
 # spectra.ode_solve by name, and nothing here calls either
@@ -337,17 +339,3 @@ def progression_ratio(eigs: EigenList, nu: float | None = None) -> ProgressionRe
         abs(ratio - kappa) / kappa,
     )
 
-
-@dataclass(frozen=True)
-class FKParams:
-    v_friedrichs: complex
-    v_krein: complex
-    exponents: tuple
-
-
-def friedrichs_krein_params(gamma: float) -> FKParams:
-    """Parameters of the extremal nonnegative extensions together with the
-    small-x exponent pair (1/2 + mu, 1/2 - mu); IllPosed outside the
-    semibounded range -1/4 <= gamma < 3/4."""
-    model = inverse_square(gamma)
-    return FKParams(*model.friedrichs_krein(), (0.5 + model.mu, 0.5 - model.mu))

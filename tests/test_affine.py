@@ -4,17 +4,7 @@ from dataclasses import dataclass
 import numpy as np
 import pytest
 
-from extflow import affine
-from extflow.affine import (
-    ALL_POINTS,
-    GROUPS,
-    IDENTITY,
-    AffineMap,
-    apply,
-    compose,
-    fixed_point,
-    subgroup_eval,
-)
+from extflow.affine import GROUPS, IDENTITY, AffineMap, compose, subgroup_eval
 from extflow.errors import DynamicRangeExceeded, InvalidArgument
 
 
@@ -77,17 +67,6 @@ class TestApply:
         assert apply(inverse(AffineMap(2, 0)), 1j) == 0.5j
 
 
-class TestFixedPoint:
-    def test_scaling_case(self):
-        assert fixed_point(AffineMap(2, -1)) == pytest.approx(1.0)
-
-    def test_pure_translation(self):
-        assert fixed_point(AffineMap(1, 3)) is None
-
-    def test_identity(self):
-        assert fixed_point(IDENTITY) is ALL_POINTS
-
-
 class TestSubgroups:
     def test_translation(self):
         assert subgroup_eval("translation", 2.0) == AffineMap(1.0, 2.0)
@@ -130,6 +109,11 @@ class TestSubgroups:
             assert subgroup_eval("translation", t) == AffineMap(1.0, t)
 
 
+def apply(g: AffineMap, z):
+    """g(z) = a z + b, for real or complex z."""
+    return g.a * z + g.b
+
+
 @dataclass(frozen=True)
 class FlowCoefficients:
     """alpha = g^{-1}(i)+i, beta = g^{-1}(-i)+i, gamma_c = g^{-1}(i)-i,
@@ -142,7 +126,7 @@ class FlowCoefficients:
 
 
 def flow_coefficients(g: AffineMap) -> FlowCoefficients:
-    """The Cayley coefficients of g through inverse above and affine.apply:
+    """The Cayley coefficients of g through inverse and apply above:
     the oracle of the one-pass arithmetic in flow.gamma_map."""
     ginv = inverse(g)
     at_i = apply(ginv, 1j)

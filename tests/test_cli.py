@@ -7,6 +7,7 @@ import math
 import os
 import subprocess
 import sys
+import types
 import warnings
 from pathlib import Path
 
@@ -34,7 +35,7 @@ class TestConfig:
         assert type(values) is dict
         cfg = cli.load_config(values)
         assert cfg.model == "interval"
-        assert cfg.length == 1.0
+        assert cfg.l == 1.0
         assert cfg.group == "translation"
 
     def test_incompatible_model_group(self):
@@ -59,8 +60,8 @@ class TestConfig:
             ["fixed-points", "--config", str(path), "--l", "1.0"])
         cfg = cli.load_config(values)
         assert cfg.model == "interval"
-        assert cfg.length == 1.0          # flag wins over the file
-        assert cfg.t_values == [0.5, 1.5]
+        assert cfg.l == 1.0               # flag wins over the file
+        assert cfg.t == [0.5, 1.5]
 
     def test_unknown_config_key(self, tmp_path):
         path = tmp_path / "run.cfg"
@@ -73,9 +74,7 @@ class TestConfig:
     def test_every_default_is_finite_and_in_its_domain(self):
         # load_config validates only the keys given, so a key left out must
         # pass as its default
-        cfg = cli.RunConfig("fixed-points")
-        for key, (name, _, _, domain) in cli._KEYS.items():
-            value = getattr(cfg, name)
+        for key, (value, _, _, domain) in cli._KEYS.items():
             if value is None:
                 continue
             for x in value if isinstance(value, (list, tuple)) else (value,):
@@ -985,22 +984,21 @@ def test_config_file_key_outside_the_row(command, tmp_path):
 
 @pytest.mark.parametrize("command", cli.COMMANDS)
 def test_each_row_is_what_its_handler_reads(command):
-    # the keys a command takes and echoes are the fields its handler reads,
+    # the keys a command takes and echoes are the keys its handler reads,
     # with each model, the run-wide jobs aside; the halfline has no period
-    key_of = {field: key for key, (field, *_) in cli._KEYS.items()}
     reads = set()
 
-    class Recording(cli.RunConfig):
+    class Recording(types.SimpleNamespace):
         def __getattribute__(self, name):
-            if name in key_of:
-                reads.add(key_of[name])
+            if name in cli._KEYS:
+                reads.add(name)
             return super().__getattribute__(name)
 
     for model in _models(command):
         if (command, model) == ("period", "halfline"):
             continue
         cfg = cli.load_config(cli.parse_args([command, *_base(command, model)]))
-        cfg.__class__ = Recording
+        cfg = Recording(**vars(cfg))
         reads.clear()
         handler, _ = cli._COMMANDS[command]
         handler(cfg)
@@ -1017,7 +1015,7 @@ def test_each_model_row_builds_its_model(model):
     built = cli._build_model(cfg)
     _, keys, groups = cli._MODELS[model]
     assert built.name == model
-    assert [getattr(built, cli._KEYS[key][0]) for key in keys] == [
+    assert [getattr(built, {"l": "length", "gamma": "gamma"}[key]) for key in keys] == [
         {"l": 2.0, "gamma": -2.0}[key] for key in keys]
     assert cfg.group == groups[0] and set(groups) <= set(affine.GROUPS)
     if model == "inverse-square":
@@ -1118,6 +1116,7 @@ _HEAVY = ("extflow.acceptance", "extflow.spectra", "extflow.weylcheck")
     (["flow-orbit", "--model=interval", "--t=0.5"], set()),
     (["shoot", "--gamma=-2", "--count=1"], {"extflow.spectra"}),
     (["weyl", "--n=64", "--t=0.5"], {"extflow.weylcheck"}),
+    (["fk-params", "--gamma=0.2"], set()),
 ], ids=lambda value: value[0] if isinstance(value, list) else None)
 def test_a_command_imports_only_what_it_runs(argv, loaded):
     # a fresh process: the flow commands leave the battery, the shooting code

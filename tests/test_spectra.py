@@ -6,7 +6,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from extflow import spectra
+from extflow import cli, models, spectra
 from extflow.numerics import find_root, magnus_propagators, magnus_transfer, ode_solve
 from extflow.errors import (
     DynamicRangeExceeded,
@@ -577,38 +577,44 @@ class TestProgressionRatio:
             spectra.progression_ratio(eig)
 
 
+def fk_params(gamma):
+    """The results of fk-params: the model's parameters and exponent pair."""
+    cfg = cli.load_config(cli.parse_args(["fk-params", f"--gamma={gamma!r}"]))
+    return cli.dispatch(cfg)["results"]
+
+
 class TestFriedrichsKreinParams:
     def test_zero_coupling(self):
-        fk = spectra.friedrichs_krein_params(0.0)
-        assert fk.exponents == pytest.approx((1.0, 0.0))
-        assert abs(fk.v_friedrichs - 1.0) < 3e-15
-        assert abs(fk.v_krein - (-1j)) < 3e-15
+        fk = fk_params(0.0)
+        assert fk["exponents"] == pytest.approx((1.0, 0.0))
+        assert abs(fk["v_friedrichs"] - 1.0) < 3e-15
+        assert abs(fk["v_krein"] - (-1j)) < 3e-15
 
     def test_critical_coupling_coincide(self):
-        fk = spectra.friedrichs_krein_params(-0.25)
-        assert fk.v_friedrichs == fk.v_krein
-        assert fk.exponents == pytest.approx((0.5, 0.5))
+        fk = fk_params(-0.25)
+        assert fk["v_friedrichs"] == fk["v_krein"]
+        assert fk["exponents"] == pytest.approx((0.5, 0.5))
 
     def test_half_coupling_exponents(self):
-        fk = spectra.friedrichs_krein_params(0.5)
-        assert fk.exponents[0] == pytest.approx(0.5 + math.sqrt(3) / 2)
-        assert fk.exponents[1] == pytest.approx(0.5 - math.sqrt(3) / 2)
-        assert abs(abs(fk.v_friedrichs) - 1) < 2e-15
-        assert abs(abs(fk.v_krein) - 1) < 2e-15
+        fk = fk_params(0.5)
+        assert fk["exponents"][0] == pytest.approx(0.5 + math.sqrt(3) / 2)
+        assert fk["exponents"][1] == pytest.approx(0.5 - math.sqrt(3) / 2)
+        assert abs(abs(fk["v_friedrichs"]) - 1) < 2e-15
+        assert abs(abs(fk["v_krein"]) - 1) < 2e-15
 
     def test_range_check(self):
         with pytest.raises(IllPosed):
-            spectra.friedrichs_krein_params(-1.0)
+            models.inverse_square(-1.0).friedrichs_krein()
 
     @pytest.mark.parametrize("gamma", [0.2, -0.25, 0.5, 0.7, -0.2])
     def test_closed_form(self, gamma):
         # small-x branches of K_mu (DLMF 10.27.4) in the gauge of the
         # decaying solution: v_F = e^{i pi (mu - 1/2)/2}, v_K = e^{-i pi (mu + 1/2)/2}
         mu = math.sqrt(gamma + 0.25)
-        fk = spectra.friedrichs_krein_params(gamma)
+        v_f, v_k = models.inverse_square(gamma).friedrichs_krein()
         # measured <= 4.1e-16
-        assert abs(fk.v_friedrichs - cmath.exp(1j * math.pi * (mu - 0.5) / 2)) < 5e-15
-        assert abs(fk.v_krein - cmath.exp(-1j * math.pi * (mu + 0.5) / 2)) < 5e-15
+        assert abs(v_f - cmath.exp(1j * math.pi * (mu - 0.5) / 2)) < 5e-15
+        assert abs(v_k - cmath.exp(-1j * math.pi * (mu + 0.5) / 2)) < 5e-15
 
 
 class TestScalingCovariance:
