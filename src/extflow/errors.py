@@ -66,7 +66,8 @@ class DynamicRangeExceeded(ExtflowError):
 
 
 class InsufficientData(ExtflowError):
-    """Not enough eigenvalues to estimate a progression ratio."""
+    """Not enough data to determine a quantity: too few eigenvalues for a
+    progression ratio, or a commutation phase whose left side vanishes."""
 
 
 # cli

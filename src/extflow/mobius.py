@@ -14,7 +14,7 @@ from dataclasses import dataclass
 from enum import Enum
 
 from .affine import ALL_POINTS
-from .errors import DegenerateMap, InvalidArgument, NotDiskMap
+from .errors import DegenerateMap, NotDiskMap
 
 INFINITY = complex(math.inf, 0.0)
 
@@ -47,19 +47,6 @@ def from_coefficients(a, b, c, d) -> LinearFractionalMap:
     return LinearFractionalMap(a / root, b / root, c / root, d / root)
 
 
-def rotation(theta: float) -> LinearFractionalMap:
-    """z -> e^{i theta} z."""
-    return from_coefficients(cmath.exp(1j * theta), 0, 0, 1)
-
-
-def disk_automorphism(w: complex, theta: float = 0.0) -> LinearFractionalMap:
-    """z -> e^{i theta} (z - w)/(1 - conj(w) z), |w| < 1."""
-    if abs(w) >= 1:
-        raise InvalidArgument("automorphism parameter must lie inside the disk")
-    phase = cmath.exp(1j * theta)
-    return from_coefficients(phase, -phase * w, -w.conjugate(), 1)
-
-
 def apply(m: LinearFractionalMap, z) -> complex:
     """Evaluate with the projective conventions at the pole and at infinity."""
     if isinstance(z, complex) and is_infinite(z):
@@ -73,16 +60,6 @@ def apply(m: LinearFractionalMap, z) -> complex:
     return num / den
 
 
-def compose(m: LinearFractionalMap, n: LinearFractionalMap) -> LinearFractionalMap:
-    """apply(compose(m, n), z) = apply(m, apply(n, z))."""
-    return from_coefficients(
-        m.a * n.a + m.b * n.c,
-        m.a * n.b + m.b * n.d,
-        m.c * n.a + m.d * n.c,
-        m.c * n.b + m.d * n.d,
-    )
-
-
 def inverse(m: LinearFractionalMap) -> LinearFractionalMap:
     return LinearFractionalMap(m.d, -m.b, -m.c, m.a)
 
@@ -92,11 +69,6 @@ def projective_distance(m: LinearFractionalMap, n: LinearFractionalMap) -> float
     diff = max(abs(m.a - n.a), abs(m.b - n.b), abs(m.c - n.c), abs(m.d - n.d))
     summ = max(abs(m.a + n.a), abs(m.b + n.b), abs(m.c + n.c), abs(m.d + n.d))
     return min(diff, summ)
-
-
-def trace_squared(m: LinearFractionalMap) -> complex:
-    """(a + d)^2 for the determinant-one representative (sign-independent)."""
-    return (m.a + m.d) ** 2
 
 
 def fixed_points(m: LinearFractionalMap, identity_tol: float = 1e-13,
@@ -212,13 +184,3 @@ def classify(m: LinearFractionalMap, eps_class: float = 1e-9) -> MapClass:
     # leftover configurations (one boundary point, mate outside) are
     # hyperbolic-type contractions; not reachable for circle-preserving maps
     return MapClass(MapTag.HYPERBOLIC, in_disk, finite[0] if finite else None)
-
-
-def iterate(m: LinearFractionalMap, z0: complex, n: int) -> list[complex]:
-    """[z0, m(z0), ..., m^n(z0)]."""
-    if n < 1:
-        raise InvalidArgument("need n >= 1")
-    orbit = [complex(z0)]
-    for _ in range(n):
-        orbit.append(apply(m, orbit[-1]))
-    return orbit

@@ -1,9 +1,9 @@
 """Concrete symmetric operator models behind a single contract: deficiency
 indices, overlap blocks of the normalized deficiency vectors against the
-model's unitary family, the generator of the flow those blocks induce, the
-unitary representation itself and, where the operator is i d/dx, its
-contraction semigroup. The inverse-square model also names the parameters
-of its Friedrichs and Krein extensions.
+model's unitary family, the generator of the flow those blocks induce and
+the record of each unitary family. The inverse-square model also names the
+parameters of its Friedrichs and Krein extensions. Every datum is a closed
+form in ``math`` and ``cmath``.
 
 Gauge conventions are fixed once per model and every reported parameter
 value depends on them:
@@ -24,8 +24,9 @@ e^{t/4} f(e^{t/2} x) and e^{t/2} f(e^t x) act as U_g for g(x) = e^{-t} x
 under this convention; the harness measures the resulting scale factor
 instead of assuming one. Every family a model exposes through
 ``representation`` is one ``Representation`` record,
-(U f)(x) = w e^{i kappa x} f(s x), which maps exact jets (f, f', f'') by
-the chain and product rules.
+(U f)(x) = w e^{i kappa x} f(s x). ``weylcheck.represent`` maps exact jets
+(f, f', f'') by it, and ``weylcheck.right_shift`` is the contraction
+semigroup of i d/dx with f(0) = 0 on the interval and the half-line.
 """
 
 from __future__ import annotations
@@ -34,8 +35,6 @@ import cmath
 import math
 from dataclasses import dataclass
 from functools import lru_cache
-
-import numpy as np
 
 from .affine import AffineMap, subgroup_eval
 from .errors import (
@@ -74,44 +73,14 @@ def _int_exp(c: complex, length: float) -> complex:
     return (cmath.exp(z) - 1.0) / c
 
 
-def right_shift(s: float, jet):
-    """Right shift with zero fill, f -> f(x - s) for x > s and 0 below, on
-    each component of a jet: the contraction semigroup of i d/dx with
-    f(0) = 0 on the interval and the half-line alike."""
-    if s < 0:
-        raise InvalidArgument("semigroup parameter must be nonnegative")
-
-    def shifted(x):
-        x = np.asarray(x, dtype=float)
-        return tuple(np.where(x > s, c, 0.0) for c in jet(np.maximum(x - s, 0.0)))
-
-    return shifted
-
-
 @dataclass(frozen=True)
 class Representation:
     """(U f)(x) = w e^{i kappa x} f(s x), with weight w, dilation s and
-    frequency kappa, on jets: a jet maps points x to (f, f', ...) at x, and
-    U maps it to the jet of U f of the same length by the chain rule
-    s^k f^(k)(s x) and the product rule with e^{i kappa x}. A value is a
-    jet's first component."""
+    frequency kappa; ``weylcheck.represent`` applies it to jets."""
 
     weight: float
     dilation: float = 1.0
     frequency: float = 0.0
-
-    def __call__(self, jet):
-        s, ik = self.dilation, 1j * self.frequency
-
-        def image(x):
-            x = np.asarray(x, dtype=float)
-            chain = [np.float64(s) ** k * c for k, c in enumerate(jet(s * x))]
-            factor = self.weight * np.exp(ik * x)
-            return tuple(factor * sum(math.comb(n, k) * ik ** (n - k) * chain[k]
-                                      for k in range(n + 1))
-                         for n in range(len(chain)))
-
-        return image
 
 
 # ---------------------------------------------------------------------------
@@ -172,32 +141,10 @@ class IntervalModel:
             raise OutsideGroup(f"interval model has no {kind!r} representation")
         return Representation(1.0, frequency=t)
 
-    semigroup_action = staticmethod(right_shift)
-
 
 # ---------------------------------------------------------------------------
 # inverse-square model: -d^2/dx^2 + gamma/x^2 on (0, inf)
 # ---------------------------------------------------------------------------
-
-# B_2j / (2j (2j - 1)), j = 1..8: the Stirling series of log Gamma (DLMF 5.11.1)
-_STIRLING = (1 / 12, -1 / 360, 1 / 1260, -1 / 1680, 1 / 1188, -691 / 360360,
-             1 / 156, -3617 / 122400)
-
-
-def log_gamma(z: complex) -> complex:
-    """log Gamma(z) off the poles, on the branch of mpmath.loggamma for real
-    z and z off the real axis: recur upward until Re z >= 8, then sum the
-    Stirling series to rounding level."""
-    z, shift = complex(z), 0j
-    while z.real < 8:
-        shift += cmath.log(z)
-        z += 1
-    inv2, series = 1 / (z * z), 0j
-    for c in reversed(_STIRLING):
-        series = series * inv2 + c
-    return ((z - 0.5) * cmath.log(z) - z + 0.5 * math.log(2 * math.pi)
-            + series / z - shift)
-
 
 class InverseSquareModel:
     """Second-order model with potential gamma/x^2, indices (1, 1), built for
@@ -327,8 +274,6 @@ class HalflineModel:
             subgroup_eval("scaling", -t)   # g(x) = e^{-t} x must exist
             return Representation(math.exp(t / 2), math.exp(t))
         raise OutsideGroup(f"unknown representation kind {kind!r}")
-
-    semigroup_action = staticmethod(right_shift)
 
 
 # ---------------------------------------------------------------------------

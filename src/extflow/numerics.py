@@ -1,22 +1,19 @@
-"""Self-contained numerical kernels.
+"""Test-oracle kernels that the program does not call.
 
 Adaptive Gauss-Kronrod quadrature over a finite interval (complex
 integrands), a Dormand-Prince 5(4) solver for a real scalar equation
-y' = f(x, y), sixth-order Magnus propagators for a linear equation
-u'' = q(z) u, formed in one batch and applied in one pass, and an Illinois
-bracketed root finder. The Magnus propagators serve the inward leg of the
-shooting check in ``spectra``, once per ladder. The program calls none of
-the others: tests use the quadrature, the root finder and the solver as
+y' = f(x, y) and an Illinois bracketed root finder. Tests use them as
 oracles (the former outward and inward shots among them), and the
-benchmark's tracer wraps the solver and the root finder by name. The
-inverse-square model is in closed form, and the grid operators of the Weyl
-checks are diagonals times shifts (see ``weylcheck``), so neither needs a
-kernel here.
+benchmark's tracer wraps the solver, the quadrature and the root finder by
+name where ``models`` and ``spectra`` import them. The inverse-square
+model is in closed form, the shooting check carries its inward leg by the
+Magnus propagators in ``spectra``, and the grid operators of the Weyl
+checks are diagonals times shifts (see ``weylcheck``), so none of them
+needs a kernel here.
 
-Integrands and Magnus coefficients q are called with numpy arrays of
-nodes; ODE right-hand sides f(x, y) and root-finder functions with Python
-floats. All of them must be re-entrant; everything here is pure, so
-concurrent use is safe.
+Integrands are called with numpy arrays of nodes; ODE right-hand sides
+f(x, y) and root-finder functions with Python floats. All of them must be
+re-entrant; everything here is pure, so concurrent use is safe.
 """
 
 from __future__ import annotations
@@ -203,51 +200,6 @@ def ode_solve(f, x0: float, y0: float, x1: float, tol: float = 1e-9,
             rejected += 1
             h *= max(0.2, 0.9 * err ** -0.2)
     return OdeSolution(xs, ys, forward, rejected)
-
-
-# ---------------------------------------------------------------------------
-# linear transfer: sixth-order Magnus propagators
-# ---------------------------------------------------------------------------
-
-# the three Gauss-Legendre nodes on [0, 1], as a column
-_GAUSS3 = np.array([[0.5 - 0.1 * 15 ** 0.5], [0.5], [0.5 + 0.1 * 15 ** 0.5]])
-
-
-def magnus_propagators(q, z, h) -> tuple:
-    """The transfer matrices [[m11, m12], [m21, m22]] of u'' = q(z) u, acting
-    on (u, u'), from z_i to z_i + h_i for every i (h_i of either sign), as
-    four arrays.
-
-    Each is exp(Omega) for the sixth-order, three-Gauss-point Magnus
-    exponent Omega (Blanes, Casas and Ros, BIT 40 (2000) 434). With
-    A(z) = E + q(z) F in the sl_2 basis E = [[0, 1], [0, 0]],
-    F = [[0, 0], [1, 0]], H = [[1, 0], [0, -1]], the exponent's
-    commutators reduce to the closed form below, Omega = e E + f F + g H,
-    and exp(Omega) = cosh(r) I + sinh(r)/r Omega with r^2 = g^2 + e f.
-    ``q`` is called once, with a (3, n) array of nodes."""
-    q1, q2, q3 = q(z + h * _GAUSS3)
-    b2 = 15 ** 0.5 / 3 * h * (q3 - q1)      # the F parts of the Taylor moments
-    b3 = 10 / 3 * h * (q3 - 2 * q2 + q1)
-    hh = h * h
-    e = h + hh * (h * b2 * b2 / 15 - 4 / 3 * b3) / 240
-    f = (h * q2 + b3 / 12
-         + (hh * q2 * (4 / 3 * b3 + h * b2 * b2 / 15) + h * (b3 * b3 / 15 - 2 * b2 * b2)) / 240)
-    g = h * b2 * (4 / 3 * hh * q2 + h * b3 / 30 - 20) / 240
-    r2 = g * g + e * f
-    r = np.sqrt(np.abs(r2))
-    grows = r2 > 0
-    ch = np.where(grows, np.cosh(r), np.cos(r))
-    sh = np.divide(np.where(grows, np.sinh(r), np.sin(r)), r,
-                   out=np.ones_like(r), where=r > 0)
-    return ch + sh * g, sh * e, sh * f, ch - sh * g
-
-
-def magnus_transfer(propagators, u: float, du: float) -> tuple:
-    """(u, u') after the ``magnus_propagators`` in turn, applied in one pass
-    with no renormalisation, so the state must stay within the floats."""
-    for m11, m12, m21, m22 in zip(*(m.tolist() for m in propagators)):
-        u, du = m11 * u + m12 * du, m21 * u + m22 * du
-    return u, du
 
 
 # ---------------------------------------------------------------------------

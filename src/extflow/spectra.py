@@ -22,11 +22,14 @@ with the same leg on every other node as its error estimate. It starts
 where the WKB action past max(nu, 1) reaches S_IN = 18, which damps its
 start error by e^{-36}. The residual is the phase gap modulo pi, in
 radians, and the gap's multiple of pi counts the rungs, so a ladder that
-skips or repeats one raises NumericalInconsistency.
+skips or repeats one raises NumericalInconsistency. The Magnus propagators
+and the Stirling series of log Gamma, whose phase places the ladder, live
+here with their only caller.
 """
 
 from __future__ import annotations
 
+import cmath
 import math
 from dataclasses import dataclass, field
 
@@ -41,8 +44,6 @@ from .errors import (
     NoConvergence,
     NumericalInconsistency,
 )
-from .models import log_gamma
-from .numerics import magnus_propagators, magnus_transfer
 # kept only for the benchmark: extbench/tracing.py wraps spectra.find_root and
 # spectra.ode_solve by name, and nothing here calls either
 from .numerics import find_root, ode_solve  # noqa: F401
@@ -138,6 +139,47 @@ _PHASE_BUDGET = 1e-8
 # a leg that would need more steps raises NoConvergence; |gamma| <= 5e4
 # needs at most 11,000
 _MAX_STEPS = 2 ** 17
+
+
+# the three Gauss-Legendre nodes on [0, 1], as a column
+_GAUSS3 = np.array([[0.5 - 0.1 * 15 ** 0.5], [0.5], [0.5 + 0.1 * 15 ** 0.5]])
+
+
+def magnus_propagators(q, z, h) -> tuple:
+    """The transfer matrices [[m11, m12], [m21, m22]] of u'' = q(z) u, acting
+    on (u, u'), from z_i to z_i + h_i for every i (h_i of either sign), as
+    four arrays.
+
+    Each is exp(Omega) for the sixth-order, three-Gauss-point Magnus
+    exponent Omega (Blanes, Casas and Ros, BIT 40 (2000) 434). With
+    A(z) = E + q(z) F in the sl_2 basis E = [[0, 1], [0, 0]],
+    F = [[0, 0], [1, 0]], H = [[1, 0], [0, -1]], the exponent's
+    commutators reduce to the closed form below, Omega = e E + f F + g H,
+    and exp(Omega) = cosh(r) I + sinh(r)/r Omega with r^2 = g^2 + e f.
+    ``q`` is called once, with a (3, n) array of nodes."""
+    q1, q2, q3 = q(z + h * _GAUSS3)
+    b2 = 15 ** 0.5 / 3 * h * (q3 - q1)      # the F parts of the Taylor moments
+    b3 = 10 / 3 * h * (q3 - 2 * q2 + q1)
+    hh = h * h
+    e = h + hh * (h * b2 * b2 / 15 - 4 / 3 * b3) / 240
+    f = (h * q2 + b3 / 12
+         + (hh * q2 * (4 / 3 * b3 + h * b2 * b2 / 15) + h * (b3 * b3 / 15 - 2 * b2 * b2)) / 240)
+    g = h * b2 * (4 / 3 * hh * q2 + h * b3 / 30 - 20) / 240
+    r2 = g * g + e * f
+    r = np.sqrt(np.abs(r2))
+    grows = r2 > 0
+    ch = np.where(grows, np.cosh(r), np.cos(r))
+    sh = np.divide(np.where(grows, np.sinh(r), np.sin(r)), r,
+                   out=np.ones_like(r), where=r > 0)
+    return ch + sh * g, sh * e, sh * f, ch - sh * g
+
+
+def magnus_transfer(propagators, u: float, du: float) -> tuple:
+    """(u, u') after the ``magnus_propagators`` in turn, applied in one pass
+    with no renormalisation, so the state must stay within the floats."""
+    for m11, m12, m21, m22 in zip(*(m.tolist() for m in propagators)):
+        u, du = m11 * u + m12 * du, m21 * u + m22 * du
+    return u, du
 
 
 def _action(z: float, nu: float) -> float:
@@ -255,6 +297,26 @@ def _mismatch(nu: float, theta: float, lam: float, phi_in: float) -> float:
     w, dw = (c * total).imag, (c * (1j * nu * total + slope)).imag
     phi_out = psi0 + math.remainder(math.atan2(nu * w, dw) - psi0, 2 * math.pi)
     return phi_out - phi_in
+
+
+# B_2j / (2j (2j - 1)), j = 1..8: the Stirling series of log Gamma (DLMF 5.11.1)
+_STIRLING = (1 / 12, -1 / 360, 1 / 1260, -1 / 1680, 1 / 1188, -691 / 360360,
+             1 / 156, -3617 / 122400)
+
+
+def log_gamma(z: complex) -> complex:
+    """log Gamma(z) off the poles, on the branch of mpmath.loggamma for real
+    z and z off the real axis: recur upward until Re z >= 8, then sum the
+    Stirling series to rounding level."""
+    z, shift = complex(z), 0j
+    while z.real < 8:
+        shift += cmath.log(z)
+        z += 1
+    inv2, series = 1 / (z * z), 0j
+    for c in reversed(_STIRLING):
+        series = series * inv2 + c
+    return ((z - 0.5) * cmath.log(z) - z + 0.5 * math.log(2 * math.pi)
+            + series / z - shift)
 
 
 def _ladder(nu: float, phase: float, count: int) -> list:

@@ -5,7 +5,9 @@
 between the unitary family U_t and the contraction semigroup V_s, plus
 generator-level invariance checks U_t A U_t^* = a_t A + b_t I measured by a
 least-squares fit of (a_t, b_t) over a dictionary of exact jets (f, f', f''),
-which each model's Representation record maps by the chain and product rules.
+and a function-level phase measurement of the relation. ``represent`` maps
+a jet by a model's Representation record, through the chain and product
+rules, and ``right_shift`` is the shift semigroup on jets.
 
 The interval grid uses the one-sided (upwind) difference for i d/dx with a
 Dirichlet condition at 0, which makes the semigroup an exact down-shift for
@@ -30,7 +32,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import DynamicRangeExceeded, InvalidArgument
+from .errors import DynamicRangeExceeded, InsufficientData, InvalidArgument
 
 
 # ---------------------------------------------------------------------------
@@ -177,6 +179,43 @@ def refinement_order(rows):
 
 
 # ---------------------------------------------------------------------------
+# continuum actions on exact jets
+# ---------------------------------------------------------------------------
+
+def represent(rep, jet):
+    """The image of a jet under a model's ``Representation`` record
+    (U f)(x) = w e^{i kappa x} f(s x): a jet maps points x to (f, f', ...)
+    at x, and U maps it to the jet of U f of the same length by the chain
+    rule s^k f^(k)(s x) and the product rule with e^{i kappa x}. A value is
+    a jet's first component."""
+    s, ik = rep.dilation, 1j * rep.frequency
+
+    def image(x):
+        x = np.asarray(x, dtype=float)
+        chain = [np.float64(s) ** k * c for k, c in enumerate(jet(s * x))]
+        factor = rep.weight * np.exp(ik * x)
+        return tuple(factor * sum(math.comb(n, k) * ik ** (n - k) * chain[k]
+                                  for k in range(n + 1))
+                     for n in range(len(chain)))
+
+    return image
+
+
+def right_shift(s: float, jet):
+    """Right shift with zero fill, f -> f(x - s) for x > s and 0 below, on
+    each component of a jet: the contraction semigroup of i d/dx with
+    f(0) = 0 on the interval and the half-line alike."""
+    if s < 0:
+        raise InvalidArgument("semigroup parameter must be nonnegative")
+
+    def shifted(x):
+        x = np.asarray(x, dtype=float)
+        return tuple(np.where(x > s, c, 0.0) for c in jet(np.maximum(x - s, 0.0)))
+
+    return shifted
+
+
+# ---------------------------------------------------------------------------
 # generator-level invariance
 # ---------------------------------------------------------------------------
 
@@ -195,11 +234,12 @@ def _sample_grid(model, n: int = 4096) -> np.ndarray:
     return np.linspace(right / n, right, n)
 
 
-def _apply_generator(model, jet, x: np.ndarray) -> np.ndarray:
-    """A f from the exact jet: i f' or -f'' + gamma f / x^2."""
+def _apply_generator(model, values, x: np.ndarray) -> np.ndarray:
+    """A f from an exact jet's values (f, f', f'') at x: i f' or
+    -f'' + gamma f / x^2."""
     if model.generator_kind == "first-order":
-        return 1j * jet(x)[1]
-    f, _, second = jet(x)
+        return 1j * values[1]
+    f, _, second = values
     return -second + model.gamma / (x * x) * f
 
 
@@ -270,9 +310,11 @@ def generator_invariance_residual(model, rep_kind: str, t: float,
         # A U* f at the points s x that (U g)(x) = w e^{i kappa x} g(s x)
         # reads, which U then maps as the values of g there. Where a row's
         # peak is subnormal, its entries have lost digits that w cannot restore
-        inner = [_apply_generator(model, backward(jet), forward.dilation * xs)
+        ys = forward.dilation * xs
+        inner = [_apply_generator(model, represent(backward, jet)(ys), ys)
                  for _, jet in test_functions]
-        lhs = root_w * np.array([forward(lambda y, row=row: (row,))(xs)[0] for row in inner])
+        lhs = root_w * np.array([represent(forward, lambda y, row=row: (row,))(xs)[0]
+                                 for row in inner])
         peaks = np.abs(lhs).max(axis=1)
         if not all(np.finfo(float).tiny <= peak < math.inf for peak in peaks):
             raise DynamicRangeExceeded(
@@ -284,8 +326,8 @@ def generator_invariance_residual(model, rep_kind: str, t: float,
         # the row's peak into [1/2, 1): exact, so the ratio of their norms
         # keeps its bytes, and the squares inside the norms stay floats
         row_scale = np.ldexp(1.0, -np.frexp(peaks)[1])[:, None]
-        columns = root_w * np.array([[_apply_generator(model, jet, xs), jet(xs)[0]]
-                                     for _, jet in test_functions])
+        values = [jet(xs) for _, jet in test_functions]
+        columns = root_w * np.array([[_apply_generator(model, v, xs), v[0]] for v in values])
         (scale, offset), *_ = np.linalg.lstsq(
             columns.transpose(0, 2, 1).reshape(-1, 2), lhs.ravel(), rcond=None)
         resid = lhs - scale * columns[:, 0] - offset * columns[:, 1]
@@ -303,24 +345,34 @@ def generator_invariance_residual(model, rep_kind: str, t: float,
 
 def measure_commutation_phase(model, rep_kind: str, t: float, s: float) -> dict:
     """Best-fit scalar c and time-scale orientation in
-    U_t V_s f = c V_{a s} U_t f, at the function level, using the model's
-    closed-form semigroup action. Both candidate orientations of the scale
-    factor are fitted and the better one reported."""
+    U_t V_s f = c V_{a s} U_t f, at the function level, with V the shift
+    semigroup ``right_shift`` of a first-order model (InvalidArgument for
+    any other). Both candidate orientations of the scale factor are fitted
+    and the better one reported. Where U_t V_s f vanishes on the sample
+    grid every c fits, so the phase is undetermined: InsufficientData.
+    Where only V_{a s} U_t f vanishes, the phase reads 0 with relative
+    residual 1."""
+    if model.generator_kind != "first-order":
+        raise InvalidArgument(f"the {model.name} model has no shift semigroup: "
+                              "its generator is not first-order")
     xs = _sample_grid(model)
     forward = model.representation(rep_kind, t)
     jets = [jet for _, jet in default_test_functions(model)]
+    lhs = np.array([represent(forward, right_shift(s, jet))(xs)[0] for jet in jets])
+    norm = np.trapezoid(np.abs(lhs) ** 2, xs).sum()
+    if not norm:
+        raise InsufficientData(f"U_t V_s f vanishes on the sample grid at t = {t:g}, "
+                               f"s = {s:g}: the phase is undetermined")
     results = []
     for orientation in (0.0,) if rep_kind == "translation" else (-1.0, 1.0):
         a_scale = math.exp(orientation * t) if orientation else 1.0
-        lhs = np.array([forward(model.semigroup_action(s, jet))(xs)[0] for jet in jets])
-        rhs = np.array([model.semigroup_action(a_scale * s, forward(jet))(xs)[0]
+        rhs = np.array([right_shift(a_scale * s, represent(forward, jet))(xs)[0]
                         for jet in jets])
         den = np.trapezoid(np.abs(rhs) ** 2, xs).sum()
         phase = complex(np.trapezoid(np.conj(rhs) * lhs, xs).sum() / den) if den else 0j
         resid = np.trapezoid(np.abs(lhs - phase * rhs) ** 2, xs).sum()
-        norm = np.trapezoid(np.abs(lhs) ** 2, xs).sum()
         results.append({"scale_exponent": orientation, "scale": a_scale, "phase": phase,
-                        "relative_residual": math.sqrt(resid / norm) if norm else 0.0})
+                        "relative_residual": math.sqrt(resid / norm)})
     best = min(results, key=lambda r: r["relative_residual"])
     best["alternatives"] = [r for r in results if r is not best]
     return best

@@ -5,6 +5,7 @@ import math
 import numpy as np
 import pytest
 from test_affine import flow_coefficients
+from test_mobius import compose, disk_automorphism, rotation
 
 from extflow import cli, flow, mobius, models
 from extflow.affine import ALL_POINTS, IDENTITY, AffineMap, subgroup_eval
@@ -536,7 +537,7 @@ def random_disk_automorphism(rng):
     w = (rng.uniform(-1, 1) + 1j * rng.uniform(-1, 1)) * 0.9
     while abs(w) >= 0.95:
         w = (rng.uniform(-1, 1) + 1j * rng.uniform(-1, 1)) * 0.9
-    return mobius.disk_automorphism(w, rng.uniform(0, 2 * math.pi))
+    return disk_automorphism(w, rng.uniform(0, 2 * math.pi))
 
 
 class TestTrichotomyConsistency:
@@ -580,7 +581,7 @@ class TestTrichotomyConsistency:
             m = models.IntervalModel(length)
             fm = gamma_map(m, AffineMap(1.0, t))
             conj = random_disk_automorphism(rng)
-            composed = mobius.compose(conj, mobius.compose(fm.mobius,
+            composed = compose(conj, compose(fm.mobius,
                                                            mobius.inverse(conj)))
             self._assert_no_counterexample(composed)
 
@@ -679,11 +680,11 @@ class TestErrors:
     def test_fp_tol_catches_a_turned_element(self, model, monkeypatch):
         # conjugating each element by a turn of 1e-10 keeps its trace and
         # turns its fixed points: FP_TOL = 1e-13 catches that, 1e-7 did not
-        turn, back = mobius.rotation(1e-10), mobius.rotation(-1e-10)
+        turn, back = rotation(1e-10), rotation(-1e-10)
 
         def turned(model, g, gamma_map=flow.gamma_map):
             fm = gamma_map(model, g)
-            return flow.FlowMap(mobius.compose(turn, mobius.compose(fm.mobius, back)),
+            return flow.FlowMap(compose(turn, compose(fm.mobius, back)),
                                 fm.condition)
 
         group = default_group(model)

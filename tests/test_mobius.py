@@ -6,25 +6,63 @@ import pytest
 
 from extflow import mobius
 from extflow.affine import ALL_POINTS
-from extflow.errors import DegenerateMap, NotDiskMap
+from extflow.errors import DegenerateMap, InvalidArgument, NotDiskMap
 from extflow.mobius import (
     IDENTITY_MAP,
     INFINITY,
+    LinearFractionalMap,
     MapTag,
     apply,
     classify,
-    compose,
-    disk_automorphism,
     fixed_points,
     from_coefficients,
     inverse,
     is_disk_self_map,
     is_infinite,
-    iterate,
     projective_distance,
-    rotation,
-    trace_squared,
 )
+
+# Disk maps that no program path builds: the tests here and in test_flow
+# construct, compose and iterate with them.
+
+
+def rotation(theta: float) -> LinearFractionalMap:
+    """z -> e^{i theta} z."""
+    return from_coefficients(cmath.exp(1j * theta), 0, 0, 1)
+
+
+def disk_automorphism(w: complex, theta: float = 0.0) -> LinearFractionalMap:
+    """z -> e^{i theta} (z - w)/(1 - conj(w) z), |w| < 1."""
+    if abs(w) >= 1:
+        raise InvalidArgument("automorphism parameter must lie inside the disk")
+    phase = cmath.exp(1j * theta)
+    return from_coefficients(phase, -phase * w, -w.conjugate(), 1)
+
+
+def compose(m: LinearFractionalMap, n: LinearFractionalMap) -> LinearFractionalMap:
+    """apply(compose(m, n), z) = apply(m, apply(n, z))."""
+    return from_coefficients(
+        m.a * n.a + m.b * n.c,
+        m.a * n.b + m.b * n.d,
+        m.c * n.a + m.d * n.c,
+        m.c * n.b + m.d * n.d,
+    )
+
+
+def trace_squared(m: LinearFractionalMap) -> complex:
+    """(a + d)^2 for the determinant-one representative (sign-independent)."""
+    return (m.a + m.d) ** 2
+
+
+def iterate(m: LinearFractionalMap, z0: complex, n: int) -> list[complex]:
+    """[z0, m(z0), ..., m^n(z0)]."""
+    if n < 1:
+        raise InvalidArgument("need n >= 1")
+    orbit = [complex(z0)]
+    for _ in range(n):
+        orbit.append(apply(m, orbit[-1]))
+    return orbit
+
 
 # constructed so the fixed-point quadratic is i (z - 1)^2
 PARABOLIC = from_coefficients(1 + 1j, -1j, 1j, 1 - 1j)

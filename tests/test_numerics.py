@@ -110,54 +110,6 @@ class TestOdeSolve:
                                max_steps=2000)
 
 
-class TestMagnus:
-    @pytest.mark.parametrize("q", [4.0, -9.0])
-    def test_constant_coefficient_is_exact_at_any_step(self, q):
-        # u'' = q u with (u, u') = (1, 0) at 0: u = cosh(k z) or cos(k z),
-        # k = sqrt|q|; one Magnus step is exact for a constant q, whatever
-        # its length
-        z = np.array([0.0, 0.3, 1.7, 2.0, 5.5])
-        u, du = numerics.magnus_transfer(
-            numerics.magnus_propagators(lambda x: np.full_like(x, q), z[:-1], np.diff(z)),
-            1.0, 0.0)
-        k = math.sqrt(abs(q))
-        if q > 0:
-            want = (math.cosh(5.5 * k), k * math.sinh(5.5 * k))
-        else:
-            want = (math.cos(5.5 * k), -k * math.sin(5.5 * k))
-        scale = max(abs(want[0]), abs(want[1]))
-        # measured <= 6.3e-16 relative
-        assert abs(u - want[0]) <= 1e-14 * scale and abs(du - want[1]) <= 1e-14 * scale
-
-    def test_sixth_order_on_the_airy_equation(self):
-        # u'' = z u from z = 4 down to -6 with (Ai, Ai') from mpmath: halving
-        # the steps divides the error by 2^6
-        mpmath = pytest.importorskip("mpmath")
-
-        def exact(z):
-            return float(mpmath.airyai(z)), float(mpmath.airyai(z, derivative=1))
-
-        errors = []
-        for n in (40, 80, 160):
-            z = np.linspace(4.0, -6.0, n + 1)
-            u, du = numerics.magnus_transfer(
-                numerics.magnus_propagators(lambda x: x, z[:-1], np.diff(z)), *exact(4.0))
-            errors.append(max(abs(u - exact(-6.0)[0]), abs(du - exact(-6.0)[1])))
-        # measured ratios 66 and 64
-        assert 50 < errors[0] / errors[1] < 70 and 50 < errors[1] / errors[2] < 70
-
-    def test_step_of_either_sign(self):
-        # the Gauss-point Magnus step is symmetric, exp(Omega(-h)) =
-        # exp(Omega(h))^{-1}, so the transfer back over the same intervals
-        # undoes the one forward to rounding
-        z = np.linspace(0.0, 3.0, 13)
-        forward = numerics.magnus_propagators(lambda x: 1 + x * x, z[:-1], np.diff(z))
-        back = numerics.magnus_propagators(lambda x: 1 + x * x, z[:0:-1], -np.diff(z)[::-1])
-        u, du = numerics.magnus_transfer(back, *numerics.magnus_transfer(forward, 0.3, -0.2))
-        # measured 1.5e-13, after a growth of about e^6 and back
-        assert abs(u - 0.3) <= 1e-12 and abs(du + 0.2) <= 1e-12
-
-
 def _assert_root(f, lo, hi, root, tol=1e-12):
     """The bracket closes within 20 evaluations of f, and its midpoint lies
     within tol/2 of the root."""

@@ -7,7 +7,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from extflow import cli, models, spectra
-from extflow.numerics import find_root, magnus_propagators, magnus_transfer, ode_solve
+from extflow.numerics import find_root, ode_solve
+from extflow.spectra import magnus_propagators, magnus_transfer
 from extflow.errors import (
     DynamicRangeExceeded,
     IllPosed,
@@ -376,6 +377,72 @@ class TestShooting:
         # nu = 0.1: one ladder step alone spans e^{20 pi} >> 1e12
         with pytest.raises(DynamicRangeExceeded):
             spectra.shoot_negative_eigenvalues(-0.26, 0.0, 2)
+
+
+class TestMagnus:
+    @pytest.mark.parametrize("q", [4.0, -9.0])
+    def test_constant_coefficient_is_exact_at_any_step(self, q):
+        # u'' = q u with (u, u') = (1, 0) at 0: u = cosh(k z) or cos(k z),
+        # k = sqrt|q|; one Magnus step is exact for a constant q, whatever
+        # its length
+        z = np.array([0.0, 0.3, 1.7, 2.0, 5.5])
+        u, du = magnus_transfer(
+            magnus_propagators(lambda x: np.full_like(x, q), z[:-1], np.diff(z)),
+            1.0, 0.0)
+        k = math.sqrt(abs(q))
+        if q > 0:
+            want = (math.cosh(5.5 * k), k * math.sinh(5.5 * k))
+        else:
+            want = (math.cos(5.5 * k), -k * math.sin(5.5 * k))
+        scale = max(abs(want[0]), abs(want[1]))
+        # measured <= 6.3e-16 relative
+        assert abs(u - want[0]) <= 1e-14 * scale and abs(du - want[1]) <= 1e-14 * scale
+
+    def test_sixth_order_on_the_airy_equation(self):
+        # u'' = z u from z = 4 down to -6 with (Ai, Ai') from mpmath: halving
+        # the steps divides the error by 2^6
+        mpmath = pytest.importorskip("mpmath")
+
+        def exact(z):
+            return float(mpmath.airyai(z)), float(mpmath.airyai(z, derivative=1))
+
+        errors = []
+        for n in (40, 80, 160):
+            z = np.linspace(4.0, -6.0, n + 1)
+            u, du = magnus_transfer(
+                magnus_propagators(lambda x: x, z[:-1], np.diff(z)), *exact(4.0))
+            errors.append(max(abs(u - exact(-6.0)[0]), abs(du - exact(-6.0)[1])))
+        # measured ratios 66 and 64
+        assert 50 < errors[0] / errors[1] < 70 and 50 < errors[1] / errors[2] < 70
+
+    def test_step_of_either_sign(self):
+        # the Gauss-point Magnus step is symmetric, exp(Omega(-h)) =
+        # exp(Omega(h))^{-1}, so the transfer back over the same intervals
+        # undoes the one forward to rounding
+        z = np.linspace(0.0, 3.0, 13)
+        forward = magnus_propagators(lambda x: 1 + x * x, z[:-1], np.diff(z))
+        back = magnus_propagators(lambda x: 1 + x * x, z[:0:-1], -np.diff(z)[::-1])
+        u, du = magnus_transfer(back, *magnus_transfer(forward, 0.3, -0.2))
+        # measured 1.5e-13, after a growth of about e^6 and back
+        assert abs(u - 0.3) <= 1e-12 and abs(du + 0.2) <= 1e-12
+
+
+class TestLogGamma:
+    def test_log_gamma_matches_mpmath(self):
+        mpmath = pytest.importorskip("mpmath")
+        for gamma in np.linspace(-30.0, 0.74, 97):
+            mu2 = gamma + 0.25
+            mu = math.sqrt(mu2) if mu2 > 0 else 1j * math.sqrt(-mu2)
+            for z in (mu, -mu):
+                if abs(z) < 1e-12:
+                    continue
+                ref = complex(mpmath.loggamma(z))
+                # measured <= 4.3e-15
+                assert abs(spectra.log_gamma(z) - ref) < 5e-14 * max(1.0, abs(ref))
+        # the fall-to-center ladder reads arg Gamma(1 + i nu); measured <= 2.7e-15
+        for nu in np.linspace(0.05, 100.0, 97):
+            ref = complex(mpmath.loggamma(1 + 1j * nu))
+            assert abs(spectra.log_gamma(1 + 1j * nu) - ref) < 5e-14 * max(1.0, abs(ref))
 
 
 class TestInwardShot:

@@ -5,8 +5,8 @@ import numpy as np
 import pytest
 
 from extflow import models, weylcheck
-from extflow.errors import DynamicRangeExceeded
-from extflow.weylcheck import GridOperator
+from extflow.errors import DynamicRangeExceeded, InsufficientData, InvalidArgument
+from extflow.weylcheck import GridOperator, represent
 
 # Dense oracle: the grid operators as n x n matrices, built here from their
 # definitions (U_t = diag(e^{i x_j t}) on x_j = j h, V_s the k-fold
@@ -263,7 +263,7 @@ def fd_fit(model, kind, t):
     root_w = np.sqrt(np.r_[h / 2, np.full(len(xs) - 2, h), h / 2])
 
     def values(rep, f):
-        return lambda x: rep(lambda y: (f(y),))(x)[0]
+        return lambda x: represent(rep, lambda y: (f(y),))(x)[0]
 
     def apply(f, x):
         if model.generator_kind == "first-order":
@@ -451,17 +451,20 @@ class TestJets:
         xs = np.linspace(0.05, getattr(model, "length", 6.0), 97)
         for _, jet in weylcheck.default_test_functions(model):
             for t1, t2 in ((0.7, -1.9), (3.0, 4.0), (-2.5, 2.5)):
-                composed = model.representation(kind, t1)(model.representation(kind, t2)(jet))
-                for got, want in zip(composed(xs), model.representation(kind, t1 + t2)(jet)(xs)):
+                composed = represent(model.representation(kind, t1),
+                                     represent(model.representation(kind, t2), jet))
+                for got, want in zip(composed(xs), represent(model.representation(kind, t1 + t2),
+                                                             jet)(xs)):
                     assert np.abs(got - want).max() <= 1e-13 * np.abs(want).max()
-            back = model.representation(kind, 1.3)(model.representation(kind, -1.3)(jet))
+            back = represent(model.representation(kind, 1.3),
+                             represent(model.representation(kind, -1.3), jet))
             for got, want in zip(back(xs), jet(xs)):
                 assert np.abs(got - want).max() <= 1e-13 * np.abs(want).max()
 
     def test_right_shift_acts_on_every_component(self):
         xs = np.linspace(0.0, 4.0, 41)
         jet = weylcheck.default_test_functions(models.HalflineModel())[1][1]
-        for got, want in zip(models.right_shift(1.5, jet)(xs), jet(xs - 1.5)):
+        for got, want in zip(weylcheck.right_shift(1.5, jet)(xs), jet(xs - 1.5)):
             assert np.array_equal(got, np.where(xs > 1.5, want, 0.0))
 
 
@@ -483,6 +486,32 @@ class TestCommutationPhase:
             assert out["relative_residual"] < 1e-9
             worse = out["alternatives"][0]["relative_residual"]
             assert worse > 1e-3
+        # criterion 8 reads the first pair, where the phase is 1 exactly
+        assert weylcheck.measure_commutation_phase(m, "scaling", 0.7, 0.5)["phase"] == 1
+
+    @pytest.mark.parametrize("model, kind, t, s", [
+        (models.HalflineModel(), "scaling", -1.8, 5.0),
+        (models.IntervalModel(1.0), "translation", 1.3, 1.5),
+    ], ids=["halfline-scaling", "interval-past-l"])
+    def test_vanishing_left_side_is_undetermined(self, model, kind, t, s):
+        # U_t V_s f is zero on the whole sample grid: on the half-line V_s f
+        # starts at x = 5 and U_t reads it at e^t x <= 4.96; on (0, 1] the
+        # shift by s > l leaves nothing. Every phase fits, so none is reported
+        with pytest.raises(InsufficientData, match="undetermined"):
+            weylcheck.measure_commutation_phase(model, kind, t, s)
+
+    def test_vanishing_right_side_fails_with_residual_one(self):
+        # at t = 1.8, s = 5 the orientation e^{+t} shifts U_t f by 30.25,
+        # past the grid's end: that candidate reads phase 0 and residual 1,
+        # and the orientation e^{-t} still measures phase 1
+        out = weylcheck.measure_commutation_phase(models.HalflineModel(), "scaling", 1.8, 5.0)
+        assert out["scale_exponent"] == -1.0 and abs(out["phase"] - 1.0) <= 2e-15
+        assert out["alternatives"][0]["phase"] == 0j
+        assert out["alternatives"][0]["relative_residual"] == 1.0
+
+    def test_second_order_model_has_no_shift_semigroup(self):
+        with pytest.raises(InvalidArgument, match="not first-order"):
+            weylcheck.measure_commutation_phase(models.inverse_square(-2.0), "scaling", 0.7, 0.5)
 
 
 class TestNonequivalence:
