@@ -101,7 +101,8 @@ _KEYS = {
     "t": ((1.0,), _parse_list(float), "group parameter(s), comma separated",
           (bool, "needs at least one value")),
     "n": ((256,), _parse_list(int), "grid size(s), comma separated",
-          (lambda ns: min(ns, default=0) >= 8, "needs every grid size at least 8, got {!r}")),
+          (lambda ns: 8 <= min(ns, default=0) and max(ns) <= 2**20,
+           "needs every grid size from 8 to 1048576, got {!r}")),
     "tol": (None, float, "check tolerance", _POSITIVE),
     "theta": (None, float, "boundary phase angle", None),
     "rho": (None, _parse_complex, "interval boundary multiplier, e.g. 0.36 or 0.3+0.1j",

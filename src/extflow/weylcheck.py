@@ -13,15 +13,17 @@ The interval grid uses the one-sided (upwind) difference for i d/dx with a
 Dirichlet condition at 0, which makes the semigroup an exact down-shift for
 on-grid times. Every grid operator is therefore stored by its structure, a
 diagonal times a k-fold down-shift: U_t is the diagonal of phases e^{i x_j t}
-and V_s the shift by k = round(s/h). Products stay of that form, so the
-commutator U_t V_s - e^{i s t} V_s U_t has a single nonzero diagonal and
-its operator norm is the exact maximum of that diagonal, in O(n). The
-relation then holds to machine precision on the grid, while off-grid times
-are realized by nearest-grid rounding and converge at first order. One
-sweep, residual_rows, serves the weyl and refine commands and the
-acceptance battery, on worker threads when asked, and refinement_order
-fits its convergence order. The nilpotency index n h of the shift
-semigroup is fixed by the construction.
+and V_s = diag(v) S^k with k = round(s/h). The commutator
+U_t V_s - e^{i s t} V_s U_t is then the single diagonal
+v_j (u_j - e^{i s t} u_{j-k}) times S^k, read off the two diagonals with no
+operator product formed, and its operator norm is the exact maximum of that
+diagonal, in O(n). The relation then holds to machine precision on the
+grid, while off-grid times are realized by nearest-grid rounding and
+converge at first order. One sweep, residual_rows, serves the weyl and
+refine commands and the acceptance battery: it builds the grid and V_s once
+per size and takes the (n, t) cells on worker threads when asked, and
+refinement_order fits its convergence order. The nilpotency index n h of
+the shift semigroup is fixed by the construction.
 """
 
 from __future__ import annotations
@@ -69,24 +71,6 @@ class GridOperator:
     def shape(self) -> tuple:
         return (len(self.diag), len(self.diag))
 
-    def __matmul__(self, other: "GridOperator") -> "GridOperator":
-        # D1 S^k1 D2 S^k2 = D1 (S^k1 D2 S^-k1) S^(k1+k2), and S^k1 D2 S^-k1
-        # is D2 moved down by k1
-        n, k1 = len(self.diag), self.shift
-        k = min(k1 + other.shift, n)
-        d = np.zeros(n, dtype=complex)
-        d[k:] = self.diag[k:] * other.diag[k - k1:n - k1]
-        return GridOperator(d, k)
-
-    def __rmul__(self, scalar: complex) -> "GridOperator":
-        return GridOperator(scalar * self.diag, self.shift)
-
-    def __sub__(self, other: "GridOperator") -> "GridOperator":
-        if other.shift != self.shift:
-            raise InvalidArgument("the difference of two shifts by different counts "
-                             "is not a diagonal times a shift")
-        return GridOperator(self.diag - other.diag, self.shift)
-
 
 def build_interval_grid(length: float, n: int) -> IntervalGrid:
     """The grid for upwind i d/dx with f(0) = 0 and multiplication by x."""
@@ -97,7 +81,7 @@ def build_interval_grid(length: float, n: int) -> IntervalGrid:
 
 def unitary_group(grid: IntervalGrid, t: float) -> GridOperator:
     """e^{i x t}: the diagonal of phases e^{i x_j t}."""
-    return GridOperator(np.exp(1j * grid.nodes * t), 0)
+    return GridOperator(np.exp(grid.nodes * (1j * t)), 0)
 
 
 def semigroup(grid: IntervalGrid, s: float) -> GridOperator:
@@ -124,22 +108,16 @@ def operator_norm(op: GridOperator) -> float:
 
 def weyl_residual(u: GridOperator, v: GridOperator, t: float, s: float) -> float:
     """Operator norm of U_t V_s - e^{i s t} V_s U_t, the translation case
-    g_t(x) = x + t of the relation. Both products shift by k, so the
-    difference is diag(u_j - e^{i s t} u_{j-k}) S^k and its norm is exact."""
-    # a Python complex, so that the product below is GridOperator.__rmul__
-    # and not a numpy broadcast over the operator
+    g_t(x) = x + t of the relation: for U_t = diag(u) and V_s = diag(v) S^k
+    it is diag(v_j (u_j - e^{i s t} u_{j-k})) S^k, read from the diagonals,
+    and its norm is exact. InvalidArgument for a U_t that shifts."""
+    if u.shift:
+        raise InvalidArgument("U_t must be a multiplication operator, "
+                              f"not a shift by {u.shift}")
+    n = len(u.diag)
+    k = min(v.shift, n)
     phase = complex(np.exp(1j * s * t))
-    return operator_norm(u @ v - phase * (v @ u))
-
-
-def residual_row(length: float, n: int, t: float, on_grid: bool) -> dict:
-    """The residual at semigroup time s = (n//3) h on the grid, or half a
-    spacing off it, the worst case for nearest-grid rounding."""
-    grid = build_interval_grid(length, n)
-    s = (n // 3 + (0.0 if on_grid else 0.5)) * grid.h
-    res = weyl_residual(unitary_group(grid, t), semigroup(grid, s), t, s)
-    return {"n": n, "h": grid.h, "t": float(t), "s": float(s),
-            "variant": "on-grid" if on_grid else "off-grid", "residual": res}
+    return operator_norm(GridOperator(v.diag[k:] * (u.diag[k:] - phase * u.diag[:n - k]), 0))
 
 
 # ---------------------------------------------------------------------------
@@ -147,15 +125,33 @@ def residual_row(length: float, n: int, t: float, on_grid: bool) -> dict:
 # ---------------------------------------------------------------------------
 
 def residual_rows(length: float, n_list, t_values, on_grid: bool, jobs: int = 1) -> list:
-    """residual_row for every grid size and group parameter, sorted by (n, t)
-    whatever the number of worker threads."""
-    cells = [(length, n, t, on_grid) for n in sorted(n_list) for t in t_values]
+    """The residual for every listed grid size n and group parameter t, at
+    semigroup time s = (n//3) h on the grid, or half a spacing off it, the
+    worst case for nearest-grid rounding. The grid and V_s depend on n alone
+    and are built once per distinct size; the (n, t) cells run on worker
+    threads when asked. Rows come sorted by (n, t) whatever the number of
+    threads, and a size listed twice gives its rows twice."""
+    variant = "on-grid" if on_grid else "off-grid"
+    sizes = {}
+    for n in sorted(set(n_list)):
+        grid = build_interval_grid(length, n)
+        s = (n // 3 + (0.0 if on_grid else 0.5)) * grid.h
+        sizes[n] = grid, s, semigroup(grid, s)
+
+    def row(cell):
+        n, t = cell
+        grid, s, v = sizes[n]
+        res = weyl_residual(unitary_group(grid, t), v, t, s)
+        return {"n": n, "h": grid.h, "t": float(t), "s": float(s), "variant": variant,
+                "residual": res}
+
+    cells = [(n, t) for n in sorted(n_list) for t in t_values]
     if jobs > 1:
         from concurrent.futures import ThreadPoolExecutor
         with ThreadPoolExecutor(max_workers=jobs) as pool:
-            rows = list(pool.map(lambda cell: residual_row(*cell), cells))
+            rows = list(pool.map(row, cells))
     else:
-        rows = [residual_row(*cell) for cell in cells]
+        rows = list(map(row, cells))
     return sorted(rows, key=lambda r: (r["n"], r["t"]))
 
 

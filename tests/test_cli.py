@@ -94,7 +94,8 @@ class TestConfig:
         (["shoot", "--count=0", "--theta=inf"], "shoot: every numeric input must be finite"),
         (["shoot", "--count=10" + "0" * 400, "--gamma=nan"],
          "shoot: every numeric input must be finite"),
-        (["weyl", "--jobs=0", "--n=4"], "weyl: 'n' needs every grid size at least 8, got [4]"),
+        (["weyl", "--jobs=0", "--n=4"],
+         "weyl: 'n' needs every grid size from 8 to 1048576, got [4]"),
         (["weyl", "--format=xml", "--jobs=0"], "weyl: 'jobs' must be at least 1, got 0"),
         (["period", "--model=interval", "--t-max=-1", "--tol=0"],
          "period: 'tol' must be positive, got 0.0"),
@@ -463,8 +464,15 @@ class TestExitCodes:
         ["certify-nonequivalence", "--l2", "2", "--n", "4"],
         ["refine", "--n", "64,64,64"],
         ["refine", "--n", "64,128,64"],
+        ["weyl", "--n", "1000000000000000"],
+        ["weyl", "--n", "64,99999999999999999999999"],
+        ["refine", "--n", "64,128,1000000000000000"],
+        ["refine", "--n", "99999999999999999999999,64,128"],
+        ["certify-nonequivalence", "--l2", "2", "--n", "1000000000000000"],
+        ["certify-nonequivalence", "--l2", "2", "--n", "99999999999999999999999"],
     ], ids=["weyl-4", "weyl-7", "refine-4", "certify-4", "refine-one-size",
-            "refine-two-sizes"])
+            "refine-two-sizes", "weyl-1e15", "weyl-1e23", "refine-1e15", "refine-1e23",
+            "certify-1e15", "certify-1e23"])
     def test_grid_sizes_are_configuration_errors(self, argv, tmp_path, capsys):
         code = cli.main([*argv, "--out", str(tmp_path / "x.json")])
         err = capsys.readouterr().err

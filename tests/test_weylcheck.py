@@ -1,4 +1,5 @@
 import cmath
+import collections
 import math
 
 import numpy as np
@@ -80,21 +81,6 @@ class TestGridOperators:
         with pytest.raises(ValueError):
             weylcheck.build_interval_grid(1.0, 4)
 
-    def test_products_match_dense(self):
-        rng = np.random.default_rng(4)
-        for k1, k2 in ((0, 0), (0, 5), (3, 0), (7, 9), (20, 30), (40, 1)):
-            a = random_operator(rng, 48, k1)
-            b = random_operator(rng, 48, k2)
-            assert np.abs(to_dense(a @ b) - to_dense(a) @ to_dense(b)).max() < 1e-12
-            c = random_operator(rng, 48, k1)
-            diff = to_dense(a - (0.3 - 0.7j) * c)
-            assert np.abs(diff - (to_dense(a) - (0.3 - 0.7j) * to_dense(c))).max() < 1e-12
-
-    def test_different_shifts_do_not_subtract(self):
-        rng = np.random.default_rng(5)
-        with pytest.raises(ValueError):
-            random_operator(rng, 16, 2) - random_operator(rng, 16, 3)
-
     @pytest.mark.parametrize("n, k", [(16, 0), (16, 5), (64, 63), (64, 64), (200, 17)])
     def test_norm_matches_dense(self, n, k):
         op = random_operator(np.random.default_rng(n + k), n, k)
@@ -116,7 +102,7 @@ class TestUnitaryGroup:
         u1 = weylcheck.unitary_group(grid256, 0.8)
         u2 = weylcheck.unitary_group(grid256, 1.9)
         u12 = weylcheck.unitary_group(grid256, 2.7)
-        assert np.abs((u1 @ u2).diag - u12.diag).max() < 1e-12
+        assert np.abs(u1.diag * u2.diag - u12.diag).max() < 1e-12
         assert np.abs(to_dense(u1) @ to_dense(u2) - to_dense(u12)).max() < 1e-12
 
     def test_preserves_norms(self, grid256):
@@ -143,7 +129,6 @@ class TestSemigroup:
         v1 = weylcheck.semigroup(grid256, 17 * h)
         v2 = weylcheck.semigroup(grid256, 40 * h)
         v12 = weylcheck.semigroup(grid256, 57 * h)
-        assert np.abs(to_dense(v1 @ v2) - to_dense(v12)).max() < 1e-8
         assert np.abs(to_dense(v1) @ to_dense(v2) - to_dense(v12)).max() < 1e-8
 
     def test_contraction(self, grid256):
@@ -200,6 +185,36 @@ class TestWeylResidual:
                 assert got == pytest.approx(dense_residual(length, n, t, s),
                                             rel=1e-12, abs=0.0)
 
+    def test_non_unit_semigroup_diagonal_matches_dense_norm(self, grid256):
+        # the residual reads V_s's diagonal too, not only its shift
+        rng = np.random.default_rng(6)
+        n = grid256.n
+        for k, t in ((0, 20.7), (1, -3.3), (85, 2.5), (255, 9.1), (256, 1.0)):
+            u, v = weylcheck.unitary_group(grid256, t), random_operator(rng, n, k)
+            s = (k + 0.5) * grid256.h   # off the grid, so no term cancels to rounding
+            du, dv = to_dense(u), to_dense(v)
+            expect = np.linalg.norm(du @ dv - np.exp(1j * s * t) * (dv @ du), 2)
+            assert weylcheck.weyl_residual(u, v, t, s) == pytest.approx(
+                expect, rel=1e-12, abs=0.0)
+
+    def test_shifted_unitary_is_rejected(self, grid256):
+        u = random_operator(np.random.default_rng(7), grid256.n, 3)
+        with pytest.raises(InvalidArgument):
+            weylcheck.weyl_residual(u, weylcheck.semigroup(grid256, 0.1), 1.0, 0.1)
+
+    def test_grid_and_semigroup_once_per_size(self, monkeypatch):
+        # the grid and V_s depend on n alone; U_t and the residual on the cell
+        calls = collections.Counter()
+        for name in ("build_interval_grid", "semigroup", "unitary_group", "weyl_residual"):
+            def counted(*args, _name=name, _inner=getattr(weylcheck, name)):
+                calls[_name] += 1
+                return _inner(*args)
+            monkeypatch.setattr(weylcheck, name, counted)
+        rows = weylcheck.residual_rows(1.0, [64, 64, 128], [1.0, -2.5], on_grid=False)
+        assert len(rows) == 6
+        assert calls == {"build_interval_grid": 2, "semigroup": 2,
+                         "unitary_group": 6, "weyl_residual": 6}
+
     def test_off_grid_first_order(self):
         order = weylcheck.refinement_order(weylcheck.residual_rows(
             1.0, [128, 256, 512, 1024], [1.0, 2.5], on_grid=False))
@@ -228,7 +243,8 @@ class TestWeylResidual:
         rows = weylcheck.residual_rows(*args)
         assert [(r["n"], r["t"]) for r in rows] == sorted(
             (n, t) for n in [256, 64, 128, 64] for t in [1.5, -0.5, 1.5])
-        assert rows == [weylcheck.residual_row(1.0, r["n"], r["t"], False) for r in rows]
+        assert rows == [weylcheck.residual_rows(1.0, [r["n"]], [r["t"]], False)[0]
+                        for r in rows]
         assert weylcheck.residual_rows(*args, jobs=jobs) == rows
 
     def test_residual_independent_of_t_on_grid(self, grid256):
