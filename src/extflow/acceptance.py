@@ -92,7 +92,8 @@ def criterion_2_interval_invariant_extension() -> CriterionResult:
         ok = ok and len(rep.fixed_points) == 1
         v, kind = rep.fixed_points[0]
         ok = ok and kind == DISSIPATIVE
-        ok = ok and abs(v - math.exp(-length)) <= 1e-8
+        # measured at most 2.2e-16, over 101 lengths in [0.3, 3] and these three
+        ok = ok and abs(v - math.exp(-length)) <= 1e-14
         checks[f"unique dissipative at e^-l [l={length}]"] = ok
         details[f"fixed_point[l={length}]"] = v
     return _finish("criterion 2: interval invariant extension", 5.0, start,

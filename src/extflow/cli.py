@@ -28,8 +28,6 @@ import sys
 import time
 from types import SimpleNamespace
 
-import numpy as np
-
 from . import flow, mobius, models
 from .affine import GROUPS, subgroup_eval
 from .errors import ExtflowError, IncompatibleModelGroup, InvalidArgument, ParseError
@@ -116,7 +114,8 @@ _KEYS = {
     "v0": (None, _parse_complex, "orbit start parameter (default 0.3, 0 on the halfline)",
            (lambda v: abs(v) <= 1.0, "must have modulus at most 1, got {!r}")),
     "t_max": (None, float, "period search bound", _POSITIVE),
-    "jobs": (1, int, "worker threads", (lambda j: j >= 1, "must be at least 1, got {!r}")),
+    "jobs": (1, int, "worker threads, at most one per core",
+             (lambda j: j >= 1, "must be at least 1, got {!r}")),
     "out": (None, str, "output path (default stdout)", None),
     "format": ("json", str, "json or csv",
                (("json", "csv").__contains__, "must be json or csv, got {!r}")),
@@ -482,10 +481,10 @@ COMMANDS = tuple(_COMMANDS)
 # emission: deterministic JSON / CSV
 # ---------------------------------------------------------------------------
 
-def _format_number(x) -> str:
+def _format_number(x: float) -> str:
     # x - x is 0 exactly when x is finite; nan and inf are quoted
     if x - x == 0:
-        return str(x) if isinstance(x, int) else f"{x:.17g}"
+        return f"{x:.17g}"
     return '"nan"' if x != x else f'"{x}"'
 
 
@@ -503,15 +502,16 @@ class _Quoted(dict):
 
 
 _quoted = _Quoted().__getitem__
-# scalars of exact builtin types; subclasses and numpy scalars take isinstance tests
+# the payload's scalars, by exact builtin type; a complex is an object
 _SCALARS = {float: _format_number, str: _quoted, int: str,
             bool: ("false", "true").__getitem__, type(None): lambda _: "null"}
 
 
 def to_json(obj, indent: int = 0) -> str:
     """JSON with floats at 17 significant digits and sorted keys; complex
-    numbers become {"im": ..., "re": ...} objects. One pass appending to
-    one list, one append for each scalar member or item."""
+    numbers become {"im": ..., "re": ...} objects, and a leaf that is not a
+    builtin scalar of exact type raises TypeError. One pass appending to one
+    list, one append for each scalar member or item."""
     parts = []
     _write_json(obj, indent, parts.append)
     return "".join(parts)
@@ -554,14 +554,8 @@ def _write_json(obj, depth: int, put) -> None:
                 _write_json(item, depth + 1, put)
             sep = next_sep
         put("\n" + " " * depth + "]")
-    elif isinstance(obj, str):
-        put(_quote(obj))
-    elif isinstance(obj, np.bool_):
-        put("true" if obj else "false")
-    elif isinstance(obj, (int, float, np.integer, np.floating)):
-        put(_format_number(float(obj) if isinstance(obj, np.floating) else obj))
-    elif isinstance(obj, (complex, np.complexfloating)):
-        _write_json({"re": float(obj.real), "im": float(obj.imag)}, depth, put)
+    elif type(obj) is complex:
+        _write_json({"re": obj.real, "im": obj.imag}, depth, put)
     else:
         raise TypeError(f"cannot serialize {type(obj)!r}")
 

@@ -144,14 +144,6 @@ class FlowGenerator:
     c: complex
     det: float
 
-    def exp(self, t: float) -> LinearFractionalMap:
-        """exp(tX) = cos(tw) + sin(tw)/w X with w^2 = det X."""
-        w = cmath.sqrt(self.det)
-        s = cmath.sin(t * w) / w if w else t
-        cos = cmath.cos(t * w)
-        return mobius.from_coefficients(cos + s * self.a, s * self.b,
-                                        s * self.c, cos - s * self.a)
-
     def zeros(self) -> list[complex]:
         """Zeros of the field b + 2av - cv^2, which the whole flow fixes:
         (a +- sqrt(-det X))/c, one from the sign that avoids cancellation
@@ -159,17 +151,6 @@ class FlowGenerator:
         root = cmath.sqrt(-self.det)
         q = self.a + root if (self.a.conjugate() * root).real >= 0 else self.a - root
         return [q / self.c] if self.det == 0 else [q / self.c, -self.b / q]
-
-    def tag(self, t: float) -> MapTag:
-        """The class of exp(tX) from the sign of det X; an elliptic element
-        within ID_TOL of the identity is the identity."""
-        if self.det < 0:
-            return MapTag.HYPERBOLIC
-        if self.det == 0:
-            return MapTag.PARABOLIC
-        if mobius.projective_distance(self.exp(t), IDENTITY_MAP) <= ID_TOL:
-            return MapTag.IDENTITY
-        return MapTag.ELLIPTIC
 
 
 def generator(model, group: str) -> FlowGenerator:
@@ -213,9 +194,10 @@ class InvarianceReport:
 def invariant_extensions(model, group: str) -> InvarianceReport:
     """The invariant extensions of a one-parameter subgroup: the zeros of its
     generator X in the closed ball, and the class of exp(tX) at each of
-    T_SAMPLES. The flow element at each sample, built from the overlaps and
-    not from X, must move each zero by at most FP_TOL and have the trace
-    +-2 cos(t sqrt(det X)) within TRACE_TOL."""
+    T_SAMPLES from the sign of det X. The flow element at each sample, built
+    from the overlaps and not from X, must move each zero by at most FP_TOL
+    and have the trace +-2 cos(t sqrt(det X)) within TRACE_TOL; an elliptic
+    element within ID_TOL of the identity is the identity."""
     if model.deficiency_dims == (0, 1):
         return InvarianceReport(
             fixed_points=[(None, DISSIPATIVE)],
@@ -227,8 +209,10 @@ def invariant_extensions(model, group: str) -> InvarianceReport:
     gen = generator(model, group)
     tagged = _in_ball(gen.zeros())
     w = cmath.sqrt(gen.det)
+    flow_class = {}
     for t in T_SAMPLES:
-        m = gamma_map(model, subgroup_eval(group, t)).mobius
+        fm = gamma_map(model, subgroup_eval(group, t))
+        m = fm.mobius
         moved = max((abs(mobius.apply(m, z) - z) for z, _ in tagged), default=math.inf)
         trace_error = min(abs(m.a + m.d + sign * 2 * cmath.cos(t * w)) for sign in (1, -1))
         if moved > FP_TOL or trace_error > TRACE_TOL:
@@ -236,6 +220,9 @@ def invariant_extensions(model, group: str) -> InvarianceReport:
                 f"the element at t = {t} moves X's zeros {tagged} by {moved:.3e} "
                 f"(FP_TOL {FP_TOL}), and its trace is {trace_error:.3e} from "
                 f"+-2cos(t sqrt(det X)) (TRACE_TOL {TRACE_TOL})")
+        flow_class[t] = (MapTag.HYPERBOLIC if gen.det < 0 else MapTag.PARABOLIC if gen.det == 0
+                         else MapTag.IDENTITY if fm.distance_to_identity() <= ID_TOL
+                         else MapTag.ELLIPTIC)
     interior = any(kind == DISSIPATIVE for _, kind in tagged)
     notes = []
     if len(tagged) == 1 and not interior:
@@ -243,7 +230,7 @@ def invariant_extensions(model, group: str) -> InvarianceReport:
                      "self-adjoint invariant extensions coincide")
     return InvarianceReport(
         fixed_points=tagged,
-        flow_class={t: gen.tag(t) for t in T_SAMPLES},
+        flow_class=flow_class,
         group_verdict=(Verdict.UNIQUE_DISSIPATIVE if interior
                        else Verdict.TWO_SELF_ADJOINT),
         notes=notes,

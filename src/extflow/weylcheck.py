@@ -30,11 +30,14 @@ from __future__ import annotations
 
 import cmath
 import math
+import os
 from dataclasses import dataclass
 
 import numpy as np
 
 from .errors import DynamicRangeExceeded, InsufficientData, InvalidArgument
+
+_CORES = os.cpu_count() or 1
 
 
 # ---------------------------------------------------------------------------
@@ -128,9 +131,10 @@ def residual_rows(length: float, n_list, t_values, on_grid: bool, jobs: int = 1)
     """The residual for every listed grid size n and group parameter t, at
     semigroup time s = (n//3) h on the grid, or half a spacing off it, the
     worst case for nearest-grid rounding. The grid and V_s depend on n alone
-    and are built once per distinct size; the (n, t) cells run on worker
-    threads when asked. Rows come sorted by (n, t) whatever the number of
-    threads, and a size listed twice gives its rows twice."""
+    and are built once per distinct size; the (n, t) cells run on up to jobs
+    worker threads, at most one per core, since more cannot speed CPU-bound
+    cells. Rows come sorted by (n, t) whatever the number of threads, and a
+    size listed twice gives its rows twice."""
     variant = "on-grid" if on_grid else "off-grid"
     sizes = {}
     for n in sorted(set(n_list)):
@@ -146,9 +150,10 @@ def residual_rows(length: float, n_list, t_values, on_grid: bool, jobs: int = 1)
                 "residual": res}
 
     cells = [(n, t) for n in sorted(n_list) for t in t_values]
-    if jobs > 1:
+    workers = min(jobs, _CORES)
+    if workers > 1:
         from concurrent.futures import ThreadPoolExecutor
-        with ThreadPoolExecutor(max_workers=jobs) as pool:
+        with ThreadPoolExecutor(max_workers=workers) as pool:
             rows = list(pool.map(row, cells))
     else:
         rows = list(map(row, cells))

@@ -13,7 +13,7 @@ import math
 
 import pytest
 
-from extflow import acceptance, spectra
+from extflow import acceptance, flow, spectra
 
 
 def _run(criterion):
@@ -33,6 +33,21 @@ class TestAcceptance:
         result = _run(acceptance.criterion_2_interval_invariant_extension)
         assert result.details["fixed_point[l=1.0]"] == pytest.approx(
             math.exp(-1.0), abs=1e-8)
+
+    def test_criterion_2_fails_a_fixed_point_off_by_1e_12(self, monkeypatch):
+        # the bound is 1e-14, against 2.2e-16 measured: a fixed point scaled
+        # by 1 + 1e-12 (within the former bound of 1e-8) fails the criterion
+        real = flow.invariant_extensions
+
+        def scaled(model, group):
+            rep = real(model, group)
+            rep.fixed_points = [(v * (1 + 1e-12), kind) for v, kind in rep.fixed_points]
+            return rep
+
+        monkeypatch.setattr(flow, "invariant_extensions", scaled)
+        result = acceptance.criterion_2_interval_invariant_extension()
+        assert not result.passed
+        assert not any(result.details["checks"].values())
 
     def test_criterion_3_cyclic_period(self):
         result = _run(acceptance.criterion_3_cyclic_period)

@@ -216,6 +216,21 @@ class TestInvariantExtensions:
         (v, kind), = rep.fixed_points
         assert kind == DISSIPATIVE
         assert v == pytest.approx(math.exp(-length), abs=1e-8)
+        assert rep.flow_class == dict.fromkeys(flow.T_SAMPLES, MapTag.IDENTITY)
+
+    @pytest.mark.parametrize("model", [models.IntervalModel(1.0), models.inverse_square(-2.0)],
+                             ids=["interval", "gamma=-2"])
+    def test_elliptic_classes_come_from_the_sampled_elements(self, model, monkeypatch):
+        # one element per sample, from the overlaps: the class of an elliptic
+        # sample reads that element, and no closed-form exp(tX) is built
+        calls = []
+        for module, name in ((flow, "gamma_map"), (mobius, "from_coefficients")):
+            original = getattr(module, name)
+            monkeypatch.setattr(module, name, lambda *args, name=name, original=original:
+                                calls.append(name) or original(*args))
+        rep = invariant_extensions(model, default_group(model))
+        assert rep.group_verdict is Verdict.UNIQUE_DISSIPATIVE
+        assert calls == ["gamma_map"] * 4
 
     def test_halfline_returns_the_operator_itself(self, halfline):
         rep = invariant_extensions(halfline, "translation")
@@ -389,6 +404,15 @@ def log_generator(model, group):
     return _logarithm(model, group, w / math.sqrt(gen[3]), w)
 
 
+def exp_element(gen, t):
+    """exp(tX) = cos(tw) + sin(tw)/w X with w^2 = det X, in closed form from
+    the generator: the oracle for the flow elements built from the overlaps."""
+    w = cmath.sqrt(gen.det)
+    s = cmath.sin(t * w) / w if w else t
+    cos = cmath.cos(t * w)
+    return mobius.from_coefficients(cos + s * gen.a, s * gen.b, s * gen.c, cos - s * gen.a)
+
+
 def _x_error(gen, a, b, c):
     """max entry deviation of (a, b, c) from X, relative to X's largest entry."""
     scale = max(abs(gen.a), abs(gen.b), abs(gen.c))
@@ -471,7 +495,7 @@ class TestGenerator:
             if abs(t) > t_max:
                 continue
             fm = gamma_map(model, subgroup_eval(group, t))
-            exact = gen.exp(t)
+            exact = exp_element(gen, t)
             assert max(abs(mobius.apply(fm.mobius, v) - mobius.apply(exact, v))
                        for v in flow._sample_parameters(25)) <= tol
 
@@ -483,7 +507,7 @@ class TestGenerator:
         gen = generator(model, "scaling")
         for t in (-698.0, -700.0, -705.0, -708.5, -709.7):
             fm = gamma_map(model, subgroup_eval("scaling", t))
-            exact = gen.exp(t)
+            exact = exp_element(gen, t)
             assert max(abs(mobius.apply(fm.mobius, v) - mobius.apply(exact, v))
                        for v in flow._sample_parameters(25)) <= 5e-14
 
