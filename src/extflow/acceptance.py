@@ -213,18 +213,19 @@ def criterion_7_fall_to_center() -> CriterionResult:
     ratios = [values[i] / values[i + 1] for i in range(len(values) - 1)]
     details["eigenvalues"] = values
     details["consecutive_ratios"] = ratios
-    checks["consecutive ratios match exp(2pi/nu) within 5%"] = all(
-        abs(r - step) <= 0.05 * step for r in ratios)
-    checks["ratio^2 matches kappa within 5%"] = all(
-        abs(r * r - kappa) <= 0.05 * kappa for r in ratios)
+    tol = spectra.RATIO_TOL
+    checks[f"consecutive ratios match exp(2pi/nu) within {tol:g} relative"] = all(
+        abs(r - step) <= tol * step for r in ratios)
+    checks[f"ratio^2 matches kappa within {tol:g} relative"] = all(
+        abs(r * r - kappa) <= tol * kappa for r in ratios)
     mapped_ok = True
     for lam in values:
         target = kappa * lam
         if target < values[0] * (1 + 0.05):
             continue    # image falls below the retrieved window
-        if not any(abs(target - w) <= 0.05 * abs(w) for w in values):
+        if not any(abs(target - w) <= tol * abs(w) for w in values):
             mapped_ok = False
-    checks["set maps into itself under kappa within 5%"] = mapped_ok
+    checks[f"set maps into itself under kappa within {tol:g} relative"] = mapped_ok
     literal = all(abs(r - kappa) <= 0.05 * kappa for r in ratios)
     details["literal_consecutive_matches_kappa"] = literal
     notes.append(

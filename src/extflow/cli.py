@@ -376,8 +376,9 @@ def _cmd_shoot(cfg):
     if len(eig) >= 2:
         rep = spectra.progression_ratio(eig)
         results["progression"] = dict(vars(rep))
-        checks["consecutive ratio within 5% of exp(2pi/nu)"] = (
-            rep.generator_deviation <= 0.05)
+        tol = spectra.RATIO_TOL
+        checks[f"consecutive ratio matches exp(2pi/nu) within {tol:g} relative"] = (
+            rep.generator_deviation <= tol)
     return results, checks
 
 
@@ -510,8 +511,9 @@ _SCALARS = {float: _format_number, str: _quoted, int: str,
 def to_json(obj, indent: int = 0) -> str:
     """JSON with floats at 17 significant digits and sorted keys; complex
     numbers become {"im": ..., "re": ...} objects, and a leaf that is not a
-    builtin scalar of exact type raises TypeError. One pass appending to one
-    list, one append for each scalar member or item."""
+    builtin scalar of exact type, or a key that is not an exact str, raises
+    TypeError. One pass appending to one list, one append for each scalar
+    member or item."""
     parts = []
     _write_json(obj, indent, parts.append)
     return "".join(parts)
@@ -529,9 +531,11 @@ def _write_json(obj, depth: int, put) -> None:
             put("{}")
             return
         sep, next_sep = "{\n" + " " * (depth + 1), ",\n" + " " * (depth + 1)
-        for key in sorted(obj, key=str):
+        for key in sorted(obj):
+            if type(key) is not str:
+                raise TypeError(f"cannot serialize a key of {type(key)!r}")
             value = obj[key]
-            head = sep + (_quoted(key) if type(key) is str else _quote(str(key))) + ": "
+            head = sep + _quoted(key) + ": "
             text = _SCALARS.get(type(value))
             if text is not None:
                 put(head + text(value))

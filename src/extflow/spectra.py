@@ -16,15 +16,16 @@ Each rung is read from the closed form and checked by shooting, which shares
 no code with it: two modified Pruefer phases in sigma = log(k x) meet at
 x = 1/k. The outward one sums the regular solution's power series (DLMF
 10.25.2). The inward one has no k in it and is formed once per ladder: the
-decaying solution of u'' = (1 + gamma/z^2) u, z = k x, is carried to z = 1
-by a batch of sixth-order Magnus propagators on a mesh fixed in advance,
-with the same leg on every other node as its error estimate. It starts
-where the WKB action past max(nu, 1) reaches S_IN = 18, which damps its
-start error by e^{-36}. The residual is the phase gap modulo pi, in
-radians, and the gap's multiple of pi counts the rungs, so a ladder that
-skips or repeats one raises NumericalInconsistency. The Magnus propagators
-and the Stirling series of log Gamma, whose phase places the ladder, live
-here with their only caller.
+decaying solution of w'' = (e^{2 sigma} - nu^2) w is carried to sigma = 0
+by a batch of sixth-order Magnus propagators on a uniform mesh whose step
+count is closed form in nu, with the same leg on every other node as its
+error estimate. It starts where the WKB action past max(nu, 1) reaches
+S_IN = 18, which damps its start error by e^{-36}. The residual is the
+phase gap modulo pi, in radians, and the gap's multiple of pi counts the
+rungs, so a ladder that skips or repeats one raises
+NumericalInconsistency. The Magnus propagators and the Stirling series of
+log Gamma, whose phase places the ladder, live here with their only
+caller.
 """
 
 from __future__ import annotations
@@ -128,16 +129,12 @@ def interval_dissipative_lattice(length: float, rho: complex, window,
 # by e^{-2 S} (Olver, Asymptotics and Special Functions, ch. 6): e^{-36} =
 # 2.3e-16 damps even an O(1) start error below rounding at x = 1/k
 _S_IN = 18.0
-# the mesh's steps, as a fraction of the length over which the leading
-# error term of one Magnus step is O(1); the estimate below then reads
-# 2e-10 to 2.6e-9 for every nu up to 224
-_MESH_STEP = 0.055
 # the largest accepted difference, in radians, between the leg and the same
 # leg with every other node dropped: 63 times the leg's own error, to
 # leading order, and far more than the error of the two extrapolated
 _PHASE_BUDGET = 1e-8
 # a leg that would need more steps raises NoConvergence; |gamma| <= 5e4
-# needs at most 11,000
+# needs at most 4,940
 _MAX_STEPS = 2 ** 17
 
 
@@ -202,75 +199,51 @@ def _inward_start(nu: float) -> float:
         z = nxt
 
 
-def _inward_mesh(nu: float, z_in: float, step: float) -> np.ndarray:
-    """Nodes from z_in down to exactly z = 1 for u'' = Q u, Q = 1 + gamma/z^2.
-
-    The leading error term of a sixth-order Magnus step of length h is
-    h^7 |Q'| Q^2, or h^7 |Q'|^{7/3} at the Airy scale near the turning point,
-    so a step is ``step`` times L = (|Q'| (Q^2 + |Q'|^{4/3}))^{-1/7}: in
-    proportion to z below the turning point (where L ~ z / nu^{6/7}) and at
-    it (the Airy scale |Q'|^{-1/3}). Past max(nu, 1) an error is damped on
-    the way in like the start error, by e^{-2 (S(z) - S(max(nu, 1)))}, so the
-    step widens by that factor to the power 1/7, up to h = Q^{-1/2}: there
-    ||A|| ~ 1, and the coarse leg's doubled steps stay within the Magnus
-    series' convergence bound, the integral of ||A|| below pi. The nodes
-    split the integral of 1/h from 1 to z_in, taken by the trapezoid rule on
-    257 geometric samples, into equal whole steps."""
-    gamma = -nu * nu - 0.25
-    far = max(nu, 1.0)
-    z = z_in ** (np.arange(257) / 256)
-    q = 1 + gamma / (z * z)
-    dq = -2 * gamma / (z * z * z)
-    beyond = np.maximum(z, far)
-    widen = np.exp(2 / 7 * (np.sqrt(beyond * beyond - nu * nu) - nu * np.arccos(nu / beyond)
-                            - _action(far, nu)))
-    density = np.maximum((dq * (q * q + dq ** (4 / 3))) ** (1 / 7) / (step * widen),
-                         np.sqrt(np.maximum(q, 0.0)))
-    count = np.cumsum(np.diff(z) * (density[1:] + density[:-1])) / 2
-    steps = math.ceil(count[-1])
-    if steps > _MAX_STEPS:
-        raise NoConvergence(f"the inward mesh needs {steps} steps at nu = {nu:.4g}")
-    # count / count[-1] ends at 1.0 exactly, and so do the levels, so the
-    # mesh ends at z_in and at z = 1 exactly
-    return np.interp(np.arange(steps, -1, -1) / steps,
-                     np.concatenate(([0.0], count / count[-1])), z)
-
-
 def _inward_phase(gamma: float, nu: float) -> float:
     """Pruefer phase at sigma = 0 of the solution that decays at infinity,
-    the same for every rung. With z = k x, u = sqrt(z) K_{i nu}(z) solves
-    u'' = (1 + gamma/z^2) u; (u, u') is carried from z_in, beyond the
-    turning point, to z = 1 by sixth-order Magnus propagators, from the
-    two-term decaying asymptotics u = e^{-z} (1 + gamma/(2 z)) up to a
-    constant factor (DLMF 10.40.2), and the phase is atan2(nu u, u' - u/2)
-    there. The same leg with every other node dropped, formed in the same
-    batch, gives the error estimate: above ``_PHASE_BUDGET`` the mesh step
-    is halved, and else the two phases are extrapolated in the step's sixth
-    power. Any error in the start data is damped by e^{-2 S_IN} on the way
-    in."""
+    the same for every rung. With z = k x = e^sigma, u = sqrt(z) K_{i nu}(z)
+    solves u'' = (1 + gamma/z^2) u, and w = u/sqrt(z) solves
+    w'' = (e^{2 sigma} - nu^2) w. (w, w') is carried from sigma = log z_in,
+    beyond the turning point, to sigma = 0 by sixth-order Magnus propagators
+    on a uniform mesh, from the two-term decaying asymptotics
+    u = e^{-z} (1 + gamma/(2 z)) up to a constant factor (DLMF 10.40.2), and
+    the phase is atan2(nu w, w') there. Below the turning point the
+    coefficient is nearly the constant -nu^2, for which a Magnus step is
+    exact, so the leg needs no step density: it first takes
+    2 ceil(max(30, 10 + 11 nu)) steps, and its estimate then reads at most
+    4.8e-9 for every nu up to 224. The same leg with every other node
+    dropped, formed in the same batch, gives the estimate: above
+    ``_PHASE_BUDGET`` the step count is doubled, and else the two phases are
+    extrapolated in the step's sixth power. Any error in the start data is
+    damped by e^{-2 S_IN} on the way in."""
     z_in = _inward_start(nu)
     c = gamma / (2 * z_in)
-    start = (1 + c, -(1 + c) - c / z_in)      # u and u' at z_in
+    u, du = 1 + c, -(1 + c) - c / z_in       # u and u' at z_in
+    root = math.sqrt(z_in)
+    start = (u / root, root * (du - u / (2 * z_in)))     # w and w' there
+    sigma_in = math.log(z_in)
+    nu2 = nu * nu
 
-    def q(z):
-        return 1 + gamma / (z * z)
+    def q(sigma):
+        return np.exp(2 * sigma) - nu2
 
     def phase(propagators):
-        u, du = magnus_transfer(propagators, *start)
-        return math.atan2(nu * u, du - 0.5 * u)
+        w, dw = magnus_transfer(propagators, *start)
+        return math.atan2(nu * w, dw)
 
-    step = _MESH_STEP
+    steps = 2 * math.ceil(max(30.0, 10.0 + 11.0 * nu))
     while True:
-        fine = _inward_mesh(nu, z_in, step)
-        coarse = np.concatenate((fine[:-1:2], fine[-1:]))
-        n = len(fine) - 1
-        batch = magnus_propagators(q, np.concatenate((fine[:-1], coarse[:-1])),
-                                   np.concatenate((np.diff(fine), np.diff(coarse))))
-        phi = phase([m[:n] for m in batch])
-        gap = math.remainder(phi - phase([m[n:] for m in batch]), math.pi)
+        if steps > _MAX_STEPS:
+            raise NoConvergence(f"the inward leg needs {steps} steps at nu = {nu:.4g}")
+        # from sigma_in to 0 exactly; the coarse leg takes every other node
+        fine = np.arange(steps, -1, -1) / steps * sigma_in
+        nodes = np.concatenate((fine[:-1], fine[:-1:2]))
+        batch = magnus_propagators(q, nodes, np.concatenate((fine[1:], fine[2::2])) - nodes)
+        phi = phase([m[:steps] for m in batch])
+        gap = math.remainder(phi - phase([m[steps:] for m in batch]), math.pi)
         if abs(gap) <= _PHASE_BUDGET:
             return phi + gap / 63
-        step /= 2
+        steps *= 2
 
 
 def _mismatch(nu: float, theta: float, lam: float, phi_in: float) -> float:
@@ -367,6 +340,14 @@ def shoot_negative_eigenvalues(gamma: float, theta: float, count: int) -> EigenL
     residuals = [abs(math.remainder(gap, math.pi)) for gap in gaps]
     return EigenList(values, residuals,
                      {"gamma": gamma, "theta": theta, "nu": nu})
+
+
+# the relative error of a ratio read back from the closed-form rungs, each of
+# which rounds at about eps |log|lambda||: over nu from 0.2 to 224 and every
+# count, a consecutive ratio or their geometric mean reads at most 7.2e-15
+# from exp(2 pi / nu), a squared ratio 1.5e-14 from kappa, and kappa times a
+# rung 5.6e-15 from the rung two steps up (all at nu below 1)
+RATIO_TOL = 2e-13
 
 
 @dataclass(frozen=True)

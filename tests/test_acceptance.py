@@ -70,6 +70,22 @@ class TestAcceptance:
         kappa = math.exp(4 * math.pi / math.sqrt(24.75))
         assert all(abs(r * r - kappa) <= 0.05 * kappa for r in ratios)
 
+    def test_criterion_7_fails_a_ladder_off_by_one_percent(self, monkeypatch):
+        # the ratio bound is spectra.RATIO_TOL = 2e-13, against 1.5e-14
+        # measured: consecutive ratios 1% off exp(2pi/nu) (within the former
+        # bound of 5%) fail all three ratio checks
+        full = spectra._ladder
+        monkeypatch.setattr(spectra, "_ladder", lambda nu, phase, count: [
+            lam * 1.01 ** n for n, lam in enumerate(full(nu, phase, count))])
+        result = acceptance.criterion_7_fall_to_center()
+        assert not result.passed
+        assert result.details["checks"] == {
+            "at least 3 eigenvalues": True,
+            "consecutive ratios match exp(2pi/nu) within 2e-13 relative": False,
+            "ratio^2 matches kappa within 2e-13 relative": False,
+            "set maps into itself under kappa within 2e-13 relative": False,
+        }
+
     def test_criterion_8_generator_invariance(self):
         _run(acceptance.criterion_8_generator_invariance)
 

@@ -435,6 +435,18 @@ class TestExitCodes:
         assert code == 3
         assert "NumericalInconsistency" in capsys.readouterr().err
 
+    def test_ladder_off_by_one_percent_fails_the_ratio_check(self, tmp_path, monkeypatch):
+        # consecutive ratios 1% off exp(2pi/nu), within the former 5% bound,
+        # keep every rung's multiple of pi but fail the 2e-13 bound
+        full = spectra._ladder
+        monkeypatch.setattr(spectra, "_ladder", lambda nu, phase, count: [
+            lam * 1.01 ** n for n, lam in enumerate(full(nu, phase, count))])
+        out = tmp_path / "x.json"
+        assert cli.main(["shoot", "--gamma", "-25", "--count", "4", "--out", str(out)]) == 1
+        checks = json.loads(out.read_text())["checks"]
+        assert checks == {"consecutive ratio matches exp(2pi/nu) within 2e-13 relative": False,
+                          "eigenvalues found": True}
+
     @pytest.mark.parametrize("call", [
         lambda: affine.AffineMap(-1.0, 0.0),
         lambda: flow.gamma_apply(None, affine.AffineMap(1.0, 0.0), 2.0),
@@ -757,8 +769,8 @@ def reference_to_json(obj, indent: int = 0) -> str:
     if isinstance(obj, dict):
         if not obj:
             return "{}"
-        keys = sorted(obj, key=str)
-        parts = [f'{inner}{reference_to_json(str(k))}: {reference_to_json(obj[k], indent + 1)}'
+        keys = sorted(obj)
+        parts = [f'{inner}{reference_to_json(k)}: {reference_to_json(obj[k], indent + 1)}'
                  for k in keys]
         return "{\n" + ",\n".join(parts) + f"\n{pad}}}"
     if isinstance(obj, (list, tuple)):
@@ -770,7 +782,7 @@ def reference_to_json(obj, indent: int = 0) -> str:
 
 
 class _Text(str):
-    """A str subclass: to_json writes it as a key, and rejects it as a leaf."""
+    """A str subclass: to_json rejects it as a key and as a leaf."""
 
 
 class _Mapping(dict):
@@ -789,13 +801,11 @@ _LEAVES = st.one_of(
     st.complex_numbers(),
     _TEXT,
 )
-_KEYS = (_TEXT | _TEXT.map(_Text) | st.integers() | st.floats(allow_nan=False)
-         | st.booleans() | st.none())
 _PAYLOADS = st.recursive(_LEAVES, lambda children: st.one_of(
     st.lists(children, max_size=4),
     st.lists(children, max_size=4).map(tuple),
-    st.dictionaries(_KEYS, children, max_size=4),
-    st.dictionaries(_KEYS, children, max_size=4).map(_Mapping),
+    st.dictionaries(_TEXT, children, max_size=4),
+    st.dictionaries(_TEXT, children, max_size=4).map(_Mapping),
 ), max_leaves=24)
 
 
@@ -819,6 +829,16 @@ def test_to_json_rejects_scalars_that_are_not_builtin(leaf):
     # a payload holds builtin scalars only; a subclass or numpy scalar is a
     # fault in the handler that made it, alone or inside a row
     for obj in (leaf, {"rows": [{"x": leaf}]}, [0.5, leaf]):
+        with pytest.raises(TypeError):
+            cli.to_json(obj)
+
+
+@pytest.mark.parametrize("key", [1, 0.5, True, None, _Text("a")],
+                         ids=["int", "float", "bool", "None", "str-subclass"])
+def test_to_json_rejects_keys_that_are_not_exact_str(key):
+    # every payload key is an exact str; any other key is a fault in the
+    # handler that made it, alone or beside str keys of a row
+    for obj in ({key: 1.0}, {"rows": [{key: 1.0}]}, [{key: "x", "a": 0}]):
         with pytest.raises(TypeError):
             cli.to_json(obj)
 

@@ -93,22 +93,35 @@ def dormand_prince_inward_phase(gamma, nu, tol):
                      math.atan2(nu * u, xdu - 0.5 * u), 0.0, tol=tol).y_end
 
 
-def inward_leg(gamma, nu):
-    """The mesh the inward leg accepts, its q and its start (u, u'), read
-    by running the leg once with ``_inward_mesh`` recorded."""
-    meshes = []
-    mesh = spectra._inward_mesh
+def leg_batches(gamma, nu):
+    """The (nodes, steps) of each batch of propagators the inward leg forms,
+    in turn: the fine leg's 2 n / 3 intervals, then the coarse leg's. The
+    last batch is the one it accepts."""
+    batches = []
+    batch = spectra.magnus_propagators
 
-    def recorded(*args):
-        meshes.append(mesh(*args))
-        return meshes[-1]
+    def recorded(q, z, h):
+        batches.append((z, h))
+        return batch(q, z, h)
 
     with pytest.MonkeyPatch.context() as patch:
-        patch.setattr(spectra, "_inward_mesh", recorded)
+        patch.setattr(spectra, "magnus_propagators", recorded)
         spectra._inward_phase(gamma, nu)
-    z_in = meshes[-1][0]
+    return batches
+
+
+def inward_leg(gamma, nu):
+    """The sigma mesh the inward leg accepts, its q and its start (w, w'):
+    w = u/sqrt(z) and w' = sqrt(z) (u' - u/(2 z)) from the two-term
+    decaying asymptotics u = e^{-z} (1 + gamma/(2 z)) at z_in."""
+    z, h = leg_batches(gamma, nu)[-1]
+    steps = 2 * len(z) // 3
+    mesh = np.append(z[:steps], z[steps - 1] + h[steps - 1])
+    z_in = spectra._inward_start(nu)
     c = gamma / (2 * z_in)
-    return meshes[-1], (lambda z: 1 + gamma / (z * z)), (1 + c, -(1 + c) - c / z_in)
+    u, du = 1 + c, -(1 + c) - c / z_in
+    start = (u / math.sqrt(z_in), math.sqrt(z_in) * (du - u / (2 * z_in)))
+    return mesh, (lambda sigma: np.exp(2 * sigma) - nu * nu), start
 
 
 def propagators_on(q, mesh):
@@ -234,13 +247,13 @@ class TestShooting:
         assert got == pytest.approx(REFERENCE_LADDER, rel=1e-5)
 
     def test_residuals_small(self, ladder25):
-        # measured 5.0e-14
+        # measured 4.1e-13
         assert max(ladder25.residuals) < 1e-9
 
     def test_consecutive_ratio_is_single_step_constant(self, ladder25):
         rep = spectra.progression_ratio(ladder25)
         assert rep.ratio == pytest.approx(math.exp(2 * math.pi / NU25), rel=1e-6)
-        assert rep.generator_deviation < 0.05
+        assert rep.generator_deviation <= spectra.RATIO_TOL
         # the doubled constant is the square of the consecutive ratio
         assert rep.ratio**2 == pytest.approx(rep.kappa, rel=1e-6)
 
@@ -264,7 +277,7 @@ class TestShooting:
     def test_weak_coupling_ladder(self):
         eig = spectra.shoot_negative_eigenvalues(-1.0, 0.3, 2)
         rep = spectra.progression_ratio(eig)
-        assert rep.generator_deviation < 0.10
+        assert rep.generator_deviation <= spectra.RATIO_TOL
         assert rep.generator == pytest.approx(math.exp(2 * math.pi / math.sqrt(0.75)),
                                               rel=1e-12)
 
@@ -293,7 +306,7 @@ class TestShooting:
     def test_residuals_at_closed_form_values(self, gamma):
         # the inward leg starts an action S_IN past the turning point nu/k,
         # 1.7 nu/k at gamma = -1600 and 1.36 nu/k at -1e4; measured
-        # residuals 7.0e-14, 8.0e-13 and 1.3e-13
+        # residuals 8.4e-14, 2.7e-13 and 4.7e-13
         eig = spectra.shoot_negative_eigenvalues(gamma, 0.7, 4)
         for lam in eig.values:
             assert lam.real == pytest.approx(
@@ -302,7 +315,7 @@ class TestShooting:
 
     @pytest.mark.parametrize("theta", [0.7, 1.9])
     def test_residual_at_the_weakest_sampled_coupling(self, theta):
-        # nu = 0.1; measured 9.3e-15
+        # nu = 0.1; measured 4.4e-15
         eig = spectra.shoot_negative_eigenvalues(-0.26, theta, 1)
         assert eig.residuals[0] <= 3e-10
 
@@ -327,7 +340,7 @@ class TestShooting:
                 worst = max(worst, r0)
                 change = max(abs(residual(lam * (1 + e)) - r0) for e in (1e-6, -1e-6))
                 slopes.append(change / (nu * 1e-6 / 2))
-        # measured 0.90 to 2.73, and a worst residual of 1.5e-12
+        # measured 0.90 to 2.73, and a worst residual of 6.7e-13
         assert max(slopes) < 4 * min(slopes)
         assert worst <= 3e-8
 
@@ -448,8 +461,8 @@ class TestLogGamma:
 class TestInwardShot:
     # (gamma, bound): 10x the distance the Dormand-Prince leg measured from
     # the Bessel-K phase, 2.7e-11, 8.4e-12, 3.3e-13, 9.7e-11, 4.5e-10 and
-    # 2.5e-9 in turn; the Magnus leg measures 8.9e-15, 7.2e-14, 2.2e-13,
-    # 4.8e-14, 8.0e-13 and 1.9e-13, and the test below holds it to 3e-12
+    # 2.5e-9 in turn; the Magnus leg measures 4.9e-15, 2.7e-14, 2.0e-13,
+    # 4.1e-13, 2.6e-13 and 3.7e-13, and the test below holds it to 3e-12
     INWARD_BOUNDS = [(-0.26, 3e-10), (-1.5, 9e-11), (-2.5, 4e-12), (-25.0, 1e-9),
                      (-1600.0, 5e-9), (-1e4, 3e-8)]
 
@@ -462,7 +475,7 @@ class TestInwardShot:
     @pytest.mark.parametrize("gamma", [float(g) for g in -np.geomspace(0.2500001, 5e4, 13)])
     def test_within_3e_12_of_the_bessel_k_phase(self, gamma):
         # the extrapolated leg over the whole range of shoot, nu from 3e-4 to
-        # 224; measured <= 7.4e-13, at gamma = -5e4
+        # 224; measured <= 6.4e-13, at gamma = -5.3
         nu = math.sqrt(-gamma - 0.25)
         got = spectra._inward_phase(gamma, nu)
         assert abs(math.remainder(got - bessel_k_phase(nu), math.pi)) <= 3e-12
@@ -489,7 +502,7 @@ class TestInwardShot:
             assert spectra._action(spectra._inward_start(nu), nu) >= target
 
     # (gamma, bound): the bounds the Dormand-Prince leg held; the transfer
-    # moves the end phase by at most 4.7e-15 (measured, at gamma = -5e4)
+    # moves the end phase by at most 2.2e-15 (measured, at gamma = -1e4)
     @pytest.mark.parametrize("gamma, bound", [
         (-0.26, 3e-14), (-2.0, 3e-14), (-25.0, 3e-14), (-1e4, 2e-11), (-5e4, 7e-11)])
     def test_start_error_is_damped(self, gamma, bound):
@@ -497,22 +510,21 @@ class TestInwardShot:
         # leg's own mesh, barely moves the end phase, modulo pi (a shift can
         # cross a branch and end one pi over)
         nu = math.sqrt(-gamma - 0.25)
-        mesh, q, (u, du) = inward_leg(gamma, nu)
-        z_in = mesh[0]
-        radius = math.hypot(nu * u, z_in * du - 0.5 * u)
-        phi0 = math.atan2(nu * u, z_in * du - 0.5 * u)    # w = u/sqrt(z), w_sigma
+        mesh, q, (w, dw) = inward_leg(gamma, nu)
+        radius = math.hypot(nu * w, dw)
+        phi0 = math.atan2(nu * w, dw)
         propagators = propagators_on(q, mesh)
         ends = []
         for shift in (0.0, 0.5, -0.5):
-            w = radius * math.sin(phi0 + shift) / nu
-            end_u, end_du = magnus_transfer(
-                propagators, w, (radius * math.cos(phi0 + shift) + 0.5 * w) / z_in)
-            ends.append(math.atan2(nu * end_u, end_du - 0.5 * end_u))
+            end_w, end_dw = magnus_transfer(propagators,
+                                            radius * math.sin(phi0 + shift) / nu,
+                                            radius * math.cos(phi0 + shift))
+            ends.append(math.atan2(nu * end_w, end_dw))
         for end in ends[1:]:
             assert abs(math.remainder(end - ends[0], math.pi)) <= bound
 
-    # (gamma, bound): the Bessel-K bounds above; measured 3.6e-14, 6.6e-14,
-    # 2.1e-13, 2.4e-13, 5.5e-13 and 1.1e-12 apart, mostly the Dormand-Prince
+    # (gamma, bound): the Bessel-K bounds above; measured 2.2e-14, 2.1e-14,
+    # 2.0e-13, 6.0e-13, 5.0e-13 and 1.6e-12 apart, mostly the Dormand-Prince
     # leg's own error at tol = 1e-13
     @pytest.mark.parametrize("gamma, bound", INWARD_BOUNDS)
     def test_matches_the_dormand_prince_leg(self, gamma, bound):
@@ -526,22 +538,22 @@ class TestInwardShot:
         # each interval's sixth-order Magnus exponent from the textbook
         # commutator form with 2x2 matrices (Blanes, Casas and Ros), its
         # exponential from mpmath, and the product taken one interval at a
-        # time, all on the leg's own mesh; measured <= 2.0e-15 relative
+        # time, all on the leg's own mesh; measured <= 7.6e-16 relative
         mpmath = pytest.importorskip("mpmath")
         nu = math.sqrt(-gamma - 0.25)
-        mesh, q, (u, du) = inward_leg(gamma, nu)
+        mesh, q, (w, dw) = inward_leg(gamma, nu)
         gauss = [0.5 - math.sqrt(15) / 10, 0.5, 0.5 + math.sqrt(15) / 10]
 
-        def a(z):
-            return np.array([[0.0, 1.0], [1 + gamma / (z * z), 0.0]])
+        def a(sigma):
+            return np.array([[0.0, 1.0], [math.exp(2 * sigma) - nu * nu, 0.0]])
 
         def bracket(x, y):
             return x @ y - y @ x
 
-        state = np.array([u, du])
-        for z0, z1 in zip(mesh[:-1].tolist(), mesh[1:].tolist()):
-            h = z1 - z0
-            a1, a2, a3 = (a(z0 + c * h) for c in gauss)
+        state = np.array([w, dw])
+        for s0, s1 in zip(mesh[:-1].tolist(), mesh[1:].tolist()):
+            h = s1 - s0
+            a1, a2, a3 = (a(s0 + c * h) for c in gauss)
             b1 = h * a2
             b2 = math.sqrt(15) / 3 * h * (a3 - a1)
             b3 = 10 / 3 * h * (a3 - 2 * a2 + a1)
@@ -550,21 +562,18 @@ class TestInwardShot:
             omega = b1 + b3 / 12 + bracket(-20 * b1 - b3 + c1, b2 + c2) / 240
             prop = mpmath.expm(mpmath.matrix(omega.tolist()))
             state = np.array(prop.tolist(), dtype=float) @ state
-        got = np.array(magnus_transfer(propagators_on(q, mesh), u, du))
+        got = np.array(magnus_transfer(propagators_on(q, mesh), w, dw))
         assert np.max(np.abs(got - state)) <= 1e-14 * np.max(np.abs(state))
 
     def test_refines_while_the_estimate_exceeds_the_budget(self, monkeypatch):
-        # at gamma = -2 the estimate reads 1.3e-9 and falls about 64-fold a
-        # halving: against a budget of 1e-11 the step is halved twice, and
-        # the phase stays within the Bessel-K bound
-        steps = []
-        mesh = spectra._inward_mesh
-        monkeypatch.setattr(spectra, "_inward_mesh",
-                            lambda nu, z_in, step: steps.append(step) or mesh(nu, z_in, step))
+        # at gamma = -2 the estimate reads 2.8e-9, then 4.4e-11 and 6.9e-13:
+        # it falls about 64-fold as the step count doubles: against a budget of 1e-11 the count is
+        # doubled twice, and the phase stays within the Bessel-K bound
         monkeypatch.setattr(spectra, "_PHASE_BUDGET", 1e-11)
         nu = math.sqrt(1.75)
+        batches = leg_batches(-2.0, nu)
+        assert [2 * len(z) // 3 for z, _ in batches] == [60, 120, 240]
         got = spectra._inward_phase(-2.0, nu)
-        assert steps == [spectra._MESH_STEP / 2 ** k for k in range(3)]
         assert abs(math.remainder(got - bessel_k_phase(nu), math.pi)) <= 7e-13
 
     def test_a_mesh_past_its_cap_raises(self, monkeypatch):
@@ -575,14 +584,18 @@ class TestInwardShot:
     @settings(max_examples=60, deadline=None)
     @given(st.floats(min_value=3e-4, max_value=224.0))
     def test_mesh_falls_strictly_from_the_start_to_one(self, nu):
-        z_in = spectra._inward_start(nu)
-        mesh = spectra._inward_mesh(nu, z_in, spectra._MESH_STEP)
-        assert mesh[0] == z_in and mesh[-1] == 1.0
-        assert np.all(np.diff(mesh) < 0)
+        # sigma = 0 is z = 1: the fine leg runs from log z_in down to exactly
+        # 0, and the coarse leg takes every other node of it
+        z, h = leg_batches(-nu * nu - 0.25, nu)[-1]
+        steps = 2 * len(z) // 3
+        assert z[0] == math.log(spectra._inward_start(nu))
+        assert np.all(np.diff(z[:steps]) < 0) and np.all(h < 0)
+        assert z[steps - 1] + h[steps - 1] == 0.0 and z[-1] + h[-1] == 0.0
+        assert np.array_equal(z[steps:], z[:steps:2])
 
     def test_propagator_count(self, monkeypatch):
         # the benchmark's couplings, gamma in [-2.5, -1.5]: the leg and its
-        # coarse estimate take 90 to 107 propagators, the same in every run
+        # coarse estimate take 90 propagators, the same in every run
         counts = []
         batch = spectra.magnus_propagators
         monkeypatch.setattr(spectra, "magnus_propagators",
@@ -591,8 +604,18 @@ class TestInwardShot:
         for _ in range(2):
             for gamma in gammas:
                 spectra._inward_phase(gamma, math.sqrt(-gamma - 0.25))
-        assert max(counts) <= 120
+        assert max(counts) <= 96
         assert counts[:21] == counts[21:]
+
+    def test_propagator_count_at_the_strongest_coupling(self, monkeypatch):
+        # gamma = -5e4, nu = 224, the strongest coupling CI shoots at: the leg
+        # and its estimate take 7,410 propagators, one batch for the ladder
+        counts = []
+        batch = spectra.magnus_propagators
+        monkeypatch.setattr(spectra, "magnus_propagators",
+                            lambda q, z, h: counts.append(len(z)) or batch(q, z, h))
+        spectra.shoot_negative_eigenvalues(-5e4, 0.7, 4)
+        assert sum(counts) <= 8164
 
 
 class TestOutwardSeries:
