@@ -69,14 +69,15 @@ def criterion_1_identity_and_group_law() -> CriterionResult:
         f = AffineMap(1.0, rng.uniform(-4, 4))
         g = AffineMap(1.0, rng.uniform(-4, 4))
         worst = max(worst, flow.check_group_law(interval, f, g))
-    checks["group_law[interval] <= 1e-9"] = worst <= 1e-9
+    # measured 2.0e-15 here, and 2.3e-15 on the inverse-square model below
+    checks["group_law[interval] <= 1e-13"] = worst <= 1e-13
     details["group_law_interval"] = worst
     worst = 0.0
     for _ in range(50):
         t1, t2 = rng.uniform(-2.5, 2.5, 2)
         worst = max(worst, flow.check_group_law(
             invsq, subgroup_eval("scaling", t1), subgroup_eval("scaling", t2)))
-    checks["group_law[inverse-square] <= 1e-9"] = worst <= 1e-9
+    checks["group_law[inverse-square] <= 1e-13"] = worst <= 1e-13
     details["group_law_inverse_square"] = worst
     return _finish("criterion 1: flow identity and group law", 10.0, start,
                    checks, details)
@@ -107,7 +108,7 @@ def criterion_3_cyclic_period() -> CriterionResult:
     for length in (0.5, 1.0, 2.0):
         model = models.IntervalModel(length)
         expect = 2 * math.pi / length
-        period = flow.period_detect(model, "translation", t_max=1.4 * expect, tol=1e-8)
+        period = flow.period_detect(model, "translation", t_max=1.4 * expect)
         ok = period is not None and abs(period - expect) <= 1e-6
         details[f"period[l={length}]"] = period
         if ok:
@@ -155,7 +156,7 @@ def criterion_5_weyl_grid() -> CriterionResult:
         rows += weylcheck.residual_rows(1.0, [n], rng.uniform(-10, 10, 50), on_grid=True)
         grid = weylcheck.build_interval_grid(1.0, n)
         nil = weylcheck.operator_norm(weylcheck.semigroup(grid, 1.0))
-        checks[f"nilpotent at l [n={n}]"] = nil <= 1e-9
+        checks[f"nilpotent at l [n={n}]"] = nil == 0.0
     worst_on = max(row["residual"] for row in rows)
     checks["on-grid residual <= 1e-12"] = worst_on <= 1e-12
     details["worst_on_grid_residual"] = worst_on

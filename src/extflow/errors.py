@@ -34,11 +34,11 @@ class NotDiskMap(ExtflowError):
 
 
 # models
-class IllPosed(ExtflowError):
+class IllPosed(InvalidArgument):
     """Model parameters outside the range where the construction applies."""
 
 
-class OutsideGroup(ExtflowError):
+class OutsideGroup(InvalidArgument):
     """Affine element not representable by the model's unitary family."""
 
 
@@ -51,12 +51,12 @@ class NumericalInconsistency(ExtflowError):
     """Fixed-point sets disagree across group samples beyond tolerance."""
 
 
-class UnsupportedIndices(ExtflowError):
+class UnsupportedIndices(InvalidArgument):
     """Operation requires deficiency indices the model does not have."""
 
 
 # spectra
-class InvalidRho(ExtflowError):
+class InvalidRho(InvalidArgument):
     """Interval boundary multiplier with modulus >= 1 where < 1 is required."""
 
 

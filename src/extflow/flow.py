@@ -47,8 +47,9 @@ DISSIPATIVE = "dissipative-nonselfadjoint"
 # (couplings in [-5e4, 0.7499], lengths in [1e-3, 300]): FP_TOL is 16 times that.
 SA_TOL = 1e-9       # | |v| - 1 | of a self-adjoint parameter
 FP_TOL = 1e-13      # how far a sampled element may move an invariant point
+RESIDUAL_TOL = 1e-11    # the same at any t (measured 5.8e-13; README, "Tolerances")
 TRACE_TOL = 1e-12   # | tr - (+-2 cos(t sqrt(det X))) | of a sampled element
-ID_TOL = 1e-8       # an element this close to the identity moves nothing
+ID_TOL = 1e-11      # an element this close to the identity moves nothing (1.2e-13 at periods)
 T_SAMPLES = (0.3, 0.7, 1.3, 2.9)
 
 
@@ -96,17 +97,21 @@ def gamma_map(model, g: AffineMap) -> FlowMap:
     return FlowMap(LinearFractionalMap(a / root, b / root, c / root, d / root), condition)
 
 
-def gamma_apply(model, g: AffineMap, v: complex) -> complex:
-    """Transport the parameter v by the flow element for g."""
+def _parameter(model, v) -> complex:
+    """v as a parameter: in the closed ball, and 0 at indices (0, 1)."""
     v = complex(v)
     if abs(v) > 1.0 + 1e-10:
         raise InvalidArgument(f"parameter modulus {abs(v)} exceeds the closed ball")
+    if model.deficiency_dims == (0, 1) and v != 0:
+        raise UnsupportedIndices(f"indices (0, 1): the parameter set is {{0}}, got v = {v}")
+    return v
+
+
+def gamma_apply(model, g: AffineMap, v: complex) -> complex:
+    """Transport the parameter v by the flow element for g."""
+    v = _parameter(model, v)
     fm = gamma_map(model, g)
-    if fm.trivial:
-        if v != 0:
-            raise UnsupportedIndices("indices (0, 1): only the zero parameter exists")
-        return v
-    return mobius.apply(fm.mobius, v)
+    return v if fm.trivial else mobius.apply(fm.mobius, v)
 
 
 def _sample_parameters(count: int) -> list[complex]:
@@ -237,25 +242,25 @@ def invariant_extensions(model, group: str) -> InvarianceReport:
     )
 
 
-def period_detect(model, group: str, t_max: float = math.inf,
-                  tol: float = 1e-8) -> float | None:
+def period_detect(model, group: str, t_max: float = math.inf) -> float | None:
     """Smallest T in (0, t_max] whose flow element is the identity: pi/sqrt(det X)
     for an elliptic generator X, None for any other class or a longer period.
-    Raises NumericalInconsistency when the element at T is farther than tol
-    from the identity (projective coefficient distance), and
+    Raises NumericalInconsistency when the element at T is farther than
+    ID_TOL from the identity (projective coefficient distance), and
     DynamicRangeExceeded when that element does not exist in floats."""
     det = generator(model, group).det
     period = math.pi / math.sqrt(det) if det > 0 else None
     if period is None or period > t_max:
         return None
     dist = gamma_map(model, subgroup_eval(group, period)).distance_to_identity()
-    if dist > tol:
+    if dist > ID_TOL:
         raise NumericalInconsistency(
             f"the flow element at the predicted period {period} is {dist:.3e} "
-            f"from the identity, beyond {tol}")
+            f"from the identity, beyond ID_TOL {ID_TOL}")
     return period
 
 
 def orbit(model, group: str, v0: complex, t_list) -> list[complex]:
-    """Trajectory of the parameter v0 under sampled flow elements."""
+    """Trajectory of v0, checked first, under sampled flow elements."""
+    v0 = _parameter(model, v0)
     return [gamma_apply(model, subgroup_eval(group, t), v0) for t in t_list]

@@ -167,7 +167,7 @@ class InverseSquareModel:
 
     def __init__(self, gamma: float):
         if not self.GAMMA_MIN <= gamma < 0.75:
-            raise IllPosed(f"gamma {gamma} outside [{self.GAMMA_MIN:g}, 3/4): "
+            raise IllPosed(f"gamma must lie in [{self.GAMMA_MIN:g}, 3/4), got {gamma}: "
                            "the indices are (1, 1) and sin(pi mu) is finite there")
         self.gamma = float(gamma)
         self.mu2 = mu2 = self.gamma + 0.25

@@ -50,6 +50,9 @@ from .errors import (
 from .numerics import find_root, ode_solve  # noqa: F401
 
 _RANGE_LIMIT = 1e12
+# the largest passing residual |e^{-i lambda l} - e^{-i theta}| or
+# |rho e^{-i lambda l} - 1| of a lattice point: 50 times the worst measured
+LATTICE_TOL = 1e-10
 
 
 @dataclass
@@ -91,10 +94,12 @@ def _lattice(length: float, phase: float, height: float, window, max_count: int)
 def interval_sa_spectrum(length: float, theta: float, window,
                          max_count: int = 10**6) -> EigenList:
     """Lattice (theta + 2 pi n)/length inside the window, the spectrum of the
-    extension with boundary condition f(0) = e^{i theta} f(length)."""
+    extension with boundary condition f(0) = e^{i theta} f(length), stepped
+    from theta's phase, read as rho's is, so any theta gives distinct points."""
     if not length > 0:
         raise InvalidArgument("length must be positive")
-    values = _lattice(length, theta, 0.0, window, max_count)
+    phase = theta if abs(theta) <= math.pi else math.atan2(math.sin(theta), math.cos(theta))
+    values = _lattice(length, phase, 0.0, window, max_count)
     residuals = [abs(np.exp(-1j * lam * length) - np.exp(-1j * theta))
                  for lam in values]
     return EigenList(values, residuals, {"length": length, "theta": theta})
@@ -114,7 +119,7 @@ def interval_dissipative_lattice(length: float, rho: complex, window,
         return EigenList([], [], {"length": length, "rho": rho})
     values = _lattice(length, math.atan2(rho.imag, rho.real),
                       math.log(1.0 / abs(rho)) / length, window, max_count)
-    residuals = [abs(np.exp(-1j * lam * length) - 1.0 / rho) for lam in values]
+    residuals = [abs(rho * np.exp(-1j * lam * length) - 1.0) for lam in values]
     return EigenList(values, residuals, {"length": length, "rho": rho})
 
 
@@ -320,9 +325,9 @@ def shoot_negative_eigenvalues(gamma: float, theta: float, count: int) -> EigenL
     next, else NumericalInconsistency: a skipped or repeated rung moves it
     by another amount."""
     if gamma >= -0.25:
-        raise IllPosed("shooting needs gamma < -1/4 (oscillatory boundary)")
+        raise IllPosed(f"shooting needs gamma < -1/4 (oscillatory boundary), got {gamma}")
     if not 1 <= count <= 4:
-        raise InvalidArgument("count must be between 1 and 4")
+        raise InvalidArgument(f"count must be between 1 and 4, got {count}")
     nu = math.sqrt(-gamma - 0.25)
     log_span = 2 * math.pi / nu * (count - 1)   # no exp: it overflows near nu = 0
     if log_span > math.log(_RANGE_LIMIT):

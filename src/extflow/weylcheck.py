@@ -188,16 +188,21 @@ def represent(rep, jet):
     (U f)(x) = w e^{i kappa x} f(s x): a jet maps points x to (f, f', ...)
     at x, and U maps it to the jet of U f of the same length by the chain
     rule s^k f^(k)(s x) and the product rule with e^{i kappa x}. A value is
-    a jet's first component."""
+    a jet's first component. DynamicRangeExceeded where a power of i kappa
+    that the jet needs is not a float."""
     s, ik = rep.dilation, 1j * rep.frequency
 
     def image(x):
         x = np.asarray(x, dtype=float)
         chain = [np.float64(s) ** k * c for k, c in enumerate(jet(s * x))]
         factor = rep.weight * np.exp(ik * x)
-        return tuple(factor * sum(math.comb(n, k) * ik ** (n - k) * chain[k]
-                                  for k in range(n + 1))
-                     for n in range(len(chain)))
+        try:
+            return tuple(factor * sum(math.comb(n, k) * ik ** (n - k) * chain[k]
+                                      for k in range(n + 1))
+                         for n in range(len(chain)))
+        except OverflowError:
+            raise DynamicRangeExceeded(f"a power of i kappa is not a float at kappa = "
+                                       f"{rep.frequency:g}") from None
 
     return image
 

@@ -13,7 +13,7 @@ import math
 
 import pytest
 
-from extflow import acceptance, flow, spectra
+from extflow import acceptance, flow, spectra, weylcheck
 
 
 def _run(criterion):
@@ -28,6 +28,16 @@ def _run(criterion):
 class TestAcceptance:
     def test_criterion_1_flow_identity_and_group_law(self):
         _run(acceptance.criterion_1_identity_and_group_law)
+
+    def test_criterion_1_fails_a_group_law_off_by_1e_12(self, monkeypatch):
+        # the bound is 1e-13, against 2.3e-15 measured: a group law 1e-12 off
+        # (within the former bound of 1e-9) fails both checks
+        real = flow.check_group_law
+        monkeypatch.setattr(flow, "check_group_law", lambda *args: real(*args) + 1e-12)
+        result = acceptance.criterion_1_identity_and_group_law()
+        assert not result.passed
+        assert [name for name, ok in result.details["checks"].items() if not ok] == [
+            "group_law[interval] <= 1e-13", "group_law[inverse-square] <= 1e-13"]
 
     def test_criterion_2_interval_invariant_extension(self):
         result = _run(acceptance.criterion_2_interval_invariant_extension)
@@ -59,6 +69,22 @@ class TestAcceptance:
 
     def test_criterion_5_weyl_grid(self):
         _run(acceptance.criterion_5_weyl_grid)
+
+    def test_criterion_5_fails_a_semigroup_that_leaves_1e_12(self, monkeypatch):
+        # V_l is the zero operator exactly: a residue of 1e-12 below the
+        # shift (within the former bound of 1e-9) fails each nilpotency check
+        real = weylcheck.semigroup
+
+        def residue(grid, s):
+            op = real(grid, s)
+            op.diag[:op.shift] = 1e-12
+            return op
+
+        monkeypatch.setattr(weylcheck, "semigroup", residue)
+        result = acceptance.criterion_5_weyl_grid()
+        assert not result.passed
+        assert [name for name, ok in result.details["checks"].items() if not ok] == [
+            f"nilpotent at l [n={n}]" for n in (128, 256, 512)]
 
     def test_criterion_6_friedrichs_krein_fixed_points(self):
         _run(acceptance.criterion_6_friedrichs_krein_fixed_points)

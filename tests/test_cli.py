@@ -1,6 +1,7 @@
 import ast
 import cmath
 import contextlib
+import functools
 import gc
 import io
 import json
@@ -83,26 +84,27 @@ class TestConfig:
             assert domain is None or domain[0](value), key
 
     @pytest.mark.parametrize("argv, message", [
-        (["fixed-points", "--model=interval", "--tol=-1", "--l=400"],
+        (["fixed-points", "--model=interval", "--group=rotation", "--l=400"],
          "fixed-points: 'l' must lie in [1e-3, 300], got 400.0"),
         (["fixed-points", "--model=interval", "--l=400", "--t=nan"],
          "fixed-points: every numeric input must be finite"),
-        (["fixed-points", "--model=interval", "--group=rotation", "--tol=0"],
+        (["fixed-points", "--model=interval", "--t=", "--group=rotation"],
          "fixed-points: 'group' must be translation or scaling, got 'rotation'"),
-        (["spectrum", "--window=3,1", "--rho=2"],
-         "spectrum: 'rho' must have modulus below 1, got (2+0j)"),
+        (["spectrum", "--rho=2", "--window=3,1"],
+         "spectrum: 'window' must be lo,hi with lo < hi, got [3.0, 1.0]"),
         (["shoot", "--count=0", "--theta=inf"], "shoot: every numeric input must be finite"),
         (["shoot", "--count=10" + "0" * 400, "--gamma=nan"],
          "shoot: every numeric input must be finite"),
         (["weyl", "--jobs=0", "--n=4"],
          "weyl: 'n' needs every grid size from 8 to 1048576, got [4]"),
         (["weyl", "--format=xml", "--jobs=0"], "weyl: 'jobs' must be at least 1, got 0"),
-        (["period", "--model=interval", "--t-max=-1", "--tol=0"],
-         "period: 'tol' must be positive, got 0.0"),
+        (["period", "--model=interval", "--t-max=-1", "--l=400"],
+         "period: 'l' must lie in [1e-3, 300], got 400.0"),
     ])
     def test_first_of_two_bad_keys(self, argv, message):
         # finiteness first, then the domains in _KEYS order, whatever the
-        # order of the flags
+        # order of the flags; spectra checks rho itself, so the window comes
+        # first
         with pytest.raises(cli.ParseError) as info:
             cli.load_config(cli.parse_args(argv))
         assert str(info.value) == message
@@ -292,6 +294,23 @@ class TestCommands:
         assert err.count("\n") == 1 and "Traceback" not in err and "Warning" not in err
         assert (expected == 3) == ("DynamicRangeExceeded" in err)
 
+    @pytest.mark.parametrize("t", ["1.4e154", "-1.4e154"])
+    @pytest.mark.parametrize("model", ["interval", "halfline"])
+    def test_generator_check_where_t_squared_overflows(self, model, t, tmp_path, capsys):
+        # the second derivative of e^{ixt} f carries (it)^2, which leaves the
+        # floats at |t| = 1.34e154: exit 3, where t = 1e154 still passes
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            code = cli.main(["generator-check", f"--model={model}", f"--t={t}",
+                             "--out", str(tmp_path / "x.json")])
+            passed = cli.main(["generator-check", f"--model={model}", f"--t={t[:-5]}e154",
+                               "--out", str(tmp_path / "y.json")])
+        err = capsys.readouterr().err
+        assert (code, passed) == (3, 0)
+        assert err.startswith(
+            "numerical/runtime failure: DynamicRangeExceeded: a power of i kappa")
+        assert err.count("\n") == 2 and "Traceback" not in err and "Warning" not in err
+
     def test_certify_nonequivalence(self, tmp_path):
         code, text = run_cli(tmp_path, "certify-nonequivalence", "--l", "1",
                              "--l2", "2", "--n", "128")
@@ -407,22 +426,25 @@ class TestExitCodes:
                          "--out", str(tmp_path / "x.json")])
         assert code == 3
 
-    @pytest.mark.parametrize("flags", [
-        ["--gamma", "-25", "--count", "9"],
-        ["--gamma", "-25", "--count", "0"],
-        ["--gamma", "0.3", "--count", "2"],
-        ["--gamma", "-0.25", "--count", "2"],
-        ["--gamma", "-2", "--theta", "nan"],
-        ["--gamma", "-2", "--theta", "inf"],
-        ["--gamma=-inf", "--count", "2"],
+    @pytest.mark.parametrize("flags, message", [
+        (["--gamma", "-25", "--count", "9"], "count must be between 1 and 4, got 9"),
+        (["--gamma", "-25", "--count", "0"], "count must be between 1 and 4, got 0"),
+        (["--gamma", "0.3", "--count", "2"],
+         "shooting needs gamma < -1/4 (oscillatory boundary), got 0.3"),
+        (["--gamma", "-0.25", "--count", "2"],
+         "shooting needs gamma < -1/4 (oscillatory boundary), got -0.25"),
+        (["--gamma", "-2", "--theta", "nan"], "shoot: every numeric input must be finite"),
+        (["--gamma", "-2", "--theta", "inf"], "shoot: every numeric input must be finite"),
+        (["--gamma=-inf", "--count", "2"], "shoot: every numeric input must be finite"),
     ], ids=["count-9", "count-0", "gamma-0.3", "gamma-critical", "theta-nan",
             "theta-inf", "gamma-minus-inf"])
-    def test_shoot_domain_is_configuration_error(self, flags, tmp_path, capsys):
+    def test_shoot_domain_is_configuration_error(self, flags, message, tmp_path, capsys):
+        # the count and the upper bound on gamma are spectra's own checks,
+        # whose messages name the value given
         code = cli.main(["shoot", *flags, "--out", str(tmp_path / "x.json")])
         err = capsys.readouterr().err
         assert code == 2
-        assert err.startswith("configuration error: shoot:")
-        assert err.count("\n") == 1 and "Traceback" not in err
+        assert err == f"configuration error: {message}\n"
 
     def test_skipped_rung_is_numerical_failure(self, tmp_path, monkeypatch, capsys):
         # a closed-form ladder that skips a rung fails the shooting phases'
@@ -447,6 +469,59 @@ class TestExitCodes:
         assert checks == {"consecutive ratio matches exp(2pi/nu) within 2e-13 relative": False,
                           "eigenvalues found": True}
 
+    def test_fixed_points_off_by_1e_10_fail(self, tmp_path, monkeypatch):
+        # the bound is flow.RESIDUAL_TOL = 1e-11, against 5.8e-13 measured:
+        # points 1e-10 off the invariant one (within the former bound of 1e-8)
+        # fail the check
+        real = flow.fixed_points_flow
+        monkeypatch.setattr(flow, "fixed_points_flow", lambda fm, gen: [
+            (v + 1e-10, kind) for v, kind in real(fm, gen)])
+        code, text = run_cli(tmp_path, "fixed-points", "--model=interval", "--t=0.5,1")
+        assert code == 1
+        assert json.loads(text)["checks"] == {"fixed-point residual <= 1e-11": False}
+
+    @pytest.mark.parametrize("flags, values", [
+        (["--rho=1e-20"], 7), (["--rho=1e-300+1e-300j", "--l=300"], 1910),
+        (["--theta=1e17", "--window=-3,0"], [-2.6584887370946804]),
+        (["--theta=1e308", "--window=2,3"], [2.6710203145624652]),
+        (["--theta=-1e308", "--l=300", "--window=-1,1"], 96),
+    ], ids=["rho-1e-20", "rho-1e-300", "theta-1e17", "theta-1e308", "theta--1e308"])
+    def test_spectrum_far_out(self, flags, values, tmp_path):
+        # rho's residual |rho e^{-i lambda l} - 1| stays at rounding level
+        # however small rho is, and theta's lattice steps from its phase: the
+        # values listed are the float theta mod 2 pi (mpmath at 2,000 bits),
+        # and a number is the count of points
+        code, text = run_cli(tmp_path, "spectrum", *flags)
+        assert code == 0
+        rows = json.loads(text)["results"]["rows"]
+        if isinstance(values, int):
+            assert len(rows) == values
+        else:
+            assert [r["re"] for r in rows] == pytest.approx(values, rel=1e-15)
+        assert max(r["residual"] for r in rows) <= spectra.LATTICE_TOL
+
+    def test_spectrum_off_by_1e_9_fails(self, tmp_path, monkeypatch):
+        # one flat bound, spectra.LATTICE_TOL = 1e-10, on both lattices: points
+        # 1e-9 off fail it. For rho it is the former 1e-10/|rho| on
+        # |e^{-i lambda l} - 1/rho|, without that bound's cap at |rho| = 1e-10
+        real = spectra._lattice
+        monkeypatch.setattr(spectra, "_lattice", lambda *args: [
+            v + 1e-9 for v in real(*args)])
+        for flags in (["--rho=0.36"], ["--theta=0.7"]):
+            code, text = run_cli(tmp_path, "spectrum", *flags)
+            assert code == 1
+            assert json.loads(text)["checks"] == {"eigencondition residuals <= 1e-10": False}
+
+    def test_halfline_start_is_checked_before_any_element(self, tmp_path, capsys):
+        # the parameter set is {0}: exit 2 even where the first element does
+        # not exist
+        code, _ = run_cli(tmp_path, "flow-orbit", "--model=halfline", "--group=scaling",
+                          "--t=1000", "--v0=0.5")
+        err = capsys.readouterr().err
+        assert code == 2
+        assert err == ("configuration error: indices (0, 1): the parameter set is {0}, "
+                       "got v = (0.5+0j)\n")
+
     @pytest.mark.parametrize("call", [
         lambda: affine.AffineMap(-1.0, 0.0),
         lambda: flow.gamma_apply(None, affine.AffineMap(1.0, 0.0), 2.0),
@@ -454,8 +529,15 @@ class TestExitCodes:
         lambda: numerics.quad_finite(np.sin, 1.0, 0.0),
         lambda: spectra.shoot_negative_eigenvalues(-2.0, 0.0, 5),
         lambda: weylcheck.build_interval_grid(1.0, 4),
-    ], ids=["affine", "flow", "models", "numerics", "spectra", "weylcheck"])
+        lambda: models.InverseSquareModel(0.8),
+        lambda: models.IntervalModel(1.0).generator("scaling"),
+        lambda: flow.gamma_apply(models.HalflineModel(), affine.AffineMap(1.0, 0.0), 0.5),
+        lambda: spectra.interval_dissipative_lattice(1.0, 2.0, (-1.0, 1.0)),
+    ], ids=["affine", "flow", "models", "numerics", "spectra", "weylcheck", "ill-posed",
+            "outside-group", "unsupported-indices", "invalid-rho"])
     def test_library_domain_errors_are_typed(self, call):
+        # IllPosed, OutsideGroup, UnsupportedIndices and InvalidRho derive
+        # from InvalidArgument, so the CLI exits 2 for each
         with pytest.raises(InvalidArgument) as info:
             call()
         assert isinstance(info.value, ExtflowError) and isinstance(info.value, ValueError)
@@ -490,10 +572,12 @@ class TestExitCodes:
             "refine-two-sizes", "weyl-1e15", "weyl-1e23", "refine-1e15", "refine-1e23",
             "certify-1e15", "certify-1e23"])
     def test_grid_sizes_are_configuration_errors(self, argv, tmp_path, capsys):
+        # refine's three distinct sizes are weylcheck.refinement_order's check
         code = cli.main([*argv, "--out", str(tmp_path / "x.json")])
         err = capsys.readouterr().err
         assert code == 2
-        assert err.startswith(f"configuration error: {argv[0]}:")
+        assert err.startswith((f"configuration error: {argv[0]}: 'n' needs every grid size",
+                               "configuration error: need at least three distinct grid sizes"))
         assert err.count("\n") == 1 and "Traceback" not in err
         assert not (tmp_path / "x.json").exists()
 
@@ -581,7 +665,10 @@ class TestExitCodes:
                          "--out", str(tmp_path / "x.json")])
         err = capsys.readouterr().err
         assert code == 2
-        assert err.startswith("configuration error: gamma must lie in [-50000, 3/4)")
+        assert err.startswith("configuration error: shoot: gamma must lie in [-50000, -1/4)"
+                              if command == "shoot" else
+                              "configuration error: gamma must lie in [-50000, 3/4)")
+        assert f"got {float(gamma)}" in err
         assert err.count("\n") == 1 and "Traceback" not in err
         with pytest.raises(IllPosed):
             models.InverseSquareModel(float(gamma))
@@ -643,12 +730,12 @@ class TestExitCodes:
         assert "NearSingularDenominator" in capsys.readouterr().err
 
     def test_generator_check_nan_fit_fails(self, tmp_path, monkeypatch, capsys):
-        # a fit that is not finite never reads as a pass, whatever --tol is
+        # a fit that is not finite never reads as a pass, on any model
         nan = complex(math.nan, math.nan)
         monkeypatch.setattr(weylcheck, "generator_invariance_residual",
                             lambda *args: weylcheck.GeneratorCheck(math.nan, nan, nan, nan, math.nan))
         for argv in (["--model", "inverse-square"], ["--model", "interval"],
-                     ["--model", "halfline", "--group", "scaling", "--tol", "1e300"]):
+                     ["--model", "halfline", "--group", "scaling"]):
             code, text = run_cli(tmp_path, "generator-check", *argv)
             assert code == 1
             assert json.loads(text)["results"]["rows"][0]["residual"] == "nan"
@@ -896,7 +983,6 @@ _FLAGS = {
             ["800", "-1e4", "nan", "1,x"]),
     "--n": (st.lists(st.sampled_from(["8", "64", "128", "256", "512"]),
                      min_size=1, max_size=3).map(",".join), ["4", "64,x"]),
-    "--tol": (_number(1e-14, 1e-3, "1e-6"), ["0", "-1"]),
     "--format": (st.sampled_from(["json", "csv"]), ["xml"]),
     "--theta": (_number(-7.0, 7.0, "0", "1.9"), ["inf", "nan"]),
     "--rho": (st.sampled_from(["0.36", "0.3+0.1j", "-0.5j", "0"]), ["2", "1j", "x"]),
@@ -1001,7 +1087,7 @@ def test_flag_space(argv, other, stray, bad):
 # an in-domain config-file value of every key a command may not read
 _FILE_VALUES = {
     "model": "interval", "l": "1", "gamma": "-2", "group": "translation", "t": "5",
-    "n": "64", "tol": "1e-6", "theta": "0", "rho": "0.36", "window": "-5,5",
+    "n": "64", "theta": "0", "rho": "0.36", "window": "-5,5",
     "count": "2", "on_grid": "true", "l2": "2", "v0": "0.3", "t_max": "8",
 }
 
@@ -1099,7 +1185,6 @@ _KEY_CASES = {
     "group": (["fixed-points", "--model=halfline"], "scaling"),
     "t": (["fixed-points", "--model=interval"], "-1.5,0.3"),
     "n": (["weyl", "--t=0.5"], "64,128"),
-    "tol": (["fixed-points", "--model=interval"], "1e-6"),
     "theta": (["spectrum", "--window=-5,5"], "-1.9"),
     "rho": (["spectrum", "--window=-5,5"], "-0.5j"),
     "window": (["spectrum"], "-5,5"),
@@ -1160,20 +1245,8 @@ def test_parse_errors_are_one_line(argv, message):
     assert _is_configuration_error(code, out, err) and message in err
 
 
-def test_fixed_points_does_not_import_argparse():
-    script = ("import os, sys; from extflow import cli; "
-              "code = cli.main(['fixed-points', '--model=interval', '--out', os.devnull]); "
-              "print(code, 'argparse' in sys.modules)")
-    src = str(Path(cli.__file__).resolve().parents[1])
-    done = subprocess.run([sys.executable, "-c", script], capture_output=True, text=True,
-                          env={**os.environ, "PYTHONPATH": src}, timeout=60)
-    assert done.stdout == "0 False\n", done.stderr
-
-
 _HEAVY = ("extflow.acceptance", "extflow.spectra", "extflow.weylcheck")
-
-
-@pytest.mark.parametrize("argv, loaded", [
+_IMPORT_CASES = [
     (["fixed-points", "--model=inverse-square", "--gamma=-2", "--t=1"], set()),
     (["invariance", "--model=interval"], set()),
     (["period", "--model=inverse-square", "--gamma=-2"], set()),
@@ -1181,17 +1254,47 @@ _HEAVY = ("extflow.acceptance", "extflow.spectra", "extflow.weylcheck")
     (["shoot", "--gamma=-2", "--count=1"], {"extflow.spectra"}),
     (["weyl", "--n=64", "--t=0.5"], {"extflow.weylcheck"}),
     (["fk-params", "--gamma=0.2"], set()),
-], ids=lambda value: value[0] if isinstance(value, list) else None)
-def test_a_command_imports_only_what_it_runs(argv, loaded):
-    # a fresh process: the flow commands leave the battery, the shooting code
-    # and the grid checks unimported; each other command loads its own
-    script = ("import os, sys; from extflow import cli; "
-              f"code = cli.main({argv!r} + ['--out', os.devnull]); "
-              f"print(code, sorted(m for m in {_HEAVY!r} if m in sys.modules))")
+]
+_ARGPARSE_CASE = ["fixed-points", "--model=interval"]
+
+
+@functools.lru_cache(maxsize=None)
+def _fresh_process() -> dict:
+    """One fresh process runs the argparse case and then each import case,
+    those that load no heavy module first: each command line's exit code,
+    the heavy modules it newly loaded, and whether argparse is loaded after
+    it."""
+    argvs = [_ARGPARSE_CASE] + [argv for argv, loaded in
+                                sorted(_IMPORT_CASES, key=lambda case: bool(case[1]))]
+    script = ("import json, os, sys\n"
+              "from extflow import cli\n"
+              "report = []\n"
+              f"for argv in {argvs!r}:\n"
+              "    before = set(sys.modules)\n"
+              "    code = cli.main(argv + ['--out', os.devnull])\n"
+              f"    new = sorted(m for m in {_HEAVY!r} if m in sys.modules and m not in before)\n"
+              "    report.append((code, new, 'argparse' in sys.modules))\n"
+              "print(json.dumps(report))\n")
     src = str(Path(cli.__file__).resolve().parents[1])
     done = subprocess.run([sys.executable, "-c", script], capture_output=True, text=True,
                           env={**os.environ, "PYTHONPATH": src}, timeout=60)
-    assert done.stdout == f"0 {sorted(loaded)}\n", done.stderr
+    assert done.returncode == 0, done.stderr
+    return {tuple(argv): tuple(row) for argv, row in zip(argvs, json.loads(done.stdout))}
+
+
+def test_fixed_points_does_not_import_argparse():
+    code, _, argparse = _fresh_process()[tuple(_ARGPARSE_CASE)]
+    assert (code, argparse) == (0, False)
+
+
+@pytest.mark.parametrize("argv, loaded", _IMPORT_CASES,
+                         ids=lambda value: value[0] if isinstance(value, list) else None)
+def test_a_command_imports_only_what_it_runs(argv, loaded):
+    # the flow commands, run first in a fresh process, leave the battery,
+    # the shooting code and the grid checks unimported; each other command
+    # newly loads its own
+    code, new, _ = _fresh_process()[tuple(argv)]
+    assert (code, new) == (0, sorted(loaded))
 
 
 def _imports(tree):

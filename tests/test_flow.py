@@ -81,12 +81,15 @@ class TestIntervalFlow:
 
     def test_elements_within_id_tol_fix_all_points(self, interval):
         gen = generator(interval, "translation")
-        for t in (2 * math.pi, 2 * math.pi - 1e-9):
+        for t in (2 * math.pi, 2 * math.pi - 1e-12):
             fm = gamma_map(interval, AffineMap(1.0, t))
             assert fixed_points_flow(fm, gen) is ALL_POINTS
-        fm = gamma_map(interval, AffineMap(1.0, 2 * math.pi - 1e-6))
-        (v, kind), = fixed_points_flow(fm, gen)
-        assert kind == DISSIPATIVE and v == pytest.approx(math.exp(-1.0), abs=2e-16)
+        # 2 pi - 1e-9 lies within the former ID_TOL of 1e-8, and 2 pi - 1e-6
+        # beyond it: both have their one fixed point
+        for t in (2 * math.pi - 1e-9, 2 * math.pi - 1e-6):
+            fm = gamma_map(interval, AffineMap(1.0, t))
+            (v, kind), = fixed_points_flow(fm, gen)
+            assert kind == DISSIPATIVE and v == pytest.approx(math.exp(-1.0), abs=2e-16)
 
     def test_dirichlet_point_invariant_for_all_t(self, interval):
         v = math.exp(-1.0)
@@ -290,21 +293,29 @@ class TestPeriodDetect:
     def test_interval_periods(self):
         for length in (1.0, 2.0):
             m = models.IntervalModel(length)
-            period = period_detect(m, "translation", t_max=4.5 * math.pi,
-                                   tol=1e-8)
+            period = period_detect(m, "translation", t_max=4.5 * math.pi)
             assert period == pytest.approx(2 * math.pi / length, abs=1e-6)
 
     def test_period_element_fixes_sampled_parameters(self, interval):
-        period = period_detect(interval, "translation", t_max=8.0, tol=1e-8)
+        period = period_detect(interval, "translation", t_max=8.0)
         g = AffineMap(1.0, period)
         rng = np.random.default_rng(9)
         for _ in range(100):
             v = rng.uniform(0, 1.0) * cmath.exp(1j * rng.uniform(0, 2 * math.pi))
             assert abs(gamma_apply(interval, g, v) - v) < 1e-8
 
+    def test_period_off_by_1e_10_is_inconsistent(self, interval, monkeypatch):
+        # the element at a period 1e-10 short lies 4.1e-10 from the
+        # identity (within the former bound of 1e-8), beyond ID_TOL
+        stated = generator(interval, "translation")
+        monkeypatch.setattr(flow, "generator", lambda model, group: dataclasses.replace(
+            stated, det=stated.det * (1 + 2e-10)))
+        with pytest.raises(NumericalInconsistency, match="ID_TOL"):
+            period_detect(interval, "translation")
+
     def test_no_period_reported_when_absent(self, interval):
         # below the first recurrence nothing qualifies
-        assert period_detect(interval, "translation", t_max=3.0, tol=1e-8) is None
+        assert period_detect(interval, "translation", t_max=3.0) is None
 
     def test_fall_to_center_period_is_pi_over_halfnu(self):
         # minimal flow period under the unit-speed scaling subgroup: the
@@ -316,10 +327,10 @@ class TestPeriodDetect:
 
     @pytest.mark.parametrize("length", [1e-3, 1e-2, 0.5, 1.0, 2.0, 40.0, 300.0])
     def test_interval_period_is_two_pi_over_l(self, length):
-        # confirmed within the CLI's default tol; 3e-13 relative measured at l = 1e-3
+        # confirmed within ID_TOL; 3e-13 relative measured at l = 1e-3
         expect = 2 * math.pi / length
         m = models.IntervalModel(length)
-        period = period_detect(m, "translation", t_max=1.4 * expect, tol=1e-8)
+        period = period_detect(m, "translation", t_max=1.4 * expect)
         assert period == pytest.approx(expect, rel=1e-11)
 
     @pytest.mark.parametrize("gamma", [-2.0, -25.0, -0.3, -0.26, -0.2501])
@@ -357,7 +368,7 @@ class TestPeriodDetect:
     def test_scan_oracle_agrees_interval(self, length):
         m = models.IntervalModel(length)
         t_max = 1.4 * 2 * math.pi / length
-        assert period_detect(m, "translation", t_max, 1e-8) == pytest.approx(
+        assert period_detect(m, "translation", t_max) == pytest.approx(
             scan_period(m, "translation", t_max, 1e-8), abs=1e-6)
 
     @pytest.mark.parametrize("gamma", [0.0, -1.0])

@@ -211,9 +211,14 @@ class TestLattices:
     @pytest.mark.parametrize("theta", [0.0, 1.1, -3.0, math.pi, 7.5, -9.25])
     @pytest.mark.parametrize("length", [0.7, 1.0, 2 * math.pi])
     def test_self_adjoint_real_parts_are_exact(self, length, theta):
-        # theta = 7.5 and -9.25 lie outside (-pi, pi]: the lattice is the same
+        # the lattice steps from theta's phase, read as rho's is; theta = 7.5
+        # and -9.25 lie outside (-pi, pi], and their lattice is the same up
+        # to rounding
         eig = spectra.interval_sa_spectrum(length, theta, (-40.0, 40.0))
-        assert [v.real for v in eig.values] == _lattice_real_parts(length, theta, -40.0, 40.0)
+        phase = math.atan2(math.sin(theta), math.cos(theta))
+        assert [v.real for v in eig.values] == _lattice_real_parts(length, phase, -40.0, 40.0)
+        assert [v.real for v in eig.values] == pytest.approx(
+            _lattice_real_parts(length, theta, -40.0, 40.0), rel=0, abs=1e-13)
         assert all(v.imag == 0.0 for v in eig.values)
 
     @pytest.mark.parametrize("rho", [0.36, 0.3 - 0.4j, -0.5j, -0.2, math.exp(-1) * 1j])
