@@ -273,7 +273,7 @@ def _cmd_flow_orbit(cfg):
         rows.append({"t": t, "re": v.real, "im": v.imag, "modulus": abs(v)})
         worst = max(worst, abs(v))
     return ({"rows": rows, "worst_modulus": worst},
-            {"contraction": worst <= 1.0 + 1e-10})
+            {"contraction": worst <= 1.0 + flow.BALL_TOL})
 
 
 def _cmd_fixed_points(cfg):
@@ -385,7 +385,7 @@ def _cmd_weyl(cfg):
     worst = max((r["residual"] for r in rows), default=0.0)
     checks = {}
     if cfg.on_grid:
-        checks["on-grid residual <= 1e-12"] = worst <= 1e-12
+        checks[f"on-grid residual <= {weylcheck.ON_GRID_TOL:g}"] = worst <= weylcheck.ON_GRID_TOL
     else:
         checks["residuals finite"] = all(math.isfinite(r["residual"]) for r in rows)
     return {"rows": rows, "worst_residual": worst}, checks
@@ -395,7 +395,6 @@ def _cmd_generator_check(cfg):
     from . import weylcheck
     model = _build_model(cfg)
     rows, checks = [], {}
-    scaling = cfg.group == "scaling"
     for t in cfg.t:
         chk = weylcheck.generator_invariance_residual(model, cfg.group, t)
         rows.append({
@@ -405,20 +404,18 @@ def _cmd_generator_check(cfg):
             "offset": chk.offset,
             "phase_factor": chk.phase_factor,
         })
-        checks[f"t={t:g}"] = chk.residual <= weylcheck.GENERATOR_TOL and (
-            not scaling or chk.fits_scaling(t))
+        checks[f"t={t:g}"] = chk.passes(cfg.group, t)
     return {"rows": rows}, checks
 
 
 def _cmd_refine(cfg):
     from . import weylcheck
-    rows = weylcheck.residual_rows(cfg.l, cfg.n, cfg.t, cfg.on_grid, cfg.jobs)
-    order = weylcheck.refinement_order(rows)
+    rows, order = weylcheck.refine(cfg.l, cfg.n, cfg.t, cfg.on_grid, cfg.jobs)
     results = {"rows": rows, "orders": {rows[0]["variant"]: order}}
     if order == "exact":
         checks = {"residuals at rounding floor": True}
     else:
-        checks = {"convergence order >= 0.9": order >= 0.9}
+        checks = {f"convergence order >= {weylcheck.ORDER_MIN:g}": order >= weylcheck.ORDER_MIN}
     return results, checks
 
 

@@ -36,7 +36,7 @@ from .errors import (
     UnsupportedIndices,
 )
 from .mobius import IDENTITY_MAP, LinearFractionalMap, MapTag
-# unused here; extbench/tracing.py wraps flow.classify by name
+# no program path calls it now; extbench/tracing.py wraps flow.classify by name
 from .mobius import classify  # noqa: F401
 
 SELF_ADJOINT = "self-adjoint"
@@ -46,6 +46,7 @@ DISSIPATIVE = "dissipative-nonselfadjoint"
 # closed forms, and the elements at T_SAMPLES move X's zeros by at most 6.3e-15
 # (couplings in [-5e4, 0.7499], lengths in [1e-3, 300]): FP_TOL is 16 times that.
 SA_TOL = 1e-9       # | |v| - 1 | of a self-adjoint parameter
+BALL_TOL = 1e-10    # |v| - 1 of a parameter or its image (measured 9.9e-13; README)
 FP_TOL = 1e-13      # how far a sampled element may move an invariant point
 RESIDUAL_TOL = 1e-11    # the same at any t (measured 5.8e-13; README, "Tolerances")
 TRACE_TOL = 1e-12   # | tr - (+-2 cos(t sqrt(det X))) | of a sampled element
@@ -100,7 +101,7 @@ def gamma_map(model, g: AffineMap) -> FlowMap:
 def _parameter(model, v) -> complex:
     """v as a parameter: in the closed ball, and 0 at indices (0, 1)."""
     v = complex(v)
-    if abs(v) > 1.0 + 1e-10:
+    if abs(v) > 1.0 + BALL_TOL:
         raise InvalidArgument(f"parameter modulus {abs(v)} exceeds the closed ball")
     if model.deficiency_dims == (0, 1) and v != 0:
         raise UnsupportedIndices(f"indices (0, 1): the parameter set is {{0}}, got v = {v}")
@@ -166,7 +167,7 @@ def generator(model, group: str) -> FlowGenerator:
     return FlowGenerator(*model.generator(group))
 
 
-def _in_ball(points) -> list:
+def in_ball(points) -> list:
     """The points in the closed ball, each tagged self-adjoint (unit modulus
     within SA_TOL) or dissipative."""
     return [(z, SELF_ADJOINT if abs(abs(z) - 1.0) <= SA_TOL else DISSIPATIVE)
@@ -175,12 +176,12 @@ def _in_ball(points) -> list:
 
 def fixed_points_flow(fm: FlowMap, gen: FlowGenerator):
     """In-ball fixed points of the element fm of the flow of gen: X's zeros,
-    tagged by _in_ball; ALL_POINTS when fm is within ID_TOL of the identity."""
+    tagged by in_ball; ALL_POINTS when fm is within ID_TOL of the identity."""
     if fm.trivial:
         return [(None, DISSIPATIVE)]
     if fm.distance_to_identity() <= ID_TOL:
         return ALL_POINTS
-    return _in_ball(gen.zeros())
+    return in_ball(gen.zeros())
 
 
 class Verdict(Enum):
@@ -212,7 +213,7 @@ def invariant_extensions(model, group: str) -> InvarianceReport:
                    "invariant maximal dissipative extension"],
         )
     gen = generator(model, group)
-    tagged = _in_ball(gen.zeros())
+    tagged = in_ball(gen.zeros())
     w = cmath.sqrt(gen.det)
     flow_class = {}
     for t in T_SAMPLES:

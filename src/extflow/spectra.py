@@ -109,7 +109,8 @@ def interval_dissipative_lattice(length: float, rho: complex, window,
                                  max_count: int = 10**6) -> EigenList:
     """Eigenvalues of the extension with f(0) = rho f(length), 0 <= |rho| < 1:
     the upper-half-plane lattice from e^{-i lambda length} = 1/rho; empty for
-    rho = 0 (the nilpotent case has empty spectrum)."""
+    rho = 0 (the nilpotent case has empty spectrum). DynamicRangeExceeded
+    where 1/|rho|, which the height and each residual need, is not a float."""
     if not length > 0:
         raise InvalidArgument("length must be positive")
     rho = complex(rho)
@@ -117,6 +118,8 @@ def interval_dissipative_lattice(length: float, rho: complex, window,
         raise InvalidRho(f"need |rho| < 1, got {abs(rho)}")
     if rho == 0:
         return EigenList([], [], {"length": length, "rho": rho})
+    if 1.0 / abs(rho) == math.inf:
+        raise DynamicRangeExceeded(f"1/|rho| is not a float at |rho| = {abs(rho):g}")
     values = _lattice(length, math.atan2(rho.imag, rho.real),
                       math.log(1.0 / abs(rho)) / length, window, max_count)
     residuals = [abs(rho * np.exp(-1j * lam * length) - 1.0) for lam in values]

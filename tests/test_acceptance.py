@@ -9,11 +9,14 @@ rungs and the set-invariance check. The resolved assertions pass; the
 literal reading is kept below as an xfail so the discrepancy stays visible.
 """
 
+import json
 import math
 
 import pytest
 
-from extflow import acceptance, flow, spectra, weylcheck
+from extflow import acceptance, cli, flow, mobius, models, spectra, weylcheck
+from extflow.affine import ALL_POINTS, subgroup_eval
+from extflow.errors import InvalidArgument
 
 
 def _run(criterion):
@@ -89,6 +92,20 @@ class TestAcceptance:
     def test_criterion_6_friedrichs_krein_fixed_points(self):
         _run(acceptance.criterion_6_friedrichs_krein_fixed_points)
 
+    def test_criterion_6_fails_a_coupling_1e_10_above_the_critical(self, monkeypatch):
+        # there the trace at t = 1 is 2.5e-11 from 2, beyond flow.TRACE_TOL,
+        # and the element has two fixed points, although mobius.classify,
+        # which tests the discriminant against 1e-9, calls it parabolic
+        real = models.inverse_square
+        monkeypatch.setattr(models, "inverse_square",
+                            lambda gamma: real(gamma + 1e-10 if gamma == -0.25 else gamma))
+        result = acceptance.criterion_6_friedrichs_krein_fixed_points()
+        assert not result.passed
+        assert [name for name, ok in result.details["checks"].items() if not ok] == [
+            "parabolic at gamma=-1/4"]
+        m = flow.gamma_map(models.inverse_square(-0.25), subgroup_eval("scaling", 1.0)).mobius
+        assert mobius.classify(m).tag is mobius.MapTag.PARABOLIC
+
     def test_criterion_7_fall_to_center(self):
         result = _run(acceptance.criterion_7_fall_to_center)
         # the doubled constant appears as the square of the measured step
@@ -117,6 +134,85 @@ class TestAcceptance:
 
     def test_criterion_9_property_suites(self):
         _run(acceptance.criterion_9_property_suites)
+
+    def test_criterion_9_counts_a_boundary_point_1e_7_inside(self, monkeypatch):
+        # interior means more than flow.SA_TOL = 1e-9 inside the circle: fixed
+        # points moved 1e-7 inward make each trial with two boundary points a
+        # counterexample, which the former interior bound of 1e-6 let pass
+        real = mobius.fixed_points
+
+        def inward(m):
+            fps = real(m)
+            return fps if fps is ALL_POINTS else [z * (1 - 1e-7) for z in fps]
+
+        monkeypatch.setattr(mobius, "fixed_points", inward)
+        name = "trichotomy: zero counterexamples in 1000 trials"
+        for tol, ok in ((1e-6, True), (flow.SA_TOL, False)):
+            monkeypatch.setattr(flow, "SA_TOL", tol)
+            assert acceptance.criterion_9_property_suites().details["checks"][name] is ok
+
+
+def _checks(capsys, *argv):
+    """The checks of one command run in process."""
+    cli.main(list(argv))
+    return json.loads(capsys.readouterr().out)["checks"]
+
+
+class TestSharedBounds:
+    """Where a command and a criterion make the same check, both read one
+    owner: patching it moves the verdict of both, and the name where that
+    states the bound."""
+
+    def test_on_grid_residual(self, monkeypatch, capsys):
+        real = weylcheck.weyl_residual
+        monkeypatch.setattr(weylcheck, "weyl_residual", lambda *args: real(*args) + 5e-12)
+        for tol, ok in ((1e-12, False), (1e-11, True)):
+            monkeypatch.setattr(weylcheck, "ON_GRID_TOL", tol)
+            name = f"on-grid residual <= {tol:g}"
+            assert _checks(capsys, "weyl", "--on-grid") == {name: ok}
+            assert acceptance.criterion_5_weyl_grid().details["checks"][name] is ok
+
+    def test_refinement_order(self, monkeypatch, capsys):
+        for least, ok in ((0.9, True), (1.5, False)):
+            monkeypatch.setattr(weylcheck, "ORDER_MIN", least)
+            assert _checks(capsys, "refine", "--n", "128,256,512", "--t", "1,2.5") == {
+                f"convergence order >= {least:g}": ok}
+            checks = acceptance.criterion_5_weyl_grid().details["checks"]
+            assert checks[f"off-grid order >= {least:g}"] is ok
+
+    def test_closed_ball_margin(self, monkeypatch, capsys):
+        # every image pushed out to modulus 1 + 1e-9, and a start there
+        real = mobius.apply
+        monkeypatch.setattr(mobius, "apply",
+                            lambda m, z: real(m, z) / abs(real(m, z)) * (1 + 1e-9))
+        interval = models.IntervalModel(1.0)
+        for tol, ok in ((1e-10, False), (1e-8, True)):
+            monkeypatch.setattr(flow, "BALL_TOL", tol)
+            assert _checks(capsys, "flow-orbit", "--model", "interval", "--v0", "1",
+                           "--t", "0.5,2") == {"contraction": ok}
+            checks = acceptance.criterion_9_property_suites().details["checks"]
+            assert checks["contraction preserved (1000 samples)"] is ok
+            if ok:
+                flow.orbit(interval, "translation", 1 + 1e-9, [0.5])
+            else:
+                with pytest.raises(InvalidArgument, match="exceeds the closed ball"):
+                    flow.orbit(interval, "translation", 1 + 1e-9, [0.5])
+
+    def test_generator_verdict(self, monkeypatch, capsys):
+        # one predicate, GeneratorCheck.passes: a refused scaling fit fails
+        # the scaling checks of both and no translation check
+        monkeypatch.setattr(weylcheck.GeneratorCheck, "fits_scaling", lambda self, t: False)
+        assert _checks(capsys, "generator-check", "--model", "interval") == {"t=1": True}
+        assert _checks(capsys, "generator-check", "--model", "inverse-square") == {"t=1": False}
+        checks = acceptance.criterion_8_generator_invariance().details["checks"]
+        assert [name for name, ok in checks.items() if not ok] == [
+            f"{label} scaling [t={t}]" for label in ("inverse-square", "halfline")
+            for t in (0.5, -0.7)]
+        monkeypatch.undo()
+        monkeypatch.setattr(weylcheck, "GENERATOR_TOL", -1.0)
+        assert _checks(capsys, "generator-check", "--model", "interval") == {"t=1": False}
+        checks = acceptance.criterion_8_generator_invariance().details["checks"]
+        assert [name for name, ok in checks.items() if ok] == ["semigroup-level scaling phase = 1"]
 
 
 @pytest.mark.xfail(

@@ -500,6 +500,17 @@ class TestExitCodes:
             assert [r["re"] for r in rows] == pytest.approx(values, rel=1e-15)
         assert max(r["residual"] for r in rows) <= spectra.LATTICE_TOL
 
+
+    @pytest.mark.parametrize("rho, expected", [("1e-310", 3), ("5e-309", 3), ("1e-300", 0)])
+    def test_spectrum_where_one_over_rho_leaves_the_floats(self, rho, expected, tmp_path,
+                                                            capsys):
+        # below |rho| = 5.6e-309, 1/|rho| overflows and the height and every
+        # residual would read inf and nan: exit 3 with one line, no output
+        code, text = run_cli(tmp_path, "spectrum", "--rho", rho)
+        err = capsys.readouterr().err
+        assert code == expected and bool(text) == (expected == 0)
+        assert ("DynamicRangeExceeded" in err) == (expected == 3)
+        assert err.count("\n") == 1 and "Traceback" not in err
     def test_spectrum_off_by_1e_9_fails(self, tmp_path, monkeypatch):
         # one flat bound, spectra.LATTICE_TOL = 1e-10, on both lattices: points
         # 1e-9 off fail it. For rho it is the former 1e-10/|rho| on
@@ -572,7 +583,7 @@ class TestExitCodes:
             "refine-two-sizes", "weyl-1e15", "weyl-1e23", "refine-1e15", "refine-1e23",
             "certify-1e15", "certify-1e23"])
     def test_grid_sizes_are_configuration_errors(self, argv, tmp_path, capsys):
-        # refine's three distinct sizes are weylcheck.refinement_order's check
+        # refine's three distinct sizes are weylcheck.refine's check
         code = cli.main([*argv, "--out", str(tmp_path / "x.json")])
         err = capsys.readouterr().err
         assert code == 2
@@ -580,6 +591,13 @@ class TestExitCodes:
                                "configuration error: need at least three distinct grid sizes"))
         assert err.count("\n") == 1 and "Traceback" not in err
         assert not (tmp_path / "x.json").exists()
+
+    def test_refine_refuses_before_any_row(self, monkeypatch, capsys):
+        # fewer than three distinct sizes exit 2 before any residual is computed
+        calls = []
+        monkeypatch.setattr(weylcheck, "weyl_residual", lambda *args: calls.append(args))
+        assert cli.main(["refine", "--n", "1048576,1048576", "--t", "0.5,1.5,2.5"]) == 2
+        assert calls == [] and "three distinct grid sizes" in capsys.readouterr().err
 
     @pytest.mark.parametrize("n", ["64,128", "64,64", "128,64,256"])
     def test_certify_takes_exactly_one_size(self, n, tmp_path, capsys):

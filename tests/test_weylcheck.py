@@ -216,24 +216,28 @@ class TestWeylResidual:
                          "unitary_group": 6, "weyl_residual": 6}
 
     def test_off_grid_first_order(self):
-        order = weylcheck.refinement_order(weylcheck.residual_rows(
-            1.0, [128, 256, 512, 1024], [1.0, 2.5], on_grid=False))
+        _, order = weylcheck.refine(1.0, [128, 256, 512, 1024], [1.0, 2.5], on_grid=False)
         assert order >= 0.9
 
     def test_off_grid_order_over_four_decades(self):
-        order = weylcheck.refinement_order(weylcheck.residual_rows(
-            1.0, [10**2, 10**3, 10**4, 10**5, 10**6], [1.0, 2.5], on_grid=False))
+        _, order = weylcheck.refine(
+            1.0, [10**2, 10**3, 10**4, 10**5, 10**6], [1.0, 2.5], on_grid=False)
         assert 0.99 <= order <= 1.01
 
     def test_on_grid_reported_exact(self):
-        rows = weylcheck.residual_rows(1.0, [128, 256, 512], [1.0, 2.5], on_grid=True)
-        assert weylcheck.refinement_order(rows) == "exact"
+        rows, order = weylcheck.refine(1.0, [128, 256, 512], [1.0, 2.5], on_grid=True)
+        assert order == "exact"
         assert all(r["residual"] <= 1e-12 for r in rows)
 
-    def test_refinement_needs_three_distinct_sizes(self):
-        with pytest.raises(ValueError):
-            weylcheck.refinement_order(
-                weylcheck.residual_rows(1.0, [64, 64, 128], [1.0], on_grid=False))
+    def test_refinement_needs_three_distinct_sizes(self, monkeypatch):
+        # refused before any grid or residual is built
+        calls = []
+        for name in ("build_interval_grid", "weyl_residual"):
+            monkeypatch.setattr(weylcheck, name, lambda *args, _name=name: calls.append(_name))
+        for n_list, t_values in (([64, 64, 128], [1.0]), ([64, 128, 256], [])):
+            with pytest.raises(InvalidArgument, match="three distinct grid sizes"):
+                weylcheck.refine(1.0, n_list, t_values, on_grid=False)
+        assert calls == []
 
     @pytest.mark.parametrize("jobs", [2, 3])
     def test_rows_are_sorted_whatever_the_jobs(self, jobs):
@@ -432,14 +436,14 @@ class TestGeneratorInvariance:
             with pytest.raises(DynamicRangeExceeded, match="below the normal floats"):
                 weylcheck.generator_invariance_residual(model, "scaling", t)
 
-    def test_a_nan_entry_never_passes(self):
+    def test_a_nan_entry_never_passes(self, monkeypatch):
         def nan_jet(x):
             return (x * math.nan,) * 3
 
+        monkeypatch.setattr(weylcheck, "default_test_functions", lambda model: [("nan", nan_jet)])
         for model, kind in _FAMILIES:
             with pytest.raises(DynamicRangeExceeded):
-                weylcheck.generator_invariance_residual(
-                    model, kind, 0.5, test_functions=[("nan", nan_jet)])
+                weylcheck.generator_invariance_residual(model, kind, 0.5)
 
 
 class TestJets:
