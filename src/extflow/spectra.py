@@ -17,20 +17,21 @@ no code with it: two modified Pruefer phases in sigma = log(k x) meet at
 x = 1/k. The outward one sums the regular solution's power series (DLMF
 10.25.2). The inward one has no k in it and is formed once per ladder: the
 decaying solution of w'' = (e^{2 sigma} - nu^2) w is carried to sigma = 0
-by a batch of sixth-order Magnus propagators on a uniform mesh whose step
-count is closed form in nu, with the same leg on every other node as its
-error estimate. It starts where the WKB action past max(nu, 1) reaches
-S_IN = 18, which damps its start error by e^{-36}. The residual is the
-phase gap modulo pi, in radians, and the gap's multiple of pi counts the
-rungs, so a ladder that skips or repeats one raises
-NumericalInconsistency. The Magnus propagators and the Stirling series of
-log Gamma, whose phase places the ladder, live here with their only
-caller.
+by sixth-order Magnus propagators on a uniform mesh whose step count is
+closed form in nu. On a step of one length their exponent is a polynomial
+in e^{2 sigma}, so the leg and its error estimate, the same leg on every
+other node, come from one fused batch. It starts where the WKB action past
+max(nu, 1) reaches S_IN = 18, which damps its start error by e^{-36}. The
+residual is the phase gap modulo pi, in radians, and the gap's multiple of
+pi counts the rungs, so a ladder that skips or repeats one raises
+NumericalInconsistency. The Magnus kernel, specialised to this equation,
+and the Stirling series of log Gamma live here with their only caller.
 """
 
 from __future__ import annotations
 
 import cmath
+import itertools
 import math
 from dataclasses import dataclass, field
 
@@ -146,45 +147,52 @@ _PHASE_BUDGET = 1e-8
 _MAX_STEPS = 2 ** 17
 
 
-# the three Gauss-Legendre nodes on [0, 1], as a column
-_GAUSS3 = np.array([[0.5 - 0.1 * 15 ** 0.5], [0.5], [0.5 + 0.1 * 15 ** 0.5]])
+# the three Gauss-Legendre nodes on [0, 1]
+_GAUSS3 = (0.5 - 0.1 * 15 ** 0.5, 0.5, 0.5 + 0.1 * 15 ** 0.5)
 
 
-def magnus_propagators(q, z, h) -> tuple:
-    """The transfer matrices [[m11, m12], [m21, m22]] of u'' = q(z) u, acting
-    on (u, u'), from z_i to z_i + h_i for every i (h_i of either sign), as
-    four arrays.
+def _omega_polynomials(h: float, nu2: float) -> list:
+    """The rows g, e, f and -g of the Magnus exponent over [sigma, sigma + h]
+    as coefficients of y^0..y^3, y = e^{2 sigma}, in one list: q = y x_k - nu^2
+    at the Gauss points, x_k = e^{2 h c_k}, so nu^2 cancels from the moments,
+    y times b2 and b3 below, and e, f and g have degree 2, 3 and 2 in y."""
+    d1, d2, d3 = (math.expm1(2 * h * c) for c in _GAUSS3)
+    b2, b3 = 15 ** 0.5 / 3 * h * (d3 - d1), 10 / 3 * h * (d3 - 2 * d2 + d1)
+    x2, hh, k = 1 + d2, h * h, h * b2 / 240
+    a, b = 4 / 3 * hh * b3 / 240, hh * h * b2 * b2 / 15 / 240
+    g = [0.0, -k * (4 / 3 * hh * nu2 + 20), k * (4 / 3 * hh * x2 + h * b3 / 30), 0.0]
+    f = [-h * nu2, h * x2 + b3 / 12 - nu2 * a,
+         x2 * a - nu2 * b + h * (b3 * b3 / 15 - 2 * b2 * b2) / 240, x2 * b]
+    return g + [h, -a, b, 0.0] + f + [-c for c in g]
+
+
+def magnus_propagators(sigma, h: float, nu2: float) -> np.ndarray:
+    """The transfer matrices [[m11, m12], [m21, m22]] of
+    w'' = (e^{2 sigma} - nu^2) w, acting on (w, w'), over [sigma_j, sigma_j + h]
+    for every node sigma_j, then over [sigma_j, sigma_j + 2 h] for every other
+    node: a leg and the same leg with every other node dropped, as the rows
+    m11, m12, m21, m22 of one array.
 
     Each is exp(Omega) for the sixth-order, three-Gauss-point Magnus
     exponent Omega (Blanes, Casas and Ros, BIT 40 (2000) 434). With
-    A(z) = E + q(z) F in the sl_2 basis E = [[0, 1], [0, 0]],
-    F = [[0, 0], [1, 0]], H = [[1, 0], [0, -1]], the exponent's
-    commutators reduce to the closed form below, Omega = e E + f F + g H,
-    and exp(Omega) = cosh(r) I + sinh(r)/r Omega with r^2 = g^2 + e f.
-    ``q`` is called once, with a (3, n) array of nodes."""
-    q1, q2, q3 = q(z + h * _GAUSS3)
-    b2 = 15 ** 0.5 / 3 * h * (q3 - q1)      # the F parts of the Taylor moments
-    b3 = 10 / 3 * h * (q3 - 2 * q2 + q1)
-    hh = h * h
-    e = h + hh * (h * b2 * b2 / 15 - 4 / 3 * b3) / 240
-    f = (h * q2 + b3 / 12
-         + (hh * q2 * (4 / 3 * b3 + h * b2 * b2 / 15) + h * (b3 * b3 / 15 - 2 * b2 * b2)) / 240)
-    g = h * b2 * (4 / 3 * hh * q2 + h * b3 / 30 - 20) / 240
-    r2 = g * g + e * f
-    r = np.sqrt(np.abs(r2))
+    A = E + q F in the sl_2 basis E = [[0, 1], [0, 0]], F = [[0, 0], [1, 0]],
+    H = [[1, 0], [0, -1]], the exponent's commutators reduce to
+    Omega = e E + f F + g H, and exp(Omega) = cosh(r) I + sinh(r)/r Omega
+    with r^2 = g^2 + e f. For one step length e, f and g are polynomials in
+    e^{2 sigma_j} (``_omega_polynomials``), so both legs take one exp and one
+    Horner pass."""
+    y = np.exp(2 * sigma)
+    y = np.concatenate((y, y[::2]))
+    c = np.repeat(np.array(_omega_polynomials(h, nu2) + _omega_polynomials(2 * h, nu2))
+                  .reshape(2, 4, 4).T, (len(sigma), (len(sigma) + 1) // 2), axis=-1)
+    p = ((c[3] * y + c[2]) * y + c[1]) * y + c[0]
+    r2 = p[0] * p[0] + p[1] * p[2]      # g^2 + e f
+    r = np.maximum(np.sqrt(np.abs(r2)), 1e-300)    # lifts only r = 0: sinh(r)/r = 1
     grows = r2 > 0
     ch = np.where(grows, np.cosh(r), np.cos(r))
-    sh = np.divide(np.where(grows, np.sinh(r), np.sin(r)), r,
-                   out=np.ones_like(r), where=r > 0)
-    return ch + sh * g, sh * e, sh * f, ch - sh * g
-
-
-def magnus_transfer(propagators, u: float, du: float) -> tuple:
-    """(u, u') after the ``magnus_propagators`` in turn, applied in one pass
-    with no renormalisation, so the state must stay within the floats."""
-    for m11, m12, m21, m22 in zip(*(m.tolist() for m in propagators)):
-        u, du = m11 * u + m12 * du, m21 * u + m22 * du
-    return u, du
+    p *= np.where(grows, np.sinh(r), np.sin(r)) / r
+    p[::3] += ch
+    return p
 
 
 def _action(z: float, nu: float) -> float:
@@ -220,35 +228,33 @@ def _inward_phase(gamma: float, nu: float) -> float:
     exact, so the leg needs no step density: it first takes
     2 ceil(max(30, 10 + 11 nu)) steps, and its estimate then reads at most
     4.8e-9 for every nu up to 224. The same leg with every other node
-    dropped, formed in the same batch, gives the estimate: above
-    ``_PHASE_BUDGET`` the step count is doubled, and else the two phases are
-    extrapolated in the step's sixth power. Any error in the start data is
-    damped by e^{-2 S_IN} on the way in."""
+    dropped, in the same batch and read from the same list, gives the
+    estimate: above ``_PHASE_BUDGET`` the step count is doubled, and else the
+    two phases are extrapolated in the step's sixth power. Both transfers run
+    unnormalised, and any start error is damped by e^{-2 S_IN} on the way in."""
     z_in = _inward_start(nu)
     c = gamma / (2 * z_in)
     u, du = 1 + c, -(1 + c) - c / z_in       # u and u' at z_in
     root = math.sqrt(z_in)
     start = (u / root, root * (du - u / (2 * z_in)))     # w and w' there
     sigma_in = math.log(z_in)
-    nu2 = nu * nu
 
-    def q(sigma):
-        return np.exp(2 * sigma) - nu2
-
-    def phase(propagators):
-        w, dw = magnus_transfer(propagators, *start)
+    def phase(rows):
+        w, dw = start
+        for m11, m12, m21, m22 in rows:
+            w, dw = m11 * w + m12 * dw, m21 * w + m22 * dw
         return math.atan2(nu * w, dw)
 
     steps = 2 * math.ceil(max(30.0, 10.0 + 11.0 * nu))
     while True:
         if steps > _MAX_STEPS:
             raise NoConvergence(f"the inward leg needs {steps} steps at nu = {nu:.4g}")
-        # from sigma_in to 0 exactly; the coarse leg takes every other node
-        fine = np.arange(steps, -1, -1) / steps * sigma_in
-        nodes = np.concatenate((fine[:-1], fine[:-1:2]))
-        batch = magnus_propagators(q, nodes, np.concatenate((fine[1:], fine[2::2])) - nodes)
-        phi = phase([m[:steps] for m in batch])
-        gap = math.remainder(phi - phase([m[steps:] for m in batch]), math.pi)
+        # left nodes from sigma_in down: the last is -h, and the coarse leg's
+        # last is -2 h, so both legs end at 0 exactly
+        sigma = np.arange(steps, 0, -1) / steps * sigma_in
+        rows = zip(*magnus_propagators(sigma, -float(sigma[-1]), nu * nu).tolist())
+        phi = phase(itertools.islice(rows, steps))
+        gap = math.remainder(phi - phase(rows), math.pi)
         if abs(gap) <= _PHASE_BUDGET:
             return phi + gap / 63
         steps *= 2

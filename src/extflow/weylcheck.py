@@ -41,6 +41,9 @@ _CORES = os.cpu_count() or 1
 # the on-grid residual that counts as exact, which grows like |t| l eps (measured
 # <= 2.1e-14 at |t| l < 100, 1.4e-12 at 1e3 to 1e4), and the least off-grid order
 ON_GRID_TOL, ORDER_MIN = 1e-12, 0.9
+# off the grid s - k h = h/2, so the residual is 2|sin(t h / 4)| and the order
+# between grids h and h/2 is 1 + log2 cos(t h / 8): below ORDER_MIN past this t h
+SATURATED_TH = 8 * math.acos(2 ** (ORDER_MIN - 1))
 
 
 # ---------------------------------------------------------------------------
@@ -164,13 +167,16 @@ def residual_rows(length: float, n_list, t_values, on_grid: bool, jobs: int = 1)
 
 
 def refine(length: float, n_list, t_values, on_grid: bool, jobs: int = 1) -> tuple:
-    """residual_rows, and the slope of log(worst residual per grid size)
-    against log(h), or "exact" when each is within ON_GRID_TOL; InvalidArgument,
-    before any row, for fewer than three distinct sizes or no t. Off-grid times
-    sit at (k + 1/2) h, the worst case for nearest-grid rounding, so the fitted
-    order tracks the error envelope."""
+    """residual_rows, and the least-squares slope of log(worst residual per
+    grid size) against log(h), or "exact" when each is within ON_GRID_TOL;
+    InvalidArgument, before any row, for fewer than three distinct sizes, no t
+    or an off-grid |t| h past SATURATED_TH on the coarsest grid. Off-grid times
+    sit at (k + 1/2) h, the worst case for rounding: the order tracks its envelope."""
     if len(set(n_list)) < 3 or not len(t_values):
         raise InvalidArgument("need at least three distinct grid sizes and a group parameter")
+    th = max(abs(t) for t in t_values) * (length / min(n_list))
+    if not on_grid and th > SATURATED_TH:
+        raise InvalidArgument(f"off-grid |t| h = {th:.4g} > {SATURATED_TH:.4g} at the largest h")
     rows = residual_rows(length, n_list, t_values, on_grid, jobs)
     worst = {}
     for r in rows:
@@ -179,9 +185,11 @@ def refine(length: float, n_list, t_values, on_grid: bool, jobs: int = 1) -> tup
     sizes = sorted(worst)
     if all(worst[size] <= ON_GRID_TOL for size in sizes):
         return rows, "exact"
-    hs = np.log([h for _, h in sizes])
-    rs = np.log([max(worst[size], 1e-300) for size in sizes])
-    return rows, float(np.polyfit(hs, rs, 1)[0])
+    xs = [math.log(h) for _, h in sizes]
+    ys = [math.log(max(worst[size], 1e-300)) for size in sizes]
+    mx, my = sum(xs) / len(xs), sum(ys) / len(ys)
+    return rows, (sum((x - mx) * (y - my) for x, y in zip(xs, ys))
+                  / sum((x - mx) ** 2 for x in xs))
 
 
 # ---------------------------------------------------------------------------

@@ -599,6 +599,16 @@ class TestExitCodes:
         assert cli.main(["refine", "--n", "1048576,1048576", "--t", "0.5,1.5,2.5"]) == 2
         assert calls == [] and "three distinct grid sizes" in capsys.readouterr().err
 
+    def test_refine_refuses_a_saturated_fit(self, capsys):
+        # at l = 300 the coarsest grid has t h = 7.03, where every residual
+        # is near its bound of 2 and the order is below ORDER_MIN by
+        # construction: exit 2 with one line, on-grid still runs
+        assert cli.main(["refine", "--l", "300", "--n", "64,128,256", "--t", "0.5,1.5"]) == 2
+        err = capsys.readouterr().err
+        assert "off-grid |t| h" in err and err.count("\n") == 1 and "Traceback" not in err
+        assert cli.main(["refine", "--l", "300", "--n", "64,128,256", "--t", "0.5,1.5",
+                         "--on-grid"]) == 0
+
     @pytest.mark.parametrize("n", ["64,128", "64,64", "128,64,256"])
     def test_certify_takes_exactly_one_size(self, n, tmp_path, capsys):
         # the certificate is taken at one grid size, so a list is an error

@@ -216,8 +216,13 @@ class TestWeylResidual:
                          "unitary_group": 6, "weyl_residual": 6}
 
     def test_off_grid_first_order(self):
-        _, order = weylcheck.refine(1.0, [128, 256, 512, 1024], [1.0, 2.5], on_grid=False)
+        rows, order = weylcheck.refine(1.0, [128, 256, 512, 1024], [1.0, 2.5], on_grid=False)
         assert order >= 0.9
+        # the closed-form slope is the least-squares line through the worst
+        # residual per size, which np.polyfit also fits
+        worst = [max(r["residual"] for r in rows if r["n"] == n) for n in (128, 256, 512, 1024)]
+        fit = np.polyfit(np.log([1 / 128, 1 / 256, 1 / 512, 1 / 1024]), np.log(worst), 1)[0]
+        assert order == pytest.approx(fit, abs=1e-12)
 
     def test_off_grid_order_over_four_decades(self):
         _, order = weylcheck.refine(
@@ -237,6 +242,27 @@ class TestWeylResidual:
         for n_list, t_values in (([64, 64, 128], [1.0]), ([64, 128, 256], [])):
             with pytest.raises(InvalidArgument, match="three distinct grid sizes"):
                 weylcheck.refine(1.0, n_list, t_values, on_grid=False)
+        assert calls == []
+
+    def test_refuses_an_order_that_fails_by_construction(self, monkeypatch):
+        # off the grid the residual is 2|sin(t h / 4)|, so the order between
+        # grids h and h/2 is 1 + log2 cos(t h / 8), ORDER_MIN at SATURATED_TH
+        th = weylcheck.SATURATED_TH
+        assert 1 + math.log2(math.cos(th / 8)) == pytest.approx(weylcheck.ORDER_MIN, abs=1e-15)
+        rows = weylcheck.residual_rows(300.0, [64, 128], [0.5, 1.5], on_grid=False)
+        for r in rows:
+            assert r["residual"] == pytest.approx(2 * abs(math.sin(r["t"] * r["h"] / 4)), rel=1e-12)
+        # just inside the bound the order passes; just past it, and at
+        # l = 300, where t h reaches 7.03, refine refuses before any grid
+        _, order = weylcheck.refine(64.0, [64, 128, 256], [th * 0.999], on_grid=False)
+        assert weylcheck.ORDER_MIN <= order < 1
+        assert weylcheck.refine(300.0, [64, 128, 256], [0.5, 1.5], on_grid=True)[1] == "exact"
+        calls = []
+        for name in ("build_interval_grid", "weyl_residual"):
+            monkeypatch.setattr(weylcheck, name, lambda *args, _name=name: calls.append(_name))
+        for length, t_values in ((64.0, [th * 1.001]), (300.0, [0.5, 1.5]), (300.0, [-1.5, 0.5])):
+            with pytest.raises(InvalidArgument, match="off-grid"):
+                weylcheck.refine(length, [64, 128, 256], t_values, on_grid=False)
         assert calls == []
 
     @pytest.mark.parametrize("jobs", [2, 3])
