@@ -11,18 +11,19 @@ rules, and ``right_shift`` is the shift semigroup on jets.
 
 The interval grid uses the one-sided (upwind) difference for i d/dx with a
 Dirichlet condition at 0, which makes the semigroup an exact down-shift for
-on-grid times. Every grid operator is therefore stored by its structure, a
-diagonal times a k-fold down-shift: U_t is the diagonal of phases e^{i x_j t}
-and V_s = diag(v) S^k with k = round(s/h). The commutator
-U_t V_s - e^{i s t} V_s U_t is then the single diagonal
-v_j (u_j - e^{i s t} u_{j-k}) times S^k, read off the two diagonals with no
-operator product formed, and its operator norm is the exact maximum of that
-diagonal, in O(n). The relation then holds to machine precision on the
-grid, while off-grid times are realized by nearest-grid rounding and
-converge at first order. One sweep, residual_rows, serves the weyl and
-refine commands and the acceptance battery: it builds the grid and V_s once
-per size and takes the (n, t) cells on worker threads when asked, and
-refine fits its convergence order. The nilpotency index n h of
+on-grid times. Every grid operator is therefore a diagonal times a k-fold
+down-shift, and the residual sweep keeps only what each factor needs: U_t
+is its diagonal of phases e^{i x_j t}, and V_s its shift count
+k = round(s/h), the ones on its diagonal changing no product. The
+commutator U_t V_s - e^{i s t} V_s U_t is then the single diagonal
+u_j - e^{i s t} u_{j-k} times S^k, and its operator norm is the exact
+maximum of that diagonal, in O(n). The relation then holds to machine
+precision on the grid, while off-grid times are realized by nearest-grid
+rounding and converge at first order. One sweep, residual_rows, serves the
+weyl and refine commands and the acceptance battery: it lays out the grid,
+s and k once per size and takes the (n, t) cells on worker threads when
+asked, and refine fits its convergence order. V_s's GridOperator record,
+from semigroup, serves the nilpotency check; the nilpotency index n h of
 the shift semigroup is fixed by the construction.
 """
 
@@ -31,16 +32,17 @@ from __future__ import annotations
 import cmath
 import math
 import os
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 
 from .errors import DynamicRangeExceeded, InsufficientData, InvalidArgument
 
 _CORES = os.cpu_count() or 1
-# the on-grid residual that counts as exact, which grows like |t| l eps (measured
-# <= 2.1e-14 at |t| l < 100, 1.4e-12 at 1e3 to 1e4), and the least off-grid order
-ON_GRID_TOL, ORDER_MIN = 1e-12, 0.9
+# the on-grid residual that counts as exact; the floors of (1 + |t| l) eps, the
+# rounding of the phases x_j t (measured <= 1.36), within which a residual past
+# it is unresolved; and the least off-grid order
+ON_GRID_TOL, ON_GRID_FLOORS, ORDER_MIN = 1e-12, 16.0, 0.9
 # off the grid s - k h = h/2, so the residual is 2|sin(t h / 4)| and the order
 # between grids h and h/2 is 1 + log2 cos(t h / 8): below ORDER_MIN past this t h
 SATURATED_TH = 8 * math.acos(2 ** (ORDER_MIN - 1))
@@ -53,25 +55,27 @@ SATURATED_TH = 8 * math.acos(2 ** (ORDER_MIN - 1))
 
 @dataclass(frozen=True)
 class IntervalGrid:
-    """The nodes x_j = j h, j = 1..n, of the upwind grid on (0, n h)."""
+    """The nodes x_j = j h, j = 1..n, of the upwind grid on (0, n h),
+    computed once per grid."""
 
     n: int
     h: float
+    nodes: np.ndarray = field(init=False, repr=False, compare=False)
+
+    def __post_init__(self):
+        object.__setattr__(self, "nodes", np.arange(1, self.n + 1) * self.h)
 
     @property
     def shape(self) -> tuple:
         return (self.n, self.n)
-
-    @property
-    def nodes(self) -> np.ndarray:
-        return np.arange(1, self.n + 1) * self.h
 
 
 @dataclass(frozen=True)
 class GridOperator:
     """diag(d) S^k on C^n, S the down-shift: (A f)_j = d_j f_{j-k} for
     j >= k and 0 for j < k. Entries d_j with j < k are kept at zero, so
-    k >= n is the zero operator."""
+    k >= n is the zero operator: V_s for the nilpotency check, whereas the
+    residual sweep reads U_t's diagonal and V_s's k alone."""
 
     diag: np.ndarray
     shift: int
@@ -88,18 +92,24 @@ def build_interval_grid(length: float, n: int) -> IntervalGrid:
     return IntervalGrid(n, length / n)
 
 
-def unitary_group(grid: IntervalGrid, t: float) -> GridOperator:
-    """e^{i x t}: the diagonal of phases e^{i x_j t}."""
-    return GridOperator(np.exp(grid.nodes * (1j * t)), 0)
+def unitary_group(grid: IntervalGrid, t: float) -> np.ndarray:
+    """e^{i x t}: its diagonal of phases e^{i x_j t}, a 1-D array."""
+    return np.exp(grid.nodes * (1j * t))
+
+
+def shift_count(grid: IntervalGrid, s: float) -> int:
+    """V_s's shift k = round(s/h), at most n: off-grid times round to the
+    nearest grid time. InvalidArgument for s < 0."""
+    if s < 0:
+        raise InvalidArgument("semigroup parameter must be nonnegative")
+    return min(int(round(s / grid.h)), grid.n)
 
 
 def semigroup(grid: IntervalGrid, s: float) -> GridOperator:
     """The contraction semigroup of the upwind generator at time s: the
-    exact k-fold down-shift with k = round(s/h); off-grid times round to
-    the nearest grid time. Nilpotent: the zero operator for s >= length."""
-    if s < 0:
-        raise InvalidArgument("semigroup parameter must be nonnegative")
-    k = min(int(round(s / grid.h)), grid.n)
+    exact k-fold down-shift with k = shift_count(grid, s). Nilpotent: the
+    zero operator for s >= length."""
+    k = shift_count(grid, s)
     d = np.ones(grid.n, dtype=complex)
     d[:k] = 0.0
     return GridOperator(d, k)
@@ -115,18 +125,15 @@ def operator_norm(op: GridOperator) -> float:
 # commutation residuals
 # ---------------------------------------------------------------------------
 
-def weyl_residual(u: GridOperator, v: GridOperator, t: float, s: float) -> float:
+def weyl_residual(u: np.ndarray, k: int, t: float, s: float) -> float:
     """Operator norm of U_t V_s - e^{i s t} V_s U_t, the translation case
-    g_t(x) = x + t of the relation: for U_t = diag(u) and V_s = diag(v) S^k
-    it is diag(v_j (u_j - e^{i s t} u_{j-k})) S^k, read from the diagonals,
-    and its norm is exact. InvalidArgument for a U_t that shifts."""
-    if u.shift:
-        raise InvalidArgument("U_t must be a multiplication operator, "
-                              f"not a shift by {u.shift}")
-    n = len(u.diag)
-    k = min(v.shift, n)
-    phase = complex(np.exp(1j * s * t))
-    return operator_norm(GridOperator(v.diag[k:] * (u.diag[k:] - phase * u.diag[:n - k]), 0))
+    g_t(x) = x + t of the relation, from U_t's phases u and V_s's shift k:
+    it is diag(u_j - e^{i s t} u_{j-k}) S^k, whose norm is exactly
+    max_{j >= k} |u_j - e^{i s t} u_{j-k}|, and 0 once k >= n."""
+    n = len(u)
+    k = min(k, n)
+    diff = u[k:] - cmath.exp(1j * s * t) * u[:n - k]
+    return float(np.maximum.reduce(np.abs(diff), initial=0.0))
 
 
 # ---------------------------------------------------------------------------
@@ -136,22 +143,23 @@ def weyl_residual(u: GridOperator, v: GridOperator, t: float, s: float) -> float
 def residual_rows(length: float, n_list, t_values, on_grid: bool, jobs: int = 1) -> list:
     """The residual for every listed grid size n and group parameter t, at
     semigroup time s = (n//3) h on the grid, or half a spacing off it, the
-    worst case for nearest-grid rounding. The grid and V_s depend on n alone
-    and are built once per distinct size; the (n, t) cells run on up to jobs
-    worker threads, at most one per core, since more cannot speed CPU-bound
-    cells. Rows come sorted by (n, t) whatever the number of threads, and a
-    size listed twice gives its rows twice."""
+    worst case for nearest-grid rounding. The grid, s and V_s's shift k
+    depend on n alone and are laid out once per distinct size; the (n, t)
+    cells run on up to jobs worker threads, at most one per core, since more
+    cannot speed CPU-bound cells. Rows come sorted by (n, t) whatever the
+    number of threads, and a size listed twice gives its rows twice. On the
+    grid, DynamicRangeExceeded for a row past ON_GRID_TOL within the floors."""
     variant = "on-grid" if on_grid else "off-grid"
     sizes = {}
     for n in sorted(set(n_list)):
         grid = build_interval_grid(length, n)
         s = (n // 3 + (0.0 if on_grid else 0.5)) * grid.h
-        sizes[n] = grid, s, semigroup(grid, s)
+        sizes[n] = grid, s, shift_count(grid, s)
 
     def row(cell):
         n, t = cell
-        grid, s, v = sizes[n]
-        res = weyl_residual(unitary_group(grid, t), v, t, s)
+        grid, s, k = sizes[n]
+        res = weyl_residual(unitary_group(grid, t), k, t, s)
         return {"n": n, "h": grid.h, "t": float(t), "s": float(s), "variant": variant,
                 "residual": res}
 
@@ -163,7 +171,13 @@ def residual_rows(length: float, n_list, t_values, on_grid: bool, jobs: int = 1)
             rows = list(pool.map(row, cells))
     else:
         rows = list(map(row, cells))
-    return sorted(rows, key=lambda r: (r["n"], r["t"]))
+    rows.sort(key=lambda r: (r["n"], r["t"]))
+    for r in rows if on_grid else ():
+        floor = ON_GRID_FLOORS * (1 + abs(r["t"]) * length) * math.ulp(1.0)
+        if ON_GRID_TOL < r["residual"] <= floor:
+            raise DynamicRangeExceeded(f"on-grid residual {r['residual']:.3g} at n = {r['n']}, "
+                                       f"t = {r['t']:g} is within the rounding of x_j t, {floor:.3g}")
+    return rows
 
 
 def refine(length: float, n_list, t_values, on_grid: bool, jobs: int = 1) -> tuple:

@@ -6,7 +6,7 @@ from pathlib import Path
 
 import pytest
 
-from extflow import cli
+from extflow import cli, weylcheck
 
 EXTBENCH = Path(__file__).resolve().parents[1] / "extbench"
 
@@ -32,15 +32,20 @@ def test_install_wraps_and_uninstall_restores(tracer):
 
 
 def test_traced_grid_commands_run(tracer, tmp_path):
-    # the tracer's after-hooks read .shape from the grid, the operators and
-    # the residual's first argument
+    # the tracer's after-hooks read .shape from the grid, from U_t's phase
+    # diagonal and from the residual's first argument, that same diagonal
     for argv in (["weyl", "--n", "64,128", "--t", "0.7", "--jobs", "1"],
                  ["refine", "--n", "64,128,256", "--t", "1.0"],
                  ["certify-nonequivalence", "--l2", "2", "--n", "64"]):
         assert cli.main([*argv, "--out", str(tmp_path / "out.json")]) == 0
-    assert {"weylcheck.grid", "weylcheck.semigroup", "weylcheck.unitary",
-            "weylcheck.residual", "weylcheck.nilpotency",
-            "cli.emit"} <= set(tracer.names)
+    assert {"weylcheck.grid", "weylcheck.unitary", "weylcheck.residual",
+            "weylcheck.nilpotency", "cli.emit"} <= set(tracer.names)
+    # the grid commands read V_s's shift alone; its record, which criterion
+    # 5's nilpotency check measures, still passes the semigroup and norm hooks
+    assert "weylcheck.semigroup" not in tracer.names
+    grid = weylcheck.build_interval_grid(1.0, 64)
+    assert weylcheck.operator_norm(weylcheck.semigroup(grid, 1.0)) == 0.0
+    assert {"weylcheck.semigroup", "numerics.norm"} <= set(tracer.names)
 
 
 def test_traced_shoot_counts_one_mismatch_per_rung(tracer, tmp_path):

@@ -609,6 +609,22 @@ class TestExitCodes:
         assert cli.main(["refine", "--l", "300", "--n", "64,128,256", "--t", "0.5,1.5",
                          "--on-grid"]) == 0
 
+    @pytest.mark.parametrize("argv", [
+        ["weyl", "--l", "300", "--n", "1024", "--t", "37.3,-9.9", "--on-grid"],
+        ["weyl", "--l", "3.3", "--n", "64", "--t", "1e4", "--on-grid"],
+        ["refine", "--l", "3.3", "--n", "64,128,256", "--t", "1e4", "--on-grid"]])
+    def test_on_grid_rounding_of_the_phases_exits_3(self, argv, tmp_path, capsys):
+        # the relation is exact on the grid, but the phases x_j t round to a
+        # residual past ON_GRID_TOL (1.36e-12 and 3.6e-12): unresolved, not a
+        # failure, with one line and no output; a small |t| l still passes
+        assert cli.main([*argv, "--out", str(tmp_path / "x.json")]) == 3
+        err = capsys.readouterr().err
+        assert err.startswith("numerical/runtime failure: DynamicRangeExceeded: on-grid residual")
+        assert err.count("\n") == 1 and "Traceback" not in err
+        assert not (tmp_path / "x.json").exists()
+        assert cli.main(["weyl", "--l", "1", "--n", "8,1024", "--t", "1", "--on-grid",
+                         "--out", str(tmp_path / "x.json")]) == 0
+
     @pytest.mark.parametrize("n", ["64,128", "64,64", "128,64,256"])
     def test_certify_takes_exactly_one_size(self, n, tmp_path, capsys):
         # the certificate is taken at one grid size, so a list is an error

@@ -4,6 +4,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from extflow import models, weylcheck
 from extflow.errors import DynamicRangeExceeded, InsufficientData, InvalidArgument
@@ -30,8 +32,9 @@ def dense_generator(length, n):
 
 
 def to_dense(op):
-    n = op.shape[0]
-    return np.diag(op.diag) @ np.eye(n, k=-op.shift)
+    # a GridOperator record, or a 1-D diagonal such as unitary_group's
+    diag, shift = (op.diag, op.shift) if isinstance(op, GridOperator) else (op, 0)
+    return np.diag(diag) @ np.eye(len(diag), k=-shift)
 
 
 def dense_residual(length, n, t, s):
@@ -95,14 +98,14 @@ class TestUnitaryGroup:
 
     def test_unimodular_entries(self, grid256):
         u = weylcheck.unitary_group(grid256, 2.3)
-        assert u.shift == 0
-        assert np.allclose(np.abs(u.diag), 1.0, atol=1e-12)
+        assert u.shape == (grid256.n,)
+        assert np.allclose(np.abs(u), 1.0, atol=1e-12)
 
     def test_group_law(self, grid256):
         u1 = weylcheck.unitary_group(grid256, 0.8)
         u2 = weylcheck.unitary_group(grid256, 1.9)
         u12 = weylcheck.unitary_group(grid256, 2.7)
-        assert np.abs(u1.diag * u2.diag - u12.diag).max() < 1e-12
+        assert np.abs(u1 * u2 - u12).max() < 1e-12
         assert np.abs(to_dense(u1) @ to_dense(u2) - to_dense(u12)).max() < 1e-12
 
     def test_preserves_norms(self, grid256):
@@ -157,19 +160,19 @@ class TestWeylResidual:
     def test_on_grid_exact(self, grid256):
         rng = np.random.default_rng(2)
         s = 100 * grid256.h
-        v = weylcheck.semigroup(grid256, s)
+        k = weylcheck.shift_count(grid256, s)
         for t in rng.uniform(-10, 10, 50):
             u = weylcheck.unitary_group(grid256, t)
-            assert weylcheck.weyl_residual(u, v, t, s) <= 1e-12
+            assert weylcheck.weyl_residual(u, k, t, s) <= 1e-12
 
     def test_degenerate_parameters(self, grid256):
         s = 64 * grid256.h
-        v = weylcheck.semigroup(grid256, s)
+        k = weylcheck.shift_count(grid256, s)
         u0 = weylcheck.unitary_group(grid256, 0.0)
-        assert weylcheck.weyl_residual(u0, v, 0.0, s) <= 1e-12
+        assert weylcheck.weyl_residual(u0, k, 0.0, s) <= 1e-12
         u = weylcheck.unitary_group(grid256, 1.7)
-        v0 = weylcheck.semigroup(grid256, 0.0)
-        assert weylcheck.weyl_residual(u, v0, 1.7, 0.0) <= 1e-12
+        assert weylcheck.shift_count(grid256, 0.0) == 0
+        assert weylcheck.weyl_residual(u, 0, 1.7, 0.0) <= 1e-12
 
     @pytest.mark.parametrize("n", [16, 100, 256])
     @pytest.mark.parametrize("offset", [0.0, 0.5, 0.3])
@@ -181,38 +184,40 @@ class TestWeylResidual:
             s = (k + offset) * grid.h
             for t in (-4.2, 0.9, 2.5):
                 u = weylcheck.unitary_group(grid, t)
-                got = weylcheck.weyl_residual(u, weylcheck.semigroup(grid, s), t, s)
+                got = weylcheck.weyl_residual(u, weylcheck.shift_count(grid, s), t, s)
                 assert got == pytest.approx(dense_residual(length, n, t, s),
                                             rel=1e-12, abs=0.0)
 
-    def test_non_unit_semigroup_diagonal_matches_dense_norm(self, grid256):
-        # the residual reads V_s's diagonal too, not only its shift
-        rng = np.random.default_rng(6)
-        n = grid256.n
-        for k, t in ((0, 20.7), (1, -3.3), (85, 2.5), (255, 9.1), (256, 1.0)):
-            u, v = weylcheck.unitary_group(grid256, t), random_operator(rng, n, k)
-            s = (k + 0.5) * grid256.h   # off the grid, so no term cancels to rounding
-            du, dv = to_dense(u), to_dense(v)
-            expect = np.linalg.norm(du @ dv - np.exp(1j * s * t) * (dv @ du), 2)
-            assert weylcheck.weyl_residual(u, v, t, s) == pytest.approx(
-                expect, rel=1e-12, abs=0.0)
+    @settings(max_examples=150, deadline=None, derandomize=True)
+    @given(length=st.floats(1e-3, 300.0), n=st.integers(8, 64), t=st.floats(-50.0, 50.0),
+           k_pick=st.sampled_from(["zero", "last", "all", "any"]),
+           k_any=st.integers(0, 64), offset=st.sampled_from([0.0, 0.25, 0.45]))
+    @example(length=300.0, n=64, t=37.3, k_pick="last", k_any=0, offset=0.45)
+    @example(length=1e-3, n=8, t=-50.0, k_pick="all", k_any=0, offset=0.0)
+    def test_phase_diagonal_and_shift_match_dense_residual(self, length, n, t, k_pick,
+                                                           k_any, offset):
+        # U_t's phases and V_s's shift alone give the dense residual of
+        # U_t V_s - e^{ist} V_s U_t, on the grid and off it, from k = 0 to n
+        k = {"zero": 0, "last": n - 1, "all": n, "any": min(k_any, n)}[k_pick]
+        grid = weylcheck.build_interval_grid(length, n)
+        s = (k + offset) * grid.h
+        assert weylcheck.shift_count(grid, s) == k
+        got = weylcheck.weyl_residual(weylcheck.unitary_group(grid, t), k, t, s)
+        assert got == pytest.approx(dense_residual(length, n, t, s), rel=1e-12, abs=0.0)
 
-    def test_shifted_unitary_is_rejected(self, grid256):
-        u = random_operator(np.random.default_rng(7), grid256.n, 3)
-        with pytest.raises(InvalidArgument):
-            weylcheck.weyl_residual(u, weylcheck.semigroup(grid256, 0.1), 1.0, 0.1)
-
-    def test_grid_and_semigroup_once_per_size(self, monkeypatch):
-        # the grid and V_s depend on n alone; U_t and the residual on the cell
+    def test_grid_and_shift_once_per_size(self, monkeypatch):
+        # the grid and V_s's shift depend on n alone; U_t and the residual on
+        # the cell; no GridOperator record of V_s is built
         calls = collections.Counter()
-        for name in ("build_interval_grid", "semigroup", "unitary_group", "weyl_residual"):
+        for name in ("build_interval_grid", "shift_count", "semigroup", "unitary_group",
+                     "weyl_residual"):
             def counted(*args, _name=name, _inner=getattr(weylcheck, name)):
                 calls[_name] += 1
                 return _inner(*args)
             monkeypatch.setattr(weylcheck, name, counted)
         rows = weylcheck.residual_rows(1.0, [64, 64, 128], [1.0, -2.5], on_grid=False)
         assert len(rows) == 6
-        assert calls == {"build_interval_grid": 2, "semigroup": 2,
+        assert calls == {"build_interval_grid": 2, "shift_count": 2,
                          "unitary_group": 6, "weyl_residual": 6}
 
     def test_off_grid_first_order(self):
@@ -233,6 +238,33 @@ class TestWeylResidual:
         rows, order = weylcheck.refine(1.0, [128, 256, 512], [1.0, 2.5], on_grid=True)
         assert order == "exact"
         assert all(r["residual"] <= 1e-12 for r in rows)
+
+    def test_on_grid_residual_is_the_rounding_of_the_phases(self):
+        # over 8 lengths, sizes from 8 to 8192 and |t| l from 1e-2 to 1e5 the
+        # on-grid residual stays within 1.36 (1 + |t| l) eps: ON_GRID_FLOORS
+        # keeps a factor of ten above it
+        eps, worst = np.finfo(float).eps, 0.0
+        for length in (1e-3, 0.1, 1.0, 3.3, 10.0, 62.8, 120.0, 300.0):
+            for n in (8, 64, 1024, 8192):
+                grid = weylcheck.build_interval_grid(length, n)
+                s = (n // 3) * grid.h
+                k = weylcheck.shift_count(grid, s)
+                for t in np.outer([1.0, -1.0], np.logspace(-2, 5, 15)).ravel() / length:
+                    res = weylcheck.weyl_residual(weylcheck.unitary_group(grid, t), k, t, s)
+                    worst = max(worst, res / ((1 + abs(t) * length) * eps))
+        assert 0.5 < worst and 10 * worst <= weylcheck.ON_GRID_FLOORS
+
+    @pytest.mark.parametrize("length, n, t_values", [(300.0, 1024, [37.3, -9.9]),
+                                                      (3.3, 64, [1e4])])
+    def test_on_grid_rounding_is_unresolved_not_failed(self, length, n, t_values):
+        # past ON_GRID_TOL but within the floors: DynamicRangeExceeded, for
+        # weyl's rows and refine's alike; off the grid the rows still come
+        rows = weylcheck.residual_rows(length, [n], t_values, on_grid=False)
+        assert len(rows) == len(t_values)
+        with pytest.raises(DynamicRangeExceeded, match="within the rounding of x_j t"):
+            weylcheck.residual_rows(length, [n], t_values, on_grid=True)
+        with pytest.raises(DynamicRangeExceeded, match="within the rounding of x_j t"):
+            weylcheck.refine(length, [n, 2 * n, 4 * n], t_values, on_grid=True)
 
     def test_refinement_needs_three_distinct_sizes(self, monkeypatch):
         # refused before any grid or residual is built
@@ -280,9 +312,9 @@ class TestWeylResidual:
     def test_residual_independent_of_t_on_grid(self, grid256):
         rng = np.random.default_rng(3)
         s = 50 * grid256.h
-        v = weylcheck.semigroup(grid256, s)
+        k = weylcheck.shift_count(grid256, s)
         residuals = [
-            weylcheck.weyl_residual(weylcheck.unitary_group(grid256, t), v, t, s)
+            weylcheck.weyl_residual(weylcheck.unitary_group(grid256, t), k, t, s)
             for t in rng.uniform(-20, 20, 50)
         ]
         assert max(residuals) <= 1e-12
