@@ -118,6 +118,8 @@ _KEYS = {
                (("json", "csv").__contains__, "must be json or csv, got {!r}")),
 }
 _DEFAULTS = {key: row[0] for key, row in _KEYS.items()}
+# each key's place in _KEYS, the order its domain is checked in
+_ORDER = {key: place for place, key in enumerate(_KEYS)}
 
 # how a run is carried out, not what it computes: every command takes them
 # and no payload echoes them
@@ -205,22 +207,24 @@ def load_config(values: dict) -> SimpleNamespace:
         if key not in allowed and key not in _RUN_KEYS:
             raise ParseError(f"{command}: {key!r} is not a key of this command "
                              f"(its keys: {', '.join(allowed) or 'none'})")
-    cfg = SimpleNamespace(command=command, **_DEFAULTS | given)
+    cfg = SimpleNamespace(**_DEFAULTS)
+    cfg.command = command
+    vars(cfg).update(given)
     _validate(cfg, given)
     return cfg
 
 
 def _validate(cfg: SimpleNamespace, given: dict):
-    # the keys given, in _KEYS order: every default is finite and in its domain
+    # the keys given, all finite first and then each in its domain, in _KEYS
+    # order; every default is finite and in its domain
     keys = _COMMANDS[cfg.command][1]
-    checked = [(key, given[key]) for key in _KEYS if key in given]
-    if not all(cmath.isfinite(x) for _, value in checked
-               for x in (value if type(value) is list else (value,))
-               if type(x) in (float, complex)):
-        raise ParseError(f"{cfg.command}: every numeric input must be finite")
-    for key, value in checked:
-        if (domain := _KEYS[key][3]) and not domain[0](value):
-            raise ParseError(f"{cfg.command}: {key!r} {domain[1].format(value)}")
+    for value in given.values():
+        for x in value if type(value) is list else (value,):
+            if type(x) in (float, complex) and not cmath.isfinite(x):
+                raise ParseError(f"{cfg.command}: every numeric input must be finite")
+    for key in sorted(given, key=_ORDER.__getitem__):
+        if (domain := _KEYS[key][3]) and not domain[0](given[key]):
+            raise ParseError(f"{cfg.command}: {key!r} {domain[1].format(given[key])}")
     if "model" in keys:
         groups = _MODELS[cfg.model][2]
         group = cfg.group or groups[0]
@@ -234,8 +238,7 @@ def _validate(cfg: SimpleNamespace, given: dict):
     if "l2" in keys and cfg.l2 is None:
         raise ParseError(f"{cfg.command}: missing required field 'l2'")
     # spectra bounds shoot's coupling above; below, its work grows with nu
-    floor = models.InverseSquareModel.GAMMA_MIN
-    if cfg.command == "shoot" and not cfg.gamma >= floor:
+    if cfg.command == "shoot" and not cfg.gamma >= (floor := models.InverseSquareModel.GAMMA_MIN):
         raise ParseError(f"shoot: gamma must lie in [{floor:g}, -1/4), got {cfg.gamma}")
     if cfg.command == "certify-nonequivalence" and len(cfg.n) != 1:
         raise ParseError("certify-nonequivalence: give exactly one grid size in 'n'")
@@ -474,26 +477,42 @@ def _quote(text: str) -> str:
 
 
 class _Quoted(dict):
-    # _quote by text, for the keys and names that repeat: the first 256 texts
+    # _quote by text, then the suffix, for the keys and names that repeat:
+    # the first 256 texts
+    def __init__(self, suffix: str = ""):
+        self.suffix = suffix
+
     def __missing__(self, text: str) -> str:
-        quoted = _quote(text)
+        quoted = _quote(text) + self.suffix
         if len(self) < 256:
             self[text] = quoted
         return quoted
 
 
-_quoted = _Quoted().__getitem__
+# each dict member's '"key": ' head
+_HEADS = _Quoted(": ")
 # the payload's scalars, by exact builtin type; a complex is an object
-_SCALARS = {float: _format_number, str: _quoted, int: str,
+_SCALARS = {float: _format_number, str: _Quoted().__getitem__, int: str,
             bool: ("false", "true").__getitem__, type(None): lambda _: "null"}
+
+
+def _frame(depth: int) -> tuple:
+    # the strings of a container at a depth: dict open, list open, member
+    # separator, dict close and list close
+    inner, outer = "\n" + " " * (depth + 1), "\n" + " " * depth
+    return "{" + inner, "[" + inner, "," + inner, outer + "}", outer + "]"
+
+
+# indexed by depth; _write_json extends it past its end
+_FRAMES = [_frame(depth) for depth in range(8)]
 
 
 def to_json(obj, indent: int = 0) -> str:
     """JSON with floats at 17 significant digits and sorted keys; complex
     numbers become {"im": ..., "re": ...} objects, and a leaf that is not a
     builtin scalar of exact type, or a key that is not an exact str, raises
-    TypeError. One pass appending to one list, one append for each scalar
-    member or item."""
+    TypeError. indent is the depth of obj, at least 0. One pass appending to
+    one list, one append for each scalar member or item."""
     parts = []
     _write_json(obj, indent, parts.append)
     return "".join(parts)
@@ -503,32 +522,35 @@ def _write_json(obj, depth: int, put) -> None:
     # a module-level function, not a closure: a closure that calls itself is
     # a reference cycle, which would keep each payload's parts alive until
     # the cyclic garbage collector runs
-    text = _SCALARS.get(type(obj))
-    if text is not None:
-        put(text(obj))
-    elif isinstance(obj, dict):
+    try:
+        dict_open, list_open, next_sep, dict_close, list_close = _FRAMES[depth]
+    except IndexError:
+        _FRAMES.extend(map(_frame, range(len(_FRAMES), depth + 1)))
+        return _write_json(obj, depth, put)
+    if isinstance(obj, dict):
         if not obj:
             put("{}")
             return
-        sep, next_sep = "{\n" + " " * (depth + 1), ",\n" + " " * (depth + 1)
+        sep = dict_open
         for key in sorted(obj):
+            # before the lookup: a str subclass would find its text's head
             if type(key) is not str:
                 raise TypeError(f"cannot serialize a key of {type(key)!r}")
             value = obj[key]
-            head = sep + _quoted(key) + ": "
-            text = _SCALARS.get(type(value))
-            if text is not None:
-                put(head + text(value))
+            if type(value) is float and value - value == 0:
+                put(f"{sep}{_HEADS[key]}{value:.17g}")
+            elif (text := _SCALARS.get(type(value))) is not None:
+                put(sep + _HEADS[key] + text(value))
             else:
-                put(head)
+                put(sep + _HEADS[key])
                 _write_json(value, depth + 1, put)
             sep = next_sep
-        put("\n" + " " * depth + "}")
+        put(dict_close)
     elif isinstance(obj, (list, tuple)):
         if not obj:
             put("[]")
             return
-        sep, next_sep = "[\n" + " " * (depth + 1), ",\n" + " " * (depth + 1)
+        sep = list_open
         for item in obj:
             text = _SCALARS.get(type(item))
             if text is not None:
@@ -537,7 +559,9 @@ def _write_json(obj, depth: int, put) -> None:
                 put(sep)
                 _write_json(item, depth + 1, put)
             sep = next_sep
-        put("\n" + " " * depth + "]")
+        put(list_close)
+    elif (text := _SCALARS.get(type(obj))) is not None:
+        put(text(obj))
     elif type(obj) is complex:
         _write_json({"re": obj.real, "im": obj.imag}, depth, put)
     else:
@@ -600,8 +624,8 @@ def main(argv=None) -> int:
         print(f"numerical/runtime failure: {type(exc).__name__}: {exc}",
               file=sys.stderr)
         return 3
-    print(f"{cfg.command}: {'pass' if payload['pass'] else 'FAIL'} "
-          f"({time.perf_counter() - start:.2f}s)", file=sys.stderr)
+    sys.stderr.write(f"{cfg.command}: {'pass' if payload['pass'] else 'FAIL'} "
+                     f"({time.perf_counter() - start:.2f}s)\n")
     return 0 if payload["pass"] else 1
 
 

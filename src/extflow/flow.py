@@ -220,7 +220,8 @@ def invariant_extensions(model, group: str) -> InvarianceReport:
         fm = gamma_map(model, subgroup_eval(group, t))
         m = fm.mobius
         moved = max((abs(mobius.apply(m, z) - z) for z, _ in tagged), default=math.inf)
-        trace_error = min(abs(m.a + m.d + sign * 2 * cmath.cos(t * w)) for sign in (1, -1))
+        trace, expected = m.a + m.d, 2 * cmath.cos(t * w)
+        trace_error = min(abs(trace + expected), abs(trace - expected))
         if moved > FP_TOL or trace_error > TRACE_TOL:
             raise NumericalInconsistency(
                 f"the element at t = {t} moves X's zeros {tagged} by {moved:.3e} "

@@ -974,6 +974,41 @@ def test_to_json_rejects_keys_that_are_not_exact_str(key):
             cli.to_json(obj)
 
 
+def test_a_cached_key_head_still_rejects_a_str_subclass():
+    # the head of "rows" is cached by the first call; _Text("rows") hashes
+    # and compares equal to it, and must still raise
+    cli.to_json({"rows": [{"x": 1.0}]})
+    assert "rows" in cli._HEADS
+    with pytest.raises(TypeError):
+        cli.to_json({_Text("rows"): 1.0})
+
+
+def test_nesting_past_the_separator_table():
+    # each level a dict and a list, to twice the table's depth, at an indent
+    # that starts past its end too
+    deep = len(cli._FRAMES)
+    obj = [1.5, "end"]
+    for level in range(deep):
+        obj = {"level": level, "inner": [obj, {"z": 2j}]}
+    for indent in (0, 3, deep + 1):
+        assert cli.to_json(obj, indent) == reference_to_json(obj, indent)
+
+
+def test_cold_and_warm_caches_give_the_same_bytes(monkeypatch):
+    # a fixed-points payload with 300 distinct keys and values, past the
+    # caches' bound of 256: first with empty caches and a table that must
+    # grow from depth 0, then again warm
+    payload = cli.dispatch(cli.load_config(cli.parse_args(
+        ["fixed-points", "--model=inverse-square", "--gamma=-2", "--t=0.5,1"])))
+    payload["many"] = {f"k{i}": f"v{i}" for i in range(300)}
+    monkeypatch.setattr(cli, "_FRAMES", [])
+    monkeypatch.setattr(cli, "_HEADS", cli._Quoted(": "))
+    monkeypatch.setitem(cli._SCALARS, str, cli._Quoted().__getitem__)
+    cold = cli.to_json(payload)
+    assert cold == cli.to_json(payload) == reference_to_json(payload)
+    assert len(cli._HEADS) == len(cli._SCALARS[str].__self__) == 256
+
+
 def _leaf_types(obj):
     """The exact types of the leaves and keys of a payload."""
     if type(obj) is dict:
