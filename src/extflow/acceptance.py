@@ -109,7 +109,9 @@ def criterion_3_cyclic_period() -> CriterionResult:
         model = models.IntervalModel(length)
         expect = 2 * math.pi / length
         period = flow.period_detect(model, "translation", t_max=1.4 * expect)
-        ok = period is not None and abs(period - expect) <= 1e-6
+        # both sides are closed forms, and they measured equal over 774
+        # lengths in [0.01, 300]: a few ulps of 2pi/l
+        ok = period is not None and abs(period - expect) <= 4 * math.ulp(expect)
         details[f"period[l={length}]"] = period
         if ok:
             g = AffineMap(1.0, period)
@@ -261,6 +263,13 @@ def criterion_8_generator_invariance() -> CriterionResult:
                    details, notes)
 
 
+# how far below 0 a Gram matrix's least eigenvalue may read: at g = identity,
+# where it is 0 up to rounding, it reads -4.0e-16 on the interval at l = 1 and
+# at worst -9.0e-16 over 271 lengths in [0.3, 3] and -1.1e-15 over 271
+# couplings in [-2, 0.7]; the criterion's own draws give +9.2e-11
+GRAM_TOL = 1e-13
+
+
 def criterion_9_property_suites() -> CriterionResult:
     start = time.perf_counter()
     checks, details = {}, {}
@@ -344,7 +353,7 @@ def criterion_9_property_suites() -> CriterionResult:
     for _ in range(150):
         g = subgroup_eval("scaling", rng.uniform(-5.5, 5.5))
         min_eig = min(min_eig, float(np.linalg.eigvalsh(gram(invsq, g)).min()))
-    checks["gram positivity within 1e-8"] = min_eig > -1e-8
+    checks[f"gram positivity within {GRAM_TOL:g}"] = min_eig > -GRAM_TOL
     details["min_gram_eigenvalue"] = min_eig
     return _finish("criterion 9: property suites", 60.0, start, checks, details)
 

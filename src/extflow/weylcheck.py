@@ -21,10 +21,16 @@ maximum of that diagonal, in O(n). The relation then holds to machine
 precision on the grid, while off-grid times are realized by nearest-grid
 rounding and converge at first order. One sweep, residual_rows, serves the
 weyl and refine commands and the acceptance battery: it lays out the grid,
-s and k once per size and takes the (n, t) cells on worker threads when
-asked, and refine fits its convergence order. V_s's GridOperator record,
-from semigroup, serves the nilpotency check; the nilpotency index n h of
-the shift semigroup is fixed by the construction.
+s and k once per size, and refine fits its convergence order. Sizes that
+differ by a power of two, n = N / 2^a, form a dyadic chain, keyed by their
+odd part. Where h is a normal float, dividing by 2^a is exact, so
+fl(l/n) = 2^a fl(l/N) and node j of the grid of n is node 2^a j of the grid
+of N, the same double, as is its phase. The sweep therefore takes U_t once
+per (chain, t), on the chain's largest grid, reads each smaller size's
+phases as every 2^a-th of them, and runs the (chain, t) cells on worker
+threads when asked. V_s's GridOperator record, from semigroup, serves the
+nilpotency check; the nilpotency index n h of the shift semigroup is fixed
+by the construction.
 """
 
 from __future__ import annotations
@@ -32,7 +38,7 @@ from __future__ import annotations
 import cmath
 import math
 import os
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -55,15 +61,20 @@ SATURATED_TH = 8 * math.acos(2 ** (ORDER_MIN - 1))
 
 @dataclass(frozen=True)
 class IntervalGrid:
-    """The nodes x_j = j h, j = 1..n, of the upwind grid on (0, n h),
-    computed once per grid."""
+    """The upwind grid on (0, n h). Its nodes x_j = j h, j = 1..n, are formed
+    on each read, where U_t's phases are taken: residual_rows reads them only
+    on the largest grid of each dyadic chain of sizes, whose every 2^a-th
+    node is the node of the grid of n / 2^a, so the chain's other grids, like
+    the certificate's, never form theirs. Each grid that forms them does so
+    at one or two t, and forming them per read measured faster than caching
+    them on the grid."""
 
     n: int
     h: float
-    nodes: np.ndarray = field(init=False, repr=False, compare=False)
 
-    def __post_init__(self):
-        object.__setattr__(self, "nodes", np.arange(1, self.n + 1) * self.h)
+    @property
+    def nodes(self) -> np.ndarray:
+        return np.arange(1, self.n + 1) * self.h
 
     @property
     def shape(self) -> tuple:
@@ -144,33 +155,51 @@ def residual_rows(length: float, n_list, t_values, on_grid: bool, jobs: int = 1)
     """The residual for every listed grid size n and group parameter t, at
     semigroup time s = (n//3) h on the grid, or half a spacing off it, the
     worst case for nearest-grid rounding. The grid, s and V_s's shift k
-    depend on n alone and are laid out once per distinct size; the (n, t)
-    cells run on up to jobs worker threads, at most one per core, since more
-    cannot speed CPU-bound cells. Rows come sorted by (n, t) whatever the
-    number of threads, and a size listed twice gives its rows twice. On the
-    grid, DynamicRangeExceeded for a row past ON_GRID_TOL within the floors."""
+    depend on n alone and are laid out once per distinct size. Sizes with
+    one odd part form a dyadic chain, n = N / 2^a below its largest size N:
+    where h is a normal float, fl(l/n) = 2^a fl(l/N) exactly, so node j of
+    the grid of n is node 2^a j of the grid of N, the same double, and so is
+    its phase. U_t is therefore computed once per (chain, t), on N, and each
+    size of the chain reads every 2^a-th phase of it; a size whose h is not
+    2^a times N's heads a chain of its own. The (chain, t) cells run on up
+    to jobs worker threads, at most one per core, since more cannot speed
+    CPU-bound cells. Rows come sorted by (n, t) whatever the number of
+    threads, and a size listed twice gives its rows twice. On the grid,
+    DynamicRangeExceeded for a row past ON_GRID_TOL within the floors."""
     variant = "on-grid" if on_grid else "off-grid"
-    sizes = {}
-    for n in sorted(set(n_list)):
+    sizes, heads, chains = {}, {}, {}
+    for n in sorted(set(n_list), reverse=True):
         grid = build_interval_grid(length, n)
         s = (n // 3 + (0.0 if on_grid else 0.5)) * grid.h
         sizes[n] = grid, s, shift_count(grid, s)
+        odd = n // (n & -n)
+        head = heads.setdefault(odd, n)
+        if sizes[head][0].h * (head // n) != grid.h:    # h subnormal on the head
+            head = heads[odd] = n
+        chains.setdefault(head, []).append(n)
 
-    def row(cell):
-        n, t = cell
-        grid, s, k = sizes[n]
-        res = weyl_residual(unitary_group(grid, t), k, t, s)
-        return {"n": n, "h": grid.h, "t": float(t), "s": float(s), "variant": variant,
-                "residual": res}
+    def chain_residuals(cell):
+        head, i, t = cell
+        u = unitary_group(sizes[head][0], t)
+        out = []
+        for n in chains[head]:
+            _, s, k = sizes[n]
+            step = head // n
+            out.append(((n, i), weyl_residual(u[step - 1::step], k, t, s)))
+        return out
 
-    cells = [(n, t) for n in sorted(n_list) for t in t_values]
+    cells = [(head, i, t) for head in chains for i, t in enumerate(t_values)]
     workers = min(jobs, _CORES)
     if workers > 1:
         from concurrent.futures import ThreadPoolExecutor
         with ThreadPoolExecutor(max_workers=workers) as pool:
-            rows = list(pool.map(row, cells))
+            done = list(pool.map(chain_residuals, cells))
     else:
-        rows = list(map(row, cells))
+        done = list(map(chain_residuals, cells))
+    residuals = dict(pair for out in done for pair in out)
+    rows = [{"n": n, "h": sizes[n][0].h, "t": float(t), "s": float(sizes[n][1]),
+             "variant": variant, "residual": residuals[n, i]}
+            for n in sorted(n_list) for i, t in enumerate(t_values)]
     rows.sort(key=lambda r: (r["n"], r["t"]))
     for r in rows if on_grid else ():
         floor = ON_GRID_FLOORS * (1 + abs(r["t"]) * length) * math.ulp(1.0)

@@ -12,6 +12,7 @@ literal reading is kept below as an xfail so the discrepancy stays visible.
 import json
 import math
 
+import numpy as np
 import pytest
 
 from extflow import acceptance, cli, flow, mobius, models, spectra, weylcheck
@@ -66,6 +67,20 @@ class TestAcceptance:
         result = _run(acceptance.criterion_3_cyclic_period)
         assert result.details["period[l=1.0]"] == pytest.approx(
             2 * math.pi, abs=1e-6)
+
+    def test_criterion_3_refuses_a_period_off_by_1e_9_relative(self, monkeypatch):
+        # the bound is 4 ulps of 2pi/l, against 0 measured: a period 1e-9
+        # relative off (within the former bound of 1e-6) fails the period
+        # check itself, before the orbit residual at that period is taken
+        real = flow.period_detect
+        monkeypatch.setattr(flow, "period_detect",
+                            lambda *args, **kwargs: real(*args, **kwargs) * (1 + 1e-9))
+        result = acceptance.criterion_3_cyclic_period()
+        assert not result.passed
+        for length in (0.5, 1.0, 2.0):
+            assert abs(result.details[f"period[l={length}]"] - 2 * math.pi / length) <= 1e-6
+            assert result.details["checks"][f"period 2pi/l [l={length}]"] is False
+            assert f"orbit_residual[l={length}]" not in result.details
 
     def test_criterion_4_interval_spectra(self):
         _run(acceptance.criterion_4_interval_spectra)
@@ -150,6 +165,19 @@ class TestAcceptance:
         for tol, ok in ((1e-6, True), (flow.SA_TOL, False)):
             monkeypatch.setattr(flow, "SA_TOL", tol)
             assert acceptance.criterion_9_property_suites().details["checks"][name] is ok
+
+    def test_criterion_9_fails_a_gram_eigenvalue_1e_9_below_zero(self, monkeypatch):
+        # the bound is acceptance.GRAM_TOL = 1e-13, against a rounding floor
+        # of 1.1e-15: eigenvalues lowered by 1e-9, to a least one of -9.1e-10
+        # (within the former bound of 1e-8), fail the check, named after it
+        real = np.linalg.eigvalsh
+        monkeypatch.setattr(np.linalg, "eigvalsh", lambda m: real(m) - 1e-9)
+        for tol, passed in ((1e-8, True), (acceptance.GRAM_TOL, False)):
+            monkeypatch.setattr(acceptance, "GRAM_TOL", tol)
+            result = acceptance.criterion_9_property_suites()
+            assert -1e-8 < result.details["min_gram_eigenvalue"] < -1e-13
+            assert [name for name, ok in result.details["checks"].items() if not ok] == (
+                [] if passed else [f"gram positivity within {tol:g}"])
 
 
 def _checks(capsys, *argv):

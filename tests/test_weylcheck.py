@@ -4,7 +4,7 @@ import math
 
 import numpy as np
 import pytest
-from hypothesis import example, given, settings
+from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
 from extflow import models, weylcheck
@@ -206,19 +206,33 @@ class TestWeylResidual:
         assert got == pytest.approx(dense_residual(length, n, t, s), rel=1e-12, abs=0.0)
 
     def test_grid_and_shift_once_per_size(self, monkeypatch):
-        # the grid and V_s's shift depend on n alone; U_t and the residual on
-        # the cell; no GridOperator record of V_s is built
-        calls = collections.Counter()
+        # the grid and V_s's shift depend on n alone; U_t, and the nodes it
+        # reads, once per (chain, t) on the chain's largest grid; the
+        # residual once per distinct (n, t); no GridOperator record of V_s
+        calls, formed = collections.Counter(), collections.Counter()
         for name in ("build_interval_grid", "shift_count", "semigroup", "unitary_group",
                      "weyl_residual"):
             def counted(*args, _name=name, _inner=getattr(weylcheck, name)):
                 calls[_name] += 1
                 return _inner(*args)
             monkeypatch.setattr(weylcheck, name, counted)
-        rows = weylcheck.residual_rows(1.0, [64, 64, 128], [1.0, -2.5], on_grid=False)
-        assert len(rows) == 6
-        assert calls == {"build_interval_grid": 2, "shift_count": 2,
-                         "unitary_group": 6, "weyl_residual": 6}
+        real_nodes = weylcheck.IntervalGrid.nodes.fget
+
+        def nodes(grid):
+            formed[grid.n] += 1
+            return real_nodes(grid)
+
+        monkeypatch.setattr(weylcheck.IntervalGrid, "nodes", property(nodes))
+        # one chain, a size listed twice; two chains, odd parts 3 and 1
+        for n_list, grids, heads in (([64, 64, 128], 2, [128]),
+                                     ([96, 128, 192, 256], 4, [192, 256])):
+            calls.clear()
+            formed.clear()
+            rows = weylcheck.residual_rows(1.0, n_list, [1.0, -2.5], on_grid=False)
+            assert len(rows) == 2 * len(n_list)
+            assert calls == {"build_interval_grid": grids, "shift_count": grids,
+                             "unitary_group": 2 * len(heads), "weyl_residual": 2 * grids}
+            assert formed == {n: 2 for n in heads}
 
     def test_off_grid_first_order(self):
         rows, order = weylcheck.refine(1.0, [128, 256, 512, 1024], [1.0, 2.5], on_grid=False)
@@ -308,6 +322,43 @@ class TestWeylResidual:
         assert rows == [weylcheck.residual_rows(1.0, [r["n"]], [r["t"]], False)[0]
                         for r in rows]
         assert weylcheck.residual_rows(*args, jobs=jobs) == rows
+
+    @settings(max_examples=200, deadline=None, derandomize=True)
+    @given(length=st.floats(1e-3, 300.0), t=st.floats(-1e4, 1e5),
+           odd=st.integers(0, 62).map(lambda m: 2 * m + 1), low=st.integers(0, 3),
+           a=st.integers(0, 10))
+    @example(length=300.0, t=1e5, odd=125, low=3, a=10)
+    @example(length=1e-3, t=-1e4, odd=1, low=3, a=10)
+    def test_chain_phases_are_the_sub_grids_own(self, length, t, odd, low, a):
+        # every 2^a-th node and phase of the grid of N = 2^a n is, bit for
+        # bit, the node and phase of the grid of n, which the sweep reads
+        n = odd << low
+        assume(n >= 8)
+        big = weylcheck.build_interval_grid(length, n << a)
+        grid = weylcheck.build_interval_grid(length, n)
+        step = 1 << a
+        assert big.h * step == grid.h
+        assert big.nodes[step - 1::step].tobytes() == grid.nodes.tobytes()
+        u = weylcheck.unitary_group(big, t)[step - 1::step]
+        assert u.tobytes() == weylcheck.unitary_group(grid, t).tobytes()
+
+    @pytest.mark.parametrize("jobs", [1, 2])
+    @pytest.mark.parametrize("length, n_list, t_values, on_grid", [
+        (3.3, [8, 96, 128, 128, 192, 1000, 1024], [0.5, -7.5, 12.0], False),
+        (3.3, [8, 96, 128, 128, 192, 1000, 1024], [0.5, -7.5, 12.0], True),
+        (300.0, [1024, 8, 64, 512, 24, 48], [37.3, -0.0, 0.0, -9.9], False),
+        # h is subnormal on the finest grids, where fl(l/n) = 2^a fl(l/N)
+        # can fail: a size whose h is not 2^a times N's heads its own chain
+        (1e-305, [8, 64, 65536, 131072, 1 << 20], [3e304, -7e303], False),
+    ])
+    def test_chains_give_the_rows_of_single_sizes(self, jobs, length, n_list, t_values,
+                                                  on_grid):
+        # the reference for the chained sweep: one call per listed size,
+        # joined, in (n, t) order
+        rows = weylcheck.residual_rows(length, n_list, t_values, on_grid, jobs=jobs)
+        single = [row for n in n_list
+                  for row in weylcheck.residual_rows(length, [n], t_values, on_grid)]
+        assert rows == sorted(single, key=lambda r: (r["n"], r["t"]))
 
     def test_residual_independent_of_t_on_grid(self, grid256):
         rng = np.random.default_rng(3)
