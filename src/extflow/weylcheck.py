@@ -39,6 +39,7 @@ import cmath
 import math
 import os
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 
@@ -62,17 +63,16 @@ SATURATED_TH = 8 * math.acos(2 ** (ORDER_MIN - 1))
 @dataclass(frozen=True)
 class IntervalGrid:
     """The upwind grid on (0, n h). Its nodes x_j = j h, j = 1..n, are formed
-    on each read, where U_t's phases are taken: residual_rows reads them only
-    on the largest grid of each dyadic chain of sizes, whose every 2^a-th
-    node is the node of the grid of n / 2^a, so the chain's other grids, like
-    the certificate's, never form theirs. Each grid that forms them does so
-    at one or two t, and forming them per read measured faster than caching
-    them on the grid."""
+    on the first read, where U_t's phases are taken, and kept for the reads
+    at later t: residual_rows reads them only on the largest grid of each
+    dyadic chain of sizes, whose every 2^a-th node is the node of the grid
+    of n / 2^a, so the chain's other grids, like the certificate's, never
+    form theirs."""
 
     n: int
     h: float
 
-    @property
+    @cached_property
     def nodes(self) -> np.ndarray:
         return np.arange(1, self.n + 1) * self.h
 

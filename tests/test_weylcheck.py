@@ -1,5 +1,6 @@
 import cmath
 import collections
+import functools
 import math
 
 import numpy as np
@@ -206,9 +207,11 @@ class TestWeylResidual:
         assert got == pytest.approx(dense_residual(length, n, t, s), rel=1e-12, abs=0.0)
 
     def test_grid_and_shift_once_per_size(self, monkeypatch):
-        # the grid and V_s's shift depend on n alone; U_t, and the nodes it
-        # reads, once per (chain, t) on the chain's largest grid; the
+        # the grid and V_s's shift depend on n alone; U_t once per (chain, t)
+        # on the chain's largest grid, whose nodes are formed once; the
         # residual once per distinct (n, t); no GridOperator record of V_s
+        grid = weylcheck.build_interval_grid(1.0, 64)
+        assert grid.nodes is grid.nodes     # formed on the first read, then kept
         calls, formed = collections.Counter(), collections.Counter()
         for name in ("build_interval_grid", "shift_count", "semigroup", "unitary_group",
                      "weyl_residual"):
@@ -216,13 +219,15 @@ class TestWeylResidual:
                 calls[_name] += 1
                 return _inner(*args)
             monkeypatch.setattr(weylcheck, name, counted)
-        real_nodes = weylcheck.IntervalGrid.nodes.fget
+        real_nodes = weylcheck.IntervalGrid.nodes.func
 
         def nodes(grid):
             formed[grid.n] += 1
             return real_nodes(grid)
 
-        monkeypatch.setattr(weylcheck.IntervalGrid, "nodes", property(nodes))
+        counted_nodes = functools.cached_property(nodes)
+        counted_nodes.__set_name__(weylcheck.IntervalGrid, "nodes")
+        monkeypatch.setattr(weylcheck.IntervalGrid, "nodes", counted_nodes)
         # one chain, a size listed twice; two chains, odd parts 3 and 1
         for n_list, grids, heads in (([64, 64, 128], 2, [128]),
                                      ([96, 128, 192, 256], 4, [192, 256])):
@@ -232,7 +237,7 @@ class TestWeylResidual:
             assert len(rows) == 2 * len(n_list)
             assert calls == {"build_interval_grid": grids, "shift_count": grids,
                              "unitary_group": 2 * len(heads), "weyl_residual": 2 * grids}
-            assert formed == {n: 2 for n in heads}
+            assert formed == {n: 1 for n in heads}
 
     def test_off_grid_first_order(self):
         rows, order = weylcheck.refine(1.0, [128, 256, 512, 1024], [1.0, 2.5], on_grid=False)
