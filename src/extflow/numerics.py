@@ -13,15 +13,16 @@ needs a kernel here.
 
 Integrands are called with numpy arrays of nodes; ODE right-hand sides
 f(x, y) and root-finder functions with Python floats. All of them must be
-re-entrant; everything here is pure, so concurrent use is safe.
+re-entrant; everything here is pure, so concurrent use is safe. The rule's
+tables are tuples, and numpy is imported where arrays are formed, in the
+quadrature panel and OdeSolution: importing a name for the tracer loads none.
 """
 
 from __future__ import annotations
 
 import heapq
+import sys
 from dataclasses import dataclass
-
-import numpy as np
 
 from .errors import InvalidArgument, NoConvergence, NoSignChange, StepUnderflow
 
@@ -31,7 +32,7 @@ from .errors import InvalidArgument, NoConvergence, NoSignChange, StepUnderflow
 
 # 15-point Kronrod nodes on [-1, 1]; the odd-index nodes form the embedded
 # 7-point Gauss rule.
-_XK = np.array([
+_XK = (
     -0.991455371120812639206854697526329,
     -0.949107912342758524526189684047851,
     -0.864864423359769072789712788640926,
@@ -47,8 +48,8 @@ _XK = np.array([
     0.864864423359769072789712788640926,
     0.949107912342758524526189684047851,
     0.991455371120812639206854697526329,
-])
-_WK = np.array([
+)
+_WK = (
     0.022935322010529224963732008058970,
     0.063092092629978553290700663189204,
     0.104790010322250183839876322541518,
@@ -64,8 +65,8 @@ _WK = np.array([
     0.104790010322250183839876322541518,
     0.063092092629978553290700663189204,
     0.022935322010529224963732008058970,
-])
-_WG = np.array([
+)
+_WG = (
     0.129484966168869693270611432679082,
     0.279705391489276667901467771423780,
     0.381830050505118944950369775488975,
@@ -73,7 +74,7 @@ _WG = np.array([
     0.381830050505118944950369775488975,
     0.279705391489276667901467771423780,
     0.129484966168869693270611432679082,
-])
+)
 
 
 @dataclass(frozen=True)
@@ -85,9 +86,10 @@ class QuadratureResult:
 
 def _gk_panel(f, a: float, b: float):
     """Return (kronrod, |kronrod - gauss|) for one panel."""
+    import numpy as np
     c = 0.5 * (a + b)
     h = 0.5 * (b - a)
-    y = np.asarray(f(c + h * _XK), dtype=complex)
+    y = np.asarray(f(c + h * np.array(_XK)), dtype=complex)
     k = h * np.sum(_WK * y)
     g = h * np.sum(_WG * y[1::2])
     return k, abs(k - g)
@@ -138,6 +140,7 @@ class OdeSolution:
     threw away."""
 
     def __init__(self, xs, ys, forward: bool = True, rejected: int = 0):
+        import numpy as np
         order = np.argsort(xs)
         self.xs = np.asarray(xs)[order]
         self.ys = np.asarray(ys)[order]
@@ -166,7 +169,7 @@ def ode_solve(f, x0: float, y0: float, x1: float, tol: float = 1e-9,
         return OdeSolution([x], [y])
     forward = x1 > x0
     h = (x1 - x0) / 10.0
-    tiny = 16 * np.finfo(float).eps
+    tiny = 16 * sys.float_info.epsilon
     k1 = f(x, y)   # stage 1 is the previous step's last stage (FSAL)
     xs, ys = [x], [y]
     steps = rejected = 0

@@ -25,7 +25,9 @@ max(nu, 1) reaches S_IN = 18, which damps its start error by e^{-36}. The
 residual is the phase gap modulo pi, in radians, and the gap's multiple of
 pi counts the rungs, so a ladder that skips or repeats one raises
 NumericalInconsistency. The Magnus kernel, specialised to this equation,
-and the Stirling series of log Gamma live here with their only caller.
+and the Stirling series of log Gamma live here with their only caller. Only
+the three functions that form arrays import numpy, so ``spectrum``, whose
+lattices and residuals are ``math`` and ``cmath``, runs on the standard library.
 """
 
 from __future__ import annotations
@@ -34,8 +36,6 @@ import cmath
 import itertools
 import math
 from dataclasses import dataclass, field
-
-import numpy as np
 
 from .errors import (
     DynamicRangeExceeded,
@@ -101,7 +101,7 @@ def interval_sa_spectrum(length: float, theta: float, window,
         raise InvalidArgument("length must be positive")
     phase = theta if abs(theta) <= math.pi else math.atan2(math.sin(theta), math.cos(theta))
     values = _lattice(length, phase, 0.0, window, max_count)
-    residuals = [abs(np.exp(-1j * lam * length) - np.exp(-1j * theta))
+    residuals = [abs(cmath.exp(-1j * lam * length) - cmath.exp(-1j * theta))
                  for lam in values]
     return EigenList(values, residuals, {"length": length, "theta": theta})
 
@@ -123,7 +123,7 @@ def interval_dissipative_lattice(length: float, rho: complex, window,
         raise DynamicRangeExceeded(f"1/|rho| is not a float at |rho| = {abs(rho):g}")
     values = _lattice(length, math.atan2(rho.imag, rho.real),
                       math.log(1.0 / abs(rho)) / length, window, max_count)
-    residuals = [abs(rho * np.exp(-1j * lam * length) - 1.0) for lam in values]
+    residuals = [abs(rho * cmath.exp(-1j * lam * length) - 1.0) for lam in values]
     return EigenList(values, residuals, {"length": length, "rho": rho})
 
 
@@ -166,7 +166,7 @@ def _omega_polynomials(h: float, nu2: float) -> list:
     return g + [h, -a, b, 0.0] + f + [-c for c in g]
 
 
-def magnus_propagators(sigma, h: float, nu2: float) -> np.ndarray:
+def magnus_propagators(sigma, h: float, nu2: float):
     """The transfer matrices [[m11, m12], [m21, m22]] of
     w'' = (e^{2 sigma} - nu^2) w, acting on (w, w'), over [sigma_j, sigma_j + h]
     for every node sigma_j, then over [sigma_j, sigma_j + 2 h] for every other
@@ -181,6 +181,7 @@ def magnus_propagators(sigma, h: float, nu2: float) -> np.ndarray:
     with r^2 = g^2 + e f. For one step length e, f and g are polynomials in
     e^{2 sigma_j} (``_omega_polynomials``), so both legs take one exp and one
     Horner pass."""
+    import numpy as np
     y = np.exp(2 * sigma)
     y = np.concatenate((y, y[::2]))
     c = np.repeat(np.array(_omega_polynomials(h, nu2) + _omega_polynomials(2 * h, nu2))
@@ -232,6 +233,7 @@ def _inward_phase(gamma: float, nu: float) -> float:
     estimate: above ``_PHASE_BUDGET`` the step count is doubled, and else the
     two phases are extrapolated in the step's sixth power. Both transfers run
     unnormalised, and any start error is damped by e^{-2 S_IN} on the way in."""
+    import numpy as np
     z_in = _inward_start(nu)
     c = gamma / (2 * z_in)
     u, du = 1 + c, -(1 + c) - c / z_in       # u and u' at z_in
@@ -376,6 +378,7 @@ class ProgressionReport:
 def progression_ratio(eigs: EigenList, nu: float | None = None) -> ProgressionReport:
     """Geometric-mean consecutive ratio of same-sign eigenvalues, compared
     with the predicted ladder constants when nu is known."""
+    import numpy as np
     values = [lam.real for lam in eigs.values if lam.real < 0]
     if len(values) < 2:
         raise InsufficientData("need at least two same-sign eigenvalues")

@@ -1324,27 +1324,33 @@ def test_parse_errors_are_one_line(argv, message):
     assert _is_configuration_error(code, out, err) and message in err
 
 
-_HEAVY = ("extflow.acceptance", "extflow.spectra", "extflow.weylcheck")
+_HEAVY = ("extflow.acceptance", "extflow.spectra", "extflow.weylcheck", "numpy")
 _IMPORT_CASES = [
     (["fixed-points", "--model=inverse-square", "--gamma=-2", "--t=1"], set()),
     (["invariance", "--model=interval"], set()),
     (["period", "--model=inverse-square", "--gamma=-2"], set()),
     (["flow-orbit", "--model=interval", "--t=0.5"], set()),
-    (["shoot", "--gamma=-2", "--count=1"], {"extflow.spectra"}),
+    (["shoot", "--gamma=-2", "--count=1"], {"numpy"}),
     (["weyl", "--n=64", "--t=0.5"], {"extflow.weylcheck"}),
     (["fk-params", "--gamma=0.2"], set()),
+    (["spectrum", "--rho=0.3"], {"extflow.spectra"}),
+    (["all"], {"extflow.acceptance"}),
 ]
+# the commands that run on the standard library, numpy never loaded
+_NUMPY_FREE = ("fixed-points", "invariance", "period", "flow-orbit", "fk-params", "spectrum")
 _ARGPARSE_CASE = ["fixed-points", "--model=interval"]
 
 
 @functools.lru_cache(maxsize=None)
 def _fresh_process() -> dict:
-    """One fresh process runs the argparse case and then each import case,
-    those that load no heavy module first: each command line's exit code,
-    the heavy modules it newly loaded, and whether argparse is loaded after
-    it."""
-    argvs = [_ARGPARSE_CASE] + [argv for argv, loaded in
-                                sorted(_IMPORT_CASES, key=lambda case: bool(case[1]))]
+    """One fresh process runs the argparse case and then each import case:
+    the numpy-free ones first, of those the ones that load no heavy module
+    first, and the rest as listed. It reports each command line's exit code,
+    the heavy modules it newly loaded, and whether argparse and numpy are
+    loaded after it."""
+    argvs = [_ARGPARSE_CASE] + [
+        argv for argv, loaded in sorted(
+            _IMPORT_CASES, key=lambda case: (case[0][0] not in _NUMPY_FREE, bool(case[1])))]
     script = ("import json, os, sys\n"
               "from extflow import cli\n"
               "report = []\n"
@@ -1352,7 +1358,7 @@ def _fresh_process() -> dict:
               "    before = set(sys.modules)\n"
               "    code = cli.main(argv + ['--out', os.devnull])\n"
               f"    new = sorted(m for m in {_HEAVY!r} if m in sys.modules and m not in before)\n"
-              "    report.append((code, new, 'argparse' in sys.modules))\n"
+              "    report.append((code, new, 'argparse' in sys.modules, 'numpy' in sys.modules))\n"
               "print(json.dumps(report))\n")
     src = str(Path(cli.__file__).resolve().parents[1])
     done = subprocess.run([sys.executable, "-c", script], capture_output=True, text=True,
@@ -1362,18 +1368,19 @@ def _fresh_process() -> dict:
 
 
 def test_fixed_points_does_not_import_argparse():
-    code, _, argparse = _fresh_process()[tuple(_ARGPARSE_CASE)]
-    assert (code, argparse) == (0, False)
+    code, _, argparse, numpy = _fresh_process()[tuple(_ARGPARSE_CASE)]
+    assert (code, argparse, numpy) == (0, False, False)
 
 
 @pytest.mark.parametrize("argv, loaded", _IMPORT_CASES,
                          ids=lambda value: value[0] if isinstance(value, list) else None)
 def test_a_command_imports_only_what_it_runs(argv, loaded):
-    # the flow commands, run first in a fresh process, leave the battery,
-    # the shooting code and the grid checks unimported; each other command
-    # newly loads its own
-    code, new, _ = _fresh_process()[tuple(argv)]
-    assert (code, new) == (0, sorted(loaded))
+    # the flow commands and spectrum, run first in a fresh process, leave
+    # the battery, the grid checks and numpy unimported, and only spectrum
+    # loads the shooting module; shoot then newly loads numpy, and each
+    # other command its own module
+    code, new, _, numpy = _fresh_process()[tuple(argv)]
+    assert (code, new, numpy) == (0, sorted(loaded), argv[0] not in _NUMPY_FREE)
 
 
 def _imports(tree):
@@ -1388,18 +1395,20 @@ def _imports(tree):
 
 def test_import_graph():
     # spectra runs without the models, models is stdlib closed forms, cli
-    # writes builtin scalars and needs no numpy, and numerics enters the
-    # program only through noqa lines that keep a name for the benchmark's
-    # tracer, which wraps (module, name) pairs
+    # writes builtin scalars, and numerics enters the program only through
+    # noqa lines that keep a name for the benchmark's tracer, which wraps
+    # (module, name) pairs. No module the flow commands or spectrum load
+    # imports numpy at module level: numerics and spectra import it inside
+    # the functions that form arrays
     src = Path(cli.__file__).resolve().parent
     texts = {path.stem: path.read_text() for path in src.glob("*.py")}
     trees = {name: ast.parse(text) for name, text in texts.items()}
     assert not [node.lineno for node, module, names in _imports(trees["spectra"])
                 if module in (".models", "extflow.models")
                 or module in (".", "extflow") and "models" in names]
-    for name in ("models", "cli"):
+    for name in ("numerics", "spectra", "models", "cli", "flow", "mobius", "affine", "errors"):
         assert not [node.lineno for node, module, _ in _imports(trees[name])
-                    if module.split(".")[0] == "numpy"], name
+                    if node in trees[name].body and module.split(".")[0] == "numpy"], name
     tracing = ast.parse((src.parents[1] / "extbench" / "tracing.py").read_text())
     wrapped = {(call.args[0].id, call.args[1].value) for call in ast.walk(tracing)
                if isinstance(call, ast.Call) and isinstance(call.func, ast.Attribute)

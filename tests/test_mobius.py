@@ -9,7 +9,6 @@ from extflow.affine import ALL_POINTS
 from extflow.errors import DegenerateMap, InvalidArgument, NotDiskMap
 from extflow.mobius import (
     IDENTITY_MAP,
-    INFINITY,
     LinearFractionalMap,
     MapTag,
     apply,
@@ -126,13 +125,13 @@ class TestApply:
     def test_hyperbolic_fixes_one(self):
         assert apply(HYPERBOLIC, 1.0 + 0j) == pytest.approx(1.0)
 
-    def test_pole_goes_to_infinity(self):
+    def test_pole_raises_degenerate_map(self):
+        # no caller passes the pole, which a disk automorphism keeps outside
+        # the closed disk; apply stays total with a typed error there
         m = from_coefficients(2, 1, 1, 3)
-        assert is_infinite(apply(m, -3.0 + 0j))
-
-    def test_infinity_goes_to_a_over_c(self):
-        m = from_coefficients(2, 1, 1, 3)
-        assert apply(m, INFINITY) == pytest.approx(m.a / m.c)
+        with pytest.raises(DegenerateMap, match="pole"):
+            apply(m, -3.0 + 0j)
+        assert apply(m, -3.0 + 1e-9j) == pytest.approx((-5.0 + 2e-9j) / 1e-9j)
 
 
 class TestCompose:
@@ -198,6 +197,25 @@ class TestDiskSelfMap:
 
     def test_standard_automorphism(self):
         assert is_disk_self_map(disk_automorphism(0.3 + 0j), 1e-12)
+
+    def test_default_bound_is_its_measured_budget(self):
+        # the dilation by 1 + 1e-12 passed the former default 1e-9 and fails
+        # 1e-13; automorphisms drawn as criterion 9 draws them exceed 1 by
+        # 5.6e-15 at worst and all pass
+        m = from_coefficients(1 + 1e-12, 0, 0, 1)
+        assert 1e-13 < mobius.boundary_max(m) - 1 <= 1e-9
+        assert is_disk_self_map(m, 1e-9) and not is_disk_self_map(m)
+        rng = np.random.default_rng(9)
+        drawn = 0
+        while drawn < 2000:
+            a = rng.standard_normal() + 1j * rng.standard_normal()
+            b = (rng.standard_normal() + 1j * rng.standard_normal()) * 0.5
+            if abs(b) >= abs(a) - 0.1:
+                continue
+            s = cmath.exp(1j * rng.uniform(0, 2 * math.pi))
+            assert is_disk_self_map(from_coefficients(a, b, s * b.conjugate(),
+                                                      s * a.conjugate()))
+            drawn += 1
 
     def test_image_between_the_old_samples(self):
         # z/2 + (0.5 + 1e-4) e^{i pi/64} sends e^{i pi/64}, halfway between two

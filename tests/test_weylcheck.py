@@ -1,5 +1,6 @@
 import cmath
 import collections
+import dataclasses
 import functools
 import math
 
@@ -355,15 +356,19 @@ class TestWeylResidual:
         # h is subnormal on the finest grids, where fl(l/n) = 2^a fl(l/N)
         # can fail: a size whose h is not 2^a times N's heads its own chain
         (1e-305, [8, 64, 65536, 131072, 1 << 20], [3e304, -7e303], False),
+        # a size listed twice with t = 0 and -0 tied: each t's rows twice
+        (300.0, [64, 24, 64], [0.0, 1.5, -0.0], True),
     ])
     def test_chains_give_the_rows_of_single_sizes(self, jobs, length, n_list, t_values,
                                                   on_grid):
         # the reference for the chained sweep: one call per listed size,
-        # joined, in (n, t) order
+        # joined, in (n, t) order, ties as listed; repr tells t = -0 from 0
         rows = weylcheck.residual_rows(length, n_list, t_values, on_grid, jobs=jobs)
         single = [row for n in n_list
                   for row in weylcheck.residual_rows(length, [n], t_values, on_grid)]
-        assert rows == sorted(single, key=lambda r: (r["n"], r["t"]))
+        assert repr(rows) == repr(sorted(single, key=lambda r: (r["n"], r["t"])))
+        assert [(r["n"], repr(r["t"])) for r in rows] == [
+            (n, repr(t)) for n, t in sorted((n, t) for n in n_list for t in t_values)]
 
     def test_residual_independent_of_t_on_grid(self, grid256):
         rng = np.random.default_rng(3)
@@ -455,19 +460,36 @@ class TestGeneratorInvariance:
             assert abs(chk.phase_factor - 1.0) <= 1e-14
 
     def test_scaling_relation_is_relative(self):
-        # the scale must be e^{-t} within 1e-6 relative: an absolute 1e-6
-        # passed a scale of 0, and a relative error of 2e-5, at t = 20
+        # the scale must be e^{-t} within SCALE_TOL relative: an absolute
+        # 1e-6 passed a scale of 0, and a relative error of 2e-5, at t = 20;
+        # the log read of the scale rounds to half an ulp of |t|, 5.7e-14 at
+        # |t| = 700
         def check(scale, t, phase=1.0):
             return weylcheck.GeneratorCheck(0.0, scale, 0j, phase, 1e-8).fits_scaling(t)
 
         for t in (-700.0, -20.0, 0.5, 20.0, 700.0):
-            assert check(math.exp(-t) * (1 + 9e-7), t)
+            assert check(math.exp(-t) * (1 + 2e-14), t)
+            assert not check(math.exp(-t) * (1 + 2e-13), t)
             assert not check(math.exp(-t) * (1 + 2e-5), t)
             assert not check(math.exp(-t), t, phase=1.0 + 2e-6)
         for scale in (0j, complex(math.nan), complex(math.inf), 1e300 + 0j):
             for t in (-1e4, 20.0, 1e4):
                 assert not check(scale, t)
         assert check(math.exp(-1e-3), 1e-3) and not check(math.exp(-1e-3), 1e4)
+
+    @pytest.mark.parametrize("model, t", [
+        (models.HalflineModel(), -0.7), (models.HalflineModel(), 40.0),
+        (models.inverse_square(-2.0), 0.5), (models.inverse_square(0.5), 300.0)])
+    def test_scale_bound_is_its_measured_budget(self, monkeypatch, model, t):
+        # a fitted scale 1e-12 off e^{-t}, relative, passed the former 1e-6
+        # and fails SCALE_TOL, which the fits themselves meet: 3.6e-15 at
+        # worst over t in [-45, 600] on the half-line and seven couplings
+        chk = weylcheck.generator_invariance_residual(model, "scaling", t)
+        off = dataclasses.replace(chk, scale=chk.scale * (1 + 1e-12))
+        assert weylcheck.SCALE_TOL == 1e-13
+        assert chk.passes("scaling", t) and not off.passes("scaling", t)
+        monkeypatch.setattr(weylcheck, "SCALE_TOL", 1e-6)
+        assert off.passes("scaling", t)
 
     def test_phase_bound_follows_its_rounding_floor(self):
         # ten rounding floors of the offset, up to a milliradian: a phase of
