@@ -2,6 +2,11 @@
 tolerances and runtime budgets. Each criterion returns a structured result;
 the CLI `all` command and the acceptance test module share this code.
 
+A criterion is declared once, as ``@_criterion(name, budget_s)`` over its
+body: the body fills the checks (name to bool) and details dicts it is given
+and returns its notes, if any. The decorator times it, assembles its
+``CriterionResult`` and lists it in ``ALL_CRITERIA`` in definition order.
+
 Criterion 7 note: the shooting ladder's consecutive ratio equals
 exp(2 pi / nu) because the boundary phase angle is pi-periodic; the doubled
 constant exp(4 pi / nu) (reported as kappa) is the square of that step and
@@ -14,9 +19,10 @@ a strict expected-failure for the doubled-constant-as-consecutive reading.
 from __future__ import annotations
 
 import cmath
+import functools
 import math
 import time
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -32,30 +38,38 @@ class CriterionResult:
     passed: bool
     runtime_s: float
     budget_s: float
-    details: dict = field(default_factory=dict)
-    notes: list = field(default_factory=list)
-
-    @property
-    def status(self) -> str:
-        return "PASS" if self.passed else "FAIL"
+    details: dict
+    notes: list
 
     def line(self) -> str:
         note = f"  [{'; '.join(self.notes)}]" if self.notes else ""
-        return (f"{self.status} {self.name} "
+        return (f"{'PASS' if self.passed else 'FAIL'} {self.name} "
                 f"({self.runtime_s:.2f}s / budget {self.budget_s:.0f}s){note}")
 
 
-def _finish(name, budget, start, checks, details, notes=None):
-    runtime = time.perf_counter() - start
-    passed = all(checks.values()) and runtime <= budget
-    details = dict(details)
-    details["checks"] = checks
-    return CriterionResult(name, passed, runtime, budget, details, notes or [])
+ALL_CRITERIA = []    # every criterion, in definition order
 
 
-def criterion_1_identity_and_group_law() -> CriterionResult:
-    start = time.perf_counter()
-    checks, details = {}, {}
+def _criterion(name: str, budget_s: float):
+    """Declare a criterion, as the module docstring says: it passes where
+    every check holds and its body ran within budget_s seconds."""
+    def declare(body):
+        @functools.wraps(body)
+        def criterion() -> CriterionResult:
+            start = time.perf_counter()
+            checks, details = {}, {}
+            notes = body(checks, details) or []
+            runtime = time.perf_counter() - start
+            details["checks"] = checks
+            return CriterionResult(name, all(checks.values()) and runtime <= budget_s,
+                                   runtime, budget_s, details, notes)
+        ALL_CRITERIA.append(criterion)
+        return criterion
+    return declare
+
+
+@_criterion("criterion 1: flow identity and group law", 10.0)
+def criterion_1_identity_and_group_law(checks, details):
     interval = models.IntervalModel(1.0)
     invsq = models.inverse_square(0.0)
     halfline = models.HalflineModel()
@@ -79,13 +93,10 @@ def criterion_1_identity_and_group_law() -> CriterionResult:
             invsq, subgroup_eval("scaling", t1), subgroup_eval("scaling", t2)))
     checks["group_law[inverse-square] <= 1e-13"] = worst <= 1e-13
     details["group_law_inverse_square"] = worst
-    return _finish("criterion 1: flow identity and group law", 10.0, start,
-                   checks, details)
 
 
-def criterion_2_interval_invariant_extension() -> CriterionResult:
-    start = time.perf_counter()
-    checks, details = {}, {}
+@_criterion("criterion 2: interval invariant extension", 5.0)
+def criterion_2_interval_invariant_extension(checks, details):
     for length in (0.5, 1.0, 2.0):
         model = models.IntervalModel(length)
         rep = flow.invariant_extensions(model, "translation")
@@ -97,13 +108,10 @@ def criterion_2_interval_invariant_extension() -> CriterionResult:
         ok = ok and abs(v - math.exp(-length)) <= 1e-14
         checks[f"unique dissipative at e^-l [l={length}]"] = ok
         details[f"fixed_point[l={length}]"] = v
-    return _finish("criterion 2: interval invariant extension", 5.0, start,
-                   checks, details)
 
 
-def criterion_3_cyclic_period() -> CriterionResult:
-    start = time.perf_counter()
-    checks, details = {}, {}
+@_criterion("criterion 3: cyclic invariance period", 10.0)
+def criterion_3_cyclic_period(checks, details):
     rng = np.random.default_rng(103)
     for length in (0.5, 1.0, 2.0):
         model = models.IntervalModel(length)
@@ -124,13 +132,10 @@ def criterion_3_cyclic_period() -> CriterionResult:
             ok = worst <= 1e-13
             details[f"orbit_residual[l={length}]"] = worst
         checks[f"period 2pi/l [l={length}]"] = ok
-    return _finish("criterion 3: cyclic invariance period", 10.0, start,
-                   checks, details)
 
 
-def criterion_4_interval_spectra() -> CriterionResult:
-    start = time.perf_counter()
-    checks, details = {}, {}
+@_criterion("criterion 4: interval spectra", 1.0)
+def criterion_4_interval_spectra(checks, details):
     for length in (0.5, 1.0, 2.0):
         eig = spectra.interval_sa_spectrum(length, 0.7, (-40.0, 40.0))
         gaps = np.diff([v.real for v in eig.values])
@@ -145,20 +150,20 @@ def criterion_4_interval_spectra() -> CriterionResult:
     empty = spectra.interval_dissipative_lattice(1.0, 0.0, (-25.0, 25.0))
     checks["nilpotent case empty"] = len(empty) == 0
     details["dissipative_count"] = len(diss)
-    return _finish("criterion 4: interval spectra", 1.0, start, checks, details)
 
 
-def criterion_5_weyl_grid() -> CriterionResult:
-    start = time.perf_counter()
-    checks, details = {}, {}
+@_criterion("criterion 5: restricted relations on the grid", 60.0)
+def criterion_5_weyl_grid(checks, details):
     rng = np.random.default_rng(105)
     rows = []
     for n in (128, 256, 512):
         # fifty group parameters of its own for each grid size
         rows += weylcheck.residual_rows(1.0, [n], rng.uniform(-10, 10, 50), on_grid=True)
+        # V_l = 0 and V_{l-h} != 0: the nilpotency index is n h = l exactly
         grid = weylcheck.build_interval_grid(1.0, n)
-        nil = weylcheck.operator_norm(weylcheck.semigroup(grid, 1.0))
-        checks[f"nilpotent at l [n={n}]"] = nil == 0.0
+        norms = [weylcheck.operator_norm(weylcheck.semigroup(grid, s))
+                 for s in (1.0, 1.0 - grid.h)]
+        checks[f"nilpotent at l [n={n}]"] = norms == [0.0, 1.0]
     worst_on, tol = max(row["residual"] for row in rows), weylcheck.ON_GRID_TOL
     checks[f"on-grid residual <= {tol:g}"] = worst_on <= tol
     details["worst_on_grid_residual"] = worst_on
@@ -171,13 +176,10 @@ def criterion_5_weyl_grid() -> CriterionResult:
         and abs(cert.sstar_1 - 1.0) <= cert.h1 + 1e-12
         and abs(cert.sstar_2 - 2.0) <= cert.h2 + 1e-12)
     details["nilpotency_indices"] = (cert.sstar_1, cert.sstar_2)
-    return _finish("criterion 5: restricted relations on the grid", 60.0,
-                   start, checks, details)
 
 
-def criterion_6_friedrichs_krein_fixed_points() -> CriterionResult:
-    start = time.perf_counter()
-    checks, details = {}, {}
+@_criterion("criterion 6: extremal extension fixed points", 60.0)
+def criterion_6_friedrichs_krein_fixed_points(checks, details):
     for gamma in (0.0, 0.5):
         model = models.inverse_square(gamma)
         rep = flow.invariant_extensions(model, "scaling")
@@ -199,13 +201,10 @@ def criterion_6_friedrichs_krein_fixed_points() -> CriterionResult:
     ok = ok and fps is not flow.ALL_POINTS and len(fps) == 1 and abs(abs(fps[0]) - 1) <= 1e-12
     checks["parabolic at gamma=-1/4"] = ok
     details["parabolic_fixed_points"] = fps
-    return _finish("criterion 6: extremal extension fixed points", 60.0,
-                   start, checks, details)
 
 
-def criterion_7_fall_to_center() -> CriterionResult:
-    start = time.perf_counter()
-    checks, details, notes = {}, {}, []
+@_criterion("criterion 7: fall-to-center spectrum", 60.0)
+def criterion_7_fall_to_center(checks, details):
     nu = math.sqrt(24.75)
     step = math.exp(2 * math.pi / nu)
     kappa = math.exp(4 * math.pi / nu)
@@ -230,16 +229,12 @@ def criterion_7_fall_to_center() -> CriterionResult:
     checks[f"set maps into itself under kappa within {tol:g} relative"] = mapped_ok
     literal = all(abs(r - kappa) <= 0.05 * kappa for r in ratios)
     details["literal_consecutive_matches_kappa"] = literal
-    notes.append(
-        "consecutive ratio is exp(2pi/nu) = sqrt(kappa): the boundary phase "
-        "angle is pi-periodic; kappa governs next-nearest neighbors")
-    return _finish("criterion 7: fall-to-center spectrum", 60.0, start,
-                   checks, details, notes)
+    return ["consecutive ratio is exp(2pi/nu) = sqrt(kappa): the boundary phase "
+            "angle is pi-periodic; kappa governs next-nearest neighbors"]
 
 
-def criterion_8_generator_invariance() -> CriterionResult:
-    start = time.perf_counter()
-    checks, details = {}, {}
+@_criterion("criterion 8: generator invariance", 30.0)
+def criterion_8_generator_invariance(checks, details):
     halfline = models.HalflineModel()
     for model, group, label, ts in (
             (models.IntervalModel(1.0), "translation", "interval residual", (0.4, 1.2)),
@@ -256,11 +251,9 @@ def criterion_8_generator_invariance() -> CriterionResult:
     checks["semigroup-level scaling phase = 1"] = abs(phase["phase"] - 1.0) <= 2e-15
     details["semigroup_phase"] = phase["phase"]
     details["semigroup_scale_exponent"] = phase["scale_exponent"]
-    notes = ["measured scaling-relation phase is 1 (no e^{i s e^t} factor) "
-             "and the semigroup time rescales by e^{-t} for the printed "
-             "one-parameter families"]
-    return _finish("criterion 8: generator invariance", 30.0, start, checks,
-                   details, notes)
+    return ["measured scaling-relation phase is 1 (no e^{i s e^t} factor) "
+            "and the semigroup time rescales by e^{-t} for the printed "
+            "one-parameter families"]
 
 
 # how far below 0 a Gram matrix's least eigenvalue may read: at g = identity,
@@ -270,9 +263,8 @@ def criterion_8_generator_invariance() -> CriterionResult:
 GRAM_TOL = 1e-13
 
 
-def criterion_9_property_suites() -> CriterionResult:
-    start = time.perf_counter()
-    checks, details = {}, {}
+@_criterion("criterion 9: property suites", 60.0)
+def criterion_9_property_suites(checks, details):
     rng = np.random.default_rng(109)
     interval = models.IntervalModel(1.0)
     invsq = models.inverse_square(0.0)
@@ -353,32 +345,16 @@ def criterion_9_property_suites() -> CriterionResult:
     min_eig = float(np.linalg.eigvalsh(np.array(grams)).min())
     checks[f"gram positivity within {GRAM_TOL:g}"] = min_eig > -GRAM_TOL
     details["min_gram_eigenvalue"] = min_eig
-    return _finish("criterion 9: property suites", 60.0, start, checks, details)
 
 
-ALL_CRITERIA = (
-    criterion_1_identity_and_group_law,
-    criterion_2_interval_invariant_extension,
-    criterion_3_cyclic_period,
-    criterion_4_interval_spectra,
-    criterion_5_weyl_grid,
-    criterion_6_friedrichs_krein_fixed_points,
-    criterion_7_fall_to_center,
-    criterion_8_generator_invariance,
-    criterion_9_property_suites,
-)
 
-
-def run_all(echo=print) -> list[CriterionResult]:
+def run_all(echo) -> list[CriterionResult]:
     """Run every criterion, echoing one pass/fail line each."""
     results = []
     total = time.perf_counter()
     for criterion in ALL_CRITERIA:
-        result = criterion()
-        results.append(result)
-        if echo:
-            echo(result.line())
-    if echo:
-        echo(f"total runtime {time.perf_counter() - total:.1f}s "
-             f"({sum(1 for r in results if r.passed)}/{len(results)} passed)")
+        results.append(criterion())
+        echo(results[-1].line())
+    echo(f"total runtime {time.perf_counter() - total:.1f}s "
+         f"({sum(1 for r in results if r.passed)}/{len(results)} passed)")
     return results

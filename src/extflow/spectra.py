@@ -54,6 +54,14 @@ _RANGE_LIMIT = 1e12
 # the largest passing residual |e^{-i lambda l} - e^{-i theta}| or
 # |rho e^{-i lambda l} - 1| of a lattice point: 50 times the worst measured
 LATTICE_TOL = 1e-10
+# a lattice point (phase + 2 pi n)/l takes three roundings, each of relative
+# size u = 2^-53 at most, so it lies within 3 u (M + 2 s) + u s/2 of its
+# value in exact arithmetic on the same floats, for M the larger modulus of
+# the window's edges and s = 2 pi/l the spacing. u M < ulp(M), so a spacing
+# of at least 8 ulp(M) keeps consecutive points over s/5 apart and rising
+# with n, and |n| < M/s + 4 < 2^50 converts to a float exactly: each point is
+# distinct and the stepping advances. A narrower spacing is refused
+_SPACING_ULPS = 8
 
 
 @dataclass
@@ -76,11 +84,18 @@ class EigenList:
 
 def _lattice(length: float, phase: float, height: float, window, max_count: int) -> list:
     """The points (phase + 2 pi n)/length + i height, n an integer, whose real
-    part lies inside the window, at most max_count of them."""
+    part lies inside the window, at most max_count of them; DynamicRangeExceeded
+    where the window outruns the spacing (``_SPACING_ULPS``)."""
     lo, hi = window
     if not lo < hi:
         raise InvalidArgument("empty window")
-    n = math.ceil((lo - phase / length) / (2 * math.pi / length))
+    spacing, edge = 2 * math.pi / length, max(abs(lo), abs(hi))
+    if spacing < _SPACING_ULPS * math.ulp(edge):
+        raise DynamicRangeExceeded(
+            f"lattice spacing 2pi/l = {spacing:g} is below {_SPACING_ULPS} ulps of "
+            f"the window edge {edge:g}: its points would not be distinct")
+    # one step early: the quotient's rounding can lift ceil past a point on lo
+    n = math.ceil((lo - phase / length) / spacing) - 1
     values = []
     while len(values) < max_count:
         re_part = (phase + 2 * math.pi * n) / length
@@ -96,7 +111,8 @@ def interval_sa_spectrum(length: float, theta: float, window,
                          max_count: int = 10**6) -> EigenList:
     """Lattice (theta + 2 pi n)/length inside the window, the spectrum of the
     extension with boundary condition f(0) = e^{i theta} f(length), stepped
-    from theta's phase, read as rho's is, so any theta gives distinct points."""
+    from theta's phase, read as rho's is, so any theta gives distinct points;
+    DynamicRangeExceeded where the window outruns the spacing (``_lattice``)."""
     if not length > 0:
         raise InvalidArgument("length must be positive")
     phase = theta if abs(theta) <= math.pi else math.atan2(math.sin(theta), math.cos(theta))
@@ -111,7 +127,8 @@ def interval_dissipative_lattice(length: float, rho: complex, window,
     """Eigenvalues of the extension with f(0) = rho f(length), 0 <= |rho| < 1:
     the upper-half-plane lattice from e^{-i lambda length} = 1/rho; empty for
     rho = 0 (the nilpotent case has empty spectrum). DynamicRangeExceeded
-    where 1/|rho|, which the height and each residual need, is not a float."""
+    where 1/|rho|, which the height and each residual need, is not a float,
+    or where the window outruns the spacing (``_lattice``)."""
     if not length > 0:
         raise InvalidArgument("length must be positive")
     rho = complex(rho)

@@ -104,6 +104,16 @@ class TestAcceptance:
         assert [name for name, ok in result.details["checks"].items() if not ok] == [
             f"nilpotent at l [n={n}]" for n in (128, 256, 512)]
 
+    def test_criterion_5_fails_a_semigroup_that_vanishes_a_step_early(self, monkeypatch):
+        # V_{l-h} = 0 makes the nilpotency index (n - 1) h, short of l: the
+        # check wants V_l = 0 and V_{l-h} != 0, where V_l = 0 alone passed it
+        real = weylcheck.semigroup
+        monkeypatch.setattr(weylcheck, "semigroup", lambda grid, s: real(grid, s + grid.h))
+        result = acceptance.criterion_5_weyl_grid()
+        assert not result.passed
+        assert [name for name, ok in result.details["checks"].items() if not ok] == [
+            f"nilpotent at l [n={n}]" for n in (128, 256, 512)]
+
     def test_criterion_6_friedrichs_krein_fixed_points(self):
         _run(acceptance.criterion_6_friedrichs_krein_fixed_points)
 

@@ -19,7 +19,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from extflow import affine, cli, flow, mobius, models, numerics, spectra, weylcheck
-from extflow.errors import ExtflowError, IllPosed, InvalidArgument
+from extflow.errors import ExtflowError, IllPosed, InvalidArgument, NumericalInconsistency
 
 
 def run_cli(tmp_path, *argv, name="out.json"):
@@ -414,6 +414,55 @@ class TestEmission:
         assert code == 3
 
 
+# the battery in run order: each criterion's function, name and budget in s
+_BATTERY = (
+    ("criterion_1_identity_and_group_law", "criterion 1: flow identity and group law", 10.0),
+    ("criterion_2_interval_invariant_extension",
+     "criterion 2: interval invariant extension", 5.0),
+    ("criterion_3_cyclic_period", "criterion 3: cyclic invariance period", 10.0),
+    ("criterion_4_interval_spectra", "criterion 4: interval spectra", 1.0),
+    ("criterion_5_weyl_grid", "criterion 5: restricted relations on the grid", 60.0),
+    ("criterion_6_friedrichs_krein_fixed_points",
+     "criterion 6: extremal extension fixed points", 60.0),
+    ("criterion_7_fall_to_center", "criterion 7: fall-to-center spectrum", 60.0),
+    ("criterion_8_generator_invariance", "criterion 8: generator invariance", 30.0),
+    ("criterion_9_property_suites", "criterion 9: property suites", 60.0),
+)
+
+
+class TestBattery:
+    def test_criteria_keep_their_order_names_and_budgets(self):
+        from extflow import acceptance
+        assert acceptance.ALL_CRITERIA == [
+            getattr(acceptance, function) for function, _, _ in _BATTERY]
+        results = [criterion() for criterion in acceptance.ALL_CRITERIA]
+        assert [(r.name, r.budget_s) for r in results] == [
+            (name, budget) for _, name, budget in _BATTERY]
+
+    def test_all_lists_each_criterion_with_its_budget_checks_and_notes(self):
+        code, out, err = _call(["all"])
+        assert code == 0
+        criteria = json.loads(out)["results"]["criteria"]
+        assert [(name, c["budget_s"]) for name, c in criteria.items()] == [
+            (name, budget) for _, name, budget in _BATTERY]
+        for c in criteria.values():
+            assert set(c) == {"passed", "budget_s", "checks", "notes"}
+            assert c["passed"] and c["checks"] and all(c["checks"].values())
+        assert [name for name, c in criteria.items() if c["notes"]] == [
+            _BATTERY[6][1], _BATTERY[7][1]]
+
+    def test_an_error_inside_a_criterion_ends_all_with_exit_3(self, monkeypatch):
+        def fails(*args):
+            raise NumericalInconsistency("the ladder skips a rung")
+
+        monkeypatch.setattr(spectra, "shoot_negative_eigenvalues", fails)
+        code, out, err = _call(["all"])
+        assert (code, out) == (3, "")
+        assert err.splitlines()[-1] == (
+            "numerical/runtime failure: NumericalInconsistency: the ladder skips a rung")
+        assert "Traceback" not in err
+
+
 class TestExitCodes:
     def test_configuration_error_is_2(self):
         assert cli.main(["fixed-points", "--model", "interval",
@@ -511,6 +560,22 @@ class TestExitCodes:
         assert code == expected and bool(text) == (expected == 0)
         assert ("DynamicRangeExceeded" in err) == (expected == 3)
         assert err.count("\n") == 1 and "Traceback" not in err
+
+    @pytest.mark.parametrize("flags", [
+        ["--l=300", "--window=-1e300,1e300"], ["--l=1", "--window=-1e300,1e300"],
+        ["--window=1e17,1.00000000000002e17"]], ids=["l-300", "l-1", "1e17"])
+    @pytest.mark.parametrize("lattice", [["--theta=0.7"], ["--rho=0.3-0.4j"]],
+                             ids=["theta", "rho"])
+    def test_spectrum_where_the_window_outruns_the_spacing(self, flags, lattice, tmp_path,
+                                                           capsys):
+        # 2 pi/l below 8 ulps of the window's edge: the lattice would stall or
+        # repeat its points, so exit 3 with one line, no output
+        code, text = run_cli(tmp_path, "spectrum", *lattice, *flags)
+        err = capsys.readouterr().err
+        assert (code, text) == (3, "")
+        assert "DynamicRangeExceeded" in err
+        assert err.count("\n") == 1 and "Traceback" not in err
+
     def test_spectrum_off_by_1e_9_fails(self, tmp_path, monkeypatch):
         # one flat bound, spectra.LATTICE_TOL = 1e-10, on both lattices: points
         # 1e-9 off fail it. For rho it is the former 1e-10/|rho| on

@@ -3,7 +3,7 @@ import math
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
 from extflow import cli, models, spectra
@@ -250,9 +250,18 @@ class TestDissipativeLattice:
 
 
 def _lattice_real_parts(length, phase, lo, hi):
-    """(phase + 2 pi n)/length in [lo, hi], n enumerated over a wide range."""
-    parts = ((phase + 2 * math.pi * n) / length for n in range(-1000, 1000))
+    """(phase + 2 pi n)/length in [lo, hi], n enumerated over a wide range
+    around the window's middle."""
+    mid = round((lo + hi) / 2 * length / (2 * math.pi))
+    parts = ((phase + 2 * math.pi * n) / length for n in range(mid - 1000, mid + 1000))
     return [x for x in parts if lo <= x <= hi]
+
+
+# windows whose edge outruns the spacing 2 pi/l: at l = 300 the stepping
+# stalled, at l = 1 one value repeated a million times, and by 1e17, where an
+# ulp is 16, 320 points held 126 distinct values
+_OUTRUN = [(300.0, (-1e300, 1e300)), (1.0, (-1e300, 1e300)),
+           (1.0, (1e17, 1.00000000000002e17))]
 
 
 class TestLattices:
@@ -288,6 +297,38 @@ class TestLattices:
             assert len(full) > 5
             assert cut.values == full.values[:count]
             assert cut.residuals == full.residuals[:count]
+
+    @pytest.mark.parametrize("length, window", _OUTRUN, ids=["l-300", "l-1", "1e17"])
+    def test_a_window_past_the_spacing_is_refused(self, length, window):
+        for lattice, parameter in ((spectra.interval_sa_spectrum, 0.7),
+                                   (spectra.interval_dissipative_lattice, 0.3 - 0.4j)):
+            with pytest.raises(DynamicRangeExceeded, match="below 8 ulps"):
+                lattice(length, parameter, window)
+
+    @settings(max_examples=200, deadline=None)
+    @example(length=2 * math.pi, phase=0.7, decades=15.0, sign=1.0, steps=50.0,
+             modulus=0.5)   # a spacing of 1, exactly 8 ulps at 1e15
+    @example(length=180.93093727636779, phase=3.0, decades=13.17047698955478, sign=-1.0,
+             steps=1.0, modulus=0.5)   # a point on lo, one step below ceil's start
+    @given(length=st.floats(1e-3, 300.0), phase=st.floats(-math.pi, math.pi),
+           decades=st.floats(0.0, 17.0), sign=st.sampled_from([-1.0, 1.0]),
+           steps=st.floats(0.5, 50.0), modulus=st.floats(1e-3, 0.99))
+    def test_a_resolved_window_gives_every_lattice_point(self, length, phase, decades,
+                                                         sign, steps, modulus):
+        # wherever the spacing is at least 8 ulps of the window's edge, out to
+        # 1e17, both lattices list the points (phase + 2 pi n)/length, each
+        # once and in order
+        lo = sign * 10.0 ** decades
+        hi = lo + steps * 2 * math.pi / length
+        assume(2 * math.pi / length >= 8 * math.ulp(max(abs(lo), abs(hi))))
+        expected = _lattice_real_parts(length, phase, lo, hi)
+        sa = spectra.interval_sa_spectrum(length, phase, (lo, hi))
+        rho = cmath.rect(modulus, phase)
+        diss = spectra.interval_dissipative_lattice(length, rho, (lo, hi))
+        assert [v.real for v in sa.values] == expected
+        assert [v.real for v in diss.values] == _lattice_real_parts(
+            length, math.atan2(rho.imag, rho.real), lo, hi)
+        assert len(set(expected)) == len(expected)
 
     def test_empty_window_is_invalid(self):
         for lattice, parameter in ((spectra.interval_sa_spectrum, 0.0),
