@@ -111,7 +111,7 @@ _KEYS = {
     "v0": (None, _parse_complex, "orbit start parameter (default 0.3, 0 on the halfline)",
            (lambda v: abs(v) <= 1.0, "must have modulus at most 1, got {!r}")),
     "t_max": (None, float, "period search bound", (lambda x: x > 0, "must be positive, got {!r}")),
-    "jobs": (1, int, "worker threads, at most one per core",
+    "jobs": (1, int, "cap on worker threads, one per core; a pool starts from n = 65536",
              (lambda j: j >= 1, "must be at least 1, got {!r}")),
     "out": (None, str, "output path (default stdout)", None),
     "format": ("json", str, "json or csv",

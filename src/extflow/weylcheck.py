@@ -21,16 +21,10 @@ maximum of that diagonal, in O(n). The relation then holds to machine
 precision on the grid, while off-grid times are realized by nearest-grid
 rounding and converge at first order. One sweep, residual_rows, serves the
 weyl and refine commands and the acceptance battery: it lays out the grid,
-s and k once per size, and refine fits its convergence order. Sizes that
-differ by a power of two, n = N / 2^a, form a dyadic chain, keyed by their
-odd part. Where h is a normal float, dividing by 2^a is exact, so
-fl(l/n) = 2^a fl(l/N) and node j of the grid of n is node 2^a j of the grid
-of N, the same double, as is its phase. The sweep therefore takes U_t once
-per (chain, t), on the chain's largest grid, reads each smaller size's
-phases as every 2^a-th of them, and runs the (chain, t) cells on worker
-threads when asked. V_s's GridOperator record, from semigroup, serves the
-nilpotency check; the nilpotency index n h of the shift semigroup is fixed
-by the construction.
+s and k once per size, takes U_t once per dyadic chain of sizes and t (its
+docstring states the chain rule), and refine fits its convergence order.
+V_s's GridOperator record, from semigroup, serves the nilpotency check; the
+nilpotency index n h of the shift semigroup is fixed by the construction.
 """
 
 from __future__ import annotations
@@ -53,6 +47,9 @@ ON_GRID_TOL, ON_GRID_FLOORS, ORDER_MIN = 1e-12, 16.0, 0.9
 # off the grid s - k h = h/2, so the residual is 2|sin(t h / 4)| and the order
 # between grids h and h/2 is 1 + log2 cos(t h / 8): below ORDER_MIN past this t h
 SATURATED_TH = 8 * math.acos(2 ** (ORDER_MIN - 1))
+# the node count of the largest grid from which residual_rows starts a pool: on
+# 2 cores at 4 t, 2 threads took 1.0x the serial time at 2^15 and 0.65-0.87x at 2^16
+_POOL_NODES = 1 << 16
 
 
 # ---------------------------------------------------------------------------
@@ -65,9 +62,8 @@ class IntervalGrid:
     """The upwind grid on (0, n h). Its nodes x_j = j h, j = 1..n, are formed
     on the first read, where U_t's phases are taken, and kept for the reads
     at later t: residual_rows reads them only on the largest grid of each
-    dyadic chain of sizes, whose every 2^a-th node is the node of the grid
-    of n / 2^a, so the chain's other grids, like the certificate's, never
-    form theirs."""
+    dyadic chain (its chain rule), so the chain's other grids, like the
+    certificate's, never form theirs."""
 
     n: int
     h: float
@@ -155,57 +151,56 @@ def residual_rows(length: float, n_list, t_values, on_grid: bool, jobs: int = 1)
     """The residual for every listed grid size n and group parameter t, at
     semigroup time s = (n//3) h on the grid, or half a spacing off it, the
     worst case for nearest-grid rounding. The grid, s and V_s's shift k
-    depend on n alone and are laid out once per distinct size. Sizes with
-    one odd part form a dyadic chain, n = N / 2^a below its largest size N:
-    where h is a normal float, fl(l/n) = 2^a fl(l/N) exactly, so node j of
-    the grid of n is node 2^a j of the grid of N, the same double, and so is
-    its phase. U_t is therefore computed once per (chain, t), on N, and each
-    size of the chain reads every 2^a-th phase of it; a size whose h is not
-    2^a times N's heads a chain of its own. The (chain, t) cells run on up
-    to jobs worker threads, at most one per core, since more cannot speed
-    CPU-bound cells. Rows come in (n, t) order, equal t as listed, whatever
-    the number of threads, and a size listed twice gives each row twice. On
-    the grid, DynamicRangeExceeded for a row past ON_GRID_TOL within the floors."""
+    depend on n alone and are laid out once per distinct size.
+
+    The chain rule: sizes share U_t's phases when they share the key
+    (n >> v, h 2^v), 2^v = n & -n. Two sizes share it exactly when they have
+    one odd part and h = 2^a H, H the h of the larger size N = 2^a n, so node
+    j of the grid of n, fl(j h), is node 2^a j of the grid of N, the same
+    double, and so is its phase. Where h is normal, h 2^v = fl(l/odd) and a
+    whole odd part is one chain; a subnormal h may split it. The odd part
+    keeps apart sizes of equal h 2^v, whose nodes differ. U_t is computed
+    once per (chain, t), on the chain's largest grid, and each size of the
+    chain reads every 2^a-th phase.
+
+    Rows come in (n, t) order, equal t as listed, and a size listed twice
+    gives each row twice. The (chain, t) cells run on up to jobs worker
+    threads, at most one per core, and only where the largest size reaches
+    _POOL_NODES; below it a pool costs more than it saves. On the grid,
+    DynamicRangeExceeded for a row past ON_GRID_TOL within the floors."""
     variant = "on-grid" if on_grid else "off-grid"
-    sizes, heads, chains = {}, {}, {}
+    sizes, chains = [], {}
     for n in sorted(set(n_list), reverse=True):
         grid = build_interval_grid(length, n)
         s = float((n // 3 + (0.0 if on_grid else 0.5)) * grid.h)
-        odd = n // (n & -n)
-        head = heads.setdefault(odd, n)
-        if head != n and sizes[head][0].h * (head // n) != grid.h:   # h subnormal on the head
-            head = heads[odd] = n
-        # a chain: its largest grid, and each size's stride, k and s in turn
-        _, plan = chains.setdefault(head, (grid, []))
-        sizes[n] = grid, s, head, len(plan)
-        plan.append((head // n, shift_count(grid, s), s))
+        low = n & -n
+        # a chain: its place, its largest grid, and each size's stride, k and s
+        chain, head, plan = chains.setdefault((n // low, grid.h * low), (len(chains), grid, []))
+        sizes.append((n, grid.h, s, chain, len(plan)))
+        plan.append((head.n // n, shift_count(grid, s), s))
 
     def chain_residuals(cell):
-        (grid, plan), t = cell
+        (_, grid, plan), t = cell
         u = unitary_group(grid, t)
         out = []
         for step, k, s in plan:     # a loop: a comprehension costs a frame per cell
             out.append(weyl_residual(u if step == 1 else u[step - 1::step], k, t, s))
         return out
 
-    cells = [(chain, t) for chain in chains.values() for t in t_values]
-    workers = min(jobs, _CORES)
+    ts = sorted(map(float, t_values))     # by value, ties as listed
+    cells = [(chain, t) for chain in chains.values() for t in ts]
+    workers = min(jobs, _CORES) if sizes and sizes[0][0] >= _POOL_NODES else 1
     if workers > 1:
         from concurrent.futures import ThreadPoolExecutor
         with ThreadPoolExecutor(max_workers=workers) as pool:
             done = list(pool.map(chain_residuals, cells))
     else:
         done = list(map(chain_residuals, cells))
-    ts = [float(t) for t in t_values]
-    blocks = {head: done[c * len(ts):(c + 1) * len(ts)] for c, head in enumerate(chains)}
-    # t by value, ties as listed, and a size listed twice takes each t twice:
-    # the order a stable sort of the listed rows gives
-    order = sorted(range(len(ts)), key=ts.__getitem__)
-    rows = [{"n": n, "h": grid.h, "t": ts[i], "s": s, "variant": variant,
-             "residual": blocks[head][i][place]}
-            for n, (grid, s, head, place) in sorted(sizes.items())
-            for i in (order if n_list.count(n) == 1
-                      else sorted(order * n_list.count(n), key=ts.__getitem__))]
+    # a size listed twice takes each t twice, the copies of a tie interleaved
+    rows = [{"n": n, "h": h, "t": ts[i], "s": s, "variant": variant,
+             "residual": done[chain * len(ts) + i][place]}
+            for n, h, s, chain, place in reversed(sizes)
+            for i in sorted([*range(len(ts))] * n_list.count(n), key=ts.__getitem__)]
     for r in rows if on_grid else ():
         floor = ON_GRID_FLOORS * (1 + abs(r["t"]) * length) * math.ulp(1.0)
         if ON_GRID_TOL < r["residual"] <= floor:
@@ -226,15 +221,14 @@ def refine(length: float, n_list, t_values, on_grid: bool, jobs: int = 1) -> tup
     if not on_grid and th > SATURATED_TH:
         raise InvalidArgument(f"off-grid |t| h = {th:.4g} > {SATURATED_TH:.4g} at the largest h")
     rows = residual_rows(length, n_list, t_values, on_grid, jobs)
-    worst = {}
+    worst = {}      # per size, in n order as the rows come
     for r in rows:
         size = (r["n"], r["h"])
         worst[size] = max(worst.get(size, 0.0), r["residual"])
-    sizes = sorted(worst)
-    if all(worst[size] <= ON_GRID_TOL for size in sizes):
+    if all(w <= ON_GRID_TOL for w in worst.values()):
         return rows, "exact"
-    xs = [math.log(h) for _, h in sizes]
-    ys = [math.log(max(worst[size], 1e-300)) for size in sizes]
+    xs = [math.log(h) for _, h in worst]
+    ys = [math.log(max(w, 1e-300)) for w in worst.values()]
     mx, my = sum(xs) / len(xs), sum(ys) / len(ys)
     return rows, (sum((x - mx) * (y - my) for x, y in zip(xs, ys))
                   / sum((x - mx) ** 2 for x in xs))

@@ -338,11 +338,8 @@ class TestCommands:
         assert texts[0][0] == 0 and texts[0][1]
         assert texts[1] == texts[0] and texts[2] == texts[0]
 
-    def test_refine_sweeps_on_the_worker_threads(self, tmp_path, monkeypatch):
-        # refine's residual rows come from weylcheck.residual_rows, which
-        # starts a pool only for --jobs above 1, of at most one thread per
-        # core: --jobs 1000 over three (n, t) cells starts no more threads
-        # than --jobs 3, and the bytes are those of --jobs 1
+    @staticmethod
+    def _recorded_pools(monkeypatch):
         import concurrent.futures
         pools = []
 
@@ -352,12 +349,41 @@ class TestCommands:
                 super().__init__(max_workers=max_workers)
 
         monkeypatch.setattr(concurrent.futures, "ThreadPoolExecutor", Recording)
+        return pools
+
+    def test_refine_sweeps_on_the_worker_threads(self, tmp_path, monkeypatch):
+        # refine's residual rows come from weylcheck.residual_rows, which
+        # starts a pool only for --jobs above 1, of at most one thread per
+        # core: --jobs 1000 over three (n, t) cells starts no more threads
+        # than --jobs 3, and the bytes are those of --jobs 1. The pool's
+        # size threshold is lowered so that these small grids reach it
+        from extflow import weylcheck
+        monkeypatch.setattr(weylcheck, "_POOL_NODES", 8)
+        pools = self._recorded_pools(monkeypatch)
         results = [run_cli(tmp_path, "refine", "--n", "64,128,256", "--jobs", jobs)
                    for jobs in ("1", "3", "1000")]
         assert results[0][0] == 0 and results[1] == results[0] and results[2] == results[0]
         cores = os.cpu_count() or 1
         assert pools == [workers for workers in (min(3, cores), min(1000, cores))
                          if workers > 1]
+
+    def test_jobs_below_the_pool_size_start_no_pool(self, tmp_path, monkeypatch):
+        # --jobs caps the threads: below _POOL_NODES on the largest grid the
+        # sweep runs serially whatever --jobs says, and from it a pool starts,
+        # as the flag's help says
+        from extflow import weylcheck
+        assert f"from n = {weylcheck._POOL_NODES}" in cli._KEYS["jobs"][2]
+        pools = self._recorded_pools(monkeypatch)
+        below = weylcheck._POOL_NODES // 2
+        for sizes in ("64,128", f"64,{below}", f"{below},{below + 8}"):
+            results = [run_cli(tmp_path, "weyl", "--n", sizes, "--t", "0.5,1.5", "--jobs", jobs)
+                       for jobs in ("1", "2")]
+            assert results[0][0] == 0 and results[1] == results[0]
+        assert pools == []
+        if (os.cpu_count() or 1) > 1:
+            run_cli(tmp_path, "weyl", "--n", str(weylcheck._POOL_NODES), "--t", "0.5",
+                    "--jobs", "2")
+            assert pools == [2]
 
 
 class TestEmission:
@@ -563,13 +589,16 @@ class TestExitCodes:
 
     @pytest.mark.parametrize("flags", [
         ["--l=300", "--window=-1e300,1e300"], ["--l=1", "--window=-1e300,1e300"],
-        ["--window=1e17,1.00000000000002e17"]], ids=["l-300", "l-1", "1e17"])
+        ["--window=1e17,1.00000000000002e17"], ["--window=1e7,10000020"]],
+        ids=["l-300", "l-1", "1e17", "rounding"])
     @pytest.mark.parametrize("lattice", [["--theta=0.7"], ["--rho=0.3-0.4j"]],
                              ids=["theta", "rho"])
     def test_spectrum_where_the_window_outruns_the_spacing(self, flags, lattice, tmp_path,
                                                            capsys):
         # 2 pi/l below 8 ulps of the window's edge: the lattice would stall or
-        # repeat its points, so exit 3 with one line, no output
+        # repeat its points; or, by 1e7, residuals past LATTICE_TOL within the
+        # rounding of lambda l, which the check cannot resolve: exit 3 with
+        # one line, no output
         code, text = run_cli(tmp_path, "spectrum", *lattice, *flags)
         err = capsys.readouterr().err
         assert (code, text) == (3, "")

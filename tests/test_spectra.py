@@ -257,6 +257,8 @@ def _lattice_real_parts(length, phase, lo, hi):
     return [x for x in parts if lo <= x <= hi]
 
 
+_EPS = math.ulp(1.0)
+
 # windows whose edge outruns the spacing 2 pi/l: at l = 300 the stepping
 # stalled, at l = 1 one value repeated a million times, and by 1e17, where an
 # ulp is 16, 320 points held 126 distinct values
@@ -317,18 +319,68 @@ class TestLattices:
                                                          sign, steps, modulus):
         # wherever the spacing is at least 8 ulps of the window's edge, out to
         # 1e17, both lattices list the points (phase + 2 pi n)/length, each
-        # once and in order
+        # once and in order. Far from 0 their residuals pass LATTICE_TOL
+        # within the rounding of lambda l and raise (test_an_unresolved_
+        # residual_raises); that bound is lifted here, where points are read
         lo = sign * 10.0 ** decades
         hi = lo + steps * 2 * math.pi / length
         assume(2 * math.pi / length >= 8 * math.ulp(max(abs(lo), abs(hi))))
         expected = _lattice_real_parts(length, phase, lo, hi)
-        sa = spectra.interval_sa_spectrum(length, phase, (lo, hi))
         rho = cmath.rect(modulus, phase)
-        diss = spectra.interval_dissipative_lattice(length, rho, (lo, hi))
+        with pytest.MonkeyPatch.context() as patch:
+            patch.setattr(spectra, "LATTICE_TOL", math.inf)
+            sa = spectra.interval_sa_spectrum(length, phase, (lo, hi))
+            diss = spectra.interval_dissipative_lattice(length, rho, (lo, hi))
         assert [v.real for v in sa.values] == expected
         assert [v.real for v in diss.values] == _lattice_real_parts(
             length, math.atan2(rho.imag, rho.real), lo, hi)
         assert len(set(expected)) == len(expected)
+
+    def test_lattice_residual_is_the_rounding_of_lambda_l(self, monkeypatch):
+        # over 4 lengths, both lattices and windows out to 1e12 each residual
+        # stays within 1.99 floors (1 + |lambda| l + |phase|) eps, phase the
+        # lattice's in [-pi, pi]: LATTICE_FLOORS keeps a factor of eight above
+        monkeypatch.setattr(spectra, "LATTICE_TOL", math.inf)
+        worst = 0.0
+        for length in (1e-3, 0.7, 2 * math.pi, 300.0):
+            spacing = 2 * math.pi / length
+            for middle in (0.0, 1e3, -1e6, 1e9, -1e12):
+                window = (middle - 50 * spacing, middle + 50 * spacing)
+                for theta in (0.7, -3.0, 7.5):
+                    eig = spectra.interval_sa_spectrum(length, theta, window)
+                    phase = math.atan2(math.sin(theta), math.cos(theta))
+                    worst = max(worst, *(r / ((1 + abs(v) * length + abs(phase)) * _EPS)
+                                         for v, r in zip(eig.values, eig.residuals)))
+                for rho in (0.36, 0.3 - 0.4j, 1e-20j):
+                    eig = spectra.interval_dissipative_lattice(length, rho, window)
+                    phase = cmath.phase(rho)
+                    worst = max(worst, *(r / ((1 + abs(v) * length + abs(phase)) * _EPS)
+                                         for v, r in zip(eig.values, eig.residuals)))
+        assert 0.5 < worst and 8 * worst <= spectra.LATTICE_FLOORS
+
+    @pytest.mark.parametrize("window", [(1e7, 10000020.0), (-1e9, -1e9 + 20)])
+    def test_an_unresolved_residual_raises(self, window):
+        # a residual past LATTICE_TOL within LATTICE_FLOORS floors of the
+        # rounding of lambda l cannot be told from that rounding: exit 3 as
+        # unresolved, not FAIL. Lifting the bound shows the residuals that raise
+        for lattice, parameter in ((spectra.interval_sa_spectrum, 0.7),
+                                   (spectra.interval_dissipative_lattice, 0.3 - 0.4j)):
+            with pytest.raises(DynamicRangeExceeded, match="within the rounding of lambda l"):
+                lattice(1.0, parameter, window)
+            with pytest.MonkeyPatch.context() as patch:
+                patch.setattr(spectra, "LATTICE_FLOORS", 0.0)
+                assert max(lattice(1.0, parameter, window).residuals) > spectra.LATTICE_TOL
+
+    @pytest.mark.parametrize("length, lattice, parameter", [
+        (1e-320, spectra.interval_sa_spectrum, 0.3),
+        (1e-320, spectra.interval_dissipative_lattice, 0.3),
+        (1e-320, spectra.interval_dissipative_lattice, 0.3 - 0.4j),
+        (1e-306, spectra.interval_dissipative_lattice, 1e-300)])
+    def test_a_length_past_the_floats_raises(self, length, lattice, parameter):
+        # 2 pi/l, and with it phase/l, or the height log(1/|rho|)/l is not a
+        # float: DynamicRangeExceeded, not a ValueError or a point at height inf
+        with pytest.raises(DynamicRangeExceeded, match="not a float"):
+            lattice(length, parameter, (-1.0, 1.0))
 
     def test_empty_window_is_invalid(self):
         for lattice, parameter in ((spectra.interval_sa_spectrum, 0.0),

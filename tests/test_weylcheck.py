@@ -51,6 +51,14 @@ def random_operator(rng, n, k):
     return GridOperator(d, k)
 
 
+def single_size_rows(length, n_list, t_values, on_grid):
+    # one residual_rows call per listed size, joined in (n, t) order, ties as
+    # listed: each call takes its phases on its own grid
+    single = [row for n in n_list
+              for row in weylcheck.residual_rows(length, [n], t_values, on_grid)]
+    return sorted(single, key=lambda r: (r["n"], r["t"]))
+
+
 @pytest.fixture(scope="module")
 def grid256():
     return weylcheck.build_interval_grid(1.0, 256)
@@ -318,9 +326,11 @@ class TestWeylResidual:
         assert calls == []
 
     @pytest.mark.parametrize("jobs", [2, 3])
-    def test_rows_are_sorted_whatever_the_jobs(self, jobs):
+    def test_rows_are_sorted_whatever_the_jobs(self, jobs, monkeypatch):
         # every (n, t) once per listed size, in (n, t) order, the same rows
-        # from the worker threads as from the serial sweep
+        # from the worker threads as from the serial sweep; the pool's size
+        # threshold is lowered so that these small grids reach it
+        monkeypatch.setattr(weylcheck, "_POOL_NODES", 8)
         args = (1.0, [256, 64, 128, 64], [1.5, -0.5, 1.5], False)
         rows = weylcheck.residual_rows(*args)
         assert [(r["n"], r["t"]) for r in rows] == sorted(
@@ -354,21 +364,37 @@ class TestWeylResidual:
         (3.3, [8, 96, 128, 128, 192, 1000, 1024], [0.5, -7.5, 12.0], True),
         (300.0, [1024, 8, 64, 512, 24, 48], [37.3, -0.0, 0.0, -9.9], False),
         # h is subnormal on the finest grids, where fl(l/n) = 2^a fl(l/N)
-        # can fail: a size whose h is not 2^a times N's heads its own chain
+        # can fail: a size whose h 2^v differs from N's keys its own chain
         (1e-305, [8, 64, 65536, 131072, 1 << 20], [3e304, -7e303], False),
         # a size listed twice with t = 0 and -0 tied: each t's rows twice
         (300.0, [64, 24, 64], [0.0, 1.5, -0.0], True),
     ])
     def test_chains_give_the_rows_of_single_sizes(self, jobs, length, n_list, t_values,
-                                                  on_grid):
+                                                  on_grid, monkeypatch):
         # the reference for the chained sweep: one call per listed size,
-        # joined, in (n, t) order, ties as listed; repr tells t = -0 from 0
+        # joined, in (n, t) order, ties as listed; repr tells t = -0 from 0.
+        # The pool's size threshold is lowered so that jobs = 2 runs one
+        monkeypatch.setattr(weylcheck, "_POOL_NODES", 8)
         rows = weylcheck.residual_rows(length, n_list, t_values, on_grid, jobs=jobs)
-        single = [row for n in n_list
-                  for row in weylcheck.residual_rows(length, [n], t_values, on_grid)]
-        assert repr(rows) == repr(sorted(single, key=lambda r: (r["n"], r["t"])))
+        assert repr(rows) == repr(single_size_rows(length, n_list, t_values, on_grid))
         assert [(r["n"], repr(r["t"])) for r in rows] == [
             (n, repr(t)) for n, t in sorted((n, t) for n in n_list for t in t_values)]
+
+    @settings(max_examples=200, deadline=None, derandomize=True)
+    @given(length=st.floats(2.0 ** -1064, 1e-300),
+           n_list=st.lists(st.builds(lambda odd, a: odd << a, st.sampled_from([1, 3, 5]),
+                                     st.integers(2, 6)), min_size=1, max_size=6),
+           t_values=st.lists(st.floats(-1e308, 1e308), min_size=1, max_size=3))
+    # h 2^v is 4 * 2^-1074 at both sizes, whose nodes differ: a key without
+    # the odd part gives n = 10 the phases of n = 12
+    @example(length=2.0 ** -1070, n_list=[10, 12], t_values=[1e300])
+    def test_subnormal_steps_give_the_rows_of_single_sizes(self, length, n_list, t_values):
+        # where h goes subnormal, sizes of one odd part may stop sharing
+        # their nodes, and sizes of two odd parts may share h 2^v: the
+        # chained sweep still gives each size's own rows
+        assume(min(n_list) >= 8)
+        rows = weylcheck.residual_rows(length, n_list, t_values, on_grid=False)
+        assert repr(rows) == repr(single_size_rows(length, n_list, t_values, on_grid=False))
 
     def test_residual_independent_of_t_on_grid(self, grid256):
         rng = np.random.default_rng(3)
