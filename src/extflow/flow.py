@@ -46,11 +46,11 @@ DISSIPATIVE = "dissipative-nonselfadjoint"
 # closed forms, and the elements at T_SAMPLES move X's zeros by at most 6.3e-15
 # (couplings in [-5e4, 0.7499], lengths in [1e-3, 300]): FP_TOL is 16 times that.
 SA_TOL = 1e-9       # | |v| - 1 | of a self-adjoint parameter
-BALL_TOL = 1e-10    # |v| - 1 of a parameter or its image (measured 9.9e-13; README)
+BALL_TOL = 1e-10    # |v| - 1 of a parameter or its image (measured 3.7e-14; README)
 FP_TOL = 1e-13      # how far a sampled element may move an invariant point
-RESIDUAL_TOL = 1e-11    # the same at any t (measured 5.8e-13; README, "Tolerances")
+RESIDUAL_TOL = 1e-11    # the same at any t (measured 9.1e-13; README, "Tolerances")
 TRACE_TOL = 1e-12   # | tr - (+-2 cos(t sqrt(det X))) | of a sampled element
-ID_TOL = 1e-11      # an element this close to the identity moves nothing (1.2e-13 at periods)
+ID_TOL = 1e-11      # an element this close to the identity moves nothing (3.9e-13 at periods)
 T_SAMPLES = (0.3, 0.7, 1.3, 2.9)
 
 

@@ -5,6 +5,12 @@ the record of each unitary family. The inverse-square model also names the
 parameters of its Friedrichs and Krein extensions. Every datum is a closed
 form in ``math`` and ``cmath``.
 
+The four overlap blocks of one subgroup element share their transcendental
+factors, so an element takes each once and every factor that does not depend
+on t is computed at construction: cos and sin of t l/2 on the interval; on
+the inverse-square model x = log sigma, cosh x, sinh x and the pair for mu x
+(cosh and sinh, or cos and sin of nu x for mu = i nu; none at mu = 0).
+
 Gauge conventions are fixed once per model and every reported parameter
 value depends on them:
 
@@ -58,19 +64,7 @@ class OverlapData:
     cmm: complex
 
 
-def _int_exp(c: complex, length: float) -> complex:
-    """Integral of e^{c x} over [0, length], stable for small |c*length|."""
-    z = c * length
-    if abs(z) < 0.5:
-        term = complex(length)
-        total = term
-        k = 1
-        while abs(term) > 1e-20 * max(1.0, abs(total)):
-            term = term * z / (k + 1)
-            total += term
-            k += 1
-        return total
-    return (cmath.exp(z) - 1.0) / c
+_EIGHTH_TURN = cmath.exp(0.25j * math.pi)
 
 
 @dataclass(frozen=True)
@@ -105,22 +99,33 @@ class IntervalModel:
             raise DynamicRangeExceeded(
                 f"||e^x||^2 = (e^(2l) - 1)/2 is not a float at l = {self.length:g}") from None
         self.norm_minus = math.sqrt(-math.expm1(-2 * self.length) / 2)
-
-    def _translation_parameter(self, g: AffineMap) -> float:
-        if abs(g.a - 1.0) > 1e-12:
-            raise OutsideGroup(
-                f"interval model is translation-invariant; got slope {g.a}")
-        return g.b
+        # X, and the overlaps' factors: l/2, coth l and cmp = l/sinh l at t = 0
+        half = self._half = 0.5 * self.length
+        coth = self._coth = 1.0 / math.tanh(self.length)
+        csch = 1.0 / math.sinh(self.length)
+        self._cross = self.length * csch
+        self._generator = (-1j * half * coth, 1j * half * csch, -1j * half * csch, half * half)
 
     def overlap_matrix(self, g: AffineMap) -> OverlapData:
-        t = self._translation_parameter(g)
-        length = self.length
-        cross = _int_exp(1j * t, length) / (self.norm_plus * self.norm_minus)
+        """With B = t l/2 and the phase e^{iB}: cpp = e^{iB} sinh(l + iB) /
+        (sinh l (1 + it/2)), cmm the same with -l and -t, and cpm = cmp =
+        e^{iB} l (sin B/B)/sinh l, whose sin B/B stays 1 at a subnormal B."""
+        if abs(g.a - 1.0) > 1e-12:
+            raise OutsideGroup(f"interval model is translation-invariant; got slope {g.a}")
+        t = g.b
+        turn = t * self._half
+        try:
+            cos, sin = math.cos(turn), math.sin(turn)
+        except ValueError:
+            raise DynamicRangeExceeded(f"the phase t l/2 is not a float at t = {t:g}") from None
+        phase = complex(cos, sin)
+        odd = self._coth * sin
+        cross = phase * (self._cross * (sin / turn) if turn else self._cross)
         return OverlapData(
-            cpp=_int_exp(2 + 1j * t, length) / self.norm_plus**2,
+            cpp=phase * complex(cos, odd) / complex(1.0, 0.5 * t),
             cpm=cross,
             cmp=cross,
-            cmm=_int_exp(-2 + 1j * t, length) / self.norm_minus**2,
+            cmm=phase * complex(cos, -odd) / complex(1.0, -0.5 * t),
         )
 
     def generator(self, group: str) -> tuple:
@@ -130,9 +135,7 @@ class IntervalModel:
         e^{-l} and e^{l}."""
         if group != "translation":
             raise OutsideGroup("interval model is invariant under translations only")
-        half = 0.5 * self.length
-        coth, csch = 1.0 / math.tanh(self.length), 1.0 / math.sinh(self.length)
-        return -1j * half * coth, 1j * half * csch, -1j * half * csch, half * half
+        return self._generator
 
     # continuum actions for the commutation harness -------------------------
     def representation(self, kind: str, t: float) -> Representation:
@@ -171,44 +174,41 @@ class InverseSquareModel:
                            "the indices are (1, 1) and sin(pi mu) is finite there")
         self.gamma = float(gamma)
         self.mu2 = mu2 = self.gamma + 0.25
-        mu = math.sqrt(mu2) if mu2 >= 0 else 1j * math.sqrt(-mu2)
-        if mu:
-            self._pi_over_sin = math.pi / cmath.sin(math.pi * mu)
-            self._half_limit = 0.5 * mu * self._pi_over_sin
-        else:
-            self._half_limit = 0.5
-        self.mu = mu
-        self._cos_half = cmath.cos(0.5 * math.pi * mu)
-        # ||sqrt(x) K_mu(kx)||^2 = I(k, conj k)
-        self._norm_sq = (math.pi / (4 * self._cos_half)).real
-
-    def _integral(self, log_ratio: complex, b2: complex) -> complex:
-        """|a/b| I(a, b), |b| = 1, with I(a, b) = int_0^inf x K_mu(ax) K_mu(bx) dx
-        = pi (ab)^{-mu} (a^{2 mu} - b^{2 mu}) / (2 sin(mu pi) (a^2 - b^2)):
-        with L = log(a/b), pi sinh(mu L) e^{-i Im L} / (2 sin(mu pi) b^2 sinh L).
-        It stays finite at L = 0 and at mu = 0, where pi sinh(mu L) / sin(mu pi)
-        becomes L, and |a/b| inside sinh L neither under- nor overflows."""
-        if log_ratio == 0:
-            return self._half_limit / b2
-        if self.mu:
-            num = cmath.sinh(self.mu * log_ratio) * self._pi_over_sin
-        else:
-            num = log_ratio
-        return num * cmath.exp(-1j * log_ratio.imag) / (2 * b2 * cmath.sinh(log_ratio))
-
-    def _log_sigma(self, g: AffineMap) -> float:
-        if abs(g.b) > 1e-12 * max(1.0, abs(g.a)):
-            raise OutsideGroup(
-                "inverse-square model is invariant under scalings about 0 only")
-        return -0.5 * math.log(g.a)
+        self._nu = nu = math.sqrt(abs(mu2))     # mu = nu, or i nu below -1/4
+        self.mu = mu = nu if mu2 >= 0 else 1j * nu
+        # X, t-independent: r/2 = (2/pi) (mu pi/(2 sin(mu pi))) cos(pi mu/2), also at mu = 0
+        half_limit = 0.5 * mu * (math.pi / cmath.sin(math.pi * mu)) if mu else 0.5
+        cos_half = cmath.cos(0.5 * math.pi * mu)
+        half_r = (2 / math.pi * half_limit * cos_half).real
+        corner = half_r * _EIGHTH_TURN
+        self._generator = (1j * half_r * cos_half, -corner, -corner.conjugate(),
+                           -mu2 / 4 if mu else 0.0)
+        # the overlaps' real factors cot(pi mu/2) and 1/sin(pi mu/2), for mu = i nu
+        # coth(pi nu/2) and 1/sinh(pi nu/2); at mu = 0, where sinh(mu x) is read
+        # as x, sin(pi mu/2) read as pi/2 gives their limit 2/pi. _cross: cmp at x = 0
+        sin_half = abs(cmath.sin(0.5 * math.pi * mu)) or 0.5 * math.pi
+        self._cot, self._rot = cos_half.real / sin_half, _EIGHTH_TURN / sin_half
+        self._cross = self._rot * (nu or 1.0)
 
     def overlap_matrix(self, g: AffineMap) -> OverlapData:
-        """With a = k sigma, sigma = a_g^{-1/2}: cpp = sigma I(a, conj k) and
-        cmp = sigma k I(a, k), over the squared norm."""
-        log_sigma = self._log_sigma(g)
-        same = self._integral(complex(log_sigma, -0.5 * math.pi), 1j) / self._norm_sq
-        cross = (cmath.exp(-0.25j * math.pi) / self._norm_sq
-                 * self._integral(log_sigma, -1j))
+        """cpp = sigma I(a, conj k) and cmp = sigma k I(a, k) over I(k, conj k),
+        a = k sigma, sigma = a_g^{-1/2}. With x = log sigma, they are (cosh mu x
+        + i cot(pi mu/2) sinh mu x)/cosh x and e^{i pi/4} sinh(mu x)/(sin(pi
+        mu/2) sinh x); for mu = i nu, (cos nu x + i coth(pi nu/2) sin nu x)/cosh
+        x and e^{i pi/4} sin(nu x)/(sinh(pi nu/2) sinh x); at x = 0, cmp is
+        e^{i pi/4} mu/sin(pi mu/2) (README, "Deficiency gauges")."""
+        if abs(g.b) > 1e-12 * max(1.0, abs(g.a)):
+            raise OutsideGroup("inverse-square model is invariant under scalings about 0 only")
+        x = -0.5 * math.log(g.a)
+        y = self._nu * x
+        if self.mu2 > 0:
+            even, odd = math.cosh(y), math.sinh(y)
+        elif self.mu2:
+            even, odd = math.cos(y), math.sin(y)
+        else:
+            even, odd = 1.0, x
+        same = complex(even, self._cot * odd) / math.cosh(x)
+        cross = self._rot * (odd / math.sinh(x)) if x else self._cross
         return OverlapData(cpp=same, cpm=cross.conjugate(),
                            cmp=cross, cmm=same.conjugate())
 
@@ -221,11 +221,7 @@ class InverseSquareModel:
         if group != "scaling":
             raise OutsideGroup(
                 "inverse-square model is invariant under scalings about 0 only")
-        # r/2 = (2/pi) (mu pi/(2 sin(mu pi))) cos(pi mu/2), also at mu = 0
-        x = (2 / math.pi * self._half_limit * self._cos_half).real
-        corner = x * cmath.exp(0.25j * math.pi)
-        det = -self.mu2 / 4 if self.mu else 0.0
-        return 1j * x * self._cos_half, -corner, -corner.conjugate(), det
+        return self._generator
 
     def friedrichs_krein(self) -> tuple[complex, complex]:
         """Parameters (v_F, v_K) of the Friedrichs and Krein extensions, on the

@@ -96,6 +96,8 @@ def build_interval_grid(length: float, n: int) -> IntervalGrid:
     """The grid for upwind i d/dx with f(0) = 0 and multiplication by x."""
     if n < 8:
         raise InvalidArgument("need n >= 8")
+    if length and not length / n:
+        raise DynamicRangeExceeded(f"the spacing l/n underflows to 0 at l = {length:g}, n = {n}")
     return IntervalGrid(n, length / n)
 
 
@@ -109,7 +111,7 @@ def shift_count(grid: IntervalGrid, s: float) -> int:
     nearest grid time. InvalidArgument for s < 0."""
     if s < 0:
         raise InvalidArgument("semigroup parameter must be nonnegative")
-    return min(int(round(s / grid.h)), grid.n)
+    return int(round(min(s / grid.h, grid.n)))     # s/h may overflow to inf
 
 
 def semigroup(grid: IntervalGrid, s: float) -> GridOperator:

@@ -1,4 +1,5 @@
 import cmath
+import collections
 import dataclasses
 import math
 
@@ -660,6 +661,49 @@ class TestOnePassElement:
                     gamma_map(model, g)
             else:
                 assert gamma_map(model, g).mobius == expected
+
+    # the calls every element makes besides its overlaps: isfinite of the
+    # slope and shift, frexp and ldexp of the power-of-two scale, and the
+    # square root of the determinant
+    _FRAME = {"math.isfinite": 2, "math.frexp": 1, "math.ldexp": 1, "cmath.sqrt": 1}
+
+    @pytest.mark.parametrize("model, t, overlaps", [
+        # cos and sin of B = t l/2; t l = 0.3 is where the Taylor series ran
+        (models.IntervalModel(1.0), 0.3, {"math.cos": 1, "math.sin": 1}),
+        (models.IntervalModel(300.0), -700.0, {"math.cos": 1, "math.sin": 1}),
+        # x = log sigma, cosh x, sinh x, and the pair for mu x
+        (models.inverse_square(0.5), 0.3,
+         {"math.log": 1, "math.cosh": 2, "math.sinh": 2}),
+        (models.inverse_square(-0.25), 0.3,
+         {"math.log": 1, "math.cosh": 1, "math.sinh": 1}),
+        (models.inverse_square(-2.0), 0.3,
+         {"math.log": 1, "math.cosh": 1, "math.sinh": 1, "math.cos": 1, "math.sin": 1}),
+    ], ids=["interval", "interval-300", "real-mu", "mu-0", "imaginary-mu"])
+    def test_libm_calls_per_element(self, model, t, overlaps, monkeypatch):
+        # the work counter of one flow element: every math and cmath call it
+        # makes, by name, with the model built and g formed beforehand
+        g = subgroup_eval(default_group(model), t)
+        counts = collections.Counter()
+
+        class Counting:
+            def __init__(self, module):
+                self.module = module
+
+            def __getattr__(self, name):
+                value = getattr(self.module, name)
+                if not callable(value):
+                    return value
+
+                def counted(*args):
+                    counts[f"{self.module.__name__}.{name}"] += 1
+                    return value(*args)
+                return counted
+
+        for module in (models, flow, mobius):
+            monkeypatch.setattr(module, "math", Counting(math))
+            monkeypatch.setattr(module, "cmath", Counting(cmath))
+        gamma_map(model, g)
+        assert counts == collections.Counter(overlaps) + collections.Counter(self._FRAME)
 
     def test_errors_at_the_edges(self, invsq0):
         # the condition guard

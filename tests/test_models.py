@@ -1,5 +1,6 @@
 import cmath
 import math
+import sys
 
 import numpy as np
 import pytest
@@ -13,6 +14,8 @@ from extflow.errors import (
     UnsupportedIndices,
 )
 from extflow.numerics import quad_finite
+
+EPS = sys.float_info.epsilon
 
 
 @pytest.fixture(scope="module")
@@ -105,9 +108,51 @@ class TestIntervalModel:
                 oracle = quad_finite(integrand, 0.0, 1.0, 1e-12).value
                 assert abs(block - oracle) < 1e-10
 
+    @pytest.mark.parametrize("length", [1e-3, 0.5, 1.0, 30.0, 300.0])
+    def test_blocks_match_mpmath(self, length):
+        # the integrals at 40 digits, with expm1 so that nothing cancels at
+        # small t l. Each block carries the rounding of B = t l/2, so the
+        # bound is eps times the block and that rounding's reach: |B| for
+        # the phase e^{iB}, |B| coth l/|1 + it/2| through cos B + i coth l
+        # sin B, and l/sinh l through sin B/B, which near a zero of sin B
+        # is |t l| eps relative. Measured <= 1.22 of these floors; a Taylor
+        # series of the integrals below |t l| = 1/2 reads 1.50, at t l = 1e-6
+        mpmath = pytest.importorskip("mpmath")
+        m = models.IntervalModel(length)
+        ts = (0.0, 5e-324, 1e-9, -1e-9,
+              *(f / length for f in (1e-6, 0.01, 0.3, 0.5, 0.77, 0.999)),
+              *(sign * (2 * math.pi * k + d) / length
+                for k in (1, 2, 5) for d in (1e-6, -1e-6) for sign in (1, -1)),
+              0.3, -0.3, 2.9, -123.4, 699.99, 700.0, -700.0)
+        coth, cross_floor = 1 / math.tanh(length), length / math.sinh(length)
+        for t in ts:
+            with mpmath.workdps(40):
+                l, s = mpmath.mpf(length), mpmath.mpf(t)
+                cpp = 2 * mpmath.expm1((2 + 1j * s) * l) / ((2 + 1j * s) * mpmath.expm1(2 * l))
+                cmm = -2 * mpmath.expm1((-2 + 1j * s) * l) / ((-2 + 1j * s) * mpmath.expm1(-2 * l))
+                cross = (mpmath.expm1(1j * s * l) / (1j * s) if t else l) / mpmath.sinh(l)
+            ov = m.overlap_matrix(AffineMap(1.0, t))
+            turn = abs(t * length / 2)
+            for block, ref, reach in [
+                    (ov.cpp, cpp, turn * coth / abs(complex(1, 0.5 * t))),
+                    (ov.cmm, cmm, turn * coth / abs(complex(1, 0.5 * t))),
+                    (ov.cmp, cross, cross_floor), (ov.cpm, cross, cross_floor)]:
+                ref = complex(ref)
+                floor = EPS * (abs(ref) * (1 + turn) + reach)
+                assert abs(block - ref) <= 1.25 * floor, (t, block, ref)
+
     def test_wrong_subgroup(self, interval):
         with pytest.raises(OutsideGroup):
             interval.overlap_matrix(AffineMap(2.0, 0.0))
+
+    def test_phase_beyond_the_float_range(self):
+        # B = t l/2 overflows at l = 300 from t = 1.2e306, where cos B has no
+        # value: a range error, not a bare ValueError; at l = 2.5 B is a float
+        m = models.IntervalModel(300.0)
+        m.overlap_matrix(AffineMap(1.0, 1e306))
+        with pytest.raises(DynamicRangeExceeded, match="t l/2"):
+            m.overlap_matrix(AffineMap(1.0, -1e308))
+        models.IntervalModel(2.5).overlap_matrix(AffineMap(1.0, 1e308))
 
     def test_gram_positivity(self, interval):
         rng = np.random.default_rng(2)
@@ -355,6 +400,25 @@ def _overlap_oracle(mpmath, gamma, log_sigmas, h):
                 for s in log_sigmas}
 
 
+def _integral_blocks(mpmath, gamma, slope):
+    """(cpp, cmp) at 40 digits for the scaling x -> slope x: sigma I(k sigma,
+    conj k) and sigma k I(k sigma, k) over I(k, conj k), sigma = slope^{-1/2},
+    with I(a, b) = pi (ab)^{-mu} (a^{2 mu} - b^{2 mu}) / (2 sin(mu pi) (a^2 -
+    b^2)) (Gradshteyn-Ryzhik 6.521.3), at mu != 0."""
+    with mpmath.workdps(40):
+        mu = mpmath.sqrt(mpmath.mpf(gamma) + mpmath.mpf(1) / 4)
+        k = mpmath.exp(-0.25j * mpmath.pi)
+
+        def integral(a, b):
+            return (mpmath.pi * (a * b) ** -mu * (a ** (2 * mu) - b ** (2 * mu))
+                    / (2 * mpmath.sin(mu * mpmath.pi) * (a * a - b * b)))
+
+        norm = integral(k, mpmath.conj(k))
+        sigma = mpmath.mpf(slope) ** -0.5
+        return (complex(sigma * integral(k * sigma, mpmath.conj(k)) / norm),
+                complex(sigma * k * integral(k * sigma, k) / norm))
+
+
 class TestClosedForms:
     """The inverse-square model's closed forms against mpmath, which shares
     none of their code: Bessel-K values summed over the half-line and the
@@ -432,29 +496,37 @@ class TestClosedForms:
 
     @pytest.mark.parametrize("gamma", _BAND, ids=repr)
     def test_overlaps_match_mpmath_in_the_former_band(self, gamma):
-        # cpp = sigma I(k sigma, conj k) and cmp = sigma k I(k sigma, k) over
-        # I(k, conj k), with I(a, b) = pi (ab)^{-mu} (a^{2 mu} - b^{2 mu}) /
-        # (2 sin(mu pi) (a^2 - b^2)) (Gradshteyn-Ryzhik 6.521.3) at 40
-        # digits. Measured <= 6.3e-16 relative
+        # measured <= 6.3e-16 relative
         mpmath = pytest.importorskip("mpmath")
         m = models.inverse_square(gamma)
-        with mpmath.workdps(40):
-            mu = mpmath.sqrt(mpmath.mpf(gamma) + mpmath.mpf(1) / 4)
-            k = mpmath.exp(-0.25j * mpmath.pi)
+        for t in (-6.0, -0.5, 0.3, 4.0, 40.0):
+            g = subgroup_eval("scaling", t)
+            cpp, cmp = _integral_blocks(mpmath, gamma, g.a)
+            ov = m.overlap_matrix(g)
+            assert abs(ov.cpp - cpp) <= 7e-15 * abs(cpp)
+            assert abs(ov.cmp - cmp) <= 7e-15 * abs(cmp)
 
-            def integral(a, b):
-                return (mpmath.pi * (a * b) ** -mu * (a ** (2 * mu) - b ** (2 * mu))
-                        / (2 * mpmath.sin(mu * mpmath.pi) * (a * a - b * b)))
-
-            norm = integral(k, mpmath.conj(k))
-            for t in (-6.0, -0.5, 0.3, 4.0, 40.0):
-                g = subgroup_eval("scaling", t)
-                sigma = mpmath.mpf(g.a) ** -0.5
-                cpp = complex(sigma * integral(k * sigma, mpmath.conj(k)) / norm)
-                cmp = complex(sigma * k * integral(k * sigma, k) / norm)
-                ov = m.overlap_matrix(g)
-                assert abs(ov.cpp - cpp) <= 7e-15 * abs(cpp)
-                assert abs(ov.cmp - cmp) <= 7e-15 * abs(cmp)
+    @pytest.mark.parametrize("gamma", [-5e4, -24915.50454102106, -13000.0, -2000.0, -25.0])
+    def test_overlaps_match_mpmath_at_strong_coupling(self, gamma):
+        # where pi nu + |x| passes 708, x = log sigma, the unnormalized
+        # integral I(k sigma, k) leaves the normal floats: a cross block that
+        # forms it first reads 31% off at gamma = -24915.5, t = -496.6, and 0
+        # at -5e4, t = +-300. The blocks carry the rounding of x and of nu x, so
+        # the bound is eps (1 + (1 + nu)|x|) times their envelopes 2/cosh x
+        # and 1/(sinh(pi nu/2) |sinh x|). Measured <= 0.59 of these floors
+        mpmath = pytest.importorskip("mpmath")
+        m = models.inverse_square(gamma)
+        nu = math.sqrt(-gamma - 0.25)
+        for t in (-709.0, -650.0, -496.6205533534337, -300.0, 300.0, 496.6205533534337,
+                  650.0, 709.0):
+            g = subgroup_eval("scaling", t)
+            cpp, cmp = _integral_blocks(mpmath, gamma, g.a)
+            ov = m.overlap_matrix(g)
+            x = -0.5 * math.log(g.a)
+            floor = EPS * (1 + (1 + nu) * abs(x))
+            assert abs(ov.cpp - cpp) <= 0.6 * floor * 2 / math.cosh(x)
+            assert abs(ov.cmp - cmp) <= 0.6 * floor / (math.sinh(0.5 * math.pi * nu)
+                                                       * abs(math.sinh(x)))
 
 
 class TestHalflineModel:

@@ -396,6 +396,20 @@ class TestWeylResidual:
         rows = weylcheck.residual_rows(length, n_list, t_values, on_grid=False)
         assert repr(rows) == repr(single_size_rows(length, n_list, t_values, on_grid=False))
 
+    @pytest.mark.parametrize("entry", [
+        lambda length: weylcheck.residual_rows(length, [64], [1.0], False),
+        lambda length: weylcheck.semigroup(weylcheck.build_interval_grid(length, 64), 1.0),
+        lambda length: weylcheck.nonequivalence_certificate(length, 1.0, n=64),
+    ], ids=["residual_rows", "semigroup", "nonequivalence_certificate"])
+    def test_a_spacing_that_underflows_raises(self, entry):
+        # l/64 is 0 at l = 2^-1070: shift_count divided by it, and the
+        # certificate separated the lengths by a nilpotency index of 0. At
+        # 2^-1068 the spacing is the least subnormal, and each entry point
+        # runs: V_1's s/h overflows there, and its shift count is n
+        with pytest.raises(DynamicRangeExceeded, match="underflows to 0"):
+            entry(2.0 ** -1070)
+        entry(2.0 ** -1068)
+
     def test_residual_independent_of_t_on_grid(self, grid256):
         rng = np.random.default_rng(3)
         s = 50 * grid256.h
