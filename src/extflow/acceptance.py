@@ -74,7 +74,7 @@ def criterion_1_identity_and_group_law(checks, details):
     invsq = models.inverse_square(0.0)
     halfline = models.HalflineModel()
     for model in (interval, invsq, halfline):
-        dist = flow.gamma_map(model, IDENTITY).distance_to_identity()
+        dist = mobius.distance_to_identity(flow.gamma_map(model, IDENTITY))
         checks[f"identity[{model.name}]"] = dist <= 1e-12
         details[f"identity_distance[{model.name}]"] = dist
     rng = np.random.default_rng(101)
@@ -195,7 +195,7 @@ def criterion_6_friedrichs_krein_fixed_points(checks, details):
                   and min(abs(z + 1j) for z in fps) <= 1e-12)
         checks[f"two boundary fixed points [gamma={gamma}]"] = ok
     # parabolic: the trace +-2 within the bound each sampled trace is held to
-    m = flow.gamma_map(models.inverse_square(-0.25), subgroup_eval("scaling", 1.0)).mobius
+    m = flow.gamma_map(models.inverse_square(-0.25), subgroup_eval("scaling", 1.0))
     fps = mobius.fixed_points(m)
     ok = min(abs(m.a + m.d - 2), abs(m.a + m.d + 2)) <= flow.TRACE_TOL
     ok = ok and fps is not flow.ALL_POINTS and len(fps) == 1 and abs(abs(fps[0]) - 1) <= 1e-12
@@ -313,10 +313,9 @@ def criterion_9_property_suites(checks, details):
         else:
             length = rng.uniform(0.3, 3.0)
             t = rng.uniform(-8, 8)
-            m = flow.gamma_map(models.IntervalModel(length),
-                               AffineMap(1.0, t)).mobius
+            m = flow.gamma_map(models.IntervalModel(length), AffineMap(1.0, t))
         trials += 1
-        if mobius.projective_distance(m, mobius.IDENTITY_MAP) <= flow.ID_TOL:
+        if mobius.distance_to_identity(m) <= flow.ID_TOL:
             continue
         fps = mobius.fixed_points(m)
         if fps is flow.ALL_POINTS:
@@ -328,13 +327,13 @@ def criterion_9_property_suites(checks, details):
     details["counterexamples"] = counterexamples
 
     def gram(model, g):
-        e = model.overlap_matrix(IDENTITY)
-        o = model.overlap_matrix(g)
+        cross = model.overlap_matrix(IDENTITY)[2]
+        cpp, cpm, cmp, cmm = model.overlap_matrix(g)
         m = np.array([
-            [1.0, e.cmp, o.cpp, o.cmp],
-            [np.conj(e.cmp), 1.0, o.cpm, o.cmm],
-            [np.conj(o.cpp), np.conj(o.cpm), 1.0, e.cmp],
-            [np.conj(o.cmp), np.conj(o.cmm), np.conj(e.cmp), 1.0],
+            [1.0, cross, cpp, cmp],
+            [np.conj(cross), 1.0, cpm, cmm],
+            [np.conj(cpp), np.conj(cpm), 1.0, cross],
+            [np.conj(cmp), np.conj(cmm), np.conj(cross), 1.0],
         ], dtype=complex)
         return 0.5 * (m + m.conj().T)
 

@@ -54,6 +54,7 @@ def compose(f: AffineMap, g: AffineMap) -> AffineMap:
 
 # the one-parameter subgroups, by name: x -> x + t and x -> e^t x
 GROUPS = ("translation", "scaling")
+LOG_MAX = math.log(sys.float_info.max)     # 709.78, the largest x whose e^x is a float
 
 
 def subgroup_eval(group: str, t: float) -> AffineMap:
@@ -64,7 +65,7 @@ def subgroup_eval(group: str, t: float) -> AffineMap:
         return AffineMap(1.0, t)
     if group != "scaling":
         raise InvalidArgument(f"unknown subgroup {group!r}; the subgroups are {GROUPS}")
-    if not abs(t) <= math.log(sys.float_info.max):
+    if not abs(t) <= LOG_MAX:
         raise DynamicRangeExceeded(
             f"the scaling x -> e^{t:.6g} x or its inverse overflows a float")
     return AffineMap(math.exp(t), 0.0)

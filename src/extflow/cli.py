@@ -281,17 +281,21 @@ def _cmd_flow_orbit(cfg):
 
 def _cmd_fixed_points(cfg):
     model = _build_model(cfg)
-    gen = flow.generator(model, cfg.group)
+    # X's zeros, tagged once: the whole flow fixes them; the trivial flow of
+    # indices (0, 1) fixes its one parameter, reported as null
+    trivial = model.deficiency_dims == (0, 1)
+    points = ([(None, flow.DISSIPATIVE)] if trivial
+              else flow.in_ball(flow.zeros(*flow.generator(model, cfg.group))))
     rows = []
     worst = 0.0
     for t in cfg.t:
-        fm = flow.gamma_map(model, subgroup_eval(cfg.group, t))
-        fps = flow.fixed_points_flow(fm, gen)
+        element = flow.gamma_map(model, subgroup_eval(cfg.group, t))
+        fps = points if trivial else flow.fixed_points_flow(element, points)
         if fps is flow.ALL_POINTS:
             fps = [(None, "all-points")]
         # each point under the element or its inverse, whichever does not
         # expand there: a repelling point would amplify its own rounding
-        maps = (fm.mobius, mobius.inverse(fm.mobius))
+        maps = (element, mobius.inverse(element))
         for v, kind in fps:
             res = 0.0 if v is None else min(abs(mobius.apply(m, v) - v) for m in maps)
             worst = max(worst, res)

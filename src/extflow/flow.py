@@ -18,6 +18,12 @@ are the invariant extensions for every t at once, and an elliptic X has the
 period pi/sqrt(det X).
 No model bounds t: an element exists wherever ``affine.subgroup_eval``
 gives one, unless ``gamma_map`` finds its denominator condition above 1e12.
+
+An element is its ``mobius.LinearFractionalMap``: ``gamma_map`` unpacks the
+model's four blocks, forms the four coefficients, scales them by one power
+of two, checks the condition and divides by the root of the determinant;
+the trivial flow's element is ``IDENTITY_MAP``. ``generator`` gives the
+model's tuple (a, b, c, det X), and ``zeros`` the points it fixes.
 """
 
 from __future__ import annotations
@@ -35,7 +41,7 @@ from .errors import (
     NumericalInconsistency,
     UnsupportedIndices,
 )
-from .mobius import IDENTITY_MAP, LinearFractionalMap, MapTag
+from .mobius import IDENTITY_MAP, LinearFractionalMap, MapTag, distance_to_identity
 # no program path calls it now; extbench/tracing.py wraps flow.classify by name
 from .mobius import classify  # noqa: F401
 
@@ -54,34 +60,22 @@ ID_TOL = 1e-11      # an element this close to the identity moves nothing (3.9e-
 T_SAMPLES = (0.3, 0.7, 1.3, 2.9)
 
 
-@dataclass(frozen=True, slots=True)
-class FlowMap:
-    """Scalar-gauge realization of a flow element and the condition of its
-    coefficients."""
-
-    mobius: LinearFractionalMap
-    condition: float
-    trivial: bool = False    # indices (0, 1): the parameter set is a point
-
-    def distance_to_identity(self) -> float:
-        return mobius.projective_distance(self.mobius, IDENTITY_MAP)
-
-
-def gamma_map(model, g: AffineMap) -> FlowMap:
-    """The flow element for g, as a disk self-map of the parameter ball; every
-    model has indices (1, 1), or (0, 1) and the trivial flow on {0}."""
+def gamma_map(model, g: AffineMap) -> LinearFractionalMap:
+    """The flow element for g, a disk self-map of the parameter ball
+    normalized to determinant one; every model has indices (1, 1), or (0, 1)
+    and the trivial flow on {0}, whose element is IDENTITY_MAP."""
     if model.deficiency_dims == (0, 1):
-        return FlowMap(IDENTITY_MAP, 1.0, trivial=True)
+        return IDENTITY_MAP
     # g^{-1}(+-i) = slope*(+-i) + shift, where g^{-1} is x -> x/a - b/a
     slope, shift = 1.0 / g.a, -g.b / g.a
     if not (math.isfinite(slope) and math.isfinite(shift)):
         raise InvalidArgument(f"affine map needs finite a > 0, b; got a={slope}, b={shift}")
     at_i, at_minus_i = slope * 1j + shift, slope * -1j + shift
-    ov = model.overlap_matrix(g)
-    a = -(at_minus_i - 1j) * ov.cmm
-    b = (at_i - 1j) * ov.cmp
-    c = -(at_minus_i + 1j) * ov.cpm
-    d = (at_i + 1j) * ov.cpp
+    cpp, cpm, cmp, cmm = model.overlap_matrix(g)
+    a = -(at_minus_i - 1j) * cmm
+    b = (at_i - 1j) * cmp
+    c = -(at_minus_i + 1j) * cpm
+    d = (at_i + 1j) * cpp
     scale = max(abs(a), abs(b), abs(c), abs(d))
     # one power of two brings the coefficients, which grow like e^{-t/2},
     # into [1/2, 1) exactly, so their determinant cannot over- or underflow
@@ -95,7 +89,7 @@ def gamma_map(model, g: AffineMap) -> FlowMap:
             f"flow denominator condition {condition:.3e} for g={g}")
     # normalised as by mobius.from_coefficients, whose test for condition >= 1e14 is moot
     root = cmath.sqrt(det)
-    return FlowMap(LinearFractionalMap(a / root, b / root, c / root, d / root), condition)
+    return LinearFractionalMap(a / root, b / root, c / root, d / root)
 
 
 def _parameter(model, v) -> complex:
@@ -108,11 +102,15 @@ def _parameter(model, v) -> complex:
     return v
 
 
+def _transport(model, g: AffineMap, v: complex) -> complex:
+    """The checked parameter v under the flow element for g."""
+    m = gamma_map(model, g)
+    return v if model.deficiency_dims == (0, 1) else mobius.apply(m, v)
+
+
 def gamma_apply(model, g: AffineMap, v: complex) -> complex:
     """Transport the parameter v by the flow element for g."""
-    v = _parameter(model, v)
-    fm = gamma_map(model, g)
-    return v if fm.trivial else mobius.apply(fm.mobius, v)
+    return _transport(model, g, _parameter(model, v))
 
 
 def _sample_parameters(count: int) -> list[complex]:
@@ -134,37 +132,29 @@ def check_group_law(model, f: AffineMap, g: AffineMap, samples: int = 25) -> flo
     right_f = gamma_map(model, f)
     worst = 0.0
     for v in _sample_parameters(samples):
-        via_product = mobius.apply(left.mobius, v)
-        via_steps = mobius.apply(right_f.mobius, mobius.apply(right_g.mobius, v))
+        via_product = mobius.apply(left, v)
+        via_steps = mobius.apply(right_f, mobius.apply(right_g, v))
         worst = max(worst, abs(via_product - via_steps))
     return worst
 
 
-@dataclass(frozen=True, slots=True)
-class FlowGenerator:
-    """X = [[a, b], [c, -a]] of the flow t -> exp(tX) and its det X, both in
-    closed form from the model."""
-
-    a: complex
-    b: complex
-    c: complex
-    det: float
-
-    def zeros(self) -> list[complex]:
-        """Zeros of the field b + 2av - cv^2, which the whole flow fixes:
-        (a +- sqrt(-det X))/c, one from the sign that avoids cancellation
-        and its mate from the product -b/c; one double zero at det X = 0."""
-        root = cmath.sqrt(-self.det)
-        q = self.a + root if (self.a.conjugate() * root).real >= 0 else self.a - root
-        return [q / self.c] if self.det == 0 else [q / self.c, -self.b / q]
+def zeros(a: complex, b: complex, c: complex, det: float) -> list[complex]:
+    """Zeros of the field b + 2av - cv^2 of X = [[a, b], [c, -a]], which the
+    whole flow fixes: (a +- sqrt(-det X))/c, one from the sign that avoids
+    cancellation and its mate from the product -b/c; one double zero at
+    det X = 0."""
+    root = cmath.sqrt(-det)
+    q = a + root if (a.conjugate() * root).real >= 0 else a - root
+    return [q / c] if det == 0 else [q / c, -b / q]
 
 
-def generator(model, group: str) -> FlowGenerator:
-    """The generator X of the flow t -> exp(tX) along the subgroup, as the
-    model states it; X = 0 for the trivial flow of indices (0, 1)."""
+def generator(model, group: str) -> tuple:
+    """(a, b, c, det X) of the generator X = [[a, b], [c, -a]] of the flow
+    t -> exp(tX) along the subgroup, in closed form as the model states it;
+    X = 0 for the trivial flow of indices (0, 1)."""
     if model.deficiency_dims == (0, 1):
-        return FlowGenerator(0j, 0j, 0j, 0.0)
-    return FlowGenerator(*model.generator(group))
+        return 0j, 0j, 0j, 0.0
+    return model.generator(group)
 
 
 def in_ball(points) -> list:
@@ -174,14 +164,11 @@ def in_ball(points) -> list:
             for z in points if abs(z) <= 1.0 + SA_TOL]
 
 
-def fixed_points_flow(fm: FlowMap, gen: FlowGenerator):
-    """In-ball fixed points of the element fm of the flow of gen: X's zeros,
-    tagged by in_ball; ALL_POINTS when fm is within ID_TOL of the identity."""
-    if fm.trivial:
-        return [(None, DISSIPATIVE)]
-    if fm.distance_to_identity() <= ID_TOL:
-        return ALL_POINTS
-    return in_ball(gen.zeros())
+def fixed_points_flow(m: LinearFractionalMap, points):
+    """In-ball fixed points of the flow element m: the flow's invariant
+    points, X's zeros as in_ball tags them, or ALL_POINTS when m is within
+    ID_TOL of the identity."""
+    return ALL_POINTS if distance_to_identity(m) <= ID_TOL else points
 
 
 class Verdict(Enum):
@@ -213,22 +200,24 @@ def invariant_extensions(model, group: str) -> InvarianceReport:
                    "invariant maximal dissipative extension"],
         )
     gen = generator(model, group)
-    tagged = in_ball(gen.zeros())
-    w = cmath.sqrt(gen.det)
+    det = gen[3]
+    tagged = in_ball(zeros(*gen))
+    # cos(t w) for w = sqrt(det X): cos(t |w|) when w is real, cosh(t |w|) when
+    # it is imaginary
+    rate, wave = math.sqrt(abs(det)), math.cos if det > 0 else math.cosh
     flow_class = {}
     for t in T_SAMPLES:
-        fm = gamma_map(model, subgroup_eval(group, t))
-        m = fm.mobius
+        m = gamma_map(model, subgroup_eval(group, t))
         moved = max((abs(mobius.apply(m, z) - z) for z, _ in tagged), default=math.inf)
-        trace, expected = m.a + m.d, 2 * cmath.cos(t * w)
+        trace, expected = m.a + m.d, 2 * wave(t * rate)
         trace_error = min(abs(trace + expected), abs(trace - expected))
         if moved > FP_TOL or trace_error > TRACE_TOL:
             raise NumericalInconsistency(
                 f"the element at t = {t} moves X's zeros {tagged} by {moved:.3e} "
                 f"(FP_TOL {FP_TOL}), and its trace is {trace_error:.3e} from "
                 f"+-2cos(t sqrt(det X)) (TRACE_TOL {TRACE_TOL})")
-        flow_class[t] = (MapTag.HYPERBOLIC if gen.det < 0 else MapTag.PARABOLIC if gen.det == 0
-                         else MapTag.IDENTITY if fm.distance_to_identity() <= ID_TOL
+        flow_class[t] = (MapTag.HYPERBOLIC if det < 0 else MapTag.PARABOLIC if det == 0
+                         else MapTag.IDENTITY if distance_to_identity(m) <= ID_TOL
                          else MapTag.ELLIPTIC)
     interior = any(kind == DISSIPATIVE for _, kind in tagged)
     notes = []
@@ -250,11 +239,11 @@ def period_detect(model, group: str, t_max: float = math.inf) -> float | None:
     Raises NumericalInconsistency when the element at T is farther than
     ID_TOL from the identity (projective coefficient distance), and
     DynamicRangeExceeded when that element does not exist in floats."""
-    det = generator(model, group).det
+    det = generator(model, group)[3]
     period = math.pi / math.sqrt(det) if det > 0 else None
     if period is None or period > t_max:
         return None
-    dist = gamma_map(model, subgroup_eval(group, period)).distance_to_identity()
+    dist = distance_to_identity(gamma_map(model, subgroup_eval(group, period)))
     if dist > ID_TOL:
         raise NumericalInconsistency(
             f"the flow element at the predicted period {period} is {dist:.3e} "
@@ -263,6 +252,6 @@ def period_detect(model, group: str, t_max: float = math.inf) -> float | None:
 
 
 def orbit(model, group: str, v0: complex, t_list) -> list[complex]:
-    """Trajectory of v0, checked first, under sampled flow elements."""
+    """Trajectory of v0, checked once, under sampled flow elements."""
     v0 = _parameter(model, v0)
-    return [gamma_apply(model, subgroup_eval(group, t), v0) for t in t_list]
+    return [_transport(model, subgroup_eval(group, t), v0) for t in t_list]

@@ -61,11 +61,12 @@ def inverse(m: LinearFractionalMap) -> LinearFractionalMap:
     return LinearFractionalMap(m.d, -m.b, -m.c, m.a)
 
 
-def projective_distance(m: LinearFractionalMap, n: LinearFractionalMap) -> float:
-    """max coefficient deviation, minimized over the global sign."""
-    diff = max(abs(m.a - n.a), abs(m.b - n.b), abs(m.c - n.c), abs(m.d - n.d))
-    summ = max(abs(m.a + n.a), abs(m.b + n.b), abs(m.c + n.c), abs(m.d + n.d))
-    return min(diff, summ)
+def distance_to_identity(m: LinearFractionalMap) -> float:
+    """The projective distance of m from the identity: the largest
+    coefficient deviation from (1, 0, 0, 1), minimized over the global sign."""
+    b, c = abs(m.b), abs(m.c)
+    return min(max(abs(m.a - 1.0), b, c, abs(m.d - 1.0)),
+               max(abs(m.a + 1.0), b, c, abs(m.d + 1.0)))
 
 
 def fixed_points(m: LinearFractionalMap, identity_tol: float = 1e-13,
@@ -78,7 +79,7 @@ def fixed_points(m: LinearFractionalMap, identity_tol: float = 1e-13,
     double root; callers with coefficients of limited accuracy should pass
     a matching tolerance.
     """
-    if projective_distance(m, IDENTITY_MAP) <= identity_tol:
+    if distance_to_identity(m) <= identity_tol:
         return ALL_POINTS
     scale = max(abs(m.a), abs(m.b), abs(m.c), abs(m.d))
     bq = m.d - m.a                      # quadratic c z^2 + (d - a) z - b = 0
@@ -146,7 +147,7 @@ def classify(m: LinearFractionalMap, eps_class: float = 1e-9) -> MapClass:
     image_max = boundary_max(m)
     if not image_max <= 1.0 + max(eps_class, 1e-9):
         raise NotDiskMap("map does not take the closed disk into itself")
-    if projective_distance(m, IDENTITY_MAP) <= eps_class:
+    if distance_to_identity(m) <= eps_class:
         return MapClass(MapTag.IDENTITY, ALL_POINTS)
     fps = fixed_points(m, parabolic_tol=eps_class)
     if image_max < 1.0 - eps_class:

@@ -5,11 +5,13 @@ the record of each unitary family. The inverse-square model also names the
 parameters of its Friedrichs and Krein extensions. Every datum is a closed
 form in ``math`` and ``cmath``.
 
-The four overlap blocks of one subgroup element share their transcendental
-factors, so an element takes each once and every factor that does not depend
-on t is computed at construction: cos and sin of t l/2 on the interval; on
-the inverse-square model x = log sigma, cosh x, sinh x and the pair for mu x
-(cosh and sinh, or cos and sin of nu x for mu = i nu; none at mu = 0).
+``overlap_matrix`` returns the four blocks as the plain tuple (cpp, cpm, cmp,
+cmm), and ``generator`` the tuple (a, b, c, det X). The four overlap blocks
+of one subgroup element share their transcendental factors, so an element
+takes each once and every factor that does not depend on t is computed at
+construction: cos and sin of t l/2 on the interval; on the inverse-square
+model x = log sigma, cosh x, sinh x and the pair for mu x (cosh and sinh, or
+cos and sin of nu x for mu = i nu; none at mu = 0).
 
 Gauge conventions are fixed once per model and every reported parameter
 value depends on them:
@@ -42,7 +44,7 @@ import math
 from dataclasses import dataclass
 from functools import lru_cache
 
-from .affine import AffineMap, subgroup_eval
+from .affine import LOG_MAX, AffineMap, subgroup_eval
 from .errors import (
     DynamicRangeExceeded,
     IllPosed,
@@ -51,17 +53,6 @@ from .errors import (
 )
 # unused here; extbench/tracing.py wraps models.ode_solve and models.quad_finite by name
 from .numerics import ode_solve, quad_finite  # noqa: F401
-
-
-@dataclass(frozen=True, slots=True)
-class OverlapData:
-    """Blocks c^{pq}(g) = <U_g phi_q, phi_p> for normalized deficiency
-    vectors; p is the projection target, q the transported source."""
-
-    cpp: complex
-    cpm: complex
-    cmp: complex
-    cmm: complex
 
 
 _EIGHTH_TURN = cmath.exp(0.25j * math.pi)
@@ -83,7 +74,8 @@ class Representation:
 
 class IntervalModel:
     """First-order model on (0, l) with indices (1, 1), invariant under
-    translations via multiplication by e^{i x t}; all overlaps in closed form."""
+    translations via multiplication by e^{i x t}; all overlaps in closed form.
+    Built for 0 < l <= log(float max) = 709.78, where X's zero e^l is a float."""
 
     name = "interval"
     deficiency_dims = (1, 1)
@@ -93,12 +85,9 @@ class IntervalModel:
         if not length > 0:
             raise InvalidArgument("interval length must be positive")
         self.length = float(length)
-        try:
-            self.norm_plus = math.sqrt(math.expm1(2 * self.length) / 2)
-        except OverflowError:
+        if not self.length <= LOG_MAX:
             raise DynamicRangeExceeded(
-                f"||e^x||^2 = (e^(2l) - 1)/2 is not a float at l = {self.length:g}") from None
-        self.norm_minus = math.sqrt(-math.expm1(-2 * self.length) / 2)
+                f"X's zero e^l is not a float at l = {self.length:g}")
         # X, and the overlaps' factors: l/2, coth l and cmp = l/sinh l at t = 0
         half = self._half = 0.5 * self.length
         coth = self._coth = 1.0 / math.tanh(self.length)
@@ -106,10 +95,13 @@ class IntervalModel:
         self._cross = self.length * csch
         self._generator = (-1j * half * coth, 1j * half * csch, -1j * half * csch, half * half)
 
-    def overlap_matrix(self, g: AffineMap) -> OverlapData:
-        """With B = t l/2 and the phase e^{iB}: cpp = e^{iB} sinh(l + iB) /
-        (sinh l (1 + it/2)), cmm the same with -l and -t, and cpm = cmp =
-        e^{iB} l (sin B/B)/sinh l, whose sin B/B stays 1 at a subnormal B."""
+    def overlap_matrix(self, g: AffineMap) -> tuple:
+        """The blocks (cpp, cpm, cmp, cmm), c^{pq}(g) = <U_g phi_q, phi_p> for
+        the normalized deficiency vectors; p is the projection target, q the
+        transported source. With B = t l/2 and the phase e^{iB}: cpp = e^{iB}
+        sinh(l + iB) / (sinh l (1 + it/2)), cmm the same with -l and -t, and
+        cpm = cmp = e^{iB} l (sin B/B)/sinh l, whose sin B/B stays 1 at a
+        subnormal B."""
         if abs(g.a - 1.0) > 1e-12:
             raise OutsideGroup(f"interval model is translation-invariant; got slope {g.a}")
         t = g.b
@@ -121,12 +113,8 @@ class IntervalModel:
         phase = complex(cos, sin)
         odd = self._coth * sin
         cross = phase * (self._cross * (sin / turn) if turn else self._cross)
-        return OverlapData(
-            cpp=phase * complex(cos, odd) / complex(1.0, 0.5 * t),
-            cpm=cross,
-            cmp=cross,
-            cmm=phase * complex(cos, -odd) / complex(1.0, -0.5 * t),
-        )
+        return (phase * complex(cos, odd) / complex(1.0, 0.5 * t), cross, cross,
+                phase * complex(cos, -odd) / complex(1.0, -0.5 * t))
 
     def generator(self, group: str) -> tuple:
         """(a, b, c, det X) of the flow's generator X = [[a, b], [c, -a]]
@@ -190,8 +178,8 @@ class InverseSquareModel:
         self._cot, self._rot = cos_half.real / sin_half, _EIGHTH_TURN / sin_half
         self._cross = self._rot * (nu or 1.0)
 
-    def overlap_matrix(self, g: AffineMap) -> OverlapData:
-        """cpp = sigma I(a, conj k) and cmp = sigma k I(a, k) over I(k, conj k),
+    def overlap_matrix(self, g: AffineMap) -> tuple:
+        """The blocks (cpp, cpm, cmp, cmm): cpp = sigma I(a, conj k) and cmp = sigma k I(a, k) over I(k, conj k),
         a = k sigma, sigma = a_g^{-1/2}. With x = log sigma, they are (cosh mu x
         + i cot(pi mu/2) sinh mu x)/cosh x and e^{i pi/4} sinh(mu x)/(sin(pi
         mu/2) sinh x); for mu = i nu, (cos nu x + i coth(pi nu/2) sin nu x)/cosh
@@ -209,8 +197,7 @@ class InverseSquareModel:
             even, odd = 1.0, x
         same = complex(even, self._cot * odd) / math.cosh(x)
         cross = self._rot * (odd / math.sinh(x)) if x else self._cross
-        return OverlapData(cpp=same, cpm=cross.conjugate(),
-                           cmp=cross, cmm=same.conjugate())
+        return same, cross.conjugate(), cross, same.conjugate()
 
     def generator(self, group: str) -> tuple:
         """(a, b, c, det X) of the flow's generator X = [[a, b], [c, -a]]

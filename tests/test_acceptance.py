@@ -128,7 +128,7 @@ class TestAcceptance:
         assert not result.passed
         assert [name for name, ok in result.details["checks"].items() if not ok] == [
             "parabolic at gamma=-1/4"]
-        m = flow.gamma_map(models.inverse_square(-0.25), subgroup_eval("scaling", 1.0)).mobius
+        m = flow.gamma_map(models.inverse_square(-0.25), subgroup_eval("scaling", 1.0))
         assert mobius.classify(m).tag is mobius.MapTag.PARABOLIC
 
     def test_criterion_7_fall_to_center(self):

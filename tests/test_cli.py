@@ -548,9 +548,8 @@ class TestExitCodes:
         # the bound is flow.RESIDUAL_TOL = 1e-11, against 5.8e-13 measured:
         # points 1e-10 off the invariant one (within the former bound of 1e-8)
         # fail the check
-        real = flow.fixed_points_flow
-        monkeypatch.setattr(flow, "fixed_points_flow", lambda fm, gen: [
-            (v + 1e-10, kind) for v, kind in real(fm, gen)])
+        real = flow.zeros
+        monkeypatch.setattr(flow, "zeros", lambda *gen: [z + 1e-10 for z in real(*gen)])
         code, text = run_cli(tmp_path, "fixed-points", "--model=interval", "--t=0.5,1")
         assert code == 1
         assert json.loads(text)["checks"] == {"fixed-point residual <= 1e-11": False}
@@ -855,7 +854,7 @@ class TestExitCodes:
                              f"--gamma={gamma}", f"--t={t}")
         assert code == 0
         rows = json.loads(text)["results"]["rows"]
-        zeros = flow.generator(models.inverse_square(float(gamma)), "scaling").zeros()
+        zeros = flow.zeros(*flow.generator(models.inverse_square(float(gamma)), "scaling"))
         assert len(rows) >= 1
         for r in rows:
             assert min(abs(complex(r["re"], r["im"]) - z) for z in zeros) <= flow.FP_TOL
@@ -900,6 +899,41 @@ class TestExitCodes:
                              "--v0", "0", "--t", "0.5")
         assert code == 0
         assert json.loads(text)["results"]["worst_modulus"] == 0.0
+
+    @pytest.mark.parametrize("group", ["translation", "scaling"])
+    def test_halfline_payloads_keep_their_shape(self, group, tmp_path):
+        # the trivial flow of indices (0, 1): one dissipative row with a null
+        # point per t, and an orbit that stays at its start
+        code, text = run_cli(tmp_path, "fixed-points", "--model=halfline",
+                             f"--group={group}", "--t=0.5,-3,0")
+        assert code == 0
+        results = json.loads(text)["results"]
+        assert results["rows"] == [
+            {"t": t, "kind": flow.DISSIPATIVE, "re": None, "im": None, "residual": 0}
+            for t in (0.5, -3, 0)]
+        assert results["worst_residual"] == 0
+        code, text = run_cli(tmp_path, "flow-orbit", "--model=halfline",
+                             f"--group={group}", "--t=0.5,-3")
+        assert code == 0
+        results = json.loads(text)["results"]
+        assert [(r["re"], r["im"], r["modulus"]) for r in results["rows"]] == [(0, 0, 0)] * 2
+        assert results["worst_modulus"] == 0
+        # the start itself, its signed zeros included
+        for v in flow.orbit(models.HalflineModel(), group, complex(-0.0, -0.0), [0.5, -3.0]):
+            assert (math.copysign(1, v.real), math.copysign(1, v.imag)) == (-1, -1)
+
+    @pytest.mark.parametrize("model", [["--model=interval", "--l=2"],
+                                       ["--model=inverse-square", "--gamma=-2"]],
+                             ids=["interval", "inverse-square"])
+    def test_fixed_points_takes_the_zeros_once(self, model, tmp_path, monkeypatch):
+        # X's zeros are the same at every t: one zeros call per command
+        calls = []
+        real = flow.zeros
+        monkeypatch.setattr(flow, "zeros", lambda *gen: calls.append(gen) or real(*gen))
+        code, text = run_cli(tmp_path, "fixed-points", *model, "--t=0.3,1,2.9")
+        assert code == 0
+        assert len(calls) == 1
+        assert len(json.loads(text)["results"]["rows"]) == 3
 
     @pytest.mark.parametrize("model, v0", [("halfline", "0"), ("interval", "0.3"),
                                            ("inverse-square", "0.3")])

@@ -27,10 +27,12 @@ from extflow.flow import (
     gamma_apply,
     gamma_map,
     generator,
+    in_ball,
     invariant_extensions,
     period_detect,
+    zeros,
 )
-from extflow.mobius import IDENTITY_MAP, MapTag, classify
+from extflow.mobius import IDENTITY_MAP, MapTag, classify, distance_to_identity
 
 
 
@@ -56,14 +58,15 @@ def halfline():
 
 class TestIdentityLaw:
     def test_interval(self, interval):
-        assert gamma_map(interval, IDENTITY).distance_to_identity() < 1e-12
+        assert distance_to_identity(gamma_map(interval, IDENTITY)) < 1e-12
 
     def test_inverse_square(self, invsq0):
-        assert gamma_map(invsq0, IDENTITY).distance_to_identity() < 1e-12
+        assert distance_to_identity(gamma_map(invsq0, IDENTITY)) < 1e-12
 
     def test_halfline_trivial(self, halfline):
-        fm = gamma_map(halfline, IDENTITY)
-        assert fm.trivial and fm.distance_to_identity() < 1e-12
+        # indices (0, 1): every element of the trivial flow is IDENTITY_MAP
+        m = gamma_map(halfline, IDENTITY)
+        assert m is IDENTITY_MAP and distance_to_identity(m) < 1e-12
 
     def test_identity_fixes_parameter(self, interval):
         assert gamma_apply(interval, IDENTITY, 0.5j) == pytest.approx(0.5j)
@@ -71,25 +74,23 @@ class TestIdentityLaw:
 
 class TestIntervalFlow:
     def test_unit_translation_is_elliptic_at_dirichlet_point(self, interval):
-        fm = gamma_map(interval, AffineMap(1.0, 1.0))
-        cls = classify(fm.mobius)
+        cls = classify(gamma_map(interval, AffineMap(1.0, 1.0)))
         assert cls.tag is MapTag.ELLIPTIC
         assert cls.fixed_points[0] == pytest.approx(math.exp(-1.0), abs=1e-9)
 
     def test_full_period_translation_is_identity(self, interval):
-        fm = gamma_map(interval, AffineMap(1.0, 2 * math.pi))
-        assert fm.distance_to_identity() < 1e-8
+        assert distance_to_identity(gamma_map(interval, AffineMap(1.0, 2 * math.pi))) < 1e-8
 
     def test_elements_within_id_tol_fix_all_points(self, interval):
-        gen = generator(interval, "translation")
+        points = in_ball(zeros(*generator(interval, "translation")))
         for t in (2 * math.pi, 2 * math.pi - 1e-12):
-            fm = gamma_map(interval, AffineMap(1.0, t))
-            assert fixed_points_flow(fm, gen) is ALL_POINTS
+            m = gamma_map(interval, AffineMap(1.0, t))
+            assert fixed_points_flow(m, points) is ALL_POINTS
         # 2 pi - 1e-9 lies within the former ID_TOL of 1e-8, and 2 pi - 1e-6
         # beyond it: both have their one fixed point
         for t in (2 * math.pi - 1e-9, 2 * math.pi - 1e-6):
-            fm = gamma_map(interval, AffineMap(1.0, t))
-            (v, kind), = fixed_points_flow(fm, gen)
+            m = gamma_map(interval, AffineMap(1.0, t))
+            (v, kind), = fixed_points_flow(m, points)
             assert kind == DISSIPATIVE and v == pytest.approx(math.exp(-1.0), abs=2e-16)
 
     def test_dirichlet_point_invariant_for_all_t(self, interval):
@@ -143,7 +144,7 @@ class TestInverseSquareFlow:
 
     def test_fixed_points_are_friedrichs_and_krein(self, invsq0):
         fps = fixed_points_flow(gamma_map(invsq0, subgroup_eval("scaling", 1.0)),
-                                generator(invsq0, "scaling"))
+                                in_ball(zeros(*generator(invsq0, "scaling"))))
         vals = sorted((z for z, kind in fps), key=lambda z: z.real)
         assert len(vals) == 2
         assert vals[0] == pytest.approx(-1j, abs=5e-15)
@@ -152,8 +153,7 @@ class TestInverseSquareFlow:
 
     def test_parabolic_at_critical_coupling(self):
         m = models.inverse_square(-0.25)
-        fm = gamma_map(m, subgroup_eval("scaling", 1.0))
-        cls = classify(fm.mobius)
+        cls = classify(gamma_map(m, subgroup_eval("scaling", 1.0)))
         assert cls.tag is MapTag.PARABOLIC
         assert len(cls.fixed_points) == 1
         assert abs(abs(cls.fixed_points[0]) - 1.0) < 1e-15
@@ -248,7 +248,7 @@ def scan_period(model, group, t_max, tol=1e-8, grid=2048):
     search, that lies within tol of the identity."""
 
     def dist(t):
-        return gamma_map(model, subgroup_eval(group, t)).distance_to_identity()
+        return distance_to_identity(gamma_map(model, subgroup_eval(group, t)))
 
     ts = np.linspace(t_max / grid, t_max, grid)
     ds = np.array([dist(t) for t in ts])
@@ -279,10 +279,10 @@ def intersect_fixed_points(model, group, t_samples=(0.3, 0.7, 1.3, 2.9),
     """Reference invariant extensions: the fixed points common to every
     sampled element that is not the identity, and each sample's class."""
     maps = {t: gamma_map(model, subgroup_eval(group, t)) for t in t_samples}
-    classes = {t: classify(fm.mobius, eps_class).tag for t, fm in maps.items()}
-    per_sample = [[z for z in mobius.fixed_points(fm.mobius, parabolic_tol=sa_tol)
+    classes = {t: classify(m, eps_class).tag for t, m in maps.items()}
+    per_sample = [[z for z in mobius.fixed_points(m, parabolic_tol=sa_tol)
                    if not mobius.is_infinite(z) and abs(z) <= 1.0 + sa_tol]
-                  for fm in maps.values() if fm.distance_to_identity() > id_tol]
+                  for m in maps.values() if distance_to_identity(m) > id_tol]
     common = [z for z in per_sample[0]
               if all(any(abs(z - w) <= fp_tol for w in points)
                      for points in per_sample)]
@@ -308,9 +308,8 @@ class TestPeriodDetect:
     def test_period_off_by_1e_10_is_inconsistent(self, interval, monkeypatch):
         # the element at a period 1e-10 short lies 4.1e-10 from the
         # identity (within the former bound of 1e-8), beyond ID_TOL
-        stated = generator(interval, "translation")
-        monkeypatch.setattr(flow, "generator", lambda model, group: dataclasses.replace(
-            stated, det=stated.det * (1 + 2e-10)))
+        *x, det = generator(interval, "translation")
+        monkeypatch.setattr(flow, "generator", lambda model, group: (*x, det * (1 + 2e-10)))
         with pytest.raises(NumericalInconsistency, match="ID_TOL"):
             period_detect(interval, "translation")
 
@@ -388,7 +387,7 @@ def _logarithm(model, group, t, angle):
     """(a, b, c, det X) from the element M at t: +-M = cos(w) + sin(w)/w tX,
     where of the angles w = +-acos(tr(M)/2) mod pi the one nearest ``angle``
     is taken."""
-    m = gamma_map(model, subgroup_eval(group, t)).mobius
+    m = gamma_map(model, subgroup_eval(group, t))
     w0 = cmath.acos((m.a + m.d) / 2)
     k, w = min(((k, sign * w0 + k * math.pi) for sign in (1, -1)
                 for k in [round((angle - sign * w0.real) / math.pi)]),
@@ -419,16 +418,17 @@ def log_generator(model, group):
 def exp_element(gen, t):
     """exp(tX) = cos(tw) + sin(tw)/w X with w^2 = det X, in closed form from
     the generator: the oracle for the flow elements built from the overlaps."""
-    w = cmath.sqrt(gen.det)
+    a, b, c, det = gen
+    w = cmath.sqrt(det)
     s = cmath.sin(t * w) / w if w else t
     cos = cmath.cos(t * w)
-    return mobius.from_coefficients(cos + s * gen.a, s * gen.b, s * gen.c, cos - s * gen.a)
+    return mobius.from_coefficients(cos + s * a, s * b, s * c, cos - s * a)
 
 
 def _x_error(gen, a, b, c):
     """max entry deviation of (a, b, c) from X, relative to X's largest entry."""
-    scale = max(abs(gen.a), abs(gen.b), abs(gen.c))
-    return max(abs(gen.a - a), abs(gen.b - b), abs(gen.c - c)) / scale
+    entries = gen[:3]
+    return max(abs(x - y) for x, y in zip(entries, (a, b, c))) / max(map(abs, entries))
 
 
 GENERATOR_CASES = [
@@ -465,14 +465,12 @@ LOGARITHM_CASES = [
 class TestGenerator:
     @pytest.mark.parametrize("length", [0.5, 1.0, 2.0, 40.0])
     def test_interval_det_is_quarter_l_squared(self, length):
-        gen = generator(models.IntervalModel(length), "translation")
-        assert gen.det == length**2 / 4
+        assert generator(models.IntervalModel(length), "translation")[3] == length**2 / 4
 
     @pytest.mark.parametrize("gamma", [-25.0, -2.0, -0.3, -0.25, 0.0, 0.5])
     def test_inverse_square_det(self, gamma):
         # det X = nu^2/4 below -1/4 and -mu^2/4 above
-        gen = generator(models.inverse_square(gamma), "scaling")
-        assert gen.det == -(gamma + 0.25) / 4
+        assert generator(models.inverse_square(gamma), "scaling")[3] == -(gamma + 0.25) / 4
 
     @pytest.mark.parametrize("model, group", [
         (models.IntervalModel(1.0), "scaling"),
@@ -506,9 +504,9 @@ class TestGenerator:
                   100.0, -100.0, 200.0, -200.0, 700.0, -690.0):
             if abs(t) > t_max:
                 continue
-            fm = gamma_map(model, subgroup_eval(group, t))
+            m = gamma_map(model, subgroup_eval(group, t))
             exact = exp_element(gen, t)
-            assert max(abs(mobius.apply(fm.mobius, v) - mobius.apply(exact, v))
+            assert max(abs(mobius.apply(m, v) - mobius.apply(exact, v))
                        for v in flow._sample_parameters(25)) <= tol
 
     @pytest.mark.parametrize("gamma", [-0.25, -0.26, -2.0, -1000.0, -5e4])
@@ -518,9 +516,9 @@ class TestGenerator:
         model = models.inverse_square(gamma)
         gen = generator(model, "scaling")
         for t in (-698.0, -700.0, -705.0, -708.5, -709.7):
-            fm = gamma_map(model, subgroup_eval("scaling", t))
+            m = gamma_map(model, subgroup_eval("scaling", t))
             exact = exp_element(gen, t)
-            assert max(abs(mobius.apply(fm.mobius, v) - mobius.apply(exact, v))
+            assert max(abs(mobius.apply(m, v) - mobius.apply(exact, v))
                        for v in flow._sample_parameters(25)) <= 5e-14
 
     @pytest.mark.parametrize("model, group", GENERATOR_CASES, ids=GENERATOR_IDS)
@@ -528,11 +526,11 @@ class TestGenerator:
         # 8th-order central difference of the elements at t = 0, each taken
         # with the sign that makes it near +I; measured <= 1.9e-14
         gen = generator(model, group)
-        h = 0.02 / max(1.0, abs(gen.a), abs(gen.b), abs(gen.c))
+        h = 0.02 / max(1.0, *map(abs, gen[:3]))
         diff = np.zeros(3, dtype=complex)
         for k, weight in enumerate((4 / 5, -1 / 5, 4 / 105, -1 / 280), 1):
             for side in (1, -1):
-                m = gamma_map(model, subgroup_eval(group, side * k * h)).mobius
+                m = gamma_map(model, subgroup_eval(group, side * k * h))
                 sign = 1 if (m.a + m.d).real > 0 else -1
                 diff += side * sign * weight / h * np.array([m.a, m.b, m.c])
         assert _x_error(gen, *diff) <= 2e-13
@@ -543,11 +541,10 @@ class TestGenerator:
         a, b, c, det = log_generator(model, default_group(model))
         gen = generator(model, default_group(model))
         assert _x_error(gen, a, b, c) <= x_tol
-        assert abs(det - gen.det) <= det_tol * abs(gen.det)
+        assert abs(det - gen[3]) <= det_tol * abs(gen[3])
 
     def test_trivial_flow_has_zero_generator(self, halfline):
-        gen = generator(halfline, "translation")
-        assert (gen.a, gen.b, gen.c, gen.det) == (0, 0, 0, 0)
+        assert generator(halfline, "translation") == (0, 0, 0, 0)
         assert period_detect(halfline, "translation", t_max=10.0) is None
 
 
@@ -560,13 +557,13 @@ class TestSemiboundedFixedPoints:
         # down to one ulp above -1/4; measured <= 3.2e-16
         m = models.inverse_square(gamma)
         v_f, v_k = m.friedrichs_krein()
-        zeros = generator(m, "scaling").zeros()
+        found = zeros(*generator(m, "scaling"))
         if gamma == -0.25:
-            assert v_f == v_k and len(zeros) == 1
+            assert v_f == v_k and len(found) == 1
         else:
-            assert len(zeros) == 2
+            assert len(found) == 2
         for v in (v_f, v_k):
-            assert min(abs(z - v) for z in zeros) <= 1e-15
+            assert min(abs(z - v) for z in found) <= 1e-15
 
 
 def random_disk_automorphism(rng):
@@ -582,7 +579,7 @@ class TestTrichotomyConsistency:
     appear across randomized trials."""
 
     def _assert_no_counterexample(self, mb):
-        if mobius.projective_distance(mb, IDENTITY_MAP) < 1e-8:
+        if distance_to_identity(mb) < 1e-8:
             return
         fps = mobius.fixed_points(mb)
         if fps is ALL_POINTS:
@@ -615,10 +612,9 @@ class TestTrichotomyConsistency:
             length = rng.uniform(0.3, 3.0)
             t = rng.uniform(-8, 8)
             m = models.IntervalModel(length)
-            fm = gamma_map(m, AffineMap(1.0, t))
+            element = gamma_map(m, AffineMap(1.0, t))
             conj = random_disk_automorphism(rng)
-            composed = compose(conj, compose(fm.mobius,
-                                                           mobius.inverse(conj)))
+            composed = compose(conj, compose(element, mobius.inverse(conj)))
             self._assert_no_counterexample(composed)
 
 
@@ -628,9 +624,9 @@ def _two_pass_element(model, g):
     scaled by one power of two and normalised by mobius.from_coefficients.
     None where the denominator condition passes gamma_map's guard."""
     co = flow_coefficients(g)
-    ov = model.overlap_matrix(g)
-    a, b = -co.delta * ov.cmm, co.gamma_c * ov.cmp
-    c, d = -co.beta * ov.cpm, co.alpha * ov.cpp
+    cpp, cpm, cmp, cmm = model.overlap_matrix(g)
+    a, b = -co.delta * cmm, co.gamma_c * cmp
+    c, d = -co.beta * cpm, co.alpha * cpp
     scale = max(abs(a), abs(b), abs(c), abs(d))
     unit = math.ldexp(1.0, min(1023, -math.frexp(scale)[1]))
     a, b, c, d, scale = a * unit, b * unit, c * unit, d * unit, scale * unit
@@ -660,7 +656,7 @@ class TestOnePassElement:
                 with pytest.raises(NearSingularDenominator):
                     gamma_map(model, g)
             else:
-                assert gamma_map(model, g).mobius == expected
+                assert gamma_map(model, g) == expected
 
     # the calls every element makes besides its overlaps: isfinite of the
     # slope and shift, frexp and ldexp of the power-of-two scale, and the
@@ -723,12 +719,38 @@ class TestOnePassElement:
                 gamma_map(invsq0, g)
 
 
+@pytest.mark.parametrize("model", [models.IntervalModel(1.0), models.inverse_square(-2.0),
+                                   models.inverse_square(0.5)], ids=lambda m: _model_id(m))
+def test_an_element_is_its_linear_fractional_map(model):
+    # the blocks are a plain 4-tuple and the element the normalized map
+    # itself: no record wraps either
+    g = subgroup_eval(default_group(model), 0.7)
+    blocks = model.overlap_matrix(g)
+    assert type(blocks) is tuple and len(blocks) == 4
+    assert all(type(block) is complex for block in blocks)
+    m = gamma_map(model, g)
+    assert type(m) is mobius.LinearFractionalMap
+    assert abs(m.a * m.d - m.b * m.c - 1) <= 1e-15
+    assert type(generator(model, default_group(model))) is tuple
+
+
+@pytest.mark.parametrize("model", [models.IntervalModel(0.5), models.IntervalModel(300.0),
+                                   models.inverse_square(-5e4), models.inverse_square(-2.0),
+                                   models.inverse_square(-0.25), models.inverse_square(0.0),
+                                   models.inverse_square(0.7499)],
+                         ids=lambda m: _model_id(m))
+def test_sampled_trace_is_the_complex_cosine(model):
+    # invariant_extensions reads cos(t sqrt(det X)) as math.cos or math.cosh
+    # of t sqrt|det X|: the value cmath.cos gives, bit for bit
+    det = generator(model, default_group(model))[3]
+    for t in flow.T_SAMPLES:
+        wave = math.cos if det > 0 else math.cosh
+        assert wave(t * math.sqrt(abs(det))) == cmath.cos(t * cmath.sqrt(det))
+
+
 @pytest.mark.parametrize("record", [
     AffineMap(2.0, 1.0),
-    models.OverlapData(1j, 2j, 3j, 4j),
     mobius.LinearFractionalMap(1j, 2j, 3j, 4j),
-    flow.FlowMap(IDENTITY_MAP, 1.0),
-    flow.FlowGenerator(1j, 2j, 3j, 0.5),
 ], ids=lambda r: type(r).__name__)
 def test_slotted_records_are_frozen_values(record):
     fields = [f.name for f in dataclasses.fields(record)]
@@ -762,9 +784,7 @@ class TestErrors:
         turn, back = rotation(1e-10), rotation(-1e-10)
 
         def turned(model, g, gamma_map=flow.gamma_map):
-            fm = gamma_map(model, g)
-            return flow.FlowMap(compose(turn, compose(fm.mobius, back)),
-                                fm.condition)
+            return compose(turn, compose(gamma_map(model, g), back))
 
         group = default_group(model)
         invariant_extensions(model, group)

@@ -18,7 +18,6 @@ from extflow.mobius import (
     inverse,
     is_disk_self_map,
     is_infinite,
-    projective_distance,
 )
 
 # Disk maps that no program path builds: the tests here and in test_flow
@@ -36,6 +35,14 @@ def disk_automorphism(w: complex, theta: float = 0.0) -> LinearFractionalMap:
         raise InvalidArgument("automorphism parameter must lie inside the disk")
     phase = cmath.exp(1j * theta)
     return from_coefficients(phase, -phase * w, -w.conjugate(), 1)
+
+
+def projective_distance(m: LinearFractionalMap, n: LinearFractionalMap) -> float:
+    """max coefficient deviation, minimized over the global sign: the
+    reference for mobius.distance_to_identity."""
+    diff = max(abs(m.a - n.a), abs(m.b - n.b), abs(m.c - n.c), abs(m.d - n.d))
+    summ = max(abs(m.a + n.a), abs(m.b + n.b), abs(m.c + n.c), abs(m.d + n.d))
+    return min(diff, summ)
 
 
 def compose(m: LinearFractionalMap, n: LinearFractionalMap) -> LinearFractionalMap:
@@ -116,6 +123,23 @@ class TestConstruction:
             except DegenerateMap:
                 continue
             assert abs(m.a * m.d - m.b * m.c - 1) < 1e-12
+
+
+class TestDistanceToIdentity:
+    def test_equals_projective_distance(self):
+        # the identity's coefficients read in place: equal, not close, on
+        # automorphisms, the identity, its negative, maps within 1e-12 of it,
+        # signed zeros and coefficients that are not finite
+        rng = np.random.default_rng(13)
+        maps = [random_automorphism(rng) for _ in range(300)]
+        maps += [IDENTITY_MAP, LinearFractionalMap(-1 + 0j, -0j, -0j, -1 - 0j),
+                 rotation(1e-12), rotation(math.pi - 1e-12), compose(rotation(2.0), HYPERBOLIC),
+                 LinearFractionalMap(complex(math.inf, 0), 0j, 1j, complex(math.nan, 1)),
+                 LinearFractionalMap(1 + 0j, complex(-0.0, -0.0), complex(0.0, -0.0), 1 + 0j)]
+        for m in maps:
+            assert mobius.distance_to_identity(m) == projective_distance(m, IDENTITY_MAP) or (
+                math.isnan(mobius.distance_to_identity(m))
+                and math.isnan(projective_distance(m, IDENTITY_MAP)))
 
 
 class TestApply:

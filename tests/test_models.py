@@ -1,4 +1,5 @@
 import cmath
+import collections
 import math
 import sys
 
@@ -13,9 +14,11 @@ from extflow.errors import (
     OutsideGroup,
     UnsupportedIndices,
 )
+from extflow.mobius import IDENTITY_MAP
 from extflow.numerics import quad_finite
 
 EPS = sys.float_info.epsilon
+LOG_MAX = math.log(sys.float_info.max)
 
 
 @pytest.fixture(scope="module")
@@ -28,10 +31,25 @@ def invsq0():
     return models.inverse_square(0.0)
 
 
+# overlap_matrix's tuple, each block by name
+Blocks = collections.namedtuple("Blocks", "cpp cpm cmp cmm")
+
+
+def blocks(model, g):
+    return Blocks(*model.overlap_matrix(g))
+
+
+def interval_norms(length):
+    """||e^x|| and ||e^{-x}|| on (0, l), the norms of the interval's
+    deficiency representatives, written with expm1 so that nothing cancels
+    at small l."""
+    return math.sqrt(math.expm1(2 * length) / 2), math.sqrt(-math.expm1(-2 * length) / 2)
+
+
 def gram_matrix(model, g):
     """Gram matrix of (U phi+, U phi-, phi+, phi-) from overlap blocks."""
-    e = model.overlap_matrix(IDENTITY)
-    o = model.overlap_matrix(g)
+    e = blocks(model, IDENTITY)
+    o = blocks(model, g)
     m = np.array([
         [1.0, e.cmp, o.cpp, o.cmp],
         [np.conj(e.cmp), 1.0, o.cpm, o.cmm],
@@ -58,52 +76,61 @@ class TestIntervalModel:
     def test_deficiency_dims(self, interval):
         assert interval.deficiency_dims == (1, 1)
 
-    def test_plus_norm_against_quadrature(self, interval):
+    def test_plus_norm_against_quadrature(self):
         oracle = quad_finite(lambda x: np.exp(2 * x), 0.0, 1.0, 1e-12).value
-        assert interval.norm_plus**2 == pytest.approx(oracle.real, abs=1e-11)
-        assert interval.norm_plus**2 == pytest.approx(3.1945280494653251, rel=1e-12)
+        norm_plus = interval_norms(1.0)[0]
+        assert norm_plus**2 == pytest.approx(oracle.real, abs=1e-11)
+        assert norm_plus**2 == pytest.approx(3.1945280494653251, rel=1e-12)
 
     @pytest.mark.parametrize("length", [1e-3, 1.0, 300.0])
     def test_norms_against_mpmath(self, length):
         # ||e^x||^2 = (e^{2l} - 1)/2 and ||e^{-x}||^2 = (1 - e^{-2l})/2; at
         # l = 1e-3 the differences cancel unless written with expm1
         mpmath = pytest.importorskip("mpmath")
-        m = models.IntervalModel(length)
+        norm_plus, norm_minus = interval_norms(length)
         with mpmath.workdps(40):
             two_l = 2 * mpmath.mpf(length)
             plus = float(mpmath.sqrt((mpmath.exp(two_l) - 1) / 2))
             minus = float(mpmath.sqrt((1 - mpmath.exp(-two_l)) / 2))
-        assert m.norm_plus == pytest.approx(plus, rel=1e-15, abs=0.0)
-        assert m.norm_minus == pytest.approx(minus, rel=1e-15, abs=0.0)
+        assert norm_plus == pytest.approx(plus, rel=1e-15, abs=0.0)
+        assert norm_minus == pytest.approx(minus, rel=1e-15, abs=0.0)
 
-    @pytest.mark.parametrize("length", [354.8914, 360.0, 1e300])
+    @pytest.mark.parametrize("length", [math.nextafter(LOG_MAX, math.inf), 710.0, 1e300])
     def test_length_beyond_the_float_range(self, length):
-        # e^{2l} overflows above l = 354.8913...; just below, the norm is a float
-        assert math.isfinite(models.IntervalModel(354.8913).norm_plus)
+        # X's zero e^l overflows above l = log(float max) = 709.78...; at
+        # that edge both zeros are floats, and the invariant point e^{-l} is
+        # found
+        edge = models.IntervalModel(LOG_MAX)
+        found = flow.zeros(*edge.generator("translation"))
+        assert all(math.isfinite(abs(z)) for z in found)
+        assert max(abs(z) for z in found) == pytest.approx(math.exp(LOG_MAX), rel=1e-15)
+        (v, _), = flow.invariant_extensions(edge, "translation").fixed_points
+        assert v == pytest.approx(math.exp(-LOG_MAX), rel=1e-15)
         with pytest.raises(DynamicRangeExceeded):
             models.IntervalModel(length)
 
     def test_identity_cross_overlap(self, interval):
-        ov = interval.overlap_matrix(IDENTITY)
+        ov = blocks(interval, IDENTITY)
         assert ov.cpp == pytest.approx(1.0, abs=1e-10)
         assert ov.cmm == pytest.approx(1.0, abs=1e-10)
         # integral of e^x e^{-x} over (0,1) is 1; divide by the norms
         assert ov.cmp == pytest.approx(0.850918, abs=1e-6)
-        assert ov.cmp == pytest.approx(1.0 / (interval.norm_plus * interval.norm_minus))
+        assert ov.cmp == pytest.approx(1.0 / math.prod(interval_norms(1.0)))
 
     def test_translated_overlap_closed_form(self, interval):
         t = 1.0
-        ov = interval.overlap_matrix(AffineMap(1.0, t))
+        ov = blocks(interval, AffineMap(1.0, t))
         expect = 2 * (np.exp(2 + 1j * t) - 1) / ((2 + 1j * t) * (math.e**2 - 1))
         assert abs(ov.cpp - expect) < 1e-12
 
     def test_overlaps_match_quadrature_across_t(self, interval):
+        norm_plus, norm_minus = interval_norms(interval.length)
         for t in np.linspace(-20.0, 20.0, 11):
-            ov = interval.overlap_matrix(AffineMap(1.0, float(t)))
+            ov = blocks(interval, AffineMap(1.0, float(t)))
             for block, integrand in [
-                (ov.cpp, lambda x: np.exp(1j * t * x) * np.exp(2 * x) / interval.norm_plus**2),
-                (ov.cmm, lambda x: np.exp(1j * t * x) * np.exp(-2 * x) / interval.norm_minus**2),
-                (ov.cmp, lambda x: np.exp(1j * t * x) / (interval.norm_plus * interval.norm_minus)),
+                (ov.cpp, lambda x: np.exp(1j * t * x) * np.exp(2 * x) / norm_plus**2),
+                (ov.cmm, lambda x: np.exp(1j * t * x) * np.exp(-2 * x) / norm_minus**2),
+                (ov.cmp, lambda x: np.exp(1j * t * x) / (norm_plus * norm_minus)),
             ]:
                 oracle = quad_finite(integrand, 0.0, 1.0, 1e-12).value
                 assert abs(block - oracle) < 1e-10
@@ -131,7 +158,7 @@ class TestIntervalModel:
                 cpp = 2 * mpmath.expm1((2 + 1j * s) * l) / ((2 + 1j * s) * mpmath.expm1(2 * l))
                 cmm = -2 * mpmath.expm1((-2 + 1j * s) * l) / ((-2 + 1j * s) * mpmath.expm1(-2 * l))
                 cross = (mpmath.expm1(1j * s * l) / (1j * s) if t else l) / mpmath.sinh(l)
-            ov = m.overlap_matrix(AffineMap(1.0, t))
+            ov = blocks(m, AffineMap(1.0, t))
             turn = abs(t * length / 2)
             for block, ref, reach in [
                     (ov.cpp, cpp, turn * coth / abs(complex(1, 0.5 * t))),
@@ -164,10 +191,11 @@ class TestIntervalModel:
         # transported on both sides the overlap reduces to the identity one
         xs = np.linspace(1e-6, 1.0, 20001)
         t = 1.7
-        up = np.exp(1j * xs * t) * np.exp(xs) / interval.norm_plus
-        um = np.exp(1j * xs * t) * np.exp(-xs) / interval.norm_minus
+        norm_plus, norm_minus = interval_norms(interval.length)
+        up = np.exp(1j * xs * t) * np.exp(xs) / norm_plus
+        um = np.exp(1j * xs * t) * np.exp(-xs) / norm_minus
         trapz = np.trapezoid(up * np.conj(um), xs)
-        assert abs(trapz - interval.overlap_matrix(IDENTITY).cmp) < 1e-6
+        assert abs(trapz - blocks(interval, IDENTITY).cmp) < 1e-6
 
 
 K = cmath.exp(-0.25j * math.pi)   # the deficiency representative is sqrt(k x) K_mu(k x)
@@ -217,14 +245,14 @@ class TestInverseSquareModel:
         # sigma = 1 are separate closed forms; cpp at the identity is their
         # ratio, 1 (measured <= 2.3e-16)
         for gamma in (-25.0, -2.0, -0.25, 0.0, 0.5, 0.7):
-            ov = models.inverse_square(gamma).overlap_matrix(IDENTITY)
+            ov = blocks(models.inverse_square(gamma), IDENTITY)
             assert abs(ov.cpp - 1.0) < 3e-15
             assert abs(ov.cmm - 1.0) < 3e-15
 
     def test_cross_overlap_oracle(self, invsq0):
         # <phi+, phi-> = int e^{-2kx} / ||e^{-kx}||^2 = e^{i pi/4} / sqrt 2
         expect = np.exp(1j * math.pi / 4) / math.sqrt(2)
-        assert abs(invsq0.overlap_matrix(IDENTITY).cmp - expect) < 2e-15
+        assert abs(blocks(invsq0, IDENTITY).cmp - expect) < 2e-15
 
     def test_minus_is_conjugate(self):
         # the minus representative is the conjugate of the plus one, so the
@@ -232,7 +260,7 @@ class TestInverseSquareModel:
         for gamma in (-2.0, 0.0, 0.5):
             m = models.inverse_square(gamma)
             for t in (0.3, -1.7, 4.0):
-                ov = m.overlap_matrix(subgroup_eval("scaling", t))
+                ov = blocks(m, subgroup_eval("scaling", t))
                 assert ov.cmm == ov.cpp.conjugate()
                 assert ov.cpm == ov.cmp.conjugate()
 
@@ -257,7 +285,7 @@ class TestInverseSquareModel:
                 assert abs(got - exact) / abs(exact) < 3e-12
 
     def test_identity_blocks(self, invsq0):
-        ov = invsq0.overlap_matrix(IDENTITY)
+        ov = blocks(invsq0, IDENTITY)
         assert abs(ov.cpp - 1.0) < 1e-15
         assert abs(ov.cmm - 1.0) < 1e-15
         # <phi+, phi-> normalized: sqrt(2) * e^{i pi/4}/2
@@ -269,7 +297,7 @@ class TestInverseSquareModel:
         kp = np.exp(-1j * math.pi / 4)
         for t in (1.0, 40.0, -40.0, 700.0, -700.0):
             sigma = math.exp(-t / 2)
-            ov = invsq0.overlap_matrix(AffineMap(math.exp(t), 0.0))
+            ov = blocks(invsq0, AffineMap(math.exp(t), 0.0))
             root = math.sqrt(2) * math.exp(-t / 4)
             expect_cpp = root / (kp * sigma + np.conj(kp))
             expect_cmp = root * np.exp(1j * math.pi / 4) / (sigma + 1.0)
@@ -324,7 +352,7 @@ class TestInverseSquareModel:
         xs = np.exp(np.arange(-40.0, 4.5, h))
         phi = 2**0.25 * np.exp(-K * s * xs)
         trapz = h * np.sum(w * w * phi * phi * xs)
-        expect = invsq0.overlap_matrix(IDENTITY).cmp
+        expect = blocks(invsq0, IDENTITY).cmp
         assert abs(trapz - expect) < 1e-13
 
 
@@ -435,7 +463,7 @@ class TestClosedForms:
         oracle = _overlap_oracle(mpmath, gamma, (-3.0, -0.5, 0.0, 3.0), h)
         m = models.inverse_square(gamma)
         for s, (cpp, cmp) in oracle.items():
-            ov = m.overlap_matrix(AffineMap(math.exp(-2 * s), 0.0))
+            ov = blocks(m, AffineMap(math.exp(-2 * s), 0.0))
             assert abs(ov.cpp - cpp) < 3e-13 * abs(cpp)
             assert abs(ov.cmp - cmp) < 3e-13 * abs(cmp)
 
@@ -448,7 +476,7 @@ class TestClosedForms:
         near = models.inverse_square(-0.25 + delta)
         for t in (0.0, 0.3, -2.0, 6.0):
             g = subgroup_eval("scaling", t)
-            a, b = critical.overlap_matrix(g), near.overlap_matrix(g)
+            a, b = blocks(critical, g), blocks(near, g)
             assert abs(a.cpp - b.cpp) < 5e-9
             assert abs(a.cmp - b.cmp) < 5e-9
         v_0 = cmath.exp(-0.25j * math.pi)
@@ -490,7 +518,7 @@ class TestClosedForms:
         a, b, c, det = m.generator("scaling")
         assert max(abs(x - r) for x, r in zip((a, b, c), ref)) <= 5e-15 * abs(ref[1])
         assert det == -(gamma + 0.25) / 4 != 0
-        found = flow.generator(m, "scaling").zeros()
+        found = flow.zeros(*flow.generator(m, "scaling"))
         assert len(found) == 2
         assert all(min(abs(z - r) for z in found) <= 3e-15 for r in zeros)
 
@@ -502,7 +530,7 @@ class TestClosedForms:
         for t in (-6.0, -0.5, 0.3, 4.0, 40.0):
             g = subgroup_eval("scaling", t)
             cpp, cmp = _integral_blocks(mpmath, gamma, g.a)
-            ov = m.overlap_matrix(g)
+            ov = blocks(m, g)
             assert abs(ov.cpp - cpp) <= 7e-15 * abs(cpp)
             assert abs(ov.cmp - cmp) <= 7e-15 * abs(cmp)
 
@@ -521,7 +549,7 @@ class TestClosedForms:
                   650.0, 709.0):
             g = subgroup_eval("scaling", t)
             cpp, cmp = _integral_blocks(mpmath, gamma, g.a)
-            ov = m.overlap_matrix(g)
+            ov = blocks(m, g)
             x = -0.5 * math.log(g.a)
             floor = EPS * (1 + (1 + nu) * abs(x))
             assert abs(ov.cpp - cpp) <= 0.6 * floor * 2 / math.cosh(x)
@@ -538,7 +566,7 @@ class TestHalflineModel:
         # indices (0, 1): the only parameter is 0, and every element fixes it
         m = models.HalflineModel()
         g = subgroup_eval("translation", 0.7)
-        assert flow.gamma_map(m, g).trivial
+        assert flow.gamma_map(m, g) is IDENTITY_MAP
         assert flow.gamma_apply(m, g, 0j) == 0
         with pytest.raises(UnsupportedIndices):
             flow.gamma_apply(m, g, 0.3)
